@@ -210,10 +210,17 @@ def _slice_kinds(maps_dir: str) -> list[str]:
     return kinds
 
 
+def _worker_count(jobs: int, n_items: int, cpus: int | None) -> int:
+    """Pool size for ``--jobs``: no more workers than items or CPUs
+    (``os.cpu_count()`` may be None), and at least one."""
+    return max(1, min(jobs, n_items, cpus or 1))
+
+
 def _run_parallel(jobs: int, fn, items: list):
-    if jobs <= 1 or len(items) <= 1:
+    workers = _worker_count(jobs, len(items), os.cpu_count())
+    if workers == 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

@@ -369,9 +369,13 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
 
     Temporal stage: fits encoder and both decoders; the whole-image
     decoder trains jointly on the stage-2 objective applied to its map.
-    Mixing stage: requires ``base_params`` (the stage-1 result), re-runs
-    the frozen backbone as tape constants with detached outputs, and
-    fits only mixing parameters, so frozen gradients are never computed.
+    Mixing stage: requires ``base_params`` (the stage-1 result). The
+    frozen encoder and both decoders run once over all training images,
+    in chunks of ``batch_size``, and only their output arrays are kept
+    (``_frozen_outputs``); each step enters its batch's rows of those
+    arrays as tape constants and fits only mixing parameters, so frozen
+    gradients are never computed. Every op works on each image alone,
+    so the cached rows are bit-identical to a per-step recompute.
 
     Trace rows are (epoch, stage, mean epoch loss, lr).
     """
@@ -397,7 +401,8 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
         trainable, _ = _split_params(params)  # mixing params wait for stage 2
         frozen = None
     else:
-        frozen, trainable = _split_params(params)
+        backbone, trainable = _split_params(params)
+        frozen = _frozen_outputs(data.images, backbone, schedule.batch_size)
 
     rng = np.random.default_rng(seed)
     state = ad.adam_init(trainable)
@@ -430,25 +435,38 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
     return out, trace
 
 
+def _frozen_outputs(images: np.ndarray, backbone: dict[str, np.ndarray],
+                    chunk: int) -> list[np.ndarray]:
+    """The frozen encoder and decoders over every image, ``chunk`` images
+    per tape: the five blocks, T and S_I, each indexed like ``images``."""
+    parts = []
+    for start in range(0, images.shape[0], chunk):
+        tape = ad.Tape()
+        consts = {k: tape.constant(v) for k, v in backbone.items()}
+        blocks, temporal, image_map = forward(
+            tape, images[start:start + chunk], consts)
+        parts.append([t.data for t in (*blocks, temporal, image_map)])
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
 def _train_step(data: TrainData, idx: np.ndarray,
                 trainable: dict[str, np.ndarray],
-                frozen: dict[str, np.ndarray] | None, stage: str,
+                frozen: list[np.ndarray] | None, stage: str,
                 loss_cfg: LossConfig) -> tuple[float, dict[str, np.ndarray]]:
+    """One forward and backward over the images ``idx``. ``frozen`` is
+    the ``_frozen_outputs`` cache in the mixing stage, else None."""
     tape = ad.Tape()
     lifted = {k: tape.param(v, k) for k, v in trainable.items()}
-    images = data.images[idx]
-    gt_slices = tape.constant(data.gt_slices[idx])
     gt_full = tape.constant(data.gt_full[idx])
 
     if stage == "temporal":
-        blocks, temporal, image_map = forward(tape, images, lifted)
+        gt_slices = tape.constant(data.gt_slices[idx])
+        blocks, temporal, image_map = forward(tape, data.images[idx], lifted)
         loss = ad.add(stage1_loss(temporal, gt_slices, loss_cfg),
                       stage2_loss(image_map, gt_full, loss_cfg))
     else:
-        consts = {k: tape.constant(v) for k, v in frozen.items()}
-        blocks, temporal, image_map = forward(tape, images, consts)
-        blocks = [b.detach() for b in blocks]
-        refined = smm(blocks, temporal.detach(), image_map.detach(), lifted)
+        *blocks, temporal, image_map = [tape.constant(a[idx]) for a in frozen]
+        refined = smm(blocks, temporal, image_map, lifted)
         loss = stage2_loss(refined, gt_full, loss_cfg)
 
     grads = ad.backward(tape, loss)

@@ -1,9 +1,12 @@
 """Tape, ops, gradients, Adam, and checkpoint round-trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from tsal import autodiff as ad
+from tsal import model
 from tsal.errors import (
     CheckpointError,
     ConfigError,
@@ -39,6 +42,37 @@ def check_grads(build, params, tol=1e-6):
     for name in params:
         err = oracles.rel_err(a[name], n[name]).max()
         assert err < tol, f"{name}: max rel err {err}"
+
+
+def default_model_calls(monkeypatch, op, n_images):
+    """The arguments of every ``ad.<op>`` call in one pass of the
+    default model (encoder, both decoders, mixing) over ``n_images``
+    random 64x64 images, as (args, kwargs) pairs."""
+    calls = []
+    real = getattr(ad, op)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(ad, op, spy)
+    params = model.init_params(model.ModelConfig(), seed=3)
+    images = np.random.default_rng(34).uniform(size=(n_images, 3, 64, 64))
+    tape = ad.Tape()
+    pt = {k: tape.constant(v) for k, v in params.items()}
+    model.smm(*model.forward(tape, images, pt), pt)
+    monkeypatch.undo()
+    return calls
+
+
+def distinct_convs(calls):
+    """(x, kernel, bias, stride) of the conv calls with distinct shapes;
+    the image decoder repeats the temporal trunk, the mixing head
+    repeats the image head."""
+    seen = {}
+    for (x, k, b), kw in calls:
+        stride = kw.get("stride", 1)
+        seen.setdefault((x.shape[1:], k.shape, stride), (x, k, b, stride))
+    return list(seen.values())
 
 
 class TestTensorBasics:
@@ -284,6 +318,42 @@ class TestConv2d:
             return ad.reduce_sum(ad.mul(y, tape.constant(w)))
         check_grads(build, params, tol=1e-5)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_grads_batch_of_two(self, stride):
+        # two images: the kernel gradient sums one product per image
+        rng = np.random.default_rng(32 + stride)
+        params = {"x": rng.normal(size=(2, 3, 4, 6)),
+                  "k": rng.normal(size=(2, 3, 3, 3)),
+                  "b": rng.normal(size=(2,))}
+        w = rng.normal(size=(2, 2, 4 // stride, 6 // stride))
+
+        def build(tape, ts):
+            y = ad.conv2d(ts["x"], ts["k"], ts["b"], stride=stride)
+            return ad.reduce_sum(ad.mul(y, tape.constant(w)))
+        check_grads(build, params, tol=1e-5)
+
+    def test_matches_loop_oracle_at_every_model_layer(self, monkeypatch):
+        # the loop oracle computes the last output channel (the whole
+        # output where O is 1) to keep its cost down
+        calls = default_model_calls(monkeypatch, "conv2d", 1)
+        assert len(calls) == 22 and len(distinct_convs(calls)) == 16
+        for x, k, b, stride in distinct_convs(calls):
+            out = ad.conv2d(x, k, b, stride=stride).data
+            want = oracles.conv2d_loops(x.data, k.data[-1:], b.data[-1:],
+                                        stride=stride)
+            np.testing.assert_allclose(out[:, -1:], want, rtol=1e-12,
+                                       atol=1e-12)
+
+    def test_image_output_independent_of_batch(self, monkeypatch):
+        calls = default_model_calls(monkeypatch, "conv2d", 3)
+        for x, k, b, stride in distinct_convs(calls):
+            tape = x.tape
+            full = ad.conv2d(x, k, b, stride=stride).data
+            for i in range(3):
+                alone = ad.conv2d(tape.constant(x.data[i:i + 1]), k, b,
+                                  stride=stride).data
+                assert full[i].tobytes() == alone[0].tobytes(), k.shape
+
     def test_shape_errors(self):
         tape = ad.Tape()
         x = tape.constant(np.zeros((1, 2, 4, 4)))
@@ -347,6 +417,38 @@ class TestBilinear:
             y = ad.resize_bilinear(ts["x"], 5, 4)
             return ad.reduce_sum(ad.mul(y, tape.constant(w)))
         check_grads(build, params)
+
+    def test_image_output_independent_of_batch(self, monkeypatch):
+        # every resize of the default model, plus non-integer ratios
+        tape = ad.Tape()
+        rng = np.random.default_rng(36)
+        cases = [(tape.constant(rng.normal(size=(3, 5) + size)), *out)
+                 for size, out in [((7, 5), (12, 9)), ((9, 7), (4, 5))]]
+        cases += [args for args, _ in
+                  default_model_calls(monkeypatch, "resize_bilinear", 3)]
+        assert len(cases) == 2 + 18
+        for x, out_h, out_w in cases:
+            full = ad.resize_bilinear(x, out_h, out_w).data
+            for i in range(3):
+                alone = ad.resize_bilinear(x.tape.constant(x.data[i:i + 1]),
+                                           out_h, out_w).data
+                assert full[i].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.parametrize("size, out", [((9, 7), (4, 5)),
+                                           ((5, 4), (11, 13))])
+    def test_pullback_is_the_adjoint(self, size, out):
+        # <resize(x), g> == <x, pullback(g)>, down- and upsampling at
+        # non-integer ratios
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(2, 3) + size)
+        g = rng.normal(size=(2, 3) + out)
+        tape = ad.Tape()
+        xt = tape.param(x, "x")
+        y = ad.resize_bilinear(xt, *out)
+        loss = ad.reduce_sum(ad.mul(y, tape.constant(g)))
+        back = ad.backward(tape, loss)[xt.node_id]
+        assert np.isclose(np.sum(y.data * g), np.sum(x * back),
+                          rtol=1e-12, atol=0.0)
 
 
 class TestBackward:
@@ -496,5 +598,28 @@ class TestCheckpoints:
 
     def test_trailing_garbage(self):
         blob = ad.serialize_params({"w": np.ones(1)}) + b"xx"
+        with pytest.raises(CheckpointError):
+            ad.deserialize_params(blob)
+
+    def test_every_truncation_is_a_checkpoint_error(self):
+        blob = ad.serialize_params({"a.w": np.ones((2, 1, 3, 3)),
+                                    "a.b": np.zeros(2), "s": np.ones(())})
+        for size in range(len(blob)):
+            with pytest.raises(CheckpointError):
+                ad.deserialize_params(blob[:size])
+
+    @pytest.mark.parametrize("tail", [
+        struct.pack("<I", 2 ** 32 - 1),
+        struct.pack("<I", 2) + struct.pack("<2Q", 2 ** 40, 2 ** 40),
+        struct.pack("<I", 2) + struct.pack("<2Q", 0, 2 ** 64 - 1),
+    ], ids=["huge-rank", "huge-extents", "empty-but-unshapeable"])
+    def test_corrupt_extents(self, tail):
+        head = b"TSPW" + struct.pack("<III", 1, 1, 1) + b"w"
+        with pytest.raises(CheckpointError):
+            ad.deserialize_params(head + tail)
+
+    def test_name_not_utf8(self):
+        blob = (b"TSPW" + struct.pack("<III", 1, 1, 1) + b"\xff"
+                + struct.pack("<I", 0) + bytes(8))
         with pytest.raises(CheckpointError):
             ad.deserialize_params(blob)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tsal.autodiff import load_params
-from tsal.cli import main
+from tsal.cli import _worker_count, main
 from tsal.gaze import read_fixation_table, read_map_tsal, write_fixations_csv
 
 
@@ -95,6 +95,15 @@ class TestSurface:
         err = capsys.readouterr().err.strip()
         assert "\n" not in err
         assert err.startswith("tsal: ") and ": " in err[6:]
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("jobs, items, cpus, want", [
+        (1, 10, 8, 1), (4, 10, 8, 4), (64, 10, 8, 8), (64, 3, 8, 3),
+        (4, 0, 8, 1), (0, 10, 8, 1), (-3, 10, 8, 1), (4, 10, None, 1),
+        (10 ** 6, 10 ** 6, 2, 2)])
+    def test_clamped_to_items_and_cpus(self, jobs, items, cpus, want):
+        assert _worker_count(jobs, items, cpus) == want
 
 
 class TestSynth:
@@ -287,6 +296,17 @@ class TestTrainPredictEval:
         for kind in kinds:
             assert (again / kind / "img003.tsal").read_bytes() == \
                 (pred / kind / "img003.tsal").read_bytes()
+
+    def test_truncated_checkpoint_exits_two(self, workdir, dataset, trained,
+                                            capsys):
+        cut = workdir / "cut.tspw"
+        cut.write_bytes(trained["stage1"].read_bytes()[:200])
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", cut,
+                   "--images", dataset["images"],
+                   "--out", workdir / "pred_cut") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tsal: CheckpointError: ")
 
     def test_eval_writes_metric_csv(self, workdir, dataset, trained):
         out = workdir / "metrics.csv"

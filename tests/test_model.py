@@ -433,6 +433,46 @@ class TestTraining:
             model.forward = orig_forward
         assert touched == []
 
+    def test_mixing_cache_matches_per_step_recompute(self):
+        # reference loop from the public pieces, re-running the frozen
+        # backbone on every batch; batch 3 of 4 images leaves a short
+        # last batch and a short last cache chunk
+        base = model.init_params(self.cfg, seed=10)
+        sched = model.TrainSchedule(stage="mixing", batch_size=3, lr0=1e-3,
+                                    epochs=3, decay_every=1, max_steps=5)
+        cfg = model.LossConfig(lambda1=0.5, beta1=1.0, lambda2=0.8, beta2=1.2)
+        got, _ = model.train(self.data, sched, seed=11, loss_cfg=cfg,
+                             base_params=base)
+
+        mixing = {k: v for k, v in base.items() if k.startswith("smm.")}
+        state = ad.adam_init(mixing)
+        rng = np.random.default_rng(11)
+        steps = 0
+        for epoch in range(sched.epochs):
+            order = rng.permutation(4)
+            for start in range(0, 4, sched.batch_size):
+                if steps == sched.max_steps:
+                    break
+                idx = order[start:start + sched.batch_size]
+                tape = ad.Tape()
+                lifted = {k: tape.param(v, k) for k, v in mixing.items()}
+                blocks, t, s_i = model.forward(tape, self.data.images[idx],
+                                               lift_all(tape, base))
+                refined = model.smm([b.detach() for b in blocks], t.detach(),
+                                    s_i.detach(), lifted)
+                loss = model.stage2_loss(
+                    refined, tape.constant(self.data.gt_full[idx]), cfg)
+                grads = ad.backward(tape, loss)
+                mixing, state = ad.adam_step(
+                    mixing, {k: grads[p.node_id] for k, p in lifted.items()},
+                    state, lr=sched.lr_at(epoch))
+                steps += 1
+        assert steps == 5
+        assert set(got) == set(base)
+        for k in base:
+            want = mixing.get(k, base[k])
+            assert got[k].tobytes() == want.tobytes(), k
+
     @staticmethod
     def _flag(fn, nid, sink):
         def wrapped(g):

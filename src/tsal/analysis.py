@@ -2,8 +2,7 @@
 
 Works over per-image stacks of temporal slice maps: average slice maps,
 consecutive attention-shift differences, the inter-slice correlation
-matrix, intra-slice deviation scores, a saliency-over-time histogram,
-and a paired t test with a hand-rolled Student CDF.
+matrix, intra-slice deviation scores and a saliency-over-time histogram.
 
 A slice map is "usable" when it is non-constant; all-zero maps (a slice
 interval with no fixations) and otherwise constant maps are excluded
@@ -13,20 +12,13 @@ how much data supported each entry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateMapError,
-    PreconditionError,
-    ZeroVarianceError,
-)
+from .errors import DegenerateMapError, PreconditionError
 from .gaze import Fixation, Normalization, SaliencyMap, group_fixations, make_map
 from .metrics import cc, fixation_pixels
-
-T_CAP = 1e12  # reported instead of an infinite statistic
 
 
 @dataclass(frozen=True)
@@ -49,14 +41,6 @@ class DeviationScores:
     scores: tuple[float, ...]              # per-slice mean CC to the average
     image_count: int
     skipped: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TTestResult:
-    t: float
-    p: float
-    dof: int
-    overflow: bool                         # zero-variance, nonzero-mean guard
 
 
 def _usable(m: SaliencyMap) -> bool:
@@ -186,7 +170,7 @@ def saliency_time_histogram(fixations: list[Fixation],
         if m.normalization is not Normalization.MAX_TO_ONE:
             raise PreconditionError(
                 f"map {image_id!r} is {m.normalization.name}, need MAX_TO_ONE")
-    grid = np.zeros((bins_t, bins_s), dtype=np.int64)
+    by_image: dict[str, list[Fixation]] = {}
     for f in fixations:
         if f.t_ms is None:
             raise PreconditionError(
@@ -194,109 +178,20 @@ def saliency_time_histogram(fixations: list[Fixation],
         if not 0.0 <= f.t_ms <= t_total:
             raise PreconditionError(
                 f"timestamp {f.t_ms} outside [0, {t_total}]")
-        m = gt_maps.get(f.image_id)
-        if m is None:
+        if f.image_id not in gt_maps:
             raise PreconditionError(f"no ground-truth map for {f.image_id!r}")
-        rows, cols = fixation_pixels([f], m.width, m.height)
-        s = m.values[rows[0], cols[0]]
-        bt = min(int(f.t_ms / (t_total / bins_t)), bins_t - 1)
-        bs = min(int(s / (1.0 / bins_s)), bins_s - 1)
-        grid[bt, bs] += 1
+        by_image.setdefault(f.image_id, []).append(f)
+    grid = np.zeros((bins_t, bins_s), dtype=np.int64)
+    for image_id, fixes in by_image.items():
+        m = gt_maps[image_id]
+        rows, cols = fixation_pixels(fixes, m.width, m.height)
+        t = np.array([f.t_ms for f in fixes])
+        s = m.values[rows, cols]
+        # truncation is floor here: t and s are nonnegative
+        bt = np.minimum((t / (t_total / bins_t)).astype(np.intp), bins_t - 1)
+        bs = np.minimum((s / (1.0 / bins_s)).astype(np.intp), bins_s - 1)
+        np.add.at(grid, (bt, bs), 1)
     return grid
-
-
-# ---------------------------------------------------------------------------
-# Paired t test with a self-contained Student CDF
-# ---------------------------------------------------------------------------
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta
-    (modified Lentz iteration)."""
-    max_iter = 300
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 3e-16:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def student_t_two_sided_p(t: float, dof: int) -> float:
-    """Exact two-sided tail probability for Student's t."""
-    if dof < 1:
-        raise PreconditionError(f"degrees of freedom must be >= 1, got {dof}")
-    return _reg_inc_beta(dof / 2.0, 0.5, dof / (dof + t * t))
-
-
-def normal_two_sided_p(t: float) -> float:
-    return math.erfc(abs(t) / math.sqrt(2.0))
-
-
-def paired_t_test(a: list[float], b: list[float]) -> TTestResult:
-    """Two-sided paired t test on per-image scores.
-
-    Exactly-equal inputs have no defined statistic and raise; a constant
-    nonzero difference (zero variance, nonzero mean) is reported as the
-    capped statistic with the overflow flag set. The p-value uses the
-    exact Student CDF below 30 samples and the normal approximation at
-    30 or more.
-    """
-    if len(a) != len(b):
-        raise PreconditionError(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    if n < 2:
-        raise PreconditionError(f"need at least 2 pairs, got {n}")
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    mean = d.mean()
-    sd = d.std(ddof=1)
-    dof = n - 1
-    if sd == 0.0:
-        if mean == 0.0:
-            raise ZeroVarianceError("all paired differences are zero")
-        return TTestResult(t=math.copysign(T_CAP, mean), p=0.0, dof=dof,
-                           overflow=True)
-    t = float(mean / (sd / math.sqrt(n)))
-    p = normal_two_sided_p(t) if n >= 30 else student_t_two_sided_p(t, dof)
-    return TTestResult(t=t, p=p, dof=dof, overflow=False)
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def detach(self) -> "Tensor":
-        """Re-enter this value as a constant: gradients stop here."""
-        return self.tape.constant(self.data)
-
     def __repr__(self) -> str:
         tag = self.name or f"node{self.node_id}"
         return f"Tensor({tag}, shape={self.data.shape})"
@@ -311,17 +307,6 @@ def reduce_min(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _extreme(a, axis, keepdims, take_max=False)
 
 
-def mean(a: Tensor) -> Tensor:
-    """Scalar mean over all elements."""
-    return reduce_mean(a, axis=None)
-
-
-def std(a: Tensor) -> Tensor:
-    """Scalar population standard deviation, composed from primitives."""
-    centered = sub(a, reduce_mean(a, axis=None))
-    return sqrt(reduce_mean(mul(centered, centered), axis=None))
-
-
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     if not tensors:
         raise ShapeMismatchError("concat_channels needs at least one input")
@@ -343,38 +328,20 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     return tape._record("concat", tuple(t.node_id for t in tensors), pullback, out)
 
 
-def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
+def take_maps(a: Tensor, rows: np.ndarray, chans: np.ndarray) -> Tensor:
+    """The (K, H, W) stack of maps ``a[rows[k], chans[k]]`` of an NCHW
+    tensor. The pullback scatters each map's gradient back into zeros,
+    accumulating where an (image, channel) pair repeats."""
     if a.data.ndim != 4:
-        raise ShapeMismatchError(f"slice_channels expects NCHW, got {a.shape}")
-    if not (0 <= start < stop <= a.shape[1]):
-        raise ShapeMismatchError(
-            f"slice_channels: [{start}:{stop}] out of range for {a.shape[1]} channels")
+        raise ShapeMismatchError(f"take_maps expects NCHW, got {a.shape}")
     shape = a.shape
 
     def pullback(g):
         buf = np.zeros(shape)
-        buf[:, start:stop] = g
+        np.add.at(buf, (rows, chans), g)
         return (buf,)
 
-    return a.tape._record("slice", (a.node_id,), pullback,
-                          a.data[:, start:stop].copy())
-
-
-def slice_batch(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim < 1:
-        raise ShapeMismatchError("slice_batch needs at least one axis")
-    if not (0 <= start < stop <= a.shape[0]):
-        raise ShapeMismatchError(
-            f"slice_batch: [{start}:{stop}] out of range for {a.shape[0]} rows")
-    shape = a.shape
-
-    def pullback(g):
-        buf = np.zeros(shape)
-        buf[start:stop] = g
-        return (buf,)
-
-    return a.tape._record("slice0", (a.node_id,), pullback,
-                          a.data[start:stop].copy())
+    return a.tape._record("take", (a.node_id,), pullback, a.data[rows, chans])
 
 
 def _im2col(xp: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
@@ -513,8 +480,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     for every leaf parameter the loss actually depends on.
 
     Nodes with no path to the loss are never visited, so a frozen
-    subgraph that enters the live graph only through ``detach`` never
-    has gradients computed at all.
+    subgraph whose values re-enter the live graph only as a
+    ``tape.constant`` never has gradients computed at all.
     """
     if loss.tape is not tape:
         raise GraphError("loss was not recorded on this tape")

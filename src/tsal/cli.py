@@ -45,7 +45,6 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
     UnrecoverableObserverError,
-    ZeroVarianceError,
 )
 from .fileio import atomic_write_bytes, atomic_write_text
 from .gaze import (
@@ -72,7 +71,7 @@ from .gaze import (
 INPUT_ERRORS = (ConfigError, FormatError, PreconditionError,
                 ShapeMismatchError, UnrecoverableObserverError,
                 CheckpointError, GraphError, OSError)
-DEGENERATE_ERRORS = (DegenerateMapError, ZeroVarianceError, NonFiniteError)
+DEGENERATE_ERRORS = (DegenerateMapError, NonFiniteError)
 
 NORMALIZATION_NAMES = {"raw": Normalization.RAW,
                        "sum": Normalization.SUM_TO_ONE,

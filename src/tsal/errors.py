@@ -37,10 +37,6 @@ class DegenerateMapError(TsalError):
     """A map is constant, all-zero, or otherwise unusable for the metric."""
 
 
-class ZeroVarianceError(TsalError):
-    """Paired samples have zero variance, so no test statistic exists."""
-
-
 class UnrecoverableObserverError(TsalError):
     """An observer has fixations but no gaze samples to recover time from."""
 

@@ -263,6 +263,22 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def nearest_pixels(xs: np.ndarray, ys: np.ndarray, width: int, height: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-pixel indices (rows, cols) of image coordinates: rounds
+    half up and clamps the right and bottom edges into the last pixel.
+    Raises for the first coordinate pair outside [0, width) x [0, height)."""
+    inside = (xs >= 0.0) & (xs < width) & (ys >= 0.0) & (ys < height)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise PreconditionError(
+            f"fixation at ({float(xs[i])}, {float(ys[i])}) outside "
+            f"{width}x{height} image")
+    rows = np.minimum(np.floor(ys + 0.5).astype(np.intp), height - 1)
+    cols = np.minimum(np.floor(xs + 0.5).astype(np.intp), width - 1)
+    return rows, cols
+
+
 def rasterize(fixations: list[Fixation], width: int, height: int,
               sigma_px: float | None = None,
               normalization: Normalization = Normalization.RAW
@@ -277,13 +293,10 @@ def rasterize(fixations: list[Fixation], width: int, height: int,
         raise ConfigError(f"sigma must be positive, got {sigma_px}")
 
     grid = np.zeros((height, width))
-    for f in fixations:
-        if not (0.0 <= f.x < width and 0.0 <= f.y < height):
-            raise PreconditionError(
-                f"fixation at ({f.x}, {f.y}) outside {width}x{height} image")
-        px = min(int(math.floor(f.x + 0.5)), width - 1)
-        py = min(int(math.floor(f.y + 0.5)), height - 1)
-        grid[py, px] += 1.0
+    rows, cols = nearest_pixels(np.array([f.x for f in fixations]),
+                                np.array([f.y for f in fixations]),
+                                width, height)
+    np.add.at(grid, (rows, cols), 1.0)
 
     if not fixations:
         if normalization is not Normalization.RAW:
@@ -374,24 +387,25 @@ def read_fixation_table(path: str
         for line_no, row in enumerate(reader, start=2):
             try:
                 t_raw = row.get("t_ms", "") if has_t else ""
-                fixations.append(Fixation(
+                fix = Fixation(
                     image_id=row["image_id"],
                     observer_id=row["observer_id"],
                     order_index=int(row["order_index"]),
                     x=float(row["x"]),
                     y=float(row["y"]),
-                    t_ms=float(t_raw) if t_raw not in ("", None) else None))
+                    t_ms=float(t_raw) if t_raw not in ("", None) else None)
                 if has_slice:
                     slice_indices.append(int(row["slice_index"]))
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"{path} line {line_no}: bad value "
                                   f"({exc})") from exc
+            for key in ("x", "y", "t_ms"):
+                value = getattr(fix, key)
+                if value is not None and not math.isfinite(value):
+                    raise FormatError(
+                        f"{path} line {line_no}: {key!r} is not finite")
+            fixations.append(fix)
     return fixations, slice_indices if has_slice else None
-
-
-def read_fixations_csv(path: str) -> list[Fixation]:
-    fixations, _ = read_fixation_table(path)
-    return fixations
 
 
 def write_fixations_csv(path: str, fixations: list[Fixation],

@@ -25,6 +25,7 @@ from .gaze import (
     SaliencyMap,
     group_fixations,
     make_map,
+    nearest_pixels,
     normalize_map,
     read_map_tsal,
 )
@@ -51,15 +52,8 @@ def fixation_pixels(fixations: list[Fixation], width: int, height: int
     """Nearest-pixel indices (rows, cols) for each fixation, in order."""
     if not fixations:
         raise PreconditionError("at least one fixation required")
-    rows = np.empty(len(fixations), dtype=np.intp)
-    cols = np.empty(len(fixations), dtype=np.intp)
-    for i, f in enumerate(fixations):
-        if not (0.0 <= f.x < width and 0.0 <= f.y < height):
-            raise PreconditionError(
-                f"fixation at ({f.x}, {f.y}) outside {width}x{height} map")
-        cols[i] = min(int(math.floor(f.x + 0.5)), width - 1)
-        rows[i] = min(int(math.floor(f.y + 0.5)), height - 1)
-    return rows, cols
+    return nearest_pixels(np.array([f.x for f in fixations]),
+                          np.array([f.y for f in fixations]), width, height)
 
 
 def cc(p: SaliencyMap, g: SaliencyMap) -> float:
@@ -192,31 +186,41 @@ def mean_map(maps: list[SaliencyMap]) -> SaliencyMap:
 # ---------------------------------------------------------------------------
 
 def cc_loss_node(pred: ad.Tensor, gt: ad.Tensor) -> ad.Tensor:
-    """Pearson correlation as a tape node (same value as cc())."""
+    """Pearson correlation of each map as a tape node (same value as
+    cc()). Reduces the last two axes: a 2-D map gives a scalar, a
+    (K, H, W) stack gives (K,)."""
     if pred.shape != gt.shape:
         raise ShapeMismatchError(
             f"cc_loss_node: shapes {pred.shape} and {gt.shape} differ")
-    if pred.data.std() == 0.0 or gt.data.std() == 0.0:
+    axes = (-2, -1)
+    if (pred.data.std(axis=axes) == 0.0).any() or \
+            (gt.data.std(axis=axes) == 0.0).any():
         raise DegenerateMapError("cc is undefined for a constant map")
-    pc = ad.sub(pred, ad.reduce_mean(pred))
-    gc = ad.sub(gt, ad.reduce_mean(gt))
-    cov = ad.reduce_mean(ad.mul(pc, gc))
-    return ad.div(cov, ad.mul(ad.std(pred), ad.std(gt)))
+    pc = ad.sub(pred, ad.reduce_mean(pred, axis=axes, keepdims=True))
+    gc = ad.sub(gt, ad.reduce_mean(gt, axis=axes, keepdims=True))
+    cov = ad.reduce_mean(ad.mul(pc, gc), axis=axes)
+    sd_p = ad.sqrt(ad.reduce_mean(ad.mul(pc, pc), axis=axes))
+    sd_g = ad.sqrt(ad.reduce_mean(ad.mul(gc, gc), axis=axes))
+    return ad.div(cov, ad.mul(sd_p, sd_g))
 
 
 def kl_loss_node(pred: ad.Tensor, gt: ad.Tensor, eps: float = EPS) -> ad.Tensor:
-    """Regularized divergence of pred from gt as a tape node, with both
-    inputs sum-normalized on the tape (same value as kl())."""
+    """Regularized divergence of each pred map from its gt map as a tape
+    node, with both inputs sum-normalized on the tape (same value as
+    kl()). Reduces the last two axes: a 2-D map gives a scalar, a
+    (K, H, W) stack gives (K,)."""
     if pred.shape != gt.shape:
         raise ShapeMismatchError(
             f"kl_loss_node: shapes {pred.shape} and {gt.shape} differ")
-    if pred.data.sum() <= 0.0 or gt.data.sum() <= 0.0:
+    axes = (-2, -1)
+    if (pred.data.sum(axis=axes) <= 0.0).any() or \
+            (gt.data.sum(axis=axes) <= 0.0).any():
         raise DegenerateMapError("kl is undefined for an all-zero map")
-    p = ad.div(pred, ad.reduce_sum(pred))
-    g = ad.div(gt, ad.reduce_sum(gt))
+    p = ad.div(pred, ad.reduce_sum(pred, axis=axes, keepdims=True))
+    g = ad.div(gt, ad.reduce_sum(gt, axis=axes, keepdims=True))
     ratio = ad.add(ad.div(g, ad.add(p, p.tape.constant(eps))),
                    p.tape.constant(eps))
-    return ad.reduce_sum(ad.mul(g, ad.log(ratio)))
+    return ad.reduce_sum(ad.mul(g, ad.log(ratio)), axis=axes)
 
 
 # ---------------------------------------------------------------------------

@@ -263,72 +263,67 @@ def forward(tape: ad.Tape, images: np.ndarray, pt: dict[str, ad.Tensor]
 # Losses
 # ---------------------------------------------------------------------------
 
-def _mean_scalars(terms: list[ad.Tensor]) -> ad.Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.div(total, total.tape.constant(float(len(terms))))
+def _usable_maps(gt: ad.Tensor) -> np.ndarray:
+    """(N, C) mask of the non-constant ground-truth maps; a constant map
+    carries no signal (and has no CC)."""
+    return gt.data.max(axis=(2, 3)) > gt.data.min(axis=(2, 3))
 
 
-def _map_term(pred: ad.Tensor, gt: ad.Tensor, lam: float,
-              beta: float) -> ad.Tensor:
+def _weighted_map_loss(pred: ad.Tensor, gt: ad.Tensor, usable: np.ndarray,
+                       weights: np.ndarray, lam: float,
+                       beta: float) -> ad.Tensor:
+    """Sum over the usable (image, channel) maps of
+    weights[i, c] * (beta*KL - lam*CC), every map in one KL and one CC
+    node."""
     tape = pred.tape
-    term = tape.constant(0.0)
+    rows, chans = np.nonzero(usable)
+    p = ad.take_maps(pred, rows, chans)
+    g = tape.constant(gt.data[rows, chans])
+    term = tape.constant(np.zeros(rows.size))
     if beta > 0.0:
-        term = ad.add(term, ad.mul(tape.constant(beta),
-                                   kl_loss_node(pred, gt)))
+        term = ad.add(term, ad.mul(tape.constant(beta), kl_loss_node(p, g)))
     if lam > 0.0:
-        term = ad.sub(term, ad.mul(tape.constant(lam),
-                                   cc_loss_node(pred, gt)))
-    return term
+        term = ad.sub(term, ad.mul(tape.constant(lam), cc_loss_node(p, g)))
+    return ad.reduce_sum(ad.mul(term, tape.constant(weights[rows, chans])))
 
 
 def stage1_loss(temporal: ad.Tensor, gt_slices: ad.Tensor,
                 cfg: LossConfig) -> ad.Tensor:
-    """Per-slice beta1*KL - lambda1*CC, averaged over usable channels,
-    then over the batch. Constant ground-truth channels carry no signal
-    and are skipped with a warning."""
+    """Per-slice beta1*KL - lambda1*CC, averaged over each image's
+    usable slices, then over the batch. Constant ground-truth slices
+    carry no signal and are skipped with a warning; an image with no
+    usable slice raises."""
     if temporal.shape != gt_slices.shape:
         raise ShapeMismatchError(
             f"prediction {temporal.shape} vs ground truth {gt_slices.shape}")
-    n_batch, n_ch = temporal.shape[0], temporal.shape[1]
-    per_image: list[ad.Tensor] = []
-    for i in range(n_batch):
-        terms: list[ad.Tensor] = []
-        for ch in range(n_ch):
-            gt_ch = ad.slice_channels(
-                ad.slice_batch(gt_slices, i, i + 1), ch, ch + 1)
-            if gt_ch.data.max() == gt_ch.data.min():
-                warnings.warn(
-                    f"image {i} slice {ch}: constant ground truth, skipped")
-                continue
-            pred_ch = ad.slice_channels(
-                ad.slice_batch(temporal, i, i + 1), ch, ch + 1)
-            terms.append(_map_term(pred_ch, gt_ch, cfg.lambda1, cfg.beta1))
-        if not terms:
-            raise DegenerateMapError(
-                f"image {i}: every ground-truth slice is constant")
-        per_image.append(_mean_scalars(terms))
-    return _mean_scalars(per_image)
+    usable = _usable_maps(gt_slices)
+    for i, ch in np.argwhere(~usable):
+        warnings.warn(f"image {i} slice {ch}: constant ground truth, skipped")
+    per_image = usable.sum(axis=1)
+    if not per_image.all():
+        raise DegenerateMapError(
+            f"image {np.argmin(per_image)}: every ground-truth slice is constant")
+    weights = usable / per_image[:, None] / usable.shape[0]
+    return _weighted_map_loss(temporal, gt_slices, usable, weights,
+                              cfg.lambda1, cfg.beta1)
 
 
 def stage2_loss(refined: ad.Tensor, gt: ad.Tensor,
                 cfg: LossConfig) -> ad.Tensor:
-    """beta2*KL - lambda2*CC on the single refined map, batch-averaged."""
+    """beta2*KL - lambda2*CC on the single refined map, averaged over the
+    images whose ground truth is not constant (the others are skipped
+    with a warning)."""
     if refined.shape != gt.shape:
         raise ShapeMismatchError(
             f"prediction {refined.shape} vs ground truth {gt.shape}")
-    per_image: list[ad.Tensor] = []
-    for i in range(refined.shape[0]):
-        gt_i = ad.slice_batch(gt, i, i + 1)
-        if gt_i.data.max() == gt_i.data.min():
-            warnings.warn(f"image {i}: constant ground truth, skipped")
-            continue
-        per_image.append(_map_term(ad.slice_batch(refined, i, i + 1), gt_i,
-                                   cfg.lambda2, cfg.beta2))
-    if not per_image:
+    usable = _usable_maps(gt)
+    for i in np.nonzero(~usable)[0]:
+        warnings.warn(f"image {i}: constant ground truth, skipped")
+    if not usable.any():
         raise DegenerateMapError("every ground-truth map is constant")
-    return _mean_scalars(per_image)
+    weights = np.full(usable.shape, 1.0 / usable.sum())
+    return _weighted_map_loss(refined, gt, usable, weights,
+                              cfg.lambda2, cfg.beta2)
 
 
 # ---------------------------------------------------------------------------

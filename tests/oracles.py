@@ -180,31 +180,6 @@ def ig_oracle(pred, baseline, fix_mask, eps=1e-7):
 
 
 # ---------------------------------------------------------------------------
-# Student t distribution (via mpmath when available)
-# ---------------------------------------------------------------------------
-
-def t_sf_oracle(t, dof):
-    """Upper tail P(T >= t) for Student's t with ``dof`` degrees of
-    freedom, evaluated through mpmath's incomplete beta."""
-    import mpmath
-    t = mpmath.mpf(t)
-    dof = mpmath.mpf(dof)
-    x = dof / (dof + t * t)
-    half = mpmath.betainc(dof / 2, mpmath.mpf(1) / 2, 0, x, regularized=True) / 2
-    return float(half if t >= 0 else 1 - half)
-
-
-def paired_t_oracle(a, b):
-    """Paired two-sided t test statistic and p-value, scalar math."""
-    d = [x - y for x, y in zip(a, b)]
-    n = len(d)
-    m = sum(d) / n
-    var = sum((x - m) ** 2 for x in d) / (n - 1)
-    t = m / math.sqrt(var / n)
-    return t, 2.0 * t_sf_oracle(abs(t), n - 1)
-
-
-# ---------------------------------------------------------------------------
 # Gaze-pipeline oracles
 # ---------------------------------------------------------------------------
 

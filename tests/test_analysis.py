@@ -1,4 +1,4 @@
-"""Average slices, correlation matrix, deviation scores, histogram, t test."""
+"""Average slices, correlation matrix, deviation scores, histogram."""
 
 import math
 
@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from tsal import analysis
-from tsal.errors import (
-    DegenerateMapError,
-    PreconditionError,
-    ZeroVarianceError,
-)
+from tsal.errors import DegenerateMapError, PreconditionError
 from tsal.gaze import Fixation, Normalization, make_map, normalize_map
 from tsal.metrics import cc
 
@@ -247,59 +243,6 @@ class TestSaliencyTimeHistogram:
         gt = {"img": self._gt(rng)}
         with pytest.raises(PreconditionError):
             analysis.saliency_time_histogram([fx("other", 1, 1, 0.0)], gt)
-
-
-class TestPairedTTest:
-    def test_equal_vectors_raise(self):
-        with pytest.raises(ZeroVarianceError):
-            analysis.paired_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-
-    def test_constant_difference_overflows(self):
-        out = analysis.paired_t_test([2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
-        assert out.overflow
-        assert out.t == analysis.T_CAP
-        assert out.p == 0.0
-        down = analysis.paired_t_test([0.0, 1.0], [1.0, 2.0])
-        assert down.t == -analysis.T_CAP
-
-    def test_matches_textbook_formula_and_reference_cdf(self):
-        rng = np.random.default_rng(117)
-        for _ in range(20):
-            a = [float(v) for v in rng.normal(0.3, 1.0, size=10)]
-            b = [float(v) for v in rng.normal(0.0, 1.0, size=10)]
-            out = analysis.paired_t_test(a, b)
-            t_want, p_want = oracles.paired_t_oracle(a, b)
-            assert out.t == pytest.approx(t_want)
-            assert out.p == pytest.approx(p_want, abs=1e-6)
-            assert out.dof == 9
-
-    def test_large_n_uses_normal_approximation(self):
-        rng = np.random.default_rng(118)
-        a = [float(v) for v in rng.normal(0.1, 1.0, size=40)]
-        b = [float(v) for v in rng.normal(0.0, 1.0, size=40)]
-        out = analysis.paired_t_test(a, b)
-        assert out.p == pytest.approx(math.erfc(abs(out.t) / math.sqrt(2)))
-        # the approximation should sit near the exact value at this size
-        _, p_exact = oracles.paired_t_oracle(a, b)
-        assert out.p == pytest.approx(p_exact, abs=5e-3)
-
-    def test_zero_statistic_has_p_one(self):
-        out = analysis.paired_t_test([1.0, 2.0], [2.0, 1.0])
-        assert out.t == 0.0
-        assert out.p == pytest.approx(1.0)
-
-    def test_exact_cdf_against_mpmath_grid(self):
-        for dof in (1, 2, 5, 12, 29):
-            for t in (0.0, 0.3, 1.0, 2.5, 7.0, -1.7):
-                got = analysis.student_t_two_sided_p(t, dof)
-                want = 2.0 * oracles.t_sf_oracle(abs(t), dof)
-                assert got == pytest.approx(want, abs=1e-12)
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(PreconditionError):
-            analysis.paired_t_test([1.0], [2.0])
-        with pytest.raises(PreconditionError):
-            analysis.paired_t_test([1.0, 2.0], [1.0])
 
 
 class TestCsvRenderers:

@@ -187,6 +187,34 @@ class TestTimestampsAndSlice:
         assert "UnrecoverableObserverError" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("column", ["x", "y", "t_ms"])
+    @pytest.mark.parametrize("command", ["timestamps", "slice"])
+    def test_non_finite_fixation_value_exits_two(self, workdir, dataset,
+                                                 capsys, command, column,
+                                                 value):
+        rows = read_csv(dataset["recovered"])
+        rows[1][column] = value
+        bad = workdir / f"nonfinite_{command}_{column}_{value}.csv"
+        with open(bad, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        out = workdir / "nonfinite_out.csv"
+        if command == "timestamps":
+            code = run(command, "--gaze", dataset["data"] / "gaze.jsonl",
+                       "--fixations", bad, "--out", out)
+        else:
+            code = run(command, "--fixations", bad, "--out", out,
+                       "--scheme", "equal-distribution")
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert err.startswith("tsal: FormatError: ")
+        assert f"line 3: {column!r} is not finite" in err
+        assert not out.exists()
+
+
 class TestRasterize:
     def test_map_tree(self, dataset):
         for kind in ("full", "t0", "t1", "t2", "t3", "t4"):

@@ -297,6 +297,22 @@ class TestRasterize:
         m = gaze.rasterize([fx(0, 3.6, 2.4)], 8, 8, sigma_px=0.3)
         assert m.values.argmax() == np.ravel_multi_index((2, 4), (8, 8))
 
+    def test_nearest_pixels_match_scalar_rounding(self):
+        rng = np.random.default_rng(58)
+        xs = np.concatenate([rng.uniform(0, 9, 50), [0.0, 0.5, 8.5, 8.999]])
+        ys = np.concatenate([rng.uniform(0, 7, 50), [6.5, 0.49, 0.0, 6.9]])
+        rows, cols = gaze.nearest_pixels(xs, ys, 9, 7)
+        assert rows.tolist() == [min(math.floor(y + 0.5), 6) for y in ys]
+        assert cols.tolist() == [min(math.floor(x + 0.5), 8) for x in xs]
+
+    def test_nearest_pixels_name_first_point_outside(self):
+        xs = np.array([1.0, 9.0, float("nan")])
+        with pytest.raises(PreconditionError,
+                           match=r"^fixation at \(9\.0, 1\.0\) outside 9x7 image$"):
+            gaze.nearest_pixels(xs, np.ones(3), 9, 7)
+        with pytest.raises(PreconditionError, match=r"\(nan, 1\.0\)"):
+            gaze.nearest_pixels(xs[::-1], np.ones(3), 9, 7)
+
 
 class TestGazeJsonl:
     def test_roundtrip(self, tmp_path):
@@ -337,13 +353,13 @@ class TestFixationCsv:
         path = str(tmp_path / "fix.csv")
         fixes = [fx(0, 1.5, 2.5), fx(1, 3.0, 4.0)]
         gaze.write_fixations_csv(path, fixes)
-        assert gaze.read_fixations_csv(path) == fixes
+        assert gaze.read_fixation_table(path)[0] == fixes
 
     def test_roundtrip_with_timestamps_exact(self, tmp_path):
         path = str(tmp_path / "fix.csv")
         fixes = [fx(0, 1.0 / 3.0, 2.5, t=1234.5678901234)]
         gaze.write_fixations_csv(path, fixes)
-        got = gaze.read_fixations_csv(path)
+        got, _ = gaze.read_fixation_table(path)
         assert got[0].x == fixes[0].x  # repr() keeps floats exact
         assert got[0].t_ms == fixes[0].t_ms
 
@@ -365,13 +381,13 @@ class TestFixationCsv:
         p = tmp_path / "bad.csv"
         p.write_text("image_id,observer_id,x,y\na,o,1,2\n")
         with pytest.raises(FormatError):
-            gaze.read_fixations_csv(str(p))
+            gaze.read_fixation_table(str(p))
 
     def test_bad_value_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("image_id,observer_id,order_index,x,y\na,o,zero,1,2\n")
         with pytest.raises(FormatError):
-            gaze.read_fixations_csv(str(p))
+            gaze.read_fixation_table(str(p))
 
     def test_mismatched_slice_list_rejected(self, tmp_path):
         with pytest.raises(PreconditionError):

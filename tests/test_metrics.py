@@ -363,6 +363,41 @@ class TestLossNodes:
         numeric = oracles.central_diff_grads(f, {"p": p0})["p"]
         assert oracles.rel_err(analytic, numeric).max() < 1e-4
 
+    @pytest.mark.parametrize("which", ["cc", "kl"])
+    def test_stack_matches_per_map_calls(self, which):
+        rng = np.random.default_rng(95)
+        p = rng.uniform(0.1, 1.0, size=(3, 4, 5))
+        g = rng.uniform(0.1, 1.0, size=(3, 4, 5))
+        builder = metrics.cc_loss_node if which == "cc" else metrics.kl_loss_node
+        tape = ad.Tape()
+        stack = builder(tape.constant(p), tape.constant(g))
+        assert stack.shape == (3,)
+        for k in range(3):
+            one = builder(tape.constant(p[k]), tape.constant(g[k]))
+            assert stack.data[k] == pytest.approx(float(one.data), rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["cc", "kl"])
+    def test_stack_gradients_match_finite_differences(self, which):
+        rng = np.random.default_rng(96)
+        g = rng.uniform(0.1, 1.0, size=(3, 4, 4))
+        p0 = rng.uniform(0.1, 1.0, size=(3, 4, 4))
+        w = rng.normal(size=3)
+        builder = metrics.cc_loss_node if which == "cc" else metrics.kl_loss_node
+
+        def build(tape, pred):
+            per_map = builder(pred, tape.constant(g))
+            return ad.reduce_sum(ad.mul(per_map, tape.constant(w)))
+
+        def f(params):
+            tape = ad.Tape()
+            return float(build(tape, tape.param(params["p"], "p")).data)
+
+        tape = ad.Tape()
+        pred = tape.param(p0, "p")
+        analytic = ad.backward(tape, build(tape, pred))[pred.node_id]
+        numeric = oracles.central_diff_grads(f, {"p": p0})["p"]
+        assert oracles.rel_err(analytic, numeric).max() < 1e-4
+
     def test_degenerate_inputs_rejected(self):
         tape = ad.Tape()
         flat = tape.constant(np.full((3, 3), 0.5))
@@ -372,6 +407,13 @@ class TestLossNodes:
         zero = tape.constant(np.zeros((3, 3)))
         with pytest.raises(DegenerateMapError):
             metrics.kl_loss_node(zero, varied)
+        # one bad map in a stack is enough
+        with pytest.raises(DegenerateMapError):
+            metrics.cc_loss_node(tape.constant(np.stack([varied.data, flat.data])),
+                                 tape.constant(np.stack([varied.data] * 2)))
+        with pytest.raises(DegenerateMapError):
+            metrics.kl_loss_node(tape.constant(np.stack([varied.data] * 2)),
+                                 tape.constant(np.stack([zero.data, varied.data])))
 
 
 class TestBatchEvaluation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsal import autodiff as ad
-from tsal import model
+from tsal import metrics, model
 from tsal.errors import (
     CheckpointError,
     ConfigError,
@@ -268,6 +268,55 @@ class TestLosses:
         with pytest.warns(UserWarning):
             with pytest.raises(DegenerateMapError):
                 model.stage1_loss(pred, tape.constant(gt), model.LossConfig())
+        with pytest.warns(UserWarning):
+            with pytest.raises(DegenerateMapError):
+                model.stage2_loss(pred, tape.constant(gt), model.LossConfig())
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_matches_per_map_loop_reference(self, stage):
+        # reference: one 2-D KL and CC node per usable map, averaged over
+        # each image's usable maps, then over the images that have one;
+        # stage 1 has a constant slice, stage 2 a constant image
+        cfg = model.LossConfig(lambda1=0.7, beta1=1.3, lambda2=0.4, beta2=2.0)
+        if stage == 1:
+            gt = self.gt.copy()
+            gt[1, 2] = 1.0 / gt[1, 2].size
+            loss_fn, lam, beta = model.stage1_loss, cfg.lambda1, cfg.beta1
+        else:
+            gt = gaussian_maps(self.rng, 4, 12, 12)[:, None]
+            gt[2, 0] = 0.0
+            loss_fn, lam, beta = model.stage2_loss, cfg.lambda2, cfg.beta2
+        pred = self.rng.uniform(0.1, 1.0, size=gt.shape)
+
+        tape = ad.Tape()
+        p = tape.param(pred, "p")
+        with pytest.warns(UserWarning, match="constant ground truth"):
+            loss = loss_fn(p, tape.constant(gt), cfg)
+        grad = ad.backward(tape, loss)[p.node_id]
+
+        ref = ad.Tape()
+        maps = {ic: ref.param(pred[ic], f"m{ic}")
+                for ic in np.ndindex(gt.shape[:2])}
+        per_image = []
+        for i in range(gt.shape[0]):
+            terms = []
+            for c in range(gt.shape[1]):
+                if gt[i, c].max() == gt[i, c].min():
+                    continue
+                g = ref.constant(gt[i, c])
+                terms.append(beta * metrics.kl_loss_node(maps[i, c], g)
+                             - lam * metrics.cc_loss_node(maps[i, c], g))
+            if terms:
+                per_image.append(sum(terms[1:], terms[0]) / len(terms))
+        ref_loss = sum(per_image[1:], per_image[0]) / len(per_image)
+        ref_grads = ad.backward(ref, ref_loss)
+
+        assert float(loss.data) == pytest.approx(float(ref_loss.data),
+                                                 rel=1e-12)
+        scale = np.abs(grad).max()
+        for ic, m in maps.items():
+            want = ref_grads.get(m.node_id, np.zeros_like(pred[ic]))
+            assert np.abs(grad[ic] - want).max() <= 1e-12 * scale, ic
 
     def test_shape_mismatch_rejected(self):
         tape = ad.Tape()
@@ -458,8 +507,9 @@ class TestTraining:
                 lifted = {k: tape.param(v, k) for k, v in mixing.items()}
                 blocks, t, s_i = model.forward(tape, self.data.images[idx],
                                                lift_all(tape, base))
-                refined = model.smm([b.detach() for b in blocks], t.detach(),
-                                    s_i.detach(), lifted)
+                refined = model.smm([tape.constant(b.data) for b in blocks],
+                                    tape.constant(t.data),
+                                    tape.constant(s_i.data), lifted)
                 loss = model.stage2_loss(
                     refined, tape.constant(self.data.gt_full[idx]), cfg)
                 grads = ad.backward(tape, loss)

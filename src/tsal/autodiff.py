@@ -14,6 +14,7 @@ shared freely; a tape itself is single-threaded.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -434,13 +435,16 @@ def _bilinear_plan(in_size: int, out_size: int):
     return lo, hi, frac
 
 
+@functools.lru_cache(maxsize=64)
 def _bilinear_matrix(in_size: int, out_size: int) -> np.ndarray:
-    """(out_size, in_size) matrix applying ``_bilinear_plan`` to a vector."""
+    """(out_size, in_size) matrix applying ``_bilinear_plan`` to a vector.
+    Cached per size pair, so it is returned read-only."""
     lo, hi, frac = _bilinear_plan(in_size, out_size)
     rows = np.arange(out_size)
     mat = np.zeros((out_size, in_size))
     mat[rows, lo] = 1.0 - frac
     mat[rows, hi] += frac
+    mat.flags.writeable = False
     return mat
 
 

@@ -49,6 +49,7 @@ from .errors import (
 from .fileio import atomic_write_bytes, atomic_write_text
 from .gaze import (
     Fixation,
+    GazeTable,
     Normalization,
     group_gaze,
     make_map,
@@ -337,7 +338,9 @@ def _synth_one(item, out_dir: str, seed: int, observers: int,
     for k, m in enumerate(sampled.slice_maps):
         _write_map(out / "truth" / "maps", f"t{k}", image_id, m)
     _write_map(out / "truth" / "maps", "full", image_id, sampled.full_map)
-    return image_id, sampled
+    # the maps are written; the caller only needs the records
+    return (sampled.gaze, sampled.fixations, sampled.true_t_ms,
+            sampled.true_slices)
 
 
 def cmd_synth(args) -> None:
@@ -352,12 +355,11 @@ def cmd_synth(args) -> None:
         t_total=args.t_total)
     results = _run_parallel(args.jobs, worker, list(enumerate(specs)))
 
-    gaze, fixations, truth_fix, truth_slices = [], [], [], []
-    for image_id, sampled in results:
-        gaze.extend(sampled.gaze)
-        fixations.extend(sampled.fixations)
-        for f, t, k in zip(sampled.fixations, sampled.true_t_ms,
-                           sampled.true_slices):
+    gaze = GazeTable.concat(image_gaze for image_gaze, *_ in results)
+    fixations, truth_fix, truth_slices = [], [], []
+    for _, image_fixations, true_t_ms, true_slices in results:
+        fixations.extend(image_fixations)
+        for f, t, k in zip(image_fixations, true_t_ms, true_slices):
             truth_fix.append(Fixation(f.image_id, f.observer_id,
                                       f.order_index, f.x, f.y, t_ms=t))
             truth_slices.append(k)

@@ -1,17 +1,20 @@
 """Gaze records, fixation timestamp recovery, temporal slicing, and
 rasterization of fixations into saliency maps.
 
-Records are small frozen dataclasses; every operation returns new
-objects. File formats: gaze logs are JSON lines, fixations are CSV,
-maps are a small binary container ("TSAL") plus PGM/PPM exports for
-viewing.
+Gaze samples are one columnar table (a row per tracker sample, numpy
+columns); fixations are small frozen dataclasses. Every operation
+returns new objects. File formats: gaze logs are JSON lines,
+fixations are CSV, maps are a small binary container ("TSAL") plus
+PGM/PPM exports for viewing.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
+import itertools
 import json
 import math
 import struct
@@ -37,14 +40,67 @@ DEFAULT_TEMPORAL_WEIGHT = 0.01   # per millisecond
 NORM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class GazeSample:
-    """One raw gaze point from the tracker log."""
-    image_id: str
-    observer_id: str
-    t_ms: float
-    x: float
-    y: float
+@dataclass(frozen=True, eq=False)
+class GazeTable:
+    """Raw gaze points from the tracker log, one column per field.
+
+    Row i is the sample (image_id[i], observer_id[i], t_ms[i], x[i],
+    y[i]). The id columns are tuples of str; the numeric columns are
+    read-only float64 arrays holding finite values. ``len()`` is the
+    row count and ``==`` compares every column.
+    """
+    image_id: tuple[str, ...]
+    observer_id: tuple[str, ...]
+    t_ms: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "image_id", tuple(self.image_id))
+        object.__setattr__(self, "observer_id", tuple(self.observer_id))
+        n = len(self.image_id)
+        if len(self.observer_id) != n:
+            raise PreconditionError(
+                f"gaze columns disagree in length: {n} image ids, "
+                f"{len(self.observer_id)} observer ids")
+        for key in ("t_ms", "x", "y"):
+            col = np.array(getattr(self, key), dtype=np.float64)
+            if col.shape != (n,):
+                raise PreconditionError(
+                    f"gaze columns disagree in length: {n} ids, "
+                    f"{key} of shape {col.shape}")
+            if not np.isfinite(col).all():
+                raise NonFiniteError(f"gaze column {key!r} contains NaN or Inf")
+            col.flags.writeable = False
+            object.__setattr__(self, key, col)
+
+    def __len__(self) -> int:
+        return len(self.image_id)
+
+    def __reduce__(self):
+        # rebuild through __init__ so a copy sent between processes gets
+        # read-only columns again
+        return GazeTable, (self.image_id, self.observer_id, self.t_ms,
+                           self.x, self.y)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GazeTable):
+            return NotImplemented
+        return (self.image_id == other.image_id
+                and self.observer_id == other.observer_id
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("t_ms", "x", "y")))
+
+    @classmethod
+    def concat(cls, tables) -> GazeTable:
+        """Rows of every table, in order."""
+        tables = list(tables)
+        chain = itertools.chain.from_iterable
+        return cls(
+            tuple(chain(t.image_id for t in tables)),
+            tuple(chain(t.observer_id for t in tables)),
+            *(np.concatenate([getattr(t, k) for t in tables] or [[]])
+              for k in ("t_ms", "x", "y")))
 
 
 @dataclass(frozen=True)
@@ -138,11 +194,12 @@ def normalize_map(m: SaliencyMap, mode: Normalization) -> SaliencyMap:
 # Timestamp recovery
 # ---------------------------------------------------------------------------
 
-def recover_timestamps(fixations: list[Fixation], gaze: list[GazeSample],
+def recover_timestamps(fixations: list[Fixation], gaze: GazeTable,
                        w_s: float = DEFAULT_SPATIAL_WEIGHT,
                        w_t: float = DEFAULT_TEMPORAL_WEIGHT,
                        t_total: float = DEFAULT_T_TOTAL_MS) -> list[Fixation]:
-    """Assign a timestamp to each fixation of one observer.
+    """Assign a timestamp to each fixation of one observer from that
+    observer's gaze table.
 
     Each fixation starts from the uniform prior t_hat = (i + 0.5) * T / M
     and takes the timestamp of the gaze sample minimizing
@@ -154,7 +211,7 @@ def recover_timestamps(fixations: list[Fixation], gaze: list[GazeSample],
         raise ConfigError(f"weights must be nonnegative, got w_s={w_s} w_t={w_t}")
     if not fixations:
         return []
-    if not gaze:
+    if not len(gaze):
         raise UnrecoverableObserverError(
             f"observer {fixations[0].observer_id!r} has {len(fixations)} "
             f"fixations but no gaze samples")
@@ -164,9 +221,7 @@ def recover_timestamps(fixations: list[Fixation], gaze: list[GazeSample],
                 f"fixations not ordered by order_index "
                 f"({a.order_index} then {b.order_index})")
 
-    gx = np.array([g.x for g in gaze])
-    gy = np.array([g.y for g in gaze])
-    gt = np.array([g.t_ms for g in gaze])
+    gx, gy, gt = gaze.x, gaze.y, gaze.t_ms
     m = len(fixations)
     out: list[Fixation] = []
     previous = -math.inf
@@ -279,12 +334,32 @@ def nearest_pixels(xs: np.ndarray, ys: np.ndarray, width: int, height: int
     return rows, cols
 
 
+@functools.lru_cache(maxsize=16)
+def _blur_matrix(sigma: float, size: int) -> np.ndarray:
+    """(size, size) banded matrix convolving a vector with
+    ``gaussian_kernel_1d(sigma)`` under zero padding: entry (i, j) is the
+    kernel tap at offset j - i, or 0 beyond the kernel radius. Cached
+    per (sigma, size), so it is returned read-only."""
+    kernel = gaussian_kernel_1d(sigma)
+    radius = (kernel.size - 1) // 2
+    offsets = np.arange(size)[None, :] - np.arange(size)[:, None]
+    inside = np.abs(offsets) <= radius
+    mat = np.where(inside, kernel[np.where(inside, offsets + radius, 0)], 0.0)
+    mat.flags.writeable = False
+    return mat
+
+
 def rasterize(fixations: list[Fixation], width: int, height: int,
               sigma_px: float | None = None,
               normalization: Normalization = Normalization.RAW
               ) -> SaliencyMap:
     """Unit impulse at each fixation's nearest pixel, blurred with a
-    separable truncated Gaussian (zero padding at borders)."""
+    separable truncated Gaussian (radius ceil(3 sigma), zero padding at
+    the borders).
+
+    The blur is two matrix products, ``Ky @ grid @ Kx.T``, with the
+    banded kernel matrices of ``_blur_matrix``; a kernel wider than the
+    map is cut off at the borders like any other."""
     if width < 1 or height < 1:
         raise ConfigError(f"invalid map size {width}x{height}")
     if sigma_px is None:
@@ -304,13 +379,8 @@ def rasterize(fixations: list[Fixation], width: int, height: int,
                 "no fixations: cannot produce a normalized map")
         return make_map(grid, Normalization.RAW)
 
-    kernel = gaussian_kernel_1d(sigma_px)
-    blurred = np.empty_like(grid)
-    for row in range(height):
-        blurred[row] = np.convolve(grid[row], kernel, mode="same")
-    for col in range(width):
-        blurred[:, col] = np.convolve(blurred[:, col], kernel, mode="same")
-
+    blurred = (_blur_matrix(sigma_px, height) @ grid
+               @ _blur_matrix(sigma_px, width).T)
     raw = make_map(blurred, Normalization.RAW)
     if normalization is Normalization.RAW:
         return raw
@@ -331,8 +401,12 @@ def _require_number(record: dict, key: str, line_no: int) -> float:
     return value
 
 
-def read_gaze_jsonl(path: str) -> list[GazeSample]:
-    samples: list[GazeSample] = []
+def read_gaze_jsonl(path: str) -> GazeTable:
+    """Parse a gaze log line by line into a table. Blank lines are
+    skipped; the first bad line raises ``FormatError`` naming it."""
+    image_ids: list[str] = []
+    observer_ids: list[str] = []
+    columns: tuple[list[float], ...] = ([], [], [])
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -348,22 +422,25 @@ def read_gaze_jsonl(path: str) -> list[GazeSample]:
                 if not isinstance(record.get(key), str):
                     raise FormatError(
                         f"gaze line {line_no}: {key!r} missing or not a string")
-            samples.append(GazeSample(
-                image_id=record["image_id"],
-                observer_id=record["observer_id"],
-                t_ms=_require_number(record, "t_ms", line_no),
-                x=_require_number(record, "x", line_no),
-                y=_require_number(record, "y", line_no)))
-    return samples
+            for column, key in zip(columns, ("t_ms", "x", "y")):
+                column.append(_require_number(record, key, line_no))
+            image_ids.append(record["image_id"])
+            observer_ids.append(record["observer_id"])
+    return GazeTable(image_ids, observer_ids, *columns)
 
 
-def write_gaze_jsonl(path: str, samples: list[GazeSample]) -> None:
-    buf = io.StringIO()
-    for s in samples:
-        json.dump({"image_id": s.image_id, "observer_id": s.observer_id,
-                   "t_ms": s.t_ms, "x": s.x, "y": s.y}, buf)
-        buf.write("\n")
-    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+def write_gaze_jsonl(path: str, table: GazeTable) -> None:
+    """One JSON object per row, byte for byte what ``json.dump`` writes
+    for {"image_id", "observer_id", "t_ms", "x", "y"}: default
+    separators, ``float.__repr__`` for the numbers and each distinct id
+    escaped once by ``json.dumps``."""
+    ids = {s: json.dumps(s) for s in {*table.image_id, *table.observer_id}}
+    lines = [f'{{"image_id": {ids[i]}, "observer_id": {ids[o]}, '
+             f'"t_ms": {t!r}, "x": {x!r}, "y": {y!r}}}\n'
+             for i, o, t, x, y in zip(table.image_id, table.observer_id,
+                                      table.t_ms.tolist(), table.x.tolist(),
+                                      table.y.tolist())]
+    atomic_write_bytes(path, "".join(lines).encode("utf-8"))
 
 
 _FIXATION_COLUMNS = ("image_id", "observer_id", "order_index", "x", "y")
@@ -526,11 +603,18 @@ def write_diff_ppm(path: str, diff: np.ndarray) -> None:
 # Grouping helpers
 # ---------------------------------------------------------------------------
 
-def group_gaze(samples: list[GazeSample]
-               ) -> dict[tuple[str, str], list[GazeSample]]:
-    groups: dict[tuple[str, str], list[GazeSample]] = {}
-    for s in samples:
-        groups.setdefault((s.image_id, s.observer_id), []).append(s)
+def group_gaze(table: GazeTable) -> dict[tuple[str, str], GazeTable]:
+    """One sub-table per (image_id, observer_id), rows in table order,
+    keys in order of first appearance."""
+    rows: dict[tuple[str, str], list[int]] = {}
+    for i, key in enumerate(zip(table.image_id, table.observer_id)):
+        rows.setdefault(key, []).append(i)
+    groups = {}
+    for (image_id, observer_id), idx in rows.items():
+        idx = np.array(idx)
+        groups[image_id, observer_id] = GazeTable(
+            (image_id,) * idx.size, (observer_id,) * idx.size,
+            table.t_ms[idx], table.x[idx], table.y[idx])
     return groups
 
 

@@ -86,11 +86,21 @@ def nss(p: SaliencyMap, fixations: list[Fixation]) -> float:
     return float(z[rows, cols].mean())
 
 
-def _roc_area(points: list[tuple[float, float]]) -> float:
-    area = 0.0
-    for (fp0, tp0), (fp1, tp1) in zip(points, points[1:]):
-        area += (fp1 - fp0) * (tp0 + tp1) / 2.0
-    return area
+def _roc_auc(pos: np.ndarray, neg: np.ndarray,
+             thresholds: np.ndarray) -> float:
+    """Trapezoid area under the ROC curve from (0, 0) through one point
+    per threshold, highest first, to (1, 1). ``thresholds`` are sorted
+    ascending; a point's rates are the shares of ``pos`` and ``neg`` at
+    or above its threshold. The terms are summed strictly left to right,
+    as a scalar sweep would add them."""
+    def rate(values):
+        above = values.size - np.searchsorted(np.sort(values),
+                                              thresholds[::-1], side="left")
+        return np.concatenate(([0.0], above / values.size, [1.0]))
+
+    fp, tp = rate(neg), rate(pos)
+    terms = (fp[1:] - fp[:-1]) * (tp[:-1] + tp[1:]) / 2.0
+    return float(np.cumsum(terms)[-1])
 
 
 def auc_judd(p: SaliencyMap, fixations: list[Fixation]) -> float:
@@ -103,13 +113,7 @@ def auc_judd(p: SaliencyMap, fixations: list[Fixation]) -> float:
     neg = p.values[~mask]
     if neg.size == 0:
         raise PreconditionError("every pixel is fixated; no negatives left")
-    points = [(0.0, 0.0)]
-    for th in sorted(set(pos.tolist()), reverse=True):
-        tp = float((pos >= th).sum()) / pos.size
-        fp = float((neg >= th).sum()) / neg.size
-        points.append((fp, tp))
-    points.append((1.0, 1.0))
-    return _roc_area(points)
+    return _roc_auc(pos, neg, np.unique(pos))
 
 
 def sauc(p: SaliencyMap, fixations: list[Fixation],
@@ -129,13 +133,7 @@ def sauc(p: SaliencyMap, fixations: list[Fixation],
     if neg.size > cap:
         rng = np.random.default_rng(seed)
         neg = neg[rng.choice(neg.size, size=cap, replace=False)]
-    points = [(0.0, 0.0)]
-    for th in sorted(set(pos.tolist()) | set(neg.tolist()), reverse=True):
-        tp = float((pos >= th).sum()) / pos.size
-        fp = float((neg >= th).sum()) / neg.size
-        points.append((fp, tp))
-    points.append((1.0, 1.0))
-    return _roc_area(points)
+    return _roc_auc(pos, neg, np.unique(np.concatenate((pos, neg))))
 
 
 def sim(p: SaliencyMap, g: SaliencyMap) -> float:

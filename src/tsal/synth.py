@@ -20,7 +20,7 @@ from .errors import ConfigError, FormatError
 from .gaze import (
     DEFAULT_T_TOTAL_MS,
     Fixation,
-    GazeSample,
+    GazeTable,
     Normalization,
     SaliencyMap,
     make_map,
@@ -102,7 +102,7 @@ class Scene:
 
 @dataclass(frozen=True)
 class SampledGaze:
-    gaze: tuple[GazeSample, ...]
+    gaze: GazeTable
     fixations: tuple[Fixation, ...]      # untimestamped, pipeline input
     true_t_ms: tuple[float, ...]         # held back as the recovery oracle
     true_slices: tuple[int, ...]
@@ -201,7 +201,7 @@ def sample_observers(mixture: SliceMixture, observers: int,
     def clip_xy(x, y):
         return (float(np.clip(x, 0.0, w - 1)), float(np.clip(y, 0.0, h - 1)))
 
-    gaze: list[GazeSample] = []
+    gaze: list[GazeTable] = []
     fixations: list[Fixation] = []
     true_t: list[float] = []
     true_slice: list[int] = []
@@ -234,20 +234,22 @@ def sample_observers(mixture: SliceMixture, observers: int,
                 true_slice.append(k)
                 points.append((x, y))
         fix_dur = t_total_ms / (n * per_slice)
-        for j in range(samples_per_obs):
-            t = (j + 0.5) * t_total_ms / samples_per_obs
-            active = min(int(t / fix_dur), len(points) - 1)
-            fx, fy = points[active]
-            gx, gy = clip_xy(fx + rng.normal(0.0, jitter_px),
-                             fy + rng.normal(0.0, jitter_px))
-            gaze.append(GazeSample(image_id, observer_id, t, gx, gy))
+        t = (np.arange(samples_per_obs) + 0.5) * t_total_ms / samples_per_obs
+        active = np.minimum((t / fix_dur).astype(np.intp), len(points) - 1)
+        # one draw per sample and axis, in the order x0, y0, x1, y1, ...
+        jitter = rng.normal(0.0, jitter_px, size=(samples_per_obs, 2))
+        xy = np.array(points)[active] + jitter
+        gaze.append(GazeTable((image_id,) * samples_per_obs,
+                              (observer_id,) * samples_per_obs, t,
+                              np.clip(xy[:, 0], 0.0, w - 1),
+                              np.clip(xy[:, 1], 0.0, h - 1)))
 
     slice_maps = []
     for k in range(n):
         members = [f for f, s in zip(fixations, true_slice) if s == k]
         slice_maps.append(rasterize(members, w, h))
     full_map = rasterize(fixations, w, h)
-    return SampledGaze(tuple(gaze), tuple(fixations), tuple(true_t),
+    return SampledGaze(GazeTable.concat(gaze), tuple(fixations), tuple(true_t),
                        tuple(true_slice), tuple(slice_maps), full_map)
 
 

@@ -6,6 +6,8 @@ formula evaluated directly. None of it shares code with the package
 under test, so agreement between the two is meaningful.
 """
 
+import io
+import json
 import math
 
 import numpy as np
@@ -147,6 +149,21 @@ def auc_judd_oracle(pred, fix_mask):
     return area
 
 
+def roc_sweep_oracle(pos, neg, thresholds):
+    """The scalar threshold sweep: one ROC point per threshold, highest
+    first, between (0, 0) and (1, 1); trapezoids added left to right."""
+    points = [(0.0, 0.0)]
+    for th in sorted(set(thresholds), reverse=True):
+        tp = float(sum(1 for v in pos if v >= th)) / len(pos)
+        fp = float(sum(1 for v in neg if v >= th)) / len(neg)
+        points.append((fp, tp))
+    points.append((1.0, 1.0))
+    area = 0.0
+    for (fp0, tp0), (fp1, tp1) in zip(points, points[1:]):
+        area += (fp1 - fp0) * (tp0 + tp1) / 2.0
+    return area
+
+
 def mann_whitney_auc(pos, neg):
     """Rank-statistic AUC: P(pos > neg) + 0.5 P(pos == neg), by
     exhaustive pairing."""
@@ -262,6 +279,86 @@ def rasterize_dense_oracle(points, width, height, sigma):
                         acc += grid[sy, sx] * k2[dy + radius, dx + radius]
             out[yy, xx] = acc
     return out
+
+
+def blur_convolve_loop(grid, sigma):
+    """Separable truncated-Gaussian blur as one np.convolve per row,
+    then one per column (mode "same": zero padding). Only valid while
+    the kernel is no wider than the grid."""
+    radius = math.ceil(3.0 * sigma)
+    offs = np.arange(-radius, radius + 1, dtype=np.float64)
+    k1 = np.exp(-(offs ** 2) / (2.0 * sigma * sigma))
+    k1 = k1 / k1.sum()
+    out = np.empty_like(grid)
+    for row in range(grid.shape[0]):
+        out[row] = np.convolve(grid[row], k1, mode="same")
+    for col in range(grid.shape[1]):
+        out[:, col] = np.convolve(out[:, col], k1, mode="same")
+    return out
+
+
+def sample_observers_loop(mixture, observers, samples_per_sec,
+                          fixation_rate, seed, image_id, rho, t_total_ms,
+                          jitter_px):
+    """The viewing simulation one draw at a time: scalar normal draws
+    and scalar clips per gaze sample. Returns gaze rows (image_id,
+    observer_id, t_ms, x, y), fixation rows (image_id, observer_id,
+    order_index, x, y), true timestamps and true slices."""
+    rng = np.random.default_rng(seed)
+    n = mixture.weights.shape[0]
+    n_comp = mixture.centers.shape[0]
+    slice_ms = t_total_ms / n
+    per_slice = max(1, round(fixation_rate * slice_ms / 1000.0))
+    samples_per_obs = round(samples_per_sec * t_total_ms / 1000.0)
+    w, h = mixture.width, mixture.height
+
+    def clip_xy(x, y):
+        return (float(np.clip(x, 0.0, w - 1)), float(np.clip(y, 0.0, h - 1)))
+
+    gaze, fixations, true_t, true_slice = [], [], [], []
+    for obs in range(observers):
+        observer_id = f"o{obs:03d}"
+        visits = np.zeros(n_comp)
+        points = []
+        for k in range(n):
+            for i in range(per_slice):
+                probs = mixture.weights[k] * rho ** visits
+                if mixture.center_index is not None:
+                    probs[mixture.center_index] = \
+                        mixture.weights[k, mixture.center_index]
+                total = probs.sum()
+                if total <= 0.0:
+                    probs = mixture.weights[k].copy()
+                    total = probs.sum()
+                comp = rng.choice(n_comp, p=probs / total)
+                if comp != mixture.center_index:
+                    visits[comp] += 1.0
+                x, y = clip_xy(*rng.normal(mixture.centers[comp],
+                                           mixture.sigmas[comp]))
+                order = k * per_slice + i
+                fixations.append((image_id, observer_id, order, x, y))
+                true_t.append((order + 0.5) * t_total_ms / (n * per_slice))
+                true_slice.append(k)
+                points.append((x, y))
+        fix_dur = t_total_ms / (n * per_slice)
+        for j in range(samples_per_obs):
+            t = (j + 0.5) * t_total_ms / samples_per_obs
+            fx, fy = points[min(int(t / fix_dur), len(points) - 1)]
+            gx, gy = clip_xy(fx + rng.normal(0.0, jitter_px),
+                             fy + rng.normal(0.0, jitter_px))
+            gaze.append((image_id, observer_id, t, gx, gy))
+    return gaze, fixations, true_t, true_slice
+
+
+def gaze_jsonl_oracle(rows):
+    """Gaze log bytes from one json.dump per (image_id, observer_id,
+    t_ms, x, y) row."""
+    buf = io.StringIO()
+    for image_id, observer_id, t, x, y in rows:
+        json.dump({"image_id": image_id, "observer_id": observer_id,
+                   "t_ms": t, "x": x, "y": y}, buf)
+        buf.write("\n")
+    return buf.getvalue().encode("utf-8")
 
 
 def histogram2d_oracle(records, bins_t, bins_s, t_total):

@@ -186,6 +186,27 @@ class TestTimestampsAndSlice:
                    "--fixations", orphan_csv, "--out", "x.csv") == 2
         assert "UnrecoverableObserverError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("t_ms", "true", "'t_ms' missing or not a number"),
+        ("x", '"3"', "'x' missing or not a number"),
+        ("y", "NaN", "'y' is not finite"),
+        ("x", "1e999", "'x' is not finite"),
+        ("observer_id", "null", "'observer_id' missing or not a string")])
+    def test_bad_gaze_line_exits_two(self, workdir, dataset, capsys, field,
+                                     value, message):
+        lines = (dataset["data"] / "gaze.jsonl").read_text().splitlines()
+        record = json.loads(lines[4])
+        lines[4] = json.dumps(record).replace(
+            f'"{field}": {json.dumps(record[field])}', f'"{field}": {value}')
+        bad = workdir / "bad_gaze.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = workdir / "bad_gaze_out.csv"
+        assert run("timestamps", "--gaze", bad,
+                   "--fixations", dataset["data"] / "fixations.csv",
+                   "--out", out) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"tsal: FormatError: gaze line 5: {message}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("column", ["x", "y", "t_ms"])
@@ -232,6 +253,14 @@ class TestRasterize:
                    "--out", workdir / "maps_degen", "--n", 7,
                    "--normalize", "sum") == 3
         assert "DegenerateMapError" in capsys.readouterr().err
+
+    def test_kernel_wider_than_the_map(self, workdir, dataset):
+        # sigma 40 gives a 241-tap kernel on 64x64 maps
+        out = workdir / "maps_wide"
+        run0("rasterize", "--fixations", dataset["sliced"],
+             "--images", dataset["images"], "--out", out, "--sigma", 40)
+        m = read_map_tsal(out / "full" / "img000.tsal")
+        assert m.values.shape == (64, 64) and m.values.min() > 0.0
 
     def test_out_of_range_slice_index_exits_two(self, workdir, dataset):
         assert run("rasterize", "--fixations", dataset["sliced"],

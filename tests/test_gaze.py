@@ -1,6 +1,7 @@
 """Gaze records, timestamp recovery, slicing, rasterization, file formats."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ def fx(i, x, y, t=None, image="img0", obs="obs0"):
                          x=x, y=y, t_ms=t)
 
 
-def gz(t, x, y, image="img0", obs="obs0"):
-    return gaze.GazeSample(image_id=image, observer_id=obs, t_ms=t, x=x, y=y)
+def gz(*rows, image="img0", obs="obs0"):
+    """Gaze table of (t_ms, x, y) rows, all of one image and observer."""
+    t, x, y = zip(*rows) if rows else ((), (), ())
+    return gaze.GazeTable((image,) * len(rows), (obs,) * len(rows), t, x, y)
 
 
 class TestSaliencyMap:
@@ -79,12 +82,12 @@ class TestSaliencyMap:
 class TestRecoverTimestamps:
     def test_exact_spatial_match_takes_that_sample(self):
         out = gaze.recover_timestamps([fx(0, 10.0, 20.0)],
-                                      [gz(1200.0, 10.0, 20.0)])
+                                      gz((1200.0, 10.0, 20.0)))
         assert out[0].t_ms == 1200.0
 
     def test_tie_broken_by_earliest_gaze_time(self):
         fixes = [fx(0, 5.0, 0.0)]
-        samples = [gz(900.0, 0.0, 0.0), gz(500.0, 10.0, 0.0)]
+        samples = gz((900.0, 0.0, 0.0), (500.0, 10.0, 0.0))
         out = gaze.recover_timestamps(fixes, samples, w_t=0.0)
         assert out[0].t_ms == 500.0
 
@@ -98,7 +101,7 @@ class TestRecoverTimestamps:
             gaze_pts = [(float(rng.uniform(0, 64)), float(rng.uniform(0, 64)),
                          float(rng.uniform(0, 5000))) for _ in range(g)]
             fixes = [fx(i, x, y) for i, (x, y) in enumerate(fix_pts)]
-            samples = [gz(t, x, y) for x, y, t in gaze_pts]
+            samples = gz(*[(t, x, y) for x, y, t in gaze_pts])
             got = [f.t_ms for f in
                    gaze.recover_timestamps(fixes, samples, w_s=1.0, w_t=0.01)]
             want = oracles.recover_oracle(fix_pts, gaze_pts, 1.0, 0.01, 5000.0)
@@ -106,8 +109,8 @@ class TestRecoverTimestamps:
 
     def test_gaze_at_each_fixation_returns_those_times(self):
         fixes = [fx(0, 1.0, 1.0), fx(1, 9.0, 3.0), fx(2, 4.0, 8.0)]
-        samples = [gz(100.0, 1.0, 1.0), gz(900.0, 9.0, 3.0),
-                   gz(2400.0, 4.0, 8.0)]
+        samples = gz((100.0, 1.0, 1.0), (900.0, 9.0, 3.0),
+                     (2400.0, 4.0, 8.0))
         out = gaze.recover_timestamps(fixes, samples, w_t=0.0)
         assert [f.t_ms for f in out] == [100.0, 900.0, 2400.0]
 
@@ -116,33 +119,33 @@ class TestRecoverTimestamps:
         for _ in range(50):
             fixes = [fx(i, float(rng.uniform(0, 32)), float(rng.uniform(0, 32)))
                      for i in range(4)]
-            samples = [gz(float(rng.uniform(0, 5000)),
-                          float(rng.uniform(0, 32)), float(rng.uniform(0, 32)))
-                       for _ in range(8)]
+            samples = gz(*[(float(rng.uniform(0, 5000)),
+                            float(rng.uniform(0, 32)), float(rng.uniform(0, 32)))
+                           for _ in range(8)])
             out = gaze.recover_timestamps(fixes, samples)
             ts = [f.t_ms for f in out]
             assert ts == sorted(ts)
 
     def test_empty_gaze_is_unrecoverable(self):
         with pytest.raises(UnrecoverableObserverError):
-            gaze.recover_timestamps([fx(0, 1.0, 1.0)], [])
+            gaze.recover_timestamps([fx(0, 1.0, 1.0)], gz())
 
     def test_empty_fixations_ok(self):
-        assert gaze.recover_timestamps([], []) == []
+        assert gaze.recover_timestamps([], gz()) == []
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
-            gaze.recover_timestamps([fx(0, 1.0, 1.0)], [gz(0.0, 1.0, 1.0)],
+            gaze.recover_timestamps([fx(0, 1.0, 1.0)], gz((0.0, 1.0, 1.0)),
                                     w_s=-1.0)
 
     def test_unordered_fixations_rejected(self):
         fixes = [fx(1, 1.0, 1.0), fx(0, 2.0, 2.0)]
         with pytest.raises(PreconditionError):
-            gaze.recover_timestamps(fixes, [gz(0.0, 1.0, 1.0)])
+            gaze.recover_timestamps(fixes, gz((0.0, 1.0, 1.0)))
 
     def test_does_not_mutate_input(self):
         fixes = [fx(0, 1.0, 1.0)]
-        gaze.recover_timestamps(fixes, [gz(10.0, 1.0, 1.0)])
+        gaze.recover_timestamps(fixes, gz((10.0, 1.0, 1.0)))
         assert fixes[0].t_ms is None
 
 
@@ -293,6 +296,36 @@ class TestRasterize:
         assert gaze.default_sigma(480, 640) == 19.0
         assert gaze.default_sigma(64, 64) == pytest.approx(19.0 * 64 / 480)
 
+    def test_kernel_wider_than_the_map(self):
+        # radius 9 at sigma 3 is wider than both sides of an 8x6 map
+        pts = [(1.0, 2.0), (6.6, 4.4), (3.0, 0.0)]
+        m = gaze.rasterize([fx(i, x, y) for i, (x, y) in enumerate(pts)],
+                           8, 6, sigma_px=3.0)
+        want = oracles.rasterize_dense_oracle(pts, 8, 6, 3.0)
+        assert np.abs(m.values - want).max() < 1e-12
+
+    def test_f32_payload_matches_convolve_loop(self):
+        # the TSAL container stores float32: the matrix blur must give the
+        # same stored bytes as the per-row/per-column np.convolve loop
+        rng = np.random.default_rng(61)
+        for width, height in ((128, 96), (64, 64), (33, 33), (200, 150)):
+            for sigma in (gaze.default_sigma(width, height), 1.5, 3.7):
+                for _ in range(4):
+                    pts = [(float(rng.uniform(0, width - 1)),
+                            float(rng.uniform(0, height - 1)))
+                           for _ in range(int(rng.integers(1, 40)))]
+                    m = gaze.rasterize(
+                        [fx(i, x, y) for i, (x, y) in enumerate(pts)],
+                        width, height, sigma_px=sigma)
+                    grid = np.zeros((height, width))
+                    rows, cols = gaze.nearest_pixels(
+                        np.array([p[0] for p in pts]),
+                        np.array([p[1] for p in pts]), width, height)
+                    np.add.at(grid, (rows, cols), 1.0)
+                    want = oracles.blur_convolve_loop(grid, sigma)
+                    assert gaze.serialize_map(m.values, m.normalization) == \
+                        gaze.serialize_map(want, m.normalization)
+
     def test_rounding_to_nearest_pixel(self):
         m = gaze.rasterize([fx(0, 3.6, 2.4)], 8, 8, sigma_px=0.3)
         assert m.values.argmax() == np.ravel_multi_index((2, 4), (8, 8))
@@ -314,12 +347,64 @@ class TestRasterize:
             gaze.nearest_pixels(xs[::-1], np.ones(3), 9, 7)
 
 
+GOOD_LINE = ('{"image_id": "a", "observer_id": "o", "t_ms": 1.0, '
+             '"x": 1.0, "y": 2.0}')
+
+
 class TestGazeJsonl:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "gaze.jsonl")
-        samples = [gz(1.5, 2.25, 3.125), gz(10.0, 0.0, 0.5, obs="obs1")]
+        samples = gaze.GazeTable(("img0", "img0"), ("obs0", "obs1"),
+                                 (1.5, 10.0), (2.25, 0.0), (3.125, 0.5))
         gaze.write_gaze_jsonl(path, samples)
         assert gaze.read_gaze_jsonl(path) == samples
+
+    def test_bytes_match_json_dump_per_record(self, tmp_path):
+        values = [0.1 + 0.2, 1e-7, 1e16, 5e-324, 3.0, 0.0, -0.0, 1e22,
+                  123456789.0, 2.0 ** 53 + 2.0, 1.7976931348623157e308]
+        ids = ["img0", "bild\u00e4", "\u89c2\u5bdf\u8005", 'q"uote\\', "tab\t",
+               "\U0001f600"]
+        rows = [(ids[i % len(ids)], ids[(i + 2) % len(ids)],
+                 values[i % len(values)], values[(i + 3) % len(values)],
+                 values[(i + 7) % len(values)]) for i in range(40)]
+        table = gaze.GazeTable(*zip(*rows))
+        path = tmp_path / "gaze.jsonl"
+        gaze.write_gaze_jsonl(str(path), table)
+        assert path.read_bytes() == oracles.gaze_jsonl_oracle(rows)
+        assert gaze.read_gaze_jsonl(str(path)) == table
+
+    def test_empty_table_writes_empty_file(self, tmp_path):
+        path = tmp_path / "gaze.jsonl"
+        gaze.write_gaze_jsonl(str(path), gz())
+        assert path.read_bytes() == b""
+        assert len(gaze.read_gaze_jsonl(str(path))) == 0
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"image_id": "a", "observer_id": "o", "t_ms": true, "x": 1, "y": 2}',
+         "'t_ms' missing or not a number"),
+        ('{"image_id": "a", "observer_id": "o", "t_ms": 1, "x": "left", '
+         '"y": 2}', "'x' missing or not a number"),
+        ('{"image_id": "a", "observer_id": "o", "t_ms": 1, "x": 1}',
+         "'y' missing or not a number"),
+        ('{"image_id": "a", "t_ms": 1, "x": 1, "y": 2}',
+         "'observer_id' missing or not a string"),
+        ('{"image_id": 7, "observer_id": "o", "t_ms": 1, "x": 1, "y": 2}',
+         "'image_id' missing or not a string"),
+        ('{"image_id": "a", "observer_id": "o", "t_ms": NaN, "x": 1, "y": 2}',
+         "'t_ms' is not finite"),
+        ('{"image_id": "a", "observer_id": "o", "t_ms": 1, "x": 1e999, '
+         '"y": 2}', "'x' is not finite"),
+        ('{"image_id": "a", "observer_id": "o", "t_ms": 1, "x": 1, '
+         '"y": -Infinity}', "'y' is not finite"),
+        ('[1, 2, 3]', "expected an object"),
+        ('{"image_id": "a"', "invalid JSON"),
+    ])
+    def test_rejections_name_the_line(self, tmp_path, line, message):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(f"{GOOD_LINE}\n\n{line}\n{GOOD_LINE}\n")
+        with pytest.raises(FormatError) as exc:
+            gaze.read_gaze_jsonl(str(p))
+        assert str(exc.value) == f"gaze line 3: {message}"
 
     def test_invalid_json_line(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
@@ -343,9 +428,44 @@ class TestGazeJsonl:
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "gaze.jsonl"
-        p.write_text('\n{"image_id": "a", "observer_id": "o", "t_ms": 1.0, '
-                     '"x": 1.0, "y": 2.0}\n\n')
-        assert len(gaze.read_gaze_jsonl(str(p))) == 1
+        p.write_text(f"\n{GOOD_LINE}\n\n")
+        assert gaze.read_gaze_jsonl(str(p)) == gaze.GazeTable(
+            ("a",), ("o",), (1.0,), (1.0,), (2.0,))
+
+
+class TestGazeTable:
+    def test_columns_are_read_only_float64(self):
+        table = gz((1, 2, 3))
+        assert table.t_ms.dtype == np.float64 and table.x.tolist() == [2.0]
+        with pytest.raises(ValueError):
+            table.x[0] = 5.0
+
+    def test_pickled_copy_stays_read_only(self):
+        table = gz((1.0, 2.0, 3.0))
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == table and not copy.x.flags.writeable
+
+    def test_equality_compares_every_column(self):
+        a = gz((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+        assert a == gz((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+        assert a != gz((1.0, 2.0, 3.0), (4.0, 5.0, 6.5))
+        assert a != gz((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), obs="obs1")
+        assert a != gz((1.0, 2.0, 3.0))
+
+    def test_ragged_or_non_finite_columns_rejected(self):
+        with pytest.raises(PreconditionError):
+            gaze.GazeTable(("a", "a"), ("o", "o"), (1.0,), (1.0,), (1.0,))
+        with pytest.raises(PreconditionError):
+            gaze.GazeTable(("a",), (), (1.0,), (1.0,), (1.0,))
+        with pytest.raises(NonFiniteError):
+            gaze.GazeTable(("a",), ("o",), (1.0,), (np.nan,), (1.0,))
+
+    def test_concat_keeps_row_order(self):
+        a, b = gz((1.0, 2.0, 3.0), obs="p"), gz((4.0, 5.0, 6.0), obs="q")
+        both = gaze.GazeTable.concat([a, b])
+        assert both.observer_id == ("p", "q")
+        assert both.t_ms.tolist() == [1.0, 4.0]
+        assert len(gaze.GazeTable.concat([])) == 0
 
 
 class TestFixationCsv:
@@ -506,12 +626,14 @@ class TestViewingExports:
 
 class TestGrouping:
     def test_group_gaze_and_fixations(self):
-        samples = [gz(1.0, 0, 0, image="a", obs="x"),
-                   gz(2.0, 0, 0, image="a", obs="y"),
-                   gz(3.0, 0, 0, image="a", obs="x")]
+        samples = gaze.GazeTable(("a", "a", "a"), ("x", "y", "x"),
+                                 (1.0, 2.0, 3.0), (0.0, 0.0, 0.0),
+                                 (0.0, 1.0, 2.0))
         groups = gaze.group_gaze(samples)
-        assert set(groups) == {("a", "x"), ("a", "y")}
-        assert [s.t_ms for s in groups[("a", "x")]] == [1.0, 3.0]
+        assert list(groups) == [("a", "x"), ("a", "y")]
+        assert groups[("a", "x")] == gz((1.0, 0.0, 0.0), (3.0, 0.0, 2.0),
+                                        image="a", obs="x")
+        assert groups[("a", "y")] == gz((2.0, 0.0, 1.0), image="a", obs="y")
 
         fixes = [fx(0, 1, 1, image="a", obs="x"), fx(0, 1, 1, image="b", obs="x")]
         fgroups = gaze.group_fixations(fixes)

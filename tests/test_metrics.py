@@ -141,6 +141,22 @@ class TestNSS:
             metrics.nss(make_map(np.eye(3)), [])
 
 
+def random_case(rng):
+    """A map with many tied values (every other case) or none, a
+    fixation set with repeated pixels and a negative set."""
+    w, h = int(rng.integers(3, 12)), int(rng.integers(3, 12))
+    if rng.integers(2):
+        v = rng.integers(0, int(rng.integers(1, 5)), size=(h, w)) / 4.0
+    else:
+        v = rng.uniform(0.0, 1.0, size=(h, w))
+
+    def points(count, first):
+        return [fx(int(rng.integers(0, w)), int(rng.integers(0, h)), first + i)
+                for i in range(count)]
+    return make_map(v), points(int(rng.integers(1, 8)), 0), \
+        points(int(rng.integers(1, 90)), 100)
+
+
 class TestAUCJudd:
     def test_perfect_separation(self):
         v = np.full((4, 4), 0.2)
@@ -164,6 +180,19 @@ class TestAUCJudd:
                 mask[y, x] = True
             assert metrics.auc_judd(m, fixes) == pytest.approx(
                 oracles.auc_judd_oracle(m.values, mask))
+
+    def test_bit_equal_to_scalar_sweep(self):
+        rng = np.random.default_rng(85)
+        for _ in range(300):
+            m, fixes, _ = random_case(rng)
+            rows, cols = metrics.fixation_pixels(fixes, m.width, m.height)
+            mask = np.zeros(m.values.shape, dtype=bool)
+            mask[rows, cols] = True
+            if mask.all():
+                continue
+            pos = m.values[rows, cols].tolist()
+            want = oracles.roc_sweep_oracle(pos, m.values[~mask].tolist(), pos)
+            assert metrics.auc_judd(m, fixes) == want
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(81)
@@ -206,6 +235,19 @@ class TestSAUC:
             want = oracles.mann_whitney_auc(m.values[prow, pcol],
                                             m.values[nrow, ncol])
             assert metrics.sauc(m, fixes, negs) == pytest.approx(want)
+
+    def test_bit_equal_to_scalar_sweep(self):
+        rng = np.random.default_rng(86)
+        for _ in range(300):
+            m, fixes, negs = random_case(rng)
+            pos = m.values[metrics.fixation_pixels(fixes, m.width, m.height)]
+            neg = m.values[metrics.fixation_pixels(negs, m.width, m.height)]
+            if neg.size > 10 * pos.size:  # sauc subsamples; keep all here
+                negs = negs[:10 * pos.size]
+                neg = neg[:10 * pos.size]
+            want = oracles.roc_sweep_oracle(pos.tolist(), neg.tolist(),
+                                            pos.tolist() + neg.tolist())
+            assert metrics.sauc(m, fixes, negs) == want
 
     def test_subsampling_is_seeded(self):
         rng = np.random.default_rng(84)

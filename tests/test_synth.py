@@ -13,7 +13,7 @@ from tsal.gaze import (
     slice_equal_duration,
 )
 
-from oracles import centroid_oracle
+from oracles import centroid_oracle, sample_observers_loop
 
 
 def one_blob(cx=16.0, cy=16.0, sigma=3.0, weight=1.0):
@@ -173,17 +173,46 @@ class TestSampleObservers:
         b = sample_default(self.scene, seed=21)
         c = sample_default(self.scene, seed=22)
         assert a.gaze == b.gaze and a.fixations == b.fixations
+        assert all(getattr(a.gaze, k).tobytes() == getattr(b.gaze, k).tobytes()
+                   for k in ("t_ms", "x", "y"))
         assert a.true_t_ms == b.true_t_ms and a.true_slices == b.true_slices
         assert all(x.values.tobytes() == y.values.tobytes()
                    for x, y in zip(a.slice_maps, b.slice_maps))
         assert a.gaze != c.gaze
+
+    @pytest.mark.parametrize("observers, sps, rho, jitter", [
+        (1, 10, 0.5, 1.5), (3, 30, 1.0, 0.7), (4, 60, 1e-3, 2.5),
+        (2, 7, 0.9, 1.5)])
+    def test_matches_scalar_draw_loop(self, observers, sps, rho, jitter):
+        # whole-array jitter draws consume the generator exactly like one
+        # scalar draw per sample and axis
+        kw = dict(observers=observers, samples_per_sec=sps,
+                  fixation_rate=3.0, seed=observers * 100 + sps,
+                  image_id="img7", rho=rho, t_total_ms=5000.0,
+                  jitter_px=jitter)
+        mixture = synth.generate_scene(
+            synth.drift_spec(np.random.default_rng(sps), 40, 30,
+                             center_bias_strength=0.1), seed=3).mixture
+        out = synth.sample_observers(mixture, **kw)
+        gaze, fixations, true_t, true_slice = sample_observers_loop(
+            mixture, **kw)
+        image_id, observer_id, t, x, y = zip(*gaze)
+        assert out.gaze.image_id == image_id
+        assert out.gaze.observer_id == observer_id
+        for column, want in ((out.gaze.t_ms, t), (out.gaze.x, x),
+                             (out.gaze.y, y)):
+            assert column.tobytes() == np.array(want).tobytes()
+        assert [(f.image_id, f.observer_id, f.order_index, f.x, f.y)
+                for f in out.fixations] == fixations
+        assert list(out.true_t_ms) == true_t
+        assert list(out.true_slices) == true_slice
 
     def test_recovery_restores_true_slices(self):
         # the held-back timestamps are the oracle for the whole
         # recover-then-slice path
         out = sample_default(self.scene, observers=6, sps=30, rate=3.0,
                              seed=13)
-        by_obs_gaze = group_gaze(list(out.gaze))
+        by_obs_gaze = group_gaze(out.gaze)
         recovered = []
         for key, fxs in group_fixations(list(out.fixations)).items():
             recovered.extend(recover_timestamps(fxs, by_obs_gaze[key]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMapError, PreconditionError
-from .gaze import Fixation, Normalization, SaliencyMap, group_fixations, make_map
+from .gaze import Fixation, Normalization, SaliencyMap, group_rows, make_map
 from .metrics import cc, fixation_pixels
 
 
@@ -170,7 +170,6 @@ def saliency_time_histogram(fixations: list[Fixation],
         if m.normalization is not Normalization.MAX_TO_ONE:
             raise PreconditionError(
                 f"map {image_id!r} is {m.normalization.name}, need MAX_TO_ONE")
-    by_image: dict[str, list[Fixation]] = {}
     for f in fixations:
         if f.t_ms is None:
             raise PreconditionError(
@@ -180,17 +179,17 @@ def saliency_time_histogram(fixations: list[Fixation],
                 f"timestamp {f.t_ms} outside [0, {t_total}]")
         if f.image_id not in gt_maps:
             raise PreconditionError(f"no ground-truth map for {f.image_id!r}")
-        by_image.setdefault(f.image_id, []).append(f)
-    grid = np.zeros((bins_t, bins_s), dtype=np.int64)
-    for image_id, fixes in by_image.items():
+    t = np.array([f.t_ms for f in fixations], dtype=np.float64)
+    s = np.empty_like(t)
+    for image_id, rows in group_rows(f.image_id for f in fixations).items():
         m = gt_maps[image_id]
-        rows, cols = fixation_pixels(fixes, m.width, m.height)
-        t = np.array([f.t_ms for f in fixes])
-        s = m.values[rows, cols]
-        # truncation is floor here: t and s are nonnegative
-        bt = np.minimum((t / (t_total / bins_t)).astype(np.intp), bins_t - 1)
-        bs = np.minimum((s / (1.0 / bins_s)).astype(np.intp), bins_s - 1)
-        np.add.at(grid, (bt, bs), 1)
+        s[rows] = m.values[fixation_pixels([fixations[i] for i in rows],
+                                           m.width, m.height)]
+    # truncation is floor here: t and s are nonnegative
+    bt = np.minimum((t / (t_total / bins_t)).astype(np.intp), bins_t - 1)
+    bs = np.minimum((s / (1.0 / bins_s)).astype(np.intp), bins_s - 1)
+    grid = np.zeros((bins_t, bins_s), dtype=np.int64)
+    np.add.at(grid, (bt, bs), 1)
     return grid
 
 

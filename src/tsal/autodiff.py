@@ -42,9 +42,6 @@ class Tensor:
 
     __slots__ = ("data", "tape", "node_id", "name", "leaf")
 
-    # keep numpy from intercepting ndarray <op> Tensor expressions
-    __array_ufunc__ = None
-
     def __init__(self, data: np.ndarray, tape: "Tape", node_id: int,
                  name: str | None = None, leaf: bool = False):
         self.data = data
@@ -60,16 +57,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = self.name or f"node{self.node_id}"
         return f"Tensor({tag}, shape={self.data.shape})"
-
-    def __add__(self, other): return add(self, _lift(other, self.tape))
-    def __radd__(self, other): return add(_lift(other, self.tape), self)
-    def __sub__(self, other): return sub(self, _lift(other, self.tape))
-    def __rsub__(self, other): return sub(_lift(other, self.tape), self)
-    def __mul__(self, other): return mul(self, _lift(other, self.tape))
-    def __rmul__(self, other): return mul(_lift(other, self.tape), self)
-    def __truediv__(self, other): return div(self, _lift(other, self.tape))
-    def __rtruediv__(self, other): return div(_lift(other, self.tape), self)
-    def __neg__(self): return neg(self)
 
 
 class _Node:
@@ -121,12 +108,6 @@ def _validated(data: np.ndarray, op: str) -> np.ndarray:
         data = data.copy()
     data.flags.writeable = False
     return data
-
-
-def _lift(value, tape: Tape) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return tape.constant(np.asarray(value, dtype=np.float64))
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -183,12 +164,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     return _binary("div", a, b, np.divide,
                    lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
-
-
-def neg(a: Tensor) -> Tensor:
-    def pullback(g):
-        return (-g,)
-    return a.tape._record("neg", (a.node_id,), pullback, -a.data)
 
 
 def log(a: Tensor) -> Tensor:

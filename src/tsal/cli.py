@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,7 @@ from .gaze import (
     GazeTable,
     Normalization,
     group_gaze,
+    group_rows,
     make_map,
     normalize_map,
     rasterize,
@@ -95,10 +97,9 @@ class _Options:
     def add(self, flag: str, convert, default, help: str,
             choices: tuple | None = None):
         dest = flag.lstrip("-").replace("-", "_")
-        shown = default if choices is None else f"{default}"
         self.parser.add_argument(
             flag, type=convert, default=None, dest=dest,
-            choices=choices, help=f"{help} (default: {shown})")
+            choices=choices, help=f"{help} (default: {default})")
         self.registry[dest] = (convert, default, choices)
 
     def resolve(self, args: argparse.Namespace) -> None:
@@ -359,10 +360,9 @@ def cmd_synth(args) -> None:
     fixations, truth_fix, truth_slices = [], [], []
     for _, image_fixations, true_t_ms, true_slices in results:
         fixations.extend(image_fixations)
-        for f, t, k in zip(image_fixations, true_t_ms, true_slices):
-            truth_fix.append(Fixation(f.image_id, f.observer_id,
-                                      f.order_index, f.x, f.y, t_ms=t))
-            truth_slices.append(k)
+        truth_fix.extend(replace(f, t_ms=t)
+                         for f, t in zip(image_fixations, true_t_ms))
+        truth_slices.extend(true_slices)
     write_gaze_jsonl(out / "gaze.jsonl", gaze)
     write_fixations_csv(out / "fixations.csv", fixations)
     (out / "truth").mkdir(exist_ok=True)
@@ -382,11 +382,9 @@ def cmd_timestamps(args) -> None:
     if not fixations:
         raise PreconditionError(f"{args.fixations} has no fixation rows")
     gaze_groups = group_gaze(gaze)
-    positions: dict[tuple, list[int]] = {}
-    for i, f in enumerate(fixations):
-        positions.setdefault((f.image_id, f.observer_id), []).append(i)
     recovered: list[Fixation | None] = [None] * len(fixations)
-    for key, idxs in positions.items():
+    for key, idxs in group_rows((f.image_id, f.observer_id)
+                                for f in fixations).items():
         if key not in gaze_groups:
             raise UnrecoverableObserverError(
                 f"observer {key[1]!r} on image {key[0]!r} has fixations "
@@ -407,22 +405,15 @@ def cmd_slice(args) -> None:
     if not fixations:
         raise PreconditionError(f"{args.fixations} has no fixation rows")
     _require_timestamps(fixations, args.fixations)
-    positions: dict[str, list[int]] = {}
-    for i, f in enumerate(fixations):
-        positions.setdefault(f.image_id, []).append(i)
-    slice_of: dict[int, int] = {}
-    for image_id, idxs in positions.items():
-        group = [fixations[i] for i in idxs]
+    slice_of = np.empty(len(fixations), dtype=np.intp)
+    for rows in group_rows(f.image_id for f in fixations).values():
+        group = [fixations[i] for i in rows]
         if args.scheme == "equal-duration":
-            sliced = slice_equal_duration(group, n=args.n,
-                                          t_total=args.t_total)
+            slice_of[rows] = slice_equal_duration(group, n=args.n,
+                                                  t_total=args.t_total)
         else:
-            sliced = slice_equal_distribution(group, n=args.n)
-        for k, members in enumerate(sliced.slices):
-            for f in members:
-                slice_of[id(f)] = k
-    write_fixations_csv(args.out, fixations,
-                        slice_indices=[slice_of[id(f)] for f in fixations])
+            slice_of[rows] = slice_equal_distribution(group, n=args.n)
+    write_fixations_csv(args.out, fixations, slice_indices=slice_of.tolist())
     print(f"sliced {len(fixations)} fixations into {args.n} bins "
           f"({args.scheme})")
 
@@ -433,16 +424,13 @@ def cmd_slice(args) -> None:
 
 def _rasterize_one(item, out_dir: str, n: int, sigma: float | None,
                    norm_name: str):
-    image_id, (width, height), rows = item
+    image_id, (width, height), fixations, slice_of = item
     norm = NORMALIZATION_NAMES[norm_name]
-    by_slice: list[list[Fixation]] = [[] for _ in range(n)]
-    for f, k in rows:
-        by_slice[k].append(f)
     for k in range(n):
-        m = rasterize(by_slice[k], width, height, sigma_px=sigma,
-                      normalization=norm)
+        m = rasterize([f for f, s in zip(fixations, slice_of) if s == k],
+                      width, height, sigma_px=sigma, normalization=norm)
         _write_map(out_dir, f"t{k}", image_id, m)
-    full = rasterize([f for f, _ in rows], width, height, sigma_px=sigma,
+    full = rasterize(fixations, width, height, sigma_px=sigma,
                      normalization=norm)
     _write_map(out_dir, "full", image_id, full)
     return image_id
@@ -462,15 +450,17 @@ def cmd_rasterize(args) -> None:
     for image_id in ids:
         arr = _load_image(Path(args.images) / f"{image_id}.npy")
         dims[image_id] = (arr.shape[2], arr.shape[1])
-    rows: dict[str, list] = {image_id: [] for image_id in ids}
-    for f, k in zip(fixations, slice_indices):
-        if f.image_id not in rows:
-            raise PreconditionError(
-                f"fixation references unknown image {f.image_id!r}")
-        rows[f.image_id].append((f, k))
+    groups = group_rows(f.image_id for f in fixations)
+    unknown = [image_id for image_id in groups if image_id not in dims]
+    if unknown:
+        raise PreconditionError(
+            f"fixation references unknown image {unknown[0]!r}")
+    items = [(image_id, dims[image_id],
+              [fixations[i] for i in groups.get(image_id, ())],
+              [slice_indices[i] for i in groups.get(image_id, ())])
+             for image_id in ids]
     worker = functools.partial(_rasterize_one, out_dir=args.out, n=args.n,
                                sigma=args.sigma, norm_name=args.normalize)
-    items = [(image_id, dims[image_id], rows[image_id]) for image_id in ids]
     _run_parallel(args.jobs, worker, items)
     print(f"rasterized {len(ids)} images x {args.n} slices -> {args.out}")
 
@@ -614,8 +604,17 @@ def cmd_eval(args) -> None:
 # Parser wiring
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as ``ConfigError``, so it is reported
+    like any other input error (argparse would print usage and exit).
+    The subcommand parsers are made from this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tsal",
         description="Temporal saliency pipeline over plain files.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -719,12 +718,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
 
 def main(argv=None) -> int:
     parser, options = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        print("tsal: ConfigError: no subcommand given", file=sys.stderr)
-        return 2
     try:
+        args = parser.parse_args(argv)
+        if not getattr(args, "func", None):
+            raise ConfigError("no subcommand given")
         options[args.command].resolve(args)
         args.func(args)
     except DEGENERATE_ERRORS as exc:

@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,24 +113,10 @@ class Fixation:
     t_ms: float | None = None
 
 
-class Scheme(enum.Enum):
-    EQUAL_DURATION = "equal-duration"
-    EQUAL_DISTRIBUTION = "equal-distribution"
-
-
 class Normalization(enum.Enum):
     RAW = 0
     SUM_TO_ONE = 1
     MAX_TO_ONE = 2
-
-
-@dataclass(frozen=True)
-class TemporalSliceSet:
-    image_id: str
-    n: int
-    scheme: Scheme
-    slices: tuple[tuple[Fixation, ...], ...]
-    boundaries_ms: tuple[float, ...] | None  # equal-duration only
 
 
 @dataclass(frozen=True)
@@ -240,7 +225,7 @@ def recover_timestamps(fixations: list[Fixation], gaze: GazeTable,
 # Temporal slicing
 # ---------------------------------------------------------------------------
 
-def _slice_preconditions(fixations: list[Fixation], n: int) -> str:
+def _slice_preconditions(fixations: list[Fixation], n: int) -> None:
     if n < 1:
         raise ConfigError(f"slice count must be >= 1, got {n}")
     image_ids = {f.image_id for f in fixations}
@@ -251,55 +236,45 @@ def _slice_preconditions(fixations: list[Fixation], n: int) -> str:
         if f.t_ms is None:
             raise PreconditionError(
                 f"fixation {f.observer_id!r}#{f.order_index} has no timestamp")
-    return fixations[0].image_id if fixations else ""
 
 
 def slice_equal_duration(fixations: list[Fixation], n: int = DEFAULT_SLICES,
-                         t_total: float = DEFAULT_T_TOTAL_MS
-                         ) -> TemporalSliceSet:
-    """Partition by timestamp into n equal-length intervals.
+                         t_total: float = DEFAULT_T_TOTAL_MS) -> np.ndarray:
+    """Slice index of each fixation, in input order, for n equal-length
+    intervals of the viewing time.
 
     Bins are half-open [k*T/n, (k+1)*T/n) except the last, which is
     closed at T so a fixation exactly at the end of viewing is kept.
     """
-    image_id = _slice_preconditions(fixations, n)
+    _slice_preconditions(fixations, n)
     if t_total <= 0.0:
         raise ConfigError(f"t_total must be positive, got {t_total}")
-    boundaries = [k * t_total / n for k in range(n + 1)]
-    for f in fixations:
-        if not 0.0 <= f.t_ms <= t_total:
-            raise PreconditionError(
-                f"timestamp {f.t_ms} outside [0, {t_total}]")
-    slices: list[list[Fixation]] = [[] for _ in range(n)]
-    for f in fixations:
-        k = min(bisect_right(boundaries, f.t_ms) - 1, n - 1)
-        slices[k].append(f)
-    return TemporalSliceSet(image_id=image_id, n=n,
-                            scheme=Scheme.EQUAL_DURATION,
-                            slices=tuple(tuple(s) for s in slices),
-                            boundaries_ms=tuple(boundaries))
+    t = np.array([f.t_ms for f in fixations], dtype=np.float64)
+    outside = (t < 0.0) | (t > t_total)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise PreconditionError(
+            f"timestamp {fixations[i].t_ms} outside [0, {t_total}]")
+    boundaries = np.array([k * t_total / n for k in range(n + 1)])
+    return np.minimum(np.searchsorted(boundaries, t, side="right") - 1, n - 1)
 
 
 def slice_equal_distribution(fixations: list[Fixation],
-                             n: int = DEFAULT_SLICES) -> TemporalSliceSet:
-    """Partition into n groups of near-equal size, earliest first.
+                             n: int = DEFAULT_SLICES) -> np.ndarray:
+    """Slice index of each fixation, in input order, for n groups of
+    near-equal size, earliest first.
 
-    Sort key is (t_ms, order_index) so duplicate timestamps split
-    deterministically. With count = q*n + r the first r slices get
-    q + 1 fixations.
+    Sort key is (t_ms, order_index), stable, so duplicate timestamps
+    split deterministically. With count = q*n + r the first r slices
+    get q + 1 fixations.
     """
-    image_id = _slice_preconditions(fixations, n)
-    ordered = sorted(fixations, key=lambda f: (f.t_ms, f.order_index))
-    q, r = divmod(len(ordered), n)
-    slices: list[tuple[Fixation, ...]] = []
-    start = 0
-    for k in range(n):
-        size = q + 1 if k < r else q
-        slices.append(tuple(ordered[start:start + size]))
-        start += size
-    return TemporalSliceSet(image_id=image_id, n=n,
-                            scheme=Scheme.EQUAL_DISTRIBUTION,
-                            slices=tuple(slices), boundaries_ms=None)
+    _slice_preconditions(fixations, n)
+    order = sorted(range(len(fixations)), key=lambda i: (
+        fixations[i].t_ms, fixations[i].order_index))
+    q, r = divmod(len(fixations), n)
+    slice_of = np.empty(len(fixations), dtype=np.intp)
+    slice_of[order] = np.repeat(np.arange(n), [q + 1] * r + [q] * (n - r))
+    return slice_of
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +370,10 @@ def _require_number(record: dict, key: str, line_no: int) -> float:
     value = record.get(key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise FormatError(f"gaze line {line_no}: {key!r} missing or not a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise FormatError(f"gaze line {line_no}: {key!r} is not finite")
     return value
@@ -603,24 +581,20 @@ def write_diff_ppm(path: str, diff: np.ndarray) -> None:
 # Grouping helpers
 # ---------------------------------------------------------------------------
 
+def group_rows(keys) -> dict:
+    """Row indices (intp arrays, in row order) of each distinct key,
+    keys in order of first appearance."""
+    rows: dict = {}
+    for i, key in enumerate(keys):
+        rows.setdefault(key, []).append(i)
+    return {key: np.array(idx, dtype=np.intp) for key, idx in rows.items()}
+
+
 def group_gaze(table: GazeTable) -> dict[tuple[str, str], GazeTable]:
     """One sub-table per (image_id, observer_id), rows in table order,
     keys in order of first appearance."""
-    rows: dict[tuple[str, str], list[int]] = {}
-    for i, key in enumerate(zip(table.image_id, table.observer_id)):
-        rows.setdefault(key, []).append(i)
-    groups = {}
-    for (image_id, observer_id), idx in rows.items():
-        idx = np.array(idx)
-        groups[image_id, observer_id] = GazeTable(
-            (image_id,) * idx.size, (observer_id,) * idx.size,
-            table.t_ms[idx], table.x[idx], table.y[idx])
-    return groups
-
-
-def group_fixations(fixations: list[Fixation]
-                    ) -> dict[tuple[str, str], list[Fixation]]:
-    groups: dict[tuple[str, str], list[Fixation]] = {}
-    for f in fixations:
-        groups.setdefault((f.image_id, f.observer_id), []).append(f)
-    return groups
+    return {(image_id, observer_id): GazeTable(
+                (image_id,) * idx.size, (observer_id,) * idx.size,
+                table.t_ms[idx], table.x[idx], table.y[idx])
+            for (image_id, observer_id), idx in group_rows(
+                zip(table.image_id, table.observer_id)).items()}

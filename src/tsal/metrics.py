@@ -23,7 +23,7 @@ from .gaze import (
     Fixation,
     Normalization,
     SaliencyMap,
-    group_fixations,
+    group_rows,
     make_map,
     nearest_pixels,
     normalize_map,
@@ -155,17 +155,6 @@ def ig(p: SaliencyMap, baseline: SaliencyMap, fixations: list[Fixation],
     return float(gain.mean())
 
 
-def center_baseline(width: int, height: int,
-                    sigma: float | None = None) -> SaliencyMap:
-    """Isotropic center Gaussian prior, sum-normalized."""
-    if sigma is None:
-        sigma = 0.25 * min(width, height)
-    ys = np.arange(height) - (height - 1) / 2.0
-    xs = np.arange(width) - (width - 1) / 2.0
-    g = np.exp(-(ys[:, None] ** 2 + xs[None, :] ** 2) / (2.0 * sigma * sigma))
-    return make_map(g / g.sum(), Normalization.SUM_TO_ONE)
-
-
 def mean_map(maps: list[SaliencyMap]) -> SaliencyMap:
     """Pixel-wise mean of sum-normalized maps, renormalized. Used as the
     dataset-level information-gain baseline."""
@@ -263,9 +252,13 @@ def evaluate_directories(pred_dir: str, gt_dir: str,
         raise PreconditionError("no .tsal maps to evaluate")
 
     image_ids = sorted(f[:-5] for f in pred_files)
-    by_image = {}
-    for (image_id, _), fixes in group_fixations(fixations).items():
-        by_image.setdefault(image_id, []).extend(fixes)
+    # images in order of first appearance; within one image the
+    # fixations run observer by observer, in order of first appearance
+    # (the nss and ig means and the seeded sauc subsample depend on it)
+    by_image: dict[str, list[Fixation]] = {}
+    for (image_id, _), rows in group_rows(
+            (f.image_id, f.observer_id) for f in fixations).items():
+        by_image.setdefault(image_id, []).extend(fixations[i] for i in rows)
 
     gt_maps = {i: read_map_tsal(os.path.join(gt_dir, i + ".tsal"))
                for i in image_ids}

@@ -23,6 +23,7 @@ from .gaze import (
     GazeTable,
     Normalization,
     SaliencyMap,
+    group_rows,
     make_map,
     rasterize,
 )
@@ -130,20 +131,22 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
     rng = np.random.default_rng(seed)
     w, h, n = spec.width, spec.height, spec.n_slices
 
-    image = rng.uniform(0.0, 0.3, size=(3, h, w))
-    for o in spec.objects:
-        bump = _dense_gaussian(w, h, o.cx, o.cy, o.sigma)
-        bump = bump / bump.max()
-        color = rng.uniform(0.4, 1.0, size=3)
-        image = image + color[:, None, None] * bump
-    image = np.clip(image, 0.0, 1.0)
-
     has_center = spec.center_bias_strength > 0.0
     centers = [(o.cx, o.cy) for o in spec.objects]
     sigmas = [o.sigma for o in spec.objects]
     if has_center:
         centers.append(((w - 1) / 2.0, (h - 1) / 2.0))
         sigmas.append(center_sigma(w, h))
+    # each component rendered once, for the image bumps and every slice
+    gaussians = [_dense_gaussian(w, h, cx, cy, s)
+                 for (cx, cy), s in zip(centers, sigmas)]
+
+    image = rng.uniform(0.0, 0.3, size=(3, h, w))
+    for bump in gaussians[:len(spec.objects)]:
+        bump = bump / bump.max()
+        color = rng.uniform(0.4, 1.0, size=3)
+        image = image + color[:, None, None] * bump
+    image = np.clip(image, 0.0, 1.0)
 
     weights = np.zeros((n, len(centers)))
     for k in range(n):
@@ -164,8 +167,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
         dist = np.zeros((h, w))
         for i in range(len(centers)):
             if weights[k, i] > 0.0:
-                dist += weights[k, i] * _dense_gaussian(
-                    w, h, centers[i][0], centers[i][1], sigmas[i])
+                dist += weights[k, i] * gaussians[i]
         maps.append(make_map(dist / dist.sum(), Normalization.SUM_TO_ONE))
     return Scene(spec, image, tuple(maps), mixture)
 
@@ -244,13 +246,12 @@ def sample_observers(mixture: SliceMixture, observers: int,
                               np.clip(xy[:, 0], 0.0, w - 1),
                               np.clip(xy[:, 1], 0.0, h - 1)))
 
-    slice_maps = []
-    for k in range(n):
-        members = [f for f, s in zip(fixations, true_slice) if s == k]
-        slice_maps.append(rasterize(members, w, h))
+    by_slice = group_rows(true_slice)  # every slice has fixations
+    slice_maps = tuple(rasterize([fixations[i] for i in by_slice[k]], w, h)
+                       for k in range(n))
     full_map = rasterize(fixations, w, h)
     return SampledGaze(GazeTable.concat(gaze), tuple(fixations), tuple(true_t),
-                       tuple(true_slice), tuple(slice_maps), full_map)
+                       tuple(true_slice), slice_maps, full_map)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,44 @@ def blur_convolve_loop(grid, sigma):
     return out
 
 
+def generate_scene_loop(spec, seed):
+    """Scene rendering with one Gaussian render per use: each object
+    once for the image, then every weighted component again for every
+    slice map. Returns the image and the slice map arrays."""
+    def dense_gaussian(cx, cy, sigma):
+        yy, xx = np.mgrid[0:h, 0:w]
+        g = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sigma * sigma))
+        return g / g.sum()
+
+    rng = np.random.default_rng(seed)
+    w, h, n = spec.width, spec.height, len(spec.drift)
+    image = rng.uniform(0.0, 0.3, size=(3, h, w))
+    for o in spec.objects:
+        bump = dense_gaussian(o.cx, o.cy, o.sigma)
+        bump = bump / bump.max()
+        color = rng.uniform(0.4, 1.0, size=3)
+        image = image + color[:, None, None] * bump
+    image = np.clip(image, 0.0, 1.0)
+
+    components = [(o.cx, o.cy, o.sigma) for o in spec.objects]
+    if spec.center_bias_strength > 0.0:
+        components.append(((w - 1) / 2.0, (h - 1) / 2.0, 0.25 * min(w, h)))
+    maps = []
+    for k in range(n):
+        weights = np.zeros(len(components))
+        for i, o in enumerate(spec.objects):
+            weights[i] = spec.drift[k][i] * o.weight
+        if spec.center_bias_strength > 0.0:
+            weights[-1] = spec.center_bias_strength * (k + 1) / n
+        weights /= weights.sum()
+        dist = np.zeros((h, w))
+        for i, (cx, cy, sigma) in enumerate(components):
+            if weights[i] > 0.0:
+                dist += weights[i] * dense_gaussian(cx, cy, sigma)
+        maps.append(dist / dist.sum())
+    return image, maps
+
+
 def sample_observers_loop(mixture, observers, samples_per_sec,
                           fixation_rate, seed, image_id, rho, t_total_ms,
                           jitter_px):

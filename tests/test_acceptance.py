@@ -15,8 +15,8 @@ from tsal import analysis, metrics, model, synth
 from tsal.cli import main
 from tsal.gaze import (
     Fixation,
-    group_fixations,
     group_gaze,
+    group_rows,
     make_map,
     recover_timestamps,
     slice_equal_distribution,
@@ -160,25 +160,25 @@ class TestCriterion3:
                               t_ms=float(rng.uniform(0, t_total)))
                      for i in range(count)]
 
-            dur = slice_equal_duration(fixes, n, t_total)
-            assert len(dur.slices) == n and dur.boundaries_ms is not None
-            seen = [f for s in dur.slices for f in s]
-            assert len(seen) == count
-            assert {id(f) for f in seen} == {id(f) for f in fixes}
-            for k, members in enumerate(dur.slices):
+            # every fixation gets exactly one slice in [0, n), and its
+            # timestamp lies in that slice's interval
+            dur = slice_equal_duration(fixes, n, t_total).tolist()
+            assert len(dur) == count
+            for f, k in zip(fixes, dur):
+                assert 0 <= k < n
                 lo, hi = k * t_total / n, (k + 1) * t_total / n
-                for f in members:
-                    assert lo <= f.t_ms
-                    assert f.t_ms < hi or (k == n - 1 and f.t_ms <= t_total)
+                assert lo <= f.t_ms
+                assert f.t_ms < hi or (k == n - 1 and f.t_ms <= t_total)
 
-            dist = slice_equal_distribution(fixes, n)
-            assert dist.boundaries_ms is None
-            sizes = [len(s) for s in dist.slices]
+            # quota sizes, and slice order follows (t_ms, order_index)
+            dist = slice_equal_distribution(fixes, n).tolist()
+            assert len(dist) == count and all(0 <= k < n for k in dist)
+            sizes = [dist.count(k) for k in range(n)]
             q, r = divmod(count, n)
             assert sizes == [q + 1] * r + [q] * (n - r)
-            chain = [f for s in dist.slices for f in s]
-            assert {id(f) for f in chain} == {id(f) for f in fixes}
-            keys = [(f.t_ms, f.order_index) for f in chain]
+            chain = sorted(zip(dist, ((f.t_ms, f.order_index)
+                                      for f in fixes)))
+            keys = [key for _, key in chain]
             assert keys == sorted(keys)
 
         elapsed = time.monotonic() - t0
@@ -197,16 +197,15 @@ class TestCriterion4:
                 scene.mixture, observers=4, samples_per_sec=30,
                 fixation_rate=3.0, seed=700 + i, image_id=f"img{i}")
             gaze_groups = group_gaze(sampled.gaze)
-            true_by_id = {id(f): s for f, s in zip(sampled.fixations,
-                                                   sampled.true_slices)}
-            for key, fixes in group_fixations(sampled.fixations).items():
-                recovered = recover_timestamps(fixes, gaze_groups[key])
-                slices = slice_equal_duration(recovered, n=5)
-                member_of = {id(m): k for k, s in enumerate(slices.slices)
-                             for m in s}
-                for orig, rec in zip(fixes, recovered):
+            fixations = sampled.fixations
+            for key, rows in group_rows((f.image_id, f.observer_id)
+                                        for f in fixations).items():
+                recovered = recover_timestamps([fixations[i] for i in rows],
+                                               gaze_groups[key])
+                slice_of = slice_equal_duration(recovered, n=5)
+                for i, k in zip(rows, slice_of):
                     total += 1
-                    correct += (member_of[id(rec)] == true_by_id[id(orig)])
+                    correct += k == sampled.true_slices[i]
         rate = correct / total
         verdict(4, rate >= 0.95,
                 f"{correct}/{total} fixations in the correct 1 s slice "

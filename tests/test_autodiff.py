@@ -108,15 +108,6 @@ class TestTensorBasics:
         with pytest.raises(GraphError):
             ad.add(a, b)
 
-    def test_operator_sugar_with_scalars_and_arrays(self):
-        tape = ad.Tape()
-        a = tape.constant([1.0, 2.0])
-        assert np.allclose((a + 1.0).data, [2.0, 3.0])
-        assert np.allclose((1.0 - a).data, [0.0, -1.0])
-        assert np.allclose((a * np.array([2.0, 3.0])).data, [2.0, 6.0])
-        assert np.allclose((np.array([2.0, 4.0]) / a).data, [2.0, 2.0])
-        assert np.allclose((-a).data, [-1.0, -2.0])
-
 
 class TestElementwiseGrads:
     def test_add_mul_sub_div_chain(self):

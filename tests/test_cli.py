@@ -10,7 +10,13 @@ import pytest
 
 from tsal.autodiff import load_params
 from tsal.cli import _worker_count, main
-from tsal.gaze import read_fixation_table, read_map_tsal, write_fixations_csv
+from tsal.gaze import (
+    read_fixation_table,
+    read_map_tsal,
+    slice_equal_distribution,
+    slice_equal_duration,
+    write_fixations_csv,
+)
 
 
 def run(*argv) -> int:
@@ -78,16 +84,49 @@ def trained(workdir, dataset):
     return {"stage1": stage1, "final": final, "pred": workdir / "pred"}
 
 
+def only_error_line(capsys) -> str:
+    """The one stderr line of a failed command; nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    return lines[0]
+
+
+SLICE_IO = ("slice", "--fixations", "in.csv", "--out", "out.csv")
+
+
 class TestSurface:
     def test_no_subcommand_is_an_input_error(self, capsys):
         assert run() == 2
-        err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert err.startswith("tsal: ")
+        assert only_error_line(capsys) == \
+            "tsal: ConfigError: no subcommand given"
 
-    def test_unknown_flag_exits_two(self):
+    def test_unknown_flag_exits_two(self, capsys):
+        assert run(*SLICE_IO, "--bogus", 1) == 2
+        assert only_error_line(capsys) == \
+            "tsal: ConfigError: unrecognized arguments: --bogus 1"
+
+    @pytest.mark.parametrize("argv, message", [
+        (SLICE_IO + ("--n", "five"), "argument --n: invalid int value: 'five'"),
+        (SLICE_IO + ("--scheme", "sideways"),
+         "argument --scheme: invalid choice: 'sideways' (choose from "
+         "'equal-duration', 'equal-distribution')"),
+        (("slice", "--out", "out.csv"),
+         "the following arguments are required: --fixations"),
+        (("segment",), "argument COMMAND: invalid choice: 'segment'")],
+        ids=["bad-value", "bad-choice", "missing-required", "unknown-command"])
+    def test_flag_errors_are_one_config_error_line(self, capsys, argv,
+                                                   message):
+        assert run(*argv) == 2
+        assert only_error_line(capsys).startswith(
+            f"tsal: ConfigError: {message}")
+
+    def test_help_prints_usage_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run("slice", "--bogus", 1)
-        assert exc.value.code == 2
+            run("slice", "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tsal slice")
 
     def test_errors_are_one_line_and_machine_parseable(self, capsys):
         assert run("timestamps", "--gaze", "nope.jsonl",
@@ -168,6 +207,27 @@ class TestTimestampsAndSlice:
         # per image 45 fixations -> quota sizes 12,11,11,11
         assert set(slices) == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("scheme", ["equal-duration",
+                                        "equal-distribution"])
+    def test_interleaved_rows_are_sliced_per_image_in_row_order(
+            self, workdir, dataset, scheme):
+        fixations, _ = read_fixation_table(dataset["recovered"])
+        order = np.random.default_rng(8).permutation(len(fixations))
+        rows = [fixations[i] for i in order]  # images and observers mixed
+        src = workdir / "interleaved.csv"
+        write_fixations_csv(src, rows)
+        out = workdir / f"interleaved_{scheme}.csv"
+        run0("slice", "--fixations", src, "--out", out, "--scheme", scheme,
+             "--n", 4)
+        got, slice_of = read_fixation_table(out)
+        assert got == rows
+        slicer = {"equal-duration": slice_equal_duration,
+                  "equal-distribution": slice_equal_distribution}[scheme]
+        for image_id in {f.image_id for f in rows}:
+            mine = [i for i, f in enumerate(rows) if f.image_id == image_id]
+            want = slicer([rows[i] for i in mine], n=4)
+            assert [slice_of[i] for i in mine] == want.tolist()
+
     def test_slicing_untimestamped_input_fails(self, dataset, capsys):
         assert run("slice", "--fixations",
                    dataset["data"] / "fixations.csv",
@@ -191,6 +251,7 @@ class TestTimestampsAndSlice:
         ("x", '"3"', "'x' missing or not a number"),
         ("y", "NaN", "'y' is not finite"),
         ("x", "1e999", "'x' is not finite"),
+        ("t_ms", "1" + "0" * 400, "'t_ms' is not finite"),  # int overflow
         ("observer_id", "null", "'observer_id' missing or not a string")])
     def test_bad_gaze_line_exits_two(self, workdir, dataset, capsys, field,
                                      value, message):

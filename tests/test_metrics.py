@@ -329,18 +329,6 @@ class TestIG:
 
 
 class TestBaselines:
-    def test_center_baseline_shape_and_mass(self):
-        b = metrics.center_baseline(12, 8)
-        assert (b.height, b.width) == (8, 12)
-        assert b.values.sum() == pytest.approx(1.0)
-        assert b.normalization is Normalization.SUM_TO_ONE
-
-    def test_center_baseline_peak_and_symmetry(self):
-        b = metrics.center_baseline(9, 7)
-        assert np.unravel_index(b.values.argmax(), b.values.shape) == (3, 4)
-        assert np.allclose(b.values, b.values[::-1, :])
-        assert np.allclose(b.values, b.values[:, ::-1])
-
     def test_mean_map(self):
         a = make_map(np.array([[1.0, 0.0], [0.0, 0.0]]))
         b = make_map(np.array([[0.0, 1.0], [0.0, 0.0]]))

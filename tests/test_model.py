@@ -295,6 +295,13 @@ class TestLosses:
         grad = ad.backward(tape, loss)[p.node_id]
 
         ref = ad.Tape()
+
+        def mean(nodes):  # left-to-right sum, then one division
+            total = nodes[0]
+            for node in nodes[1:]:
+                total = ad.add(total, node)
+            return ad.div(total, ref.constant(len(nodes)))
+
         maps = {ic: ref.param(pred[ic], f"m{ic}")
                 for ic in np.ndindex(gt.shape[:2])}
         per_image = []
@@ -304,11 +311,14 @@ class TestLosses:
                 if gt[i, c].max() == gt[i, c].min():
                     continue
                 g = ref.constant(gt[i, c])
-                terms.append(beta * metrics.kl_loss_node(maps[i, c], g)
-                             - lam * metrics.cc_loss_node(maps[i, c], g))
+                terms.append(ad.sub(
+                    ad.mul(ref.constant(beta),
+                           metrics.kl_loss_node(maps[i, c], g)),
+                    ad.mul(ref.constant(lam),
+                           metrics.cc_loss_node(maps[i, c], g))))
             if terms:
-                per_image.append(sum(terms[1:], terms[0]) / len(terms))
-        ref_loss = sum(per_image[1:], per_image[0]) / len(per_image)
+                per_image.append(mean(terms))
+        ref_loss = mean(per_image)
         ref_grads = ad.backward(ref, ref_loss)
 
         assert float(loss.data) == pytest.approx(float(ref_loss.data),

@@ -7,13 +7,17 @@ from tsal import synth
 from tsal.errors import ConfigError, FormatError
 from tsal.gaze import (
     Normalization,
-    group_fixations,
     group_gaze,
+    group_rows,
     recover_timestamps,
     slice_equal_duration,
 )
 
-from oracles import centroid_oracle, sample_observers_loop
+from oracles import (
+    centroid_oracle,
+    generate_scene_loop,
+    sample_observers_loop,
+)
 
 
 def one_blob(cx=16.0, cy=16.0, sigma=3.0, weight=1.0):
@@ -96,6 +100,22 @@ class TestGenerateScene:
         assert scene.image.shape == (3, 24, 40)
         assert scene.image.min() >= 0.0 and scene.image.max() <= 1.0
         assert scene.image[:, 12, 30].mean() > scene.image.mean()
+
+    def test_matches_render_per_use_loop(self):
+        rng = np.random.default_rng(4)
+        specs = [synth.drift_spec(rng, 128, 96) for _ in range(3)]
+        specs.append(synth.drift_spec(rng, 40, 30, center_bias_strength=0.0))
+        # a zero-weight object: in the image, skipped in the slice maps
+        specs.append(synth.SceneSpec(
+            32, 24, (one_blob(8.0, 8.0), one_blob(20.0, 12.0, weight=0.0)),
+            center_bias_strength=0.3, drift=((1.0, 1.0), (0.0, 1.0))))
+        for seed, spec in enumerate(specs):
+            scene = synth.generate_scene(spec, seed)
+            image, maps = generate_scene_loop(spec, seed)
+            assert (scene.image == image).all()
+            assert len(scene.slice_maps) == len(maps)
+            for m, want in zip(scene.slice_maps, maps):
+                assert (m.values == want).all()
 
     def test_seed_determinism(self):
         spec = synth.SceneSpec(32, 32, (one_blob(),),
@@ -213,15 +233,14 @@ class TestSampleObservers:
         out = sample_default(self.scene, observers=6, sps=30, rate=3.0,
                              seed=13)
         by_obs_gaze = group_gaze(out.gaze)
-        recovered = []
-        for key, fxs in group_fixations(list(out.fixations)).items():
-            recovered.extend(recover_timestamps(fxs, by_obs_gaze[key]))
-        sliced = slice_equal_duration(recovered, n=5)
-        hit = 0
-        for f, true_k in zip(recovered, out.true_slices):
-            got = next(k for k in range(5)
-                       if any(g is f for g in sliced.slices[k]))
-            hit += got == true_k
+        recovered = list(out.fixations)
+        for key, rows in group_rows((f.image_id, f.observer_id)
+                                    for f in out.fixations).items():
+            for i, f in zip(rows, recover_timestamps(
+                    [out.fixations[i] for i in rows], by_obs_gaze[key])):
+                recovered[i] = f
+        slice_of = slice_equal_duration(recovered, n=5)
+        hit = sum(slice_of == np.array(out.true_slices))
         assert hit / len(recovered) >= 0.95
 
     def test_slice_maps_cover_every_slice(self):

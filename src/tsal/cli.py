@@ -426,8 +426,9 @@ def _rasterize_one(item, out_dir: str, n: int, sigma: float | None,
                    norm_name: str):
     image_id, (width, height), fixations, slice_of = item
     norm = NORMALIZATION_NAMES[norm_name]
+    by_slice = group_rows(slice_of)
     for k in range(n):
-        m = rasterize([f for f, s in zip(fixations, slice_of) if s == k],
+        m = rasterize([fixations[i] for i in by_slice.get(k, ())],
                       width, height, sigma_px=sigma, normalization=norm)
         _write_map(out_dir, f"t{k}", image_id, m)
     full = rasterize(fixations, width, height, sigma_px=sigma,
@@ -455,10 +456,11 @@ def cmd_rasterize(args) -> None:
     if unknown:
         raise PreconditionError(
             f"fixation references unknown image {unknown[0]!r}")
-    items = [(image_id, dims[image_id],
-              [fixations[i] for i in groups.get(image_id, ())],
-              [slice_indices[i] for i in groups.get(image_id, ())])
-             for image_id in ids]
+    items = []
+    for image_id in ids:
+        rows = groups.get(image_id, ())
+        items.append((image_id, dims[image_id], [fixations[i] for i in rows],
+                      [slice_indices[i] for i in rows]))
     worker = functools.partial(_rasterize_one, out_dir=args.out, n=args.n,
                                sigma=args.sigma, norm_name=args.normalize)
     _run_parallel(args.jobs, worker, items)

@@ -250,7 +250,7 @@ def slice_equal_duration(fixations: list[Fixation], n: int = DEFAULT_SLICES,
     if t_total <= 0.0:
         raise ConfigError(f"t_total must be positive, got {t_total}")
     t = np.array([f.t_ms for f in fixations], dtype=np.float64)
-    outside = (t < 0.0) | (t > t_total)
+    outside = ~((t >= 0.0) & (t <= t_total))  # NaN is outside too
     if outside.any():
         i = int(np.argmax(outside))
         raise PreconditionError(

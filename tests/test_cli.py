@@ -234,6 +234,24 @@ class TestTimestampsAndSlice:
                    "--out", "unused.csv") == 2
         assert "t_ms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_nan_t_total_exits_two(self, workdir, dataset, capsys,
+                                   via_config):
+        out = workdir / "nan_total.csv"
+        if via_config:
+            cfg = workdir / "nan_total.cfg"
+            cfg.write_text("t_total=nan\n")
+            extra = ("--config", cfg)
+        else:
+            extra = ("--t-total", "nan")
+        assert run("slice", "--fixations", dataset["recovered"],
+                   "--out", out, *extra) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert err.startswith("tsal: PreconditionError: timestamp ")
+        assert err.endswith("outside [0, nan]")
+        assert not out.exists()
+
     def test_missing_gaze_for_observer_exits_two(self, workdir, dataset,
                                                  capsys):
         fixations, _ = read_fixation_table(dataset["data"] / "fixations.csv")

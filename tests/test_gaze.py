@@ -194,6 +194,13 @@ class TestEqualDuration:
         with pytest.raises(PreconditionError):
             gaze.slice_equal_duration([fx(0, 1, 1, t=-1.0)], n=2)
 
+    def test_nan_timestamp_or_total_rejected(self):
+        with pytest.raises(PreconditionError, match=r"outside \[0, nan\]"):
+            gaze.slice_equal_duration([fx(0, 1, 1, t=2.0)], n=2,
+                                      t_total=float("nan"))
+        with pytest.raises(PreconditionError, match="nan outside"):
+            gaze.slice_equal_duration([fx(0, 1, 1, t=float("nan"))], n=2)
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(ConfigError):
             gaze.slice_equal_duration([], n=0)

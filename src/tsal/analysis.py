@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMapError, PreconditionError
-from .gaze import Fixation, Normalization, SaliencyMap, group_rows, make_map
-from .metrics import cc, fixation_pixels
+from .gaze import Fixation, Normalization, SaliencyMap, group_rows
+from .metrics import cc, fixation_pixels, mean_map
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,14 @@ def average_slices(dataset: dict[str, list[SaliencyMap]]) -> AverageSliceSet:
     ids = sorted(dataset)
     maps: list[SaliencyMap] = []
     skipped: list[int] = []
-    shape = (dataset[ids[0]][0].height, dataset[ids[0]][0].width)
     for j in range(n):
-        acc = np.zeros(shape)
-        used = 0
-        for image_id in ids:
-            m = dataset[image_id][j]
-            if not _usable(m):
-                continue
-            acc += m.values / m.values.sum()
-            used += 1
-        if used == 0:
+        usable = [dataset[image_id][j] for image_id in ids
+                  if _usable(dataset[image_id][j])]
+        if not usable:
             raise DegenerateMapError(
                 f"slice {j}: no usable map in any image")
-        acc /= used
-        maps.append(make_map(acc / acc.sum(), Normalization.SUM_TO_ONE))
-        skipped.append(len(ids) - used)
+        maps.append(mean_map(usable))
+        skipped.append(len(ids) - len(usable))
     return AverageSliceSet(maps=tuple(maps), image_count=len(ids),
                            skipped=tuple(skipped))
 

@@ -207,15 +207,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return a.tape._record("sigmoid", (a.node_id,), pullback, y)
 
 
-def clamp01(a: Tensor) -> Tensor:
-    x = a.data
-    mask = (x >= 0.0) & (x <= 1.0)  # pass-through on the closed interval
-
-    def pullback(g):
-        return (g * mask,)
-    return a.tape._record("clamp01", (a.node_id,), pullback, np.clip(x, 0.0, 1.0))
-
-
 def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
     if axis is None:
         return tuple(range(ndim))

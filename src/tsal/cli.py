@@ -26,6 +26,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -82,53 +83,30 @@ NORMALIZATION_NAMES = {"raw": Normalization.RAW,
 
 
 # ---------------------------------------------------------------------------
-# Option resolution: flag > config file > default
+# Settings: flag > config file > default
 # ---------------------------------------------------------------------------
 
-class _Options:
-    """Registry of config-file-overridable options for one subcommand."""
-
-    def __init__(self, parser: argparse.ArgumentParser):
-        self.parser = parser
-        self.registry: dict[str, tuple] = {}
-        parser.add_argument("--config", metavar="FILE",
-                            help="key=value settings file")
-
-    def add(self, flag: str, convert, default, help: str,
-            choices: tuple | None = None):
-        dest = flag.lstrip("-").replace("-", "_")
-        self.parser.add_argument(
-            flag, type=convert, default=None, dest=dest,
-            choices=choices, help=f"{help} (default: {default})")
-        self.registry[dest] = (convert, default, choices)
-
-    def resolve(self, args: argparse.Namespace) -> None:
-        cfg = _read_config_file(args.config) if args.config else {}
-        unknown = sorted(set(cfg) - set(self.registry))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for dest, (convert, default, choices) in self.registry.items():
-            value = getattr(args, dest)
-            if value is None and dest in cfg:
-                try:
-                    value = convert(cfg[dest])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(
-                        f"config key {dest}: {exc}") from exc
-                if choices is not None and value not in choices:
-                    raise ConfigError(
-                        f"config key {dest}: {value!r} not one of {choices}")
-            if value is None:
-                value = default
-            setattr(args, dest, value)
+def _finite_float(text: str) -> float:
+    """argparse type of every float setting: NaN and infinities (also
+    overflowing literals such as ``1e999``) are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _config_flags(path: str, settable: set[str]) -> list[str]:
+    """A key=value config file's entries as ``--key=value`` flags (the
+    ``=`` form keeps a value such as ``-5`` from reading as a flag)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -136,8 +114,12 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+        entries[key.strip().replace("-", "_")] = value.strip()
+    unknown = sorted(set(entries) - settable)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    return [f"--{key.replace('_', '-')}={value}"
+            for key, value in entries.items()]
 
 
 def cache_dir() -> Path:
@@ -259,7 +241,7 @@ def _scene_specs(scene_data: dict) -> list[synth.SceneSpec]:
         if anchor is not None:
             anchor = (float(anchor[0]), float(anchor[1]))
         seed = int(scene_data.get("scene_seed", 0))
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad drift preset settings: {exc}") from exc
     if images < 1:
         raise FormatError("preset needs images >= 1")
@@ -523,9 +505,8 @@ def _load_train_data(images_dir: str, maps_dir: str
                      ) -> tuple[list[str], model.TrainData]:
     ids = _image_ids(images_dir)
     kinds = _slice_kinds(maps_dir)
-    images = []
-    for image_id in ids:
-        images.append(_load_image(Path(images_dir) / f"{image_id}.npy"))
+    images = [_load_image(Path(images_dir) / f"{image_id}.npy")
+              for image_id in ids]
     shapes = {arr.shape for arr in images}
     if len(shapes) != 1:
         raise PreconditionError(
@@ -548,19 +529,13 @@ def cmd_train(args) -> None:
         epochs=args.epochs, max_steps=args.max_steps)
     loss_cfg = model.LossConfig(lambda1=args.lambda1, beta1=args.beta1,
                                 lambda2=args.lambda2, beta2=args.beta2)
-    if args.stage == "mixing":
-        if not args.base:
-            raise ConfigError("--base checkpoint is required for "
-                              "the mixing stage")
-        base = load_params(args.base)
-        params, trace = model.train(data, schedule, seed=args.seed,
-                                    loss_cfg=loss_cfg, base_params=base)
-    else:
-        base = load_params(args.base) if args.base else None
-        config = model.ModelConfig(n_slices=n) if base is None else None
-        params, trace = model.train(data, schedule, seed=args.seed,
-                                    loss_cfg=loss_cfg, config=config,
-                                    base_params=base)
+    if args.stage == "mixing" and not args.base:
+        raise ConfigError("--base checkpoint is required for the mixing stage")
+    base = load_params(args.base) if args.base else None
+    config = model.ModelConfig(n_slices=n) if base is None else None
+    params, trace = model.train(data, schedule, seed=args.seed,
+                                loss_cfg=loss_cfg, config=config,
+                                base_params=base)
     save_params(args.out, params)
     if args.loss_csv:
         atomic_write_text(args.loss_csv, model.loss_trace_csv(trace))
@@ -615,117 +590,132 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Options]]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
+    """The parser, and per subcommand the keys a config file may set."""
     parser = _Parser(
         prog="tsal",
         description="Temporal saliency pipeline over plain files.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    options: dict[str, _Options] = {}
+    settable: dict[str, set[str]] = {}
 
     def command(name, handler, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=handler)
-        opts = _Options(p)
-        options[name] = opts
-        return p, opts
+        p.add_argument("--config", metavar="FILE",
+                       help="key=value settings file")
+        keys = settable[name] = set()
 
-    p, o = command("synth", cmd_synth, "generate a synthetic dataset")
+        def add(flag, convert, default, help, choices=None):
+            p.add_argument(flag, type=convert, default=default,
+                           choices=choices,
+                           help=f"{help} (default: {default})")
+            keys.add(flag[2:].replace("-", "_"))
+        return p, add
+
+    p, add = command("synth", cmd_synth, "generate a synthetic dataset")
     p.add_argument("--scene", required=True, help="scene JSON file")
     p.add_argument("--out", required=True, help="dataset directory")
-    o.add("--seed", int, 0, "master seed")
-    o.add("--observers", int, 4, "observers per image")
-    o.add("--samples-per-sec", int, 30, "gaze sampling rate")
-    o.add("--fixation-rate", float, 3.0, "fixations per second")
-    o.add("--rho", float, synth.DEFAULT_RHO, "revisit decay factor")
-    o.add("--jitter", float, synth.DEFAULT_JITTER_PX,
-          "gaze jitter around fixations, pixels")
-    o.add("--t-total", float, 5000.0, "viewing duration, ms")
-    o.add("--jobs", int, 1, "parallel workers")
+    add("--seed", int, 0, "master seed")
+    add("--observers", int, 4, "observers per image")
+    add("--samples-per-sec", int, 30, "gaze sampling rate")
+    add("--fixation-rate", _finite_float, 3.0, "fixations per second")
+    add("--rho", _finite_float, synth.DEFAULT_RHO, "revisit decay factor")
+    add("--jitter", _finite_float, synth.DEFAULT_JITTER_PX,
+        "gaze jitter around fixations, pixels")
+    add("--t-total", _finite_float, 5000.0, "viewing duration, ms")
+    add("--jobs", int, 1, "parallel workers")
 
-    p, o = command("timestamps", cmd_timestamps,
-                   "recover fixation timestamps from gaze data")
+    p, add = command("timestamps", cmd_timestamps,
+                     "recover fixation timestamps from gaze data")
     p.add_argument("--gaze", required=True, help="gaze JSONL file")
     p.add_argument("--fixations", required=True, help="fixation CSV file")
     p.add_argument("--out", required=True, help="output fixation CSV")
-    o.add("--spatial-weight", float, 1.0, "spatial match weight")
-    o.add("--temporal-weight", float, 0.01, "temporal prior weight")
-    o.add("--t-total", float, 5000.0, "viewing duration, ms")
+    add("--spatial-weight", _finite_float, 1.0, "spatial match weight")
+    add("--temporal-weight", _finite_float, 0.01, "temporal prior weight")
+    add("--t-total", _finite_float, 5000.0, "viewing duration, ms")
 
-    p, o = command("slice", cmd_slice, "assign fixations to time slices")
+    p, add = command("slice", cmd_slice, "assign fixations to time slices")
     p.add_argument("--fixations", required=True,
                    help="timestamped fixation CSV")
     p.add_argument("--out", required=True, help="output fixation CSV")
-    o.add("--scheme", str, "equal-duration", "slicing scheme",
-          choices=("equal-duration", "equal-distribution"))
-    o.add("--n", int, 5, "number of slices")
-    o.add("--t-total", float, 5000.0, "viewing duration, ms")
+    add("--scheme", str, "equal-duration", "slicing scheme",
+        choices=("equal-duration", "equal-distribution"))
+    add("--n", int, 5, "number of slices")
+    add("--t-total", _finite_float, 5000.0, "viewing duration, ms")
 
-    p, o = command("rasterize", cmd_rasterize,
-                   "render fixations into saliency maps")
+    p, add = command("rasterize", cmd_rasterize,
+                     "render fixations into saliency maps")
     p.add_argument("--fixations", required=True, help="sliced fixation CSV")
     p.add_argument("--images", required=True,
                    help="image directory (provides map dimensions)")
     p.add_argument("--out", required=True, help="map directory")
-    o.add("--n", int, 5, "number of slices")
-    o.add("--sigma", float, None, "blur sigma in pixels (default: 19/480 "
-          "of the short side)")
-    o.add("--normalize", str, "raw", "stored normalization",
-          choices=tuple(NORMALIZATION_NAMES))
-    o.add("--jobs", int, 1, "parallel workers")
+    add("--n", int, 5, "number of slices")
+    add("--sigma", _finite_float, None,
+        "blur sigma in pixels (default: 19/480 of the short side)")
+    add("--normalize", str, "raw", "stored normalization",
+        choices=tuple(NORMALIZATION_NAMES))
+    add("--jobs", int, 1, "parallel workers")
 
-    p, o = command("analyze", cmd_analyze,
-                   "slice correlation, deviation, averages, histogram")
+    p, add = command("analyze", cmd_analyze,
+                     "slice correlation, deviation, averages, histogram")
     p.add_argument("--maps", required=True, help="map directory")
     p.add_argument("--fixations", required=True,
                    help="timestamped fixation CSV")
     p.add_argument("--out", required=True, help="analysis output directory")
-    o.add("--t-total", float, 5000.0, "viewing duration, ms")
+    add("--t-total", _finite_float, 5000.0, "viewing duration, ms")
 
-    p, o = command("train", cmd_train, "fit the saliency network")
+    p, add = command("train", cmd_train, "fit the saliency network")
     p.add_argument("--images", required=True, help="image directory")
     p.add_argument("--maps", required=True, help="ground-truth map directory")
     p.add_argument("--out", required=True, help="output checkpoint (TSPW)")
     p.add_argument("--base", help="starting checkpoint "
                    "(required for --stage mixing)")
     p.add_argument("--loss-csv", help="write per-epoch losses here")
-    o.add("--stage", str, "temporal", "training stage",
-          choices=("temporal", "mixing"))
-    o.add("--seed", int, 0, "init and batch-order seed")
-    o.add("--epochs", int, 10, "training epochs")
-    o.add("--lr", float, 1e-4, "initial learning rate")
-    o.add("--batch-size", int, 4, "images per step")
-    o.add("--decay-factor", float, 0.1, "lr multiplier at each decay")
-    o.add("--decay-every", int, 2, "epochs between lr decays")
-    o.add("--max-steps", int, None, "hard cap on optimizer steps")
-    o.add("--lambda1", float, 1.0, "stage-1 correlation weight")
-    o.add("--beta1", float, 1.0, "stage-1 divergence weight")
-    o.add("--lambda2", float, 1.0, "stage-2 correlation weight")
-    o.add("--beta2", float, 1.0, "stage-2 divergence weight")
+    add("--stage", str, "temporal", "training stage",
+        choices=("temporal", "mixing"))
+    add("--seed", int, 0, "init and batch-order seed")
+    add("--epochs", int, 10, "training epochs")
+    add("--lr", _finite_float, 1e-4, "initial learning rate")
+    add("--batch-size", int, 4, "images per step")
+    add("--decay-factor", _finite_float, 0.1, "lr multiplier at each decay")
+    add("--decay-every", int, 2, "epochs between lr decays")
+    add("--max-steps", int, None, "hard cap on optimizer steps")
+    add("--lambda1", _finite_float, 1.0, "stage-1 correlation weight")
+    add("--beta1", _finite_float, 1.0, "stage-1 divergence weight")
+    add("--lambda2", _finite_float, 1.0, "stage-2 correlation weight")
+    add("--beta2", _finite_float, 1.0, "stage-2 divergence weight")
 
-    p, o = command("predict", cmd_predict, "run a checkpoint over images")
+    p, add = command("predict", cmd_predict, "run a checkpoint over images")
     p.add_argument("--checkpoint", required=True, help="TSPW checkpoint")
     p.add_argument("--images", required=True, help="image directory")
     p.add_argument("--out", required=True, help="prediction map directory")
-    o.add("--jobs", int, 1, "parallel workers")
+    add("--jobs", int, 1, "parallel workers")
 
-    p, o = command("eval", cmd_eval, "score predictions against ground truth")
+    p, add = command("eval", cmd_eval,
+                     "score predictions against ground truth")
     p.add_argument("--pred", required=True, help="prediction map directory")
     p.add_argument("--gt", required=True, help="ground-truth map directory")
     p.add_argument("--fixations", required=True, help="fixation CSV")
     p.add_argument("--out", required=True, help="output metric CSV")
-    o.add("--seed", int, 0, "negative-set subsampling seed")
+    add("--seed", int, 0, "negative-set subsampling seed")
 
-    return parser, options
+    return parser, settable
 
 
 def main(argv=None) -> int:
-    parser, options = build_parser()
+    parser, settable = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "func", None):
-            raise ConfigError("no subcommand given")
-        options[args.command].resolve(args)
-        args.func(args)
+        # no numpy warnings on stderr; the non-finite checks report those
+        with np.errstate(all="ignore"):
+            args = parser.parse_args(argv)
+            if not getattr(args, "func", None):
+                raise ConfigError("no subcommand given")
+            if args.config:  # parsed again: flag > config > default
+                at = argv.index(args.command) + 1
+                flags = _config_flags(args.config, settable[args.command])
+                args = parser.parse_args(argv[:at] + flags + argv[at:])
+            args.func(args)
     except DEGENERATE_ERRORS as exc:
         _print_error(exc)
         return 3

@@ -157,7 +157,8 @@ def ig(p: SaliencyMap, baseline: SaliencyMap, fixations: list[Fixation],
 
 def mean_map(maps: list[SaliencyMap]) -> SaliencyMap:
     """Pixel-wise mean of sum-normalized maps, renormalized. Used as the
-    dataset-level information-gain baseline."""
+    dataset-level information-gain baseline and for each average slice
+    map."""
     if not maps:
         raise PreconditionError("mean_map of an empty list")
     acc = np.zeros((maps[0].height, maps[0].width))

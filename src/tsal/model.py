@@ -218,12 +218,14 @@ def decode_image(blocks: list[ad.Tensor],
 
 
 def minmax01(x: ad.Tensor) -> ad.Tensor:
-    """Per-sample min-max rescale to [0,1] (then clamped for float safety)."""
+    """Per-sample min-max rescale to [0,1]. No clamp is needed: for
+    lo <= x <= hi, rounding is monotone, so the rounded x - lo is at
+    most the rounded hi - lo and their quotient rounds into [0, 1]."""
     lo = ad.reduce_min(x, axis=(1, 2, 3), keepdims=True)
     hi = ad.reduce_max(x, axis=(1, 2, 3), keepdims=True)
     if np.any(hi.data - lo.data <= 0.0):
         raise DegenerateMapError("cannot min-max normalize a constant map")
-    return ad.clamp01(ad.div(ad.sub(x, lo), ad.sub(hi, lo)))
+    return ad.div(ad.sub(x, lo), ad.sub(hi, lo))
 
 
 def smm(blocks: list[ad.Tensor], temporal: ad.Tensor, image_map: ad.Tensor,
@@ -375,21 +377,16 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
     Trace rows are (epoch, stage, mean epoch loss, lr).
     """
     loss_cfg = loss_cfg or LossConfig()
-    if schedule.stage == "mixing":
-        if base_params is None:
-            raise PreconditionError(
-                "mixing stage requires the temporal-stage checkpoint")
+    if base_params is not None:
         config = config or infer_config(base_params)
-        check_params(base_params, config)
         params = dict(base_params)
+    elif schedule.stage == "mixing":
+        raise PreconditionError(
+            "mixing stage requires the temporal-stage checkpoint")
     else:
-        if base_params is not None:
-            config = config or infer_config(base_params)
-            params = dict(base_params)
-        else:
-            config = config or ModelConfig()
-            params = init_params(config, seed)
-        check_params(params, config)
+        config = config or ModelConfig()
+        params = init_params(config, seed)
+    check_params(params, config)
     _check_data(data, config)
 
     if schedule.stage == "temporal":

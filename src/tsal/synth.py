@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,11 @@ class SceneSpec:
             raise ConfigError("scene dimensions must be positive")
         if not self.objects:
             raise ConfigError("scene needs at least one object")
+        numbers = [self.center_bias_strength,
+                   *(v for o in self.objects for v in dataclasses.astuple(o)),
+                   *(v for row in self.drift for v in row)]
+        if not all(map(math.isfinite, numbers)):
+            raise ConfigError("scene numbers must be finite")
         for o in self.objects:
             if o.weight < 0.0:
                 raise ConfigError("object weights must be nonnegative")
@@ -272,6 +278,9 @@ def drift_spec(rng, width: int, height: int, n_objects: int = 5,
     """
     if n_objects < 1 or n_slices < 1:
         raise ConfigError("object and slice counts must be positive")
+    two_var = 2.0 * np.float64(spread) ** 2  # a huge spread squares to inf
+    if not (math.isfinite(spread) and two_var > 0.0):
+        raise ConfigError("drift spread must be finite and nonzero")
     margin = 0.15
     objects = []
     for i in range(n_objects):
@@ -285,7 +294,7 @@ def drift_spec(rng, width: int, height: int, n_objects: int = 5,
     drift = []
     for k in range(n_slices):
         due = k * (n_objects - 1) / max(n_slices - 1, 1)
-        row = tuple(float(np.exp(-((o - due) ** 2) / (2.0 * spread ** 2)))
+        row = tuple(float(np.exp(-((o - due) ** 2) / two_var))
                     for o in range(n_objects))
         drift.append(row)
     return SceneSpec(width, height, tuple(objects),
@@ -313,7 +322,7 @@ def scene_from_dict(d: dict) -> SceneSpec:
             drift=tuple(tuple(float(v) for v in row) for row in d["drift"]))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad scene description: {exc}") from exc
 
 

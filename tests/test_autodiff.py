@@ -165,14 +165,6 @@ class TestElementwiseGrads:
             return ad.reduce_mean(ad.sigmoid(ts["x"]))
         check_grads(build, params)
 
-    def test_clamp01_forward_and_grad_mask(self):
-        tape = ad.Tape()
-        x = tape.param(np.array([-0.5, 0.25, 0.75, 1.5]), "x")
-        y = ad.reduce_sum(ad.clamp01(x))
-        assert np.allclose(y.data, 0.25 + 0.75 + 1.0)
-        g = ad.backward(tape, y)[x.node_id]
-        assert np.array_equal(g, [0.0, 1.0, 1.0, 0.0])
-
 
 class TestReductions:
     def test_sum_mean_axis_combos(self):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,22 @@ def only_error_line(capsys) -> str:
 
 SLICE_IO = ("slice", "--fixations", "in.csv", "--out", "out.csv")
 
+# Every float setting, and the inputs its command needs besides --out.
+FLOAT_SETTINGS = [
+    *(("synth", f) for f in ("fixation-rate", "rho", "jitter", "t-total")),
+    *(("timestamps", f) for f in ("spatial-weight", "temporal-weight",
+                                  "t-total")),
+    ("slice", "t-total"), ("rasterize", "sigma"), ("analyze", "t-total"),
+    *(("train", f) for f in ("lr", "decay-factor", "lambda1", "beta1",
+                             "lambda2", "beta2"))]
+INPUTS = {
+    "synth": ("--scene", "scene.json"),
+    "timestamps": ("--gaze", "gaze.jsonl", "--fixations", "in.csv"),
+    "slice": ("--fixations", "in.csv"),
+    "rasterize": ("--fixations", "in.csv", "--images", "images"),
+    "analyze": ("--maps", "maps", "--fixations", "in.csv"),
+    "train": ("--images", "images", "--maps", "maps")}
+
 
 class TestSurface:
     def test_no_subcommand_is_an_input_error(self, capsys):
@@ -121,6 +138,34 @@ class TestSurface:
         assert run(*argv) == 2
         assert only_error_line(capsys).startswith(
             f"tsal: ConfigError: {message}")
+
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("command, flag", FLOAT_SETTINGS)
+    def test_non_finite_float_setting_exits_two(self, tmp_path, capsys,
+                                                command, flag, value,
+                                                via_config):
+        out = tmp_path / "out"
+        argv = [command, *INPUTS[command], "--out", out]
+        if via_config:
+            cfg = tmp_path / "settings.cfg"
+            cfg.write_text(f"{flag.replace('-', '_')}={value}\n")
+            argv += ["--config", cfg]
+        else:
+            argv.append(f"--{flag}={value}")
+        assert run(*argv) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: ConfigError: argument --{flag}: "
+            f"{value!r} is not a finite number")
+        assert not out.exists()
+
+    def test_undecodable_config_file_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"n=\xff\xfe\n")
+        assert run(*SLICE_IO, "--config", cfg) == 2
+        assert only_error_line(capsys).startswith(
+            f"tsal: ConfigError: cannot read config file {cfg}: ")
 
     def test_help_prints_usage_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -182,10 +227,28 @@ class TestSynth:
         assert (out / "images" / "img000.npy").read_bytes() == \
             (dataset["data"] / "images" / "img000.npy").read_bytes()
 
-    def test_bad_scene_file_exits_two(self, workdir):
+    def test_bad_scene_file_exits_two(self, workdir, capsys):
+        def scene(**number):
+            blob = {"cx": 8, "cy": 8, "sigma": 2, "weight": 1, **number}
+            return {"scenes": [{"width": 16, "height": 16,
+                                "objects": [blob], "drift": [[1]]}]}
         bad = workdir / "bad_scene.json"
-        bad.write_text('{"preset": "nope"}')
-        assert run("synth", "--scene", bad, "--out", workdir / "nope") == 2
+        out = workdir / "nope"
+        for text in ['{"preset": "nope"}',
+                     '{"preset": "drift", "width": 1e400}',
+                     '{"preset": "drift", "images": 1e400}',
+                     '{"preset": "drift", "center_bias_strength": NaN}',
+                     '{"preset": "drift", "center_bias_strength": Infinity}',
+                     '{"preset": "drift", "spread": NaN}',
+                     '{"preset": "drift", "spread": 0}',
+                     json.dumps(scene(cx=float("nan"))),
+                     json.dumps(scene(sigma=float("nan"))),
+                     json.dumps(scene(cy=10 ** 400))]:
+            bad.write_text(text)
+            assert run("synth", "--scene", bad, "--out", out) == 2, text
+            assert only_error_line(capsys).startswith(
+                ("tsal: FormatError: ", "tsal: ConfigError: ")), text
+            assert not out.exists(), text
 
 
 class TestTimestampsAndSlice:
@@ -246,10 +309,9 @@ class TestTimestampsAndSlice:
             extra = ("--t-total", "nan")
         assert run("slice", "--fixations", dataset["recovered"],
                    "--out", out, *extra) == 2
-        err = capsys.readouterr().err.strip()
-        assert "\n" not in err
-        assert err.startswith("tsal: PreconditionError: timestamp ")
-        assert err.endswith("outside [0, nan]")
+        assert only_error_line(capsys) == ("tsal: ConfigError: argument "
+                                           "--t-total: 'nan' is not a finite "
+                                           "number")
         assert not out.exists()
 
     def test_missing_gaze_for_observer_exits_two(self, workdir, dataset,
@@ -418,6 +480,18 @@ class TestTrainPredictEval:
                    "--maps", dataset["maps"], "--out", workdir / "x.tspw",
                    "--stage", "mixing", "--epochs", 1) == 2
         assert "--base" in capsys.readouterr().err
+
+    def test_overflowing_lr_is_one_error_line(self, dataset, workdir,
+                                              capsys):
+        out = workdir / "overflow.tspw"
+        with warnings.catch_warnings():
+            # a numpy overflow warning would be one more stderr line
+            warnings.simplefilter("error")
+            assert run("train", "--images", dataset["images"],
+                       "--maps", dataset["maps"], "--out", out, "--lr",
+                       "1e308", "--batch-size", 1, "--max-steps", 2) == 3
+        assert only_error_line(capsys).startswith("tsal: NonFiniteError: ")
+        assert not out.exists()
 
     def test_prediction_tree_and_determinism(self, workdir, dataset,
                                              trained):

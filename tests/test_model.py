@@ -221,10 +221,14 @@ class TestMixing:
             model.minmax01(tape.constant(np.full((1, 1, 4, 4), 0.3)))
 
     def test_minmax_hits_both_ends_per_sample(self):
+        # extreme ranges too: huge, subnormal, and narrow far from zero;
+        # the rescale needs no clamp to stay in [0, 1]
+        scale = np.array([1.0, 1e300, 1e-310, 1e-3])[:, None, None, None]
+        shift = np.array([0.0, -1e300, 0.0, 1e12])[:, None, None, None]
         tape = ad.Tape()
-        x = tape.constant(self.rng.normal(size=(3, 1, 8, 8)))
+        x = tape.constant(self.rng.normal(size=(4, 1, 8, 8)) * scale + shift)
         out = model.minmax01(x).data
-        for i in range(3):
+        for i in range(4):
             assert out[i].min() == 0.0 and out[i].max() == 1.0
 
 

@@ -30,22 +30,27 @@ class TestSceneSpecValidation:
             synth.SceneSpec(32, 32, ())
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ConfigError):
-            synth.SceneSpec(32, 32, (one_blob(weight=-1.0),))
+        for weight in (-1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                synth.SceneSpec(32, 32, (one_blob(weight=weight),))
 
     def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ConfigError):
-            synth.SceneSpec(32, 32, (one_blob(sigma=0.0),))
+        for sigma in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                synth.SceneSpec(32, 32, (one_blob(sigma=sigma),))
 
     def test_rejects_bad_drift_row(self):
         with pytest.raises(ConfigError):
             synth.SceneSpec(32, 32, (one_blob(),), drift=((1.0, 0.5),))
-        with pytest.raises(ConfigError):
-            synth.SceneSpec(32, 32, (one_blob(),), drift=((-0.1,),))
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                synth.SceneSpec(32, 32, (one_blob(),), drift=((bad,),))
 
     def test_rejects_negative_center_bias(self):
-        with pytest.raises(ConfigError):
-            synth.SceneSpec(32, 32, (one_blob(),), center_bias_strength=-0.2)
+        for bias in (-0.2, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                synth.SceneSpec(32, 32, (one_blob(),),
+                                center_bias_strength=bias)
 
     def test_rejects_empty_drift(self):
         with pytest.raises(ConfigError):

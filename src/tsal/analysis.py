@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMapError, PreconditionError
-from .gaze import Fixation, Normalization, SaliencyMap, group_rows
+from .errors import ConfigError, DegenerateMapError, PreconditionError
+from .gaze import FixationTable, Normalization, SaliencyMap, group_rows
 from .metrics import cc, fixation_pixels, mean_map
 
 
@@ -146,7 +146,7 @@ def consecutive_differences(averages: AverageSliceSet) -> list[np.ndarray]:
             for a, b in zip(averages.maps, averages.maps[1:])]
 
 
-def saliency_time_histogram(fixations: list[Fixation],
+def saliency_time_histogram(fixations: FixationTable,
                             gt_maps: dict[str, SaliencyMap],
                             bins_t: int = 50, bins_s: int = 50,
                             t_total: float = 5000.0) -> np.ndarray:
@@ -162,20 +162,19 @@ def saliency_time_histogram(fixations: list[Fixation],
         if m.normalization is not Normalization.MAX_TO_ONE:
             raise PreconditionError(
                 f"map {image_id!r} is {m.normalization.name}, need MAX_TO_ONE")
-    for f in fixations:
-        if f.t_ms is None:
-            raise PreconditionError(
-                f"fixation {f.observer_id!r}#{f.order_index} has no timestamp")
-        if not 0.0 <= f.t_ms <= t_total:
-            raise PreconditionError(
-                f"timestamp {f.t_ms} outside [0, {t_total}]")
-        if f.image_id not in gt_maps:
-            raise PreconditionError(f"no ground-truth map for {f.image_id!r}")
-    t = np.array([f.t_ms for f in fixations], dtype=np.float64)
+    if not t_total > 0.0:
+        raise ConfigError(f"t_total must be positive, got {t_total}")
+    t = fixations.t_ms
+    outside = ~((t >= 0.0) & (t <= t_total))
+    if outside.any():
+        raise PreconditionError(
+            f"timestamp {float(t[outside][0])} outside [0, {t_total}]")
     s = np.empty_like(t)
-    for image_id, rows in group_rows(f.image_id for f in fixations).items():
+    for image_id, rows in group_rows(fixations.image_id).items():
+        if image_id not in gt_maps:
+            raise PreconditionError(f"no ground-truth map for {image_id!r}")
         m = gt_maps[image_id]
-        s[rows] = m.values[fixation_pixels([fixations[i] for i in rows],
+        s[rows] = m.values[fixation_pixels(fixations.take(rows),
                                            m.width, m.height)]
     # truncation is floor here: t and s are nonnegative
     bt = np.minimum((t / (t_total / bins_t)).astype(np.intp), bins_t - 1)

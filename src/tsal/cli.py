@@ -50,7 +50,7 @@ from .errors import (
 )
 from .fileio import atomic_write_bytes, atomic_write_text
 from .gaze import (
-    Fixation,
+    FixationTable,
     GazeTable,
     Normalization,
     group_gaze,
@@ -207,8 +207,8 @@ def _run_parallel(jobs: int, fn, items: list):
         return list(pool.map(fn, items))
 
 
-def _require_timestamps(fixations: list[Fixation], path) -> None:
-    if any(f.t_ms is None for f in fixations):
+def _require_timestamps(fixations: FixationTable, path) -> None:
+    if fixations.t_ms is None:
         raise FormatError(
             f"{path} has rows without t_ms; run the timestamps step first")
 
@@ -338,19 +338,15 @@ def cmd_synth(args) -> None:
         t_total=args.t_total)
     results = _run_parallel(args.jobs, worker, list(enumerate(specs)))
 
-    gaze = GazeTable.concat(image_gaze for image_gaze, *_ in results)
-    fixations, truth_fix, truth_slices = [], [], []
-    for _, image_fixations, true_t_ms, true_slices in results:
-        fixations.extend(image_fixations)
-        truth_fix.extend(replace(f, t_ms=t)
-                         for f, t in zip(image_fixations, true_t_ms))
-        truth_slices.extend(true_slices)
+    gaze, table, true_t_ms, true_slices = zip(*results)
+    gaze, table = GazeTable.concat(gaze), FixationTable.concat(table)
     write_gaze_jsonl(out / "gaze.jsonl", gaze)
-    write_fixations_csv(out / "fixations.csv", fixations)
+    write_fixations_csv(out / "fixations.csv", table)
     (out / "truth").mkdir(exist_ok=True)
-    write_fixations_csv(out / "truth" / "fixations.csv", truth_fix,
-                        slice_indices=truth_slices)
-    print(f"synthesized {len(specs)} images, {len(fixations)} fixations, "
+    write_fixations_csv(out / "truth" / "fixations.csv",
+                        replace(table, t_ms=np.concatenate(true_t_ms)),
+                        slice_indices=np.concatenate(true_slices))
+    print(f"synthesized {len(specs)} images, {len(table)} fixations, "
           f"{len(gaze)} gaze samples")
 
 
@@ -360,42 +356,40 @@ def cmd_synth(args) -> None:
 
 def cmd_timestamps(args) -> None:
     gaze = read_gaze_jsonl(args.gaze)
-    fixations, _ = read_fixation_table(args.fixations)
-    if not fixations:
+    table, _ = read_fixation_table(args.fixations)
+    if not len(table):
         raise PreconditionError(f"{args.fixations} has no fixation rows")
     gaze_groups = group_gaze(gaze)
-    recovered: list[Fixation | None] = [None] * len(fixations)
-    for key, idxs in group_rows((f.image_id, f.observer_id)
-                                for f in fixations).items():
+    t_ms = np.empty(len(table))
+    for key, rows in group_rows(zip(table.image_id,
+                                    table.observer_id)).items():
         if key not in gaze_groups:
             raise UnrecoverableObserverError(
                 f"observer {key[1]!r} on image {key[0]!r} has fixations "
                 f"but no gaze samples")
-        result = recover_timestamps([fixations[i] for i in idxs],
-                                    gaze_groups[key],
-                                    w_s=args.spatial_weight,
-                                    w_t=args.temporal_weight,
-                                    t_total=args.t_total)
-        for i, f in zip(idxs, result):
-            recovered[i] = f
-    write_fixations_csv(args.out, recovered)
-    print(f"recovered timestamps for {len(recovered)} fixations")
+        t_ms[rows] = recover_timestamps(table.take(rows), gaze_groups[key],
+                                        w_s=args.spatial_weight,
+                                        w_t=args.temporal_weight,
+                                        t_total=args.t_total)
+    write_fixations_csv(args.out, replace(table, t_ms=t_ms))
+    print(f"recovered timestamps for {len(table)} fixations")
 
 
 def cmd_slice(args) -> None:
     fixations, _ = read_fixation_table(args.fixations)
-    if not fixations:
+    if not len(fixations):
         raise PreconditionError(f"{args.fixations} has no fixation rows")
     _require_timestamps(fixations, args.fixations)
+    t_ms = fixations.t_ms
     slice_of = np.empty(len(fixations), dtype=np.intp)
-    for rows in group_rows(f.image_id for f in fixations).values():
-        group = [fixations[i] for i in rows]
+    for rows in group_rows(fixations.image_id).values():
         if args.scheme == "equal-duration":
-            slice_of[rows] = slice_equal_duration(group, n=args.n,
+            slice_of[rows] = slice_equal_duration(t_ms[rows], n=args.n,
                                                   t_total=args.t_total)
         else:
-            slice_of[rows] = slice_equal_distribution(group, n=args.n)
-    write_fixations_csv(args.out, fixations, slice_indices=slice_of.tolist())
+            slice_of[rows] = slice_equal_distribution(
+                t_ms[rows], fixations.order_index[rows], n=args.n)
+    write_fixations_csv(args.out, fixations, slice_indices=slice_of)
     print(f"sliced {len(fixations)} fixations into {args.n} bins "
           f"({args.scheme})")
 
@@ -406,43 +400,42 @@ def cmd_slice(args) -> None:
 
 def _rasterize_one(item, out_dir: str, n: int, sigma: float | None,
                    norm_name: str):
-    image_id, (width, height), fixations, slice_of = item
+    image_id, (width, height), xs, ys, slice_of = item
     norm = NORMALIZATION_NAMES[norm_name]
-    by_slice = group_rows(slice_of)
     for k in range(n):
-        m = rasterize([fixations[i] for i in by_slice.get(k, ())],
-                      width, height, sigma_px=sigma, normalization=norm)
+        m = rasterize(xs[slice_of == k], ys[slice_of == k], width, height,
+                      sigma_px=sigma, normalization=norm)
         _write_map(out_dir, f"t{k}", image_id, m)
-    full = rasterize(fixations, width, height, sigma_px=sigma,
+    full = rasterize(xs, ys, width, height, sigma_px=sigma,
                      normalization=norm)
     _write_map(out_dir, "full", image_id, full)
     return image_id
 
 
 def cmd_rasterize(args) -> None:
-    fixations, slice_indices = read_fixation_table(args.fixations)
-    if slice_indices is None:
+    fixations, slice_of = read_fixation_table(args.fixations)
+    if slice_of is None:
         raise FormatError(
             f"{args.fixations} has no slice_index column; run slice first")
-    bad = [k for k in slice_indices if not 0 <= k < args.n]
-    if bad:
+    bad = (slice_of < 0) | (slice_of >= args.n)
+    if bad.any():
         raise PreconditionError(
-            f"slice index {bad[0]} out of range for n={args.n}")
+            f"slice index {slice_of[bad][0]} out of range for n={args.n}")
     ids = _image_ids(args.images)
     dims = {}
     for image_id in ids:
         arr = _load_image(Path(args.images) / f"{image_id}.npy")
         dims[image_id] = (arr.shape[2], arr.shape[1])
-    groups = group_rows(f.image_id for f in fixations)
+    groups = group_rows(fixations.image_id)
     unknown = [image_id for image_id in groups if image_id not in dims]
     if unknown:
         raise PreconditionError(
             f"fixation references unknown image {unknown[0]!r}")
     items = []
     for image_id in ids:
-        rows = groups.get(image_id, ())
-        items.append((image_id, dims[image_id], [fixations[i] for i in rows],
-                      [slice_indices[i] for i in rows]))
+        rows = groups.get(image_id, slice(0))  # slice(0): no rows
+        items.append((image_id, dims[image_id], fixations.x[rows],
+                      fixations.y[rows], slice_of[rows]))
     worker = functools.partial(_rasterize_one, out_dir=args.out, n=args.n,
                                sigma=args.sigma, norm_name=args.normalize)
     _run_parallel(args.jobs, worker, items)
@@ -483,7 +476,7 @@ def cmd_analyze(args) -> None:
 
     fixations, _ = read_fixation_table(args.fixations)
     _require_timestamps(fixations, args.fixations)
-    unknown = {f.image_id for f in fixations} - set(ids)
+    unknown = set(fixations.image_id) - set(ids)
     if unknown:
         raise PreconditionError(
             f"fixations reference images without maps: {sorted(unknown)[0]}")

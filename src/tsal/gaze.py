@@ -1,11 +1,12 @@
 """Gaze records, fixation timestamp recovery, temporal slicing, and
 rasterization of fixations into saliency maps.
 
-Gaze samples are one columnar table (a row per tracker sample, numpy
-columns); fixations are small frozen dataclasses. Every operation
-returns new objects. File formats: gaze logs are JSON lines,
-fixations are CSV, maps are a small binary container ("TSAL") plus
-PGM/PPM exports for viewing.
+Gaze samples and fixations are columnar tables (a row per tracker
+sample or per fixation, numpy columns) that share one column idiom;
+slicing and rasterization take the columns they need. Every operation
+returns new objects. File formats: gaze logs are JSON lines, fixations
+are CSV, maps are a small binary container ("TSAL") plus PGM/PPM
+exports for viewing.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,39 +40,41 @@ DEFAULT_TEMPORAL_WEIGHT = 0.01   # per millisecond
 NORM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class GazeTable:
-    """Raw gaze points from the tracker log, one column per field.
-
-    Row i is the sample (image_id[i], observer_id[i], t_ms[i], x[i],
-    y[i]). The id columns are tuples of str; the numeric columns are
-    read-only float64 arrays holding finite values. ``len()`` is the
-    row count and ``==`` compares every column.
-    """
-    image_id: tuple[str, ...]
-    observer_id: tuple[str, ...]
-    t_ms: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+class _Columns:
+    """The column idiom of ``GazeTable`` and ``FixationTable``: a frozen
+    dataclass whose first two fields are the id columns, tuples of str,
+    and whose other fields are read-only numeric columns of finite
+    values (int64 if named in ``_INTEGER``, else float64); a field that
+    defaults to None may be None. Row i is the i-th entry of every
+    column. ``len()`` is the row count and ``==`` compares every
+    column."""
+    _INTEGER: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "image_id", tuple(self.image_id))
         object.__setattr__(self, "observer_id", tuple(self.observer_id))
-        n = len(self.image_id)
+        n, name = len(self.image_id), type(self).__name__
         if len(self.observer_id) != n:
             raise PreconditionError(
-                f"gaze columns disagree in length: {n} image ids, "
+                f"{name} columns disagree in length: {n} image ids, "
                 f"{len(self.observer_id)} observer ids")
-        for key in ("t_ms", "x", "y"):
-            col = np.array(getattr(self, key), dtype=np.float64)
+        for field in fields(self)[2:]:
+            key, col = field.name, getattr(self, field.name)
+            if col is None and field.default is None:
+                continue
+            col = np.array(col, dtype=np.int64 if key in self._INTEGER
+                           else np.float64)
             if col.shape != (n,):
                 raise PreconditionError(
-                    f"gaze columns disagree in length: {n} ids, "
+                    f"{name} columns disagree in length: {n} ids, "
                     f"{key} of shape {col.shape}")
             if not np.isfinite(col).all():
-                raise NonFiniteError(f"gaze column {key!r} contains NaN or Inf")
+                raise NonFiniteError(f"{name} column {key!r} contains NaN or Inf")
             col.flags.writeable = False
             object.__setattr__(self, key, col)
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, field.name) for field in fields(self))
 
     def __len__(self) -> int:
         return len(self.image_id)
@@ -79,38 +82,57 @@ class GazeTable:
     def __reduce__(self):
         # rebuild through __init__ so a copy sent between processes gets
         # read-only columns again
-        return GazeTable, (self.image_id, self.observer_id, self.t_ms,
-                           self.x, self.y)
+        return type(self), self._columns()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, GazeTable):
+        if type(other) is not type(self):
             return NotImplemented
-        return (self.image_id == other.image_id
-                and self.observer_id == other.observer_id
-                and all(np.array_equal(getattr(self, k), getattr(other, k))
-                        for k in ("t_ms", "x", "y")))
+        return all(a == b if isinstance(a, tuple) else
+                   a is b if a is None or b is None else np.array_equal(a, b)
+                   for a, b in zip(self._columns(), other._columns()))
+
+    def take(self, rows):
+        """The table of the given rows (an index array), in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        ids, numbers = self._columns()[:2], self._columns()[2:]
+        return type(self)(
+            *(tuple(map(col.__getitem__, rows.tolist())) for col in ids),
+            *(None if col is None else col[rows] for col in numbers))
 
     @classmethod
-    def concat(cls, tables) -> GazeTable:
-        """Rows of every table, in order."""
-        tables = list(tables)
+    def concat(cls, tables):
+        """Rows of every table, in order; a column that is None in every
+        table is None in the result."""
+        columns = list(zip(*(t._columns() for t in tables))) or \
+            [()] * len(fields(cls))
         chain = itertools.chain.from_iterable
-        return cls(
-            tuple(chain(t.image_id for t in tables)),
-            tuple(chain(t.observer_id for t in tables)),
-            *(np.concatenate([getattr(t, k) for t in tables] or [[]])
-              for k in ("t_ms", "x", "y")))
+        return cls(*(tuple(chain(parts)) for parts in columns[:2]),
+                   *(None if parts and all(p is None for p in parts)
+                     else np.concatenate(parts or [[]])
+                     for parts in columns[2:]))
 
 
-@dataclass(frozen=True)
-class Fixation:
-    """A dwell point; t_ms is absent on ingest and set by recovery."""
-    image_id: str
-    observer_id: str
-    order_index: int
-    x: float
-    y: float
-    t_ms: float | None = None
+@dataclass(frozen=True, eq=False)
+class GazeTable(_Columns):
+    """Raw gaze points from the tracker log, a row per sample."""
+    image_id: tuple[str, ...]
+    observer_id: tuple[str, ...]
+    t_ms: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class FixationTable(_Columns):
+    """Dwell points, a row per fixation; t_ms is None until timestamp
+    recovery fills it."""
+    image_id: tuple[str, ...]
+    observer_id: tuple[str, ...]
+    order_index: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    t_ms: np.ndarray | None = None
+    _INTEGER = ("order_index",)
 
 
 class Normalization(enum.Enum):
@@ -179,12 +201,12 @@ def normalize_map(m: SaliencyMap, mode: Normalization) -> SaliencyMap:
 # Timestamp recovery
 # ---------------------------------------------------------------------------
 
-def recover_timestamps(fixations: list[Fixation], gaze: GazeTable,
+def recover_timestamps(fixations: FixationTable, gaze: GazeTable,
                        w_s: float = DEFAULT_SPATIAL_WEIGHT,
                        w_t: float = DEFAULT_TEMPORAL_WEIGHT,
-                       t_total: float = DEFAULT_T_TOTAL_MS) -> list[Fixation]:
-    """Assign a timestamp to each fixation of one observer from that
-    observer's gaze table.
+                       t_total: float = DEFAULT_T_TOTAL_MS) -> np.ndarray:
+    """Timestamp of each fixation of one observer, in row order, from
+    that observer's gaze table.
 
     Each fixation starts from the uniform prior t_hat = (i + 0.5) * T / M
     and takes the timestamp of the gaze sample minimizing
@@ -194,30 +216,32 @@ def recover_timestamps(fixations: list[Fixation], gaze: GazeTable,
     """
     if w_s < 0.0 or w_t < 0.0:
         raise ConfigError(f"weights must be nonnegative, got w_s={w_s} w_t={w_t}")
-    if not fixations:
-        return []
+    if not t_total > 0.0:
+        raise ConfigError(f"t_total must be positive, got {t_total}")
+    m = len(fixations)
+    if not m:
+        return np.empty(0)
     if not len(gaze):
         raise UnrecoverableObserverError(
-            f"observer {fixations[0].observer_id!r} has {len(fixations)} "
+            f"observer {fixations.observer_id[0]!r} has {m} "
             f"fixations but no gaze samples")
-    for a, b in zip(fixations, fixations[1:]):
-        if b.order_index <= a.order_index:
-            raise PreconditionError(
-                f"fixations not ordered by order_index "
-                f"({a.order_index} then {b.order_index})")
+    order = fixations.order_index
+    if (order[1:] <= order[:-1]).any():
+        i = int(np.argmax(order[1:] <= order[:-1]))
+        raise PreconditionError(
+            f"fixations not ordered by order_index "
+            f"({order[i]} then {order[i + 1]})")
 
     gx, gy, gt = gaze.x, gaze.y, gaze.t_ms
-    m = len(fixations)
-    out: list[Fixation] = []
+    out = np.empty(m)
     previous = -math.inf
-    for i, fix in enumerate(fixations):
+    for i, (x, y) in enumerate(zip(fixations.x.tolist(),
+                                   fixations.y.tolist())):
         prior = (i + 0.5) * t_total / m
-        cost = w_s * np.hypot(gx - fix.x, gy - fix.y) + w_t * np.abs(gt - prior)
+        cost = w_s * np.hypot(gx - x, gy - y) + w_t * np.abs(gt - prior)
         best = cost.min()
         t = gt[cost == best].min()  # earliest gaze time among exact ties
-        t = max(t, previous)
-        previous = t
-        out.append(replace(fix, t_ms=float(t)))
+        previous = out[i] = max(t, previous)
     return out
 
 
@@ -225,41 +249,28 @@ def recover_timestamps(fixations: list[Fixation], gaze: GazeTable,
 # Temporal slicing
 # ---------------------------------------------------------------------------
 
-def _slice_preconditions(fixations: list[Fixation], n: int) -> None:
-    if n < 1:
-        raise ConfigError(f"slice count must be >= 1, got {n}")
-    image_ids = {f.image_id for f in fixations}
-    if len(image_ids) > 1:
-        raise PreconditionError(
-            f"fixations from multiple images: {sorted(image_ids)}")
-    for f in fixations:
-        if f.t_ms is None:
-            raise PreconditionError(
-                f"fixation {f.observer_id!r}#{f.order_index} has no timestamp")
-
-
-def slice_equal_duration(fixations: list[Fixation], n: int = DEFAULT_SLICES,
+def slice_equal_duration(t_ms: np.ndarray, n: int = DEFAULT_SLICES,
                          t_total: float = DEFAULT_T_TOTAL_MS) -> np.ndarray:
-    """Slice index of each fixation, in input order, for n equal-length
+    """Slice index of each timestamp, in input order, for n equal-length
     intervals of the viewing time.
 
     Bins are half-open [k*T/n, (k+1)*T/n) except the last, which is
     closed at T so a fixation exactly at the end of viewing is kept.
     """
-    _slice_preconditions(fixations, n)
+    if n < 1:
+        raise ConfigError(f"slice count must be >= 1, got {n}")
     if t_total <= 0.0:
         raise ConfigError(f"t_total must be positive, got {t_total}")
-    t = np.array([f.t_ms for f in fixations], dtype=np.float64)
+    t = np.asarray(t_ms, dtype=np.float64)
     outside = ~((t >= 0.0) & (t <= t_total))  # NaN is outside too
     if outside.any():
-        i = int(np.argmax(outside))
         raise PreconditionError(
-            f"timestamp {fixations[i].t_ms} outside [0, {t_total}]")
+            f"timestamp {float(t[outside][0])} outside [0, {t_total}]")
     boundaries = np.array([k * t_total / n for k in range(n + 1)])
     return np.minimum(np.searchsorted(boundaries, t, side="right") - 1, n - 1)
 
 
-def slice_equal_distribution(fixations: list[Fixation],
+def slice_equal_distribution(t_ms: np.ndarray, order_index: np.ndarray,
                              n: int = DEFAULT_SLICES) -> np.ndarray:
     """Slice index of each fixation, in input order, for n groups of
     near-equal size, earliest first.
@@ -268,11 +279,11 @@ def slice_equal_distribution(fixations: list[Fixation],
     split deterministically. With count = q*n + r the first r slices
     get q + 1 fixations.
     """
-    _slice_preconditions(fixations, n)
-    order = sorted(range(len(fixations)), key=lambda i: (
-        fixations[i].t_ms, fixations[i].order_index))
-    q, r = divmod(len(fixations), n)
-    slice_of = np.empty(len(fixations), dtype=np.intp)
+    if n < 1:
+        raise ConfigError(f"slice count must be >= 1, got {n}")
+    order = np.lexsort((order_index, t_ms))
+    q, r = divmod(len(order), n)
+    slice_of = np.empty(len(order), dtype=np.intp)
     slice_of[order] = np.repeat(np.arange(n), [q + 1] * r + [q] * (n - r))
     return slice_of
 
@@ -324,13 +335,13 @@ def _blur_matrix(sigma: float, size: int) -> np.ndarray:
     return mat
 
 
-def rasterize(fixations: list[Fixation], width: int, height: int,
+def rasterize(xs: np.ndarray, ys: np.ndarray, width: int, height: int,
               sigma_px: float | None = None,
               normalization: Normalization = Normalization.RAW
               ) -> SaliencyMap:
-    """Unit impulse at each fixation's nearest pixel, blurred with a
-    separable truncated Gaussian (radius ceil(3 sigma), zero padding at
-    the borders).
+    """Unit impulse at the nearest pixel of each fixation (xs[i], ys[i]),
+    blurred with a separable truncated Gaussian (radius ceil(3 sigma),
+    zero padding at the borders).
 
     The blur is two matrix products, ``Ky @ grid @ Kx.T``, with the
     banded kernel matrices of ``_blur_matrix``; a kernel wider than the
@@ -343,12 +354,10 @@ def rasterize(fixations: list[Fixation], width: int, height: int,
         raise ConfigError(f"sigma must be positive, got {sigma_px}")
 
     grid = np.zeros((height, width))
-    rows, cols = nearest_pixels(np.array([f.x for f in fixations]),
-                                np.array([f.y for f in fixations]),
-                                width, height)
+    rows, cols = nearest_pixels(xs, ys, width, height)
     np.add.at(grid, (rows, cols), 1.0)
 
-    if not fixations:
+    if not rows.size:
         if normalization is not Normalization.RAW:
             raise DegenerateMapError(
                 "no fixations: cannot produce a normalized map")
@@ -422,12 +431,14 @@ def write_gaze_jsonl(path: str, table: GazeTable) -> None:
 
 
 _FIXATION_COLUMNS = ("image_id", "observer_id", "order_index", "x", "y")
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def read_fixation_table(path: str
-                        ) -> tuple[list[Fixation], list[int] | None]:
-    """Read a fixation CSV. Returns (fixations, slice_index column or
-    None). t_ms and slice_index columns are optional."""
+                        ) -> tuple[FixationTable, np.ndarray | None]:
+    """Read a fixation CSV. Returns (fixations, int64 slice_index column
+    or None). The t_ms and slice_index columns are optional; t_ms is
+    None unless every row has one."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -435,52 +446,53 @@ def read_fixation_table(path: str
         missing = [c for c in _FIXATION_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise FormatError(f"{path}: missing columns {missing}")
-        has_t = "t_ms" in reader.fieldnames
         has_slice = "slice_index" in reader.fieldnames
-        fixations: list[Fixation] = []
-        slice_indices: list[int] = []
+        rows = []
         for line_no, row in enumerate(reader, start=2):
+            t_raw = row.get("t_ms")
             try:
-                t_raw = row.get("t_ms", "") if has_t else ""
-                fix = Fixation(
-                    image_id=row["image_id"],
-                    observer_id=row["observer_id"],
-                    order_index=int(row["order_index"]),
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    t_ms=float(t_raw) if t_raw not in ("", None) else None)
-                if has_slice:
-                    slice_indices.append(int(row["slice_index"]))
+                values = (row["image_id"], row["observer_id"],
+                          int(row["order_index"]), float(row["x"]),
+                          float(row["y"]),
+                          None if t_raw in ("", None) else float(t_raw),
+                          int(row["slice_index"]) if has_slice else 0)
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"{path} line {line_no}: bad value "
                                   f"({exc})") from exc
-            for key in ("x", "y", "t_ms"):
-                value = getattr(fix, key)
-                if value is not None and not math.isfinite(value):
+            for key, value in zip(_FIXATION_COLUMNS + ("t_ms", "slice_index"),
+                                  values):
+                if isinstance(value, int) and value not in _INT64:
+                    raise FormatError(f"{path} line {line_no}: {key!r} "
+                                      f"does not fit in 64 bits")
+                if isinstance(value, float) and not math.isfinite(value):
                     raise FormatError(
                         f"{path} line {line_no}: {key!r} is not finite")
-            fixations.append(fix)
-    return fixations, slice_indices if has_slice else None
+            rows.append(values)
+    *columns, t_ms, slice_of = zip(*rows) if rows else [()] * 7
+    return (FixationTable(*columns, t_ms=None if None in t_ms else t_ms),
+            np.array(slice_of, dtype=np.int64) if has_slice else None)
 
 
-def write_fixations_csv(path: str, fixations: list[Fixation],
-                        slice_indices: list[int] | None = None) -> None:
-    if slice_indices is not None and len(slice_indices) != len(fixations):
-        raise PreconditionError(
-            f"{len(slice_indices)} slice indices for {len(fixations)} fixations")
+def write_fixations_csv(path: str, fixations: FixationTable,
+                        slice_indices: np.ndarray | None = None) -> None:
+    """One CSV row per fixation; floats written by ``repr``, so they read
+    back exactly, and an empty t_ms when the table has no times."""
+    columns = [fixations.image_id, fixations.observer_id,
+               fixations.order_index.tolist(), fixations.x.tolist(),
+               fixations.y.tolist(),
+               [""] * len(fixations) if fixations.t_ms is None
+               else fixations.t_ms.tolist()]
+    header = [*_FIXATION_COLUMNS, "t_ms"]
+    if slice_indices is not None:
+        if len(slice_indices) != len(fixations):
+            raise PreconditionError(f"{len(slice_indices)} slice indices for "
+                                    f"{len(fixations)} fixations")
+        columns.append(np.asarray(slice_indices).tolist())
+        header.append("slice_index")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = list(_FIXATION_COLUMNS) + ["t_ms"]
-    if slice_indices is not None:
-        header.append("slice_index")
     writer.writerow(header)
-    for i, f in enumerate(fixations):
-        row = [f.image_id, f.observer_id, f.order_index,
-               repr(f.x), repr(f.y),
-               "" if f.t_ms is None else repr(f.t_ms)]
-        if slice_indices is not None:
-            row.append(slice_indices[i])
-        writer.writerow(row)
+    writer.writerows(zip(*columns))
     atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
 
 
@@ -593,8 +605,5 @@ def group_rows(keys) -> dict:
 def group_gaze(table: GazeTable) -> dict[tuple[str, str], GazeTable]:
     """One sub-table per (image_id, observer_id), rows in table order,
     keys in order of first appearance."""
-    return {(image_id, observer_id): GazeTable(
-                (image_id,) * idx.size, (observer_id,) * idx.size,
-                table.t_ms[idx], table.x[idx], table.y[idx])
-            for (image_id, observer_id), idx in group_rows(
-                zip(table.image_id, table.observer_id)).items()}
+    return {key: table.take(rows) for key, rows in group_rows(
+        zip(table.image_id, table.observer_id)).items()}

@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .gaze import (
-    Fixation,
+    FixationTable,
     Normalization,
     SaliencyMap,
     group_rows,
@@ -47,13 +47,12 @@ def _sum_normalized(v: np.ndarray, what: str) -> np.ndarray:
     return v / total
 
 
-def fixation_pixels(fixations: list[Fixation], width: int, height: int
+def fixation_pixels(fixations: FixationTable, width: int, height: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-pixel indices (rows, cols) for each fixation, in order."""
-    if not fixations:
+    if not len(fixations):
         raise PreconditionError("at least one fixation required")
-    return nearest_pixels(np.array([f.x for f in fixations]),
-                          np.array([f.y for f in fixations]), width, height)
+    return nearest_pixels(fixations.x, fixations.y, width, height)
 
 
 def cc(p: SaliencyMap, g: SaliencyMap) -> float:
@@ -76,7 +75,7 @@ def kl(p: SaliencyMap, g: SaliencyMap, eps: float = EPS) -> float:
     return float((gn * np.log(gn / (pn + eps) + eps)).sum())
 
 
-def nss(p: SaliencyMap, fixations: list[Fixation]) -> float:
+def nss(p: SaliencyMap, fixations: FixationTable) -> float:
     """Mean standardized saliency at the fixated pixels."""
     rows, cols = fixation_pixels(fixations, p.width, p.height)
     sigma = p.values.std()
@@ -103,7 +102,7 @@ def _roc_auc(pos: np.ndarray, neg: np.ndarray,
     return float(np.cumsum(terms)[-1])
 
 
-def auc_judd(p: SaliencyMap, fixations: list[Fixation]) -> float:
+def auc_judd(p: SaliencyMap, fixations: FixationTable) -> float:
     """ROC area with thresholds at the distinct fixated saliency values;
     false positives counted over non-fixated pixels."""
     rows, cols = fixation_pixels(fixations, p.width, p.height)
@@ -116,14 +115,14 @@ def auc_judd(p: SaliencyMap, fixations: list[Fixation]) -> float:
     return _roc_auc(pos, neg, np.unique(pos))
 
 
-def sauc(p: SaliencyMap, fixations: list[Fixation],
-         negatives: list[Fixation], seed: int = 0) -> float:
+def sauc(p: SaliencyMap, fixations: FixationTable,
+         negatives: FixationTable, seed: int = 0) -> float:
     """Shuffled ROC area: false positives over negative fixation pixels
     (fixations of other images), capped at 10x the positives by seeded
     subsampling. Thresholds sweep every distinct value on either side,
     which makes the trapezoid area equal the rank statistic
     P(pos > neg) + 0.5 P(pos == neg) exactly."""
-    if not negatives:
+    if not len(negatives):
         raise PreconditionError("sauc requires a non-empty negative set")
     prows, pcols = fixation_pixels(fixations, p.width, p.height)
     nrows, ncols = fixation_pixels(negatives, p.width, p.height)
@@ -144,7 +143,7 @@ def sim(p: SaliencyMap, g: SaliencyMap) -> float:
     return float(np.minimum(pn, gn).sum())
 
 
-def ig(p: SaliencyMap, baseline: SaliencyMap, fixations: list[Fixation],
+def ig(p: SaliencyMap, baseline: SaliencyMap, fixations: FixationTable,
        eps: float = EPS) -> float:
     """Information gain in bits over a baseline at the fixated pixels."""
     pv, bv = _paired(p, baseline)
@@ -219,7 +218,7 @@ METRIC_COLUMNS = ("cc", "kl", "nss", "auc_judd", "sauc", "sim", "ig")
 
 
 def evaluate_pair(pred: SaliencyMap, gt: SaliencyMap,
-                  fixations: list[Fixation], negatives: list[Fixation],
+                  fixations: FixationTable, negatives: FixationTable,
                   baseline: SaliencyMap, seed: int = 0) -> dict[str, float]:
     return {
         "cc": cc(pred, gt),
@@ -233,7 +232,7 @@ def evaluate_pair(pred: SaliencyMap, gt: SaliencyMap,
 
 
 def evaluate_directories(pred_dir: str, gt_dir: str,
-                         fixations: list[Fixation], seed: int = 0
+                         fixations: FixationTable, seed: int = 0
                          ) -> tuple[list[str], list[dict[str, float]]]:
     """Score every map pair. Maps pair by file name (<image_id>.tsal);
     negatives for one image are all other images' fixations; the
@@ -256,10 +255,10 @@ def evaluate_directories(pred_dir: str, gt_dir: str,
     # images in order of first appearance; within one image the
     # fixations run observer by observer, in order of first appearance
     # (the nss and ig means and the seeded sauc subsample depend on it)
-    by_image: dict[str, list[Fixation]] = {}
+    by_image: dict[str, list[int]] = {}
     for (image_id, _), rows in group_rows(
-            (f.image_id, f.observer_id) for f in fixations).items():
-        by_image.setdefault(image_id, []).extend(fixations[i] for i in rows)
+            zip(fixations.image_id, fixations.observer_id)).items():
+        by_image.setdefault(image_id, []).extend(rows.tolist())
 
     gt_maps = {i: read_map_tsal(os.path.join(gt_dir, i + ".tsal"))
                for i in image_ids}
@@ -268,13 +267,14 @@ def evaluate_directories(pred_dir: str, gt_dir: str,
     rows = []
     for image_id in image_ids:
         pred = read_map_tsal(os.path.join(pred_dir, image_id + ".tsal"))
-        fixes = by_image.get(image_id, [])
-        if not fixes:
+        if image_id not in by_image:
             raise PreconditionError(f"no fixations for image {image_id!r}")
-        negatives = [f for other, fl in by_image.items() if other != image_id
-                     for f in fl]
-        rows.append(evaluate_pair(pred, gt_maps[image_id], fixes, negatives,
-                                  baseline, seed=seed))
+        negatives = [i for other, fl in by_image.items() if other != image_id
+                     for i in fl]
+        rows.append(evaluate_pair(pred, gt_maps[image_id],
+                                  fixations.take(by_image[image_id]),
+                                  fixations.take(negatives), baseline,
+                                  seed=seed))
     return image_ids, rows
 
 

@@ -20,11 +20,10 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .gaze import (
     DEFAULT_T_TOTAL_MS,
-    Fixation,
+    FixationTable,
     GazeTable,
     Normalization,
     SaliencyMap,
-    group_rows,
     make_map,
     rasterize,
 )
@@ -110,9 +109,9 @@ class Scene:
 @dataclass(frozen=True)
 class SampledGaze:
     gaze: GazeTable
-    fixations: tuple[Fixation, ...]      # untimestamped, pipeline input
-    true_t_ms: tuple[float, ...]         # held back as the recovery oracle
-    true_slices: tuple[int, ...]
+    fixations: FixationTable             # untimestamped, pipeline input
+    true_t_ms: np.ndarray                # held back as the recovery oracle
+    true_slices: np.ndarray
     slice_maps: tuple[SaliencyMap, ...]  # rasterized from the true slices
     full_map: SaliencyMap
 
@@ -195,8 +194,10 @@ def sample_observers(mixture: SliceMixture, observers: int,
     """
     if observers < 1 or samples_per_sec < 1:
         raise ConfigError("observer and sample counts must be positive")
-    if fixation_rate <= 0.0 or not 0.0 < rho <= 1.0 or t_total_ms <= 0.0:
-        raise ConfigError("need fixation_rate > 0, rho in (0,1], duration > 0")
+    if fixation_rate <= 0.0 or not 0.0 < rho <= 1.0 or t_total_ms <= 0.0 \
+            or jitter_px < 0.0:
+        raise ConfigError("need fixation_rate > 0, rho in (0,1], "
+                          "duration > 0, jitter >= 0")
 
     rng = np.random.default_rng(seed)
     n = mixture.weights.shape[0]
@@ -206,20 +207,15 @@ def sample_observers(mixture: SliceMixture, observers: int,
     samples_per_obs = round(samples_per_sec * t_total_ms / 1000.0)
     w, h = mixture.width, mixture.height
 
-    def clip_xy(x, y):
-        return (float(np.clip(x, 0.0, w - 1)), float(np.clip(y, 0.0, h - 1)))
-
     gaze: list[GazeTable] = []
-    fixations: list[Fixation] = []
-    true_t: list[float] = []
-    true_slice: list[int] = []
+    fixated: list[np.ndarray] = []  # each observer's (x, y) rows
 
     for obs in range(observers):
         observer_id = f"o{obs:03d}"
         visits = np.zeros(n_comp)
         points: list[tuple[float, float]] = []
         for k in range(n):
-            for i in range(per_slice):
+            for _ in range(per_slice):
                 # refresh so a visit suppresses revisits immediately
                 probs = mixture.weights[k] * rho ** visits
                 if mixture.center_index is not None:
@@ -232,32 +228,34 @@ def sample_observers(mixture: SliceMixture, observers: int,
                 comp = rng.choice(n_comp, p=probs / total)
                 if comp != mixture.center_index:
                     visits[comp] += 1.0
-                x, y = rng.normal(mixture.centers[comp],
-                                  mixture.sigmas[comp])
-                x, y = clip_xy(x, y)
-                order = k * per_slice + i
-                fixations.append(Fixation(image_id, observer_id, order,
-                                          x, y, t_ms=None))
-                true_t.append((order + 0.5) * t_total_ms / (n * per_slice))
-                true_slice.append(k)
-                points.append((x, y))
+                points.append(rng.normal(mixture.centers[comp],
+                                         mixture.sigmas[comp]))
         fix_dur = t_total_ms / (n * per_slice)
         t = (np.arange(samples_per_obs) + 0.5) * t_total_ms / samples_per_obs
         active = np.minimum((t / fix_dur).astype(np.intp), len(points) - 1)
         # one draw per sample and axis, in the order x0, y0, x1, y1, ...
         jitter = rng.normal(0.0, jitter_px, size=(samples_per_obs, 2))
-        xy = np.array(points)[active] + jitter
+        fixated.append(np.clip(points, 0.0, [w - 1, h - 1]))
+        xy = fixated[-1][active] + jitter
         gaze.append(GazeTable((image_id,) * samples_per_obs,
                               (observer_id,) * samples_per_obs, t,
                               np.clip(xy[:, 0], 0.0, w - 1),
                               np.clip(xy[:, 1], 0.0, h - 1)))
 
-    by_slice = group_rows(true_slice)  # every slice has fixations
-    slice_maps = tuple(rasterize([fixations[i] for i in by_slice[k]], w, h)
+    # each observer's fixations run slice by slice, per_slice in each
+    order = np.tile(np.arange(n * per_slice), observers)
+    true_slice = order // per_slice
+    true_t = (order + 0.5) * t_total_ms / (n * per_slice)
+    fixations = FixationTable(
+        (image_id,) * order.size,
+        tuple(f"o{obs:03d}" for obs in range(observers) for _ in range(
+            n * per_slice)), order, *np.concatenate(fixated).T)
+    slice_maps = tuple(rasterize(fixations.x[true_slice == k],
+                                 fixations.y[true_slice == k], w, h)
                        for k in range(n))
-    full_map = rasterize(fixations, w, h)
-    return SampledGaze(GazeTable.concat(gaze), tuple(fixations), tuple(true_t),
-                       tuple(true_slice), slice_maps, full_map)
+    full_map = rasterize(fixations.x, fixations.y, w, h)
+    return SampledGaze(GazeTable.concat(gaze), fixations, true_t, true_slice,
+                       slice_maps, full_map)
 
 
 # ---------------------------------------------------------------------------

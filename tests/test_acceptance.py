@@ -14,7 +14,7 @@ import pytest
 from tsal import analysis, metrics, model, synth
 from tsal.cli import main
 from tsal.gaze import (
-    Fixation,
+    FixationTable,
     group_gaze,
     group_rows,
     make_map,
@@ -39,9 +39,11 @@ def verdict(n, ok, detail):
     assert ok, line
 
 
-def fx(x, y, i=0, image_id="img"):
-    return Fixation(image_id=image_id, observer_id="obs", order_index=i,
-                    x=float(x), y=float(y))
+def fixes(points):
+    """Fixations at (x, y) points, all of one image and observer."""
+    x, y = zip(*points)
+    n = len(points)
+    return FixationTable(("img",) * n, ("obs",) * n, range(n), x, y)
 
 
 def pearson(a, b):
@@ -65,13 +67,10 @@ class TestCriterion1:
             npos = int(rng.integers(1, min(4, cells - 1) + 1))
             nneg = int(rng.integers(1, min(5, cells - npos) + 1))
             flat = rng.choice(cells, size=npos + nneg, replace=False)
-            pos = [fx(int(c % w), int(c // w), i)
-                   for i, c in enumerate(flat[:npos])]
-            neg = [fx(int(c % w), int(c // w), i)
-                   for i, c in enumerate(flat[npos:])]
+            pos = fixes([(int(c % w), int(c // w)) for c in flat[:npos]])
+            neg = fixes([(int(c % w), int(c // w)) for c in flat[npos:]])
             mask = np.zeros((h, w), dtype=bool)
-            for f in pos:
-                mask[int(f.y), int(f.x)] = True
+            mask[pos.y.astype(int), pos.x.astype(int)] = True
 
             diffs = [
                 abs(metrics.cc(p, g) - oracles.cc_oracle(p.values, g.values)),
@@ -102,7 +101,7 @@ class TestCriterion1:
             h = int(rng.integers(2, 9))
             w = int(rng.integers(2, 9))
             m = make_map(rng.uniform(0.01, 1.0, size=(h, w)))
-            point = [fx(int(rng.integers(0, w)), int(rng.integers(0, h)))]
+            point = fixes([(int(rng.integers(0, w)), int(rng.integers(0, h)))])
             ident = max(ident,
                         abs(metrics.cc(m, m) - 1.0),
                         abs(metrics.sim(m, m) - 1.0),
@@ -155,29 +154,25 @@ class TestCriterion3:
         for _ in range(10_000):
             n = int(rng.integers(1, 9))
             count = int(rng.integers(0, 13))
-            fixes = [Fixation(image_id="img", observer_id="obs",
-                              order_index=i, x=0.0, y=0.0,
-                              t_ms=float(rng.uniform(0, t_total)))
-                     for i in range(count)]
+            t_ms = [float(rng.uniform(0, t_total)) for _ in range(count)]
 
             # every fixation gets exactly one slice in [0, n), and its
             # timestamp lies in that slice's interval
-            dur = slice_equal_duration(fixes, n, t_total).tolist()
+            dur = slice_equal_duration(t_ms, n, t_total).tolist()
             assert len(dur) == count
-            for f, k in zip(fixes, dur):
+            for t, k in zip(t_ms, dur):
                 assert 0 <= k < n
                 lo, hi = k * t_total / n, (k + 1) * t_total / n
-                assert lo <= f.t_ms
-                assert f.t_ms < hi or (k == n - 1 and f.t_ms <= t_total)
+                assert lo <= t
+                assert t < hi or (k == n - 1 and t <= t_total)
 
             # quota sizes, and slice order follows (t_ms, order_index)
-            dist = slice_equal_distribution(fixes, n).tolist()
+            dist = slice_equal_distribution(t_ms, np.arange(count), n).tolist()
             assert len(dist) == count and all(0 <= k < n for k in dist)
             sizes = [dist.count(k) for k in range(n)]
             q, r = divmod(count, n)
             assert sizes == [q + 1] * r + [q] * (n - r)
-            chain = sorted(zip(dist, ((f.t_ms, f.order_index)
-                                      for f in fixes)))
+            chain = sorted(zip(dist, zip(t_ms, range(count))))
             keys = [key for _, key in chain]
             assert keys == sorted(keys)
 
@@ -198,9 +193,9 @@ class TestCriterion4:
                 fixation_rate=3.0, seed=700 + i, image_id=f"img{i}")
             gaze_groups = group_gaze(sampled.gaze)
             fixations = sampled.fixations
-            for key, rows in group_rows((f.image_id, f.observer_id)
-                                        for f in fixations).items():
-                recovered = recover_timestamps([fixations[i] for i in rows],
+            for key, rows in group_rows(zip(fixations.image_id,
+                                            fixations.observer_id)).items():
+                recovered = recover_timestamps(fixations.take(rows),
                                                gaze_groups[key])
                 slice_of = slice_equal_duration(recovered, n=5)
                 for i, k in zip(rows, slice_of):

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from tsal import analysis
-from tsal.errors import DegenerateMapError, PreconditionError
-from tsal.gaze import Fixation, Normalization, make_map, normalize_map
+from tsal.errors import ConfigError, DegenerateMapError, PreconditionError
+from tsal.gaze import FixationTable, Normalization, make_map, normalize_map
 from tsal.metrics import cc
 
 import oracles
 
 
-def fx(image, x, y, t, i=0):
-    return Fixation(image_id=image, observer_id="obs", order_index=i,
-                    x=float(x), y=float(y), t_ms=float(t))
+def fixes(*rows):
+    """Fixations from (image_id, x, y, t_ms) rows, one observer."""
+    image_ids, x, y, t = zip(*rows)
+    n = len(rows)
+    return FixationTable(image_ids, ("obs",) * n, range(n), x, y, t)
 
 
 def random_dataset(rng, n_images=3, n_slices=3, w=6, h=5):
@@ -195,9 +197,9 @@ class TestSaliencyTimeHistogram:
     def test_count_conservation(self):
         rng = np.random.default_rng(111)
         gt = {"img": self._gt(rng)}
-        fixes = [fx("img", rng.integers(0, 8), rng.integers(0, 8),
-                    rng.uniform(0, 5000), i) for i in range(37)]
-        grid = analysis.saliency_time_histogram(fixes, gt)
+        table = fixes(*[("img", rng.integers(0, 8), rng.integers(0, 8),
+                         rng.uniform(0, 5000)) for _ in range(37)])
+        grid = analysis.saliency_time_histogram(table, gt)
         assert grid.sum() == 37
 
     def test_peak_fixation_at_time_zero(self):
@@ -205,21 +207,21 @@ class TestSaliencyTimeHistogram:
         gt = {"img": self._gt(rng)}
         py, px = np.unravel_index(gt["img"].values.argmax(), (8, 8))
         grid = analysis.saliency_time_histogram(
-            [fx("img", px, py, 0.0)], gt, bins_t=50, bins_s=50)
+            fixes(("img", px, py, 0.0)), gt, bins_t=50, bins_s=50)
         assert grid[0, 49] == 1
         assert grid.sum() == 1
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(113)
         gt = {"img": self._gt(rng)}
-        fixes = [fx("img", rng.integers(0, 8), rng.integers(0, 8),
-                    rng.uniform(0, 5000), i) for i in range(100)]
-        grid = analysis.saliency_time_histogram(fixes, gt, bins_t=10, bins_s=7)
+        table = fixes(*[("img", rng.integers(0, 8), rng.integers(0, 8),
+                         rng.uniform(0, 5000)) for _ in range(100)])
+        grid = analysis.saliency_time_histogram(table, gt, bins_t=10, bins_s=7)
         records = []
-        for f in fixes:
-            px = int(math.floor(f.x + 0.5))
-            py = int(math.floor(f.y + 0.5))
-            records.append((f.t_ms, gt["img"].values[py, px]))
+        for x, y, t in zip(table.x, table.y, table.t_ms):
+            px = int(math.floor(x + 0.5))
+            py = int(math.floor(y + 0.5))
+            records.append((t, gt["img"].values[py, px]))
         want = oracles.histogram2d_oracle(records, 10, 7, 5000.0)
         assert np.array_equal(grid, want)
 
@@ -228,21 +230,30 @@ class TestSaliencyTimeHistogram:
         gt = {"img": self._gt(rng)}
         py, px = np.unravel_index(gt["img"].values.argmax(), (8, 8))
         grid = analysis.saliency_time_histogram(
-            [fx("img", px, py, 5000.0)], gt, bins_t=5, bins_s=5)
+            fixes(("img", px, py, 5000.0)), gt, bins_t=5, bins_s=5)
         assert grid[4, 4] == 1
 
     def test_wrong_normalization_rejected(self):
         rng = np.random.default_rng(115)
         raw = make_map(rng.uniform(0.01, 1.0, size=(8, 8)))
         with pytest.raises(PreconditionError):
-            analysis.saliency_time_histogram([fx("img", 1, 1, 0.0)],
+            analysis.saliency_time_histogram(fixes(("img", 1, 1, 0.0)),
                                              {"img": raw})
 
     def test_missing_map_rejected(self):
         rng = np.random.default_rng(116)
         gt = {"img": self._gt(rng)}
         with pytest.raises(PreconditionError):
-            analysis.saliency_time_histogram([fx("other", 1, 1, 0.0)], gt)
+            analysis.saliency_time_histogram(fixes(("other", 1, 1, 0.0)), gt)
+
+    @pytest.mark.parametrize("t_total", [0.0, -100.0])
+    def test_non_positive_t_total_rejected(self, t_total):
+        rng = np.random.default_rng(117)
+        gt = {"img": self._gt(rng)}
+        with pytest.raises(ConfigError,
+                           match=f"^t_total must be positive, got {t_total}$"):
+            analysis.saliency_time_histogram(fixes(("img", 1, 1, 0.0)), gt,
+                                             t_total=t_total)
 
 
 class TestCsvRenderers:

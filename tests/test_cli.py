@@ -3,7 +3,9 @@
 import csv
 import json
 import os
+import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +199,7 @@ class TestSynth:
         assert ids == ["img000", "img001", "img002", "img003"]
         fixations, _ = read_fixation_table(data / "fixations.csv")
         assert len(fixations) == 4 * 3 * 15  # images x observers x 5s*3/s
-        assert all(f.t_ms is None for f in fixations)
+        assert fixations.t_ms is None
         gaze_lines = (data / "gaze.jsonl").read_text().strip().split("\n")
         assert len(gaze_lines) == 4 * 3 * 5 * 20
         truth, slices = read_fixation_table(data / "truth" / "fixations.csv")
@@ -251,10 +253,30 @@ class TestSynth:
             assert not out.exists(), text
 
 
+    def test_negative_jitter_exits_two(self, workdir, dataset, capsys):
+        assert run("synth", "--scene", dataset["scene"],
+                   "--out", workdir / "data_jitter", "--jitter", "-1") == 2
+        assert only_error_line(capsys) == (
+            "tsal: ConfigError: need fixation_rate > 0, rho in (0,1], "
+            "duration > 0, jitter >= 0")
+
+
+def write_rows(path, rows) -> None:
+    """CSV rows (lists of fields), the way a per-row csv.writer writes."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def sliced_rows(dataset) -> list[list[str]]:
+    """The fields of the sliced fixation CSV, header first."""
+    with open(dataset["sliced"], newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestTimestampsAndSlice:
     def test_recovered_rows_all_timestamped(self, dataset):
         fixations, _ = read_fixation_table(dataset["recovered"])
-        assert all(f.t_ms is not None for f in fixations)
+        assert fixations.t_ms is not None
 
     def test_slice_is_idempotent_on_its_own_output(self, workdir, dataset):
         again = workdir / "sliced_again.csv"
@@ -276,7 +298,7 @@ class TestTimestampsAndSlice:
             self, workdir, dataset, scheme):
         fixations, _ = read_fixation_table(dataset["recovered"])
         order = np.random.default_rng(8).permutation(len(fixations))
-        rows = [fixations[i] for i in order]  # images and observers mixed
+        rows = fixations.take(order)  # images and observers mixed
         src = workdir / "interleaved.csv"
         write_fixations_csv(src, rows)
         out = workdir / f"interleaved_{scheme}.csv"
@@ -284,12 +306,15 @@ class TestTimestampsAndSlice:
              "--n", 4)
         got, slice_of = read_fixation_table(out)
         assert got == rows
-        slicer = {"equal-duration": slice_equal_duration,
-                  "equal-distribution": slice_equal_distribution}[scheme]
-        for image_id in {f.image_id for f in rows}:
-            mine = [i for i, f in enumerate(rows) if f.image_id == image_id]
-            want = slicer([rows[i] for i in mine], n=4)
-            assert [slice_of[i] for i in mine] == want.tolist()
+        for image_id in set(rows.image_id):
+            mine = [i for i, other in enumerate(rows.image_id)
+                    if other == image_id]
+            if scheme == "equal-duration":
+                want = slice_equal_duration(rows.t_ms[mine], n=4)
+            else:
+                want = slice_equal_distribution(rows.t_ms[mine],
+                                                rows.order_index[mine], n=4)
+            assert slice_of[mine].tolist() == want.tolist()
 
     def test_slicing_untimestamped_input_fails(self, dataset, capsys):
         assert run("slice", "--fixations",
@@ -317,7 +342,7 @@ class TestTimestampsAndSlice:
     def test_missing_gaze_for_observer_exits_two(self, workdir, dataset,
                                                  capsys):
         fixations, _ = read_fixation_table(dataset["data"] / "fixations.csv")
-        orphan = [f for f in fixations[:3]]
+        orphan = fixations.take([0, 1, 2])
         orphan_csv = workdir / "orphan.csv"
         write_fixations_csv(orphan_csv, orphan)
         empty_gaze = workdir / "empty.jsonl"
@@ -377,6 +402,106 @@ class TestTimestampsAndSlice:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    @pytest.mark.parametrize("t_total", ["0", "-100"])
+    @pytest.mark.parametrize("command", ["timestamps", "analyze"])
+    def test_non_positive_t_total_exits_two(self, workdir, dataset, capsys,
+                                            command, t_total, via_config):
+        # every t_ms 0.0: inside [0, t_total] for t_total = 0
+        rows = sliced_rows(dataset)
+        t_col = rows[0].index("t_ms")
+        for row in rows[1:]:
+            row[t_col] = "0.0"
+        src = workdir / "zero_times.csv"
+        write_rows(src, rows)
+        out = workdir / f"t_total_{command}"
+        if command == "timestamps":
+            argv = [command, "--gaze", dataset["data"] / "gaze.jsonl",
+                    "--fixations", src, "--out", out]
+        else:
+            argv = [command, "--maps", dataset["maps"], "--fixations", src,
+                    "--out", out]
+        if via_config:
+            cfg = workdir / "t_total.cfg"
+            cfg.write_text(f"t_total={t_total}\n")
+            argv += ["--config", cfg]
+        else:
+            argv.append(f"--t-total={t_total}")
+        assert run(*argv) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: ConfigError: t_total must be positive, "
+            f"got {float(t_total)}")
+        assert not (out / "histogram.csv").exists() and not out.is_file()
+
+    @pytest.mark.parametrize("column", ["order_index", "slice_index"])
+    @pytest.mark.parametrize("command", ["timestamps", "slice", "rasterize"])
+    def test_integer_beyond_64_bits_exits_two(self, workdir, dataset, capsys,
+                                              command, column):
+        rows = sliced_rows(dataset)
+        rows[2][rows[0].index(column)] = "1" + "0" * 400
+        src = workdir / f"big_{column}.csv"
+        write_rows(src, rows)
+        out = workdir / f"big_{command}_out"
+        inputs = {"timestamps": ("--gaze", dataset["data"] / "gaze.jsonl"),
+                  "slice": ("--scheme", "equal-distribution"),
+                  "rasterize": ("--images", dataset["images"])}[command]
+        assert run(command, "--fixations", src, *inputs, "--out", out) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: FormatError: {src} line 3: {column!r} does not fit "
+            f"in 64 bits")
+        assert not out.exists()
+
+
+# One field of the sliced CSV per case: a value from MUTATIONS put in
+# the named column, or None to drop the row's last field.
+MUTATIONS = ("", "nan", "inf", "1e999", "-1", "1" + "0" * 400, "text", "a,b")
+FIELD_CASES = [(column, value) for column in (
+    "image_id", "observer_id", "order_index", "x", "y", "t_ms",
+    "slice_index") for value in MUTATIONS] + [(None, None)]
+
+
+class TestMutatedFixationCsv:
+    """Every stage that reads fixations, on a valid sliced CSV with one
+    field mutated: an exit code of the contract, and one error line on
+    failure."""
+
+    def test_each_stage_exits_by_the_contract(self, workdir, dataset,
+                                              capsys):
+        rng = np.random.default_rng(707)  # picks the row of each case
+        header, *body = sliced_rows(dataset)
+        for n, (column, value) in enumerate(FIELD_CASES):
+            rows = [list(row) for row in body]
+            row = rows[int(rng.integers(len(rows)))]
+            if column is None:
+                row.pop()
+            else:
+                row[header.index(column)] = value
+            src = workdir / f"mutated{n}.csv"
+            write_rows(src, [header, *rows])
+            out = workdir / f"mutated{n}"
+            for argv in (
+                    ("timestamps", "--gaze", dataset["data"] / "gaze.jsonl",
+                     "--out", out / "recovered.csv"),
+                    ("slice", "--out", out / "sliced.csv"),
+                    ("rasterize", "--images", dataset["images"],
+                     "--out", out / "maps"),
+                    ("analyze", "--maps", dataset["maps"],
+                     "--out", out / "analysis"),
+                    ("eval", "--pred", dataset["maps"] / "full",
+                     "--gt", dataset["data"] / "truth" / "maps" / "full",
+                     "--out", out / "metrics.csv")):
+                case = f"{argv[0]} with {column}={value!r}"
+                code = run(*argv, "--fixations", src)
+                captured = capsys.readouterr()
+                assert code in (0, 2, 3), case
+                if code:
+                    assert re.fullmatch(r"tsal: \w+: [^\n]*\n",
+                                        captured.err), (case, captured.err)
+                else:
+                    assert captured.err == "", case
+
+
 class TestRasterize:
     def test_map_tree(self, dataset):
         for kind in ("full", "t0", "t1", "t2", "t3", "t4"):
@@ -411,8 +536,8 @@ class TestRasterize:
     def test_unknown_image_reference_exits_two(self, workdir, dataset):
         rogue = workdir / "rogue.csv"
         fixations, slices = read_fixation_table(dataset["sliced"])
-        from dataclasses import replace
-        fixations = [replace(fixations[0], image_id="ghost")] + fixations[1:]
+        fixations = replace(fixations,
+                            image_id=("ghost",) + fixations.image_id[1:])
         write_fixations_csv(rogue, fixations, slice_indices=slices)
         assert run("rasterize", "--fixations", rogue,
                    "--images", dataset["images"],

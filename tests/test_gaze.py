@@ -1,7 +1,9 @@
 """Gaze records, timestamp recovery, slicing, rasterization, file formats."""
 
+import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -19,9 +21,12 @@ from tsal.errors import (
 import oracles
 
 
-def fx(i, x, y, t=None, image="img0", obs="obs0"):
-    return gaze.Fixation(image_id=image, observer_id=obs, order_index=i,
-                         x=x, y=y, t_ms=t)
+def fixes(*rows, t=None, image="img0", obs="obs0"):
+    """Fixations from (order_index, x, y) rows, all of one image and
+    observer; t is the t_ms column or None."""
+    i, x, y = zip(*rows) if rows else ((), (), ())
+    n = len(rows)
+    return gaze.FixationTable((image,) * n, (obs,) * n, i, x, y, t)
 
 
 def gz(*rows, image="img0", obs="obs0"):
@@ -81,15 +86,14 @@ class TestSaliencyMap:
 
 class TestRecoverTimestamps:
     def test_exact_spatial_match_takes_that_sample(self):
-        out = gaze.recover_timestamps([fx(0, 10.0, 20.0)],
+        out = gaze.recover_timestamps(fixes((0, 10.0, 20.0)),
                                       gz((1200.0, 10.0, 20.0)))
-        assert out[0].t_ms == 1200.0
+        assert out[0] == 1200.0
 
     def test_tie_broken_by_earliest_gaze_time(self):
-        fixes = [fx(0, 5.0, 0.0)]
         samples = gz((900.0, 0.0, 0.0), (500.0, 10.0, 0.0))
-        out = gaze.recover_timestamps(fixes, samples, w_t=0.0)
-        assert out[0].t_ms == 500.0
+        out = gaze.recover_timestamps(fixes((0, 5.0, 0.0)), samples, w_t=0.0)
+        assert out[0] == 500.0
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(50)
@@ -100,65 +104,70 @@ class TestRecoverTimestamps:
                        for _ in range(m)]
             gaze_pts = [(float(rng.uniform(0, 64)), float(rng.uniform(0, 64)),
                          float(rng.uniform(0, 5000))) for _ in range(g)]
-            fixes = [fx(i, x, y) for i, (x, y) in enumerate(fix_pts)]
+            table = fixes(*[(i, x, y) for i, (x, y) in enumerate(fix_pts)])
             samples = gz(*[(t, x, y) for x, y, t in gaze_pts])
-            got = [f.t_ms for f in
-                   gaze.recover_timestamps(fixes, samples, w_s=1.0, w_t=0.01)]
+            got = gaze.recover_timestamps(table, samples, w_s=1.0,
+                                          w_t=0.01).tolist()
             want = oracles.recover_oracle(fix_pts, gaze_pts, 1.0, 0.01, 5000.0)
             assert got == want
 
     def test_gaze_at_each_fixation_returns_those_times(self):
-        fixes = [fx(0, 1.0, 1.0), fx(1, 9.0, 3.0), fx(2, 4.0, 8.0)]
+        table = fixes((0, 1.0, 1.0), (1, 9.0, 3.0), (2, 4.0, 8.0))
         samples = gz((100.0, 1.0, 1.0), (900.0, 9.0, 3.0),
                      (2400.0, 4.0, 8.0))
-        out = gaze.recover_timestamps(fixes, samples, w_t=0.0)
-        assert [f.t_ms for f in out] == [100.0, 900.0, 2400.0]
+        out = gaze.recover_timestamps(table, samples, w_t=0.0)
+        assert out.tolist() == [100.0, 900.0, 2400.0]
 
     def test_output_monotone(self):
         rng = np.random.default_rng(51)
         for _ in range(50):
-            fixes = [fx(i, float(rng.uniform(0, 32)), float(rng.uniform(0, 32)))
-                     for i in range(4)]
+            table = fixes(*[(i, float(rng.uniform(0, 32)),
+                             float(rng.uniform(0, 32))) for i in range(4)])
             samples = gz(*[(float(rng.uniform(0, 5000)),
                             float(rng.uniform(0, 32)), float(rng.uniform(0, 32)))
                            for _ in range(8)])
-            out = gaze.recover_timestamps(fixes, samples)
-            ts = [f.t_ms for f in out]
+            ts = gaze.recover_timestamps(table, samples).tolist()
             assert ts == sorted(ts)
 
     def test_empty_gaze_is_unrecoverable(self):
         with pytest.raises(UnrecoverableObserverError):
-            gaze.recover_timestamps([fx(0, 1.0, 1.0)], gz())
+            gaze.recover_timestamps(fixes((0, 1.0, 1.0)), gz())
 
     def test_empty_fixations_ok(self):
-        assert gaze.recover_timestamps([], gz()) == []
+        assert gaze.recover_timestamps(fixes(), gz()).tolist() == []
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
-            gaze.recover_timestamps([fx(0, 1.0, 1.0)], gz((0.0, 1.0, 1.0)),
+            gaze.recover_timestamps(fixes((0, 1.0, 1.0)), gz((0.0, 1.0, 1.0)),
                                     w_s=-1.0)
 
+    @pytest.mark.parametrize("t_total", [0.0, -100.0])
+    def test_non_positive_t_total_rejected(self, t_total):
+        with pytest.raises(ConfigError,
+                           match=f"^t_total must be positive, got {t_total}$"):
+            gaze.recover_timestamps(fixes((0, 1.0, 1.0)), gz((0.0, 1.0, 1.0)),
+                                    t_total=t_total)
+
     def test_unordered_fixations_rejected(self):
-        fixes = [fx(1, 1.0, 1.0), fx(0, 2.0, 2.0)]
+        table = fixes((1, 1.0, 1.0), (0, 2.0, 2.0))
         with pytest.raises(PreconditionError):
-            gaze.recover_timestamps(fixes, gz((0.0, 1.0, 1.0)))
+            gaze.recover_timestamps(table, gz((0.0, 1.0, 1.0)))
 
     def test_does_not_mutate_input(self):
-        fixes = [fx(0, 1.0, 1.0)]
-        gaze.recover_timestamps(fixes, gz((10.0, 1.0, 1.0)))
-        assert fixes[0].t_ms is None
+        table = fixes((0, 1.0, 1.0))
+        gaze.recover_timestamps(table, gz((10.0, 1.0, 1.0)))
+        assert table.t_ms is None
 
 
-def members(slice_of, k, fixes):
-    """The fixations an index column puts in slice k, in input order."""
-    return [f for f, s in zip(fixes, slice_of) if s == k]
+def members(slice_of, k, values):
+    """The values an index column puts in slice k, in input order."""
+    return [v for v, s in zip(values, slice_of) if s == k]
 
 
 class TestEqualDuration:
     def test_boundary_examples(self):
-        fixes = [fx(0, 1, 1, t=0.0), fx(1, 1, 1, t=1000.0),
-                 fx(2, 1, 1, t=4999.0), fx(3, 1, 1, t=5000.0)]
-        out = gaze.slice_equal_duration(fixes, n=5, t_total=5000.0)
+        out = gaze.slice_equal_duration([0.0, 1000.0, 4999.0, 5000.0], n=5,
+                                        t_total=5000.0)
         # half-open bins, the last one closed at the end of viewing
         assert out.tolist() == [0, 1, 4, 4]
 
@@ -168,8 +177,7 @@ class TestEqualDuration:
             n = int(rng.integers(1, 8))
             t_total = float(rng.uniform(100, 9000))
             ts = [float(rng.uniform(0, t_total)) for _ in range(200)]
-            fixes = [fx(i, 1, 1, t=t) for i, t in enumerate(ts)]
-            out = gaze.slice_equal_duration(fixes, n=n, t_total=t_total)
+            out = gaze.slice_equal_duration(ts, n=n, t_total=t_total)
             # the oracle's one-timestamp histogram names its bin
             want = [oracles.duration_histogram_oracle([t], n, t_total).index(1)
                     for t in ts]
@@ -177,29 +185,23 @@ class TestEqualDuration:
 
     def test_partition_property(self):
         rng = np.random.default_rng(53)
-        fixes = [fx(i, 1, 1, t=float(rng.uniform(0, 5000))) for i in range(60)]
-        out = gaze.slice_equal_duration(fixes, n=5)
-        assert len(out) == len(fixes)
-        merged = [f for k in range(5) for f in members(out, k, fixes)]
-        assert sorted(merged, key=lambda f: f.order_index) == fixes
-
-    def test_missing_timestamp_rejected(self):
-        with pytest.raises(PreconditionError):
-            gaze.slice_equal_duration([fx(0, 1, 1)], n=2)
+        ts = [float(rng.uniform(0, 5000)) for _ in range(60)]
+        out = gaze.slice_equal_duration(ts, n=5)
+        assert len(out) == len(ts)
+        merged = [i for k in range(5) for i in members(out, k, range(60))]
+        assert sorted(merged) == list(range(60))
 
     def test_out_of_range_timestamp_rejected(self):
         with pytest.raises(PreconditionError, match="5001.0 outside"):
-            gaze.slice_equal_duration([fx(0, 1, 1, t=2.0),
-                                       fx(1, 1, 1, t=5001.0)], n=2)
+            gaze.slice_equal_duration([2.0, 5001.0], n=2)
         with pytest.raises(PreconditionError):
-            gaze.slice_equal_duration([fx(0, 1, 1, t=-1.0)], n=2)
+            gaze.slice_equal_duration([-1.0], n=2)
 
     def test_nan_timestamp_or_total_rejected(self):
         with pytest.raises(PreconditionError, match=r"outside \[0, nan\]"):
-            gaze.slice_equal_duration([fx(0, 1, 1, t=2.0)], n=2,
-                                      t_total=float("nan"))
+            gaze.slice_equal_duration([2.0], n=2, t_total=float("nan"))
         with pytest.raises(PreconditionError, match="nan outside"):
-            gaze.slice_equal_duration([fx(0, 1, 1, t=float("nan"))], n=2)
+            gaze.slice_equal_duration([float("nan")], n=2)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ConfigError):
@@ -207,21 +209,15 @@ class TestEqualDuration:
         with pytest.raises(ConfigError):
             gaze.slice_equal_duration([], n=2, t_total=0.0)
 
-    def test_mixed_images_rejected(self):
-        fixes = [fx(0, 1, 1, t=1.0, image="a"), fx(0, 1, 1, t=2.0, image="b")]
-        with pytest.raises(PreconditionError):
-            gaze.slice_equal_duration(fixes, n=2)
-
 
 class TestEqualDistribution:
     def test_even_split(self):
-        fixes = [fx(i, 1, 1, t=float(i * 100)) for i in range(10)]
-        out = gaze.slice_equal_distribution(fixes, n=5)
+        out = gaze.slice_equal_distribution(np.arange(10) * 100.0,
+                                            np.arange(10), n=5)
         assert out.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_remainder_goes_to_early_slices(self):
-        fixes = [fx(i, 1, 1, t=float(i)) for i in range(7)]
-        out = gaze.slice_equal_distribution(fixes, n=5)
+        out = gaze.slice_equal_distribution(np.arange(7.0), np.arange(7), n=5)
         assert np.bincount(out, minlength=5).tolist() == [2, 2, 1, 1, 1]
 
     def test_matches_sort_chunk_oracle_with_ties(self):
@@ -231,10 +227,10 @@ class TestEqualDistribution:
             n = int(rng.integers(1, 7))
             # coarse timestamps so duplicates are common, rows shuffled
             # so input order differs from the sort order
-            fixes = [fx(i, 1, 1, t=float(rng.integers(0, 5)) * 1000.0)
-                     for i in rng.permutation(count).tolist()]
-            out = gaze.slice_equal_distribution(fixes, n=n)
-            keyed = [((f.t_ms, f.order_index), i) for i, f in enumerate(fixes)]
+            order = rng.permutation(count).tolist()
+            ts = [float(rng.integers(0, 5)) * 1000.0 for _ in order]
+            out = gaze.slice_equal_distribution(ts, order, n=n)
+            keyed = [(key, i) for i, key in enumerate(zip(ts, order))]
             want = [None] * count
             for k, rows in enumerate(oracles.sort_chunk_oracle(keyed, n)):
                 for i in rows:
@@ -243,26 +239,32 @@ class TestEqualDistribution:
 
     def test_monotone_across_slices(self):
         rng = np.random.default_rng(55)
-        fixes = [fx(i, 1, 1, t=float(rng.uniform(0, 5000))) for i in range(41)]
-        out = gaze.slice_equal_distribution(fixes, n=5)
+        ts = [float(rng.uniform(0, 5000)) for _ in range(41)]
+        out = gaze.slice_equal_distribution(ts, np.arange(41), n=5)
         for k in range(4):
-            a, b = members(out, k, fixes), members(out, k + 1, fixes)
+            a, b = members(out, k, ts), members(out, k + 1, ts)
             if a and b:
-                assert max(f.t_ms for f in a) <= min(f.t_ms for f in b)
+                assert max(a) <= min(b)
 
     def test_partition_property(self):
         rng = np.random.default_rng(56)
-        fixes = [fx(i, 1, 1, t=float(rng.uniform(0, 5000))) for i in range(23)]
-        out = gaze.slice_equal_distribution(fixes, n=4)
-        assert len(out) == len(fixes)
-        merged = [f for k in range(4) for f in members(out, k, fixes)]
-        assert sorted(merged, key=lambda f: f.order_index) == fixes
+        ts = [float(rng.uniform(0, 5000)) for _ in range(23)]
+        out = gaze.slice_equal_distribution(ts, np.arange(23), n=4)
+        assert len(out) == len(ts)
+        merged = [i for k in range(4) for i in members(out, k, range(23))]
+        assert sorted(merged) == list(range(23))
+
+
+def xy(*points):
+    """The x and y columns of (x, y) points."""
+    x, y = zip(*points) if points else ((), ())
+    return np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
 
 
 class TestRasterize:
     def test_gaussian_neighbor_ratio(self):
         sigma = 3.0
-        m = gaze.rasterize([fx(0, 16.0, 16.0)], 33, 33, sigma_px=sigma,
+        m = gaze.rasterize(*xy((16.0, 16.0)), 33, 33, sigma_px=sigma,
                            normalization=gaze.Normalization.SUM_TO_ONE)
         v = m.values
         assert np.unravel_index(v.argmax(), v.shape) == (16, 16)
@@ -270,9 +272,9 @@ class TestRasterize:
         assert abs(ratio - math.exp(1.0 / (2.0 * sigma * sigma))) < 1e-9
 
     def test_superposition(self):
-        a = gaze.rasterize([fx(0, 5.0, 5.0)], 24, 24, sigma_px=2.0)
-        b = gaze.rasterize([fx(0, 15.0, 12.0)], 24, 24, sigma_px=2.0)
-        both = gaze.rasterize([fx(0, 5.0, 5.0), fx(1, 15.0, 12.0)], 24, 24,
+        a = gaze.rasterize(*xy((5.0, 5.0)), 24, 24, sigma_px=2.0)
+        b = gaze.rasterize(*xy((15.0, 12.0)), 24, 24, sigma_px=2.0)
+        both = gaze.rasterize(*xy((5.0, 5.0), (15.0, 12.0)), 24, 24,
                               sigma_px=2.0)
         assert np.allclose(both.values, a.values + b.values, atol=1e-12)
 
@@ -280,34 +282,33 @@ class TestRasterize:
         rng = np.random.default_rng(57)
         pts = [(float(rng.uniform(0, 20)), float(rng.uniform(0, 14)))
                for _ in range(5)]
-        fixes = [fx(i, x, y) for i, (x, y) in enumerate(pts)]
-        m = gaze.rasterize(fixes, 20, 14, sigma_px=1.5)
+        m = gaze.rasterize(*xy(*pts), 20, 14, sigma_px=1.5)
         want = oracles.rasterize_dense_oracle(pts, 20, 14, 1.5)
         assert np.abs(m.values - want).max() < 1e-12
 
     def test_mass_preserved_away_from_borders(self):
         sigma = 2.0
-        fixes = [fx(0, 20.0, 20.0), fx(1, 25.0, 22.0), fx(2, 18.0, 24.0)]
-        m = gaze.rasterize(fixes, 44, 44, sigma_px=sigma)
+        m = gaze.rasterize(*xy((20.0, 20.0), (25.0, 22.0), (18.0, 24.0)),
+                           44, 44, sigma_px=sigma)
         assert abs(m.values.sum() - 3.0) < 1e-9
 
     def test_empty_raw_is_zero_map(self):
-        m = gaze.rasterize([], 8, 8, sigma_px=1.0)
+        m = gaze.rasterize(*xy(), 8, 8, sigma_px=1.0)
         assert m.values.sum() == 0.0
         assert m.normalization is gaze.Normalization.RAW
 
     def test_empty_normalized_is_degenerate(self):
         with pytest.raises(DegenerateMapError):
-            gaze.rasterize([], 8, 8, sigma_px=1.0,
+            gaze.rasterize(*xy(), 8, 8, sigma_px=1.0,
                            normalization=gaze.Normalization.SUM_TO_ONE)
 
     def test_out_of_bounds_fixation_rejected(self):
         with pytest.raises(PreconditionError):
-            gaze.rasterize([fx(0, 8.0, 4.0)], 8, 8, sigma_px=1.0)
+            gaze.rasterize(*xy((8.0, 4.0)), 8, 8, sigma_px=1.0)
 
     def test_bad_sigma_rejected(self):
         with pytest.raises(ConfigError):
-            gaze.rasterize([fx(0, 1.0, 1.0)], 8, 8, sigma_px=0.0)
+            gaze.rasterize(*xy((1.0, 1.0)), 8, 8, sigma_px=0.0)
 
     def test_default_sigma_scales_with_short_side(self):
         assert gaze.default_sigma(640, 480) == 19.0
@@ -317,8 +318,7 @@ class TestRasterize:
     def test_kernel_wider_than_the_map(self):
         # radius 9 at sigma 3 is wider than both sides of an 8x6 map
         pts = [(1.0, 2.0), (6.6, 4.4), (3.0, 0.0)]
-        m = gaze.rasterize([fx(i, x, y) for i, (x, y) in enumerate(pts)],
-                           8, 6, sigma_px=3.0)
+        m = gaze.rasterize(*xy(*pts), 8, 6, sigma_px=3.0)
         want = oracles.rasterize_dense_oracle(pts, 8, 6, 3.0)
         assert np.abs(m.values - want).max() < 1e-12
 
@@ -332,9 +332,8 @@ class TestRasterize:
                     pts = [(float(rng.uniform(0, width - 1)),
                             float(rng.uniform(0, height - 1)))
                            for _ in range(int(rng.integers(1, 40)))]
-                    m = gaze.rasterize(
-                        [fx(i, x, y) for i, (x, y) in enumerate(pts)],
-                        width, height, sigma_px=sigma)
+                    m = gaze.rasterize(*xy(*pts), width, height,
+                                       sigma_px=sigma)
                     grid = np.zeros((height, width))
                     rows, cols = gaze.nearest_pixels(
                         np.array([p[0] for p in pts]),
@@ -345,7 +344,7 @@ class TestRasterize:
                         gaze.serialize_map(want, m.normalization)
 
     def test_rounding_to_nearest_pixel(self):
-        m = gaze.rasterize([fx(0, 3.6, 2.4)], 8, 8, sigma_px=0.3)
+        m = gaze.rasterize(*xy((3.6, 2.4)), 8, 8, sigma_px=0.3)
         assert m.values.argmax() == np.ravel_multi_index((2, 4), (8, 8))
 
     def test_nearest_pixels_match_scalar_rounding(self):
@@ -488,32 +487,65 @@ class TestGazeTable:
         assert len(gaze.GazeTable.concat([])) == 0
 
 
+class TestFixationTable:
+    def test_column_types_and_optional_times(self):
+        table = fixes((3, 1, 2), (4, 1, 2))
+        assert table.order_index.dtype == np.int64
+        assert table.x.dtype == np.float64 and table.t_ms is None
+        timed = fixes((3, 1, 2), (4, 1, 2), t=[5, 6])
+        assert timed.t_ms.dtype == np.float64
+        assert timed != table and table != timed
+        with pytest.raises(ValueError):
+            timed.t_ms[0] = 6.0
+
+    def test_pickled_copy_stays_read_only(self):
+        table = fixes((0, 1.0, 2.0), t=[3.0])
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == table and not copy.order_index.flags.writeable
+
+    def test_ragged_or_non_finite_columns_rejected(self):
+        with pytest.raises(PreconditionError):
+            gaze.FixationTable(("a",), ("o",), (0,), (1.0,), (1.0,), (1.0, 2.0))
+        with pytest.raises(NonFiniteError):
+            gaze.FixationTable(("a",), ("o",), (0,), (1.0,), (1.0,), (np.inf,))
+
+    def test_take_and_concat_keep_row_order(self):
+        a = fixes((0, 1.0, 2.0), (1, 3.0, 4.0), obs="p")
+        b = fixes((0, 5.0, 6.0), obs="q")
+        both = gaze.FixationTable.concat([a, b])
+        assert both.observer_id == ("p", "p", "q") and both.t_ms is None
+        assert both.take(np.array([2, 0])) == gaze.FixationTable(
+            ("img0", "img0"), ("q", "p"), (0, 0), (5.0, 1.0), (6.0, 2.0))
+        assert len(both.take([])) == 0
+        assert len(gaze.FixationTable.concat([])) == 0
+
+
 class TestFixationCsv:
     def test_roundtrip_without_timestamps(self, tmp_path):
         path = str(tmp_path / "fix.csv")
-        fixes = [fx(0, 1.5, 2.5), fx(1, 3.0, 4.0)]
-        gaze.write_fixations_csv(path, fixes)
-        assert gaze.read_fixation_table(path)[0] == fixes
+        table = fixes((0, 1.5, 2.5), (1, 3.0, 4.0))
+        gaze.write_fixations_csv(path, table)
+        assert gaze.read_fixation_table(path)[0] == table
 
     def test_roundtrip_with_timestamps_exact(self, tmp_path):
         path = str(tmp_path / "fix.csv")
-        fixes = [fx(0, 1.0 / 3.0, 2.5, t=1234.5678901234)]
-        gaze.write_fixations_csv(path, fixes)
+        table = fixes((0, 1.0 / 3.0, 2.5), t=[1234.5678901234])
+        gaze.write_fixations_csv(path, table)
         got, _ = gaze.read_fixation_table(path)
-        assert got[0].x == fixes[0].x  # repr() keeps floats exact
-        assert got[0].t_ms == fixes[0].t_ms
+        assert got.x[0] == table.x[0]  # repr() keeps floats exact
+        assert got.t_ms[0] == table.t_ms[0]
 
     def test_slice_index_column(self, tmp_path):
         path = str(tmp_path / "fix.csv")
-        fixes = [fx(0, 1.0, 2.0, t=10.0), fx(1, 3.0, 4.0, t=20.0)]
-        gaze.write_fixations_csv(path, fixes, slice_indices=[0, 3])
+        table = fixes((0, 1.0, 2.0), (1, 3.0, 4.0), t=[10.0, 20.0])
+        gaze.write_fixations_csv(path, table, slice_indices=[0, 3])
         got, slices = gaze.read_fixation_table(path)
-        assert got == fixes
-        assert slices == [0, 3]
+        assert got == table
+        assert slices.tolist() == [0, 3]
 
     def test_no_slice_column_reads_none(self, tmp_path):
         path = str(tmp_path / "fix.csv")
-        gaze.write_fixations_csv(path, [fx(0, 1.0, 2.0)])
+        gaze.write_fixations_csv(path, fixes((0, 1.0, 2.0)))
         _, slices = gaze.read_fixation_table(path)
         assert slices is None
 
@@ -529,10 +561,51 @@ class TestFixationCsv:
         with pytest.raises(FormatError):
             gaze.read_fixation_table(str(p))
 
+    @pytest.mark.parametrize("column", ["order_index", "slice_index"])
+    @pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1, 10 ** 400],
+                             ids=["2**63", "-2**63-1", "10**400"])
+    def test_integer_beyond_64_bits_rejected(self, tmp_path, column, value):
+        fields = {"order_index": 0, "slice_index": 1, column: value}
+        p = tmp_path / "big.csv"
+        p.write_text("image_id,observer_id,order_index,x,y,t_ms,slice_index\n"
+                     "a,o,0,1,2,3,0\n"
+                     f"a,o,{fields['order_index']},1,2,3,"
+                     f"{fields['slice_index']}\n")
+        message = f"{p} line 3: '{column}' does not fit in 64 bits"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            gaze.read_fixation_table(str(p))
+
+    def test_integers_at_the_64_bit_limits_read_back(self, tmp_path):
+        path = str(tmp_path / "fix.csv")
+        table = fixes((-2 ** 63, 1.0, 2.0), (2 ** 63 - 1, 3.0, 4.0))
+        gaze.write_fixations_csv(path, table, slice_indices=[2 ** 63 - 1, 0])
+        got, slices = gaze.read_fixation_table(path)
+        assert got == table and slices.tolist() == [2 ** 63 - 1, 0]
+
+    def test_quoted_ids_round_trip_byte_for_byte(self, tmp_path):
+        # the bytes a per-row csv.writer wrote for these rows
+        timed = (b'image_id,observer_id,order_index,x,y,t_ms,slice_index\n'
+                 b'"a,b","say ""hi""\nthere",0,1.5,2.0,1250.25,4\n'
+                 b'plain,"o\r\n2",7,0.1,3.0,0.0,0\n')
+        untimed = (b'image_id,observer_id,order_index,x,y,t_ms\n'
+                   b'"a,b","say ""hi""\nthere",0,1.5,2.0,\n'
+                   b'plain,"o\r\n2",7,0.1,3.0,\n')
+        table = gaze.FixationTable(("a,b", "plain"), ('say "hi"\nthere', "o\r\n2"),
+                                   (0, 7), (1.5, 0.1), (2.0, 3.0))
+        path = tmp_path / "quoted.csv"
+        gaze.write_fixations_csv(str(path), table)
+        assert path.read_bytes() == untimed
+        assert gaze.read_fixation_table(str(path)) == (table, None)
+        timed_table = dataclasses.replace(table, t_ms=(1250.25, 0.0))
+        gaze.write_fixations_csv(str(path), timed_table, slice_indices=[4, 0])
+        assert path.read_bytes() == timed
+        got, slices = gaze.read_fixation_table(str(path))
+        assert got == timed_table and slices.tolist() == [4, 0]
+
     def test_mismatched_slice_list_rejected(self, tmp_path):
         with pytest.raises(PreconditionError):
             gaze.write_fixations_csv(str(tmp_path / "x.csv"),
-                                     [fx(0, 1.0, 2.0)], slice_indices=[1, 2])
+                                     fixes((0, 1.0, 2.0)), slice_indices=[1, 2])
 
 
 class TestMapContainer:
@@ -655,9 +728,9 @@ class TestGrouping:
                                         image="a", obs="x")
         assert groups[("a", "y")] == gz((2.0, 0.0, 1.0), image="a", obs="y")
 
-        fixes = [fx(0, 1, 1, image="b", obs="x"), fx(0, 1, 1, image="a", obs="x"),
-                 fx(1, 1, 1, image="b", obs="x")]
-        fgroups = gaze.group_rows((f.image_id, f.observer_id) for f in fixes)
+        table = gaze.FixationTable(("b", "a", "b"), ("x", "x", "x"),
+                                   (0, 0, 1), (1, 1, 1), (1, 1, 1))
+        fgroups = gaze.group_rows(zip(table.image_id, table.observer_id))
         assert list(fgroups) == [("b", "x"), ("a", "x")]
         assert [g.tolist() for g in fgroups.values()] == [[0, 2], [1]]
         assert all(g.dtype == np.intp for g in fgroups.values())

@@ -12,14 +12,16 @@ from tsal.errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from tsal.gaze import Fixation, Normalization, make_map, write_map_tsal
+from tsal.gaze import FixationTable, Normalization, make_map, write_map_tsal
 
 import oracles
 
 
-def fx(x, y, i=0):
-    return Fixation(image_id="img", observer_id="obs", order_index=i,
-                    x=float(x), y=float(y))
+def fixes(*points):
+    """Fixations at (x, y) points, all of one image and observer."""
+    x, y = zip(*points) if points else ((), ())
+    n = len(points)
+    return FixationTable(("img",) * n, ("obs",) * n, range(n), x, y)
 
 
 def random_map(rng, w, h):
@@ -109,36 +111,36 @@ class TestNSS:
     def test_two_level_map_gives_exactly_one(self):
         # values {0, 2} half and half: mean 1, std 1, z at the 2-pixel is 1
         m = make_map(np.array([[0.0, 2.0]]))
-        assert metrics.nss(m, [fx(1, 0)]) == pytest.approx(1.0)
+        assert metrics.nss(m, fixes((1, 0))) == pytest.approx(1.0)
 
     def test_fixation_at_minimum_is_negative(self):
         m = make_map(np.array([[0.0, 1.0], [1.0, 1.0]]))
-        assert metrics.nss(m, [fx(0, 0)]) < 0.0
+        assert metrics.nss(m, fixes((0, 0))) < 0.0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(78)
         m = random_map(rng, 8, 8)
-        fixes = [fx(1, 2), fx(5, 7), fx(3, 3)]
+        table = fixes((1, 2), (5, 7), (3, 3))
         mask = np.zeros((8, 8), dtype=bool)
         mask[2, 1] = mask[7, 5] = mask[3, 3] = True
-        assert metrics.nss(m, fixes) == pytest.approx(
+        assert metrics.nss(m, table) == pytest.approx(
             oracles.nss_oracle(m.values, mask))
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(79)
         m = random_map(rng, 6, 6)
-        fixes = [fx(2, 2), fx(4, 1)]
+        table = fixes((2, 2), (4, 1))
         shifted = make_map(2.5 * m.values + 1.0)
-        assert metrics.nss(shifted, fixes) == pytest.approx(
-            metrics.nss(m, fixes))
+        assert metrics.nss(shifted, table) == pytest.approx(
+            metrics.nss(m, table))
 
     def test_constant_map_rejected(self):
         with pytest.raises(DegenerateMapError):
-            metrics.nss(make_map(np.full((3, 3), 0.7)), [fx(1, 1)])
+            metrics.nss(make_map(np.full((3, 3), 0.7)), fixes((1, 1)))
 
     def test_empty_fixations_rejected(self):
         with pytest.raises(PreconditionError):
-            metrics.nss(make_map(np.eye(3)), [])
+            metrics.nss(make_map(np.eye(3)), fixes())
 
 
 def random_case(rng):
@@ -150,11 +152,11 @@ def random_case(rng):
     else:
         v = rng.uniform(0.0, 1.0, size=(h, w))
 
-    def points(count, first):
-        return [fx(int(rng.integers(0, w)), int(rng.integers(0, h)), first + i)
-                for i in range(count)]
-    return make_map(v), points(int(rng.integers(1, 8)), 0), \
-        points(int(rng.integers(1, 90)), 100)
+    def points(count):
+        return fixes(*[(int(rng.integers(0, w)), int(rng.integers(0, h)))
+                       for _ in range(count)])
+    return make_map(v), points(int(rng.integers(1, 8))), \
+        points(int(rng.integers(1, 90)))
 
 
 class TestAUCJudd:
@@ -162,11 +164,11 @@ class TestAUCJudd:
         v = np.full((4, 4), 0.2)
         v[1, 2] = 1.0
         m = make_map(v)
-        assert metrics.auc_judd(m, [fx(2, 1)]) == pytest.approx(1.0)
+        assert metrics.auc_judd(m, fixes((2, 1))) == pytest.approx(1.0)
 
     def test_constant_map_is_chance(self):
         m = make_map(np.full((4, 4), 0.3))
-        assert metrics.auc_judd(m, [fx(1, 1)]) == pytest.approx(0.5)
+        assert metrics.auc_judd(m, fixes((1, 1))) == pytest.approx(0.5)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(80)
@@ -174,94 +176,94 @@ class TestAUCJudd:
             m = random_map(rng, 6, 6)
             pts = {(int(rng.integers(0, 6)), int(rng.integers(0, 6)))
                    for _ in range(4)}
-            fixes = [fx(x, y, i) for i, (x, y) in enumerate(sorted(pts))]
+            table = fixes(*sorted(pts))
             mask = np.zeros((6, 6), dtype=bool)
             for x, y in pts:
                 mask[y, x] = True
-            assert metrics.auc_judd(m, fixes) == pytest.approx(
+            assert metrics.auc_judd(m, table) == pytest.approx(
                 oracles.auc_judd_oracle(m.values, mask))
 
     def test_bit_equal_to_scalar_sweep(self):
         rng = np.random.default_rng(85)
         for _ in range(300):
-            m, fixes, _ = random_case(rng)
-            rows, cols = metrics.fixation_pixels(fixes, m.width, m.height)
+            m, table, _ = random_case(rng)
+            rows, cols = metrics.fixation_pixels(table, m.width, m.height)
             mask = np.zeros(m.values.shape, dtype=bool)
             mask[rows, cols] = True
             if mask.all():
                 continue
             pos = m.values[rows, cols].tolist()
             want = oracles.roc_sweep_oracle(pos, m.values[~mask].tolist(), pos)
-            assert metrics.auc_judd(m, fixes) == want
+            assert metrics.auc_judd(m, table) == want
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(81)
         m = random_map(rng, 6, 6)
-        fixes = [fx(1, 1), fx(4, 2)]
+        table = fixes((1, 1), (4, 2))
         warped = make_map(np.exp(3.0 * m.values))
-        assert metrics.auc_judd(warped, fixes) == pytest.approx(
-            metrics.auc_judd(m, fixes))
+        assert metrics.auc_judd(warped, table) == pytest.approx(
+            metrics.auc_judd(m, table))
 
     def test_empty_fixations_rejected(self):
         with pytest.raises(PreconditionError):
-            metrics.auc_judd(make_map(np.eye(3)), [])
+            metrics.auc_judd(make_map(np.eye(3)), fixes())
 
 
 class TestSAUC:
     def test_identical_value_distributions_give_half(self):
         rng = np.random.default_rng(82)
         m = random_map(rng, 6, 6)
-        fixes = [fx(1, 1), fx(3, 4)]
-        negs = [fx(1, 1, 10), fx(3, 4, 11)]  # same pixels: pure ties
-        assert metrics.sauc(m, fixes, negs) == pytest.approx(0.5)
+        table = fixes((1, 1), (3, 4))
+        negs = fixes((1, 1), (3, 4))  # same pixels: pure ties
+        assert metrics.sauc(m, table, negs) == pytest.approx(0.5)
 
     def test_perfect_separation(self):
         v = np.full((5, 5), 0.1)
         v[2, 2] = 1.0
         m = make_map(v)
-        assert metrics.sauc(m, [fx(2, 2)], [fx(0, 0), fx(4, 4)]) == \
+        assert metrics.sauc(m, fixes((2, 2)), fixes((0, 0), (4, 4))) == \
             pytest.approx(1.0)
 
     def test_matches_rank_statistic_oracle(self):
         rng = np.random.default_rng(83)
         for _ in range(50):
             m = random_map(rng, 7, 5)
-            fixes = [fx(int(rng.integers(0, 7)), int(rng.integers(0, 5)), i)
-                     for i in range(3)]
-            negs = [fx(int(rng.integers(0, 7)), int(rng.integers(0, 5)), i)
-                    for i in range(5)]
-            prow, pcol = metrics.fixation_pixels(fixes, 7, 5)
+            table = fixes(*[(int(rng.integers(0, 7)), int(rng.integers(0, 5)))
+                            for _ in range(3)])
+            negs = fixes(*[(int(rng.integers(0, 7)), int(rng.integers(0, 5)))
+                           for _ in range(5)])
+            prow, pcol = metrics.fixation_pixels(table, 7, 5)
             nrow, ncol = metrics.fixation_pixels(negs, 7, 5)
             want = oracles.mann_whitney_auc(m.values[prow, pcol],
                                             m.values[nrow, ncol])
-            assert metrics.sauc(m, fixes, negs) == pytest.approx(want)
+            assert metrics.sauc(m, table, negs) == pytest.approx(want)
 
     def test_bit_equal_to_scalar_sweep(self):
         rng = np.random.default_rng(86)
         for _ in range(300):
-            m, fixes, negs = random_case(rng)
-            pos = m.values[metrics.fixation_pixels(fixes, m.width, m.height)]
+            m, table, negs = random_case(rng)
+            pos = m.values[metrics.fixation_pixels(table, m.width, m.height)]
             neg = m.values[metrics.fixation_pixels(negs, m.width, m.height)]
             if neg.size > 10 * pos.size:  # sauc subsamples; keep all here
-                negs = negs[:10 * pos.size]
+                negs = negs.take(np.arange(10 * pos.size))
                 neg = neg[:10 * pos.size]
             want = oracles.roc_sweep_oracle(pos.tolist(), neg.tolist(),
                                             pos.tolist() + neg.tolist())
-            assert metrics.sauc(m, fixes, negs) == want
+            assert metrics.sauc(m, table, negs) == want
 
     def test_subsampling_is_seeded(self):
         rng = np.random.default_rng(84)
         m = random_map(rng, 8, 8)
-        fixes = [fx(4, 4)]
-        negs = [fx(int(rng.integers(0, 8)), int(rng.integers(0, 8)), i)
-                for i in range(40)]  # above the 10x cap
-        a = metrics.sauc(m, fixes, negs, seed=7)
-        b = metrics.sauc(m, fixes, negs, seed=7)
+        table = fixes((4, 4))
+        negs = fixes(*[(int(rng.integers(0, 8)), int(rng.integers(0, 8)))
+                       for _ in range(40)])  # above the 10x cap
+        a = metrics.sauc(m, table, negs, seed=7)
+        b = metrics.sauc(m, table, negs, seed=7)
         assert a == b
 
     def test_empty_negatives_rejected(self):
         with pytest.raises(PreconditionError):
-            metrics.sauc(make_map(np.eye(3)), [fx(1, 1)], [])
+            metrics.sauc(make_map(np.eye(3)), fixes((1, 1)), fixes())
 
 
 class TestSIM:
@@ -294,7 +296,7 @@ class TestIG:
     def test_prediction_equals_baseline_is_zero(self):
         rng = np.random.default_rng(87)
         m = random_map(rng, 5, 5)
-        assert metrics.ig(m, m, [fx(2, 2)]) == 0.0
+        assert metrics.ig(m, m, fixes((2, 2))) == 0.0
 
     def test_doubled_mass_is_about_one_bit(self):
         n = 16
@@ -303,15 +305,15 @@ class TestIG:
         v = np.full((4, 4), (1.0 - 2.0 / n) / (n - 1))
         v[1, 1] = 2.0 / n
         pred = make_map(v)
-        got = metrics.ig(pred, baseline, [fx(1, 1)])
+        got = metrics.ig(pred, baseline, fixes((1, 1)))
         assert got == pytest.approx(1.0, abs=1e-4)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(88)
         p, b = random_map(rng, 8, 8), random_map(rng, 8, 8)
-        fixes = [fx(int(rng.integers(0, 8)), int(rng.integers(0, 8)), i)
-                 for i in range(5)]
-        rows, cols = metrics.fixation_pixels(fixes, 8, 8)
+        table = fixes(*[(int(rng.integers(0, 8)), int(rng.integers(0, 8)))
+                        for _ in range(5)])
+        rows, cols = metrics.fixation_pixels(table, 8, 8)
         mask = np.zeros((8, 8), dtype=bool)
         mask[rows, cols] = True
         # oracle averages per fixated pixel; regenerate per-fixation terms
@@ -319,13 +321,13 @@ class TestIG:
         bn = b.values / b.values.sum()
         want = np.mean([math.log2(pn[r, c] + 1e-7) - math.log2(bn[r, c] + 1e-7)
                         for r, c in zip(rows, cols)])
-        assert metrics.ig(p, b, fixes) == pytest.approx(want)
+        assert metrics.ig(p, b, table) == pytest.approx(want)
 
     def test_empty_fixations_rejected(self):
         rng = np.random.default_rng(89)
         m = random_map(rng, 4, 4)
         with pytest.raises(PreconditionError):
-            metrics.ig(m, m, [])
+            metrics.ig(m, m, fixes())
 
 
 class TestBaselines:
@@ -452,7 +454,7 @@ class TestBatchEvaluation:
         gt_dir = tmp_path / "gt"
         pred_dir.mkdir()
         gt_dir.mkdir()
-        fixations = []
+        rows = []
         for i in range(n_images):
             image_id = f"img{i}"
             v = rng.uniform(0.01, 1.0, size=(h, w))
@@ -460,10 +462,9 @@ class TestBatchEvaluation:
             write_map_tsal(str(gt_dir / f"{image_id}.tsal"), m)
             write_map_tsal(str(pred_dir / f"{image_id}.tsal"), m)
             for k in range(3):
-                fixations.append(Fixation(
-                    image_id=image_id, observer_id="obs0", order_index=k,
-                    x=float(rng.integers(0, w)), y=float(rng.integers(0, h))))
-        return str(pred_dir), str(gt_dir), fixations
+                rows.append((image_id, "obs0", k, float(rng.integers(0, w)),
+                             float(rng.integers(0, h))))
+        return str(pred_dir), str(gt_dir), FixationTable(*zip(*rows))
 
     def test_self_evaluation(self, tmp_path):
         rng = np.random.default_rng(95)
@@ -496,6 +497,7 @@ class TestBatchEvaluation:
     def test_missing_fixations_rejected(self, tmp_path):
         rng = np.random.default_rng(98)
         pred_dir, gt_dir, fixations = self._write_dataset(tmp_path, rng)
-        kept = [f for f in fixations if f.image_id != "img1"]
+        kept = fixations.take([i for i, image_id in enumerate(
+            fixations.image_id) if image_id != "img1"])
         with pytest.raises(PreconditionError):
             metrics.evaluate_directories(pred_dir, gt_dir, kept)

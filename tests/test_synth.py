@@ -153,18 +153,18 @@ class TestSampleObservers:
 
     def test_fixations_ship_untimestamped_in_order(self):
         out = sample_default(self.scene)
-        assert all(f.t_ms is None for f in out.fixations)
-        by_obs = {}
-        for f in out.fixations:
-            by_obs.setdefault(f.observer_id, []).append(f.order_index)
-        for seq in by_obs.values():
+        table = out.fixations
+        assert table.t_ms is None
+        for rows in group_rows(table.observer_id).values():
+            seq = table.order_index[rows].tolist()
             assert seq == list(range(len(seq)))
 
     def test_true_slices_follow_interval_structure(self):
         out = sample_default(self.scene, rate=2.0)
         per_slice = 2  # 2 fixations/s, 1 s slices
-        for f, k, t in zip(out.fixations, out.true_slices, out.true_t_ms):
-            assert k == (f.order_index // per_slice) % 5
+        for order, k, t in zip(out.fixations.order_index, out.true_slices,
+                               out.true_t_ms):
+            assert k == (order // per_slice) % 5
             assert k * 1000.0 <= t < (k + 1) * 1000.0
 
     def test_no_inhibition_single_object_clusters(self):
@@ -172,8 +172,7 @@ class TestSampleObservers:
         scene = synth.generate_scene(spec, seed=0)
         out = synth.sample_observers(scene.mixture, 8, 10, 5.0, seed=1,
                                      rho=1.0)
-        xs = np.array([f.x for f in out.fixations])
-        ys = np.array([f.y for f in out.fixations])
+        xs, ys = out.fixations.x, out.fixations.y
         assert abs(xs.mean() - 32.0) < 1.0 and abs(ys.mean() - 40.0) < 1.0
         inside = (np.hypot(xs - 32.0, ys - 40.0) < 8.0).mean()
         assert inside > 0.99
@@ -187,10 +186,10 @@ class TestSampleObservers:
         scene = synth.generate_scene(spec, seed=0)
         out = synth.sample_observers(scene.mixture, 20, 10, 2.0, seed=3,
                                      rho=1e-9, t_total_ms=1000.0)
+        rows_of = group_rows(out.fixations.observer_id)
         for obs in range(20):
-            pair = [f for f in out.fixations
-                    if f.observer_id == f"o{obs:03d}"]
-            sides = [0 if f.x < 32.0 else 1 for f in pair]
+            pair = out.fixations.x[rows_of[f"o{obs:03d}"]]
+            sides = [0 if x < 32.0 else 1 for x in pair]
             assert sides[0] != sides[1]
 
     def test_seed_determinism_byte_for_byte(self):
@@ -200,7 +199,8 @@ class TestSampleObservers:
         assert a.gaze == b.gaze and a.fixations == b.fixations
         assert all(getattr(a.gaze, k).tobytes() == getattr(b.gaze, k).tobytes()
                    for k in ("t_ms", "x", "y"))
-        assert a.true_t_ms == b.true_t_ms and a.true_slices == b.true_slices
+        assert a.true_t_ms.tobytes() == b.true_t_ms.tobytes()
+        assert a.true_slices.tolist() == b.true_slices.tolist()
         assert all(x.values.tobytes() == y.values.tobytes()
                    for x, y in zip(a.slice_maps, b.slice_maps))
         assert a.gaze != c.gaze
@@ -227,8 +227,10 @@ class TestSampleObservers:
         for column, want in ((out.gaze.t_ms, t), (out.gaze.x, x),
                              (out.gaze.y, y)):
             assert column.tobytes() == np.array(want).tobytes()
-        assert [(f.image_id, f.observer_id, f.order_index, f.x, f.y)
-                for f in out.fixations] == fixations
+        table = out.fixations
+        assert list(zip(table.image_id, table.observer_id,
+                        table.order_index.tolist(), table.x.tolist(),
+                        table.y.tolist())) == fixations
         assert list(out.true_t_ms) == true_t
         assert list(out.true_slices) == true_slice
 
@@ -238,12 +240,12 @@ class TestSampleObservers:
         out = sample_default(self.scene, observers=6, sps=30, rate=3.0,
                              seed=13)
         by_obs_gaze = group_gaze(out.gaze)
-        recovered = list(out.fixations)
-        for key, rows in group_rows((f.image_id, f.observer_id)
-                                    for f in out.fixations).items():
-            for i, f in zip(rows, recover_timestamps(
-                    [out.fixations[i] for i in rows], by_obs_gaze[key])):
-                recovered[i] = f
+        table = out.fixations
+        recovered = np.empty(len(table))
+        for key, rows in group_rows(zip(table.image_id,
+                                        table.observer_id)).items():
+            recovered[rows] = recover_timestamps(table.take(rows),
+                                                 by_obs_gaze[key])
         slice_of = slice_equal_duration(recovered, n=5)
         hit = sum(slice_of == np.array(out.true_slices))
         assert hit / len(recovered) >= 0.95
@@ -264,6 +266,9 @@ class TestSampleObservers:
             synth.sample_observers(self.scene.mixture, 2, 10, 0.0, seed=0)
         with pytest.raises(ConfigError):
             sample_default(self.scene, rho=0.0)
+        with pytest.raises(ConfigError):
+            synth.sample_observers(self.scene.mixture, 2, 10, 3.0, seed=0,
+                                   jitter_px=-1.0)
 
 
 class TestDriftSpec:

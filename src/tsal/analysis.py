@@ -1,149 +1,90 @@
 """Dataset-level temporal structure statistics.
 
-Works over per-image stacks of temporal slice maps: average slice maps,
-consecutive attention-shift differences, the inter-slice correlation
-matrix, intra-slice deviation scores and a saliency-over-time histogram.
+Works on one ``(images, slices, H, W)`` stack of temporal slice maps:
+average slice maps, consecutive attention-shift differences, the
+inter-slice correlation matrix, intra-slice deviation scores, and a
+saliency-over-time histogram.
 
-A slice map is "usable" when it is non-constant; all-zero maps (a slice
-interval with no fixations) and otherwise constant maps are excluded
-per affected average, and every exclusion is counted so callers can see
-how much data supported each entry.
+A slice map is "usable" when it is non-constant (``metrics.usable_maps``);
+all-zero maps (a slice interval with no fixations) and otherwise
+constant maps are excluded per affected average, and every exclusion is
+counted so callers can see how much data supported each entry. Means
+over images add in image order, strictly left to right.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateMapError, PreconditionError
 from .gaze import FixationTable, Normalization, SaliencyMap, group_rows
-from .metrics import cc, fixation_pixels, mean_map
+from .metrics import cc_arrays, fixation_pixels, mean_map, usable_maps
 
 
-@dataclass(frozen=True)
-class AverageSliceSet:
-    maps: tuple[SaliencyMap, ...]          # A_1..A_n, SumToOne
-    image_count: int
-    skipped: tuple[int, ...]               # per-slice unusable-map count
-
-
-@dataclass(frozen=True)
-class SliceCorrelationMatrix:
-    values: np.ndarray                     # n x n mean CC
-    n: int
-    image_count: int
-    skipped: np.ndarray                    # n x n excluded-image counts
-
-
-@dataclass(frozen=True)
-class DeviationScores:
-    scores: tuple[float, ...]              # per-slice mean CC to the average
-    image_count: int
-    skipped: tuple[int, ...]
-
-
-def _usable(m: SaliencyMap) -> bool:
-    return m.values.max() > m.values.min()
-
-
-def _check_dataset(dataset: dict[str, list[SaliencyMap]]) -> int:
-    if not dataset:
-        raise PreconditionError("empty dataset")
-    lengths = {len(maps) for maps in dataset.values()}
-    if len(lengths) != 1:
-        raise PreconditionError(f"inconsistent slice counts: {sorted(lengths)}")
-    n = lengths.pop()
-    if n < 1:
-        raise PreconditionError("dataset has zero slices per image")
-    sizes = {(m.height, m.width) for maps in dataset.values() for m in maps}
-    if len(sizes) != 1:
-        raise PreconditionError(f"inconsistent map sizes: {sorted(sizes)}")
-    return n
-
-
-def average_slices(dataset: dict[str, list[SaliencyMap]]) -> AverageSliceSet:
+def average_slices(stack: np.ndarray
+                   ) -> tuple[list[SaliencyMap], np.ndarray]:
     """A_j = pixel mean of every usable image's sum-normalized slice-j
-    map. Images are accumulated in sorted id order, so the result is
-    bit-identical no matter how the dataset dict was built."""
-    n = _check_dataset(dataset)
-    ids = sorted(dataset)
-    maps: list[SaliencyMap] = []
-    skipped: list[int] = []
-    for j in range(n):
-        usable = [dataset[image_id][j] for image_id in ids
-                  if _usable(dataset[image_id][j])]
-        if not usable:
+    map, and per slice the count of images skipped as unusable."""
+    usable = usable_maps(stack)
+    maps = []
+    for j in range(stack.shape[1]):
+        rows = np.flatnonzero(usable[:, j])
+        if not rows.size:
             raise DegenerateMapError(
                 f"slice {j}: no usable map in any image")
-        maps.append(mean_map(usable))
-        skipped.append(len(ids) - len(usable))
-    return AverageSliceSet(maps=tuple(maps), image_count=len(ids),
-                           skipped=tuple(skipped))
+        maps.append(mean_map([stack[i, j] for i in rows]))
+    return maps, len(stack) - usable.sum(axis=0)
 
 
-def inter_slice_cc(dataset: dict[str, list[SaliencyMap]]
-                   ) -> SliceCorrelationMatrix:
-    """Mean over images of CC between each pair of slice maps. An image
-    missing a usable map for either slice of a pair is excluded from
-    that pair's average and counted in ``skipped``."""
-    n = _check_dataset(dataset)
-    ids = sorted(dataset)
+def inter_slice_cc(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over images of CC between each pair of slice maps (n x n),
+    and per pair the count of images excluded from it because the map of
+    either slice is unusable."""
+    usable = usable_maps(stack)
+    n = stack.shape[1]
     values = np.zeros((n, n))
     skipped = np.zeros((n, n), dtype=np.int64)
     for j in range(n):
         for k in range(j, n):
-            total = 0.0
-            used = 0
-            for image_id in ids:
-                mj, mk = dataset[image_id][j], dataset[image_id][k]
-                if not (_usable(mj) and _usable(mk)):
-                    continue
-                total += 1.0 if j == k else cc(mj, mk)
-                used += 1
-            if used == 0:
+            rows = np.flatnonzero(usable[:, j] & usable[:, k])
+            if not rows.size:
                 raise DegenerateMapError(
                     f"slice pair ({j},{k}): no image has both maps usable")
-            values[j, k] = values[k, j] = total / used
-            skipped[j, k] = skipped[k, j] = len(ids) - used
-    return SliceCorrelationMatrix(values=values, n=n, image_count=len(ids),
-                                  skipped=skipped)
+            total = 0.0
+            for i in rows:
+                total += 1.0 if j == k else cc_arrays(stack[i, j],
+                                                      stack[i, k])
+            values[j, k] = values[k, j] = total / rows.size
+            skipped[j, k] = skipped[k, j] = len(stack) - rows.size
+    return values, skipped
 
 
-def intra_slice_deviation(dataset: dict[str, list[SaliencyMap]],
-                          averages: AverageSliceSet) -> DeviationScores:
+def intra_slice_deviation(stack: np.ndarray, averages: list[SaliencyMap]
+                          ) -> tuple[list[float], np.ndarray]:
     """Mean over images of CC between the image's slice-j map and the
-    dataset average A_j."""
-    n = _check_dataset(dataset)
-    if len(averages.maps) != n:
+    dataset average A_j, and per slice the count of skipped images."""
+    usable = usable_maps(stack)
+    n = stack.shape[1]
+    if len(averages) != n:
         raise PreconditionError(
-            f"average set has {len(averages.maps)} slices, dataset has {n}")
-    ids = sorted(dataset)
-    scores: list[float] = []
-    skipped: list[int] = []
+            f"average set has {len(averages)} slices, stack has {n}")
+    scores = []
     for j in range(n):
-        total = 0.0
-        used = 0
-        for image_id in ids:
-            m = dataset[image_id][j]
-            if not _usable(m):
-                continue
-            total += cc(m, averages.maps[j])
-            used += 1
-        if used == 0:
+        rows = np.flatnonzero(usable[:, j])
+        if not rows.size:
             raise DegenerateMapError(f"slice {j}: no usable map")
-        scores.append(total / used)
-        skipped.append(len(ids) - used)
-    return DeviationScores(scores=tuple(scores), image_count=len(ids),
-                           skipped=tuple(skipped))
+        total = 0.0
+        for i in rows:
+            total += cc_arrays(stack[i, j], averages[j].values)
+        scores.append(total / rows.size)
+    return scores, len(stack) - usable.sum(axis=0)
 
 
-def consecutive_differences(averages: AverageSliceSet) -> list[np.ndarray]:
+def consecutive_differences(averages: list[SaliencyMap]) -> list[np.ndarray]:
     """Signed attention-shift maps D_k = A_{k+1} - A_k."""
-    if len(averages.maps) < 2:
+    if len(averages) < 2:
         raise PreconditionError("need at least two average slices to diff")
-    return [b.values - a.values
-            for a, b in zip(averages.maps, averages.maps[1:])]
+    return [b.values - a.values for a, b in zip(averages, averages[1:])]
 
 
 def saliency_time_histogram(fixations: FixationTable,
@@ -188,18 +129,21 @@ def saliency_time_histogram(fixations: FixationTable,
 # CSV renderers for the analysis artifacts
 # ---------------------------------------------------------------------------
 
-def correlation_csv(matrix: SliceCorrelationMatrix) -> str:
-    n = matrix.n
+def correlation_csv(matrix: tuple[np.ndarray, np.ndarray]) -> str:
+    """Renders inter_slice_cc's (values, skipped)."""
+    values, skipped = matrix
+    n = len(values)
     lines = ["slice," + ",".join(f"t{k + 1}" for k in range(n)) + ",skipped_max"]
     for j in range(n):
-        row = ",".join(repr(float(v)) for v in matrix.values[j])
-        lines.append(f"t{j + 1},{row},{int(matrix.skipped[j].max())}")
+        row = ",".join(repr(float(v)) for v in values[j])
+        lines.append(f"t{j + 1},{row},{int(skipped[j].max())}")
     return "\n".join(lines) + "\n"
 
 
-def deviation_csv(scores: DeviationScores) -> str:
+def deviation_csv(scores: tuple[list[float], np.ndarray]) -> str:
+    """Renders intra_slice_deviation's (scores, skipped)."""
     lines = ["slice,mean_cc_to_average,skipped"]
-    for j, (s, k) in enumerate(zip(scores.scores, scores.skipped)):
+    for j, (s, k) in enumerate(zip(*scores)):
         lines.append(f"t{j + 1},{s!r},{k}")
     return "\n".join(lines) + "\n"
 

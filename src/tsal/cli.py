@@ -169,9 +169,7 @@ def _map_path(maps_dir, kind: str, image_id: str) -> Path:
 
 
 def _write_map(maps_dir, kind: str, image_id: str, m) -> None:
-    path = _map_path(maps_dir, kind, image_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_map_tsal(path, m)
+    write_map_tsal(_map_path(maps_dir, kind, image_id), m)
 
 
 def _read_map(maps_dir, kind: str, image_id: str):
@@ -179,6 +177,25 @@ def _read_map(maps_dir, kind: str, image_id: str):
     if not path.exists():
         raise PreconditionError(f"missing map {path}")
     return read_map_tsal(path)
+
+
+def _read_stack(maps_dir, kinds: list[str], ids: list[str]) -> np.ndarray:
+    """The maps ``<maps_dir>/<kind>/<id>.tsal`` as one float64
+    ``(images, kinds, H, W)`` array; every map must have one size."""
+    stack = None
+    for i, image_id in enumerate(ids):
+        for k, kind in enumerate(kinds):
+            values = _read_map(maps_dir, kind, image_id).values
+            if stack is None:
+                stack = np.empty((len(ids), len(kinds)) + values.shape)
+            elif values.shape != stack.shape[2:]:
+                (h, w), (eh, ew) = values.shape, stack.shape[2:]
+                raise PreconditionError(
+                    f"inconsistent map sizes: "
+                    f"{_map_path(maps_dir, kind, image_id)} is {w}x{h}, "
+                    f"expected {ew}x{eh}")
+            stack[i, k] = values
+    return stack
 
 
 def _slice_kinds(maps_dir: str) -> list[str]:
@@ -276,7 +293,6 @@ def _generate_scene_cached(spec: synth.SceneSpec, seed: int) -> synth.Scene:
             pass
     scene = synth.generate_scene(spec, seed)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         buf = io.BytesIO()
         np.savez(buf, image=scene.image,
                  maps=np.stack([m.values for m in scene.slice_maps]),
@@ -330,7 +346,6 @@ def cmd_synth(args) -> None:
     scene_data = synth.read_scene_file(args.scene)
     specs = _scene_specs(scene_data)
     out = Path(args.out)
-    (out / "images").mkdir(parents=True, exist_ok=True)
     worker = functools.partial(
         _synth_one, out_dir=args.out, seed=args.seed,
         observers=args.observers, samples_per_sec=args.samples_per_sec,
@@ -342,7 +357,6 @@ def cmd_synth(args) -> None:
     gaze, table = GazeTable.concat(gaze), FixationTable.concat(table)
     write_gaze_jsonl(out / "gaze.jsonl", gaze)
     write_fixations_csv(out / "fixations.csv", table)
-    (out / "truth").mkdir(exist_ok=True)
     write_fixations_csv(out / "truth" / "fixations.csv",
                         replace(table, t_ms=np.concatenate(true_t_ms)),
                         slice_indices=np.concatenate(true_slices))
@@ -452,39 +466,34 @@ def cmd_analyze(args) -> None:
     ids = sorted(p.stem for p in t0_dir.glob("*.tsal"))
     if not ids:
         raise PreconditionError(f"no maps in {t0_dir}")
-    dataset = {image_id: [_read_map(args.maps, kind, image_id)
-                          for kind in kinds]
-               for image_id in ids}
-
-    out = Path(args.out)
-    averages = analysis.average_slices(dataset)
-    (out / "average").mkdir(parents=True, exist_ok=True)
-    for k, m in enumerate(averages.maps):
-        write_map_tsal(out / "average" / f"t{k}.tsal", m)
-        write_map_pgm(out / "average" / f"t{k}.pgm", m)
-
-    corr = analysis.inter_slice_cc(dataset)
-    atomic_write_text(out / "correlation.csv", analysis.correlation_csv(corr))
-    dev = analysis.intra_slice_deviation(dataset, averages)
-    atomic_write_text(out / "deviation.csv", analysis.deviation_csv(dev))
-
-    if len(kinds) >= 2:
-        (out / "diff").mkdir(exist_ok=True)
-        for k, d in enumerate(analysis.consecutive_differences(averages)):
-            write_signed_tsal(out / "diff" / f"d{k}.tsal", d)
-            write_diff_ppm(out / "diff" / f"d{k}.ppm", d)
-
     fixations, _ = read_fixation_table(args.fixations)
     _require_timestamps(fixations, args.fixations)
     unknown = set(fixations.image_id) - set(ids)
     if unknown:
         raise PreconditionError(
             f"fixations reference images without maps: {sorted(unknown)[0]}")
-    gt_maps = {image_id: normalize_map(_read_map(args.maps, "full", image_id),
-                                       Normalization.MAX_TO_ONE)
-               for image_id in ids}
-    grid = analysis.saliency_time_histogram(fixations, gt_maps,
-                                            t_total=args.t_total)
+    grid = analysis.saliency_time_histogram(
+        fixations,
+        {i: normalize_map(_read_map(args.maps, "full", i),
+                          Normalization.MAX_TO_ONE) for i in ids},
+        t_total=args.t_total)
+    stack = _read_stack(args.maps, kinds, ids)
+    averages, _ = analysis.average_slices(stack)
+    corr = analysis.inter_slice_cc(stack)
+    dev = analysis.intra_slice_deviation(stack, averages)
+    diffs = (analysis.consecutive_differences(averages)
+             if len(kinds) >= 2 else [])
+
+    # everything is computed: no error can leave a partial output
+    out = Path(args.out)
+    for k, m in enumerate(averages):
+        write_map_tsal(out / "average" / f"t{k}.tsal", m)
+        write_map_pgm(out / "average" / f"t{k}.pgm", m)
+    atomic_write_text(out / "correlation.csv", analysis.correlation_csv(corr))
+    atomic_write_text(out / "deviation.csv", analysis.deviation_csv(dev))
+    for k, d in enumerate(diffs):
+        write_signed_tsal(out / "diff" / f"d{k}.tsal", d)
+        write_diff_ppm(out / "diff" / f"d{k}.ppm", d)
     atomic_write_text(out / "histogram.csv",
                       analysis.histogram_csv(grid, t_total=args.t_total))
     print(f"analyzed {len(ids)} images x {len(kinds)} slices -> {args.out}")
@@ -504,13 +513,9 @@ def _load_train_data(images_dir: str, maps_dir: str
     if len(shapes) != 1:
         raise PreconditionError(
             f"images disagree on shape: {sorted(shapes)}")
-    gt_slices, gt_full = [], []
-    for image_id in ids:
-        gt_slices.append(np.stack(
-            [_read_map(maps_dir, kind, image_id).values for kind in kinds]))
-        gt_full.append(_read_map(maps_dir, "full", image_id).values[None])
-    return ids, model.TrainData(np.stack(images), np.stack(gt_slices),
-                                np.stack(gt_full))
+    return ids, model.TrainData(np.stack(images),
+                                _read_stack(maps_dir, kinds, ids),
+                                _read_stack(maps_dir, ["full"], ids))
 
 
 def cmd_train(args) -> None:

@@ -26,18 +26,19 @@ from .gaze import (
     group_rows,
     make_map,
     nearest_pixels,
-    normalize_map,
     read_map_tsal,
 )
 
 EPS = 1e-7
 
 
-def _paired(p: SaliencyMap, g: SaliencyMap) -> tuple[np.ndarray, np.ndarray]:
-    if (p.height, p.width) != (g.height, g.width):
+def _paired(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two 2-D maps of one size, flattened."""
+    if p.shape != g.shape:
         raise ShapeMismatchError(
-            f"maps disagree in size: {p.width}x{p.height} vs {g.width}x{g.height}")
-    return p.values.reshape(-1), g.values.reshape(-1)
+            f"maps disagree in size: {p.shape[1]}x{p.shape[0]} vs "
+            f"{g.shape[1]}x{g.shape[0]}")
+    return p.reshape(-1), g.reshape(-1)
 
 
 def _sum_normalized(v: np.ndarray, what: str) -> np.ndarray:
@@ -45,6 +46,13 @@ def _sum_normalized(v: np.ndarray, what: str) -> np.ndarray:
     if total <= 0.0:
         raise DegenerateMapError(f"{what} map is all-zero")
     return v / total
+
+
+def usable_maps(maps: np.ndarray) -> np.ndarray:
+    """Mask of the non-constant maps of a stack, over its last two axes.
+    A constant map (an all-zero slice included) carries no signal and
+    has no CC."""
+    return maps.max(axis=(-2, -1)) > maps.min(axis=(-2, -1))
 
 
 def fixation_pixels(fixations: FixationTable, width: int, height: int
@@ -57,6 +65,11 @@ def fixation_pixels(fixations: FixationTable, width: int, height: int
 
 def cc(p: SaliencyMap, g: SaliencyMap) -> float:
     """Pearson correlation of the flattened maps."""
+    return cc_arrays(p.values, g.values)
+
+
+def cc_arrays(p: np.ndarray, g: np.ndarray) -> float:
+    """cc() of two 2-D value arrays."""
     pv, gv = _paired(p, g)
     pc = pv - pv.mean()
     gc = gv - gv.mean()
@@ -69,7 +82,7 @@ def cc(p: SaliencyMap, g: SaliencyMap) -> float:
 def kl(p: SaliencyMap, g: SaliencyMap, eps: float = EPS) -> float:
     """Divergence of the prediction p from the ground truth g, with the
     usual benchmark regularization inside and outside the log."""
-    pv, gv = _paired(p, g)
+    pv, gv = _paired(p.values, g.values)
     pn = _sum_normalized(pv, "prediction")
     gn = _sum_normalized(gv, "ground-truth")
     return float((gn * np.log(gn / (pn + eps) + eps)).sum())
@@ -137,7 +150,7 @@ def sauc(p: SaliencyMap, fixations: FixationTable,
 
 def sim(p: SaliencyMap, g: SaliencyMap) -> float:
     """Histogram intersection of the sum-normalized maps."""
-    pv, gv = _paired(p, g)
+    pv, gv = _paired(p.values, g.values)
     pn = _sum_normalized(pv, "prediction")
     gn = _sum_normalized(gv, "ground-truth")
     return float(np.minimum(pn, gn).sum())
@@ -146,7 +159,7 @@ def sim(p: SaliencyMap, g: SaliencyMap) -> float:
 def ig(p: SaliencyMap, baseline: SaliencyMap, fixations: FixationTable,
        eps: float = EPS) -> float:
     """Information gain in bits over a baseline at the fixated pixels."""
-    pv, bv = _paired(p, baseline)
+    pv, bv = _paired(p.values, baseline.values)
     pn = _sum_normalized(pv, "prediction").reshape(p.values.shape)
     bn = _sum_normalized(bv, "baseline").reshape(p.values.shape)
     rows, cols = fixation_pixels(fixations, p.width, p.height)
@@ -154,13 +167,13 @@ def ig(p: SaliencyMap, baseline: SaliencyMap, fixations: FixationTable,
     return float(gain.mean())
 
 
-def mean_map(maps: list[SaliencyMap]) -> SaliencyMap:
-    """Pixel-wise mean of sum-normalized maps, renormalized. Used as the
-    dataset-level information-gain baseline and for each average slice
-    map."""
+def mean_map(maps: list[np.ndarray]) -> SaliencyMap:
+    """Pixel-wise mean of sum-normalized 2-D maps, added in list order,
+    renormalized. Used as the dataset-level information-gain baseline
+    and for each average slice map."""
     if not maps:
         raise PreconditionError("mean_map of an empty list")
-    acc = np.zeros((maps[0].height, maps[0].width))
+    acc = np.zeros(maps[0].shape)
     for m in maps:
         mv, _ = _paired(m, maps[0])
         acc += _sum_normalized(mv, "map").reshape(acc.shape)
@@ -262,7 +275,7 @@ def evaluate_directories(pred_dir: str, gt_dir: str,
 
     gt_maps = {i: read_map_tsal(os.path.join(gt_dir, i + ".tsal"))
                for i in image_ids}
-    baseline = mean_map([gt_maps[i] for i in image_ids])
+    baseline = mean_map([gt_maps[i].values for i in image_ids])
 
     rows = []
     for image_id in image_ids:

@@ -11,7 +11,7 @@ stage two freezes those and fits only the mixing module.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from .metrics import cc_loss_node, kl_loss_node
+from .metrics import cc_loss_node, kl_loss_node, usable_maps
 
 
 @dataclass(frozen=True)
@@ -265,12 +265,6 @@ def forward(tape: ad.Tape, images: np.ndarray, pt: dict[str, ad.Tensor]
 # Losses
 # ---------------------------------------------------------------------------
 
-def _usable_maps(gt: ad.Tensor) -> np.ndarray:
-    """(N, C) mask of the non-constant ground-truth maps; a constant map
-    carries no signal (and has no CC)."""
-    return gt.data.max(axis=(2, 3)) > gt.data.min(axis=(2, 3))
-
-
 def _weighted_map_loss(pred: ad.Tensor, gt: ad.Tensor, usable: np.ndarray,
                        weights: np.ndarray, lam: float,
                        beta: float) -> ad.Tensor:
@@ -298,7 +292,7 @@ def stage1_loss(temporal: ad.Tensor, gt_slices: ad.Tensor,
     if temporal.shape != gt_slices.shape:
         raise ShapeMismatchError(
             f"prediction {temporal.shape} vs ground truth {gt_slices.shape}")
-    usable = _usable_maps(gt_slices)
+    usable = usable_maps(gt_slices.data)
     for i, ch in np.argwhere(~usable):
         warnings.warn(f"image {i} slice {ch}: constant ground truth, skipped")
     per_image = usable.sum(axis=1)
@@ -318,7 +312,7 @@ def stage2_loss(refined: ad.Tensor, gt: ad.Tensor,
     if refined.shape != gt.shape:
         raise ShapeMismatchError(
             f"prediction {refined.shape} vs ground truth {gt.shape}")
-    usable = _usable_maps(gt)
+    usable = usable_maps(gt.data)
     for i in np.nonzero(~usable)[0]:
         warnings.warn(f"image {i}: constant ground truth, skipped")
     if not usable.any():

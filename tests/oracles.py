@@ -420,3 +420,71 @@ def centroid_oracle(map2d):
             sx += v * x
             sy += v * y
     return sx / total, sy / total
+
+
+# ---------------------------------------------------------------------------
+# Temporal analysis: the dict-of-maps scalar loops the stack path
+# replaced. A dataset maps image id -> list of 2-D slice value arrays;
+# images are visited in sorted id order and each mean adds one image at
+# a time, left to right.
+# ---------------------------------------------------------------------------
+
+def _usable_oracle(m):
+    return m.max() > m.min()
+
+
+def average_slices_oracle(dataset):
+    """(per-slice average value arrays, per-slice skip counts)."""
+    ids = sorted(dataset)
+    maps, skipped = [], []
+    for j in range(len(dataset[ids[0]])):
+        usable = [dataset[i][j] for i in ids if _usable_oracle(dataset[i][j])]
+        acc = np.zeros(usable[0].shape)
+        for m in usable:
+            v = m.reshape(-1)
+            acc += (v / v.sum()).reshape(acc.shape)
+        acc /= len(usable)
+        maps.append(acc / acc.sum())
+        skipped.append(len(ids) - len(usable))
+    return maps, skipped
+
+
+def inter_slice_cc_oracle(dataset):
+    """(n x n mean CC over the images with both maps usable, n x n skip
+    counts)."""
+    ids = sorted(dataset)
+    n = len(dataset[ids[0]])
+    values = np.zeros((n, n))
+    skipped = np.zeros((n, n), dtype=np.int64)
+    for j in range(n):
+        for k in range(j, n):
+            total = 0.0
+            used = 0
+            for i in ids:
+                mj, mk = dataset[i][j], dataset[i][k]
+                if not (_usable_oracle(mj) and _usable_oracle(mk)):
+                    continue
+                total += 1.0 if j == k else cc_oracle(mj, mk)
+                used += 1
+            values[j, k] = values[k, j] = total / used
+            skipped[j, k] = skipped[k, j] = len(ids) - used
+    return values, skipped
+
+
+def intra_slice_deviation_oracle(dataset, averages):
+    """(per-slice mean CC of the usable maps to the average, per-slice
+    skip counts)."""
+    ids = sorted(dataset)
+    scores, skipped = [], []
+    for j in range(len(averages)):
+        total = 0.0
+        used = 0
+        for i in ids:
+            m = dataset[i][j]
+            if not _usable_oracle(m):
+                continue
+            total += cc_oracle(m, averages[j])
+            used += 1
+        scores.append(total / used)
+        skipped.append(len(ids) - used)
+    return scores, skipped

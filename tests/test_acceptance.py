@@ -210,26 +210,27 @@ class TestCriterion4:
 class TestCriterion5:
     def test_drift_dataset_shows_banded_correlations(self):
         rng = np.random.default_rng(11)
-        dataset = {}
+        stack = []
         for i in range(50):
             spec = synth.drift_spec(rng, 64, 64, anchor=(22.0, 30.0))
             scene = synth.generate_scene(spec, seed=1000 + i)
-            dataset[f"img{i:03d}"] = list(scene.slice_maps)
+            stack.append([m.values for m in scene.slice_maps])
+        stack = np.array(stack)
 
-        matrix = analysis.inter_slice_cc(dataset)
-        n = matrix.n
+        values, _ = analysis.inter_slice_cc(stack)
+        n = len(values)
         banded = True
         margin = np.inf
         for j in range(n):
-            neigh = min(matrix.values[j, k]
+            neigh = min(values[j, k]
                         for k in (j - 1, j + 1) if 0 <= k < n)
-            far = max(matrix.values[j, k]
+            far = max(values[j, k]
                       for k in range(n) if abs(j - k) >= 2)
             banded = banded and neigh > far
             margin = min(margin, neigh - far)
 
-        averages = analysis.average_slices(dataset)
-        scores = analysis.intra_slice_deviation(dataset, averages).scores
+        averages, _ = analysis.average_slices(stack)
+        scores, _ = analysis.intra_slice_deviation(stack, averages)
         s1, rest = scores[0], float(np.mean(scores[1:]))
         ok = banded and s1 > rest
         verdict(5, ok, f"50 images, min neighbor-vs-far gap {margin:.2f}, "

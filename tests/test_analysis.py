@@ -8,7 +8,7 @@ import pytest
 from tsal import analysis
 from tsal.errors import ConfigError, DegenerateMapError, PreconditionError
 from tsal.gaze import FixationTable, Normalization, make_map, normalize_map
-from tsal.metrics import cc
+from tsal.metrics import cc_arrays
 
 import oracles
 
@@ -20,10 +20,22 @@ def fixes(*rows):
     return FixationTable(image_ids, ("obs",) * n, range(n), x, y, t)
 
 
-def random_dataset(rng, n_images=3, n_slices=3, w=6, h=5):
-    return {f"img{i}": [make_map(rng.uniform(0.01, 1.0, size=(h, w)))
-                        for _ in range(n_slices)]
-            for i in range(n_images)}
+def random_stack(rng, n_images=3, n_slices=3, w=6, h=5):
+    return rng.uniform(0.01, 1.0, size=(n_images, n_slices, h, w))
+
+
+def mixed_stack(rng, n_images=13, n_slices=4, w=6, h=5):
+    """Random maps with all-zero and constant ones mixed in; every slice
+    pair keeps at least 9 images with both maps usable, enough for a
+    pairwise or compensated sum to round differently from a left-to-right
+    one."""
+    stack = rng.uniform(0.0, 1.0, size=(n_images, n_slices, h, w))
+    stack[1, 0] = 0.0
+    stack[4, 2] = 0.0
+    stack[6, 1] = 0.25
+    stack[9, 3] = 3.0
+    stack[12, 2] = 0.0
+    return stack
 
 
 def blob(w, h, cx, cy, sigma=1.5):
@@ -35,145 +47,143 @@ def blob(w, h, cx, cy, sigma=1.5):
 
 class TestAverageSlices:
     def test_mean_of_normalized_maps(self):
-        a = make_map(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        b = make_map(np.array([[0.0, 2.0], [0.0, 0.0]]))  # normalizes to delta
-        avg = analysis.average_slices({"a": [a], "b": [b]})
-        assert np.allclose(avg.maps[0].values, [[0.5, 0.5], [0.0, 0.0]])
-        assert avg.image_count == 2
-        assert avg.skipped == (0,)
-
-    def test_insertion_order_is_irrelevant_bitwise(self):
-        rng = np.random.default_rng(100)
-        base = random_dataset(rng, n_images=4, n_slices=2)
-        forward = {k: base[k] for k in sorted(base)}
-        backward = {k: base[k] for k in sorted(base, reverse=True)}
-        a = analysis.average_slices(forward)
-        b = analysis.average_slices(backward)
-        for ma, mb in zip(a.maps, b.maps):
-            assert ma.values.tobytes() == mb.values.tobytes()
+        a = [[1.0, 0.0], [0.0, 0.0]]
+        b = [[0.0, 2.0], [0.0, 0.0]]  # normalizes to delta
+        maps, skipped = analysis.average_slices(np.array([[a], [b]]))
+        assert np.allclose(maps[0].values, [[0.5, 0.5], [0.0, 0.0]])
+        assert skipped.tolist() == [0]
 
     def test_empty_slice_skipped_and_counted(self):
         rng = np.random.default_rng(101)
-        ds = random_dataset(rng, n_images=2, n_slices=2)
-        ds["img0"][1] = make_map(np.zeros((5, 6)))
-        avg = analysis.average_slices(ds)
-        assert avg.skipped == (0, 1)
-        v = ds["img1"][1].values
-        assert np.allclose(avg.maps[1].values, v / v.sum())
+        stack = random_stack(rng, n_images=2, n_slices=2)
+        stack[0, 1] = 0.0
+        maps, skipped = analysis.average_slices(stack)
+        assert skipped.tolist() == [0, 1]
+        v = stack[1, 1]
+        assert np.allclose(maps[1].values, v / v.sum())
 
     def test_all_images_unusable_for_a_slice(self):
-        zero = make_map(np.zeros((3, 3)))
         with pytest.raises(DegenerateMapError):
-            analysis.average_slices({"a": [zero], "b": [zero]})
-
-    def test_inconsistent_shapes_rejected(self):
-        ds = {"a": [make_map(np.ones((2, 2)) + np.eye(2))],
-              "b": [make_map(np.ones((3, 3)) + np.eye(3))]}
-        with pytest.raises(PreconditionError):
-            analysis.average_slices(ds)
-
-    def test_inconsistent_slice_counts_rejected(self):
-        m = make_map(np.eye(3))
-        with pytest.raises(PreconditionError):
-            analysis.average_slices({"a": [m], "b": [m, m]})
+            analysis.average_slices(np.zeros((2, 1, 3, 3)))
 
 
 class TestInterSliceCC:
     def test_diagonal_is_one(self):
         rng = np.random.default_rng(102)
-        out = analysis.inter_slice_cc(random_dataset(rng))
-        assert np.allclose(np.diag(out.values), 1.0)
+        values, _ = analysis.inter_slice_cc(random_stack(rng))
+        assert np.allclose(np.diag(values), 1.0)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(103)
-        out = analysis.inter_slice_cc(random_dataset(rng, n_images=4))
-        assert np.array_equal(out.values, out.values.T)
+        values, _ = analysis.inter_slice_cc(random_stack(rng, n_images=4))
+        assert np.array_equal(values, values.T)
 
     def test_matches_direct_averaging_oracle(self):
         rng = np.random.default_rng(104)
-        ds = random_dataset(rng, n_images=2, n_slices=3)
-        out = analysis.inter_slice_cc(ds)
+        stack = random_stack(rng, n_images=2, n_slices=3)
+        values, _ = analysis.inter_slice_cc(stack)
         for j in range(3):
             for k in range(3):
                 want = np.mean([1.0 if j == k else
-                                cc(ds[i][j], ds[i][k]) for i in sorted(ds)])
-                assert out.values[j, k] == pytest.approx(want)
+                                cc_arrays(m[j], m[k]) for m in stack])
+                assert values[j, k] == pytest.approx(want)
 
     def test_per_pair_exclusion(self):
         rng = np.random.default_rng(105)
-        ds = random_dataset(rng, n_images=2, n_slices=3)
-        ds["img1"][2] = make_map(np.zeros((5, 6)))  # img1's last slice empty
-        out = analysis.inter_slice_cc(ds)
+        stack = random_stack(rng, n_images=2, n_slices=3)
+        stack[1, 2] = 0.0  # the second image's last slice is empty
+        values, skipped = analysis.inter_slice_cc(stack)
         # pair (0,1) uses both images
-        both = np.mean([cc(ds[i][0], ds[i][1]) for i in ("img0", "img1")])
-        assert out.values[0, 1] == pytest.approx(both)
-        assert out.skipped[0, 1] == 0
-        # pairs touching slice 2 use img0 only
-        assert out.values[0, 2] == pytest.approx(cc(ds["img0"][0], ds["img0"][2]))
-        assert out.skipped[0, 2] == 1
-        assert out.skipped[2, 2] == 1
+        both = np.mean([cc_arrays(m[0], m[1]) for m in stack])
+        assert values[0, 1] == pytest.approx(both)
+        assert skipped[0, 1] == 0
+        # pairs touching slice 2 use the first image only
+        assert values[0, 2] == pytest.approx(cc_arrays(stack[0, 0],
+                                                       stack[0, 2]))
+        assert skipped[0, 2] == 1
+        assert skipped[2, 2] == 1
 
     def test_pair_with_no_usable_images(self):
         rng = np.random.default_rng(106)
-        ds = random_dataset(rng, n_images=1, n_slices=2)
-        ds["img0"][1] = make_map(np.zeros((5, 6)))
+        stack = random_stack(rng, n_images=1, n_slices=2)
+        stack[0, 1] = 0.0
         with pytest.raises(DegenerateMapError):
-            analysis.inter_slice_cc(ds)
+            analysis.inter_slice_cc(stack)
 
 
 class TestIntraSliceDeviation:
     def test_identical_images_score_one(self):
         rng = np.random.default_rng(107)
-        maps = [make_map(rng.uniform(0.01, 1.0, size=(4, 4)))
-                for _ in range(2)]
-        ds = {"a": list(maps), "b": list(maps)}
-        avg = analysis.average_slices(ds)
-        out = analysis.intra_slice_deviation(ds, avg)
-        assert out.scores == pytest.approx((1.0, 1.0))
+        maps = rng.uniform(0.01, 1.0, size=(2, 4, 4))
+        stack = np.array([maps, maps])
+        avg, _ = analysis.average_slices(stack)
+        scores, _ = analysis.intra_slice_deviation(stack, avg)
+        assert scores == pytest.approx((1.0, 1.0))
 
     def test_single_image_scores_one(self):
         rng = np.random.default_rng(108)
-        ds = random_dataset(rng, n_images=1, n_slices=3)
-        avg = analysis.average_slices(ds)
-        out = analysis.intra_slice_deviation(ds, avg)
-        assert out.scores == pytest.approx((1.0, 1.0, 1.0))
+        stack = random_stack(rng, n_images=1, n_slices=3)
+        avg, _ = analysis.average_slices(stack)
+        scores, _ = analysis.intra_slice_deviation(stack, avg)
+        assert scores == pytest.approx((1.0, 1.0, 1.0))
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(109)
-        ds = random_dataset(rng, n_images=3, n_slices=2)
-        avg = analysis.average_slices(ds)
-        out = analysis.intra_slice_deviation(ds, avg)
+        stack = random_stack(rng, n_images=3, n_slices=2)
+        avg, _ = analysis.average_slices(stack)
+        scores, _ = analysis.intra_slice_deviation(stack, avg)
         for j in range(2):
-            want = np.mean([cc(ds[i][j], avg.maps[j]) for i in sorted(ds)])
-            assert out.scores[j] == pytest.approx(want)
+            want = np.mean([cc_arrays(m[j], avg[j].values) for m in stack])
+            assert scores[j] == pytest.approx(want)
 
     def test_slice_count_mismatch_rejected(self):
         rng = np.random.default_rng(110)
-        ds = random_dataset(rng, n_slices=2)
-        avg = analysis.average_slices(random_dataset(rng, n_slices=3))
+        stack = random_stack(rng, n_slices=2)
+        avg, _ = analysis.average_slices(random_stack(rng, n_slices=3))
         with pytest.raises(PreconditionError):
-            analysis.intra_slice_deviation(ds, avg)
+            analysis.intra_slice_deviation(stack, avg)
+
+
+class TestAgainstDictOracle:
+    """The stack path gives the bytes of the dict-of-maps scalar loops
+    it replaced, skip counts included."""
+
+    @pytest.mark.parametrize("seed", [130, 131, 132])
+    def test_bitwise_equal_to_the_scalar_loops(self, seed):
+        stack = mixed_stack(np.random.default_rng(seed))
+        dataset = {f"img{i:02d}": list(maps) for i, maps in enumerate(stack)}
+
+        maps, skipped = analysis.average_slices(stack)
+        want_maps, want_skipped = oracles.average_slices_oracle(dataset)
+        assert [m.values.tobytes() for m in maps] == \
+            [w.tobytes() for w in want_maps]
+        assert skipped.tolist() == want_skipped == [1, 1, 2, 1]
+
+        values, pair_skipped = analysis.inter_slice_cc(stack)
+        want_values, want_pair_skipped = oracles.inter_slice_cc_oracle(dataset)
+        assert values.tobytes() == want_values.tobytes()
+        assert np.array_equal(pair_skipped, want_pair_skipped)
+
+        scores, dev_skipped = analysis.intra_slice_deviation(stack, maps)
+        want_scores, want_dev_skipped = oracles.intra_slice_deviation_oracle(
+            dataset, want_maps)
+        assert scores == want_scores
+        assert dev_skipped.tolist() == want_dev_skipped
 
 
 class TestConsecutiveDifferences:
     def test_identical_averages_give_zero(self):
         m = blob(8, 8, 4, 4)
-        avg = analysis.AverageSliceSet(maps=(m, m), image_count=1,
-                                       skipped=(0, 0))
-        (d,) = analysis.consecutive_differences(avg)
+        (d,) = analysis.consecutive_differences([m, m])
         assert np.allclose(d, 0.0)
 
     def test_differences_sum_to_zero(self):
-        avg = analysis.AverageSliceSet(
-            maps=(blob(10, 8, 2, 4), blob(10, 8, 5, 4), blob(10, 8, 8, 4)),
-            image_count=1, skipped=(0, 0, 0))
+        avg = [blob(10, 8, 2, 4), blob(10, 8, 5, 4), blob(10, 8, 8, 4)]
         for d in analysis.consecutive_differences(avg):
             assert abs(d.sum()) < 1e-9
 
     def test_drift_moves_positive_mass_right(self):
-        avg = analysis.AverageSliceSet(
-            maps=(blob(16, 8, 3, 4), blob(16, 8, 12, 4)),
-            image_count=1, skipped=(0, 0))
+        avg = [blob(16, 8, 3, 4), blob(16, 8, 12, 4)]
         (d,) = analysis.consecutive_differences(avg)
         xs = np.arange(16)[None, :]
         pos = np.where(d > 0, d, 0.0)
@@ -183,10 +193,8 @@ class TestConsecutiveDifferences:
         assert pos_centroid > neg_centroid
 
     def test_single_slice_rejected(self):
-        avg = analysis.AverageSliceSet(maps=(blob(4, 4, 2, 2),),
-                                       image_count=1, skipped=(0,))
         with pytest.raises(PreconditionError):
-            analysis.consecutive_differences(avg)
+            analysis.consecutive_differences([blob(4, 4, 2, 2)])
 
 
 class TestSaliencyTimeHistogram:
@@ -259,7 +267,7 @@ class TestSaliencyTimeHistogram:
 class TestCsvRenderers:
     def test_correlation_csv_shape(self):
         rng = np.random.default_rng(119)
-        out = analysis.inter_slice_cc(random_dataset(rng, n_slices=3))
+        out = analysis.inter_slice_cc(random_stack(rng, n_slices=3))
         text = analysis.correlation_csv(out)
         lines = text.strip().split("\n")
         assert lines[0] == "slice,t1,t2,t3,skipped_max"
@@ -267,8 +275,9 @@ class TestCsvRenderers:
 
     def test_deviation_csv_shape(self):
         rng = np.random.default_rng(120)
-        ds = random_dataset(rng, n_slices=2)
-        out = analysis.intra_slice_deviation(ds, analysis.average_slices(ds))
+        stack = random_stack(rng, n_slices=2)
+        avg, _ = analysis.average_slices(stack)
+        out = analysis.intra_slice_deviation(stack, avg)
         lines = analysis.deviation_csv(out).strip().split("\n")
         assert lines[0] == "slice,mean_cc_to_average,skipped"
         assert len(lines) == 3

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,13 +13,17 @@ import numpy as np
 import pytest
 
 from tsal.autodiff import load_params
-from tsal.cli import _worker_count, main
+from tsal.cli import _read_stack, _worker_count, main
+from tsal.errors import PreconditionError
 from tsal.gaze import (
+    FixationTable,
+    make_map,
     read_fixation_table,
     read_map_tsal,
     slice_equal_distribution,
     slice_equal_duration,
     write_fixations_csv,
+    write_map_tsal,
 )
 
 
@@ -260,6 +265,15 @@ class TestSynth:
             "tsal: ConfigError: need fixation_rate > 0, rho in (0,1], "
             "duration > 0, jitter >= 0")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rejected_settings_leave_no_output(self, workdir, dataset, capsys,
+                                               jobs):
+        out = workdir / f"data_jitter_jobs{jobs}"
+        assert run("synth", "--scene", dataset["scene"], "--out", out,
+                   "--jitter", "-1", "--jobs", jobs) == 2
+        assert only_error_line(capsys).startswith("tsal: ConfigError: ")
+        assert not out.exists()
+
 
 def write_rows(path, rows) -> None:
     """CSV rows (lists of fields), the way a per-row csv.writer writes."""
@@ -432,7 +446,7 @@ class TestTimestampsAndSlice:
         assert only_error_line(capsys) == (
             f"tsal: ConfigError: t_total must be positive, "
             f"got {float(t_total)}")
-        assert not (out / "histogram.csv").exists() and not out.is_file()
+        assert not out.exists()
 
     @pytest.mark.parametrize("column", ["order_index", "slice_index"])
     @pytest.mark.parametrize("command", ["timestamps", "slice", "rasterize"])
@@ -584,6 +598,107 @@ class TestAnalyze:
         assert run("analyze", "--maps", workdir / "no_such_maps",
                    "--fixations", dataset["sliced"],
                    "--out", workdir / "x") == 2
+
+    def test_unknown_image_leaves_no_output(self, workdir, dataset, capsys):
+        table, slices = read_fixation_table(dataset["sliced"])
+        ghost = workdir / "ghost.csv"
+        write_fixations_csv(
+            ghost, replace(table, image_id=("ghost",) + table.image_id[1:]),
+            slice_indices=slices)
+        out = workdir / "analysis_ghost"
+        assert run("analyze", "--maps", dataset["maps"],
+                   "--fixations", ghost, "--out", out) == 2
+        assert only_error_line(capsys) == (
+            "tsal: PreconditionError: fixations reference images without "
+            "maps: ghost")
+        assert not out.exists()
+
+    def test_map_listing_order_is_irrelevant_bitwise(self, workdir, dataset,
+                                                     analysis_dir):
+        tree = workdir / "maps_reversed"
+        for f in sorted(dataset["maps"].glob("*/*.tsal"), reverse=True):
+            (tree / f.parent.name).mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(f, tree / f.parent.name / f.name)
+        out = workdir / "analysis_reversed"
+        run0("analyze", "--maps", tree, "--fixations", dataset["sliced"],
+             "--out", out)
+        files = sorted(f.relative_to(analysis_dir)
+                       for f in analysis_dir.rglob("*") if f.is_file())
+        assert files == sorted(f.relative_to(out)
+                               for f in out.rglob("*") if f.is_file())
+        for rel in files:
+            assert (out / rel).read_bytes() == (analysis_dir / rel).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def mixed_sizes(workdir):
+    """Two 32x32 images whose map tree (t0, t1, full) holds one 16x16 t1
+    map, a timestamped fixation CSV, and a full-map directory whose two
+    maps are 32x32 and 16x16."""
+    root = workdir / "mixed"
+    (root / "images").mkdir(parents=True)
+    rng = np.random.default_rng(40)
+    ids = ("img000", "img001")
+    for image_id in ids:
+        np.save(root / "images" / f"{image_id}.npy",
+                rng.uniform(size=(3, 32, 32)))
+        for kind in ("t0", "t1", "full"):
+            n = 16 if (kind, image_id) == ("t1", "img001") else 32
+            write_map_tsal(root / "maps" / kind / f"{image_id}.tsal",
+                           make_map(rng.uniform(0.01, 1.0, size=(n, n))))
+        n = 16 if image_id == "img001" else 32
+        write_map_tsal(root / "full_mixed" / f"{image_id}.tsal",
+                       make_map(rng.uniform(0.01, 1.0, size=(n, n))))
+    write_fixations_csv(root / "fixations.csv", FixationTable(
+        ids * 2, ("obs",) * 4, range(4), (4.0, 5.0, 6.0, 7.0),
+        (8.0, 9.0, 10.0, 11.0), (100.0, 200.0, 300.0, 400.0)))
+    return root
+
+
+class TestMapStack:
+    def test_reader_stacks_maps_in_the_given_order(self, mixed_sizes):
+        maps = mixed_sizes / "maps"
+        stack = _read_stack(maps, ["t0", "full"], ["img001", "img000"])
+        assert stack.shape == (2, 2, 32, 32) and stack.dtype == np.float64
+        for i, image_id in enumerate(["img001", "img000"]):
+            for k, kind in enumerate(["t0", "full"]):
+                want = read_map_tsal(maps / kind / f"{image_id}.tsal").values
+                assert stack[i, k].tobytes() == want.tobytes()
+
+    def test_reader_rejects_inconsistent_sizes(self, mixed_sizes):
+        maps = mixed_sizes / "maps"
+        with pytest.raises(PreconditionError, match=(
+                "^inconsistent map sizes: .*img001.tsal is 16x16, "
+                "expected 32x32$")):
+            _read_stack(maps, ["t0", "t1"], ["img000", "img001"])
+
+    def test_reader_rejects_a_missing_map(self, mixed_sizes):
+        with pytest.raises(PreconditionError, match="^missing map "):
+            _read_stack(mixed_sizes / "maps", ["t0"], ["img000", "img002"])
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_mixed_sizes_exit_two(self, mixed_sizes, capsys, command):
+        out = mixed_sizes / f"out_{command}"
+        argv = [command, "--maps", mixed_sizes / "maps", "--out", out]
+        if command == "train":
+            argv += ["--images", mixed_sizes / "images", "--epochs", 1]
+        else:
+            argv += ["--fixations", mixed_sizes / "fixations.csv"]
+        assert run(*argv) == 2
+        assert only_error_line(capsys).startswith(
+            "tsal: PreconditionError: inconsistent map sizes: ")
+        assert not out.exists()
+
+    def test_eval_with_mixed_full_map_sizes_exits_two(self, mixed_sizes,
+                                                      capsys):
+        out = mixed_sizes / "metrics.csv"
+        full = mixed_sizes / "full_mixed"
+        assert run("eval", "--pred", full, "--gt", full,
+                   "--fixations", mixed_sizes / "fixations.csv",
+                   "--out", out) == 2
+        assert only_error_line(capsys) == (
+            "tsal: ShapeMismatchError: maps disagree in size: 16x16 vs 32x32")
+        assert not out.exists()
 
 
 class TestTrainPredictEval:

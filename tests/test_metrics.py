@@ -332,10 +332,15 @@ class TestIG:
 
 class TestBaselines:
     def test_mean_map(self):
-        a = make_map(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        b = make_map(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        a = np.array([[1.0, 0.0], [0.0, 0.0]])
+        b = np.array([[0.0, 1.0], [0.0, 0.0]])
         m = metrics.mean_map([a, b])
         assert np.allclose(m.values, [[0.5, 0.5], [0.0, 0.0]])
+
+    def test_mean_map_rejects_mixed_sizes(self):
+        with pytest.raises(ShapeMismatchError,
+                           match="^maps disagree in size: 3x2 vs 2x2$"):
+            metrics.mean_map([np.ones((2, 2)), np.ones((2, 3))])
 
 
 class TestLossNodes:

@@ -1,9 +1,10 @@
 """Dataset-level temporal structure statistics.
 
-Works on one ``(images, slices, H, W)`` stack of temporal slice maps:
-average slice maps, consecutive attention-shift differences, the
-inter-slice correlation matrix, intra-slice deviation scores, and a
-saliency-over-time histogram.
+Works on one ``(images, slices, H, W)`` float64 stack of temporal slice
+maps: average slice maps, consecutive attention-shift differences, the
+inter-slice correlation matrix and intra-slice deviation scores; and on
+the whole-image maps for a saliency-over-time histogram. Every map is a
+2-D float64 array.
 
 A slice map is "usable" when it is non-constant (``metrics.usable_maps``);
 all-zero maps (a slice interval with no fixations) and otherwise
@@ -17,12 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DegenerateMapError, PreconditionError
-from .gaze import FixationTable, Normalization, SaliencyMap, group_rows
-from .metrics import cc_arrays, fixation_pixels, mean_map, usable_maps
+from .gaze import FixationTable, Normalization, group_rows, normalize_map
+from .metrics import cc, fixation_pixels, mean_map, usable_maps
 
 
-def average_slices(stack: np.ndarray
-                   ) -> tuple[list[SaliencyMap], np.ndarray]:
+def average_slices(stack: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """A_j = pixel mean of every usable image's sum-normalized slice-j
     map, and per slice the count of images skipped as unusable."""
     usable = usable_maps(stack)
@@ -52,14 +52,13 @@ def inter_slice_cc(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     f"slice pair ({j},{k}): no image has both maps usable")
             total = 0.0
             for i in rows:
-                total += 1.0 if j == k else cc_arrays(stack[i, j],
-                                                      stack[i, k])
+                total += 1.0 if j == k else cc(stack[i, j], stack[i, k])
             values[j, k] = values[k, j] = total / rows.size
             skipped[j, k] = skipped[k, j] = len(stack) - rows.size
     return values, skipped
 
 
-def intra_slice_deviation(stack: np.ndarray, averages: list[SaliencyMap]
+def intra_slice_deviation(stack: np.ndarray, averages: list[np.ndarray]
                           ) -> tuple[list[float], np.ndarray]:
     """Mean over images of CC between the image's slice-j map and the
     dataset average A_j, and per slice the count of skipped images."""
@@ -75,34 +74,31 @@ def intra_slice_deviation(stack: np.ndarray, averages: list[SaliencyMap]
             raise DegenerateMapError(f"slice {j}: no usable map")
         total = 0.0
         for i in rows:
-            total += cc_arrays(stack[i, j], averages[j].values)
+            total += cc(stack[i, j], averages[j])
         scores.append(total / rows.size)
     return scores, len(stack) - usable.sum(axis=0)
 
 
-def consecutive_differences(averages: list[SaliencyMap]) -> list[np.ndarray]:
+def consecutive_differences(averages: list[np.ndarray]) -> list[np.ndarray]:
     """Signed attention-shift maps D_k = A_{k+1} - A_k."""
     if len(averages) < 2:
         raise PreconditionError("need at least two average slices to diff")
-    return [b.values - a.values for a, b in zip(averages, averages[1:])]
+    return [b - a for a, b in zip(averages, averages[1:])]
 
 
 def saliency_time_histogram(fixations: FixationTable,
-                            gt_maps: dict[str, SaliencyMap],
+                            gt_maps: dict[str, np.ndarray],
                             bins_t: int = 50, bins_s: int = 50,
                             t_total: float = 5000.0) -> np.ndarray:
     """Counts of fixations by (time bin, saliency-at-fixation bin).
 
-    Saliency is read from the image's max-normalized ground-truth map at
-    the fixation's pixel; values at the very edge (t = T, s = 1) clamp
+    Saliency is read at the fixation's pixel from the image's
+    ground-truth map scaled to peak 1; only the maps of images with
+    fixations are read. Values at the very edge (t = T, s = 1) clamp
     into the last bin.
     """
     if bins_t < 1 or bins_s < 1:
         raise PreconditionError(f"invalid bin counts {bins_t}x{bins_s}")
-    for image_id, m in gt_maps.items():
-        if m.normalization is not Normalization.MAX_TO_ONE:
-            raise PreconditionError(
-                f"map {image_id!r} is {m.normalization.name}, need MAX_TO_ONE")
     if not t_total > 0.0:
         raise ConfigError(f"t_total must be positive, got {t_total}")
     t = fixations.t_ms
@@ -115,8 +111,9 @@ def saliency_time_histogram(fixations: FixationTable,
         if image_id not in gt_maps:
             raise PreconditionError(f"no ground-truth map for {image_id!r}")
         m = gt_maps[image_id]
-        s[rows] = m.values[fixation_pixels(fixations.take(rows),
-                                           m.width, m.height)]
+        height, width = m.shape
+        s[rows] = normalize_map(m, Normalization.MAX_TO_ONE)[
+            fixation_pixels(fixations.take(rows), width, height)]
     # truncation is floor here: t and s are nonnegative
     bt = np.minimum((t / (t_total / bins_t)).astype(np.intp), bins_t - 1)
     bs = np.minimum((s / (1.0 / bins_s)).astype(np.intp), bins_s - 1)

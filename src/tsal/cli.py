@@ -55,8 +55,6 @@ from .gaze import (
     Normalization,
     group_gaze,
     group_rows,
-    make_map,
-    normalize_map,
     rasterize,
     read_fixation_table,
     read_gaze_jsonl,
@@ -168,11 +166,12 @@ def _map_path(maps_dir, kind: str, image_id: str) -> Path:
     return Path(maps_dir) / kind / f"{image_id}.tsal"
 
 
-def _write_map(maps_dir, kind: str, image_id: str, m) -> None:
-    write_map_tsal(_map_path(maps_dir, kind, image_id), m)
+def _write_map(maps_dir, kind: str, image_id: str, values: np.ndarray,
+               normalization: Normalization) -> None:
+    write_map_tsal(_map_path(maps_dir, kind, image_id), values, normalization)
 
 
-def _read_map(maps_dir, kind: str, image_id: str):
+def _read_map(maps_dir, kind: str, image_id: str) -> np.ndarray:
     path = _map_path(maps_dir, kind, image_id)
     if not path.exists():
         raise PreconditionError(f"missing map {path}")
@@ -185,7 +184,7 @@ def _read_stack(maps_dir, kinds: list[str], ids: list[str]) -> np.ndarray:
     stack = None
     for i, image_id in enumerate(ids):
         for k, kind in enumerate(kinds):
-            values = _read_map(maps_dir, kind, image_id).values
+            values = _read_map(maps_dir, kind, image_id)
             if stack is None:
                 stack = np.empty((len(ids), len(kinds)) + values.shape)
             elif values.shape != stack.shape[2:]:
@@ -294,8 +293,7 @@ def _generate_scene_cached(spec: synth.SceneSpec, seed: int) -> synth.Scene:
     scene = synth.generate_scene(spec, seed)
     try:
         buf = io.BytesIO()
-        np.savez(buf, image=scene.image,
-                 maps=np.stack([m.values for m in scene.slice_maps]),
+        np.savez(buf, image=scene.image, maps=scene.slice_maps,
                  centers=scene.mixture.centers, sigmas=scene.mixture.sigmas,
                  weights=scene.mixture.weights,
                  center_index=np.array(
@@ -311,15 +309,13 @@ def _scene_from_npz(spec: synth.SceneSpec, z) -> synth.Scene | None:
     image = z["image"]
     maps = z["maps"]
     if image.shape != (3, spec.height, spec.width) or \
-            maps.shape[0] != spec.n_slices:
+            maps.shape != (spec.n_slices, spec.height, spec.width):
         return None
     ci = int(z["center_index"])
     mixture = synth.SliceMixture(
         spec.width, spec.height, z["centers"], z["sigmas"], z["weights"],
         None if ci < 0 else ci)
-    slice_maps = tuple(make_map(m, Normalization.SUM_TO_ONE)
-                       for m in maps)
-    return synth.Scene(spec, image, slice_maps, mixture)
+    return synth.Scene(spec, image, maps, mixture)
 
 
 def _synth_one(item, out_dir: str, seed: int, observers: int,
@@ -335,8 +331,10 @@ def _synth_one(item, out_dir: str, seed: int, observers: int,
     out = Path(out_dir)
     _save_npy(out / "images" / f"{image_id}.npy", scene.image)
     for k, m in enumerate(sampled.slice_maps):
-        _write_map(out / "truth" / "maps", f"t{k}", image_id, m)
-    _write_map(out / "truth" / "maps", "full", image_id, sampled.full_map)
+        _write_map(out / "truth" / "maps", f"t{k}", image_id, m,
+                   Normalization.RAW)
+    _write_map(out / "truth" / "maps", "full", image_id, sampled.full_map,
+               Normalization.RAW)
     # the maps are written; the caller only needs the records
     return (sampled.gaze, sampled.fixations, sampled.true_t_ms,
             sampled.true_slices)
@@ -419,10 +417,10 @@ def _rasterize_one(item, out_dir: str, n: int, sigma: float | None,
     for k in range(n):
         m = rasterize(xs[slice_of == k], ys[slice_of == k], width, height,
                       sigma_px=sigma, normalization=norm)
-        _write_map(out_dir, f"t{k}", image_id, m)
+        _write_map(out_dir, f"t{k}", image_id, m, norm)
     full = rasterize(xs, ys, width, height, sigma_px=sigma,
                      normalization=norm)
-    _write_map(out_dir, "full", image_id, full)
+    _write_map(out_dir, "full", image_id, full, norm)
     return image_id
 
 
@@ -472,11 +470,10 @@ def cmd_analyze(args) -> None:
     if unknown:
         raise PreconditionError(
             f"fixations reference images without maps: {sorted(unknown)[0]}")
+    full = _read_stack(args.maps, ["full"], ids)
     grid = analysis.saliency_time_histogram(
-        fixations,
-        {i: normalize_map(_read_map(args.maps, "full", i),
-                          Normalization.MAX_TO_ONE) for i in ids},
-        t_total=args.t_total)
+        fixations, dict(zip(ids, full[:, 0])), t_total=args.t_total)
+    del full  # freed before the slice stack is read
     stack = _read_stack(args.maps, kinds, ids)
     averages, _ = analysis.average_slices(stack)
     corr = analysis.inter_slice_cc(stack)
@@ -487,7 +484,8 @@ def cmd_analyze(args) -> None:
     # everything is computed: no error can leave a partial output
     out = Path(args.out)
     for k, m in enumerate(averages):
-        write_map_tsal(out / "average" / f"t{k}.tsal", m)
+        write_map_tsal(out / "average" / f"t{k}.tsal", m,
+                       Normalization.SUM_TO_ONE)
         write_map_pgm(out / "average" / f"t{k}.pgm", m)
     atomic_write_text(out / "correlation.csv", analysis.correlation_csv(corr))
     atomic_write_text(out / "deviation.csv", analysis.deviation_csv(dev))
@@ -546,14 +544,14 @@ def _predict_one(image_id: str, images_dir: str, out_dir: str,
                  params: dict) -> str:
     arr = _load_image(Path(images_dir) / f"{image_id}.npy")
     pred = model.predict(arr[None], params)
-    refined = make_map(pred["S_R"][0, 0])
-    _write_map(out_dir, "s_r", image_id, refined)
+    refined = pred["S_R"][0, 0]
+    _write_map(out_dir, "s_r", image_id, refined, Normalization.RAW)
     pgm = _map_path(out_dir, "s_r", image_id).with_suffix(".pgm")
     write_map_pgm(pgm, refined)
-    _write_map(out_dir, "s_i", image_id, make_map(pred["S_I"][0, 0]))
+    _write_map(out_dir, "s_i", image_id, pred["S_I"][0, 0], Normalization.RAW)
     for k in range(pred["T"].shape[1]):
-        _write_map(out_dir, f"t{k}", image_id,
-                   make_map(pred["T"][0, k]))
+        _write_map(out_dir, f"t{k}", image_id, pred["T"][0, k],
+                   Normalization.RAW)
     return image_id
 
 

@@ -3,10 +3,12 @@ rasterization of fixations into saliency maps.
 
 Gaze samples and fixations are columnar tables (a row per tracker
 sample or per fixation, numpy columns) that share one column idiom;
-slicing and rasterization take the columns they need. Every operation
-returns new objects. File formats: gaze logs are JSON lines, fixations
-are CSV, maps are a small binary container ("TSAL") plus PGM/PPM
-exports for viewing.
+slicing and rasterization take the columns they need. A saliency map
+is a 2-D float64 array; its normalization is a tag only in the TSAL
+file header, which the writer checks the map against. Table operations
+return new tables, and no function changes an array it was given.
+File formats: gaze logs are JSON lines, fixations are CSV, maps are a
+small binary container ("TSAL") plus PGM/PPM exports for viewing.
 """
 
 from __future__ import annotations
@@ -136,65 +138,26 @@ class FixationTable(_Columns):
 
 
 class Normalization(enum.Enum):
+    """A map's normalization, as tagged in the TSAL file header."""
     RAW = 0
     SUM_TO_ONE = 1
     MAX_TO_ONE = 2
 
 
-@dataclass(frozen=True)
-class SaliencyMap:
-    """Dense nonnegative grid with a declared normalization state."""
-    width: int
-    height: int
-    values: np.ndarray
-    normalization: Normalization
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.height, self.width):
-            raise PreconditionError(
-                f"map values shape {v.shape} != (height={self.height}, "
-                f"width={self.width})")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("map contains NaN or Inf")
-        if v.min() < 0.0:
-            raise PreconditionError("map values must be nonnegative")
-        if self.normalization is Normalization.SUM_TO_ONE:
-            if abs(v.sum() - 1.0) > NORM_TOLERANCE:
-                raise PreconditionError(
-                    f"sum-normalized map sums to {v.sum()!r}, not 1")
-        elif self.normalization is Normalization.MAX_TO_ONE:
-            if abs(v.max() - 1.0) > NORM_TOLERANCE:
-                raise PreconditionError(
-                    f"max-normalized map has max {v.max()!r}, not 1")
-        v = v.copy()  # private buffer: caller mutation cannot reach the map
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
-def make_map(values, normalization: Normalization = Normalization.RAW
-             ) -> SaliencyMap:
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 2:
-        raise PreconditionError(f"map values must be 2-D, got shape {v.shape}")
-    return SaliencyMap(width=v.shape[1], height=v.shape[0], values=v,
-                       normalization=normalization)
-
-
-def normalize_map(m: SaliencyMap, mode: Normalization) -> SaliencyMap:
-    """Renormalize a map; degenerate (all-zero) input cannot be
-    normalized and raises."""
+def normalize_map(values: np.ndarray, mode: Normalization) -> np.ndarray:
+    """A map scaled to sum or peak 1 (a new array), or the map itself for
+    RAW; an all-zero map cannot be normalized and raises."""
     if mode is Normalization.RAW:
-        return make_map(m.values, Normalization.RAW)
+        return values
     if mode is Normalization.SUM_TO_ONE:
-        total = m.values.sum()
+        total = values.sum()
         if total <= 0.0:
             raise DegenerateMapError("cannot sum-normalize an all-zero map")
-        return make_map(m.values / total, mode)
-    peak = m.values.max()
+        return values / total
+    peak = values.max()
     if peak <= 0.0:
         raise DegenerateMapError("cannot max-normalize an all-zero map")
-    return make_map(m.values / peak, mode)
+    return values / peak
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +301,7 @@ def _blur_matrix(sigma: float, size: int) -> np.ndarray:
 def rasterize(xs: np.ndarray, ys: np.ndarray, width: int, height: int,
               sigma_px: float | None = None,
               normalization: Normalization = Normalization.RAW
-              ) -> SaliencyMap:
+              ) -> np.ndarray:
     """Unit impulse at the nearest pixel of each fixation (xs[i], ys[i]),
     blurred with a separable truncated Gaussian (radius ceil(3 sigma),
     zero padding at the borders).
@@ -361,14 +324,11 @@ def rasterize(xs: np.ndarray, ys: np.ndarray, width: int, height: int,
         if normalization is not Normalization.RAW:
             raise DegenerateMapError(
                 "no fixations: cannot produce a normalized map")
-        return make_map(grid, Normalization.RAW)
+        return grid
 
     blurred = (_blur_matrix(sigma_px, height) @ grid
                @ _blur_matrix(sigma_px, width).T)
-    raw = make_map(blurred, Normalization.RAW)
-    if normalization is Normalization.RAW:
-        return raw
-    return normalize_map(raw, normalization)
+    return normalize_map(blurred, normalization)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +478,8 @@ def deserialize_map(blob: bytes) -> tuple[np.ndarray, Normalization]:
     if len(blob) < 13:
         raise FormatError("truncated TSAL header")
     width, height, code = struct.unpack_from("<IIB", blob, 4)
+    if not width or not height:
+        raise FormatError(f"TSAL map has zero size {width}x{height}")
     try:
         normalization = Normalization(code)
     except ValueError as exc:
@@ -532,8 +494,27 @@ def deserialize_map(blob: bytes) -> tuple[np.ndarray, Normalization]:
     return values.reshape(height, width), normalization
 
 
-def write_map_tsal(path: str, m: SaliencyMap) -> None:
-    atomic_write_bytes(path, serialize_map(m.values, m.normalization))
+def write_map_tsal(path: str, values: np.ndarray,
+                   normalization: Normalization = Normalization.RAW) -> None:
+    """Write a saliency map with its declared normalization. The map
+    must be 2-D, finite and nonnegative, and a declared sum or max must
+    be 1 within ``NORM_TOLERANCE``."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2:
+        raise PreconditionError(f"map values must be 2-D, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteError("map contains NaN or Inf")
+    if v.min() < 0.0:
+        raise PreconditionError("map values must be nonnegative")
+    if normalization is Normalization.SUM_TO_ONE:
+        if abs(v.sum() - 1.0) > NORM_TOLERANCE:
+            raise PreconditionError(
+                f"sum-normalized map sums to {v.sum()!r}, not 1")
+    elif normalization is Normalization.MAX_TO_ONE:
+        if abs(v.max() - 1.0) > NORM_TOLERANCE:
+            raise PreconditionError(
+                f"max-normalized map has max {v.max()!r}, not 1")
+    atomic_write_bytes(path, serialize_map(v, normalization))
 
 
 def write_signed_tsal(path: str, values: np.ndarray) -> None:
@@ -546,27 +527,25 @@ def read_raw_tsal(path: str) -> tuple[np.ndarray, Normalization]:
         return deserialize_map(fh.read())
 
 
-def read_map_tsal(path: str) -> SaliencyMap:
+def read_map_tsal(path: str) -> np.ndarray:
     """Read a saliency map. The f32 payload cannot carry the 1e-9
     normalization invariant exactly, so declared Sum/Max maps are
     renormalized after decoding."""
     values, normalization = read_raw_tsal(path)
     if values.min() < 0.0:
         raise PreconditionError(f"{path}: saliency map has negative values")
-    raw = make_map(values, Normalization.RAW)
-    if normalization is Normalization.RAW:
-        return raw
-    return normalize_map(raw, normalization)
+    return normalize_map(values, normalization)
 
 
-def write_map_pgm(path: str, m: SaliencyMap) -> None:
+def write_map_pgm(path: str, values: np.ndarray) -> None:
     """16-bit max-scaled PGM (P5, big-endian samples per the format)."""
-    peak = m.values.max()
+    peak = values.max()
     if peak > 0.0:
-        scaled = np.round(m.values / peak * 65535.0).astype(">u2")
+        scaled = np.round(values / peak * 65535.0).astype(">u2")
     else:
-        scaled = np.zeros_like(m.values, dtype=">u2")
-    header = f"P5\n{m.width} {m.height}\n65535\n".encode("ascii")
+        scaled = np.zeros_like(values, dtype=">u2")
+    height, width = values.shape
+    header = f"P5\n{width} {height}\n65535\n".encode("ascii")
     atomic_write_bytes(path, header + scaled.tobytes())
 
 

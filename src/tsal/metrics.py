@@ -1,9 +1,9 @@
 """Saliency agreement metrics over maps and fixation sets.
 
 Seven evaluation scores (cc, kl, nss, auc_judd, sauc, sim, ig) plus
-tape-node versions of cc and kl for use as training losses. Map-vs-map
-metrics normalize internally where the definition requires it, so
-callers may pass maps in any normalization state.
+tape-node versions of cc and kl for use as training losses. A map is a
+2-D float64 array; map-vs-map metrics normalize internally where the
+definition requires it, so callers may pass maps at any scale.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from .gaze import (
-    FixationTable,
-    Normalization,
-    SaliencyMap,
-    group_rows,
-    make_map,
-    nearest_pixels,
-    read_map_tsal,
-)
+from .gaze import FixationTable, group_rows, nearest_pixels, read_map_tsal
 
 EPS = 1e-7
 
@@ -44,7 +36,7 @@ def _paired(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sum_normalized(v: np.ndarray, what: str) -> np.ndarray:
     total = v.sum()
     if total <= 0.0:
-        raise DegenerateMapError(f"{what} map is all-zero")
+        raise DegenerateMapError(f"{what} is all-zero")
     return v / total
 
 
@@ -63,13 +55,8 @@ def fixation_pixels(fixations: FixationTable, width: int, height: int
     return nearest_pixels(fixations.x, fixations.y, width, height)
 
 
-def cc(p: SaliencyMap, g: SaliencyMap) -> float:
+def cc(p: np.ndarray, g: np.ndarray) -> float:
     """Pearson correlation of the flattened maps."""
-    return cc_arrays(p.values, g.values)
-
-
-def cc_arrays(p: np.ndarray, g: np.ndarray) -> float:
-    """cc() of two 2-D value arrays."""
     pv, gv = _paired(p, g)
     pc = pv - pv.mean()
     gc = gv - gv.mean()
@@ -79,22 +66,22 @@ def cc_arrays(p: np.ndarray, g: np.ndarray) -> float:
     return float((pc * gc).sum() / denom)
 
 
-def kl(p: SaliencyMap, g: SaliencyMap, eps: float = EPS) -> float:
+def kl(p: np.ndarray, g: np.ndarray, eps: float = EPS) -> float:
     """Divergence of the prediction p from the ground truth g, with the
     usual benchmark regularization inside and outside the log."""
-    pv, gv = _paired(p.values, g.values)
-    pn = _sum_normalized(pv, "prediction")
-    gn = _sum_normalized(gv, "ground-truth")
+    pv, gv = _paired(p, g)
+    pn = _sum_normalized(pv, "prediction map")
+    gn = _sum_normalized(gv, "ground-truth map")
     return float((gn * np.log(gn / (pn + eps) + eps)).sum())
 
 
-def nss(p: SaliencyMap, fixations: FixationTable) -> float:
+def nss(p: np.ndarray, fixations: FixationTable) -> float:
     """Mean standardized saliency at the fixated pixels."""
-    rows, cols = fixation_pixels(fixations, p.width, p.height)
-    sigma = p.values.std()
+    rows, cols = fixation_pixels(fixations, p.shape[1], p.shape[0])
+    sigma = p.std()
     if sigma == 0.0:
         raise DegenerateMapError("nss is undefined for a constant map")
-    z = (p.values - p.values.mean()) / sigma
+    z = (p - p.mean()) / sigma
     return float(z[rows, cols].mean())
 
 
@@ -115,20 +102,20 @@ def _roc_auc(pos: np.ndarray, neg: np.ndarray,
     return float(np.cumsum(terms)[-1])
 
 
-def auc_judd(p: SaliencyMap, fixations: FixationTable) -> float:
+def auc_judd(p: np.ndarray, fixations: FixationTable) -> float:
     """ROC area with thresholds at the distinct fixated saliency values;
     false positives counted over non-fixated pixels."""
-    rows, cols = fixation_pixels(fixations, p.width, p.height)
-    pos = p.values[rows, cols]
-    mask = np.zeros(p.values.shape, dtype=bool)
+    rows, cols = fixation_pixels(fixations, p.shape[1], p.shape[0])
+    pos = p[rows, cols]
+    mask = np.zeros(p.shape, dtype=bool)
     mask[rows, cols] = True
-    neg = p.values[~mask]
+    neg = p[~mask]
     if neg.size == 0:
         raise PreconditionError("every pixel is fixated; no negatives left")
     return _roc_auc(pos, neg, np.unique(pos))
 
 
-def sauc(p: SaliencyMap, fixations: FixationTable,
+def sauc(p: np.ndarray, fixations: FixationTable,
          negatives: FixationTable, seed: int = 0) -> float:
     """Shuffled ROC area: false positives over negative fixation pixels
     (fixations of other images), capped at 10x the positives by seeded
@@ -137,10 +124,10 @@ def sauc(p: SaliencyMap, fixations: FixationTable,
     P(pos > neg) + 0.5 P(pos == neg) exactly."""
     if not len(negatives):
         raise PreconditionError("sauc requires a non-empty negative set")
-    prows, pcols = fixation_pixels(fixations, p.width, p.height)
-    nrows, ncols = fixation_pixels(negatives, p.width, p.height)
-    pos = p.values[prows, pcols]
-    neg = p.values[nrows, ncols]
+    prows, pcols = fixation_pixels(fixations, p.shape[1], p.shape[0])
+    nrows, ncols = fixation_pixels(negatives, p.shape[1], p.shape[0])
+    pos = p[prows, pcols]
+    neg = p[nrows, ncols]
     cap = 10 * pos.size
     if neg.size > cap:
         rng = np.random.default_rng(seed)
@@ -148,37 +135,39 @@ def sauc(p: SaliencyMap, fixations: FixationTable,
     return _roc_auc(pos, neg, np.unique(np.concatenate((pos, neg))))
 
 
-def sim(p: SaliencyMap, g: SaliencyMap) -> float:
+def sim(p: np.ndarray, g: np.ndarray) -> float:
     """Histogram intersection of the sum-normalized maps."""
-    pv, gv = _paired(p.values, g.values)
-    pn = _sum_normalized(pv, "prediction")
-    gn = _sum_normalized(gv, "ground-truth")
+    pv, gv = _paired(p, g)
+    pn = _sum_normalized(pv, "prediction map")
+    gn = _sum_normalized(gv, "ground-truth map")
     return float(np.minimum(pn, gn).sum())
 
 
-def ig(p: SaliencyMap, baseline: SaliencyMap, fixations: FixationTable,
+def ig(p: np.ndarray, baseline: np.ndarray, fixations: FixationTable,
        eps: float = EPS) -> float:
     """Information gain in bits over a baseline at the fixated pixels."""
-    pv, bv = _paired(p.values, baseline.values)
-    pn = _sum_normalized(pv, "prediction").reshape(p.values.shape)
-    bn = _sum_normalized(bv, "baseline").reshape(p.values.shape)
-    rows, cols = fixation_pixels(fixations, p.width, p.height)
+    pv, bv = _paired(p, baseline)
+    pn = _sum_normalized(pv, "prediction map").reshape(p.shape)
+    bn = _sum_normalized(bv, "baseline map").reshape(p.shape)
+    rows, cols = fixation_pixels(fixations, p.shape[1], p.shape[0])
     gain = np.log2(pn[rows, cols] + eps) - np.log2(bn[rows, cols] + eps)
     return float(gain.mean())
 
 
-def mean_map(maps: list[np.ndarray]) -> SaliencyMap:
+def mean_map(maps: list[np.ndarray]) -> np.ndarray:
     """Pixel-wise mean of sum-normalized 2-D maps, added in list order,
-    renormalized. Used as the dataset-level information-gain baseline
-    and for each average slice map."""
+    renormalized to sum 1. Used as the dataset-level information-gain
+    baseline and for each average slice map."""
     if not maps:
         raise PreconditionError("mean_map of an empty list")
     acc = np.zeros(maps[0].shape)
-    for m in maps:
+    for i, m in enumerate(maps):
         mv, _ = _paired(m, maps[0])
-        acc += _sum_normalized(mv, "map").reshape(acc.shape)
+        acc += _sum_normalized(
+            mv, f"map at index {i} of {len(maps)} averaged maps"
+        ).reshape(acc.shape)
     acc /= len(maps)
-    return make_map(acc / acc.sum(), Normalization.SUM_TO_ONE)
+    return acc / acc.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +219,9 @@ def kl_loss_node(pred: ad.Tensor, gt: ad.Tensor, eps: float = EPS) -> ad.Tensor:
 METRIC_COLUMNS = ("cc", "kl", "nss", "auc_judd", "sauc", "sim", "ig")
 
 
-def evaluate_pair(pred: SaliencyMap, gt: SaliencyMap,
+def evaluate_pair(pred: np.ndarray, gt: np.ndarray,
                   fixations: FixationTable, negatives: FixationTable,
-                  baseline: SaliencyMap, seed: int = 0) -> dict[str, float]:
+                  baseline: np.ndarray, seed: int = 0) -> dict[str, float]:
     return {
         "cc": cc(pred, gt),
         "kl": kl(pred, gt),
@@ -275,7 +264,7 @@ def evaluate_directories(pred_dir: str, gt_dir: str,
 
     gt_maps = {i: read_map_tsal(os.path.join(gt_dir, i + ".tsal"))
                for i in image_ids}
-    baseline = mean_map([gt_maps[i].values for i in image_ids])
+    baseline = mean_map([gt_maps[i] for i in image_ids])
 
     rows = []
     for image_id in image_ids:

@@ -6,6 +6,8 @@ schedule, optionally pulled toward the image center with growing
 strength. Observers fixate objects drawn from those mixtures (revisits
 suppressed multiplicatively) and emit jittered gaze samples at a fixed
 rate, so the whole pipeline can run on data whose true timing is known.
+Maps are float64 arrays: a scene's or a sampling's slice maps are one
+``(slices, H, W)`` stack and a whole-viewing map is ``(H, W)``.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .gaze import (
-    DEFAULT_T_TOTAL_MS,
-    FixationTable,
-    GazeTable,
-    Normalization,
-    SaliencyMap,
-    make_map,
-    rasterize,
-)
+from .gaze import DEFAULT_T_TOTAL_MS, FixationTable, GazeTable, rasterize
 
 DEFAULT_RHO = 0.5          # revisit weight multiplier per prior visit
 DEFAULT_JITTER_PX = 1.5
@@ -102,7 +96,7 @@ class SliceMixture:
 class Scene:
     spec: SceneSpec
     image: np.ndarray                 # (3, H, W) in [0, 1]
-    slice_maps: tuple[SaliencyMap, ...]
+    slice_maps: np.ndarray            # (n_slices, H, W), each sums to 1
     mixture: SliceMixture
 
 
@@ -112,8 +106,8 @@ class SampledGaze:
     fixations: FixationTable             # untimestamped, pipeline input
     true_t_ms: np.ndarray                # held back as the recovery oracle
     true_slices: np.ndarray
-    slice_maps: tuple[SaliencyMap, ...]  # rasterized from the true slices
-    full_map: SaliencyMap
+    slice_maps: np.ndarray               # (n_slices, H, W), rasterized
+    full_map: np.ndarray                 # (H, W), all fixations
 
 
 def _dense_gaussian(width, height, cx, cy, sigma):
@@ -167,14 +161,14 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
     mixture = SliceMixture(w, h, np.array(centers, dtype=float),
                            np.array(sigmas, dtype=float), weights,
                            len(centers) - 1 if has_center else None)
-    maps = []
+    maps = np.empty((n, h, w))
     for k in range(n):
         dist = np.zeros((h, w))
         for i in range(len(centers)):
             if weights[k, i] > 0.0:
                 dist += weights[k, i] * gaussians[i]
-        maps.append(make_map(dist / dist.sum(), Normalization.SUM_TO_ONE))
-    return Scene(spec, image, tuple(maps), mixture)
+        maps[k] = dist / dist.sum()
+    return Scene(spec, image, maps, mixture)
 
 
 def sample_observers(mixture: SliceMixture, observers: int,
@@ -250,9 +244,9 @@ def sample_observers(mixture: SliceMixture, observers: int,
         (image_id,) * order.size,
         tuple(f"o{obs:03d}" for obs in range(observers) for _ in range(
             n * per_slice)), order, *np.concatenate(fixated).T)
-    slice_maps = tuple(rasterize(fixations.x[true_slice == k],
-                                 fixations.y[true_slice == k], w, h)
-                       for k in range(n))
+    slice_maps = np.stack([rasterize(fixations.x[true_slice == k],
+                                     fixations.y[true_slice == k], w, h)
+                           for k in range(n)])
     full_map = rasterize(fixations.x, fixations.y, w, h)
     return SampledGaze(GazeTable.concat(gaze), fixations, true_t, true_slice,
                        slice_maps, full_map)

@@ -17,7 +17,6 @@ from tsal.gaze import (
     FixationTable,
     group_gaze,
     group_rows,
-    make_map,
     recover_timestamps,
     slice_equal_distribution,
     slice_equal_duration,
@@ -60,8 +59,8 @@ class TestCriterion1:
         for _ in range(1000):
             h = int(rng.integers(2, 9))
             w = int(rng.integers(2, 9))
-            p = make_map(rng.uniform(0.01, 1.0, size=(h, w)))
-            g = make_map(rng.uniform(0.01, 1.0, size=(h, w)))
+            p = rng.uniform(0.01, 1.0, size=(h, w))
+            g = rng.uniform(0.01, 1.0, size=(h, w))
 
             cells = h * w
             npos = int(rng.integers(1, min(4, cells - 1) + 1))
@@ -73,22 +72,22 @@ class TestCriterion1:
             mask[pos.y.astype(int), pos.x.astype(int)] = True
 
             diffs = [
-                abs(metrics.cc(p, g) - oracles.cc_oracle(p.values, g.values)),
-                abs(metrics.kl(p, g) - oracles.kl_oracle(p.values, g.values)),
-                abs(metrics.nss(p, pos) - oracles.nss_oracle(p.values, mask)),
+                abs(metrics.cc(p, g) - oracles.cc_oracle(p, g)),
+                abs(metrics.kl(p, g) - oracles.kl_oracle(p, g)),
+                abs(metrics.nss(p, pos) - oracles.nss_oracle(p, mask)),
                 abs(metrics.auc_judd(p, pos)
-                    - oracles.auc_judd_oracle(p.values, mask)),
+                    - oracles.auc_judd_oracle(p, mask)),
                 abs(metrics.sim(p, g)
-                    - oracles.sim_oracle(p.values, g.values)),
+                    - oracles.sim_oracle(p, g)),
             ]
             prow, pcol = metrics.fixation_pixels(pos, w, h)
             nrow, ncol = metrics.fixation_pixels(neg, w, h)
             diffs.append(abs(metrics.sauc(p, pos, neg)
                              - oracles.mann_whitney_auc(
-                                 p.values[prow, pcol],
-                                 p.values[nrow, ncol])))
-            pn = p.values / p.values.sum()
-            gn = g.values / g.values.sum()
+                                 p[prow, pcol],
+                                 p[nrow, ncol])))
+            pn = p / p.sum()
+            gn = g / g.sum()
             want_ig = float(np.mean(
                 [math.log2(pn[r, c] + 1e-7) - math.log2(gn[r, c] + 1e-7)
                  for r, c in zip(prow, pcol)]))
@@ -100,13 +99,13 @@ class TestCriterion1:
         for _ in range(20):
             h = int(rng.integers(2, 9))
             w = int(rng.integers(2, 9))
-            m = make_map(rng.uniform(0.01, 1.0, size=(h, w)))
+            m = rng.uniform(0.01, 1.0, size=(h, w))
             point = fixes([(int(rng.integers(0, w)), int(rng.integers(0, h)))])
             ident = max(ident,
                         abs(metrics.cc(m, m) - 1.0),
                         abs(metrics.sim(m, m) - 1.0),
                         abs(metrics.ig(m, m, point)))
-            flat = make_map(np.full((h, w), 0.25))
+            flat = np.full((h, w), 0.25)
             ident_ok = (ident_ok and metrics.kl(m, m) < 1e-6
                         and abs(metrics.auc_judd(flat, point) - 0.5) <= 1e-9)
 
@@ -214,7 +213,7 @@ class TestCriterion5:
         for i in range(50):
             spec = synth.drift_spec(rng, 64, 64, anchor=(22.0, 30.0))
             scene = synth.generate_scene(spec, seed=1000 + i)
-            stack.append([m.values for m in scene.slice_maps])
+            stack.append(scene.slice_maps)
         stack = np.array(stack)
 
         values, _ = analysis.inter_slice_cc(stack)
@@ -247,7 +246,7 @@ def overfit():
         spec = synth.drift_spec(rng, 32, 32)
         scene = synth.generate_scene(spec, seed=300 + i)
         images.append(scene.image)
-        gt_slices.append(np.stack([m.values for m in scene.slice_maps]))
+        gt_slices.append(scene.slice_maps)
     images = np.array(images)
     gt_slices = np.array(gt_slices)
     gt_full = gt_slices.mean(axis=1, keepdims=True)

@@ -7,8 +7,8 @@ import pytest
 
 from tsal import analysis
 from tsal.errors import ConfigError, DegenerateMapError, PreconditionError
-from tsal.gaze import FixationTable, Normalization, make_map, normalize_map
-from tsal.metrics import cc_arrays
+from tsal.gaze import FixationTable, Normalization, normalize_map
+from tsal.metrics import cc
 
 import oracles
 
@@ -42,7 +42,7 @@ def blob(w, h, cx, cy, sigma=1.5):
     ys = np.arange(h)[:, None]
     xs = np.arange(w)[None, :]
     g = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sigma * sigma))
-    return make_map(g / g.sum(), Normalization.SUM_TO_ONE)
+    return g / g.sum()
 
 
 class TestAverageSlices:
@@ -50,7 +50,7 @@ class TestAverageSlices:
         a = [[1.0, 0.0], [0.0, 0.0]]
         b = [[0.0, 2.0], [0.0, 0.0]]  # normalizes to delta
         maps, skipped = analysis.average_slices(np.array([[a], [b]]))
-        assert np.allclose(maps[0].values, [[0.5, 0.5], [0.0, 0.0]])
+        assert np.allclose(maps[0], [[0.5, 0.5], [0.0, 0.0]])
         assert skipped.tolist() == [0]
 
     def test_empty_slice_skipped_and_counted(self):
@@ -60,7 +60,7 @@ class TestAverageSlices:
         maps, skipped = analysis.average_slices(stack)
         assert skipped.tolist() == [0, 1]
         v = stack[1, 1]
-        assert np.allclose(maps[1].values, v / v.sum())
+        assert np.allclose(maps[1], v / v.sum())
 
     def test_all_images_unusable_for_a_slice(self):
         with pytest.raises(DegenerateMapError):
@@ -85,7 +85,7 @@ class TestInterSliceCC:
         for j in range(3):
             for k in range(3):
                 want = np.mean([1.0 if j == k else
-                                cc_arrays(m[j], m[k]) for m in stack])
+                                cc(m[j], m[k]) for m in stack])
                 assert values[j, k] == pytest.approx(want)
 
     def test_per_pair_exclusion(self):
@@ -94,12 +94,11 @@ class TestInterSliceCC:
         stack[1, 2] = 0.0  # the second image's last slice is empty
         values, skipped = analysis.inter_slice_cc(stack)
         # pair (0,1) uses both images
-        both = np.mean([cc_arrays(m[0], m[1]) for m in stack])
+        both = np.mean([cc(m[0], m[1]) for m in stack])
         assert values[0, 1] == pytest.approx(both)
         assert skipped[0, 1] == 0
         # pairs touching slice 2 use the first image only
-        assert values[0, 2] == pytest.approx(cc_arrays(stack[0, 0],
-                                                       stack[0, 2]))
+        assert values[0, 2] == pytest.approx(cc(stack[0, 0], stack[0, 2]))
         assert skipped[0, 2] == 1
         assert skipped[2, 2] == 1
 
@@ -133,7 +132,7 @@ class TestIntraSliceDeviation:
         avg, _ = analysis.average_slices(stack)
         scores, _ = analysis.intra_slice_deviation(stack, avg)
         for j in range(2):
-            want = np.mean([cc_arrays(m[j], avg[j].values) for m in stack])
+            want = np.mean([cc(m[j], avg[j]) for m in stack])
             assert scores[j] == pytest.approx(want)
 
     def test_slice_count_mismatch_rejected(self):
@@ -155,7 +154,7 @@ class TestAgainstDictOracle:
 
         maps, skipped = analysis.average_slices(stack)
         want_maps, want_skipped = oracles.average_slices_oracle(dataset)
-        assert [m.values.tobytes() for m in maps] == \
+        assert [m.tobytes() for m in maps] == \
             [w.tobytes() for w in want_maps]
         assert skipped.tolist() == want_skipped == [1, 1, 2, 1]
 
@@ -199,7 +198,7 @@ class TestConsecutiveDifferences:
 
 class TestSaliencyTimeHistogram:
     def _gt(self, rng, w=8, h=8):
-        return normalize_map(make_map(rng.uniform(0.01, 1.0, size=(h, w))),
+        return normalize_map(rng.uniform(0.01, 1.0, size=(h, w)),
                              Normalization.MAX_TO_ONE)
 
     def test_count_conservation(self):
@@ -213,7 +212,7 @@ class TestSaliencyTimeHistogram:
     def test_peak_fixation_at_time_zero(self):
         rng = np.random.default_rng(112)
         gt = {"img": self._gt(rng)}
-        py, px = np.unravel_index(gt["img"].values.argmax(), (8, 8))
+        py, px = np.unravel_index(gt["img"].argmax(), (8, 8))
         grid = analysis.saliency_time_histogram(
             fixes(("img", px, py, 0.0)), gt, bins_t=50, bins_s=50)
         assert grid[0, 49] == 1
@@ -229,24 +228,39 @@ class TestSaliencyTimeHistogram:
         for x, y, t in zip(table.x, table.y, table.t_ms):
             px = int(math.floor(x + 0.5))
             py = int(math.floor(y + 0.5))
-            records.append((t, gt["img"].values[py, px]))
+            records.append((t, gt["img"][py, px]))
         want = oracles.histogram2d_oracle(records, 10, 7, 5000.0)
         assert np.array_equal(grid, want)
 
     def test_edge_values_clamp_to_last_bins(self):
         rng = np.random.default_rng(114)
         gt = {"img": self._gt(rng)}
-        py, px = np.unravel_index(gt["img"].values.argmax(), (8, 8))
+        py, px = np.unravel_index(gt["img"].argmax(), (8, 8))
         grid = analysis.saliency_time_histogram(
             fixes(("img", px, py, 5000.0)), gt, bins_t=5, bins_s=5)
         assert grid[4, 4] == 1
 
-    def test_wrong_normalization_rejected(self):
+    def test_raw_maps_are_scaled_to_peak_one(self):
         rng = np.random.default_rng(115)
-        raw = make_map(rng.uniform(0.01, 1.0, size=(8, 8)))
-        with pytest.raises(PreconditionError):
-            analysis.saliency_time_histogram(fixes(("img", 1, 1, 0.0)),
-                                             {"img": raw})
+        raw = 3.7 * rng.uniform(0.01, 1.0, size=(8, 8))
+        kept = raw.copy()
+        table = fixes(*[("img", rng.integers(0, 8), rng.integers(0, 8),
+                         rng.uniform(0, 5000)) for _ in range(40)])
+        grid = analysis.saliency_time_histogram(table, {"img": raw},
+                                                bins_t=6, bins_s=9)
+        want = analysis.saliency_time_histogram(
+            table, {"img": raw / raw.max()}, bins_t=6, bins_s=9)
+        assert np.array_equal(grid, want)
+        assert np.array_equal(raw, kept)  # the input is left as it was
+
+    def test_all_zero_map_read_only_with_fixations(self):
+        rng = np.random.default_rng(118)
+        gt = {"img": self._gt(rng), "empty": np.zeros((8, 8))}
+        grid = analysis.saliency_time_histogram(fixes(("img", 1, 1, 0.0)), gt)
+        assert grid.sum() == 1
+        with pytest.raises(DegenerateMapError,
+                           match="^cannot max-normalize an all-zero map$"):
+            analysis.saliency_time_histogram(fixes(("empty", 1, 1, 0.0)), gt)
 
     def test_missing_map_rejected(self):
         rng = np.random.default_rng(116)

@@ -17,7 +17,6 @@ from tsal.cli import _read_stack, _worker_count, main
 from tsal.errors import PreconditionError
 from tsal.gaze import (
     FixationTable,
-    make_map,
     read_fixation_table,
     read_map_tsal,
     slice_equal_distribution,
@@ -523,7 +522,7 @@ class TestRasterize:
                 path = dataset["maps"] / kind / f"img{i:03d}.tsal"
                 assert path.exists()
                 m = read_map_tsal(path)
-                assert m.values.shape == (64, 64)
+                assert m.shape == (64, 64)
 
     def test_normalized_empty_slice_is_degenerate(self, workdir, dataset,
                                                   capsys):
@@ -540,7 +539,7 @@ class TestRasterize:
         run0("rasterize", "--fixations", dataset["sliced"],
              "--images", dataset["images"], "--out", out, "--sigma", 40)
         m = read_map_tsal(out / "full" / "img000.tsal")
-        assert m.values.shape == (64, 64) and m.values.min() > 0.0
+        assert m.shape == (64, 64) and m.min() > 0.0
 
     def test_out_of_range_slice_index_exits_two(self, workdir, dataset):
         assert run("rasterize", "--fixations", dataset["sliced"],
@@ -613,6 +612,42 @@ class TestAnalyze:
             "maps: ghost")
         assert not out.exists()
 
+    def test_image_without_fixations_is_skipped(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TSAL_CACHE_DIR", str(tmp_path / "cache"))
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "preset": "drift", "images": 3, "width": 32, "height": 32,
+            "slices": 5, "scene_seed": 4}))
+        run0("synth", "--scene", scene, "--out", tmp_path / "data",
+             "--seed", 2, "--observers", 2, "--samples-per-sec", 10)
+        run0("timestamps", "--gaze", tmp_path / "data" / "gaze.jsonl",
+             "--fixations", tmp_path / "data" / "fixations.csv",
+             "--out", tmp_path / "recovered.csv")
+        run0("slice", "--fixations", tmp_path / "recovered.csv",
+             "--out", tmp_path / "sliced.csv")
+        table, slices = read_fixation_table(tmp_path / "sliced.csv")
+        kept = [i for i, image_id in enumerate(table.image_id)
+                if image_id != "img002"]
+        write_fixations_csv(tmp_path / "sliced.csv", table.take(kept),
+                            slice_indices=slices[kept])
+        run0("rasterize", "--fixations", tmp_path / "sliced.csv",
+             "--images", tmp_path / "data" / "images",
+             "--out", tmp_path / "maps")
+        assert not read_map_tsal(tmp_path / "maps" / "full" /
+                                 "img002.tsal").any()
+        out = tmp_path / "analysis"
+        run0("analyze", "--maps", tmp_path / "maps",
+             "--fixations", tmp_path / "sliced.csv", "--out", out)
+        # a slice map is all-zero where its image has no fixation in it
+        present = {(table.image_id[i], int(slices[i])) for i in kept}
+        want = [sum((f"img{i:03d}", k) not in present for i in range(3))
+                for k in range(5)]
+        rows = read_csv(out / "deviation.csv")
+        assert [int(r["skipped"]) for r in rows] == want
+        assert min(want) >= 1
+        hist = read_csv(out / "histogram.csv")
+        assert sum(int(r["count"]) for r in hist) == len(kept)
+
     def test_map_listing_order_is_irrelevant_bitwise(self, workdir, dataset,
                                                      analysis_dir):
         tree = workdir / "maps_reversed"
@@ -645,10 +680,10 @@ def mixed_sizes(workdir):
         for kind in ("t0", "t1", "full"):
             n = 16 if (kind, image_id) == ("t1", "img001") else 32
             write_map_tsal(root / "maps" / kind / f"{image_id}.tsal",
-                           make_map(rng.uniform(0.01, 1.0, size=(n, n))))
+                           rng.uniform(0.01, 1.0, size=(n, n)))
         n = 16 if image_id == "img001" else 32
         write_map_tsal(root / "full_mixed" / f"{image_id}.tsal",
-                       make_map(rng.uniform(0.01, 1.0, size=(n, n))))
+                       rng.uniform(0.01, 1.0, size=(n, n)))
     write_fixations_csv(root / "fixations.csv", FixationTable(
         ids * 2, ("obs",) * 4, range(4), (4.0, 5.0, 6.0, 7.0),
         (8.0, 9.0, 10.0, 11.0), (100.0, 200.0, 300.0, 400.0)))
@@ -662,7 +697,7 @@ class TestMapStack:
         assert stack.shape == (2, 2, 32, 32) and stack.dtype == np.float64
         for i, image_id in enumerate(["img001", "img000"]):
             for k, kind in enumerate(["t0", "full"]):
-                want = read_map_tsal(maps / kind / f"{image_id}.tsal").values
+                want = read_map_tsal(maps / kind / f"{image_id}.tsal")
                 assert stack[i, k].tobytes() == want.tobytes()
 
     def test_reader_rejects_inconsistent_sizes(self, mixed_sizes):
@@ -675,6 +710,32 @@ class TestMapStack:
     def test_reader_rejects_a_missing_map(self, mixed_sizes):
         with pytest.raises(PreconditionError, match="^missing map "):
             _read_stack(mixed_sizes / "maps", ["t0"], ["img000", "img002"])
+
+    @pytest.mark.parametrize("width,height", [(0, 0), (0, 5), (5, 0)])
+    @pytest.mark.parametrize("command", ["analyze", "eval", "train"])
+    def test_zero_size_map_exits_two(self, mixed_sizes, tmp_path, capsys,
+                                     command, width, height):
+        maps = tmp_path / "maps"
+        shutil.copytree(mixed_sizes / "maps", maps)
+        # a 32x32 t1 map, so only the zero-size one can be refused
+        write_map_tsal(maps / "t1" / "img001.tsal", np.ones((32, 32)))
+        (maps / "full" / "img001.tsal").write_bytes(
+            b"TSAL" + width.to_bytes(4, "little") +
+            height.to_bytes(4, "little") + b"\x00")
+        out = tmp_path / "out"
+        if command == "eval":
+            argv = ["eval", "--pred", maps / "full", "--gt", maps / "full",
+                    "--fixations", mixed_sizes / "fixations.csv"]
+        elif command == "analyze":
+            argv = ["analyze", "--maps", maps,
+                    "--fixations", mixed_sizes / "fixations.csv"]
+        else:
+            argv = ["train", "--maps", maps, "--images",
+                    mixed_sizes / "images", "--epochs", 1]
+        assert run(*argv, "--out", out) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: FormatError: TSAL map has zero size {width}x{height}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "analyze"])
     def test_mixed_sizes_exit_two(self, mixed_sizes, capsys, command):
@@ -768,6 +829,19 @@ class TestTrainPredictEval:
                                   "sauc", "sim", "ig"}
         assert rows[-1]["image_id"] == "mean"
         assert len(rows) == 5
+
+    def test_all_zero_ground_truth_map_is_named_by_position(
+            self, workdir, dataset, tmp_path, capsys):
+        gt = tmp_path / "gt"
+        shutil.copytree(dataset["maps"] / "full", gt)
+        write_map_tsal(gt / "img001.tsal", np.zeros((64, 64)))
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--pred", dataset["maps"] / "full", "--gt", gt,
+                   "--fixations", dataset["sliced"], "--out", out) == 3
+        assert only_error_line(capsys) == (
+            "tsal: DegenerateMapError: map at index 1 of 4 averaged maps "
+            "is all-zero")
+        assert not out.exists()
 
     def test_self_evaluation_identity(self, workdir, dataset):
         out = workdir / "self_metrics.csv"

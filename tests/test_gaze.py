@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -35,49 +36,18 @@ def gz(*rows, image="img0", obs="obs0"):
     return gaze.GazeTable((image,) * len(rows), (obs,) * len(rows), t, x, y)
 
 
-class TestSaliencyMap:
-    def test_basic_construction(self):
-        m = gaze.make_map(np.ones((2, 3)))
-        assert (m.height, m.width) == (2, 3)
-        assert m.normalization is gaze.Normalization.RAW
-
-    def test_values_frozen_and_private(self):
-        src = np.ones((2, 2))
-        m = gaze.make_map(src)
-        src[0, 0] = 99.0
-        assert m.values[0, 0] == 1.0
-        with pytest.raises(ValueError):
-            m.values[0, 0] = 5.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(PreconditionError):
-            gaze.make_map(np.array([[1.0, -0.1]]))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            gaze.make_map(np.array([[np.nan, 1.0]]))
-
-    def test_sum_invariant_enforced(self):
-        good = np.full((2, 2), 0.25)
-        gaze.make_map(good, gaze.Normalization.SUM_TO_ONE)
-        with pytest.raises(PreconditionError):
-            gaze.make_map(good * 1.01, gaze.Normalization.SUM_TO_ONE)
-
-    def test_max_invariant_enforced(self):
-        good = np.array([[1.0, 0.5]])
-        gaze.make_map(good, gaze.Normalization.MAX_TO_ONE)
-        with pytest.raises(PreconditionError):
-            gaze.make_map(good * 0.9, gaze.Normalization.MAX_TO_ONE)
-
+class TestNormalizeMap:
     def test_normalize_map(self):
-        m = gaze.make_map(np.array([[1.0, 3.0]]))
+        m = np.array([[1.0, 3.0]])
         s = gaze.normalize_map(m, gaze.Normalization.SUM_TO_ONE)
-        assert np.allclose(s.values, [[0.25, 0.75]])
+        assert np.allclose(s, [[0.25, 0.75]])
         x = gaze.normalize_map(m, gaze.Normalization.MAX_TO_ONE)
-        assert np.allclose(x.values, [[1.0 / 3.0, 1.0]])
+        assert np.allclose(x, [[1.0 / 3.0, 1.0]])
+        assert gaze.normalize_map(m, gaze.Normalization.RAW) is m
+        assert m.tolist() == [[1.0, 3.0]]  # the input is left as it was
 
     def test_normalize_degenerate(self):
-        zero = gaze.make_map(np.zeros((2, 2)))
+        zero = np.zeros((2, 2))
         with pytest.raises(DegenerateMapError):
             gaze.normalize_map(zero, gaze.Normalization.SUM_TO_ONE)
         with pytest.raises(DegenerateMapError):
@@ -266,7 +236,7 @@ class TestRasterize:
         sigma = 3.0
         m = gaze.rasterize(*xy((16.0, 16.0)), 33, 33, sigma_px=sigma,
                            normalization=gaze.Normalization.SUM_TO_ONE)
-        v = m.values
+        v = m
         assert np.unravel_index(v.argmax(), v.shape) == (16, 16)
         ratio = v[16, 16] / v[16, 17]
         assert abs(ratio - math.exp(1.0 / (2.0 * sigma * sigma))) < 1e-9
@@ -276,7 +246,7 @@ class TestRasterize:
         b = gaze.rasterize(*xy((15.0, 12.0)), 24, 24, sigma_px=2.0)
         both = gaze.rasterize(*xy((5.0, 5.0), (15.0, 12.0)), 24, 24,
                               sigma_px=2.0)
-        assert np.allclose(both.values, a.values + b.values, atol=1e-12)
+        assert np.allclose(both, a + b, atol=1e-12)
 
     def test_matches_dense_convolution_oracle(self):
         rng = np.random.default_rng(57)
@@ -284,18 +254,18 @@ class TestRasterize:
                for _ in range(5)]
         m = gaze.rasterize(*xy(*pts), 20, 14, sigma_px=1.5)
         want = oracles.rasterize_dense_oracle(pts, 20, 14, 1.5)
-        assert np.abs(m.values - want).max() < 1e-12
+        assert np.abs(m - want).max() < 1e-12
 
     def test_mass_preserved_away_from_borders(self):
         sigma = 2.0
         m = gaze.rasterize(*xy((20.0, 20.0), (25.0, 22.0), (18.0, 24.0)),
                            44, 44, sigma_px=sigma)
-        assert abs(m.values.sum() - 3.0) < 1e-9
+        assert abs(m.sum() - 3.0) < 1e-9
 
     def test_empty_raw_is_zero_map(self):
         m = gaze.rasterize(*xy(), 8, 8, sigma_px=1.0)
-        assert m.values.sum() == 0.0
-        assert m.normalization is gaze.Normalization.RAW
+        assert m.sum() == 0.0
+        assert m.shape == (8, 8) and m.dtype == np.float64
 
     def test_empty_normalized_is_degenerate(self):
         with pytest.raises(DegenerateMapError):
@@ -320,7 +290,7 @@ class TestRasterize:
         pts = [(1.0, 2.0), (6.6, 4.4), (3.0, 0.0)]
         m = gaze.rasterize(*xy(*pts), 8, 6, sigma_px=3.0)
         want = oracles.rasterize_dense_oracle(pts, 8, 6, 3.0)
-        assert np.abs(m.values - want).max() < 1e-12
+        assert np.abs(m - want).max() < 1e-12
 
     def test_f32_payload_matches_convolve_loop(self):
         # the TSAL container stores float32: the matrix blur must give the
@@ -340,12 +310,13 @@ class TestRasterize:
                         np.array([p[1] for p in pts]), width, height)
                     np.add.at(grid, (rows, cols), 1.0)
                     want = oracles.blur_convolve_loop(grid, sigma)
-                    assert gaze.serialize_map(m.values, m.normalization) == \
-                        gaze.serialize_map(want, m.normalization)
+                    raw = gaze.Normalization.RAW
+                    assert gaze.serialize_map(m, raw) == \
+                        gaze.serialize_map(want, raw)
 
     def test_rounding_to_nearest_pixel(self):
         m = gaze.rasterize(*xy((3.6, 2.4)), 8, 8, sigma_px=0.3)
-        assert m.values.argmax() == np.ravel_multi_index((2, 4), (8, 8))
+        assert m.argmax() == np.ravel_multi_index((2, 4), (8, 8))
 
     def test_nearest_pixels_match_scalar_rounding(self):
         rng = np.random.default_rng(58)
@@ -612,31 +583,76 @@ class TestMapContainer:
     def test_raw_roundtrip_is_f32_exact(self, tmp_path):
         rng = np.random.default_rng(58)
         values = rng.uniform(0, 3, size=(5, 7)).astype(np.float32)
-        m = gaze.make_map(values.astype(np.float64))
         path = str(tmp_path / "m.tsal")
-        gaze.write_map_tsal(path, m)
+        gaze.write_map_tsal(path, values.astype(np.float64))
         got = gaze.read_map_tsal(path)
-        assert got.normalization is gaze.Normalization.RAW
-        assert np.array_equal(got.values, values.astype(np.float64))
+        assert gaze.read_raw_tsal(path)[1] is gaze.Normalization.RAW
+        assert np.array_equal(got, values.astype(np.float64))
 
     def test_sum_map_renormalized_after_quantization(self, tmp_path):
         rng = np.random.default_rng(59)
         v = rng.uniform(0.1, 1.0, size=(31, 37))
-        m = gaze.make_map(v / v.sum(), gaze.Normalization.SUM_TO_ONE)
         path = str(tmp_path / "m.tsal")
-        gaze.write_map_tsal(path, m)
+        gaze.write_map_tsal(path, v / v.sum(), gaze.Normalization.SUM_TO_ONE)
         got = gaze.read_map_tsal(path)
-        assert got.normalization is gaze.Normalization.SUM_TO_ONE
-        assert abs(got.values.sum() - 1.0) <= 1e-9
+        assert gaze.read_raw_tsal(path)[1] is gaze.Normalization.SUM_TO_ONE
+        assert abs(got.sum() - 1.0) <= 1e-9
 
     def test_max_map_renormalized_after_quantization(self, tmp_path):
         rng = np.random.default_rng(60)
         v = rng.uniform(0.1, 1.0, size=(9, 9))
-        m = gaze.make_map(v / v.max(), gaze.Normalization.MAX_TO_ONE)
         path = str(tmp_path / "m.tsal")
-        gaze.write_map_tsal(path, m)
+        gaze.write_map_tsal(path, v / v.max(), gaze.Normalization.MAX_TO_ONE)
         got = gaze.read_map_tsal(path)
-        assert abs(got.values.max() - 1.0) <= 1e-9
+        assert abs(got.max() - 1.0) <= 1e-9
+
+    def test_writer_rejects_non_2d(self, tmp_path):
+        path = tmp_path / "m.tsal"
+        with pytest.raises(PreconditionError,
+                           match=r"^map values must be 2-D, got shape \(3,\)$"):
+            gaze.write_map_tsal(path, np.ones(3))
+        assert not path.exists()
+
+    def test_writer_rejects_negative(self, tmp_path):
+        path = tmp_path / "m.tsal"
+        with pytest.raises(PreconditionError,
+                           match="^map values must be nonnegative$"):
+            gaze.write_map_tsal(path, np.array([[1.0, -0.1]]))
+        assert not path.exists()
+
+    def test_writer_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "m.tsal"
+        with pytest.raises(NonFiniteError, match="^map contains NaN or Inf$"):
+            gaze.write_map_tsal(path, np.array([[np.nan, 1.0]]))
+        assert not path.exists()
+
+    def test_writer_checks_the_sum_tag(self, tmp_path):
+        good = np.full((2, 2), 0.25)
+        gaze.write_map_tsal(tmp_path / "good.tsal", good,
+                            gaze.Normalization.SUM_TO_ONE)
+        with pytest.raises(PreconditionError,
+                           match=r"^sum-normalized map sums to \S*1\.01\)?, not 1$"):
+            gaze.write_map_tsal(tmp_path / "bad.tsal", good * 1.01,
+                                gaze.Normalization.SUM_TO_ONE)
+        assert not (tmp_path / "bad.tsal").exists()
+        assert good.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+
+    def test_writer_checks_the_max_tag(self, tmp_path):
+        good = np.array([[1.0, 0.5]])
+        gaze.write_map_tsal(tmp_path / "good.tsal", good,
+                            gaze.Normalization.MAX_TO_ONE)
+        with pytest.raises(PreconditionError,
+                           match=r"^max-normalized map has max \S*0\.9\)?, not 1$"):
+            gaze.write_map_tsal(tmp_path / "bad.tsal", good * 0.9,
+                                gaze.Normalization.MAX_TO_ONE)
+        assert not (tmp_path / "bad.tsal").exists()
+
+    @pytest.mark.parametrize("width,height", [(0, 0), (0, 5), (5, 0)])
+    def test_zero_size_rejected(self, width, height):
+        blob = b"TSAL" + struct.pack("<IIB", width, height, 0)
+        with pytest.raises(FormatError,
+                           match=f"^TSAL map has zero size {width}x{height}$"):
+            gaze.deserialize_map(blob)
 
     def test_header_layout(self):
         blob = gaze.serialize_map(np.zeros((2, 3)), gaze.Normalization.RAW)
@@ -679,7 +695,7 @@ class TestMapContainer:
 
 class TestViewingExports:
     def test_pgm_header_and_scaling(self, tmp_path):
-        m = gaze.make_map(np.array([[0.0, 0.5], [1.0, 0.25]]))
+        m = np.array([[0.0, 0.5], [1.0, 0.25]])
         path = str(tmp_path / "m.pgm")
         gaze.write_map_pgm(path, m)
         blob = open(path, "rb").read()
@@ -690,7 +706,7 @@ class TestViewingExports:
         assert pixels[0, 1] == round(0.5 * 65535)
 
     def test_pgm_all_zero(self, tmp_path):
-        m = gaze.make_map(np.zeros((2, 2)))
+        m = np.zeros((2, 2))
         path = str(tmp_path / "z.pgm")
         gaze.write_map_pgm(path, m)
         blob = open(path, "rb").read()

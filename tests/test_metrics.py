@@ -12,7 +12,7 @@ from tsal.errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from tsal.gaze import FixationTable, Normalization, make_map, write_map_tsal
+from tsal.gaze import FixationTable, Normalization, write_map_tsal
 
 import oracles
 
@@ -25,7 +25,7 @@ def fixes(*points):
 
 
 def random_map(rng, w, h):
-    return make_map(rng.uniform(0.01, 1.0, size=(h, w)))
+    return rng.uniform(0.01, 1.0, size=(h, w))
 
 
 class TestCC:
@@ -36,16 +36,14 @@ class TestCC:
 
     def test_reflection_is_minus_one(self):
         rng = np.random.default_rng(71)
-        v = rng.uniform(0.1, 0.9, size=(4, 4))
-        m = make_map(v)
-        r = make_map(1.0 - v)
-        assert metrics.cc(m, r) == pytest.approx(-1.0)
+        m = rng.uniform(0.1, 0.9, size=(4, 4))
+        assert metrics.cc(m, 1.0 - m) == pytest.approx(-1.0)
 
     def test_small_case_matches_formula(self):
-        a = make_map(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = make_map(np.array([[1.0, 1.0], [2.0, 2.0]]))
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[1.0, 1.0], [2.0, 2.0]])
         assert metrics.cc(a, b) == pytest.approx(
-            oracles.cc_oracle(a.values, b.values))
+            oracles.cc_oracle(a, b))
 
     def test_symmetric(self):
         rng = np.random.default_rng(72)
@@ -55,18 +53,18 @@ class TestCC:
     def test_affine_invariance(self):
         rng = np.random.default_rng(73)
         a, b = random_map(rng, 5, 5), random_map(rng, 5, 5)
-        scaled = make_map(3.0 * a.values + 0.5)
+        scaled = 3.0 * a + 0.5
         assert metrics.cc(scaled, b) == pytest.approx(metrics.cc(a, b))
 
     def test_constant_map_rejected(self):
-        flat = make_map(np.full((3, 3), 0.5))
-        other = make_map(np.arange(9, dtype=float).reshape(3, 3))
+        flat = np.full((3, 3), 0.5)
+        other = np.arange(9, dtype=float).reshape(3, 3)
         with pytest.raises(DegenerateMapError):
             metrics.cc(flat, other)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            metrics.cc(make_map(np.ones((2, 2))), make_map(np.ones((2, 3))))
+            metrics.cc(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestKL:
@@ -76,8 +74,8 @@ class TestKL:
         assert metrics.kl(m, m) < 1e-6
 
     def test_delta_vs_uniform_closed_form(self):
-        g = make_map(np.array([[0.0, 0.0], [0.0, 1.0]]))
-        p = make_map(np.full((2, 2), 0.25))
+        g = np.array([[0.0, 0.0], [0.0, 1.0]])
+        p = np.full((2, 2), 0.25)
         eps = 1e-7
         want = math.log(1.0 / (0.25 + eps) + eps)
         assert metrics.kl(p, g) == pytest.approx(want, abs=1e-12)
@@ -98,11 +96,11 @@ class TestKL:
         rng = np.random.default_rng(77)
         p, g = random_map(rng, 7, 3), random_map(rng, 7, 3)
         assert metrics.kl(p, g) == pytest.approx(
-            oracles.kl_oracle(p.values, g.values), abs=1e-12)
+            oracles.kl_oracle(p, g), abs=1e-12)
 
     def test_all_zero_rejected(self):
-        zero = make_map(np.zeros((2, 2)))
-        one = make_map(np.ones((2, 2)))
+        zero = np.zeros((2, 2))
+        one = np.ones((2, 2))
         with pytest.raises(DegenerateMapError):
             metrics.kl(zero, one)
 
@@ -110,11 +108,11 @@ class TestKL:
 class TestNSS:
     def test_two_level_map_gives_exactly_one(self):
         # values {0, 2} half and half: mean 1, std 1, z at the 2-pixel is 1
-        m = make_map(np.array([[0.0, 2.0]]))
+        m = np.array([[0.0, 2.0]])
         assert metrics.nss(m, fixes((1, 0))) == pytest.approx(1.0)
 
     def test_fixation_at_minimum_is_negative(self):
-        m = make_map(np.array([[0.0, 1.0], [1.0, 1.0]]))
+        m = np.array([[0.0, 1.0], [1.0, 1.0]])
         assert metrics.nss(m, fixes((0, 0))) < 0.0
 
     def test_matches_scalar_oracle(self):
@@ -124,23 +122,23 @@ class TestNSS:
         mask = np.zeros((8, 8), dtype=bool)
         mask[2, 1] = mask[7, 5] = mask[3, 3] = True
         assert metrics.nss(m, table) == pytest.approx(
-            oracles.nss_oracle(m.values, mask))
+            oracles.nss_oracle(m, mask))
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(79)
         m = random_map(rng, 6, 6)
         table = fixes((2, 2), (4, 1))
-        shifted = make_map(2.5 * m.values + 1.0)
+        shifted = 2.5 * m + 1.0
         assert metrics.nss(shifted, table) == pytest.approx(
             metrics.nss(m, table))
 
     def test_constant_map_rejected(self):
         with pytest.raises(DegenerateMapError):
-            metrics.nss(make_map(np.full((3, 3), 0.7)), fixes((1, 1)))
+            metrics.nss(np.full((3, 3), 0.7), fixes((1, 1)))
 
     def test_empty_fixations_rejected(self):
         with pytest.raises(PreconditionError):
-            metrics.nss(make_map(np.eye(3)), fixes())
+            metrics.nss(np.eye(3), fixes())
 
 
 def random_case(rng):
@@ -155,19 +153,18 @@ def random_case(rng):
     def points(count):
         return fixes(*[(int(rng.integers(0, w)), int(rng.integers(0, h)))
                        for _ in range(count)])
-    return make_map(v), points(int(rng.integers(1, 8))), \
+    return v, points(int(rng.integers(1, 8))), \
         points(int(rng.integers(1, 90)))
 
 
 class TestAUCJudd:
     def test_perfect_separation(self):
-        v = np.full((4, 4), 0.2)
-        v[1, 2] = 1.0
-        m = make_map(v)
+        m = np.full((4, 4), 0.2)
+        m[1, 2] = 1.0
         assert metrics.auc_judd(m, fixes((2, 1))) == pytest.approx(1.0)
 
     def test_constant_map_is_chance(self):
-        m = make_map(np.full((4, 4), 0.3))
+        m = np.full((4, 4), 0.3)
         assert metrics.auc_judd(m, fixes((1, 1))) == pytest.approx(0.5)
 
     def test_matches_exhaustive_oracle(self):
@@ -181,32 +178,32 @@ class TestAUCJudd:
             for x, y in pts:
                 mask[y, x] = True
             assert metrics.auc_judd(m, table) == pytest.approx(
-                oracles.auc_judd_oracle(m.values, mask))
+                oracles.auc_judd_oracle(m, mask))
 
     def test_bit_equal_to_scalar_sweep(self):
         rng = np.random.default_rng(85)
         for _ in range(300):
             m, table, _ = random_case(rng)
-            rows, cols = metrics.fixation_pixels(table, m.width, m.height)
-            mask = np.zeros(m.values.shape, dtype=bool)
+            rows, cols = metrics.fixation_pixels(table, m.shape[1], m.shape[0])
+            mask = np.zeros(m.shape, dtype=bool)
             mask[rows, cols] = True
             if mask.all():
                 continue
-            pos = m.values[rows, cols].tolist()
-            want = oracles.roc_sweep_oracle(pos, m.values[~mask].tolist(), pos)
+            pos = m[rows, cols].tolist()
+            want = oracles.roc_sweep_oracle(pos, m[~mask].tolist(), pos)
             assert metrics.auc_judd(m, table) == want
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(81)
         m = random_map(rng, 6, 6)
         table = fixes((1, 1), (4, 2))
-        warped = make_map(np.exp(3.0 * m.values))
+        warped = np.exp(3.0 * m)
         assert metrics.auc_judd(warped, table) == pytest.approx(
             metrics.auc_judd(m, table))
 
     def test_empty_fixations_rejected(self):
         with pytest.raises(PreconditionError):
-            metrics.auc_judd(make_map(np.eye(3)), fixes())
+            metrics.auc_judd(np.eye(3), fixes())
 
 
 class TestSAUC:
@@ -218,9 +215,8 @@ class TestSAUC:
         assert metrics.sauc(m, table, negs) == pytest.approx(0.5)
 
     def test_perfect_separation(self):
-        v = np.full((5, 5), 0.1)
-        v[2, 2] = 1.0
-        m = make_map(v)
+        m = np.full((5, 5), 0.1)
+        m[2, 2] = 1.0
         assert metrics.sauc(m, fixes((2, 2)), fixes((0, 0), (4, 4))) == \
             pytest.approx(1.0)
 
@@ -234,16 +230,16 @@ class TestSAUC:
                            for _ in range(5)])
             prow, pcol = metrics.fixation_pixels(table, 7, 5)
             nrow, ncol = metrics.fixation_pixels(negs, 7, 5)
-            want = oracles.mann_whitney_auc(m.values[prow, pcol],
-                                            m.values[nrow, ncol])
+            want = oracles.mann_whitney_auc(m[prow, pcol],
+                                            m[nrow, ncol])
             assert metrics.sauc(m, table, negs) == pytest.approx(want)
 
     def test_bit_equal_to_scalar_sweep(self):
         rng = np.random.default_rng(86)
         for _ in range(300):
             m, table, negs = random_case(rng)
-            pos = m.values[metrics.fixation_pixels(table, m.width, m.height)]
-            neg = m.values[metrics.fixation_pixels(negs, m.width, m.height)]
+            pos = m[metrics.fixation_pixels(table, m.shape[1], m.shape[0])]
+            neg = m[metrics.fixation_pixels(negs, m.shape[1], m.shape[0])]
             if neg.size > 10 * pos.size:  # sauc subsamples; keep all here
                 negs = negs.take(np.arange(10 * pos.size))
                 neg = neg[:10 * pos.size]
@@ -263,7 +259,7 @@ class TestSAUC:
 
     def test_empty_negatives_rejected(self):
         with pytest.raises(PreconditionError):
-            metrics.sauc(make_map(np.eye(3)), fixes((1, 1)), fixes())
+            metrics.sauc(np.eye(3), fixes((1, 1)), fixes())
 
 
 class TestSIM:
@@ -273,23 +269,23 @@ class TestSIM:
         assert metrics.sim(m, m) == pytest.approx(1.0)
 
     def test_disjoint_supports_is_zero(self):
-        a = make_map(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        b = make_map(np.array([[0.0, 0.0], [0.0, 1.0]]))
+        a = np.array([[1.0, 0.0], [0.0, 0.0]])
+        b = np.array([[0.0, 0.0], [0.0, 1.0]])
         assert metrics.sim(a, b) == 0.0
 
     def test_uniform_vs_delta_closed_form(self):
         n = 16
-        uniform = make_map(np.full((4, 4), 1.0))
+        uniform = np.full((4, 4), 1.0)
         delta = np.zeros((4, 4))
         delta[2, 1] = 1.0
-        assert metrics.sim(uniform, make_map(delta)) == pytest.approx(1.0 / n)
+        assert metrics.sim(uniform, delta) == pytest.approx(1.0 / n)
 
     def test_symmetric_and_matches_oracle(self):
         rng = np.random.default_rng(86)
         a, b = random_map(rng, 6, 3), random_map(rng, 6, 3)
         got = metrics.sim(a, b)
         assert got == pytest.approx(metrics.sim(b, a))
-        assert got == pytest.approx(oracles.sim_oracle(a.values, b.values))
+        assert got == pytest.approx(oracles.sim_oracle(a, b))
 
 
 class TestIG:
@@ -300,11 +296,9 @@ class TestIG:
 
     def test_doubled_mass_is_about_one_bit(self):
         n = 16
-        baseline = make_map(np.full((4, 4), 1.0 / n),
-                            Normalization.SUM_TO_ONE)
-        v = np.full((4, 4), (1.0 - 2.0 / n) / (n - 1))
-        v[1, 1] = 2.0 / n
-        pred = make_map(v)
+        baseline = np.full((4, 4), 1.0 / n)
+        pred = np.full((4, 4), (1.0 - 2.0 / n) / (n - 1))
+        pred[1, 1] = 2.0 / n
         got = metrics.ig(pred, baseline, fixes((1, 1)))
         assert got == pytest.approx(1.0, abs=1e-4)
 
@@ -317,8 +311,8 @@ class TestIG:
         mask = np.zeros((8, 8), dtype=bool)
         mask[rows, cols] = True
         # oracle averages per fixated pixel; regenerate per-fixation terms
-        pn = p.values / p.values.sum()
-        bn = b.values / b.values.sum()
+        pn = p / p.sum()
+        bn = b / b.sum()
         want = np.mean([math.log2(pn[r, c] + 1e-7) - math.log2(bn[r, c] + 1e-7)
                         for r, c in zip(rows, cols)])
         assert metrics.ig(p, b, table) == pytest.approx(want)
@@ -335,7 +329,13 @@ class TestBaselines:
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         b = np.array([[0.0, 1.0], [0.0, 0.0]])
         m = metrics.mean_map([a, b])
-        assert np.allclose(m.values, [[0.5, 0.5], [0.0, 0.0]])
+        assert np.allclose(m, [[0.5, 0.5], [0.0, 0.0]])
+
+    def test_mean_map_names_an_all_zero_map_by_position(self):
+        maps = [np.ones((2, 2)), np.zeros((2, 2)), np.ones((2, 2))]
+        with pytest.raises(DegenerateMapError, match=r"^map at index 1 of 3 "
+                           r"averaged maps is all-zero$"):
+            metrics.mean_map(maps)
 
     def test_mean_map_rejects_mixed_sizes(self):
         with pytest.raises(ShapeMismatchError,
@@ -348,16 +348,16 @@ class TestLossNodes:
         rng = np.random.default_rng(90)
         a, b = random_map(rng, 6, 6), random_map(rng, 6, 6)
         tape = ad.Tape()
-        node = metrics.cc_loss_node(tape.constant(a.values),
-                                    tape.constant(b.values))
+        node = metrics.cc_loss_node(tape.constant(a),
+                                    tape.constant(b))
         assert float(node.data) == pytest.approx(metrics.cc(a, b))
 
     def test_kl_node_matches_metric(self):
         rng = np.random.default_rng(91)
         a, b = random_map(rng, 6, 6), random_map(rng, 6, 6)
         tape = ad.Tape()
-        node = metrics.kl_loss_node(tape.constant(a.values),
-                                    tape.constant(b.values))
+        node = metrics.kl_loss_node(tape.constant(a),
+                                    tape.constant(b))
         assert float(node.data) == pytest.approx(metrics.kl(a, b), abs=1e-12)
 
     def test_kl_gradient_near_zero_at_optimum(self):
@@ -463,9 +463,10 @@ class TestBatchEvaluation:
         for i in range(n_images):
             image_id = f"img{i}"
             v = rng.uniform(0.01, 1.0, size=(h, w))
-            m = make_map(v / v.sum(), Normalization.SUM_TO_ONE)
-            write_map_tsal(str(gt_dir / f"{image_id}.tsal"), m)
-            write_map_tsal(str(pred_dir / f"{image_id}.tsal"), m)
+            m = v / v.sum()
+            for d in (gt_dir, pred_dir):
+                write_map_tsal(str(d / f"{image_id}.tsal"), m,
+                               Normalization.SUM_TO_ONE)
             for k in range(3):
                 rows.append((image_id, "obs0", k, float(rng.integers(0, w)),
                              float(rng.integers(0, h))))
@@ -494,7 +495,7 @@ class TestBatchEvaluation:
     def test_mismatched_directories_rejected(self, tmp_path):
         rng = np.random.default_rng(97)
         pred_dir, gt_dir, fixations = self._write_dataset(tmp_path, rng)
-        extra = make_map(np.ones((2, 2)))
+        extra = np.ones((2, 2))
         write_map_tsal(str(tmp_path / "pred" / "extra.tsal"), extra)
         with pytest.raises(PreconditionError):
             metrics.evaluate_directories(pred_dir, gt_dir, fixations)

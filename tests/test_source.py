@@ -34,3 +34,38 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unread_definitions(sources: list[str]) -> list[str]:
+    """Top-level functions and classes of the given modules whose name no
+    top-level statement of any of them reads (as a ``Name`` or as an
+    ``Attribute``), the definition itself aside."""
+    statements = [node for source in sources
+                  for node in ast.parse(source).body]
+    reads = []
+    for node in statements:
+        names = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+        reads.append(names)
+    return sorted(
+        node.name for i, node in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in r for j, r in enumerate(reads) if j != i))
+
+
+def test_checker_finds_unread_definitions():
+    first = ("class Base: pass\nclass Leaf(Base): pass\n"
+             "def loop(n):\n    return loop(n - 1)\n"
+             "def used(): pass\nused = used\n")
+    second = "import first\ndef main():\n    first.used()\n"
+    assert unread_definitions([first, second]) == ["Leaf", "loop", "main"]
+
+
+def test_every_definition_is_read():
+    modules = sorted(SRC.glob("*.py"))
+    unread = unread_definitions([p.read_text() for p in modules])
+    assert unread == []

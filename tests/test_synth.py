@@ -6,7 +6,6 @@ import pytest
 from tsal import synth
 from tsal.errors import ConfigError, FormatError
 from tsal.gaze import (
-    Normalization,
     group_gaze,
     group_rows,
     recover_timestamps,
@@ -67,8 +66,8 @@ class TestGenerateScene:
         spec = synth.SceneSpec(32, 32, (one_blob(),),
                                drift=((1.0,),) * 4)
         scene = synth.generate_scene(spec, seed=1)
-        first = scene.slice_maps[0].values
-        assert all(np.array_equal(m.values, first)
+        first = scene.slice_maps[0]
+        assert all(np.array_equal(m, first)
                    for m in scene.slice_maps[1:])
 
     def test_slice_maps_sum_to_one(self):
@@ -76,9 +75,10 @@ class TestGenerateScene:
         for trial in range(10):
             spec = synth.drift_spec(rng, 48, 32, n_objects=4, n_slices=5)
             scene = synth.generate_scene(spec, seed=trial)
+            assert scene.slice_maps.shape == (5, 32, 48)
+            assert scene.slice_maps.dtype == np.float64
             for m in scene.slice_maps:
-                assert m.normalization is Normalization.SUM_TO_ONE
-                assert abs(m.values.sum() - 1.0) <= 1e-9
+                assert abs(m.sum() - 1.0) <= 1e-9
 
     def test_left_right_drift_moves_centroid_right(self):
         objects = (synth.Blob(6.0, 16.0, 2.5, 1.0),
@@ -87,7 +87,7 @@ class TestGenerateScene:
         drift = tuple((1.0 - k / 4.0, k / 4.0) for k in range(5))
         spec = synth.SceneSpec(32, 32, objects, drift=drift)
         scene = synth.generate_scene(spec, seed=2)
-        xs = [centroid_oracle(m.values)[0] for m in scene.slice_maps]
+        xs = [centroid_oracle(m)[0] for m in scene.slice_maps]
         assert all(b > a for a, b in zip(xs, xs[1:]))
 
     def test_center_bias_share_grows_with_slice(self):
@@ -120,7 +120,7 @@ class TestGenerateScene:
             assert (scene.image == image).all()
             assert len(scene.slice_maps) == len(maps)
             for m, want in zip(scene.slice_maps, maps):
-                assert (m.values == want).all()
+                assert (m == want).all()
 
     def test_seed_determinism(self):
         spec = synth.SceneSpec(32, 32, (one_blob(),),
@@ -129,7 +129,7 @@ class TestGenerateScene:
         b = synth.generate_scene(spec, seed=9)
         c = synth.generate_scene(spec, seed=10)
         assert a.image.tobytes() == b.image.tobytes()
-        assert all(np.array_equal(x.values, y.values)
+        assert all(np.array_equal(x, y)
                    for x, y in zip(a.slice_maps, b.slice_maps))
         assert a.image.tobytes() != c.image.tobytes()
 
@@ -201,7 +201,7 @@ class TestSampleObservers:
                    for k in ("t_ms", "x", "y"))
         assert a.true_t_ms.tobytes() == b.true_t_ms.tobytes()
         assert a.true_slices.tolist() == b.true_slices.tolist()
-        assert all(x.values.tobytes() == y.values.tobytes()
+        assert all(x.tobytes() == y.tobytes()
                    for x, y in zip(a.slice_maps, b.slice_maps))
         assert a.gaze != c.gaze
 
@@ -252,12 +252,11 @@ class TestSampleObservers:
 
     def test_slice_maps_cover_every_slice(self):
         out = sample_default(self.scene)
-        assert len(out.slice_maps) == 5
+        assert out.slice_maps.shape == (5,) + out.full_map.shape
         for m in out.slice_maps:
-            assert m.normalization is Normalization.RAW
-            assert m.values.sum() > 0.0
-        assert out.full_map.values.sum() >= max(
-            m.values.sum() for m in out.slice_maps)
+            assert m.sum() > 0.0
+        assert out.full_map.sum() >= max(
+            m.sum() for m in out.slice_maps)
 
     def test_count_preconditions(self):
         with pytest.raises(ConfigError):

@@ -139,9 +139,11 @@ def _binary(op: str, a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
         raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} "
                                  f"do not broadcast") from exc
 
+    x, y = a.data, b.data  # not a, b: a Tensor in its tape is a cycle
+
     def pullback(g):
-        return (_unbroadcast(da(g, a.data, b.data), a.shape),
-                _unbroadcast(db(g, a.data, b.data), b.shape))
+        return (_unbroadcast(da(g, x, y), x.shape),
+                _unbroadcast(db(g, x, y), y.shape))
 
     return tape._record(op, (a.node_id, b.node_id), pullback, out)
 

@@ -10,7 +10,7 @@ Subcommands chain into each other through plain files:
                average and difference maps
     train      images + maps -> TSPW checkpoint (+ loss CSV)
     predict    checkpoint + images -> pred/s_r/, pred/s_i/, pred/t<k>/
-    tsal-eval  predictions vs ground truth + fixations -> metric CSV
+    eval       predictions vs ground truth + fixations -> metric CSV
 
 Exit codes: 0 success, 2 bad input or configuration, 3 numerically
 degenerate data. Errors print one line to stderr. Settings resolve as
@@ -72,7 +72,7 @@ from .gaze import (
 
 INPUT_ERRORS = (ConfigError, FormatError, PreconditionError,
                 ShapeMismatchError, UnrecoverableObserverError,
-                CheckpointError, GraphError, OSError)
+                CheckpointError, GraphError, OSError, UnicodeDecodeError)
 DEGENERATE_ERRORS = (DegenerateMapError, NonFiniteError)
 
 NORMALIZATION_NAMES = {"raw": Normalization.RAW,
@@ -171,27 +171,22 @@ def _write_map(maps_dir, kind: str, image_id: str, values: np.ndarray,
     write_map_tsal(_map_path(maps_dir, kind, image_id), values, normalization)
 
 
-def _read_map(maps_dir, kind: str, image_id: str) -> np.ndarray:
-    path = _map_path(maps_dir, kind, image_id)
-    if not path.exists():
-        raise PreconditionError(f"missing map {path}")
-    return read_map_tsal(path)
-
-
 def _read_stack(maps_dir, kinds: list[str], ids: list[str]) -> np.ndarray:
     """The maps ``<maps_dir>/<kind>/<id>.tsal`` as one float64
     ``(images, kinds, H, W)`` array; every map must have one size."""
     stack = None
     for i, image_id in enumerate(ids):
         for k, kind in enumerate(kinds):
-            values = _read_map(maps_dir, kind, image_id)
+            path = _map_path(maps_dir, kind, image_id)
+            if not path.exists():
+                raise PreconditionError(f"missing map {path}")
+            values = read_map_tsal(path)
             if stack is None:
                 stack = np.empty((len(ids), len(kinds)) + values.shape)
             elif values.shape != stack.shape[2:]:
                 (h, w), (eh, ew) = values.shape, stack.shape[2:]
                 raise PreconditionError(
-                    f"inconsistent map sizes: "
-                    f"{_map_path(maps_dir, kind, image_id)} is {w}x{h}, "
+                    f"inconsistent map sizes: {path} is {w}x{h}, "
                     f"expected {ew}x{eh}")
             stack[i, k] = values
     return stack
@@ -567,8 +562,21 @@ def cmd_predict(args) -> None:
 
 def cmd_eval(args) -> None:
     fixations, _ = read_fixation_table(args.fixations)
-    ids, rows = metrics.evaluate_directories(args.pred, args.gt, fixations,
-                                             seed=args.seed)
+    pred_files, gt_files = ({f for f in os.listdir(d) if f.endswith(".tsal")}
+                            for d in (args.pred, args.gt))
+    if pred_files != gt_files:
+        raise PreconditionError(
+            f"prediction/ground-truth directories disagree "
+            f"(only in pred: {sorted(pred_files - gt_files)}, "
+            f"only in gt: {sorted(gt_files - pred_files)})")
+    if not pred_files:
+        raise PreconditionError("no .tsal maps to evaluate")
+    ids = sorted(f[:-5] for f in pred_files)
+    gt = Path(args.gt)
+    truth = _read_stack(gt.parent, [gt.name], ids)[:, 0]
+    # one prediction in memory at a time
+    preds = (read_map_tsal(Path(args.pred) / f"{i}.tsal") for i in ids)
+    rows = metrics.evaluate(ids, truth, preds, fixations, seed=args.seed)
     atomic_write_text(args.out, metrics.metrics_csv(ids, rows))
     print(f"evaluated {len(ids)} images -> {args.out}")
 

@@ -509,11 +509,11 @@ def write_map_tsal(path: str, values: np.ndarray,
     if normalization is Normalization.SUM_TO_ONE:
         if abs(v.sum() - 1.0) > NORM_TOLERANCE:
             raise PreconditionError(
-                f"sum-normalized map sums to {v.sum()!r}, not 1")
+                f"sum-normalized map sums to {float(v.sum())!r}, not 1")
     elif normalization is Normalization.MAX_TO_ONE:
         if abs(v.max() - 1.0) > NORM_TOLERANCE:
             raise PreconditionError(
-                f"max-normalized map has max {v.max()!r}, not 1")
+                f"max-normalized map has max {float(v.max())!r}, not 1")
     atomic_write_bytes(path, serialize_map(v, normalization))
 
 
@@ -523,8 +523,11 @@ def write_signed_tsal(path: str, values: np.ndarray) -> None:
 
 
 def read_raw_tsal(path: str) -> tuple[np.ndarray, Normalization]:
-    with open(path, "rb") as fh:
-        return deserialize_map(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            return deserialize_map(fh.read())
+    except (FormatError, NonFiniteError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_map_tsal(path: str) -> np.ndarray:

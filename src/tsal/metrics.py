@@ -9,7 +9,6 @@ definition requires it, so callers may pass maps at any scale.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from .gaze import FixationTable, group_rows, nearest_pixels, read_map_tsal
+from .gaze import FixationTable, group_rows, nearest_pixels
 
 EPS = 1e-7
 
@@ -116,22 +115,23 @@ def auc_judd(p: np.ndarray, fixations: FixationTable) -> float:
 
 
 def sauc(p: np.ndarray, fixations: FixationTable,
-         negatives: FixationTable, seed: int = 0) -> float:
-    """Shuffled ROC area: false positives over negative fixation pixels
-    (fixations of other images), capped at 10x the positives by seeded
-    subsampling. Thresholds sweep every distinct value on either side,
-    which makes the trapezoid area equal the rank statistic
-    P(pos > neg) + 0.5 P(pos == neg) exactly."""
-    if not len(negatives):
+         negatives: tuple[np.ndarray, np.ndarray], seed: int = 0) -> float:
+    """Shuffled ROC area: false positives over the negative pixels
+    (rows, cols), those of other images' fixations, capped at 10x the
+    positives by seeded subsampling. Thresholds sweep every distinct
+    value on either side, which makes the trapezoid area equal the rank
+    statistic P(pos > neg) + 0.5 P(pos == neg) exactly."""
+    nrows, ncols = negatives
+    if not nrows.size:
         raise PreconditionError("sauc requires a non-empty negative set")
     prows, pcols = fixation_pixels(fixations, p.shape[1], p.shape[0])
-    nrows, ncols = fixation_pixels(negatives, p.shape[1], p.shape[0])
     pos = p[prows, pcols]
-    neg = p[nrows, ncols]
     cap = 10 * pos.size
-    if neg.size > cap:
+    if nrows.size > cap:
         rng = np.random.default_rng(seed)
-        neg = neg[rng.choice(neg.size, size=cap, replace=False)]
+        pick = rng.choice(nrows.size, size=cap, replace=False)
+        nrows, ncols = nrows[pick], ncols[pick]
+    neg = p[nrows, ncols]
     return _roc_auc(pos, neg, np.unique(np.concatenate((pos, neg))))
 
 
@@ -213,14 +213,14 @@ def kl_loss_node(pred: ad.Tensor, gt: ad.Tensor, eps: float = EPS) -> ad.Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Batch evaluation over map directories
+# Batch evaluation
 # ---------------------------------------------------------------------------
 
 METRIC_COLUMNS = ("cc", "kl", "nss", "auc_judd", "sauc", "sim", "ig")
 
 
-def evaluate_pair(pred: np.ndarray, gt: np.ndarray,
-                  fixations: FixationTable, negatives: FixationTable,
+def evaluate_pair(pred: np.ndarray, gt: np.ndarray, fixations: FixationTable,
+                  negatives: tuple[np.ndarray, np.ndarray],
                   baseline: np.ndarray, seed: int = 0) -> dict[str, float]:
     return {
         "cc": cc(pred, gt),
@@ -233,51 +233,36 @@ def evaluate_pair(pred: np.ndarray, gt: np.ndarray,
     }
 
 
-def evaluate_directories(pred_dir: str, gt_dir: str,
-                         fixations: FixationTable, seed: int = 0
-                         ) -> tuple[list[str], list[dict[str, float]]]:
-    """Score every map pair. Maps pair by file name (<image_id>.tsal);
-    negatives for one image are all other images' fixations; the
-    information-gain baseline is the mean ground-truth map.
-
-    Returns (image ids, per-image metric dicts) in sorted id order.
-    """
-    pred_files = {f for f in os.listdir(pred_dir) if f.endswith(".tsal")}
-    gt_files = {f for f in os.listdir(gt_dir) if f.endswith(".tsal")}
-    if pred_files != gt_files:
-        only_p = sorted(pred_files - gt_files)
-        only_g = sorted(gt_files - pred_files)
-        raise PreconditionError(
-            f"prediction/ground-truth directories disagree "
-            f"(only in pred: {only_p}, only in gt: {only_g})")
-    if not pred_files:
-        raise PreconditionError("no .tsal maps to evaluate")
-
-    image_ids = sorted(f[:-5] for f in pred_files)
+def evaluate(image_ids: list[str], gt: np.ndarray, preds,
+             fixations: FixationTable, seed: int = 0
+             ) -> list[dict[str, float]]:
+    """Per-image metric dicts in ``image_ids`` order, for the (images,
+    H, W) ground-truth stack ``gt`` and the prediction maps that
+    ``preds`` yields, both in that order. The information-gain baseline
+    is the mean ground-truth map. An image's sAUC negatives are the
+    fixations of every other image in the table, with a map or not."""
+    baseline = mean_map(list(gt))
     # images in order of first appearance; within one image the
     # fixations run observer by observer, in order of first appearance
     # (the nss and ig means and the seeded sauc subsample depend on it)
-    by_image: dict[str, list[int]] = {}
+    blocks: dict[str, list[int]] = {}
     for (image_id, _), rows in group_rows(
             zip(fixations.image_id, fixations.observer_id)).items():
-        by_image.setdefault(image_id, []).extend(rows.tolist())
-
-    gt_maps = {i: read_map_tsal(os.path.join(gt_dir, i + ".tsal"))
-               for i in image_ids}
-    baseline = mean_map([gt_maps[i] for i in image_ids])
-
-    rows = []
+        blocks.setdefault(image_id, []).extend(rows.tolist())
     for image_id in image_ids:
-        pred = read_map_tsal(os.path.join(pred_dir, image_id + ".tsal"))
-        if image_id not in by_image:
+        if image_id not in blocks:
             raise PreconditionError(f"no fixations for image {image_id!r}")
-        negatives = [i for other, fl in by_image.items() if other != image_id
-                     for i in fl]
-        rows.append(evaluate_pair(pred, gt_maps[image_id],
-                                  fixations.take(by_image[image_id]),
-                                  fixations.take(negatives), baseline,
-                                  seed=seed))
-    return image_ids, rows
+    # every pixel is looked up once; an image's positives are its own
+    # block of that order and its negatives the rest, in the same order
+    ordered = fixations.take([i for rows in blocks.values() for i in rows])
+    pool = nearest_pixels(ordered.x, ordered.y, gt.shape[2], gt.shape[1])
+    ends = np.cumsum([len(rows) for rows in blocks.values()])
+    own = {image_id: range(end - len(rows), end)
+           for (image_id, rows), end in zip(blocks.items(), ends)}
+    return [evaluate_pair(pred, truth, ordered.take(own[i]),
+                          tuple(np.delete(a, own[i]) for a in pool),
+                          baseline, seed=seed)
+            for i, truth, pred in zip(image_ids, gt, preds)]
 
 
 def metrics_csv(image_ids: list[str], rows: list[dict[str, float]]) -> str:

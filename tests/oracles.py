@@ -3,12 +3,15 @@
 Everything here is written the dumbest way that could possibly be
 correct: scalar Python loops, exhaustive enumeration, or a high-level
 formula evaluated directly. None of it shares code with the package
-under test, so agreement between the two is meaningful.
+under test, so agreement between the two is meaningful; the one
+exception, ``evaluate_directories_oracle``, is a slower loop over the
+package's own per-image scores.
 """
 
 import io
 import json
 import math
+import os
 
 import numpy as np
 
@@ -194,6 +197,41 @@ def ig_oracle(pred, baseline, fix_mask, eps=1e-7):
              for y in range(p.shape[0]) for x in range(p.shape[1])
              if fix_mask[y, x]]
     return sum(terms) / len(terms)
+
+
+def evaluate_directories_oracle(pred_dir, gt_dir, fixations, seed=0):
+    """The per-image eval loop over two map directories, scored with the
+    package's own metrics: for each image it rebuilds the negative set
+    as every other image's fixation rows and looks their pixels up
+    again. It is the reference for the pooled negatives of
+    ``metrics.evaluate``. Returns (image ids, per-image metric dicts)."""
+    from tsal import metrics
+    from tsal.gaze import group_rows, read_map_tsal
+
+    pred_files = {f for f in os.listdir(pred_dir) if f.endswith(".tsal")}
+    gt_files = {f for f in os.listdir(gt_dir) if f.endswith(".tsal")}
+    assert pred_files == gt_files and pred_files
+    image_ids = sorted(f[:-5] for f in pred_files)
+    by_image = {}
+    for (image_id, _), rows in group_rows(
+            zip(fixations.image_id, fixations.observer_id)).items():
+        by_image.setdefault(image_id, []).extend(rows.tolist())
+
+    gt_maps = {i: read_map_tsal(os.path.join(gt_dir, i + ".tsal"))
+               for i in image_ids}
+    baseline = metrics.mean_map([gt_maps[i] for i in image_ids])
+
+    rows = []
+    for image_id in image_ids:
+        pred = read_map_tsal(os.path.join(pred_dir, image_id + ".tsal"))
+        negatives = [i for other, fl in by_image.items() if other != image_id
+                     for i in fl]
+        rows.append(metrics.evaluate_pair(
+            pred, gt_maps[image_id], fixations.take(by_image[image_id]),
+            metrics.fixation_pixels(fixations.take(negatives),
+                                    pred.shape[1], pred.shape[0]),
+            baseline, seed=seed))
+    return image_ids, rows
 
 
 # ---------------------------------------------------------------------------

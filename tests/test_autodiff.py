@@ -1,6 +1,9 @@
 """Tape, ops, gradients, Adam, and checkpoint round-trips."""
 
+import gc
+import inspect
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -488,6 +491,59 @@ class TestBackward:
         grads = ad.backward(tape, loss)
         # only the direct factor contributes: d/dx (const * x) = const = 9
         assert np.isclose(grads[x.node_id], 9.0)
+
+
+def _nchw(tape):
+    return tape.param(np.linspace(0.1, 1.0, 16).reshape(1, 1, 4, 4), "x")
+
+
+# One recording of each public op on a tape.
+RECORD_ONE_OP = {
+    "add": lambda t: ad.add(_nchw(t), t.constant(1.0)),
+    "sub": lambda t: ad.sub(_nchw(t), t.constant(1.0)),
+    "mul": lambda t: ad.mul(_nchw(t), t.constant(2.0)),
+    "div": lambda t: ad.div(_nchw(t), t.constant(2.0)),
+    "log": lambda t: ad.log(_nchw(t)),
+    "sqrt": lambda t: ad.sqrt(_nchw(t)),
+    "relu": lambda t: ad.relu(_nchw(t)),
+    "sigmoid": lambda t: ad.sigmoid(_nchw(t)),
+    "reduce_sum": lambda t: ad.reduce_sum(_nchw(t)),
+    "reduce_mean": lambda t: ad.reduce_mean(_nchw(t), axis=(2, 3)),
+    "reduce_max": lambda t: ad.reduce_max(_nchw(t)),
+    "reduce_min": lambda t: ad.reduce_min(_nchw(t)),
+    "concat_channels": lambda t: ad.concat_channels([_nchw(t), _nchw(t)]),
+    "take_maps": lambda t: ad.take_maps(_nchw(t), np.array([0]),
+                                        np.array([0])),
+    "conv2d": lambda t: ad.conv2d(_nchw(t), t.param(np.ones((2, 1, 3, 3)),
+                                                    "k"),
+                                  t.param(np.zeros(2), "b")),
+    "resize_bilinear": lambda t: ad.resize_bilinear(_nchw(t), 3, 5),
+    "upsample_bilinear": lambda t: ad.upsample_bilinear(_nchw(t), 2),
+}
+
+
+class TestTapeLifetime:
+    def test_every_public_op_is_covered(self):
+        ops = {name for name, f in vars(ad).items()
+               if inspect.isfunction(f) and f.__module__ == ad.__name__
+               and not name.startswith("_")
+               and inspect.signature(f).return_annotation == "Tensor"}
+        assert ops == set(RECORD_ONE_OP)
+
+    @pytest.mark.parametrize("op", sorted(RECORD_ONE_OP))
+    def test_tape_is_freed_without_the_cycle_collector(self, op):
+        # reference counting alone must free a finished tape: a cycle
+        # through the tape would keep every activation alive until the
+        # cyclic collector happens to run
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            out = RECORD_ONE_OP[op](tape)
+            ref = weakref.ref(tape)
+            del tape, out
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestAdam:

@@ -173,6 +173,22 @@ class TestSurface:
         assert only_error_line(capsys).startswith(
             f"tsal: ConfigError: cannot read config file {cfg}: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--scene", "bad"),
+        ("timestamps", "--gaze", "bad", "--fixations", "in.csv"),
+        ("slice", "--fixations", "bad"),
+        ("eval", "--pred", ".", "--gt", ".", "--fixations", "bad")],
+        ids=["scene", "gaze", "fixations-slice", "fixations-eval"])
+    def test_undecodable_input_exits_two(self, tmp_path, monkeypatch, capsys,
+                                         argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad").write_bytes(b"\xff\n")
+        assert run(*argv, "--out", "out") == 2
+        assert only_error_line(capsys) == (
+            "tsal: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte")
+        assert not (tmp_path / "out").exists()
+
     def test_help_prints_usage_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("slice", "--help")
@@ -734,31 +750,30 @@ class TestMapStack:
                     mixed_sizes / "images", "--epochs", 1]
         assert run(*argv, "--out", out) == 2
         assert only_error_line(capsys) == (
-            f"tsal: FormatError: TSAL map has zero size {width}x{height}")
+            f"tsal: FormatError: {maps / 'full' / 'img001.tsal'}: "
+            f"TSAL map has zero size {width}x{height}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "analyze"])
+    @pytest.mark.parametrize("command", ["train", "analyze", "eval"])
     def test_mixed_sizes_exit_two(self, mixed_sizes, capsys, command):
         out = mixed_sizes / f"out_{command}"
-        argv = [command, "--maps", mixed_sizes / "maps", "--out", out]
+        argv = [command, "--out", out]
+        broken = mixed_sizes / "maps" / "t1" / "img001.tsal"
         if command == "train":
-            argv += ["--images", mixed_sizes / "images", "--epochs", 1]
+            argv += ["--maps", mixed_sizes / "maps",
+                     "--images", mixed_sizes / "images", "--epochs", 1]
+        elif command == "analyze":
+            argv += ["--maps", mixed_sizes / "maps",
+                     "--fixations", mixed_sizes / "fixations.csv"]
         else:
-            argv += ["--fixations", mixed_sizes / "fixations.csv"]
+            full = mixed_sizes / "full_mixed"
+            broken = full / "img001.tsal"
+            argv += ["--pred", full, "--gt", full,
+                     "--fixations", mixed_sizes / "fixations.csv"]
         assert run(*argv) == 2
-        assert only_error_line(capsys).startswith(
-            "tsal: PreconditionError: inconsistent map sizes: ")
-        assert not out.exists()
-
-    def test_eval_with_mixed_full_map_sizes_exits_two(self, mixed_sizes,
-                                                      capsys):
-        out = mixed_sizes / "metrics.csv"
-        full = mixed_sizes / "full_mixed"
-        assert run("eval", "--pred", full, "--gt", full,
-                   "--fixations", mixed_sizes / "fixations.csv",
-                   "--out", out) == 2
         assert only_error_line(capsys) == (
-            "tsal: ShapeMismatchError: maps disagree in size: 16x16 vs 32x32")
+            f"tsal: PreconditionError: inconsistent map sizes: {broken} is "
+            f"16x16, expected 32x32")
         assert not out.exists()
 
 

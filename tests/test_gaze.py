@@ -631,7 +631,7 @@ class TestMapContainer:
         gaze.write_map_tsal(tmp_path / "good.tsal", good,
                             gaze.Normalization.SUM_TO_ONE)
         with pytest.raises(PreconditionError,
-                           match=r"^sum-normalized map sums to \S*1\.01\)?, not 1$"):
+                           match=r"^sum-normalized map sums to 1\.01, not 1$"):
             gaze.write_map_tsal(tmp_path / "bad.tsal", good * 1.01,
                                 gaze.Normalization.SUM_TO_ONE)
         assert not (tmp_path / "bad.tsal").exists()
@@ -642,7 +642,7 @@ class TestMapContainer:
         gaze.write_map_tsal(tmp_path / "good.tsal", good,
                             gaze.Normalization.MAX_TO_ONE)
         with pytest.raises(PreconditionError,
-                           match=r"^max-normalized map has max \S*0\.9\)?, not 1$"):
+                           match=r"^max-normalized map has max 0\.9, not 1$"):
             gaze.write_map_tsal(tmp_path / "bad.tsal", good * 0.9,
                                 gaze.Normalization.MAX_TO_ONE)
         assert not (tmp_path / "bad.tsal").exists()

@@ -1,5 +1,6 @@
 """Metric scores vs scalar oracles, plus the differentiable loss nodes."""
 
+import csv
 import math
 
 import numpy as np
@@ -12,7 +13,13 @@ from tsal.errors import (
     PreconditionError,
     ShapeMismatchError,
 )
-from tsal.gaze import FixationTable, Normalization, write_map_tsal
+from tsal.cli import main
+from tsal.gaze import (
+    FixationTable,
+    Normalization,
+    write_fixations_csv,
+    write_map_tsal,
+)
 
 import oracles
 
@@ -206,19 +213,24 @@ class TestAUCJudd:
             metrics.auc_judd(np.eye(3), fixes())
 
 
+def pixels(m, table):
+    """Pixel indices of a fixation table on map m: sauc's negatives."""
+    return metrics.fixation_pixels(table, m.shape[1], m.shape[0])
+
+
 class TestSAUC:
     def test_identical_value_distributions_give_half(self):
         rng = np.random.default_rng(82)
         m = random_map(rng, 6, 6)
         table = fixes((1, 1), (3, 4))
-        negs = fixes((1, 1), (3, 4))  # same pixels: pure ties
+        negs = pixels(m, fixes((1, 1), (3, 4)))  # same pixels: pure ties
         assert metrics.sauc(m, table, negs) == pytest.approx(0.5)
 
     def test_perfect_separation(self):
         m = np.full((5, 5), 0.1)
         m[2, 2] = 1.0
-        assert metrics.sauc(m, fixes((2, 2)), fixes((0, 0), (4, 4))) == \
-            pytest.approx(1.0)
+        negs = pixels(m, fixes((0, 0), (4, 4)))
+        assert metrics.sauc(m, fixes((2, 2)), negs) == pytest.approx(1.0)
 
     def test_matches_rank_statistic_oracle(self):
         rng = np.random.default_rng(83)
@@ -232,17 +244,18 @@ class TestSAUC:
             nrow, ncol = metrics.fixation_pixels(negs, 7, 5)
             want = oracles.mann_whitney_auc(m[prow, pcol],
                                             m[nrow, ncol])
-            assert metrics.sauc(m, table, negs) == pytest.approx(want)
+            assert metrics.sauc(m, table, (nrow, ncol)) == \
+                pytest.approx(want)
 
     def test_bit_equal_to_scalar_sweep(self):
         rng = np.random.default_rng(86)
         for _ in range(300):
             m, table, negs = random_case(rng)
-            pos = m[metrics.fixation_pixels(table, m.shape[1], m.shape[0])]
-            neg = m[metrics.fixation_pixels(negs, m.shape[1], m.shape[0])]
-            if neg.size > 10 * pos.size:  # sauc subsamples; keep all here
-                negs = negs.take(np.arange(10 * pos.size))
-                neg = neg[:10 * pos.size]
+            pos = m[pixels(m, table)]
+            negs = pixels(m, negs)
+            if negs[0].size > 10 * pos.size:  # sauc subsamples; keep all here
+                negs = tuple(a[:10 * pos.size] for a in negs)
+            neg = m[negs]
             want = oracles.roc_sweep_oracle(pos.tolist(), neg.tolist(),
                                             pos.tolist() + neg.tolist())
             assert metrics.sauc(m, table, negs) == want
@@ -251,15 +264,17 @@ class TestSAUC:
         rng = np.random.default_rng(84)
         m = random_map(rng, 8, 8)
         table = fixes((4, 4))
-        negs = fixes(*[(int(rng.integers(0, 8)), int(rng.integers(0, 8)))
-                       for _ in range(40)])  # above the 10x cap
+        negs = pixels(m, fixes(*[(int(rng.integers(0, 8)),
+                                  int(rng.integers(0, 8)))
+                                 for _ in range(40)]))  # above the 10x cap
         a = metrics.sauc(m, table, negs, seed=7)
         b = metrics.sauc(m, table, negs, seed=7)
         assert a == b
 
     def test_empty_negatives_rejected(self):
         with pytest.raises(PreconditionError):
-            metrics.sauc(np.eye(3), fixes((1, 1)), fixes())
+            metrics.sauc(np.eye(3), fixes((1, 1)),
+                         (np.zeros(0, np.intp), np.zeros(0, np.intp)))
 
 
 class TestSIM:
@@ -453,57 +468,108 @@ class TestLossNodes:
                                  tape.constant(np.stack([zero.data, varied.data])))
 
 
-class TestBatchEvaluation:
-    def _write_dataset(self, tmp_path, rng, n_images=3, w=8, h=6):
-        pred_dir = tmp_path / "pred"
-        gt_dir = tmp_path / "gt"
-        pred_dir.mkdir()
-        gt_dir.mkdir()
-        rows = []
-        for i in range(n_images):
-            image_id = f"img{i}"
+def write_eval_tree(root, rng, n_images=3, w=8, h=6, observers=1,
+                    fixations_per_view=3, ghosts=0, shuffle=False):
+    """Prediction and ground-truth map directories (root/pred,
+    root/gt) for images img0.., and root/fixations.csv: each observer
+    sees each image ``fixations_per_view`` times, ``ghosts`` more images
+    have fixations but no maps, and ``shuffle`` interleaves the rows.
+    Returns the fixation table."""
+    rows = []
+    for i in range(n_images + ghosts):
+        image_id = f"img{i}" if i < n_images else f"ghost{i}"
+        for d in ("pred", "gt") if i < n_images else ():
             v = rng.uniform(0.01, 1.0, size=(h, w))
-            m = v / v.sum()
-            for d in (gt_dir, pred_dir):
-                write_map_tsal(str(d / f"{image_id}.tsal"), m,
-                               Normalization.SUM_TO_ONE)
-            for k in range(3):
-                rows.append((image_id, "obs0", k, float(rng.integers(0, w)),
-                             float(rng.integers(0, h))))
-        return str(pred_dir), str(gt_dir), FixationTable(*zip(*rows))
+            write_map_tsal(root / d / f"{image_id}.tsal", v / v.sum(),
+                           Normalization.SUM_TO_ONE)
+        for o in range(observers):
+            for k in range(fixations_per_view):
+                rows.append((image_id, f"obs{o}", k,
+                             float(rng.uniform(0, w)),
+                             float(rng.uniform(0, h))))
+    if shuffle:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    table = FixationTable(*zip(*rows))
+    write_fixations_csv(root / "fixations.csv", table)
+    return table
+
+
+def run_eval(root, pred="pred", *argv) -> int:
+    return main(["eval", "--pred", str(root / pred), "--gt", str(root / "gt"),
+                 "--fixations", str(root / "fixations.csv"),
+                 "--out", str(root / "metrics.csv"), *map(str, argv)])
+
+
+class TestBatchEvaluation:
+    """``tsal eval`` over map directories, and ``metrics.evaluate``."""
 
     def test_self_evaluation(self, tmp_path):
         rng = np.random.default_rng(95)
-        pred_dir, gt_dir, fixations = self._write_dataset(tmp_path, rng)
-        ids, rows = metrics.evaluate_directories(pred_dir, gt_dir, fixations)
-        assert ids == ["img0", "img1", "img2"]
+        write_eval_tree(tmp_path, rng)
+        assert run_eval(tmp_path, "gt") == 0
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))[:-1]
+        assert [row["image_id"] for row in rows] == ["img0", "img1", "img2"]
         for row in rows:
-            assert row["cc"] == pytest.approx(1.0)
-            assert row["kl"] < 1e-6
-            assert row["sim"] == pytest.approx(1.0, abs=1e-6)
+            assert float(row["cc"]) == pytest.approx(1.0)
+            assert float(row["kl"]) < 1e-6
+            assert float(row["sim"]) == pytest.approx(1.0, abs=1e-6)
 
     def test_csv_rendering(self, tmp_path):
         rng = np.random.default_rng(96)
-        pred_dir, gt_dir, fixations = self._write_dataset(tmp_path, rng)
-        ids, rows = metrics.evaluate_directories(pred_dir, gt_dir, fixations)
-        text = metrics.metrics_csv(ids, rows)
-        lines = text.strip().split("\n")
+        write_eval_tree(tmp_path, rng)
+        assert run_eval(tmp_path) == 0
+        lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "image_id,cc,kl,nss,auc_judd,sauc,sim,ig"
-        assert len(lines) == 1 + len(ids) + 1
+        assert len(lines) == 1 + 3 + 1
         assert lines[-1].startswith("mean,")
 
-    def test_mismatched_directories_rejected(self, tmp_path):
+    def test_mismatched_directories_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(97)
-        pred_dir, gt_dir, fixations = self._write_dataset(tmp_path, rng)
-        extra = np.ones((2, 2))
-        write_map_tsal(str(tmp_path / "pred" / "extra.tsal"), extra)
-        with pytest.raises(PreconditionError):
-            metrics.evaluate_directories(pred_dir, gt_dir, fixations)
+        write_eval_tree(tmp_path, rng)
+        write_map_tsal(tmp_path / "pred" / "extra.tsal", np.ones((2, 2)))
+        assert run_eval(tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "tsal: PreconditionError: prediction/ground-truth directories "
+            "disagree (only in pred: ['extra.tsal'], only in gt: [])\n")
 
-    def test_missing_fixations_rejected(self, tmp_path):
+    def test_missing_fixations_rejected(self):
         rng = np.random.default_rng(98)
-        pred_dir, gt_dir, fixations = self._write_dataset(tmp_path, rng)
-        kept = fixations.take([i for i, image_id in enumerate(
-            fixations.image_id) if image_id != "img1"])
-        with pytest.raises(PreconditionError):
-            metrics.evaluate_directories(pred_dir, gt_dir, kept)
+        maps = rng.uniform(0.01, 1.0, size=(3, 6, 8))
+        kept = FixationTable(("img0", "img2"), ("obs0",) * 2, range(2),
+                             (1.0, 2.0), (1.0, 3.0))
+        with pytest.raises(PreconditionError,
+                           match="^no fixations for image 'img1'$"):
+            metrics.evaluate(["img0", "img1", "img2"], maps, iter(maps),
+                             kept)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pooled_negatives_match_the_per_image_loop(self, tmp_path,
+                                                       seed):
+        rng = np.random.default_rng(500 + seed)
+        table = write_eval_tree(tmp_path, rng, n_images=12, w=10, h=7,
+                                observers=3, fixations_per_view=2,
+                                ghosts=2, shuffle=True)
+        # observers interleave, and the negatives exceed sauc's 10x cap
+        assert len(set(table.observer_id[:3])) > 1
+        assert len(table) - 6 > 10 * 6
+        assert run_eval(tmp_path, "pred", "--seed", seed) == 0
+        want = metrics.metrics_csv(*oracles.evaluate_directories_oracle(
+            tmp_path / "pred", tmp_path / "gt", table, seed=seed))
+        assert (tmp_path / "metrics.csv").read_text() == want
+
+    def test_each_fixation_is_looked_up_a_bounded_number_of_times(
+            self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(99)
+        table = write_eval_tree(tmp_path, rng, n_images=12, observers=2)
+        looked_up = []
+        lookup = metrics.fixation_pixels
+
+        def counted(fixations, width, height):
+            looked_up.append(len(fixations))
+            return lookup(fixations, width, height)
+
+        monkeypatch.setattr(metrics, "fixation_pixels", counted)
+        assert run_eval(tmp_path) == 0
+        # nss, auc_judd, sauc and ig each look up an image's own rows
+        assert sum(looked_up) <= 5 * len(table)

@@ -8,6 +8,7 @@ definition requires it, so callers may pass maps at any scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from .errors import (
 from .gaze import FixationTable, group_rows, nearest_pixels
 
 EPS = 1e-7
+
+Pixels = tuple[np.ndarray, np.ndarray]  # fixations as (rows, cols) indices
 
 
 def _paired(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,11 +50,16 @@ def usable_maps(maps: np.ndarray) -> np.ndarray:
 
 
 def fixation_pixels(fixations: FixationTable, width: int, height: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    ) -> Pixels:
     """Nearest-pixel indices (rows, cols) for each fixation, in order."""
-    if not len(fixations):
-        raise PreconditionError("at least one fixation required")
     return nearest_pixels(fixations.x, fixations.y, width, height)
+
+
+def _fixated(p: np.ndarray, fixated: Pixels) -> np.ndarray:
+    """The values of p at the fixated pixels, in order."""
+    if not fixated[0].size:
+        raise PreconditionError("at least one fixation required")
+    return p[fixated]
 
 
 def cc(p: np.ndarray, g: np.ndarray) -> float:
@@ -74,14 +82,13 @@ def kl(p: np.ndarray, g: np.ndarray, eps: float = EPS) -> float:
     return float((gn * np.log(gn / (pn + eps) + eps)).sum())
 
 
-def nss(p: np.ndarray, fixations: FixationTable) -> float:
+def nss(p: np.ndarray, fixated: Pixels) -> float:
     """Mean standardized saliency at the fixated pixels."""
-    rows, cols = fixation_pixels(fixations, p.shape[1], p.shape[0])
+    values = _fixated(p, fixated)
     sigma = p.std()
     if sigma == 0.0:
         raise DegenerateMapError("nss is undefined for a constant map")
-    z = (p - p.mean()) / sigma
-    return float(z[rows, cols].mean())
+    return float(((values - p.mean()) / sigma).mean())
 
 
 def _roc_auc(pos: np.ndarray, neg: np.ndarray,
@@ -101,37 +108,34 @@ def _roc_auc(pos: np.ndarray, neg: np.ndarray,
     return float(np.cumsum(terms)[-1])
 
 
-def auc_judd(p: np.ndarray, fixations: FixationTable) -> float:
+def auc_judd(p: np.ndarray, fixated: Pixels) -> float:
     """ROC area with thresholds at the distinct fixated saliency values;
     false positives counted over non-fixated pixels."""
-    rows, cols = fixation_pixels(fixations, p.shape[1], p.shape[0])
-    pos = p[rows, cols]
+    pos = _fixated(p, fixated)
     mask = np.zeros(p.shape, dtype=bool)
-    mask[rows, cols] = True
+    mask[fixated] = True
     neg = p[~mask]
     if neg.size == 0:
         raise PreconditionError("every pixel is fixated; no negatives left")
     return _roc_auc(pos, neg, np.unique(pos))
 
 
-def sauc(p: np.ndarray, fixations: FixationTable,
-         negatives: tuple[np.ndarray, np.ndarray], seed: int = 0) -> float:
-    """Shuffled ROC area: false positives over the negative pixels
-    (rows, cols), those of other images' fixations, capped at 10x the
+def sauc(p: np.ndarray, fixated: Pixels, negatives: Pixels,
+         seed: int = 0) -> float:
+    """Shuffled ROC area: false positives over the negative pixels,
+    those of other images' fixations, capped at 10x the
     positives by seeded subsampling. Thresholds sweep every distinct
     value on either side, which makes the trapezoid area equal the rank
     statistic P(pos > neg) + 0.5 P(pos == neg) exactly."""
-    nrows, ncols = negatives
-    if not nrows.size:
+    if not negatives[0].size:
         raise PreconditionError("sauc requires a non-empty negative set")
-    prows, pcols = fixation_pixels(fixations, p.shape[1], p.shape[0])
-    pos = p[prows, pcols]
+    pos = _fixated(p, fixated)
     cap = 10 * pos.size
-    if nrows.size > cap:
+    if negatives[0].size > cap:
         rng = np.random.default_rng(seed)
-        pick = rng.choice(nrows.size, size=cap, replace=False)
-        nrows, ncols = nrows[pick], ncols[pick]
-    neg = p[nrows, ncols]
+        pick = rng.choice(negatives[0].size, size=cap, replace=False)
+        negatives = tuple(a[pick] for a in negatives)
+    neg = p[negatives]
     return _roc_auc(pos, neg, np.unique(np.concatenate((pos, neg))))
 
 
@@ -143,14 +147,13 @@ def sim(p: np.ndarray, g: np.ndarray) -> float:
     return float(np.minimum(pn, gn).sum())
 
 
-def ig(p: np.ndarray, baseline: np.ndarray, fixations: FixationTable,
+def ig(p: np.ndarray, baseline: np.ndarray, fixated: Pixels,
        eps: float = EPS) -> float:
     """Information gain in bits over a baseline at the fixated pixels."""
     pv, bv = _paired(p, baseline)
     pn = _sum_normalized(pv, "prediction map").reshape(p.shape)
     bn = _sum_normalized(bv, "baseline map").reshape(p.shape)
-    rows, cols = fixation_pixels(fixations, p.shape[1], p.shape[0])
-    gain = np.log2(pn[rows, cols] + eps) - np.log2(bn[rows, cols] + eps)
+    gain = np.log2(_fixated(pn, fixated) + eps) - np.log2(bn[fixated] + eps)
     return float(gain.mean())
 
 
@@ -219,17 +222,17 @@ def kl_loss_node(pred: ad.Tensor, gt: ad.Tensor, eps: float = EPS) -> ad.Tensor:
 METRIC_COLUMNS = ("cc", "kl", "nss", "auc_judd", "sauc", "sim", "ig")
 
 
-def evaluate_pair(pred: np.ndarray, gt: np.ndarray, fixations: FixationTable,
-                  negatives: tuple[np.ndarray, np.ndarray],
-                  baseline: np.ndarray, seed: int = 0) -> dict[str, float]:
+def evaluate_pair(pred: np.ndarray, gt: np.ndarray, fixated: Pixels,
+                  negatives: Pixels, baseline: np.ndarray,
+                  seed: int = 0) -> dict[str, float]:
     return {
         "cc": cc(pred, gt),
         "kl": kl(pred, gt),
-        "nss": nss(pred, fixations),
-        "auc_judd": auc_judd(pred, fixations),
-        "sauc": sauc(pred, fixations, negatives, seed=seed),
+        "nss": nss(pred, fixated),
+        "auc_judd": auc_judd(pred, fixated),
+        "sauc": sauc(pred, fixated, negatives, seed=seed),
         "sim": sim(pred, gt),
-        "ig": ig(pred, baseline, fixations),
+        "ig": ig(pred, baseline, fixated),
     }
 
 
@@ -252,17 +255,24 @@ def evaluate(image_ids: list[str], gt: np.ndarray, preds,
     for image_id in image_ids:
         if image_id not in blocks:
             raise PreconditionError(f"no fixations for image {image_id!r}")
-    # every pixel is looked up once; an image's positives are its own
-    # block of that order and its negatives the rest, in the same order
-    ordered = fixations.take([i for rows in blocks.values() for i in rows])
-    pool = nearest_pixels(ordered.x, ordered.y, gt.shape[2], gt.shape[1])
-    ends = np.cumsum([len(rows) for rows in blocks.values()])
-    own = {image_id: range(end - len(rows), end)
-           for (image_id, rows), end in zip(blocks.items(), ends)}
-    return [evaluate_pair(pred, truth, ordered.take(own[i]),
+    order: list[int] = []
+    own: dict[str, slice] = {}
+    for image_id, rows in blocks.items():
+        own[image_id] = slice(len(order), len(order) + len(rows))
+        order.extend(rows)
+    # a first prediction of the wrong size fails before any fixation
+    preds = iter(preds)
+    first = next(preds)
+    _paired(first, gt[0])
+    # every fixation's pixel is looked up once; an image's positives are
+    # its own block of the order and its negatives the rest, in order
+    pool = tuple(a[order] for a in
+                 fixation_pixels(fixations, gt.shape[2], gt.shape[1]))
+    return [evaluate_pair(pred, truth, tuple(a[own[i]] for a in pool),
                           tuple(np.delete(a, own[i]) for a in pool),
                           baseline, seed=seed)
-            for i, truth, pred in zip(image_ids, gt, preds)]
+            for i, truth, pred in zip(image_ids, gt,
+                                      itertools.chain([first], preds))]
 
 
 def metrics_csv(image_ids: list[str], rows: list[dict[str, float]]) -> str:

@@ -226,10 +226,11 @@ def evaluate_directories_oracle(pred_dir, gt_dir, fixations, seed=0):
         pred = read_map_tsal(os.path.join(pred_dir, image_id + ".tsal"))
         negatives = [i for other, fl in by_image.items() if other != image_id
                      for i in fl]
+        w, h = pred.shape[1], pred.shape[0]
         rows.append(metrics.evaluate_pair(
-            pred, gt_maps[image_id], fixations.take(by_image[image_id]),
-            metrics.fixation_pixels(fixations.take(negatives),
-                                    pred.shape[1], pred.shape[0]),
+            pred, gt_maps[image_id],
+            metrics.fixation_pixels(fixations.take(by_image[image_id]), w, h),
+            metrics.fixation_pixels(fixations.take(negatives), w, h),
             baseline, seed=seed))
     return image_ids, rows
 

@@ -70,19 +70,20 @@ class TestCriterion1:
             neg = fixes([(int(c % w), int(c // w)) for c in flat[npos:]])
             mask = np.zeros((h, w), dtype=bool)
             mask[pos.y.astype(int), pos.x.astype(int)] = True
+            prow, pcol = metrics.fixation_pixels(pos, w, h)
+            nrow, ncol = metrics.fixation_pixels(neg, w, h)
 
             diffs = [
                 abs(metrics.cc(p, g) - oracles.cc_oracle(p, g)),
                 abs(metrics.kl(p, g) - oracles.kl_oracle(p, g)),
-                abs(metrics.nss(p, pos) - oracles.nss_oracle(p, mask)),
-                abs(metrics.auc_judd(p, pos)
+                abs(metrics.nss(p, (prow, pcol))
+                    - oracles.nss_oracle(p, mask)),
+                abs(metrics.auc_judd(p, (prow, pcol))
                     - oracles.auc_judd_oracle(p, mask)),
                 abs(metrics.sim(p, g)
                     - oracles.sim_oracle(p, g)),
             ]
-            prow, pcol = metrics.fixation_pixels(pos, w, h)
-            nrow, ncol = metrics.fixation_pixels(neg, w, h)
-            diffs.append(abs(metrics.sauc(p, pos, (nrow, ncol))
+            diffs.append(abs(metrics.sauc(p, (prow, pcol), (nrow, ncol))
                              - oracles.mann_whitney_auc(
                                  p[prow, pcol],
                                  p[nrow, ncol])))
@@ -91,7 +92,7 @@ class TestCriterion1:
             want_ig = float(np.mean(
                 [math.log2(pn[r, c] + 1e-7) - math.log2(gn[r, c] + 1e-7)
                  for r, c in zip(prow, pcol)]))
-            diffs.append(abs(metrics.ig(p, g, pos) - want_ig))
+            diffs.append(abs(metrics.ig(p, g, (prow, pcol)) - want_ig))
             worst = max(worst, *diffs)
 
         ident = 0.0
@@ -100,7 +101,9 @@ class TestCriterion1:
             h = int(rng.integers(2, 9))
             w = int(rng.integers(2, 9))
             m = rng.uniform(0.01, 1.0, size=(h, w))
-            point = fixes([(int(rng.integers(0, w)), int(rng.integers(0, h)))])
+            point = metrics.fixation_pixels(
+                fixes([(int(rng.integers(0, w)), int(rng.integers(0, h)))]),
+                w, h)
             ident = max(ident,
                         abs(metrics.cc(m, m) - 1.0),
                         abs(metrics.sim(m, m) - 1.0),

@@ -112,15 +112,25 @@ class TestKL:
             metrics.kl(zero, one)
 
 
+def pixels(m, table):
+    """Pixel indices (rows, cols) of a fixation table on map m, the form
+    the per-fixation metrics take."""
+    return metrics.fixation_pixels(table, m.shape[1], m.shape[0])
+
+
+NO_PIXELS = (np.zeros(0, np.intp), np.zeros(0, np.intp))
+
+
 class TestNSS:
     def test_two_level_map_gives_exactly_one(self):
         # values {0, 2} half and half: mean 1, std 1, z at the 2-pixel is 1
         m = np.array([[0.0, 2.0]])
-        assert metrics.nss(m, fixes((1, 0))) == pytest.approx(1.0)
+        assert metrics.nss(m, pixels(m, fixes((1, 0)))) == \
+            pytest.approx(1.0)
 
     def test_fixation_at_minimum_is_negative(self):
         m = np.array([[0.0, 1.0], [1.0, 1.0]])
-        assert metrics.nss(m, fixes((0, 0))) < 0.0
+        assert metrics.nss(m, pixels(m, fixes((0, 0)))) < 0.0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(78)
@@ -128,24 +138,25 @@ class TestNSS:
         table = fixes((1, 2), (5, 7), (3, 3))
         mask = np.zeros((8, 8), dtype=bool)
         mask[2, 1] = mask[7, 5] = mask[3, 3] = True
-        assert metrics.nss(m, table) == pytest.approx(
+        assert metrics.nss(m, pixels(m, table)) == pytest.approx(
             oracles.nss_oracle(m, mask))
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(79)
         m = random_map(rng, 6, 6)
         table = fixes((2, 2), (4, 1))
+        fixated = pixels(m, table)
         shifted = 2.5 * m + 1.0
-        assert metrics.nss(shifted, table) == pytest.approx(
-            metrics.nss(m, table))
+        assert metrics.nss(shifted, fixated) == pytest.approx(
+            metrics.nss(m, fixated))
 
     def test_constant_map_rejected(self):
         with pytest.raises(DegenerateMapError):
-            metrics.nss(np.full((3, 3), 0.7), fixes((1, 1)))
+            metrics.nss(np.full((3, 3), 0.7), (np.array([1]), np.array([1])))
 
     def test_empty_fixations_rejected(self):
         with pytest.raises(PreconditionError):
-            metrics.nss(np.eye(3), fixes())
+            metrics.nss(np.eye(3), NO_PIXELS)
 
 
 def random_case(rng):
@@ -168,11 +179,13 @@ class TestAUCJudd:
     def test_perfect_separation(self):
         m = np.full((4, 4), 0.2)
         m[1, 2] = 1.0
-        assert metrics.auc_judd(m, fixes((2, 1))) == pytest.approx(1.0)
+        assert metrics.auc_judd(m, pixels(m, fixes((2, 1)))) == \
+            pytest.approx(1.0)
 
     def test_constant_map_is_chance(self):
         m = np.full((4, 4), 0.3)
-        assert metrics.auc_judd(m, fixes((1, 1))) == pytest.approx(0.5)
+        assert metrics.auc_judd(m, pixels(m, fixes((1, 1)))) == \
+            pytest.approx(0.5)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(80)
@@ -184,7 +197,7 @@ class TestAUCJudd:
             mask = np.zeros((6, 6), dtype=bool)
             for x, y in pts:
                 mask[y, x] = True
-            assert metrics.auc_judd(m, table) == pytest.approx(
+            assert metrics.auc_judd(m, pixels(m, table)) == pytest.approx(
                 oracles.auc_judd_oracle(m, mask))
 
     def test_bit_equal_to_scalar_sweep(self):
@@ -198,24 +211,20 @@ class TestAUCJudd:
                 continue
             pos = m[rows, cols].tolist()
             want = oracles.roc_sweep_oracle(pos, m[~mask].tolist(), pos)
-            assert metrics.auc_judd(m, table) == want
+            assert metrics.auc_judd(m, (rows, cols)) == want
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(81)
         m = random_map(rng, 6, 6)
         table = fixes((1, 1), (4, 2))
+        fixated = pixels(m, table)
         warped = np.exp(3.0 * m)
-        assert metrics.auc_judd(warped, table) == pytest.approx(
-            metrics.auc_judd(m, table))
+        assert metrics.auc_judd(warped, fixated) == pytest.approx(
+            metrics.auc_judd(m, fixated))
 
     def test_empty_fixations_rejected(self):
         with pytest.raises(PreconditionError):
-            metrics.auc_judd(np.eye(3), fixes())
-
-
-def pixels(m, table):
-    """Pixel indices of a fixation table on map m: sauc's negatives."""
-    return metrics.fixation_pixels(table, m.shape[1], m.shape[0])
+            metrics.auc_judd(np.eye(3), NO_PIXELS)
 
 
 class TestSAUC:
@@ -224,13 +233,14 @@ class TestSAUC:
         m = random_map(rng, 6, 6)
         table = fixes((1, 1), (3, 4))
         negs = pixels(m, fixes((1, 1), (3, 4)))  # same pixels: pure ties
-        assert metrics.sauc(m, table, negs) == pytest.approx(0.5)
+        assert metrics.sauc(m, pixels(m, table), negs) == pytest.approx(0.5)
 
     def test_perfect_separation(self):
         m = np.full((5, 5), 0.1)
         m[2, 2] = 1.0
         negs = pixels(m, fixes((0, 0), (4, 4)))
-        assert metrics.sauc(m, fixes((2, 2)), negs) == pytest.approx(1.0)
+        assert metrics.sauc(m, pixels(m, fixes((2, 2))), negs) == \
+            pytest.approx(1.0)
 
     def test_matches_rank_statistic_oracle(self):
         rng = np.random.default_rng(83)
@@ -244,21 +254,22 @@ class TestSAUC:
             nrow, ncol = metrics.fixation_pixels(negs, 7, 5)
             want = oracles.mann_whitney_auc(m[prow, pcol],
                                             m[nrow, ncol])
-            assert metrics.sauc(m, table, (nrow, ncol)) == \
+            assert metrics.sauc(m, (prow, pcol), (nrow, ncol)) == \
                 pytest.approx(want)
 
     def test_bit_equal_to_scalar_sweep(self):
         rng = np.random.default_rng(86)
         for _ in range(300):
             m, table, negs = random_case(rng)
-            pos = m[pixels(m, table)]
+            fixated = pixels(m, table)
+            pos = m[fixated]
             negs = pixels(m, negs)
             if negs[0].size > 10 * pos.size:  # sauc subsamples; keep all here
                 negs = tuple(a[:10 * pos.size] for a in negs)
             neg = m[negs]
             want = oracles.roc_sweep_oracle(pos.tolist(), neg.tolist(),
                                             pos.tolist() + neg.tolist())
-            assert metrics.sauc(m, table, negs) == want
+            assert metrics.sauc(m, fixated, negs) == want
 
     def test_subsampling_is_seeded(self):
         rng = np.random.default_rng(84)
@@ -267,14 +278,14 @@ class TestSAUC:
         negs = pixels(m, fixes(*[(int(rng.integers(0, 8)),
                                   int(rng.integers(0, 8)))
                                  for _ in range(40)]))  # above the 10x cap
-        a = metrics.sauc(m, table, negs, seed=7)
-        b = metrics.sauc(m, table, negs, seed=7)
+        a = metrics.sauc(m, pixels(m, table), negs, seed=7)
+        b = metrics.sauc(m, pixels(m, table), negs, seed=7)
         assert a == b
 
     def test_empty_negatives_rejected(self):
         with pytest.raises(PreconditionError):
-            metrics.sauc(np.eye(3), fixes((1, 1)),
-                         (np.zeros(0, np.intp), np.zeros(0, np.intp)))
+            metrics.sauc(np.eye(3), (np.array([1]), np.array([1])),
+                         NO_PIXELS)
 
 
 class TestSIM:
@@ -307,14 +318,14 @@ class TestIG:
     def test_prediction_equals_baseline_is_zero(self):
         rng = np.random.default_rng(87)
         m = random_map(rng, 5, 5)
-        assert metrics.ig(m, m, fixes((2, 2))) == 0.0
+        assert metrics.ig(m, m, pixels(m, fixes((2, 2)))) == 0.0
 
     def test_doubled_mass_is_about_one_bit(self):
         n = 16
         baseline = np.full((4, 4), 1.0 / n)
         pred = np.full((4, 4), (1.0 - 2.0 / n) / (n - 1))
         pred[1, 1] = 2.0 / n
-        got = metrics.ig(pred, baseline, fixes((1, 1)))
+        got = metrics.ig(pred, baseline, pixels(pred, fixes((1, 1))))
         assert got == pytest.approx(1.0, abs=1e-4)
 
     def test_matches_scalar_oracle(self):
@@ -330,13 +341,13 @@ class TestIG:
         bn = b / b.sum()
         want = np.mean([math.log2(pn[r, c] + 1e-7) - math.log2(bn[r, c] + 1e-7)
                         for r, c in zip(rows, cols)])
-        assert metrics.ig(p, b, table) == pytest.approx(want)
+        assert metrics.ig(p, b, (rows, cols)) == pytest.approx(want)
 
     def test_empty_fixations_rejected(self):
         rng = np.random.default_rng(89)
         m = random_map(rng, 4, 4)
         with pytest.raises(PreconditionError):
-            metrics.ig(m, m, fixes())
+            metrics.ig(m, m, NO_PIXELS)
 
 
 class TestBaselines:
@@ -558,6 +569,18 @@ class TestBatchEvaluation:
             tmp_path / "pred", tmp_path / "gt", table, seed=seed))
         assert (tmp_path / "metrics.csv").read_text() == want
 
+    def test_wrong_size_prediction_is_reported_before_the_fixations(self):
+        rng = np.random.default_rng(100)
+        maps = rng.uniform(0.01, 1.0, size=(2, 6, 8))
+        big = rng.uniform(0.01, 1.0, size=(12, 16))
+        # (10, 9) is outside the 8x6 ground truth but inside the prediction
+        table = FixationTable(("img0", "img1"), ("obs0",) * 2, range(2),
+                              (10.0, 2.0), (9.0, 3.0))
+        with pytest.raises(ShapeMismatchError,
+                           match="^maps disagree in size: 16x12 vs 8x6$"):
+            metrics.evaluate(["img0", "img1"], maps, iter([big, maps[1]]),
+                             table)
+
     def test_each_fixation_is_looked_up_a_bounded_number_of_times(
             self, tmp_path, monkeypatch):
         rng = np.random.default_rng(99)
@@ -571,5 +594,5 @@ class TestBatchEvaluation:
 
         monkeypatch.setattr(metrics, "fixation_pixels", counted)
         assert run_eval(tmp_path) == 0
-        # nss, auc_judd, sauc and ig each look up an image's own rows
-        assert sum(looked_up) <= 5 * len(table)
+        # one lookup of every row; the metrics take its pixels
+        assert looked_up == [len(table)]

@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
 )
+from .fileio import atomic_write_bytes, reading
 
 
 class Tensor:
@@ -590,10 +591,9 @@ def deserialize_params(blob: bytes) -> dict[str, np.ndarray]:
 
 
 def save_params(path: str, params: dict[str, np.ndarray]) -> None:
-    from .fileio import atomic_write_bytes
     atomic_write_bytes(path, serialize_params(params))
 
 
 def load_params(path: str) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
+    with reading(path, binary=True) as fh:
         return deserialize_params(fh.read())

@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatchError,
     UnrecoverableObserverError,
 )
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, atomic_write_text, reading
 from .gaze import (
     FixationTable,
     GazeTable,
@@ -72,7 +72,7 @@ from .gaze import (
 
 INPUT_ERRORS = (ConfigError, FormatError, PreconditionError,
                 ShapeMismatchError, UnrecoverableObserverError,
-                CheckpointError, GraphError, OSError, UnicodeDecodeError)
+                CheckpointError, GraphError, OSError)
 DEGENERATE_ERRORS = (DegenerateMapError, NonFiniteError)
 
 NORMALIZATION_NAMES = {"raw": Normalization.RAW,
@@ -100,22 +100,19 @@ def _finite_float(text: str) -> float:
 def _config_flags(path: str, settable: set[str]) -> list[str]:
     """A key=value config file's entries as ``--key=value`` flags (the
     ``=`` form keeps a value such as ``-5`` from reading as a flag)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        entries[key.strip().replace("-", "_")] = value.strip()
-    unknown = sorted(set(entries) - settable)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    with reading(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            entries[key.strip().replace("-", "_")] = value.strip()
+        unknown = sorted(set(entries) - settable)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return [f"--{key.replace('_', '-')}={value}"
             for key, value in entries.items()]
 
@@ -138,28 +135,23 @@ def _save_npy(path: Path, arr: np.ndarray) -> None:
 
 
 def _load_image(path: Path) -> np.ndarray:
-    try:
-        arr = np.load(path)
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"cannot read image {path}: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[0] != 3:
-        raise FormatError(
-            f"{path}: expected a (3, H, W) array, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise FormatError(f"{path}: image contains non-finite values")
+    with reading(path, binary=True) as fh:
+        try:
+            arr = np.load(fh)
+        except (EOFError, ValueError) as exc:
+            raise FormatError(f"not a .npy array: {exc}") from exc
+        if arr.ndim != 3 or arr.shape[0] != 3:
+            raise FormatError(f"expected a (3, H, W) array, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise FormatError("image contains non-finite values")
     return arr.astype(np.float64)
 
 
 def _image_ids(images_dir: str) -> list[str]:
-    try:
-        names = sorted(f for f in os.listdir(images_dir)
-                       if f.endswith(".npy"))
-    except OSError as exc:
-        raise FormatError(
-            f"cannot list image directory {images_dir}: {exc}") from exc
-    if not names:
+    ids = sorted(p.stem for p in Path(images_dir).glob("*.npy"))
+    if not ids:
         raise PreconditionError(f"no .npy images in {images_dir}")
-    return [n[:-4] for n in names]
+    return ids
 
 
 def _map_path(maps_dir, kind: str, image_id: str) -> Path:
@@ -178,8 +170,6 @@ def _read_stack(maps_dir, kinds: list[str], ids: list[str]) -> np.ndarray:
     for i, image_id in enumerate(ids):
         for k, kind in enumerate(kinds):
             path = _map_path(maps_dir, kind, image_id)
-            if not path.exists():
-                raise PreconditionError(f"missing map {path}")
             values = read_map_tsal(path)
             if stack is None:
                 stack = np.empty((len(ids), len(kinds)) + values.shape)
@@ -535,9 +525,8 @@ def cmd_train(args) -> None:
           f"final loss {final:.6f} -> {args.out}")
 
 
-def _predict_one(image_id: str, images_dir: str, out_dir: str,
-                 params: dict) -> str:
-    arr = _load_image(Path(images_dir) / f"{image_id}.npy")
+def _predict_one(item, out_dir: str, params: dict) -> str:
+    image_id, arr = item
     pred = model.predict(arr[None], params)
     refined = pred["S_R"][0, 0]
     _write_map(out_dir, "s_r", image_id, refined, Normalization.RAW)
@@ -554,9 +543,10 @@ def cmd_predict(args) -> None:
     params = load_params(args.checkpoint)
     model.check_params(params, model.infer_config(params))
     ids = _image_ids(args.images)
-    worker = functools.partial(_predict_one, images_dir=args.images,
-                               out_dir=args.out, params=params)
-    _run_parallel(args.jobs, worker, ids)
+    # every image is read before the first map is written
+    items = [(i, _load_image(Path(args.images) / f"{i}.npy")) for i in ids]
+    worker = functools.partial(_predict_one, out_dir=args.out, params=params)
+    _run_parallel(args.jobs, worker, items)
     print(f"predicted {len(ids)} images -> {args.out}")
 
 

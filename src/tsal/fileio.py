@@ -1,11 +1,32 @@
-"""Atomic file writing helpers.
+"""File reading and atomic file writing.
 
-All artifact files are written to a temporary file in the destination
+Every input file is opened by ``reading``, so each input error names its
+file. Artifacts are written to a temporary file in the destination
 directory and then renamed, so readers never observe a partial file.
 """
 
+import contextlib
 import os
 import tempfile
+
+from .errors import FormatError, TsalError
+
+
+@contextlib.contextmanager
+def reading(path, binary: bool = False):
+    """Open ``path`` (text as UTF-8) and yield the handle. In the block an
+    ``OSError`` or ``UnicodeDecodeError`` becomes a ``FormatError`` and a
+    ``TsalError`` keeps its type, each with ``<path>: `` put in front."""
+    try:
+        with (open(path, "rb") if binary else
+              open(path, encoding="utf-8", newline="")) as fh:
+            yield fh
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    except TsalError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

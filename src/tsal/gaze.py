@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     UnrecoverableObserverError,
 )
-from .fileio import atomic_write_bytes
+from .fileio import atomic_write_bytes, reading
 
 DEFAULT_T_TOTAL_MS = 5000.0
 DEFAULT_SLICES = 5
@@ -338,13 +338,13 @@ def rasterize(xs: np.ndarray, ys: np.ndarray, width: int, height: int,
 def _require_number(record: dict, key: str, line_no: int) -> float:
     value = record.get(key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise FormatError(f"gaze line {line_no}: {key!r} missing or not a number")
+        raise FormatError(f"line {line_no}: {key!r} missing or not a number")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise FormatError(f"gaze line {line_no}: {key!r} is not finite")
+        raise FormatError(f"line {line_no}: {key!r} is not finite")
     return value
 
 
@@ -354,7 +354,7 @@ def read_gaze_jsonl(path: str) -> GazeTable:
     image_ids: list[str] = []
     observer_ids: list[str] = []
     columns: tuple[list[float], ...] = ([], [], [])
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -362,13 +362,13 @@ def read_gaze_jsonl(path: str) -> GazeTable:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(f"gaze line {line_no}: invalid JSON") from exc
+                raise FormatError(f"line {line_no}: invalid JSON") from exc
             if not isinstance(record, dict):
-                raise FormatError(f"gaze line {line_no}: expected an object")
+                raise FormatError(f"line {line_no}: expected an object")
             for key in ("image_id", "observer_id"):
                 if not isinstance(record.get(key), str):
                     raise FormatError(
-                        f"gaze line {line_no}: {key!r} missing or not a string")
+                        f"line {line_no}: {key!r} missing or not a string")
             for column, key in zip(columns, ("t_ms", "x", "y")):
                 column.append(_require_number(record, key, line_no))
             image_ids.append(record["image_id"])
@@ -399,13 +399,13 @@ def read_fixation_table(path: str
     """Read a fixation CSV. Returns (fixations, int64 slice_index column
     or None). The t_ms and slice_index columns are optional; t_ms is
     None unless every row has one."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with reading(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            raise FormatError(f"{path}: empty fixation file")
+            raise FormatError("empty fixation file")
         missing = [c for c in _FIXATION_COLUMNS if c not in reader.fieldnames]
         if missing:
-            raise FormatError(f"{path}: missing columns {missing}")
+            raise FormatError(f"missing columns {missing}")
         has_slice = "slice_index" in reader.fieldnames
         rows = []
         for line_no, row in enumerate(reader, start=2):
@@ -417,16 +417,15 @@ def read_fixation_table(path: str
                           None if t_raw in ("", None) else float(t_raw),
                           int(row["slice_index"]) if has_slice else 0)
             except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path} line {line_no}: bad value "
-                                  f"({exc})") from exc
+                raise FormatError(
+                    f"line {line_no}: bad value ({exc})") from exc
             for key, value in zip(_FIXATION_COLUMNS + ("t_ms", "slice_index"),
                                   values):
                 if isinstance(value, int) and value not in _INT64:
-                    raise FormatError(f"{path} line {line_no}: {key!r} "
-                                      f"does not fit in 64 bits")
-                if isinstance(value, float) and not math.isfinite(value):
                     raise FormatError(
-                        f"{path} line {line_no}: {key!r} is not finite")
+                        f"line {line_no}: {key!r} does not fit in 64 bits")
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise FormatError(f"line {line_no}: {key!r} is not finite")
             rows.append(values)
     *columns, t_ms, slice_of = zip(*rows) if rows else [()] * 7
     return (FixationTable(*columns, t_ms=None if None in t_ms else t_ms),
@@ -522,21 +521,14 @@ def write_signed_tsal(path: str, values: np.ndarray) -> None:
     atomic_write_bytes(path, serialize_map(values, Normalization.RAW))
 
 
-def read_raw_tsal(path: str) -> tuple[np.ndarray, Normalization]:
-    try:
-        with open(path, "rb") as fh:
-            return deserialize_map(fh.read())
-    except (FormatError, NonFiniteError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
 def read_map_tsal(path: str) -> np.ndarray:
     """Read a saliency map. The f32 payload cannot carry the 1e-9
     normalization invariant exactly, so declared Sum/Max maps are
     renormalized after decoding."""
-    values, normalization = read_raw_tsal(path)
-    if values.min() < 0.0:
-        raise PreconditionError(f"{path}: saliency map has negative values")
+    with reading(path, binary=True) as fh:
+        values, normalization = deserialize_map(fh.read())
+        if values.min() < 0.0:
+            raise PreconditionError("saliency map has negative values")
     return normalize_map(values, normalization)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .fileio import reading
 from .gaze import DEFAULT_T_TOTAL_MS, FixationTable, GazeTable, rasterize
 
 DEFAULT_RHO = 0.5          # revisit weight multiplier per prior visit
@@ -321,11 +322,11 @@ def scene_from_dict(d: dict) -> SceneSpec:
 def read_scene_file(path) -> dict:
     """Load a scene JSON file; returns the raw dict for the caller to
     interpret (explicit scene list or generator settings)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
+        try:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read scene file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FormatError("scene file must hold a JSON object")
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise FormatError("scene file must hold a JSON object")
     return data

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsal.autodiff import load_params
+from tsal.autodiff import load_params, save_params
 from tsal.cli import _read_stack, _worker_count, main
-from tsal.errors import PreconditionError
+from tsal.errors import FormatError, PreconditionError
 from tsal.gaze import (
     FixationTable,
     read_fixation_table,
@@ -119,6 +119,65 @@ INPUTS = {
     "train": ("--images", "images", "--maps", "maps")}
 
 
+# One command line per input format, with the path of the input that
+# the test breaks; the other inputs are valid or never read. The broken
+# image or map is img000, the first in id order, so nothing is written
+# before it is read.
+FILE_INPUTS = {
+    "scene": (("synth", "--scene", "in.json"), "in.json"),
+    "config": (("slice", "--fixations", "fix.csv", "--config", "in.cfg"),
+               "in.cfg"),
+    "gaze": (("timestamps", "--gaze", "in.jsonl", "--fixations", "fix.csv"),
+             "in.jsonl"),
+    "fixations-slice": (("slice", "--fixations", "in.csv"), "in.csv"),
+    "fixations-eval": (("eval", "--pred", "maps/t0", "--gt", "maps/t0",
+                        "--fixations", "in.csv"), "in.csv"),
+    "npy": (("rasterize", "--fixations", "fix.csv", "--images", "images"),
+            "images/img000.npy"),
+    "tsal": (("analyze", "--maps", "maps", "--fixations", "fix.csv"),
+             "maps/full/img000.tsal"),
+    "tspw": (("predict", "--checkpoint", "in.tspw", "--images", "images"),
+             "in.tspw")}
+# Three defects of every input, and a zero-byte file of the two binary
+# formats that a zero-byte file cannot be (it is valid UTF-8 text).
+FILE_DEFECTS = [(name, defect) for name in sorted(FILE_INPUTS)
+                for defect in ("0xff", "missing", "directory")] + [
+    ("npy", "empty"), ("tspw", "empty")]
+# The error line's "<Type>: <message>" after "tsal: ", the path of the
+# file put between the two. A binary format reads the defects "0xff"
+# and "empty" its own way; "..." ends a message whose rest is numpy's.
+DEFECTS = {"0xff": "FormatError: 'utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte",
+           "missing": "FormatError: No such file or directory",
+           "directory": "FormatError: Is a directory"}
+BINARY_DEFECTS = {
+    ("npy", "0xff"): "FormatError: not a .npy array: ...",
+    ("npy", "empty"): "FormatError: not a .npy array: No data left in file",
+    ("tsal", "0xff"): "FormatError: not a TSAL map (bad magic)",
+    ("tspw", "0xff"): "CheckpointError: truncated checkpoint: magic needs "
+                      "4 bytes at offset 0, 2 left",
+    ("tspw", "empty"): "CheckpointError: truncated checkpoint: magic needs "
+                       "4 bytes at offset 0, 0 left"}
+
+
+def write_file_inputs(root: Path) -> None:
+    """A valid file at every path of FILE_INPUTS, plus what the command
+    lines read besides: an empty timestamped and sliced fixation CSV, a
+    second image, and a t0 map for img000."""
+    (root / "images").mkdir()
+    for image_id in ("img000", "img001"):
+        np.save(root / "images" / f"{image_id}.npy", np.ones((3, 4, 4)))
+    for kind in ("t0", "full"):
+        write_map_tsal(root / "maps" / kind / "img000.tsal", np.ones((4, 4)))
+    header = "image_id,observer_id,order_index,x,y,t_ms,slice_index\n"
+    for name in ("fix.csv", "in.csv"):
+        (root / name).write_text(header)
+    (root / "in.json").write_text('{"preset": "drift"}')
+    (root / "in.cfg").write_text("n=5\n")
+    (root / "in.jsonl").write_text("")
+    save_params(root / "in.tspw", {"w": np.zeros(1)})
+
+
 class TestSurface:
     def test_no_subcommand_is_an_input_error(self, capsys):
         assert run() == 2
@@ -166,28 +225,41 @@ class TestSurface:
             f"{value!r} is not a finite number")
         assert not out.exists()
 
-    def test_undecodable_config_file_exits_two(self, tmp_path, capsys):
-        cfg = tmp_path / "binary.cfg"
-        cfg.write_bytes(b"n=\xff\xfe\n")
-        assert run(*SLICE_IO, "--config", cfg) == 2
-        assert only_error_line(capsys).startswith(
-            f"tsal: ConfigError: cannot read config file {cfg}: ")
-
-    @pytest.mark.parametrize("argv", [
-        ("synth", "--scene", "bad"),
-        ("timestamps", "--gaze", "bad", "--fixations", "in.csv"),
-        ("slice", "--fixations", "bad"),
-        ("eval", "--pred", ".", "--gt", ".", "--fixations", "bad")],
-        ids=["scene", "gaze", "fixations-slice", "fixations-eval"])
-    def test_undecodable_input_exits_two(self, tmp_path, monkeypatch, capsys,
-                                         argv):
+    @pytest.mark.parametrize("name, defect", FILE_DEFECTS,
+                             ids=[f"{n}-{d}" for n, d in FILE_DEFECTS])
+    def test_unreadable_input_names_its_file(self, tmp_path, monkeypatch,
+                                             capsys, name, defect):
+        argv, path = FILE_INPUTS[name]
+        message = BINARY_DEFECTS.get((name, defect), DEFECTS.get(defect))
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "bad").write_bytes(b"\xff\n")
+        write_file_inputs(Path("."))
+        bad = Path(path)
+        bad.unlink()
+        if defect == "missing" and name == "npy":
+            bad.symlink_to("gone.npy")  # listed, but not there to read
+        elif defect == "directory":
+            bad.mkdir()
+        elif defect != "missing":
+            bad.write_bytes(b"\xff\n" if defect == "0xff" else b"")
         assert run(*argv, "--out", "out") == 2
+        kind, _, text = message.partition(": ")
+        line = only_error_line(capsys)
+        if text.endswith("..."):  # numpy's own wording follows
+            assert line.startswith(f"tsal: {kind}: {path}: {text[:-3]}")
+        else:
+            assert line == f"tsal: {kind}: {path}: {text}"
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("n=5\nfive\n", "line 2: expected key=value"),
+        ("n=5\nspeed=3\n", "unknown config keys: speed")])
+    def test_bad_config_line_names_the_file(self, tmp_path, capsys, text,
+                                            message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run(*SLICE_IO, "--config", cfg) == 2
         assert only_error_line(capsys) == (
-            "tsal: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
-            "in position 0: invalid start byte")
-        assert not (tmp_path / "out").exists()
+            f"tsal: ConfigError: {cfg}: {message}")
 
     def test_help_prints_usage_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -400,7 +472,7 @@ class TestTimestampsAndSlice:
                    "--fixations", dataset["data"] / "fixations.csv",
                    "--out", out) == 2
         err = capsys.readouterr().err.strip()
-        assert err == f"tsal: FormatError: gaze line 5: {message}"
+        assert err == f"tsal: FormatError: {bad}: line 5: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -477,7 +549,7 @@ class TestTimestampsAndSlice:
                   "rasterize": ("--images", dataset["images"])}[command]
         assert run(command, "--fixations", src, *inputs, "--out", out) == 2
         assert only_error_line(capsys) == (
-            f"tsal: FormatError: {src} line 3: {column!r} does not fit "
+            f"tsal: FormatError: {src}: line 3: {column!r} does not fit "
             f"in 64 bits")
         assert not out.exists()
 
@@ -724,7 +796,9 @@ class TestMapStack:
             _read_stack(maps, ["t0", "t1"], ["img000", "img001"])
 
     def test_reader_rejects_a_missing_map(self, mixed_sizes):
-        with pytest.raises(PreconditionError, match="^missing map "):
+        missing = mixed_sizes / "maps" / "t0" / "img002.tsal"
+        with pytest.raises(FormatError, match=(
+                f"^{re.escape(str(missing))}: No such file or directory$")):
             _read_stack(mixed_sizes / "maps", ["t0"], ["img000", "img002"])
 
     @pytest.mark.parametrize("width,height", [(0, 0), (0, 5), (5, 0)])
@@ -833,6 +907,37 @@ class TestTrainPredictEval:
                    "--out", workdir / "pred_cut") == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("tsal: CheckpointError: ")
+
+    @pytest.mark.parametrize("command", ["rasterize", "train", "predict"])
+    def test_zero_byte_image_exits_two(self, dataset, trained, tmp_path,
+                                       capsys, command):
+        images = tmp_path / "images"
+        shutil.copytree(dataset["images"], images)
+        (images / "img001.npy").write_bytes(b"")
+        out = tmp_path / "out"
+        inputs = {"rasterize": ("--fixations", dataset["sliced"]),
+                  "train": ("--maps", dataset["maps"], "--epochs", 1),
+                  "predict": ("--checkpoint", trained["final"])}[command]
+        capsys.readouterr()
+        assert run(command, "--images", images, *inputs, "--out", out) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: FormatError: {images / 'img001.npy'}: not a .npy array: "
+            f"No data left in file")
+        assert not out.exists()
+
+    def test_predict_reads_every_image_before_writing(self, dataset, trained,
+                                                      tmp_path, capsys):
+        images = tmp_path / "images"
+        shutil.copytree(dataset["images"], images)
+        np.save(images / "img002.npy", np.ones((64, 64)))
+        out = tmp_path / "pred"
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", trained["final"],
+                   "--images", images, "--out", out) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: FormatError: {images / 'img002.npy'}: expected a "
+            f"(3, H, W) array, got (64, 64)")
+        assert not out.exists()
 
     def test_eval_writes_metric_csv(self, workdir, dataset, trained):
         out = workdir / "metrics.csv"

@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,7 +395,7 @@ class TestGazeJsonl:
         p.write_text(f"{GOOD_LINE}\n\n{line}\n{GOOD_LINE}\n")
         with pytest.raises(FormatError) as exc:
             gaze.read_gaze_jsonl(str(p))
-        assert str(exc.value) == f"gaze line 3: {message}"
+        assert str(exc.value) == f"{p}: line 3: {message}"
 
     def test_invalid_json_line(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
@@ -542,7 +543,7 @@ class TestFixationCsv:
                      "a,o,0,1,2,3,0\n"
                      f"a,o,{fields['order_index']},1,2,3,"
                      f"{fields['slice_index']}\n")
-        message = f"{p} line 3: '{column}' does not fit in 64 bits"
+        message = f"{p}: line 3: '{column}' does not fit in 64 bits"
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             gaze.read_fixation_table(str(p))
 
@@ -579,6 +580,11 @@ class TestFixationCsv:
                                      fixes((0, 1.0, 2.0)), slice_indices=[1, 2])
 
 
+def stored_normalization(path) -> gaze.Normalization:
+    """The normalization tag in a ``.tsal`` file's header."""
+    return gaze.deserialize_map(Path(path).read_bytes())[1]
+
+
 class TestMapContainer:
     def test_raw_roundtrip_is_f32_exact(self, tmp_path):
         rng = np.random.default_rng(58)
@@ -586,7 +592,7 @@ class TestMapContainer:
         path = str(tmp_path / "m.tsal")
         gaze.write_map_tsal(path, values.astype(np.float64))
         got = gaze.read_map_tsal(path)
-        assert gaze.read_raw_tsal(path)[1] is gaze.Normalization.RAW
+        assert stored_normalization(path) is gaze.Normalization.RAW
         assert np.array_equal(got, values.astype(np.float64))
 
     def test_sum_map_renormalized_after_quantization(self, tmp_path):
@@ -595,7 +601,7 @@ class TestMapContainer:
         path = str(tmp_path / "m.tsal")
         gaze.write_map_tsal(path, v / v.sum(), gaze.Normalization.SUM_TO_ONE)
         got = gaze.read_map_tsal(path)
-        assert gaze.read_raw_tsal(path)[1] is gaze.Normalization.SUM_TO_ONE
+        assert stored_normalization(path) is gaze.Normalization.SUM_TO_ONE
         assert abs(got.sum() - 1.0) <= 1e-9
 
     def test_max_map_renormalized_after_quantization(self, tmp_path):
@@ -682,14 +688,15 @@ class TestMapContainer:
         d = np.array([[-1.5, 0.0], [2.5, -0.25]])
         path = str(tmp_path / "d.tsal")
         gaze.write_signed_tsal(path, d)
-        values, norm = gaze.read_raw_tsal(path)
+        values, norm = gaze.deserialize_map(Path(path).read_bytes())
         assert norm is gaze.Normalization.RAW
         assert np.array_equal(values, d)
 
     def test_negative_values_rejected_for_saliency_read(self, tmp_path):
         path = str(tmp_path / "d.tsal")
         gaze.write_signed_tsal(path, np.array([[-1.0, 1.0]]))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=(
+                f"^{re.escape(path)}: saliency map has negative values$")):
             gaze.read_map_tsal(path)
 
 

@@ -69,3 +69,33 @@ def test_every_definition_is_read():
     modules = sorted(SRC.glob("*.py"))
     unread = unread_definitions([p.read_text() for p in modules])
     assert unread == []
+
+
+def direct_reads(source: str) -> list[str]:
+    """Calls that open or read a file without ``fileio.reading``: the
+    builtin ``open`` and any ``.open()``, ``.read_text()`` or
+    ``.read_bytes()`` method, as ``name@line`` in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            found.append((node.lineno, "open"))
+        elif isinstance(func, ast.Attribute) and func.attr in (
+                "open", "read_text", "read_bytes"):
+            found.append((node.lineno, func.attr))
+    return [f"{name}@{line}" for line, name in sorted(found)]
+
+
+def test_checker_finds_direct_reads():
+    source = ("import os\nfrom pathlib import Path\n"
+              "def f(p):\n    with open(p) as fh:\n        fh.read()\n"
+              "    os.fdopen(3)\n    return Path(p).read_text()\n")
+    assert direct_reads(source) == ["open@4", "read_text@7"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in SRC.glob("*.py") if p.name != "fileio.py"))
+def test_only_fileio_opens_files(module):
+    assert direct_reads((SRC / module).read_text()) == []

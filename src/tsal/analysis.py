@@ -22,9 +22,9 @@ from .gaze import FixationTable, Normalization, group_rows, normalize_map
 from .metrics import cc, fixation_pixels, mean_map, usable_maps
 
 
-def average_slices(stack: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def average_slices(stack: np.ndarray) -> list[np.ndarray]:
     """A_j = pixel mean of every usable image's sum-normalized slice-j
-    map, and per slice the count of images skipped as unusable."""
+    map; ``intra_slice_deviation`` counts the images skipped."""
     usable = usable_maps(stack)
     maps = []
     for j in range(stack.shape[1]):
@@ -33,7 +33,7 @@ def average_slices(stack: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
             raise DegenerateMapError(
                 f"slice {j}: no usable map in any image")
         maps.append(mean_map([stack[i, j] for i in rows]))
-    return maps, len(stack) - usable.sum(axis=0)
+    return maps
 
 
 def inter_slice_cc(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,37 +120,3 @@ def saliency_time_histogram(fixations: FixationTable,
     grid = np.zeros((bins_t, bins_s), dtype=np.int64)
     np.add.at(grid, (bt, bs), 1)
     return grid
-
-
-# ---------------------------------------------------------------------------
-# CSV renderers for the analysis artifacts
-# ---------------------------------------------------------------------------
-
-def correlation_csv(matrix: tuple[np.ndarray, np.ndarray]) -> str:
-    """Renders inter_slice_cc's (values, skipped)."""
-    values, skipped = matrix
-    n = len(values)
-    lines = ["slice," + ",".join(f"t{k + 1}" for k in range(n)) + ",skipped_max"]
-    for j in range(n):
-        row = ",".join(repr(float(v)) for v in values[j])
-        lines.append(f"t{j + 1},{row},{int(skipped[j].max())}")
-    return "\n".join(lines) + "\n"
-
-
-def deviation_csv(scores: tuple[list[float], np.ndarray]) -> str:
-    """Renders intra_slice_deviation's (scores, skipped)."""
-    lines = ["slice,mean_cc_to_average,skipped"]
-    for j, (s, k) in enumerate(zip(*scores)):
-        lines.append(f"t{j + 1},{s!r},{k}")
-    return "\n".join(lines) + "\n"
-
-
-def histogram_csv(grid: np.ndarray, t_total: float = 5000.0) -> str:
-    bins_t, bins_s = grid.shape
-    lines = ["time_bin_start_ms,saliency_bin_start," + "count"]
-    dt = t_total / bins_t
-    ds = 1.0 / bins_s
-    for bt in range(bins_t):
-        for bs in range(bins_s):
-            lines.append(f"{bt * dt!r},{bs * ds!r},{int(grid[bt, bs])}")
-    return "\n".join(lines) + "\n"

@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatchError,
     UnrecoverableObserverError,
 )
-from .fileio import atomic_write_bytes, atomic_write_text, reading
+from .fileio import atomic_write_bytes, reading, write_csv
 from .gaze import (
     FixationTable,
     GazeTable,
@@ -140,6 +140,8 @@ def _load_image(path: Path) -> np.ndarray:
             arr = np.load(fh)
         except (EOFError, ValueError) as exc:
             raise FormatError(f"not a .npy array: {exc}") from exc
+        if not isinstance(arr, np.ndarray):
+            raise FormatError("not a .npy array: a zip archive (.npz)")
         if arr.ndim != 3 or arr.shape[0] != 3:
             raise FormatError(f"expected a (3, H, W) array, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -147,10 +149,12 @@ def _load_image(path: Path) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _image_ids(images_dir: str) -> list[str]:
-    ids = sorted(p.stem for p in Path(images_dir).glob("*.npy"))
+def _ids(directory, suffix: str) -> list[str]:
+    """The sorted stems of the ``*<suffix>`` files in ``directory``; a
+    directory without one (or no directory) is a ``PreconditionError``."""
+    ids = sorted(p.stem for p in Path(directory).glob(f"*{suffix}"))
     if not ids:
-        raise PreconditionError(f"no .npy images in {images_dir}")
+        raise PreconditionError(f"no {suffix} files in {directory}")
     return ids
 
 
@@ -418,7 +422,7 @@ def cmd_rasterize(args) -> None:
     if bad.any():
         raise PreconditionError(
             f"slice index {slice_of[bad][0]} out of range for n={args.n}")
-    ids = _image_ids(args.images)
+    ids = _ids(args.images, ".npy")
     dims = {}
     for image_id in ids:
         arr = _load_image(Path(args.images) / f"{image_id}.npy")
@@ -445,10 +449,7 @@ def cmd_rasterize(args) -> None:
 
 def cmd_analyze(args) -> None:
     kinds = _slice_kinds(args.maps)
-    t0_dir = Path(args.maps) / "t0"
-    ids = sorted(p.stem for p in t0_dir.glob("*.tsal"))
-    if not ids:
-        raise PreconditionError(f"no maps in {t0_dir}")
+    ids = _ids(Path(args.maps) / "t0", ".tsal")
     fixations, _ = read_fixation_table(args.fixations)
     _require_timestamps(fixations, args.fixations)
     unknown = set(fixations.image_id) - set(ids)
@@ -460,9 +461,9 @@ def cmd_analyze(args) -> None:
         fixations, dict(zip(ids, full[:, 0])), t_total=args.t_total)
     del full  # freed before the slice stack is read
     stack = _read_stack(args.maps, kinds, ids)
-    averages, _ = analysis.average_slices(stack)
-    corr = analysis.inter_slice_cc(stack)
-    dev = analysis.intra_slice_deviation(stack, averages)
+    averages = analysis.average_slices(stack)
+    values, pair_skipped = analysis.inter_slice_cc(stack)
+    scores, skipped = analysis.intra_slice_deviation(stack, averages)
     diffs = (analysis.consecutive_differences(averages)
              if len(kinds) >= 2 else [])
 
@@ -472,13 +473,22 @@ def cmd_analyze(args) -> None:
         write_map_tsal(out / "average" / f"t{k}.tsal", m,
                        Normalization.SUM_TO_ONE)
         write_map_pgm(out / "average" / f"t{k}.pgm", m)
-    atomic_write_text(out / "correlation.csv", analysis.correlation_csv(corr))
-    atomic_write_text(out / "deviation.csv", analysis.deviation_csv(dev))
+    slices = [f"t{k + 1}" for k in range(len(kinds))]
+    write_csv(out / "correlation.csv", ["slice", *slices, "skipped_max"],
+              ([name, *v, k] for name, v, k in zip(
+                  slices, values.tolist(), pair_skipped.max(axis=1).tolist())))
+    write_csv(out / "deviation.csv",
+              ["slice", "mean_cc_to_average", "skipped"],
+              zip(slices, scores, skipped.tolist()))
     for k, d in enumerate(diffs):
         write_signed_tsal(out / "diff" / f"d{k}.tsal", d)
         write_diff_ppm(out / "diff" / f"d{k}.ppm", d)
-    atomic_write_text(out / "histogram.csv",
-                      analysis.histogram_csv(grid, t_total=args.t_total))
+    dt, ds = args.t_total / grid.shape[0], 1.0 / grid.shape[1]
+    write_csv(out / "histogram.csv",
+              ["time_bin_start_ms", "saliency_bin_start", "count"],
+              ((bt * dt, bs * ds, count)
+               for bt, counts in enumerate(grid.tolist())
+               for bs, count in enumerate(counts)))
     print(f"analyzed {len(ids)} images x {len(kinds)} slices -> {args.out}")
 
 
@@ -488,7 +498,7 @@ def cmd_analyze(args) -> None:
 
 def _load_train_data(images_dir: str, maps_dir: str
                      ) -> tuple[list[str], model.TrainData]:
-    ids = _image_ids(images_dir)
+    ids = _ids(images_dir, ".npy")
     kinds = _slice_kinds(maps_dir)
     images = [_load_image(Path(images_dir) / f"{image_id}.npy")
               for image_id in ids]
@@ -519,15 +529,15 @@ def cmd_train(args) -> None:
                                 base_params=base)
     save_params(args.out, params)
     if args.loss_csv:
-        atomic_write_text(args.loss_csv, model.loss_trace_csv(trace))
+        write_csv(args.loss_csv, ["epoch", "stage", "loss", "lr"], trace)
     final = trace[-1][2] if trace else float("nan")
     print(f"trained stage={args.stage} on {len(ids)} images, "
           f"final loss {final:.6f} -> {args.out}")
 
 
 def _predict_one(item, out_dir: str, params: dict) -> str:
-    image_id, arr = item
-    pred = model.predict(arr[None], params)
+    image_id, path = item
+    pred = model.predict(_load_image(path)[None], params)
     refined = pred["S_R"][0, 0]
     _write_map(out_dir, "s_r", image_id, refined, Normalization.RAW)
     pgm = _map_path(out_dir, "s_r", image_id).with_suffix(".pgm")
@@ -542,32 +552,36 @@ def _predict_one(item, out_dir: str, params: dict) -> str:
 def cmd_predict(args) -> None:
     params = load_params(args.checkpoint)
     model.check_params(params, model.infer_config(params))
-    ids = _image_ids(args.images)
-    # every image is read before the first map is written
-    items = [(i, _load_image(Path(args.images) / f"{i}.npy")) for i in ids]
+    items = [(i, Path(args.images) / f"{i}.npy")
+             for i in _ids(args.images, ".npy")]
+    # every image is checked before the first map is written, and each
+    # worker reads its image again: one image in memory at a time
+    for _, path in items:
+        _load_image(path)
     worker = functools.partial(_predict_one, out_dir=args.out, params=params)
     _run_parallel(args.jobs, worker, items)
-    print(f"predicted {len(ids)} images -> {args.out}")
+    print(f"predicted {len(items)} images -> {args.out}")
 
 
 def cmd_eval(args) -> None:
     fixations, _ = read_fixation_table(args.fixations)
-    pred_files, gt_files = ({f for f in os.listdir(d) if f.endswith(".tsal")}
-                            for d in (args.pred, args.gt))
-    if pred_files != gt_files:
+    ids, gt_ids = _ids(args.pred, ".tsal"), _ids(args.gt, ".tsal")
+    if ids != gt_ids:
+        only_pred = sorted(f"{i}.tsal" for i in set(ids) - set(gt_ids))
+        only_gt = sorted(f"{i}.tsal" for i in set(gt_ids) - set(ids))
         raise PreconditionError(
             f"prediction/ground-truth directories disagree "
-            f"(only in pred: {sorted(pred_files - gt_files)}, "
-            f"only in gt: {sorted(gt_files - pred_files)})")
-    if not pred_files:
-        raise PreconditionError("no .tsal maps to evaluate")
-    ids = sorted(f[:-5] for f in pred_files)
+            f"(only in pred: {only_pred}, only in gt: {only_gt})")
     gt = Path(args.gt)
     truth = _read_stack(gt.parent, [gt.name], ids)[:, 0]
     # one prediction in memory at a time
     preds = (read_map_tsal(Path(args.pred) / f"{i}.tsal") for i in ids)
     rows = metrics.evaluate(ids, truth, preds, fixations, seed=args.seed)
-    atomic_write_text(args.out, metrics.metrics_csv(ids, rows))
+    columns = metrics.METRIC_COLUMNS
+    means = {c: sum(r[c] for r in rows) / len(rows) for c in columns}
+    write_csv(args.out, ["image_id", *columns],
+              ([i, *(r[c] for c in columns)]
+               for i, r in zip([*ids, "mean"], [*rows, means])))
     print(f"evaluated {len(ids)} images -> {args.out}")
 
 

@@ -2,10 +2,13 @@
 
 Every input file is opened by ``reading``, so each input error names its
 file. Artifacts are written to a temporary file in the destination
-directory and then renamed, so readers never observe a partial file.
+directory and then renamed, so readers never observe a partial file;
+every CSV artifact is written by ``write_csv``.
 """
 
 import contextlib
+import csv
+import io
 import os
 import tempfile
 
@@ -43,5 +46,13 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def write_csv(path, header, rows) -> None:
+    """A header and rows as UTF-8 CSV, one ``\n`` per row. A field is
+    quoted only when it holds a comma, a quote or a line break (RFC
+    4180), and floats are written by ``repr``, so they read back
+    exactly."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import enum
 import functools
-import io
 import itertools
 import json
 import math
@@ -33,7 +32,7 @@ from .errors import (
     PreconditionError,
     UnrecoverableObserverError,
 )
-from .fileio import atomic_write_bytes, reading
+from .fileio import atomic_write_bytes, reading, write_csv
 
 DEFAULT_T_TOTAL_MS = 5000.0
 DEFAULT_SLICES = 5
@@ -361,7 +360,7 @@ def read_gaze_jsonl(path: str) -> GazeTable:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise FormatError(f"line {line_no}: invalid JSON") from exc
             if not isinstance(record, dict):
                 raise FormatError(f"line {line_no}: expected an object")
@@ -448,11 +447,7 @@ def write_fixations_csv(path: str, fixations: FixationTable,
                                     f"{len(fixations)} fixations")
         columns.append(np.asarray(slice_indices).tolist())
         header.append("slice_index")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
-    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+    write_csv(path, header, zip(*columns))
 
 
 # ---------------------------------------------------------------------------

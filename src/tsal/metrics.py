@@ -273,14 +273,3 @@ def evaluate(image_ids: list[str], gt: np.ndarray, preds,
                           baseline, seed=seed)
             for i, truth, pred in zip(image_ids, gt,
                                       itertools.chain([first], preds))]
-
-
-def metrics_csv(image_ids: list[str], rows: list[dict[str, float]]) -> str:
-    """Render per-image scores plus a final mean row."""
-    lines = ["image_id," + ",".join(METRIC_COLUMNS)]
-    for image_id, row in zip(image_ids, rows):
-        lines.append(image_id + "," +
-                     ",".join(repr(row[c]) for c in METRIC_COLUMNS))
-    means = [sum(r[c] for r in rows) / len(rows) for c in METRIC_COLUMNS]
-    lines.append("mean," + ",".join(repr(v) for v in means))
-    return "\n".join(lines) + "\n"

@@ -473,10 +473,3 @@ def predict(images: np.ndarray, params: dict[str, np.ndarray],
     refined = smm(blocks, temporal, image_map, consts)
     return {"T": temporal.data.copy(), "S_I": image_map.data.copy(),
             "S_R": refined.data.copy()}
-
-
-def loss_trace_csv(rows: list[tuple[int, str, float, float]]) -> str:
-    lines = ["epoch,stage,loss,lr"]
-    for epoch, stage, loss, lr in rows:
-        lines.append(f"{epoch},{stage},{loss!r},{lr!r}")
-    return "\n".join(lines) + "\n"

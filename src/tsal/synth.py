@@ -325,7 +325,7 @@ def read_scene_file(path) -> dict:
     with reading(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise FormatError("scene file must hold a JSON object")

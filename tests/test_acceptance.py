@@ -231,7 +231,7 @@ class TestCriterion5:
             banded = banded and neigh > far
             margin = min(margin, neigh - far)
 
-        averages, _ = analysis.average_slices(stack)
+        averages = analysis.average_slices(stack)
         scores, _ = analysis.intra_slice_deviation(stack, averages)
         s1, rest = scores[0], float(np.mean(scores[1:]))
         ok = banded and s1 > rest

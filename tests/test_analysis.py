@@ -1,13 +1,21 @@
 """Average slices, correlation matrix, deviation scores, histogram."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from tsal import analysis
+from tsal.cli import main
 from tsal.errors import ConfigError, DegenerateMapError, PreconditionError
-from tsal.gaze import FixationTable, Normalization, normalize_map
+from tsal.gaze import (
+    FixationTable,
+    Normalization,
+    normalize_map,
+    write_fixations_csv,
+    write_map_tsal,
+)
 from tsal.metrics import cc
 
 import oracles
@@ -49,15 +57,18 @@ class TestAverageSlices:
     def test_mean_of_normalized_maps(self):
         a = [[1.0, 0.0], [0.0, 0.0]]
         b = [[0.0, 2.0], [0.0, 0.0]]  # normalizes to delta
-        maps, skipped = analysis.average_slices(np.array([[a], [b]]))
+        stack = np.array([[a], [b]])
+        maps = analysis.average_slices(stack)
         assert np.allclose(maps[0], [[0.5, 0.5], [0.0, 0.0]])
+        _, skipped = analysis.intra_slice_deviation(stack, maps)
         assert skipped.tolist() == [0]
 
     def test_empty_slice_skipped_and_counted(self):
         rng = np.random.default_rng(101)
         stack = random_stack(rng, n_images=2, n_slices=2)
         stack[0, 1] = 0.0
-        maps, skipped = analysis.average_slices(stack)
+        maps = analysis.average_slices(stack)
+        _, skipped = analysis.intra_slice_deviation(stack, maps)
         assert skipped.tolist() == [0, 1]
         v = stack[1, 1]
         assert np.allclose(maps[1], v / v.sum())
@@ -115,21 +126,21 @@ class TestIntraSliceDeviation:
         rng = np.random.default_rng(107)
         maps = rng.uniform(0.01, 1.0, size=(2, 4, 4))
         stack = np.array([maps, maps])
-        avg, _ = analysis.average_slices(stack)
+        avg = analysis.average_slices(stack)
         scores, _ = analysis.intra_slice_deviation(stack, avg)
         assert scores == pytest.approx((1.0, 1.0))
 
     def test_single_image_scores_one(self):
         rng = np.random.default_rng(108)
         stack = random_stack(rng, n_images=1, n_slices=3)
-        avg, _ = analysis.average_slices(stack)
+        avg = analysis.average_slices(stack)
         scores, _ = analysis.intra_slice_deviation(stack, avg)
         assert scores == pytest.approx((1.0, 1.0, 1.0))
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(109)
         stack = random_stack(rng, n_images=3, n_slices=2)
-        avg, _ = analysis.average_slices(stack)
+        avg = analysis.average_slices(stack)
         scores, _ = analysis.intra_slice_deviation(stack, avg)
         for j in range(2):
             want = np.mean([cc(m[j], avg[j]) for m in stack])
@@ -138,7 +149,7 @@ class TestIntraSliceDeviation:
     def test_slice_count_mismatch_rejected(self):
         rng = np.random.default_rng(110)
         stack = random_stack(rng, n_slices=2)
-        avg, _ = analysis.average_slices(random_stack(rng, n_slices=3))
+        avg = analysis.average_slices(random_stack(rng, n_slices=3))
         with pytest.raises(PreconditionError):
             analysis.intra_slice_deviation(stack, avg)
 
@@ -152,11 +163,10 @@ class TestAgainstDictOracle:
         stack = mixed_stack(np.random.default_rng(seed))
         dataset = {f"img{i:02d}": list(maps) for i, maps in enumerate(stack)}
 
-        maps, skipped = analysis.average_slices(stack)
+        maps = analysis.average_slices(stack)
         want_maps, want_skipped = oracles.average_slices_oracle(dataset)
         assert [m.tobytes() for m in maps] == \
             [w.tobytes() for w in want_maps]
-        assert skipped.tolist() == want_skipped == [1, 1, 2, 1]
 
         values, pair_skipped = analysis.inter_slice_cc(stack)
         want_values, want_pair_skipped = oracles.inter_slice_cc_oracle(dataset)
@@ -168,6 +178,8 @@ class TestAgainstDictOracle:
             dataset, want_maps)
         assert scores == want_scores
         assert dev_skipped.tolist() == want_dev_skipped
+        # every image an average skips is skipped by its deviation too
+        assert dev_skipped.tolist() == want_skipped == [1, 1, 2, 1]
 
 
 class TestConsecutiveDifferences:
@@ -279,27 +291,70 @@ class TestSaliencyTimeHistogram:
 
 
 class TestCsvRenderers:
-    def test_correlation_csv_shape(self):
-        rng = np.random.default_rng(119)
-        out = analysis.inter_slice_cc(random_stack(rng, n_slices=3))
-        text = analysis.correlation_csv(out)
-        lines = text.strip().split("\n")
-        assert lines[0] == "slice,t1,t2,t3,skipped_max"
-        assert len(lines) == 4
+    """The CSVs ``tsal analyze`` writes, read back: every value equals
+    what the analysis function returns for the same stack."""
 
-    def test_deviation_csv_shape(self):
-        rng = np.random.default_rng(120)
-        stack = random_stack(rng, n_slices=2)
-        avg, _ = analysis.average_slices(stack)
-        out = analysis.intra_slice_deviation(stack, avg)
-        lines = analysis.deviation_csv(out).strip().split("\n")
-        assert lines[0] == "slice,mean_cc_to_average,skipped"
-        assert len(lines) == 3
+    @staticmethod
+    def analyze(root, stack, t_total=5000.0):
+        """Write ``stack`` as maps/t<k>/ (and maps/full/, the slice sum)
+        with one fixation per image and run analyze. Returns the output
+        directory, the fixations, and the slice and full maps as analyze
+        reads them (a .tsal payload is float32)."""
+        stack = stack.astype(np.float32).astype(np.float64)
+        full = stack.sum(axis=1).astype(np.float32).astype(np.float64)
+        ids = [f"img{i:02d}" for i in range(len(stack))]  # sorted as listed
+        for image_id, maps, m_full in zip(ids, stack, full):
+            for k, m in enumerate(maps):
+                write_map_tsal(root / "maps" / f"t{k}" / f"{image_id}.tsal", m)
+            write_map_tsal(root / "maps" / "full" / f"{image_id}.tsal", m_full)
+        fixations = fixes(*((image_id, i % 5 + 0.5, 2.0, 200.0 * i)
+                            for i, image_id in enumerate(ids)))
+        write_fixations_csv(root / "fix.csv", fixations)
+        assert main(["analyze", "--maps", str(root / "maps"),
+                     "--fixations", str(root / "fix.csv"),
+                     "--out", str(root / "out"),
+                     "--t-total", str(t_total)]) == 0
+        return root / "out", fixations, stack, full
 
-    def test_histogram_csv_shape(self):
-        grid = np.zeros((3, 4), dtype=np.int64)
-        grid[1, 2] = 5
-        lines = analysis.histogram_csv(grid).strip().split("\n")
-        assert lines[0] == "time_bin_start_ms,saliency_bin_start,count"
-        assert len(lines) == 1 + 12
-        assert any(line.endswith(",5") for line in lines)
+    @staticmethod
+    def read_back(path):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        return header, rows
+
+    def test_correlation_csv_shape(self, tmp_path):
+        out, _, stack, _ = self.analyze(
+            tmp_path, mixed_stack(np.random.default_rng(119)))
+        header, rows = self.read_back(out / "correlation.csv")
+        assert header == ["slice", "t1", "t2", "t3", "t4", "skipped_max"]
+        values, skipped = analysis.inter_slice_cc(stack)
+        assert skipped.max() > 0
+        assert [[r[0], *map(float, r[1:5]), int(r[5])] for r in rows] == \
+            [[f"t{j + 1}", *values[j].tolist(), int(skipped[j].max())]
+             for j in range(4)]
+
+    def test_deviation_csv_shape(self, tmp_path):
+        out, _, stack, _ = self.analyze(
+            tmp_path, mixed_stack(np.random.default_rng(120)))
+        header, rows = self.read_back(out / "deviation.csv")
+        assert header == ["slice", "mean_cc_to_average", "skipped"]
+        scores, skipped = analysis.intra_slice_deviation(
+            stack, analysis.average_slices(stack))
+        assert [[r[0], float(r[1]), int(r[2])] for r in rows] == \
+            [[f"t{j + 1}", scores[j], k]
+             for j, k in enumerate([1, 1, 2, 1])]
+        assert skipped.tolist() == [1, 1, 2, 1]
+
+    def test_histogram_csv_shape(self, tmp_path):
+        out, fixations, _, full = self.analyze(
+            tmp_path, random_stack(np.random.default_rng(121), n_images=4),
+            t_total=3000.0)
+        header, rows = self.read_back(out / "histogram.csv")
+        assert header == ["time_bin_start_ms", "saliency_bin_start", "count"]
+        grid = analysis.saliency_time_histogram(
+            fixations, {f"img{i:02d}": m for i, m in enumerate(full)},
+            t_total=3000.0)
+        assert grid.sum() == 4
+        assert [[float(t), float(s), int(n)] for t, s, n in rows] == \
+            [[bt * 60.0, bs * 0.02, int(grid[bt, bs])]
+             for bt in range(50) for bs in range(50)]

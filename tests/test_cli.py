@@ -1,10 +1,12 @@
 """Command-line surface: exit codes, file artifacts, determinism."""
 
 import csv
+import io
 import json
 import os
 import re
 import shutil
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tsal import model
 from tsal.autodiff import load_params, save_params
 from tsal.cli import _read_stack, _worker_count, main
 from tsal.errors import FormatError, PreconditionError
@@ -138,26 +141,44 @@ FILE_INPUTS = {
              "maps/full/img000.tsal"),
     "tspw": (("predict", "--checkpoint", "in.tspw", "--images", "images"),
              "in.tspw")}
-# Three defects of every input, and a zero-byte file of the two binary
-# formats that a zero-byte file cannot be (it is valid UTF-8 text).
+# Three defects of every input; a zero-byte file of the two binary
+# formats that a zero-byte file cannot be (it is valid UTF-8 text); a
+# zip archive (what np.savez writes) as an image; and JSON nested too
+# deep for the parser as a scene file and as a gaze line.
 FILE_DEFECTS = [(name, defect) for name in sorted(FILE_INPUTS)
                 for defect in ("0xff", "missing", "directory")] + [
-    ("npy", "empty"), ("tspw", "empty")]
+    ("npy", "empty"), ("tspw", "empty"), ("npy", "npz"),
+    ("gaze", "nested"), ("scene", "nested")]
+
+
+def npz_bytes() -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, image=np.ones((3, 4, 4)))
+    return buf.getvalue()
+
+
+# The bytes a defect writes in place of the valid file.
+DEFECT_BYTES = {"0xff": b"\xff\n", "empty": b"", "npz": npz_bytes(),
+                "nested": b"[" * 100_000}
 # The error line's "<Type>: <message>" after "tsal: ", the path of the
-# file put between the two. A binary format reads the defects "0xff"
-# and "empty" its own way; "..." ends a message whose rest is numpy's.
+# file put between the two. A format may read a defect its own way;
+# "..." ends a message whose rest is the wording of numpy or Python.
 DEFECTS = {"0xff": "FormatError: 'utf-8' codec can't decode byte 0xff in "
                    "position 0: invalid start byte",
            "missing": "FormatError: No such file or directory",
            "directory": "FormatError: Is a directory"}
-BINARY_DEFECTS = {
+FORMAT_DEFECTS = {
     ("npy", "0xff"): "FormatError: not a .npy array: ...",
     ("npy", "empty"): "FormatError: not a .npy array: No data left in file",
     ("tsal", "0xff"): "FormatError: not a TSAL map (bad magic)",
     ("tspw", "0xff"): "CheckpointError: truncated checkpoint: magic needs "
                       "4 bytes at offset 0, 2 left",
     ("tspw", "empty"): "CheckpointError: truncated checkpoint: magic needs "
-                       "4 bytes at offset 0, 0 left"}
+                       "4 bytes at offset 0, 0 left",
+    ("npy", "npz"): "FormatError: not a .npy array: a zip archive (.npz)",
+    ("gaze", "nested"): "FormatError: line 1: invalid JSON",
+    ("scene", "nested"): "FormatError: invalid JSON: maximum recursion "
+                         "depth exceeded..."}
 
 
 def write_file_inputs(root: Path) -> None:
@@ -230,7 +251,7 @@ class TestSurface:
     def test_unreadable_input_names_its_file(self, tmp_path, monkeypatch,
                                              capsys, name, defect):
         argv, path = FILE_INPUTS[name]
-        message = BINARY_DEFECTS.get((name, defect), DEFECTS.get(defect))
+        message = FORMAT_DEFECTS.get((name, defect), DEFECTS.get(defect))
         monkeypatch.chdir(tmp_path)
         write_file_inputs(Path("."))
         bad = Path(path)
@@ -240,7 +261,7 @@ class TestSurface:
         elif defect == "directory":
             bad.mkdir()
         elif defect != "missing":
-            bad.write_bytes(b"\xff\n" if defect == "0xff" else b"")
+            bad.write_bytes(DEFECT_BYTES[defect])
         assert run(*argv, "--out", "out") == 2
         kind, _, text = message.partition(": ")
         line = only_error_line(capsys)
@@ -938,6 +959,31 @@ class TestTrainPredictEval:
             f"tsal: FormatError: {images / 'img002.npy'}: expected a "
             f"(3, H, W) array, got (64, 64)")
         assert not out.exists()
+
+    def test_predict_keeps_one_image_in_memory(self, tmp_path):
+        """Over 16 images predict peaks within a few image arrays of its
+        peak over 4: no image is held while the others are read."""
+        config = model.ModelConfig(
+            enc_channels=(2, 3, 3, 4, 4), dec_channels=(3, 3, 3, 3),
+            head_hidden=3, smm_channels=(3, 3, 3, 3), n_slices=2)
+        save_params(tmp_path / "tiny.tspw", model.init_params(config, 0))
+        rng = np.random.default_rng(140)
+        shape = (3, 64, 64)
+        peaks = {}
+        for count in (1, 4, 16):  # the first run only warms up
+            images = tmp_path / f"images{count}"
+            images.mkdir()
+            for i in range(count):
+                np.save(images / f"img{i:02d}.npy", rng.uniform(size=shape))
+            tracemalloc.start()
+            try:
+                run0("predict", "--checkpoint", tmp_path / "tiny.tspw",
+                     "--images", images, "--out", tmp_path / f"pred{count}",
+                     "--jobs", 1)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] - peaks[4] < 6 * np.zeros(shape).nbytes
 
     def test_eval_writes_metric_csv(self, workdir, dataset, trained):
         out = workdir / "metrics.csv"

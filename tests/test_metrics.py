@@ -505,10 +505,28 @@ def write_eval_tree(root, rng, n_images=3, w=8, h=6, observers=1,
     return table
 
 
-def run_eval(root, pred="pred", *argv) -> int:
-    return main(["eval", "--pred", str(root / pred), "--gt", str(root / "gt"),
+def run_eval(root, pred="pred", *argv, gt="gt") -> int:
+    return main(["eval", "--pred", str(root / pred), "--gt", str(root / gt),
                  "--fixations", str(root / "fixations.csv"),
                  "--out", str(root / "metrics.csv"), *map(str, argv)])
+
+
+def read_metrics_csv(path):
+    """The rows of a metric CSV, header included, as ``csv.reader`` reads
+    them, with every score converted back to a float."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return [header, *([row[0], *map(float, row[1:])] for row in rows)]
+
+
+def metric_rows(image_ids, rows):
+    """What a metric CSV holds for ``evaluate``'s rows: the header, a row
+    per image and the mean row, in ``read_metrics_csv``'s form."""
+    columns = metrics.METRIC_COLUMNS
+    means = [sum(r[c] for r in rows) / len(rows) for c in columns]
+    return [["image_id", *columns],
+            *([i, *(r[c] for c in columns)] for i, r in zip(image_ids, rows)),
+            ["mean", *means]]
 
 
 class TestBatchEvaluation:
@@ -544,6 +562,38 @@ class TestBatchEvaluation:
             "tsal: PreconditionError: prediction/ground-truth directories "
             "disagree (only in pred: ['extra.tsal'], only in gt: [])\n")
 
+    def test_ids_with_a_comma_or_a_quote_read_back(self, tmp_path):
+        ids = ["a,b", 'c"d', "e"]
+        rng = np.random.default_rng(102)
+        maps = rng.uniform(0.01, 1.0, size=(2, 3, 6, 8))
+        maps = maps.astype(np.float32).astype(np.float64)  # as stored
+        for d, stack in zip(("pred", "gt"), maps):
+            for image_id, m in zip(ids, stack):
+                write_map_tsal(tmp_path / d / f"{image_id}.tsal", m)
+        table = FixationTable(
+            [i for i in ids for _ in range(3)], ["obs0"] * 9, [0, 1, 2] * 3,
+            rng.uniform(0, 8, size=9), rng.uniform(0, 6, size=9))
+        write_fixations_csv(tmp_path / "fixations.csv", table)
+        assert run_eval(tmp_path) == 0
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            assert [len(row) for row in csv.reader(fh)] == [8] * 5
+        # the ids in sorted order, as eval lists them
+        assert sorted(ids) == ids
+        assert read_metrics_csv(tmp_path / "metrics.csv") == metric_rows(
+            ids, metrics.evaluate(ids, maps[1], iter(maps[0]), table))
+
+    @pytest.mark.parametrize("missing", ["pred", "gt"])
+    def test_missing_map_directory_is_named(self, tmp_path, capsys,
+                                            missing):
+        write_eval_tree(tmp_path, np.random.default_rng(103))
+        dirs = {"pred": "pred", "gt": "gt", missing: "nope"}
+        assert run_eval(tmp_path, dirs["pred"], gt=dirs["gt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("tsal: PreconditionError: no .tsal files "
+                                f"in {tmp_path / 'nope'}\n")
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_missing_fixations_rejected(self):
         rng = np.random.default_rng(98)
         maps = rng.uniform(0.01, 1.0, size=(3, 6, 8))
@@ -565,9 +615,9 @@ class TestBatchEvaluation:
         assert len(set(table.observer_id[:3])) > 1
         assert len(table) - 6 > 10 * 6
         assert run_eval(tmp_path, "pred", "--seed", seed) == 0
-        want = metrics.metrics_csv(*oracles.evaluate_directories_oracle(
+        want = metric_rows(*oracles.evaluate_directories_oracle(
             tmp_path / "pred", tmp_path / "gt", table, seed=seed))
-        assert (tmp_path / "metrics.csv").read_text() == want
+        assert read_metrics_csv(tmp_path / "metrics.csv") == want
 
     def test_wrong_size_prediction_is_reported_before_the_fixations(self):
         rng = np.random.default_rng(100)

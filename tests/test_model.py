@@ -1,10 +1,13 @@
 """Network architecture, losses, gradients, and the two-stage trainer."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from tsal import autodiff as ad
 from tsal import metrics, model
+from tsal.cli import main
 from tsal.errors import (
     CheckpointError,
     ConfigError,
@@ -12,6 +15,7 @@ from tsal.errors import (
     PreconditionError,
     ShapeMismatchError,
 )
+from tsal.gaze import write_map_tsal
 
 from oracles import central_diff_grads, rel_err
 
@@ -578,9 +582,38 @@ class TestTraining:
         # 3 steps at batch 1 is less than one full epoch of 4 images
         assert len(trace) == 1
 
-    def test_trace_csv_layout(self):
-        rows = [(0, "temporal", 1.5, 1e-4), (1, "temporal", 1.25, 1e-4)]
-        text = model.loss_trace_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "epoch,stage,loss,lr"
-        assert lines[1] == "0,temporal,1.5,0.0001"
+    def test_trace_csv_layout(self, tmp_path, monkeypatch):
+        """``tsal train --loss-csv`` writes the trace that ``model.train``
+        returns, a row per epoch; read back, every value is equal."""
+        (tmp_path / "images").mkdir()
+        data = self.data
+        for i, (image, slices, full) in enumerate(
+                zip(data.images, data.gt_slices, data.gt_full)):
+            np.save(tmp_path / "images" / f"img{i}.npy", image)
+            for k, m in enumerate([*slices, full[0]]):
+                kind = f"t{k}" if k < len(slices) else "full"
+                write_map_tsal(tmp_path / "maps" / kind / f"img{i}.tsal", m)
+        ad.save_params(tmp_path / "base.tspw", model.init_params(self.cfg, 4))
+        traces = []
+        train = model.train
+
+        def recorded(*args, **kwargs):
+            params, trace = train(*args, **kwargs)
+            traces.append(trace)
+            return params, trace
+
+        monkeypatch.setattr(model, "train", recorded)
+        assert main(["train", "--images", str(tmp_path / "images"),
+                     "--maps", str(tmp_path / "maps"),
+                     "--base", str(tmp_path / "base.tspw"),
+                     "--out", str(tmp_path / "out.tspw"),
+                     "--loss-csv", str(tmp_path / "loss.csv"),
+                     "--epochs", "2", "--batch-size", "2",
+                     "--decay-every", "1"]) == 0
+        with open(tmp_path / "loss.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["epoch", "stage", "loss", "lr"]
+        assert [row[:2] for row in rows] == [["0", "temporal"],
+                                             ["1", "temporal"]]
+        assert [(int(e), s, float(loss), float(lr))
+                for e, s, loss, lr in rows] == traces[0]

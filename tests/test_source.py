@@ -99,3 +99,25 @@ def test_checker_finds_direct_reads():
     p.name for p in SRC.glob("*.py") if p.name != "fileio.py"))
 def test_only_fileio_opens_files(module):
     assert direct_reads((SRC / module).read_text()) == []
+
+
+def csv_writers(source: str) -> list[int]:
+    """Lines that make a ``csv.writer`` or ``csv.DictWriter``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("writer", "DictWriter")
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "csv")
+
+
+def test_checker_finds_csv_writers():
+    source = ("import csv, io\nbuf = io.StringIO()\n"
+              "csv.writer(buf).writerow([1])\nw = csv.DictWriter\n"
+              "csv.reader(buf)\n")
+    assert csv_writers(source) == [3, 4]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in SRC.glob("*.py") if p.name != "fileio.py"))
+def test_only_fileio_writes_csv(module):
+    assert csv_writers((SRC / module).read_text()) == []

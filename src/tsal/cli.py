@@ -572,6 +572,10 @@ def cmd_eval(args) -> None:
         raise PreconditionError(
             f"prediction/ground-truth directories disagree "
             f"(only in pred: {only_pred}, only in gt: {only_gt})")
+    if "mean" in ids:
+        raise PreconditionError(
+            f"image id 'mean' ({Path(args.pred) / 'mean.tsal'}) clashes "
+            f"with the mean row of {args.out}")
     gt = Path(args.gt)
     truth = _read_stack(gt.parent, [gt.name], ids)[:, 0]
     # one prediction in memory at a time

@@ -2,8 +2,8 @@
 
 Every input file is opened by ``reading``, so each input error names its
 file. Artifacts are written to a temporary file in the destination
-directory and then renamed, so readers never observe a partial file;
-every CSV artifact is written by ``write_csv``.
+directory and then renamed by ``atomic_writer``, so readers never
+observe a partial file; every CSV artifact is written by ``write_csv``.
 """
 
 import contextlib
@@ -32,13 +32,19 @@ def reading(path, binary: bool = False):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+@contextlib.contextmanager
+def atomic_writer(path):
+    """Yield a binary handle on a temporary file in the directory of
+    ``path`` (made if missing) and rename the file onto ``path`` when
+    the block ends; if the block raises, the file is removed and
+    ``path`` is left as it was. Large artifacts are written through it
+    in pieces, so they are never held in memory whole."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -46,13 +52,18 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(data)
+
+
 def write_csv(path, header, rows) -> None:
     """A header and rows as UTF-8 CSV, one ``\n`` per row. A field is
     quoted only when it holds a comma, a quote or a line break (RFC
     4180), and floats are written by ``repr``, so they read back
     exactly."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+    with atomic_writer(path) as fh, \
+            io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -1,12 +1,12 @@
 """Gaze records, fixation timestamp recovery, temporal slicing, and
 rasterization of fixations into saliency maps.
 
-Gaze samples and fixations are columnar tables (a row per tracker
-sample or per fixation, numpy columns) that share one column idiom;
-slicing and rasterization take the columns they need. A saliency map
-is a 2-D float64 array; its normalization is a tag only in the TSAL
-file header, which the writer checks the map against. Table operations
-return new tables, and no function changes an array it was given.
+Gaze samples and fixations are the columnar tables of ``tables`` (a
+row per tracker sample or per fixation, numpy columns); slicing and
+rasterization take the columns they need. A saliency map is a 2-D
+float64 array; its normalization is a tag only in the TSAL file
+header, which the writer checks the map against. No function changes
+an array it was given.
 File formats: gaze logs are JSON lines, fixations are CSV, maps are a
 small binary container ("TSAL") plus PGM/PPM exports for viewing.
 """
@@ -19,8 +19,9 @@ import functools
 import itertools
 import json
 import math
+import operator
 import struct
-from dataclasses import dataclass, fields
+import sys
 
 import numpy as np
 
@@ -32,108 +33,16 @@ from .errors import (
     PreconditionError,
     UnrecoverableObserverError,
 )
-from .fileio import atomic_write_bytes, reading, write_csv
+from .fileio import atomic_write_bytes, atomic_writer, reading, write_csv
+from .tables import FixationTable, GazeTable
 
 DEFAULT_T_TOTAL_MS = 5000.0
 DEFAULT_SLICES = 5
 DEFAULT_SPATIAL_WEIGHT = 1.0     # per pixel
 DEFAULT_TEMPORAL_WEIGHT = 0.01   # per millisecond
 NORM_TOLERANCE = 1e-9
-
-
-class _Columns:
-    """The column idiom of ``GazeTable`` and ``FixationTable``: a frozen
-    dataclass whose first two fields are the id columns, tuples of str,
-    and whose other fields are read-only numeric columns of finite
-    values (int64 if named in ``_INTEGER``, else float64); a field that
-    defaults to None may be None. Row i is the i-th entry of every
-    column. ``len()`` is the row count and ``==`` compares every
-    column."""
-    _INTEGER: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "image_id", tuple(self.image_id))
-        object.__setattr__(self, "observer_id", tuple(self.observer_id))
-        n, name = len(self.image_id), type(self).__name__
-        if len(self.observer_id) != n:
-            raise PreconditionError(
-                f"{name} columns disagree in length: {n} image ids, "
-                f"{len(self.observer_id)} observer ids")
-        for field in fields(self)[2:]:
-            key, col = field.name, getattr(self, field.name)
-            if col is None and field.default is None:
-                continue
-            col = np.array(col, dtype=np.int64 if key in self._INTEGER
-                           else np.float64)
-            if col.shape != (n,):
-                raise PreconditionError(
-                    f"{name} columns disagree in length: {n} ids, "
-                    f"{key} of shape {col.shape}")
-            if not np.isfinite(col).all():
-                raise NonFiniteError(f"{name} column {key!r} contains NaN or Inf")
-            col.flags.writeable = False
-            object.__setattr__(self, key, col)
-
-    def _columns(self) -> tuple:
-        return tuple(getattr(self, field.name) for field in fields(self))
-
-    def __len__(self) -> int:
-        return len(self.image_id)
-
-    def __reduce__(self):
-        # rebuild through __init__ so a copy sent between processes gets
-        # read-only columns again
-        return type(self), self._columns()
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(a == b if isinstance(a, tuple) else
-                   a is b if a is None or b is None else np.array_equal(a, b)
-                   for a, b in zip(self._columns(), other._columns()))
-
-    def take(self, rows):
-        """The table of the given rows (an index array), in that order."""
-        rows = np.asarray(rows, dtype=np.intp)
-        ids, numbers = self._columns()[:2], self._columns()[2:]
-        return type(self)(
-            *(tuple(map(col.__getitem__, rows.tolist())) for col in ids),
-            *(None if col is None else col[rows] for col in numbers))
-
-    @classmethod
-    def concat(cls, tables):
-        """Rows of every table, in order; a column that is None in every
-        table is None in the result."""
-        columns = list(zip(*(t._columns() for t in tables))) or \
-            [()] * len(fields(cls))
-        chain = itertools.chain.from_iterable
-        return cls(*(tuple(chain(parts)) for parts in columns[:2]),
-                   *(None if parts and all(p is None for p in parts)
-                     else np.concatenate(parts or [[]])
-                     for parts in columns[2:]))
-
-
-@dataclass(frozen=True, eq=False)
-class GazeTable(_Columns):
-    """Raw gaze points from the tracker log, a row per sample."""
-    image_id: tuple[str, ...]
-    observer_id: tuple[str, ...]
-    t_ms: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class FixationTable(_Columns):
-    """Dwell points, a row per fixation; t_ms is None until timestamp
-    recovery fills it."""
-    image_id: tuple[str, ...]
-    observer_id: tuple[str, ...]
-    order_index: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    t_ms: np.ndarray | None = None
-    _INTEGER = ("order_index",)
+_COST_CELLS = 1 << 20   # largest (fixations, gaze samples) cost block
+_CHUNK = 1024           # rows per chunk of a gaze log or fixation CSV
 
 
 class Normalization(enum.Enum):
@@ -195,16 +104,18 @@ def recover_timestamps(fixations: FixationTable, gaze: GazeTable,
             f"({order[i]} then {order[i + 1]})")
 
     gx, gy, gt = gaze.x, gaze.y, gaze.t_ms
-    out = np.empty(m)
-    previous = -math.inf
-    for i, (x, y) in enumerate(zip(fixations.x.tolist(),
-                                   fixations.y.tolist())):
-        prior = (i + 0.5) * t_total / m
-        cost = w_s * np.hypot(gx - x, gy - y) + w_t * np.abs(gt - prior)
-        best = cost.min()
-        t = gt[cost == best].min()  # earliest gaze time among exact ties
-        previous = out[i] = max(t, previous)
-    return out
+    prior = (np.arange(m) + 0.5) * t_total / m
+    t = np.empty(m)
+    step = max(1, _COST_CELLS // len(gt))  # one block in practice
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        cost = (w_s * np.hypot(gx - fixations.x[rows, None],
+                               gy - fixations.y[rows, None])
+                + w_t * np.abs(gt - prior[rows, None]))
+        # earliest gaze time among exact ties
+        t[rows] = np.where(cost == cost.min(axis=1, keepdims=True),
+                           gt, np.inf).min(axis=1)
+    return np.maximum.accumulate(t)
 
 
 # ---------------------------------------------------------------------------
@@ -347,46 +258,114 @@ def _require_number(record: dict, key: str, line_no: int) -> float:
     return value
 
 
-def read_gaze_jsonl(path: str) -> GazeTable:
-    """Parse a gaze log line by line into a table. Blank lines are
-    skipped; the first bad line raises ``FormatError`` naming it."""
+def _gaze_lines(lines: list[str], line_no: int) -> GazeTable:
+    """Gaze lines parsed one by one, the first numbered ``line_no``.
+    Blank lines are skipped; the first bad line raises ``FormatError``
+    naming it."""
     image_ids: list[str] = []
     observer_ids: list[str] = []
     columns: tuple[list[float], ...] = ([], [], [])
-    with reading(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise FormatError(f"line {line_no}: invalid JSON") from exc
-            if not isinstance(record, dict):
-                raise FormatError(f"line {line_no}: expected an object")
-            for key in ("image_id", "observer_id"):
-                if not isinstance(record.get(key), str):
-                    raise FormatError(
-                        f"line {line_no}: {key!r} missing or not a string")
-            for column, key in zip(columns, ("t_ms", "x", "y")):
-                column.append(_require_number(record, key, line_no))
-            image_ids.append(record["image_id"])
-            observer_ids.append(record["observer_id"])
+    for line_no, line in enumerate(lines, start=line_no):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise FormatError(f"line {line_no}: invalid JSON") from exc
+        except ValueError as exc:  # an integer of over 4300 digits
+            raise FormatError(f"line {line_no}: bad value ({exc})") from exc
+        if not isinstance(record, dict):
+            raise FormatError(f"line {line_no}: expected an object")
+        for key in ("image_id", "observer_id"):
+            if not isinstance(record.get(key), str):
+                raise FormatError(
+                    f"line {line_no}: {key!r} missing or not a string")
+        for column, key in zip(columns, ("t_ms", "x", "y")):
+            column.append(_require_number(record, key, line_no))
+        image_ids.append(record["image_id"])
+        observer_ids.append(record["observer_id"])
     return GazeTable(image_ids, observer_ids, *columns)
+
+
+_GAZE_KEYS = operator.itemgetter("image_id", "observer_id", "t_ms", "x", "y")
+_ENDS = operator.itemgetter(0, -1)
+
+
+def _gaze_lines_bulk(lines: list[str]) -> GazeTable | None:
+    """The table ``_gaze_lines`` gives for these lines, from one
+    ``json.loads`` of them all, or None when any line needs the
+    per-line checks. Lines that are each invalid can join into valid
+    JSON ('{"a": [' and '1]}'), so the bulk parse is used only where
+    each non-blank line is one flat object: it starts with ``{``, ends
+    with ``}`` and holds no other brace and no ``[``, and the parse
+    gives exactly one dict per line."""
+    stripped = [s for s in map(str.strip, lines) if s]
+    text, n = ",".join(stripped), len(stripped)
+    if (not n or "[" in text or text.count("{") != n
+            or text.count("}") != n
+            or {*map(_ENDS, stripped)} != {("{", "}")}):
+        return None
+    try:
+        records = json.loads(f"[{text}]")
+        if len(records) != n or {*map(type, records)} != {dict}:
+            return None
+        image_ids, observer_ids, *numbers = zip(*map(_GAZE_KEYS, records))
+        if {*map(type, image_ids), *map(type, observer_ids)} != {str} or \
+                not {*map(type, itertools.chain(*numbers))} <= {int, float}:
+            return None
+        values = np.array(numbers, dtype=np.float64)
+    except (ValueError, KeyError, OverflowError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return GazeTable(image_ids, observer_ids, *values)
+
+
+def read_gaze_jsonl(path: str) -> GazeTable:
+    """Parse a gaze log into a table, ``_CHUNK`` lines at a time. The
+    table grows chunk by chunk and ids are interned, so reading needs
+    memory for about one chunk beyond the table. Blank lines are
+    skipped; the first bad line raises ``FormatError`` naming it."""
+    ids: tuple[list, list] = ([], [])  # a tuple of ids per chunk
+    numbers = [bytearray() for _ in range(3)]  # float64 columns
+    with reading(path) as fh:
+        for line_no in itertools.count(1, _CHUNK):
+            lines = list(itertools.islice(fh, _CHUNK))
+            if not lines:
+                break
+            chunk = _gaze_lines_bulk(lines)
+            if chunk is None:
+                chunk = _gaze_lines(lines, line_no)
+            for parts, col in zip(ids, chunk._columns()[:2]):
+                parts.append(tuple(map(sys.intern, col)))
+            for buf, col in zip(numbers, chunk._columns()[2:]):
+                buf.extend(col.tobytes())
+    columns = [np.frombuffer(buf) for buf in numbers]
+    for col in columns:
+        col.flags.writeable = False
+    # popped while read, each chunk's ids are let go once copied
+    return GazeTable(*(tuple(itertools.chain.from_iterable(
+        parts.pop(0) for _ in range(len(parts)))) for parts in ids), *columns)
 
 
 def write_gaze_jsonl(path: str, table: GazeTable) -> None:
     """One JSON object per row, byte for byte what ``json.dump`` writes
     for {"image_id", "observer_id", "t_ms", "x", "y"}: default
     separators, ``float.__repr__`` for the numbers and each distinct id
-    escaped once by ``json.dumps``."""
+    escaped once by ``json.dumps``. Rows are encoded and written
+    ``_CHUNK`` at a time."""
     ids = {s: json.dumps(s) for s in {*table.image_id, *table.observer_id}}
-    lines = [f'{{"image_id": {ids[i]}, "observer_id": {ids[o]}, '
-             f'"t_ms": {t!r}, "x": {x!r}, "y": {y!r}}}\n'
-             for i, o, t, x, y in zip(table.image_id, table.observer_id,
-                                      table.t_ms.tolist(), table.x.tolist(),
-                                      table.y.tolist())]
-    atomic_write_bytes(path, "".join(lines).encode("utf-8"))
+    with atomic_writer(path) as fh:
+        for lo in range(0, len(table), _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            fh.write("".join(
+                f'{{"image_id": {ids[i]}, "observer_id": {ids[o]}, '
+                f'"t_ms": {t!r}, "x": {x!r}, "y": {y!r}}}\n'
+                for i, o, t, x, y in zip(
+                    table.image_id[rows], table.observer_id[rows],
+                    table.t_ms[rows].tolist(), table.x[rows].tolist(),
+                    table.y[rows].tolist())).encode("utf-8"))
 
 
 _FIXATION_COLUMNS = ("image_id", "observer_id", "order_index", "x", "y")
@@ -398,6 +377,60 @@ def read_fixation_table(path: str
     """Read a fixation CSV. Returns (fixations, int64 slice_index column
     or None). The t_ms and slice_index columns are optional; t_ms is
     None unless every row has one."""
+    return _fixation_columns(path) or _fixation_rows(path)
+
+
+def _fixation_columns(path: str
+                      ) -> tuple[FixationTable, np.ndarray | None] | None:
+    """What ``_fixation_rows`` returns, converting ``_CHUNK`` rows at a
+    time column by column, or None when the file needs its per-row
+    checks: a header without the required columns, a row whose field
+    count differs from the header's, a value that does not convert, an
+    integer beyond 64 bits or a float that is not finite."""
+    with reading(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+            index = {key: i for i, key in enumerate(header)}  # last wins
+            if not index.keys() >= {*_FIXATION_COLUMNS}:
+                return None
+            tables, slices = [], [np.empty(0, np.int64)]
+            while rows := list(itertools.islice(reader, _CHUNK)):
+                if {*map(len, rows)} != {len(header)}:
+                    return None
+                table, slice_of = _fixation_chunk(list(zip(*rows)), index)
+                tables.append(table)
+                slices.append(slice_of)
+        except (StopIteration, ValueError, OverflowError, csv.Error):
+            return None
+    return (FixationTable.concat(tables),
+            np.concatenate(slices) if "slice_index" in index else None)
+
+
+def _fixation_chunk(columns: list[tuple], index: dict[str, int]):
+    """(fixations, int64 slice_index column or None) of a chunk of
+    fixation CSV rows given as its columns; raises ``ValueError`` or
+    ``OverflowError`` for a value the per-row checks would refuse."""
+    def column(key, convert):
+        return np.array(list(map(convert, columns[index[key]])),
+                        dtype=np.int64 if convert is int else np.float64)
+
+    order, x, y = (column(key, convert) for key, convert in (
+        ("order_index", int), ("x", float), ("y", float)))
+    t_ms = np.array([float(t) for t in columns[index["t_ms"]] if t]
+                    if "t_ms" in index else [])
+    if not all(np.isfinite(c).all() for c in (x, y, t_ms)):
+        raise ValueError("a float that is not finite")
+    n = len(columns[0])
+    return (FixationTable(*(tuple(map(sys.intern, columns[index[key]]))
+                            for key in ("image_id", "observer_id")),
+                          order, x, y, t_ms if len(t_ms) == n else None),
+            column("slice_index", int) if "slice_index" in index else None)
+
+
+def _fixation_rows(path: str) -> tuple[FixationTable, np.ndarray | None]:
+    """Read a fixation CSV row by row; the first bad row raises
+    ``FormatError`` naming its line."""
     with reading(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:

@@ -1,0 +1,111 @@
+"""Columnar record tables: gaze samples and fixations as id tuples and
+read-only numpy columns, a row per record. Tables are values: their
+operations return new tables, and no function changes an array it was
+given."""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass, fields
+
+import numpy as np
+
+from .errors import NonFiniteError, PreconditionError
+
+
+class _Columns:
+    """The column idiom of ``GazeTable`` and ``FixationTable``: a frozen
+    dataclass whose first two fields are the id columns, tuples of str,
+    and whose other fields are read-only numeric columns of finite
+    values (int64 if named in ``_INTEGER``, else float64); a field that
+    defaults to None may be None; a column given as a read-only array
+    of its type is kept, not copied. Row i is the i-th entry of every
+    column. ``len()`` is the row count and ``==`` compares every
+    column."""
+    _INTEGER: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "image_id", tuple(self.image_id))
+        object.__setattr__(self, "observer_id", tuple(self.observer_id))
+        n, name = len(self.image_id), type(self).__name__
+        if len(self.observer_id) != n:
+            raise PreconditionError(
+                f"{name} columns disagree in length: {n} image ids, "
+                f"{len(self.observer_id)} observer ids")
+        for field in fields(self)[2:]:
+            key, col = field.name, getattr(self, field.name)
+            if col is None and field.default is None:
+                continue
+            dtype = np.int64 if key in self._INTEGER else np.float64
+            if not (isinstance(col, np.ndarray) and col.dtype == dtype
+                    and not col.flags.writeable):
+                col = np.array(col, dtype=dtype)
+            if col.shape != (n,):
+                raise PreconditionError(
+                    f"{name} columns disagree in length: {n} ids, "
+                    f"{key} of shape {col.shape}")
+            if not np.isfinite(col).all():
+                raise NonFiniteError(f"{name} column {key!r} contains NaN or Inf")
+            col.flags.writeable = False
+            object.__setattr__(self, key, col)
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, field.name) for field in fields(self))
+
+    def __len__(self) -> int:
+        return len(self.image_id)
+
+    def __reduce__(self):
+        # rebuild through __init__ so a copy sent between processes gets
+        # read-only columns again
+        return type(self), self._columns()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(a == b if isinstance(a, tuple) else
+                   a is b if a is None or b is None else np.array_equal(a, b)
+                   for a, b in zip(self._columns(), other._columns()))
+
+    def take(self, rows):
+        """The table of the given rows (an index array), in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        ids, numbers = self._columns()[:2], self._columns()[2:]
+        return type(self)(
+            *(tuple(map(col.__getitem__, rows.tolist())) for col in ids),
+            *(None if col is None else col[rows] for col in numbers))
+
+    @classmethod
+    def concat(cls, tables):
+        """Rows of every table, in order; a column that is None in any
+        table is None in the result."""
+        columns = list(zip(*(t._columns() for t in tables))) or \
+            [()] * len(fields(cls))
+        chain = itertools.chain.from_iterable
+        return cls(*(tuple(chain(parts)) for parts in columns[:2]),
+                   *(None if any(p is None for p in parts)
+                     else np.concatenate(parts or [[]])
+                     for parts in columns[2:]))
+
+
+@dataclass(frozen=True, eq=False)
+class GazeTable(_Columns):
+    """Raw gaze points from the tracker log, a row per sample."""
+    image_id: tuple[str, ...]
+    observer_id: tuple[str, ...]
+    t_ms: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class FixationTable(_Columns):
+    """Dwell points, a row per fixation; t_ms is None until timestamp
+    recovery fills it."""
+    image_id: tuple[str, ...]
+    observer_id: tuple[str, ...]
+    order_index: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    t_ms: np.ndarray | None = None
+    _INTEGER = ("order_index",)

@@ -996,6 +996,27 @@ class TestTrainPredictEval:
         assert rows[-1]["image_id"] == "mean"
         assert len(rows) == 5
 
+    def test_image_named_mean_exits_two(self, tmp_path, capsys):
+        """The mean row's id cannot be an image's too: eval refuses the
+        trees before it writes metrics.csv."""
+        rng = np.random.default_rng(14)
+        for tree in ("pred", "gt"):
+            for image in ("img", "mean"):
+                write_map_tsal(tmp_path / tree / f"{image}.tsal",
+                               rng.uniform(size=(8, 8)))
+        fixations = tmp_path / "fix.csv"
+        write_fixations_csv(fixations, FixationTable(
+            ("img", "mean"), ("o", "o"), (0, 0), (1.0, 2.0), (3.0, 4.0)))
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--pred", tmp_path / "pred", "--gt",
+                   tmp_path / "gt", "--fixations", fixations,
+                   "--out", out) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: PreconditionError: image id 'mean' "
+            f"({tmp_path / 'pred' / 'mean.tsal'}) clashes with the mean row "
+            f"of {out}")
+        assert not out.exists()
+
     def test_all_zero_ground_truth_map_is_named_by_position(
             self, workdir, dataset, tmp_path, capsys):
         gt = tmp_path / "gt"

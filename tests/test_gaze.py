@@ -1,16 +1,18 @@
 """Gaze records, timestamp recovery, slicing, rasterization, file formats."""
 
 import dataclasses
+import json
 import math
 import pickle
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsal import gaze
+from tsal import fileio, gaze
 from tsal.errors import (
     ConfigError,
     DegenerateMapError,
@@ -81,6 +83,24 @@ class TestRecoverTimestamps:
                                           w_t=0.01).tolist()
             want = oracles.recover_oracle(fix_pts, gaze_pts, 1.0, 0.01, 5000.0)
             assert got == want
+
+    def test_cost_blocks_match_one_block(self, monkeypatch):
+        """Fixations split into blocks of rows give the times of one
+        block, ties and the monotone repair across blocks included."""
+        rng = np.random.default_rng(52)
+        table = fixes(*[(i, float(x), float(y)) for i, (x, y) in
+                        enumerate(rng.integers(0, 8, (40, 2)))])
+        samples = gz(*[(float(t), float(x), float(y)) for t, x, y in
+                       zip(rng.integers(0, 50, 30) * 100.0,
+                           *rng.integers(0, 8, (2, 30)))])
+        whole = gaze.recover_timestamps(table, samples).tolist()
+        monkeypatch.setattr(gaze, "_COST_CELLS", 70)  # blocks of 2 rows
+        assert gaze.recover_timestamps(table, samples).tolist() == whole
+        fix_pts = list(zip(table.x.tolist(), table.y.tolist()))
+        gaze_pts = list(zip(samples.x.tolist(), samples.y.tolist(),
+                            samples.t_ms.tolist()))
+        assert whole == oracles.recover_oracle(fix_pts, gaze_pts, 1.0, 0.01,
+                                               5000.0)
 
     def test_gaze_at_each_fixation_returns_those_times(self):
         table = fixes((0, 1.0, 1.0), (1, 9.0, 3.0), (2, 4.0, 8.0))
@@ -424,6 +444,178 @@ class TestGazeJsonl:
             ("a",), ("o",), (1.0,), (1.0,), (2.0,))
 
 
+def outcome(read, path):
+    """What a reader makes of a file: its result, or the type and message
+    of the exception it raises."""
+    try:
+        return read(str(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def gaze_line_by_line(path):
+    """A gaze log through the per-line parser only."""
+    with fileio.reading(path) as fh:
+        return gaze._gaze_lines(list(fh), 1)
+
+
+def gaze_line(**fields) -> str:
+    """A gaze line of raw JSON value texts, keys in the written order."""
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+
+
+# Raw JSON values that replace one field of a gaze line: bad or borderline
+# numbers and ids, and texts with braces, brackets and quotes that could
+# join a line with its neighbours.
+NUMBER_VALUES = ["true", "null", '"1.5"', "NaN", "Infinity", "-Infinity",
+                 "1e999", "-1e999", str(2 ** 53 + 1), str(2 ** 64),
+                 "1" + "0" * 400, "-0", "1E2", "[1]", "{}", '{"a": 1}', "01",
+                 ".5", "+1", "1 2", '"}{"', "[", "]", "{", "}"]
+ID_VALUES = ["7", "null", '["a"]', '""', '"a,b"', '"}{"', '"["', '"a\\"b"',
+             '"\\u00e9"', '"{"', '"}"', "{}", "true", '"a"}, {"b": "c"']
+
+
+def gaze_log_mutations(seed: int, count: int) -> list[tuple[str, bytes]]:
+    """``count`` one-field and ``count`` one-byte mutations of a written
+    12-row gaze log, as (description, file bytes)."""
+    rng = np.random.default_rng(seed)
+    rows = [(f"img{i % 3}", f"o{i % 2}", 100.0 * i + 0.25, 1.5 * i, 2.0)
+            for i in range(12)]
+    lines = oracles.gaze_jsonl_oracle(rows).decode().splitlines()
+    keys = ("image_id", "observer_id", "t_ms", "x", "y")
+    cases = []
+    for _ in range(count):
+        r = int(rng.integers(len(rows)))
+        fields = dict(zip(keys, (json.dumps(v) for v in rows[r])))
+        key = keys[int(rng.integers(len(keys)))]
+        kind = int(rng.integers(4))
+        if kind == 0:
+            del fields[key]
+        elif kind == 1:
+            fields[key + "_"] = fields.pop(key)
+        else:
+            values = ID_VALUES if key in keys[:2] else NUMBER_VALUES
+            fields[key] = values[int(rng.integers(len(values)))]
+        text = "\n".join(lines[:r] + [gaze_line(**fields)] + lines[r + 1:])
+        cases.append((f"row {r} {key} -> {fields.get(key)}",
+                      (text + "\n").encode()))
+    return cases + byte_mutations(rng, oracles.gaze_jsonl_oracle(rows),
+                                  b'{}[],:" \n\t0159.eE-+aNI\\\x00\xff', count)
+
+
+def byte_mutations(rng, data: bytes, alphabet: bytes, count: int
+                   ) -> list[tuple[str, bytes]]:
+    """``count`` copies of ``data`` with one byte deleted, or replaced by
+    or inserted before a byte of ``alphabet``, as (description, bytes)."""
+    cases = []
+    for _ in range(count):
+        at = int(rng.integers(len(data)))
+        byte = alphabet[int(rng.integers(len(alphabet)))]
+        kind = int(rng.integers(3))
+        new = data[:at] + (b"" if kind == 0 else bytes([byte])) + \
+            data[at + (kind != 2):]
+        cases.append((f"byte {at} {'del set ins'.split()[kind]} {byte}", new))
+    return cases
+
+
+class TestGazeJsonlChunks:
+    """The chunked reader gives what the per-line parser gives, for any
+    input: the table, or the same error naming the same line."""
+
+    @pytest.mark.parametrize("chunk", [5, gaze._CHUNK])
+    def test_mutations_match_the_line_parser(self, tmp_path, monkeypatch,
+                                             chunk):
+        monkeypatch.setattr(gaze, "_CHUNK", chunk)
+        path = tmp_path / "gaze.jsonl"
+        differ, tables = [], 0
+        for case, data in gaze_log_mutations(14, 150):
+            path.write_bytes(data)
+            got = outcome(gaze.read_gaze_jsonl, path)
+            want = outcome(gaze_line_by_line, path)
+            tables += isinstance(want, gaze.GazeTable)
+            if not (got == want) is True:
+                differ.append((case, got, want))
+        assert differ == []
+        assert 20 < tables < 280  # both outcomes are well represented
+
+    @pytest.mark.parametrize("lines", [
+        [gaze_line(image_id='"a"', observer_id='"o"', t_ms=1, x=1, y=2,
+                   e='["}'), '{"]}'],
+        ['{"image_id": "a}',
+         '{", "observer_id": "o", "t_ms": 1, "x": 1, "y": 2}'],
+        [f"{GOOD_LINE}, {GOOD_LINE}"],
+        # two lines that make one record, then one line that makes two:
+        # as many records as lines
+        ['{"image_id": "a}',
+         '{", "observer_id": "o", "t_ms": 1, "x": 1, "y": 2}',
+         f"{GOOD_LINE}, {GOOD_LINE}"],
+    ], ids=["bracket-nested", "brace-split", "two-records-on-one-line",
+            "split-and-doubled"])
+    def test_lines_that_join_into_valid_json(self, tmp_path, lines):
+        # joined, the lines parse into records, though the first is not JSON
+        joined = json.loads("[" + ",".join(lines) + "]")
+        assert {type(r) for r in joined} == {dict}
+        assert gaze._gaze_lines_bulk(lines) is None
+        p = tmp_path / "gaze.jsonl"
+        p.write_text("\n".join([GOOD_LINE, *lines, GOOD_LINE]) + "\n")
+        with pytest.raises(FormatError) as exc:
+            gaze.read_gaze_jsonl(str(p))
+        assert str(exc.value) == f"{p}: line 2: invalid JSON"
+
+    @pytest.mark.parametrize("value", [2 ** 53 + 1, 2 ** 64, 10 ** 400],
+                             ids=["2**53+1", "2**64", "10**400"])
+    def test_large_integers_read_as_require_number(self, tmp_path, value):
+        line = gaze_line(image_id='"a"', observer_id='"o"', t_ms=1,
+                         x=value, y=2)
+        p = tmp_path / "gaze.jsonl"
+        p.write_text(f"{line}\n")
+        try:
+            want = gaze._require_number({"x": value}, "x", 1)
+        except FormatError as exc:
+            assert gaze._gaze_lines_bulk([line]) is None
+            assert outcome(gaze.read_gaze_jsonl, p) == (
+                FormatError, f"{p}: {exc}")
+        else:
+            assert gaze._gaze_lines_bulk([line]).x.tolist() == [want]
+            assert gaze.read_gaze_jsonl(str(p)).x.tolist() == [want]
+
+    def test_integer_of_over_4300_digits_is_a_format_error(self, tmp_path):
+        p = tmp_path / "gaze.jsonl"
+        p.write_text(gaze_line(image_id='"a"', observer_id='"o"',
+                               t_ms="1" * 5000, x=1, y=2) + "\n")
+        with pytest.raises(FormatError,
+                           match=f"^{re.escape(str(p))}: line 1: bad value "
+                                 r"\(Exceeds the limit \(4300 digits\)"):
+            gaze.read_gaze_jsonl(str(p))
+
+    def test_memory_does_not_grow_with_the_log(self, tmp_path):
+        """Writing a 200k-row log peaks within 1 MiB of writing a 50k-row
+        one, and reading one needs within 1 MiB as much memory beyond the
+        table it returns: neither holds the whole log."""
+        rng = np.random.default_rng(14)
+        write_peak, read_extra = {}, {}
+        for n in (2_000, 50_000, 200_000):  # the first run only warms up
+            table = gaze.GazeTable(
+                [f"img{i % 100:03d}" for i in range(n)],
+                [f"o{i % 4:03d}" for i in range(n)],
+                rng.uniform(0, 5000, n), rng.uniform(0, 128, n),
+                rng.uniform(0, 96, n))
+            path = str(tmp_path / f"gaze{n}.jsonl")
+            tracemalloc.start()
+            try:
+                gaze.write_gaze_jsonl(path, table)
+                write_peak[n] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                got = gaze.read_gaze_jsonl(path)
+                held, peak = tracemalloc.get_traced_memory()
+                read_extra[n] = peak - held
+            finally:
+                tracemalloc.stop()
+            assert got == table
+        assert write_peak[200_000] - write_peak[50_000] < 1 << 20
+        assert read_extra[200_000] - read_extra[50_000] < 1 << 20
+
+
 class TestGazeTable:
     def test_columns_are_read_only_float64(self):
         table = gz((1, 2, 3))
@@ -578,6 +770,97 @@ class TestFixationCsv:
         with pytest.raises(PreconditionError):
             gaze.write_fixations_csv(str(tmp_path / "x.csv"),
                                      fixes((0, 1.0, 2.0)), slice_indices=[1, 2])
+
+
+# Raw CSV fields that replace one field of a fixation CSV row.
+CSV_VALUES = ["", " ", "x", "1.5", "nan", "inf", "-inf", "1e999", "1e3",
+              str(2 ** 63), str(-2 ** 63 - 1), str(2 ** 63 - 1), "9" * 5000,
+              "1_000", "+3", " 7 ", "\u0663", "0x10", '"a,b"', "a,b", '"',
+              "t_ms", "slice_index"]
+
+
+def fixation_csv_mutations(path, seed: int, count: int
+                           ) -> list[tuple[str, bytes]]:
+    """``count`` one-field and ``count`` one-byte mutations of a 12-row
+    fixation CSV with t_ms and slice_index columns, written to ``path``,
+    as (description, file bytes). A field may be replaced, dropped or
+    doubled, in the header too."""
+    rng = np.random.default_rng(seed)
+    table = gaze.FixationTable(
+        [f"img{i % 3}" for i in range(12)], [f"o{i % 2}" for i in range(12)],
+        range(12), [1.5 * i for i in range(12)], [2.0] * 12,
+        [100.0 * i + 0.25 for i in range(12)])
+    gaze.write_fixations_csv(str(path), table,
+                             slice_indices=[i % 5 for i in range(12)])
+    data = path.read_bytes()
+    lines = data.decode().splitlines()
+    cases = []
+    for _ in range(count):
+        r = int(rng.integers(len(lines)))
+        fields = lines[r].split(",")
+        f = int(rng.integers(len(fields)))
+        kind = int(rng.integers(5))
+        if kind == 0:
+            del fields[f]
+        elif kind == 1:
+            fields.insert(f, fields[f])
+        elif kind == 2:
+            fields[f] = ""
+        else:
+            fields[f] = CSV_VALUES[int(rng.integers(len(CSV_VALUES)))]
+        text = "\n".join(lines[:r] + [",".join(fields)] + lines[r + 1:])
+        cases.append((f"line {r + 1} field {f} kind {kind}: {fields}",
+                      (text + "\n").encode()))
+    return cases + byte_mutations(rng, data, b',"\n\r 0159.eE-+a\x00\xff',
+                                  count)
+
+
+def same_fixations(a, b) -> bool:
+    """Equal reader outcomes: (table, slice column or None) pairs, or the
+    same (exception type, message)."""
+    if isinstance(a[0], type) or isinstance(b[0], type):
+        return a == b
+    return a[0] == b[0] and (a[1] is b[1] is None or (
+        a[1] is not None and b[1] is not None
+        and a[1].dtype == b[1].dtype and np.array_equal(a[1], b[1])))
+
+
+class TestFixationCsvColumns:
+    """The column-wise reader gives what the per-row loop gives."""
+
+    @pytest.mark.parametrize("chunk", [5, gaze._CHUNK])
+    def test_mutations_match_the_row_loop(self, tmp_path, monkeypatch,
+                                          chunk):
+        monkeypatch.setattr(gaze, "_CHUNK", chunk)
+        path = tmp_path / "fix.csv"
+        differ, tables = [], 0
+        for case, data in fixation_csv_mutations(path, 14, 150):
+            path.write_bytes(data)
+            got = outcome(gaze.read_fixation_table, path)
+            want = outcome(gaze._fixation_rows, path)
+            tables += not isinstance(want[0], type)
+            if not same_fixations(got, want):
+                differ.append((case, got, want))
+        assert differ == []
+        assert 20 < tables < 280  # both outcomes are well represented
+
+    @pytest.mark.parametrize("times", [("5", "", "6"), ("5", "6", "")])
+    def test_one_row_without_a_time(self, tmp_path, monkeypatch, times):
+        """One row without t_ms makes the whole column None, in its own
+        chunk or in another; the other times must still be numbers."""
+        monkeypatch.setattr(gaze, "_CHUNK", 2)
+        p = tmp_path / "fix.csv"
+        header = "image_id,observer_id,order_index,x,y,t_ms\n"
+        p.write_text(header + "".join(f"a,o,{i},1,2,{t}\n"
+                                      for i, t in enumerate(times)))
+        table, slices = gaze.read_fixation_table(str(p))
+        assert table.t_ms is None and slices is None
+        assert table.order_index.tolist() == [0, 1, 2]
+        p.write_text(header + "a,o,0,1,2,5\na,o,1,1,2,nan\na,o,2,1,2,\n")
+        with pytest.raises(FormatError,
+                           match=f"^{re.escape(str(p))}: line 3: 't_ms' "
+                                 "is not finite$"):
+            gaze.read_fixation_table(str(p))
 
 
 def stored_normalization(path) -> gaze.Normalization:

@@ -121,3 +121,39 @@ def test_checker_finds_csv_writers():
     p.name for p in SRC.glob("*.py") if p.name != "fileio.py"))
 def test_only_fileio_writes_csv(module):
     assert csv_writers((SRC / module).read_text()) == []
+
+
+def file_replacements(source: str) -> list[str]:
+    """Uses of ``tempfile`` or ``os.replace``, the atomic-write idiom: an
+    import of ``tempfile`` or from it, ``from os import replace`` and any
+    ``os.replace`` attribute, as ``name@line`` in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "tempfile") for a in node.names
+                      if a.name.split(".")[0] == "tempfile"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "tempfile":
+                found.append((node.lineno, "tempfile"))
+            elif node.module == "os" and any(a.name == "replace"
+                                             for a in node.names):
+                found.append((node.lineno, "os.replace"))
+        elif isinstance(node, ast.Attribute) and node.attr == "replace" \
+                and isinstance(node.value, ast.Name) and node.value.id == "os":
+            found.append((node.lineno, "os.replace"))
+    return [f"{name}@{line}" for line, name in sorted(found)]
+
+
+def test_checker_finds_file_replacements():
+    source = ("import os, tempfile\nfrom os import replace, path\n"
+              "from tempfile import mkstemp\n"
+              "def f(p, text):\n    fd, tmp = mkstemp()\n"
+              "    os.replace(tmp, p)\n    return text.replace('a', 'b')\n")
+    assert file_replacements(source) == [
+        "tempfile@1", "os.replace@2", "tempfile@3", "os.replace@6"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in SRC.glob("*.py") if p.name != "fileio.py"))
+def test_only_fileio_replaces_files(module):
+    assert file_replacements((SRC / module).read_text()) == []

@@ -10,6 +10,16 @@ nodes; inputs of a node always have smaller node ids, so ``backward``
 is a single reverse sweep that visits each node at most once. Tensors
 are immutable values (their buffers are marked read-only) and may be
 shared freely; a tape itself is single-threaded.
+
+The tape keeps only what ``backward`` will read. A node is *live* if
+it is a parameter or if any of its inputs is live, as in PyTorch's
+``requires_grad`` (Paszke et al. 2019, arXiv:1912.01703). A node that
+is not live keeps no pullback, so a tape built only from constants
+(prediction, a frozen backbone) holds no forward values beyond its
+outputs, and a pullback builds the gradients of its live inputs only.
+``backward`` consumes the tape: it drops each pullback once it has run
+and each intermediate gradient once its pullback has used it, and a
+second ``backward`` on the same tape raises ``GraphError``.
 """
 
 from __future__ import annotations
@@ -38,7 +48,8 @@ class Tensor:
 
     ``data`` is a read-only float64 ndarray; shape ``()`` is a scalar.
     ``leaf`` marks trainable parameters: ``backward`` reports gradients
-    for exactly these nodes.
+    for exactly these nodes. ``live`` says whether the value depends on
+    a parameter, that is, whether ``backward`` can reach it.
     """
 
     __slots__ = ("data", "tape", "node_id", "name", "leaf")
@@ -55,24 +66,29 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    @property
+    def live(self) -> bool:
+        return self.tape.nodes[self.node_id].live
+
     def __repr__(self) -> str:
         tag = self.name or f"node{self.node_id}"
         return f"Tensor({tag}, shape={self.data.shape})"
 
 
 class _Node:
-    """One recorded operation: kind, input node ids, and a pullback
-    closure holding whatever forward values backward needs."""
+    """One recorded operation: kind, input node ids, whether it is live,
+    and, while it is live and not yet differentiated, a pullback closure
+    holding whatever forward values backward needs."""
 
-    __slots__ = ("op", "inputs", "pullback", "leaf")
+    __slots__ = ("op", "inputs", "pullback", "live")
 
     def __init__(self, op: str, inputs: tuple[int, ...],
                  pullback: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None,
-                 leaf: bool):
+                 live: bool):
         self.op = op
         self.inputs = inputs
         self.pullback = pullback
-        self.leaf = leaf
+        self.live = live
 
 
 class Tape:
@@ -80,13 +96,15 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.differentiated = False
 
     def _record(self, op: str, inputs: tuple[int, ...],
                 pullback, data: np.ndarray,
                 name: str | None = None, leaf: bool = False) -> Tensor:
         data = _validated(data, op)
         node_id = len(self.nodes)
-        self.nodes.append(_Node(op, inputs, pullback, leaf))
+        live = leaf or any(self.nodes[i].live for i in inputs)
+        self.nodes.append(_Node(op, inputs, pullback if live else None, live))
         return Tensor(data, self, node_id, name=name, leaf=leaf)
 
     def constant(self, data) -> Tensor:
@@ -132,6 +150,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _binary(op: str, a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
+    """``da(x, y)`` and ``db(x, y)`` return the gradient of one operand
+    as a function of the output gradient. Only a live operand's is
+    built, and each closes over just the operand arrays its formula
+    reads, so the tape keeps no other forward value."""
     tape = _same_tape(a, b)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -140,33 +162,36 @@ def _binary(op: str, a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
         raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} "
                                  f"do not broadcast") from exc
 
-    x, y = a.data, b.data  # not a, b: a Tensor in its tape is a cycle
+    # not a, b: a Tensor in its tape is a cycle
+    sides = [(grad(a.data, b.data), t.shape) if t.live else None
+             for grad, t in ((da, a), (db, b))]
 
     def pullback(g):
-        return (_unbroadcast(da(g, x, y), x.shape),
-                _unbroadcast(db(g, x, y), y.shape))
+        return tuple(None if side is None else
+                     _unbroadcast(side[0](g), side[1]) for side in sides)
 
     return tape._record(op, (a.node_id, b.node_id), pullback, out)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     return _binary("add", a, b, np.add,
-                   lambda g, x, y: g, lambda g, x, y: g)
+                   lambda x, y: lambda g: g, lambda x, y: lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     return _binary("sub", a, b, np.subtract,
-                   lambda g, x, y: g, lambda g, x, y: -g)
+                   lambda x, y: lambda g: g, lambda x, y: np.negative)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", a, b, np.multiply,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+                   lambda x, y: lambda g: g * y, lambda x, y: lambda g: g * x)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     return _binary("div", a, b, np.divide,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+                   lambda x, y: lambda g: g / y,
+                   lambda x, y: lambda g: -g * x / (y * y))
 
 
 def log(a: Tensor) -> Tensor:
@@ -257,13 +282,13 @@ def _extreme(a: Tensor, axis, keepdims: bool, take_max: bool) -> Tensor:
     out = vals.reshape(lead)
     if keepdims:
         out = np.expand_dims(out, axes) if axes else out
+    flat_shape, moved_shape = flat.shape, moved.shape  # not the views of x
 
     def pullback(g):
-        gflat = np.asarray(g).reshape(flat.shape[0])
-        buf = np.zeros_like(flat)
-        buf[np.arange(flat.shape[0]), idx] = gflat
-        back = buf.reshape(moved.shape)
-        return (np.transpose(back, np.argsort(perm)),)
+        rows = flat_shape[0]
+        buf = np.zeros(flat_shape)
+        buf[np.arange(rows), idx] = np.asarray(g).reshape(rows)
+        return (np.transpose(buf.reshape(moved_shape), np.argsort(perm)),)
 
     name = "max" if take_max else "min"
     return a.tape._record(name, (a.node_id,), pullback, np.asarray(out))
@@ -337,7 +362,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     gradient is the output gradient times the columns transposed, and
     the input gradient is itself a stride-1 im2col product, of the
     flipped kernel with the padded (and, at stride 2, zero-stuffed)
-    output gradient.
+    output gradient. It builds only the live operands' gradients, so
+    a constant input (the image at the first layer) costs no input
+    gradient.
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"conv2d input must be NCHW, got {x.shape}")
@@ -370,20 +397,29 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
                   out=out[i].reshape(o, oh * ow))
     out += bias.data[None, :, None, None]
 
+    x_live, kernel_live, bias_live = x.live, kernel.live, bias.live
+
     # the pullback holds xp but not x.data: holding both raised the
     # README temporal training peak RSS from 314 MB to 432 MB
     def pullback(g):
-        gp = np.zeros((n, o, h + 2, w + 2))
-        gp[:, :, 1:h + 1:stride, 1:w + 1:stride] = g
-        kflip = kmat.reshape(o, c, 3, 3)[:, :, ::-1, ::-1].transpose(
-            1, 0, 2, 3).reshape(c, o * 9)
-        gx = np.empty((n, c, h, w))
-        gk = np.zeros_like(kmat)
-        for i in range(n):
-            gk += g[i].reshape(o, oh * ow) @ _im2col(xp[i], stride, oh, ow).T
-            np.matmul(kflip, _im2col(gp[i], 1, h, w),
-                      out=gx[i].reshape(c, h * w))
-        return (gx, gk.reshape(o, c, 3, 3), g.sum(axis=(0, 2, 3)))
+        gx = gk = gb = None
+        if kernel_live:
+            gk = np.zeros_like(kmat)
+            for i in range(n):
+                gk += g[i].reshape(o, oh * ow) @ _im2col(xp[i], stride, oh, ow).T
+            gk = gk.reshape(o, c, 3, 3)
+        if x_live:
+            gp = np.zeros((n, o, h + 2, w + 2))
+            gp[:, :, 1:h + 1:stride, 1:w + 1:stride] = g
+            kflip = kmat.reshape(o, c, 3, 3)[:, :, ::-1, ::-1].transpose(
+                1, 0, 2, 3).reshape(c, o * 9)
+            gx = np.empty((n, c, h, w))
+            for i in range(n):
+                np.matmul(kflip, _im2col(gp[i], 1, h, w),
+                          out=gx[i].reshape(c, h * w))
+        if bias_live:
+            gb = g.sum(axis=(0, 2, 3))
+        return (gx, gk, gb)
 
     return tape._record("conv2d", (x.node_id, kernel.node_id, bias.node_id),
                         pullback, out)
@@ -452,29 +488,40 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     """Reverse sweep from ``loss``; returns gradients keyed by node id
     for every leaf parameter the loss actually depends on.
 
-    Nodes with no path to the loss are never visited, so a frozen
-    subgraph whose values re-enter the live graph only as a
-    ``tape.constant`` never has gradients computed at all.
+    Only live nodes are visited and only live inputs receive a
+    gradient, so a frozen subgraph whose values re-enter the graph as
+    a ``tape.constant`` never has gradients computed at all. The sweep
+    consumes the tape: each pullback is dropped once it has run, and
+    each intermediate gradient once its node's pullback has used it,
+    so memory falls as the sweep goes. A second call on the same tape
+    raises ``GraphError``.
     """
     if loss.tape is not tape:
         raise GraphError("loss was not recorded on this tape")
     if loss.data.shape != ():
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if tape.differentiated:
+        raise GraphError("tape was already differentiated")
+    tape.differentiated = True
 
-    grads: dict[int, np.ndarray] = {loss.node_id: np.ones(())}
+    # every live non-leaf node has a pullback and is popped when the
+    # sweep reaches it, so what is left at the end is the leaf gradients
+    grads: dict[int, np.ndarray] = \
+        {loss.node_id: np.ones(())} if loss.live else {}
     for nid in range(loss.node_id, -1, -1):
-        g = grads.get(nid)
-        if g is None:
-            continue
         node = tape.nodes[nid]
-        if node.pullback is None:
+        if node.pullback is None or nid not in grads:
             continue
-        for input_id, input_grad in zip(node.inputs, node.pullback(g)):
-            if input_grad is None:
+        for input_id, input_grad in zip(node.inputs,
+                                        node.pullback(grads.pop(nid))):
+            if input_grad is None or not tape.nodes[input_id].live:
                 continue
-            seen = grads.get(input_id)
-            grads[input_id] = input_grad if seen is None else seen + input_grad
-    return {nid: g for nid, g in grads.items() if tape.nodes[nid].leaf}
+            if input_id in grads:
+                grads[input_id] = grads[input_id] + input_grad
+            else:
+                grads[input_id] = input_grad
+        node.pullback = None
+    return grads
 
 
 # ---------------------------------------------------------------------------

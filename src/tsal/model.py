@@ -368,6 +368,12 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
     gradients are never computed. Every op works on each image alone,
     so the cached rows are bit-identical to a per-step recompute.
 
+    Each step's tape holds pullbacks only for the ops that depend on a
+    trainable parameter, and its backward frees them, and the
+    intermediate gradients, as it goes (see ``tsal.autodiff``): the
+    constant branches (the image at ``enc.c1``, the cached mixing
+    inputs) keep nothing and get no gradient.
+
     Trace rows are (epoch, stage, mean epoch loss, lr).
     """
     loss_cfg = loss_cfg or LossConfig()
@@ -424,7 +430,9 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
 def _frozen_outputs(images: np.ndarray, backbone: dict[str, np.ndarray],
                     chunk: int) -> list[np.ndarray]:
     """The frozen encoder and decoders over every image, ``chunk`` images
-    per tape: the five blocks, T and S_I, each indexed like ``images``."""
+    per tape: the five blocks, T and S_I, each indexed like ``images``.
+    Every parameter enters as a constant, so the tapes are forward-only:
+    no op keeps a pullback or the forward values it would read."""
     parts = []
     for start in range(0, images.shape[0], chunk):
         tape = ad.Tape()
@@ -463,7 +471,9 @@ def _train_step(data: TrainData, idx: np.ndarray,
 
 def predict(images: np.ndarray, params: dict[str, np.ndarray],
             config: ModelConfig | None = None) -> dict[str, np.ndarray]:
-    """Full forward pass without gradients. Returns arrays
+    """Full forward pass without gradients: every parameter enters as a
+    constant, so the tape keeps no pullback and each intermediate value
+    is freed once no later op reads it. Returns arrays
     {"T": (N,n,H,W), "S_I": (N,1,H,W), "S_R": (N,1,H,W)}."""
     config = config or infer_config(params)
     check_params(params, config)

@@ -3,6 +3,7 @@
 import gc
 import inspect
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -483,6 +484,24 @@ class TestBackward:
         assert touched == []
         assert z.node_id not in grads
 
+    def test_second_backward_on_a_consumed_tape_raises(self):
+        tape = ad.Tape()
+        x = tape.param(np.array([1.0, 2.0]), "x")
+        loss = ad.reduce_sum(ad.mul(x, x))
+        ad.backward(tape, loss)
+        assert all(node.pullback is None for node in tape.nodes)
+        with pytest.raises(GraphError, match="already differentiated"):
+            ad.backward(tape, loss)
+
+    def test_binary_pullback_builds_only_the_live_side(self):
+        tape = ad.Tape()
+        x = tape.param(np.array([1.0, 2.0]), "x")
+        c = tape.constant(np.array([3.0, 4.0]))
+        gx, gc = tape.nodes[ad.mul(x, c).node_id].pullback(np.ones(2))
+        assert np.array_equal(gx, [3.0, 4.0]) and gc is None
+        gc, gx = tape.nodes[ad.div(c, x).node_id].pullback(np.ones(2))
+        assert gc is None and np.array_equal(gx, [-3.0, -1.0])
+
     def test_constant_blocks_gradient(self):
         tape = ad.Tape()
         x = tape.param(np.array(3.0), "x")
@@ -544,6 +563,55 @@ class TestTapeLifetime:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestTapeMemory:
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_add_sub_keep_no_operand_array(self, op):
+        # their pullbacks read only the operand shapes
+        tape = ad.Tape()
+        x = tape.param(np.ones((3, 4)), "x")
+        y = getattr(ad, op)(x, tape.param(np.ones(4), "y"))
+        ref = weakref.ref(x.data)
+        del x
+        assert ref() is None
+        assert y.live
+
+    def test_constant_only_tape_holds_no_pullback(self):
+        # model.predict's tape: every parameter enters as a constant
+        params = model.init_params(model.ModelConfig(), seed=3)
+        images = np.random.default_rng(38).uniform(size=(1, 3, 16, 16))
+        tape = ad.Tape()
+        pt = {k: tape.constant(v) for k, v in params.items()}
+        refined = model.smm(*model.forward(tape, images, pt), pt)
+        assert len(tape.nodes) > 100
+        assert [n.op for n in tape.nodes if n.pullback is not None] == []
+        assert not refined.live
+
+    @staticmethod
+    def _backward_peak(n_ops):
+        # n_ops elementwise ops on a 1 MB array, then backward alone
+        # under tracemalloc
+        tape = ad.Tape()
+        x = tape.param(np.linspace(0.5, 1.5, 1 << 17), "x")
+        y = x
+        for _ in range(n_ops):
+            y = ad.sigmoid(ad.mul(y, tape.constant(1.5)))
+        loss = ad.reduce_sum(y)
+        tracemalloc.start()
+        try:
+            grads = ad.backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grads[x.node_id].shape == x.shape
+        return peak
+
+    def test_backward_peak_is_flat_in_chain_length(self):
+        # each intermediate gradient is freed once its pullback has used
+        # it: keeping them all would add 1 MB per op
+        short, long = self._backward_peak(20), self._backward_peak(80)
+        assert long < short + (1 << 20), (short, long)
 
 
 class TestAdam:

@@ -478,14 +478,18 @@ class TestTraining:
         assert all(row[1] == "mixing" for row in trace)
 
     def test_frozen_gradients_never_computed(self):
-        # wrap every pullback recorded during the frozen forward pass;
-        # none of them may run during the mixing-stage backward
+        # the frozen forward pass records a forward-only tape: no node
+        # keeps a pullback; any that did must not run during the
+        # mixing-stage backward
         p1 = model.init_params(self.cfg, seed=4)
         touched = []
+        kept = []
         orig_forward = model.forward
 
         def spying_forward(tape, images, pt):
             out = orig_forward(tape, images, pt)
+            kept.extend(node.op for node in tape.nodes
+                        if node.pullback is not None)
             for nid, node in enumerate(tape.nodes):
                 if node.pullback is not None:
                     node.pullback = self._flag(node.pullback, nid, touched)
@@ -498,7 +502,44 @@ class TestTraining:
             model.train(self.data, sched, seed=5, base_params=p1)
         finally:
             model.forward = orig_forward
+        assert kept == []
         assert touched == []
+
+    def test_image_input_gradient_never_built(self, monkeypatch):
+        # the image enters enc.c1 as a constant, so that conv's pullback
+        # builds the kernel gradient (one im2col per image) and no input
+        # gradient (which would be a second im2col per image)
+        pullback_im2cols, returned = [], []
+        real_im2col, real_conv = ad._im2col, model._conv
+
+        def counting_im2col(*args):
+            if pullback_im2cols:
+                pullback_im2cols[-1] += 1
+            return real_im2col(*args)
+
+        def spying_conv(x, pt, name, stride=1):
+            out = real_conv(x, pt, name, stride)
+            if name == "enc.c1":
+                node = out.tape.nodes[out.node_id]
+                inner = node.pullback
+
+                def pullback(g):
+                    pullback_im2cols.append(0)
+                    grads = inner(g)
+                    returned.append(grads)
+                    return grads
+                node.pullback = pullback
+            return out
+
+        monkeypatch.setattr(ad, "_im2col", counting_im2col)
+        monkeypatch.setattr(model, "_conv", spying_conv)
+        sched = model.TrainSchedule(stage="temporal", batch_size=2,
+                                    epochs=1, max_steps=1)
+        model.train(self.data, sched, seed=6, config=self.cfg)
+        assert pullback_im2cols == [2]
+        (gx, gk, gb), = returned
+        assert gx is None
+        assert gk.shape == (4, 3, 3, 3) and gb.shape == (4,)
 
     def test_mixing_cache_matches_per_step_recompute(self):
         # reference loop from the public pieces, re-running the frozen

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMapError, PreconditionError
-from .gaze import FixationTable, Normalization, group_rows, normalize_map
+from .errors import DegenerateMapError, PreconditionError
+from .gaze import (DEFAULT_T_TOTAL_MS, FixationTable, Normalization,
+                   check_time_range, group_rows, normalize_map)
 from .metrics import cc, fixation_pixels, mean_map, usable_maps
 
 
@@ -89,7 +90,7 @@ def consecutive_differences(averages: list[np.ndarray]) -> list[np.ndarray]:
 def saliency_time_histogram(fixations: FixationTable,
                             gt_maps: dict[str, np.ndarray],
                             bins_t: int = 50, bins_s: int = 50,
-                            t_total: float = 5000.0) -> np.ndarray:
+                            t_total: float = DEFAULT_T_TOTAL_MS) -> np.ndarray:
     """Counts of fixations by (time bin, saliency-at-fixation bin).
 
     Saliency is read at the fixation's pixel from the image's
@@ -99,13 +100,8 @@ def saliency_time_histogram(fixations: FixationTable,
     """
     if bins_t < 1 or bins_s < 1:
         raise PreconditionError(f"invalid bin counts {bins_t}x{bins_s}")
-    if not t_total > 0.0:
-        raise ConfigError(f"t_total must be positive, got {t_total}")
     t = fixations.t_ms
-    outside = ~((t >= 0.0) & (t <= t_total))
-    if outside.any():
-        raise PreconditionError(
-            f"timestamp {float(t[outside][0])} outside [0, {t_total}]")
+    check_time_range(t, t_total)
     s = np.empty_like(t)
     for image_id, rows in group_rows(fixations.image_id).items():
         if image_id not in gt_maps:

@@ -50,6 +50,10 @@ from .errors import (
 )
 from .fileio import atomic_write_bytes, reading, write_csv
 from .gaze import (
+    DEFAULT_SLICES,
+    DEFAULT_SPATIAL_WEIGHT,
+    DEFAULT_T_TOTAL_MS,
+    DEFAULT_TEMPORAL_WEIGHT,
     FixationTable,
     GazeTable,
     Normalization,
@@ -142,6 +146,9 @@ def _load_image(path: Path) -> np.ndarray:
             raise FormatError(f"not a .npy array: {exc}") from exc
         if not isinstance(arr, np.ndarray):
             raise FormatError("not a .npy array: a zip archive (.npz)")
+        if arr.dtype.kind not in "biuf":
+            raise FormatError(
+                f"expected a real-valued array, got dtype {arr.dtype}")
         if arr.ndim != 3 or arr.shape[0] != 3:
             raise FormatError(f"expected a (3, H, W) array, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -188,11 +195,9 @@ def _read_stack(maps_dir, kinds: list[str], ids: list[str]) -> np.ndarray:
 
 def _slice_kinds(maps_dir: str) -> list[str]:
     kinds = []
-    k = 0
-    while (Path(maps_dir) / f"t{k}").is_dir():
-        kinds.append(f"t{k}")
-        k += 1
-    if len(kinds) < 1:
+    while (Path(maps_dir) / f"t{len(kinds)}").is_dir():
+        kinds.append(f"t{len(kinds)}")
+    if not kinds:
         raise PreconditionError(
             f"{maps_dir} has no t0/ slice directory; run rasterize first")
     return kinds
@@ -624,6 +629,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
             keys.add(flag[2:].replace("-", "_"))
         return p, add
 
+    t_total = ("--t-total", _finite_float, DEFAULT_T_TOTAL_MS,
+               "viewing duration, ms")
     p, add = command("synth", cmd_synth, "generate a synthetic dataset")
     p.add_argument("--scene", required=True, help="scene JSON file")
     p.add_argument("--out", required=True, help="dataset directory")
@@ -634,7 +641,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     add("--rho", _finite_float, synth.DEFAULT_RHO, "revisit decay factor")
     add("--jitter", _finite_float, synth.DEFAULT_JITTER_PX,
         "gaze jitter around fixations, pixels")
-    add("--t-total", _finite_float, 5000.0, "viewing duration, ms")
+    add(*t_total)
     add("--jobs", int, 1, "parallel workers")
 
     p, add = command("timestamps", cmd_timestamps,
@@ -642,9 +649,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     p.add_argument("--gaze", required=True, help="gaze JSONL file")
     p.add_argument("--fixations", required=True, help="fixation CSV file")
     p.add_argument("--out", required=True, help="output fixation CSV")
-    add("--spatial-weight", _finite_float, 1.0, "spatial match weight")
-    add("--temporal-weight", _finite_float, 0.01, "temporal prior weight")
-    add("--t-total", _finite_float, 5000.0, "viewing duration, ms")
+    add("--spatial-weight", _finite_float, DEFAULT_SPATIAL_WEIGHT,
+        "spatial match weight")
+    add("--temporal-weight", _finite_float, DEFAULT_TEMPORAL_WEIGHT,
+        "temporal prior weight")
+    add(*t_total)
 
     p, add = command("slice", cmd_slice, "assign fixations to time slices")
     p.add_argument("--fixations", required=True,
@@ -652,8 +661,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     p.add_argument("--out", required=True, help="output fixation CSV")
     add("--scheme", str, "equal-duration", "slicing scheme",
         choices=("equal-duration", "equal-distribution"))
-    add("--n", int, 5, "number of slices")
-    add("--t-total", _finite_float, 5000.0, "viewing duration, ms")
+    add("--n", int, DEFAULT_SLICES, "number of slices")
+    add(*t_total)
 
     p, add = command("rasterize", cmd_rasterize,
                      "render fixations into saliency maps")
@@ -661,7 +670,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     p.add_argument("--images", required=True,
                    help="image directory (provides map dimensions)")
     p.add_argument("--out", required=True, help="map directory")
-    add("--n", int, 5, "number of slices")
+    add("--n", int, DEFAULT_SLICES, "number of slices")
     add("--sigma", _finite_float, None,
         "blur sigma in pixels (default: 19/480 of the short side)")
     add("--normalize", str, "raw", "stored normalization",
@@ -674,7 +683,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     p.add_argument("--fixations", required=True,
                    help="timestamped fixation CSV")
     p.add_argument("--out", required=True, help="analysis output directory")
-    add("--t-total", _finite_float, 5000.0, "viewing duration, ms")
+    add(*t_total)
 
     p, add = command("train", cmd_train, "fit the saliency network")
     p.add_argument("--images", required=True, help="image directory")

@@ -21,7 +21,6 @@ import json
 import math
 import operator
 import struct
-import sys
 
 import numpy as np
 
@@ -122,6 +121,18 @@ def recover_timestamps(fixations: FixationTable, gaze: GazeTable,
 # Temporal slicing
 # ---------------------------------------------------------------------------
 
+def check_time_range(t_ms: np.ndarray, t_total: float) -> None:
+    """Raise ``ConfigError`` for a t_total that is not positive and
+    ``PreconditionError`` for the first timestamp outside [0, t_total];
+    with a NaN timestamp or t_total, a timestamp is outside."""
+    if t_total <= 0.0:
+        raise ConfigError(f"t_total must be positive, got {t_total}")
+    outside = ~((t_ms >= 0.0) & (t_ms <= t_total))
+    if outside.any():
+        raise PreconditionError(
+            f"timestamp {float(t_ms[outside][0])} outside [0, {t_total}]")
+
+
 def slice_equal_duration(t_ms: np.ndarray, n: int = DEFAULT_SLICES,
                          t_total: float = DEFAULT_T_TOTAL_MS) -> np.ndarray:
     """Slice index of each timestamp, in input order, for n equal-length
@@ -132,13 +143,8 @@ def slice_equal_duration(t_ms: np.ndarray, n: int = DEFAULT_SLICES,
     """
     if n < 1:
         raise ConfigError(f"slice count must be >= 1, got {n}")
-    if t_total <= 0.0:
-        raise ConfigError(f"t_total must be positive, got {t_total}")
     t = np.asarray(t_ms, dtype=np.float64)
-    outside = ~((t >= 0.0) & (t <= t_total))  # NaN is outside too
-    if outside.any():
-        raise PreconditionError(
-            f"timestamp {float(t[outside][0])} outside [0, {t_total}]")
+    check_time_range(t, t_total)
     boundaries = np.array([k * t_total / n for k in range(n + 1)])
     return np.minimum(np.searchsorted(boundaries, t, side="right") - 1, n - 1)
 
@@ -262,9 +268,7 @@ def _gaze_lines(lines: list[str], line_no: int) -> GazeTable:
     """Gaze lines parsed one by one, the first numbered ``line_no``.
     Blank lines are skipped; the first bad line raises ``FormatError``
     naming it."""
-    image_ids: list[str] = []
-    observer_ids: list[str] = []
-    columns: tuple[list[float], ...] = ([], [], [])
+    records = []
     for line_no, line in enumerate(lines, start=line_no):
         line = line.strip()
         if not line:
@@ -281,11 +285,10 @@ def _gaze_lines(lines: list[str], line_no: int) -> GazeTable:
             if not isinstance(record.get(key), str):
                 raise FormatError(
                     f"line {line_no}: {key!r} missing or not a string")
-        for column, key in zip(columns, ("t_ms", "x", "y")):
-            column.append(_require_number(record, key, line_no))
-        image_ids.append(record["image_id"])
-        observer_ids.append(record["observer_id"])
-    return GazeTable(image_ids, observer_ids, *columns)
+        records.append((record["image_id"], record["observer_id"],
+                        *(_require_number(record, key, line_no)
+                          for key in ("t_ms", "x", "y"))))
+    return GazeTable(*zip(*records) if records else [()] * 5)
 
 
 _GAZE_KEYS = operator.itemgetter("image_id", "observer_id", "t_ms", "x", "y")
@@ -314,39 +317,29 @@ def _gaze_lines_bulk(lines: list[str]) -> GazeTable | None:
         if {*map(type, image_ids), *map(type, observer_ids)} != {str} or \
                 not {*map(type, itertools.chain(*numbers))} <= {int, float}:
             return None
-        values = np.array(numbers, dtype=np.float64)
-    except (ValueError, KeyError, OverflowError):
+        return GazeTable(image_ids, observer_ids,
+                         *np.array(numbers, dtype=np.float64))
+    except (ValueError, KeyError, OverflowError, NonFiniteError):
         return None
-    if not np.isfinite(values).all():
-        return None
-    return GazeTable(image_ids, observer_ids, *values)
+
+
+def _chunks(rows, line_no: int, bulk, check, *args):
+    """Tables of an iterator of lines or CSV rows, ``_CHUNK`` rows each,
+    the first row numbered ``line_no``: ``bulk(chunk, *args)``, or where
+    that returns None, ``check(chunk, line_no, *args)``."""
+    for line_no in itertools.count(line_no, _CHUNK):
+        if not (chunk := list(itertools.islice(rows, _CHUNK))):
+            return
+        table = bulk(chunk, *args)
+        yield check(chunk, line_no, *args) if table is None else table
 
 
 def read_gaze_jsonl(path: str) -> GazeTable:
-    """Parse a gaze log into a table, ``_CHUNK`` lines at a time. The
-    table grows chunk by chunk and ids are interned, so reading needs
-    memory for about one chunk beyond the table. Blank lines are
-    skipped; the first bad line raises ``FormatError`` naming it."""
-    ids: tuple[list, list] = ([], [])  # a tuple of ids per chunk
-    numbers = [bytearray() for _ in range(3)]  # float64 columns
+    """Parse a gaze log into a table, ``_CHUNK`` lines at a time. Blank
+    lines are skipped; the first bad line raises ``FormatError`` naming
+    it."""
     with reading(path) as fh:
-        for line_no in itertools.count(1, _CHUNK):
-            lines = list(itertools.islice(fh, _CHUNK))
-            if not lines:
-                break
-            chunk = _gaze_lines_bulk(lines)
-            if chunk is None:
-                chunk = _gaze_lines(lines, line_no)
-            for parts, col in zip(ids, chunk._columns()[:2]):
-                parts.append(tuple(map(sys.intern, col)))
-            for buf, col in zip(numbers, chunk._columns()[2:]):
-                buf.extend(col.tobytes())
-    columns = [np.frombuffer(buf) for buf in numbers]
-    for col in columns:
-        col.flags.writeable = False
-    # popped while read, each chunk's ids are let go once copied
-    return GazeTable(*(tuple(itertools.chain.from_iterable(
-        parts.pop(0) for _ in range(len(parts)))) for parts in ids), *columns)
+        return GazeTable.concat(_chunks(fh, 1, _gaze_lines_bulk, _gaze_lines))
 
 
 def write_gaze_jsonl(path: str, table: GazeTable) -> None:
@@ -369,97 +362,88 @@ def write_gaze_jsonl(path: str, table: GazeTable) -> None:
 
 
 _FIXATION_COLUMNS = ("image_id", "observer_id", "order_index", "x", "y")
-_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def read_fixation_table(path: str
                         ) -> tuple[FixationTable, np.ndarray | None]:
-    """Read a fixation CSV. Returns (fixations, int64 slice_index column
-    or None). The t_ms and slice_index columns are optional; t_ms is
-    None unless every row has one."""
-    return _fixation_columns(path) or _fixation_rows(path)
+    """Read a fixation CSV in chunks of ``_CHUNK`` rows, as a gaze log is
+    read: (fixations, int64 slice_index column or None). The t_ms and
+    slice_index columns are optional; t_ms is None unless every row has
+    one. The first bad row raises ``FormatError`` naming its line."""
+    slices = bytearray()
 
+    def tables(chunks):  # each chunk's slice_index column goes to slices
+        for table, slice_of in chunks:
+            slices.extend(b"" if slice_of is None else slice_of.tobytes())
+            yield table
 
-def _fixation_columns(path: str
-                      ) -> tuple[FixationTable, np.ndarray | None] | None:
-    """What ``_fixation_rows`` returns, converting ``_CHUNK`` rows at a
-    time column by column, or None when the file needs its per-row
-    checks: a header without the required columns, a row whose field
-    count differs from the header's, a value that does not convert, an
-    integer beyond 64 bits or a float that is not finite."""
     with reading(path) as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-            index = {key: i for i, key in enumerate(header)}  # last wins
-            if not index.keys() >= {*_FIXATION_COLUMNS}:
-                return None
-            tables, slices = [], [np.empty(0, np.int64)]
-            while rows := list(itertools.islice(reader, _CHUNK)):
-                if {*map(len, rows)} != {len(header)}:
-                    return None
-                table, slice_of = _fixation_chunk(list(zip(*rows)), index)
-                tables.append(table)
-                slices.append(slice_of)
-        except (StopIteration, ValueError, OverflowError, csv.Error):
-            return None
-    return (FixationTable.concat(tables),
-            np.concatenate(slices) if "slice_index" in index else None)
+            header = next(reader, None)
+            if header is None:
+                raise FormatError("empty fixation file")
+            missing = [c for c in _FIXATION_COLUMNS if c not in header]
+            if missing:
+                raise FormatError(f"missing columns {missing}")
+            table = FixationTable.concat(tables(_chunks(
+                reader, 2, _fixation_chunk, _fixation_rows, header)))
+        except csv.Error as exc:  # a field over the csv module's limit
+            raise FormatError(f"line {reader.line_num}: {exc}") from exc
+    return table, (np.frombuffer(slices, np.int64)
+                   if "slice_index" in header else None)
 
 
-def _fixation_chunk(columns: list[tuple], index: dict[str, int]):
-    """(fixations, int64 slice_index column or None) of a chunk of
-    fixation CSV rows given as its columns; raises ``ValueError`` or
-    ``OverflowError`` for a value the per-row checks would refuse."""
-    def column(key, convert):
-        return np.array(list(map(convert, columns[index[key]])),
-                        dtype=np.int64 if convert is int else np.float64)
+def _fixation_chunk(rows: list[list[str]], header: list[str]):
+    """What ``_fixation_rows`` gives for a chunk of CSV rows, converted
+    column by column, or None when a row needs the per-row checks."""
+    if {*map(len, rows)} != {len(header)}:
+        return None
+    columns = dict(zip(header, zip(*rows)))  # a repeated name: the last
+    try:
+        order, slice_of = (np.array([*map(int, columns[key])], np.int64)
+                           if key in columns else None
+                           for key in ("order_index", "slice_index"))
+        x, y = (np.array([*map(float, columns[key])]) for key in "xy")
+        t_ms = np.array([float(t) for t in columns.get("t_ms", ()) if t])
+        table = FixationTable(columns["image_id"], columns["observer_id"],
+                              order, x, y,
+                              t_ms if len(t_ms) == len(rows) else None)
+    except (ValueError, OverflowError, NonFiniteError):
+        return None
+    # a t_ms column with blanks reads as None, but its times must be finite
+    return (table, slice_of) if np.isfinite(t_ms).all() else None
 
-    order, x, y = (column(key, convert) for key, convert in (
-        ("order_index", int), ("x", float), ("y", float)))
-    t_ms = np.array([float(t) for t in columns[index["t_ms"]] if t]
-                    if "t_ms" in index else [])
-    if not all(np.isfinite(c).all() for c in (x, y, t_ms)):
-        raise ValueError("a float that is not finite")
-    n = len(columns[0])
-    return (FixationTable(*(tuple(map(sys.intern, columns[index[key]]))
-                            for key in ("image_id", "observer_id")),
-                          order, x, y, t_ms if len(t_ms) == n else None),
-            column("slice_index", int) if "slice_index" in index else None)
 
-
-def _fixation_rows(path: str) -> tuple[FixationTable, np.ndarray | None]:
-    """Read a fixation CSV row by row; the first bad row raises
-    ``FormatError`` naming its line."""
-    with reading(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError("empty fixation file")
-        missing = [c for c in _FIXATION_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise FormatError(f"missing columns {missing}")
-        has_slice = "slice_index" in reader.fieldnames
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            t_raw = row.get("t_ms")
-            try:
-                values = (row["image_id"], row["observer_id"],
-                          int(row["order_index"]), float(row["x"]),
-                          float(row["y"]),
-                          None if t_raw in ("", None) else float(t_raw),
-                          int(row["slice_index"]) if has_slice else 0)
-            except (TypeError, ValueError) as exc:
+def _fixation_rows(rows: list[list[str]], line_no: int, header: list[str]):
+    """Fixation CSV rows checked one by one, the first numbered
+    ``line_no``, as (fixations, int64 slice_index column or None); blank
+    rows are skipped, and the first bad row raises ``FormatError``."""
+    has_slice, records = "slice_index" in header, []
+    for line_no, row in enumerate(rows, start=line_no):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise FormatError(f"line {line_no}: expected {len(header)} "
+                              f"fields, got {len(row)}")
+        row = dict(zip(header, row))  # a repeated name: the last
+        t_raw = row.get("t_ms", "")
+        try:
+            values = (row["image_id"], row["observer_id"],
+                      int(row["order_index"]), float(row["x"]),
+                      float(row["y"]), None if t_raw == "" else float(t_raw),
+                      int(row["slice_index"]) if has_slice else 0)
+        except ValueError as exc:
+            raise FormatError(f"line {line_no}: bad value ({exc})") from exc
+        for key, value in zip(_FIXATION_COLUMNS + ("t_ms", "slice_index"),
+                              values):
+            if isinstance(value, int) and not -2 ** 63 <= value < 2 ** 63:
                 raise FormatError(
-                    f"line {line_no}: bad value ({exc})") from exc
-            for key, value in zip(_FIXATION_COLUMNS + ("t_ms", "slice_index"),
-                                  values):
-                if isinstance(value, int) and value not in _INT64:
-                    raise FormatError(
-                        f"line {line_no}: {key!r} does not fit in 64 bits")
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise FormatError(f"line {line_no}: {key!r} is not finite")
-            rows.append(values)
-    *columns, t_ms, slice_of = zip(*rows) if rows else [()] * 7
+                    f"line {line_no}: {key!r} does not fit in 64 bits")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FormatError(f"line {line_no}: {key!r} is not finite")
+        records.append(values)
+    *columns, t_ms, slice_of = zip(*records) if records else [()] * 7
     return (FixationTable(*columns, t_ms=None if None in t_ms else t_ms),
             np.array(slice_of, dtype=np.int64) if has_slice else None)
 
@@ -563,10 +547,8 @@ def read_map_tsal(path: str) -> np.ndarray:
 def write_map_pgm(path: str, values: np.ndarray) -> None:
     """16-bit max-scaled PGM (P5, big-endian samples per the format)."""
     peak = values.max()
-    if peak > 0.0:
-        scaled = np.round(values / peak * 65535.0).astype(">u2")
-    else:
-        scaled = np.zeros_like(values, dtype=">u2")
+    scaled = (np.round(values / peak * 65535.0) if peak > 0.0
+              else np.zeros_like(values)).astype(">u2")
     height, width = values.shape
     header = f"P5\n{width} {height}\n65535\n".encode("ascii")
     atomic_write_bytes(path, header + scaled.tobytes())

@@ -6,6 +6,7 @@ given."""
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -77,15 +78,26 @@ class _Columns:
 
     @classmethod
     def concat(cls, tables):
-        """Rows of every table, in order; a column that is None in any
-        table is None in the result."""
-        columns = list(zip(*(t._columns() for t in tables))) or \
-            [()] * len(fields(cls))
-        chain = itertools.chain.from_iterable
-        return cls(*(tuple(chain(parts)) for parts in columns[:2]),
-                   *(None if any(p is None for p in parts)
-                     else np.concatenate(parts or [[]])
-                     for parts in columns[2:]))
+        """Rows of every table of an iterable, in order; a column that is
+        None in any table is None in the result. Tables are consumed one
+        at a time, numbers copied to byte buffers and ids interned."""
+        ids: tuple[list, list] = ([], [])  # a tuple of ids per table
+        numbers = [bytearray() for _ in fields(cls)[2:]]
+        for table in tables:
+            for parts, col in zip(ids, table._columns()[:2]):
+                parts.append(tuple(map(sys.intern, col)))
+            for i, col in enumerate(table._columns()[2:]):
+                if col is None or numbers[i] is None:
+                    numbers[i] = None
+                else:
+                    numbers[i] += col.tobytes()
+        # popped while read, each table's ids are let go once copied
+        return cls(*(tuple(itertools.chain.from_iterable(
+            parts.pop(0) for _ in range(len(parts)))) for parts in ids),
+            *(buf if buf is None else np.frombuffer(
+                memoryview(buf).toreadonly(),  # a read-only column
+                np.int64 if field.name in cls._INTEGER else np.float64)
+              for buf, field in zip(numbers, fields(cls)[2:])))
 
 
 @dataclass(frozen=True, eq=False)

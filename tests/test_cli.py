@@ -143,12 +143,17 @@ FILE_INPUTS = {
              "in.tspw")}
 # Three defects of every input; a zero-byte file of the two binary
 # formats that a zero-byte file cannot be (it is valid UTF-8 text); a
-# zip archive (what np.savez writes) as an image; and JSON nested too
-# deep for the parser as a scene file and as a gaze line.
+# zip archive (what np.savez writes), a text array and a complex array
+# as an image; JSON nested too deep for the parser as a scene file and
+# as a gaze line; a fixation row with one field too many or too few;
+# and a fixation field over the csv module's size limit.
 FILE_DEFECTS = [(name, defect) for name in sorted(FILE_INPUTS)
                 for defect in ("0xff", "missing", "directory")] + [
     ("npy", "empty"), ("tspw", "empty"), ("npy", "npz"),
-    ("gaze", "nested"), ("scene", "nested")]
+    ("npy", "text-dtype"), ("npy", "complex"),
+    ("gaze", "nested"), ("scene", "nested"),
+    ("fixations-slice", "extra-field"), ("fixations-slice", "short-row"),
+    ("fixations-slice", "huge-field"), ("fixations-eval", "huge-field")]
 
 
 def npz_bytes() -> bytes:
@@ -157,9 +162,23 @@ def npz_bytes() -> bytes:
     return buf.getvalue()
 
 
+def npy_bytes(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+FIXATION_HEADER = b"image_id,observer_id,order_index,x,y,t_ms,slice_index\n"
+
 # The bytes a defect writes in place of the valid file.
 DEFECT_BYTES = {"0xff": b"\xff\n", "empty": b"", "npz": npz_bytes(),
-                "nested": b"[" * 100_000}
+                "nested": b"[" * 100_000,
+                "text-dtype": npy_bytes(np.full((3, 4, 4), "a")),
+                "complex": npy_bytes(np.ones((3, 4, 4), dtype=complex)),
+                "extra-field": FIXATION_HEADER + b"img000,o,0,1,2,3,0,9\n",
+                "short-row": FIXATION_HEADER + b"img000,o,0,1,2\n",
+                "huge-field": FIXATION_HEADER + b"a" * 200_000
+                + b",o,0,1,2,3,0\n"}
 # The error line's "<Type>: <message>" after "tsal: ", the path of the
 # file put between the two. A format may read a defect its own way;
 # "..." ends a message whose rest is the wording of numpy or Python.
@@ -176,7 +195,19 @@ FORMAT_DEFECTS = {
     ("tspw", "empty"): "CheckpointError: truncated checkpoint: magic needs "
                        "4 bytes at offset 0, 0 left",
     ("npy", "npz"): "FormatError: not a .npy array: a zip archive (.npz)",
+    ("npy", "text-dtype"): "FormatError: expected a real-valued array, "
+                           "got dtype <U1",
+    ("npy", "complex"): "FormatError: expected a real-valued array, got "
+                        "dtype complex128",
     ("gaze", "nested"): "FormatError: line 1: invalid JSON",
+    ("fixations-slice", "extra-field"): "FormatError: line 2: expected 7 "
+                                        "fields, got 8",
+    ("fixations-slice", "short-row"): "FormatError: line 2: expected 7 "
+                                      "fields, got 5",
+    ("fixations-slice", "huge-field"): "FormatError: line 2: field larger "
+                                       "than field limit (131072)",
+    ("fixations-eval", "huge-field"): "FormatError: line 2: field larger "
+                                      "than field limit (131072)",
     ("scene", "nested"): "FormatError: invalid JSON: maximum recursion "
                          "depth exceeded..."}
 

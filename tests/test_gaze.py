@@ -1,5 +1,6 @@
 """Gaze records, timestamp recovery, slicing, rasterization, file formats."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -815,6 +816,18 @@ def fixation_csv_mutations(path, seed: int, count: int
                                   count)
 
 
+def fixations_row_by_row(path):
+    """A fixation CSV through the per-row checker only, in one chunk."""
+    with fileio.reading(path) as fh:
+        header, *rows = [*csv.reader(fh)] or [None]
+        if header is None:
+            raise FormatError("empty fixation file")
+        missing = [c for c in gaze._FIXATION_COLUMNS if c not in header]
+        if missing:
+            raise FormatError(f"missing columns {missing}")
+        return gaze._fixation_rows(rows, 2, header)
+
+
 def same_fixations(a, b) -> bool:
     """Equal reader outcomes: (table, slice column or None) pairs, or the
     same (exception type, message)."""
@@ -826,7 +839,9 @@ def same_fixations(a, b) -> bool:
 
 
 class TestFixationCsvColumns:
-    """The column-wise reader gives what the per-row loop gives."""
+    """The chunked reader gives what the per-row checker gives over the
+    whole file, for any input: the table and slice column, or the same
+    error naming the same line."""
 
     @pytest.mark.parametrize("chunk", [5, gaze._CHUNK])
     def test_mutations_match_the_row_loop(self, tmp_path, monkeypatch,
@@ -837,7 +852,7 @@ class TestFixationCsvColumns:
         for case, data in fixation_csv_mutations(path, 14, 150):
             path.write_bytes(data)
             got = outcome(gaze.read_fixation_table, path)
-            want = outcome(gaze._fixation_rows, path)
+            want = outcome(fixations_row_by_row, path)
             tables += not isinstance(want[0], type)
             if not same_fixations(got, want):
                 differ.append((case, got, want))
@@ -861,6 +876,65 @@ class TestFixationCsvColumns:
                            match=f"^{re.escape(str(p))}: line 3: 't_ms' "
                                  "is not finite$"):
             gaze.read_fixation_table(str(p))
+
+    @pytest.mark.parametrize("row, got", [("a,o,0,1,2,3,0,9", 8),
+                                          ("a,o,0,1,2", 5), ("a", 1)],
+                             ids=["extra-field", "short-row", "one-field"])
+    def test_field_count_must_match_the_header(self, tmp_path, row, got):
+        p = tmp_path / "fix.csv"
+        p.write_text("image_id,observer_id,order_index,x,y,t_ms,slice_index\n"
+                     f"a,o,0,1,2,3,0\n\n{row}\n")
+        message = f"{p}: line 4: expected 7 fields, got {got}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            gaze.read_fixation_table(str(p))
+
+    @pytest.mark.parametrize("line", [1, 2, 3])
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, line):
+        lines = ["image_id,observer_id,order_index,x,y", "a,o,0,1,2",
+                 "a,o,1,1,2"]
+        lines[line - 1] = "a" * 200_000 + lines[line - 1]
+        p = tmp_path / "fix.csv"
+        p.write_text("\n".join(lines) + "\n")
+        message = (f"{p}: line {line}: field larger than field limit "
+                   f"({csv.field_size_limit()})")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            gaze.read_fixation_table(str(p))
+
+    def test_malformed_file_is_opened_once(self, tmp_path, monkeypatch):
+        opened = []
+        monkeypatch.setattr(fileio, "open", lambda *a, **k: opened.append(
+            a[0]) or open(*a, **k), raising=False)
+        p = tmp_path / "fix.csv"
+        p.write_text("image_id,observer_id,order_index,x,y\na,o,0,1,2\n"
+                     "a,o,zero,1,2\n")
+        with pytest.raises(FormatError, match="line 3: bad value"):
+            gaze.read_fixation_table(str(p))
+        assert opened == [str(p)]
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        """Reading a 200k-row fixation CSV needs within 1 MiB as much
+        memory beyond the table and slice column it returns as reading a
+        50k-row one: the reader never holds the whole file."""
+        rng = np.random.default_rng(16)
+        read_extra = {}
+        for n in (2_000, 50_000, 200_000):  # the first run only warms up
+            table = gaze.FixationTable(
+                [f"img{i % 100:03d}" for i in range(n)],
+                [f"o{i % 4:03d}" for i in range(n)], np.arange(n),
+                rng.uniform(0, 128, n), rng.uniform(0, 96, n),
+                rng.uniform(0, 5000, n))
+            path = str(tmp_path / f"fix{n}.csv")
+            slices = np.arange(n) % 5
+            gaze.write_fixations_csv(path, table, slice_indices=slices)
+            tracemalloc.start()
+            try:
+                got = gaze.read_fixation_table(path)
+                held, peak = tracemalloc.get_traced_memory()
+                read_extra[n] = peak - held
+            finally:
+                tracemalloc.stop()
+            assert got[0] == table and np.array_equal(got[1], slices)
+        assert read_extra[200_000] - read_extra[50_000] < 1 << 20
 
 
 def stored_normalization(path) -> gaze.Normalization:

@@ -38,14 +38,12 @@ import numpy as np
 from . import analysis, metrics, model, synth
 from .autodiff import load_params, save_params
 from .errors import (
-    CheckpointError,
     ConfigError,
     DegenerateMapError,
     FormatError,
-    GraphError,
     NonFiniteError,
     PreconditionError,
-    ShapeMismatchError,
+    TsalError,
     UnrecoverableObserverError,
 )
 from .fileio import atomic_write_bytes, reading, write_csv
@@ -73,11 +71,6 @@ from .gaze import (
     write_map_tsal,
     write_signed_tsal,
 )
-
-INPUT_ERRORS = (ConfigError, FormatError, PreconditionError,
-                ShapeMismatchError, UnrecoverableObserverError,
-                CheckpointError, GraphError, OSError)
-DEGENERATE_ERRORS = (DegenerateMapError, NonFiniteError)
 
 NORMALIZATION_NAMES = {"raw": Normalization.RAW,
                        "sum": Normalization.SUM_TO_ONE,
@@ -330,8 +323,7 @@ def _synth_one(item, out_dir: str, seed: int, observers: int,
     _write_map(out / "truth" / "maps", "full", image_id, sampled.full_map,
                Normalization.RAW)
     # the maps are written; the caller only needs the records
-    return (sampled.gaze, sampled.fixations, sampled.true_t_ms,
-            sampled.true_slices)
+    return sampled.gaze, sampled.fixations
 
 
 def cmd_synth(args) -> None:
@@ -345,14 +337,13 @@ def cmd_synth(args) -> None:
         t_total=args.t_total)
     results = _run_parallel(args.jobs, worker, list(enumerate(specs)))
 
-    gaze, table, true_t_ms, true_slices = zip(*results)
-    gaze, table = GazeTable.concat(gaze), FixationTable.concat(table)
+    gaze, truth = zip(*results)
+    gaze, truth = GazeTable.concat(gaze), FixationTable.concat(truth)
     write_gaze_jsonl(out / "gaze.jsonl", gaze)
-    write_fixations_csv(out / "fixations.csv", table)
-    write_fixations_csv(out / "truth" / "fixations.csv",
-                        replace(table, t_ms=np.concatenate(true_t_ms)),
-                        slice_indices=np.concatenate(true_slices))
-    print(f"synthesized {len(specs)} images, {len(table)} fixations, "
+    write_fixations_csv(out / "fixations.csv",
+                        replace(truth, t_ms=None, slice_index=None))
+    write_fixations_csv(out / "truth" / "fixations.csv", truth)
+    print(f"synthesized {len(specs)} images, {len(truth)} fixations, "
           f"{len(gaze)} gaze samples")
 
 
@@ -377,7 +368,7 @@ def cmd_timestamps(args) -> None:
                                         w_s=args.spatial_weight,
                                         w_t=args.temporal_weight,
                                         t_total=args.t_total)
-    write_fixations_csv(args.out, replace(table, t_ms=t_ms))
+    write_fixations_csv(args.out, replace(table, t_ms=t_ms, slice_index=None))
     print(f"recovered timestamps for {len(table)} fixations")
 
 
@@ -395,7 +386,7 @@ def cmd_slice(args) -> None:
         else:
             slice_of[rows] = slice_equal_distribution(
                 t_ms[rows], fixations.order_index[rows], n=args.n)
-    write_fixations_csv(args.out, fixations, slice_indices=slice_of)
+    write_fixations_csv(args.out, replace(fixations, slice_index=slice_of))
     print(f"sliced {len(fixations)} fixations into {args.n} bins "
           f"({args.scheme})")
 
@@ -419,7 +410,8 @@ def _rasterize_one(item, out_dir: str, n: int, sigma: float | None,
 
 
 def cmd_rasterize(args) -> None:
-    fixations, slice_of = read_fixation_table(args.fixations)
+    fixations, _ = read_fixation_table(args.fixations)
+    slice_of = fixations.slice_index
     if slice_of is None:
         raise FormatError(
             f"{args.fixations} has no slice_index column; run slice first")
@@ -737,10 +729,10 @@ def main(argv=None) -> int:
                 flags = _config_flags(args.config, settable[args.command])
                 args = parser.parse_args(argv[:at] + flags + argv[at:])
             args.func(args)
-    except DEGENERATE_ERRORS as exc:
+    except (DegenerateMapError, NonFiniteError) as exc:
         _print_error(exc)
         return 3
-    except INPUT_ERRORS as exc:
+    except (TsalError, OSError) as exc:
         _print_error(exc)
         return 2
     return 0

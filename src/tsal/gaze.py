@@ -2,11 +2,11 @@
 rasterization of fixations into saliency maps.
 
 Gaze samples and fixations are the columnar tables of ``tables`` (a
-row per tracker sample or per fixation, numpy columns); slicing and
-rasterization take the columns they need. A saliency map is a 2-D
-float64 array; its normalization is a tag only in the TSAL file
-header, which the writer checks the map against. No function changes
-an array it was given.
+row per tracker sample or per fixation, numpy columns, a fixation's
+t_ms and slice_index among them); slicing and rasterization take the
+columns they need. A saliency map is a 2-D float64 array; its
+normalization is a tag only in the TSAL file header, which the writer
+checks the map against. No function changes an array it was given.
 File formats: gaze logs are JSON lines, fixations are CSV, maps are a
 small binary container ("TSAL") plus PGM/PPM exports for viewing.
 """
@@ -21,6 +21,8 @@ import json
 import math
 import operator
 import struct
+import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -324,14 +326,18 @@ def _gaze_lines_bulk(lines: list[str]) -> GazeTable | None:
 
 
 def _chunks(rows, line_no: int, bulk, check, *args):
-    """Tables of an iterator of lines or CSV rows, ``_CHUNK`` rows each,
-    the first row numbered ``line_no``: ``bulk(chunk, *args)``, or where
-    that returns None, ``check(chunk, line_no, *args)``."""
+    """Tables of an iterator of lines or CSV rows, ``_CHUNK`` rows each
+    and at least one, the first row numbered ``line_no``: ``bulk(chunk,
+    *args)``, or ``check(chunk, line_no, *args)`` where that returns
+    None (as it always does for no rows); ids are interned."""
     for line_no in itertools.count(line_no, _CHUNK):
-        if not (chunk := list(itertools.islice(rows, _CHUNK))):
-            return
+        chunk = list(itertools.islice(rows, _CHUNK))
         table = bulk(chunk, *args)
-        yield check(chunk, line_no, *args) if table is None else table
+        table = check(chunk, line_no, *args) if table is None else table
+        yield replace(table, image_id=tuple(map(sys.intern, table.image_id)),
+                      observer_id=tuple(map(sys.intern, table.observer_id)))
+        if len(chunk) < _CHUNK:
+            return
 
 
 def read_gaze_jsonl(path: str) -> GazeTable:
@@ -367,16 +373,10 @@ _FIXATION_COLUMNS = ("image_id", "observer_id", "order_index", "x", "y")
 def read_fixation_table(path: str
                         ) -> tuple[FixationTable, np.ndarray | None]:
     """Read a fixation CSV in chunks of ``_CHUNK`` rows, as a gaze log is
-    read: (fixations, int64 slice_index column or None). The t_ms and
-    slice_index columns are optional; t_ms is None unless every row has
-    one. The first bad row raises ``FormatError`` naming its line."""
-    slices = bytearray()
-
-    def tables(chunks):  # each chunk's slice_index column goes to slices
-        for table, slice_of in chunks:
-            slices.extend(b"" if slice_of is None else slice_of.tobytes())
-            yield table
-
+    read: (fixations, fixations.slice_index). The t_ms and slice_index
+    columns are optional; t_ms is None unless every row has one, and
+    slice_index is None unless the header names it. The first bad row
+    raises ``FormatError`` naming its line."""
     with reading(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -386,12 +386,11 @@ def read_fixation_table(path: str
             missing = [c for c in _FIXATION_COLUMNS if c not in header]
             if missing:
                 raise FormatError(f"missing columns {missing}")
-            table = FixationTable.concat(tables(_chunks(
-                reader, 2, _fixation_chunk, _fixation_rows, header)))
+            table = FixationTable.concat(_chunks(
+                reader, 2, _fixation_chunk, _fixation_rows, header))
         except csv.Error as exc:  # a field over the csv module's limit
             raise FormatError(f"line {reader.line_num}: {exc}") from exc
-    return table, (np.frombuffer(slices, np.int64)
-                   if "slice_index" in header else None)
+    return table, table.slice_index
 
 
 def _fixation_chunk(rows: list[list[str]], header: list[str]):
@@ -408,17 +407,18 @@ def _fixation_chunk(rows: list[list[str]], header: list[str]):
         t_ms = np.array([float(t) for t in columns.get("t_ms", ()) if t])
         table = FixationTable(columns["image_id"], columns["observer_id"],
                               order, x, y,
-                              t_ms if len(t_ms) == len(rows) else None)
+                              t_ms if len(t_ms) == len(rows) else None,
+                              slice_of)
     except (ValueError, OverflowError, NonFiniteError):
         return None
     # a t_ms column with blanks reads as None, but its times must be finite
-    return (table, slice_of) if np.isfinite(t_ms).all() else None
+    return table if np.isfinite(t_ms).all() else None
 
 
 def _fixation_rows(rows: list[list[str]], line_no: int, header: list[str]):
     """Fixation CSV rows checked one by one, the first numbered
-    ``line_no``, as (fixations, int64 slice_index column or None); blank
-    rows are skipped, and the first bad row raises ``FormatError``."""
+    ``line_no``; blank rows are skipped, and the first bad row raises
+    ``FormatError``."""
     has_slice, records = "slice_index" in header, []
     for line_no, row in enumerate(rows, start=line_no):
         if not row:
@@ -444,25 +444,22 @@ def _fixation_rows(rows: list[list[str]], line_no: int, header: list[str]):
                 raise FormatError(f"line {line_no}: {key!r} is not finite")
         records.append(values)
     *columns, t_ms, slice_of = zip(*records) if records else [()] * 7
-    return (FixationTable(*columns, t_ms=None if None in t_ms else t_ms),
-            np.array(slice_of, dtype=np.int64) if has_slice else None)
+    return FixationTable(*columns, t_ms=None if None in t_ms else t_ms,
+                         slice_index=slice_of if has_slice else None)
 
 
-def write_fixations_csv(path: str, fixations: FixationTable,
-                        slice_indices: np.ndarray | None = None) -> None:
+def write_fixations_csv(path: str, fixations: FixationTable) -> None:
     """One CSV row per fixation; floats written by ``repr``, so they read
-    back exactly, and an empty t_ms when the table has no times."""
+    back exactly, an empty t_ms when the table has no times, and a
+    slice_index column exactly when the table has one."""
     columns = [fixations.image_id, fixations.observer_id,
                fixations.order_index.tolist(), fixations.x.tolist(),
                fixations.y.tolist(),
                [""] * len(fixations) if fixations.t_ms is None
                else fixations.t_ms.tolist()]
     header = [*_FIXATION_COLUMNS, "t_ms"]
-    if slice_indices is not None:
-        if len(slice_indices) != len(fixations):
-            raise PreconditionError(f"{len(slice_indices)} slice indices for "
-                                    f"{len(fixations)} fixations")
-        columns.append(np.asarray(slice_indices).tolist())
+    if fixations.slice_index is not None:
+        columns.append(fixations.slice_index.tolist())
         header.append("slice_index")
     write_csv(path, header, zip(*columns))
 

@@ -469,14 +469,13 @@ def _train_step(data: TrainData, idx: np.ndarray,
     return float(loss.data), named
 
 
-def predict(images: np.ndarray, params: dict[str, np.ndarray],
-            config: ModelConfig | None = None) -> dict[str, np.ndarray]:
+def predict(images: np.ndarray, params: dict[str, np.ndarray]
+            ) -> dict[str, np.ndarray]:
     """Full forward pass without gradients: every parameter enters as a
     constant, so the tape keeps no pullback and each intermediate value
     is freed once no later op reads it. Returns arrays
     {"T": (N,n,H,W), "S_I": (N,1,H,W), "S_R": (N,1,H,W)}."""
-    config = config or infer_config(params)
-    check_params(params, config)
+    check_params(params, infer_config(params))
     tape = ad.Tape()
     consts = {k: tape.constant(v) for k, v in params.items()}
     blocks, temporal, image_map = forward(tape, images, consts)

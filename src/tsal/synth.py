@@ -5,9 +5,11 @@ time slice redistributes attention over the objects via a drift
 schedule, optionally pulled toward the image center with growing
 strength. Observers fixate objects drawn from those mixtures (revisits
 suppressed multiplicatively) and emit jittered gaze samples at a fixed
-rate, so the whole pipeline can run on data whose true timing is known.
-Maps are float64 arrays: a scene's or a sampling's slice maps are one
-``(slices, H, W)`` stack and a whole-viewing map is ``(H, W)``.
+rate, so the whole pipeline can run on data whose true timing is known:
+a sampling's fixation table holds it in its t_ms and slice_index
+columns, which the pipeline's input leaves out. Maps are float64
+arrays: a scene's or a sampling's slice maps are one ``(slices, H, W)``
+stack and a whole-viewing map is ``(H, W)``.
 """
 
 from __future__ import annotations
@@ -104,9 +106,7 @@ class Scene:
 @dataclass(frozen=True)
 class SampledGaze:
     gaze: GazeTable
-    fixations: FixationTable             # untimestamped, pipeline input
-    true_t_ms: np.ndarray                # held back as the recovery oracle
-    true_slices: np.ndarray
+    fixations: FixationTable             # with the true t_ms and slice_index
     slice_maps: np.ndarray               # (n_slices, H, W), rasterized
     full_map: np.ndarray                 # (H, W), all fixations
 
@@ -239,18 +239,19 @@ def sample_observers(mixture: SliceMixture, observers: int,
 
     # each observer's fixations run slice by slice, per_slice in each
     order = np.tile(np.arange(n * per_slice), observers)
-    true_slice = order // per_slice
-    true_t = (order + 0.5) * t_total_ms / (n * per_slice)
     fixations = FixationTable(
         (image_id,) * order.size,
         tuple(f"o{obs:03d}" for obs in range(observers) for _ in range(
-            n * per_slice)), order, *np.concatenate(fixated).T)
+            n * per_slice)), order, *np.concatenate(fixated).T,
+        t_ms=(order + 0.5) * t_total_ms / (n * per_slice),
+        slice_index=order // per_slice)
+    true_slice = fixations.slice_index
     slice_maps = np.stack([rasterize(fixations.x[true_slice == k],
                                      fixations.y[true_slice == k], w, h)
                            for k in range(n)])
     full_map = rasterize(fixations.x, fixations.y, w, h)
-    return SampledGaze(GazeTable.concat(gaze), fixations, true_t, true_slice,
-                       slice_maps, full_map)
+    return SampledGaze(GazeTable.concat(gaze), fixations, slice_maps,
+                       full_map)
 
 
 # ---------------------------------------------------------------------------

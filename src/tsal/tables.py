@@ -1,12 +1,12 @@
 """Columnar record tables: gaze samples and fixations as id tuples and
-read-only numpy columns, a row per record. Tables are values: their
-operations return new tables, and no function changes an array it was
-given."""
+read-only numpy columns, a row per record. Every field of a record is a
+column, a fixation's time and slice too, so no array travels beside a
+table. Tables are values: their operations return new tables, and no
+function changes an array it was given."""
 
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -80,18 +80,18 @@ class _Columns:
     def concat(cls, tables):
         """Rows of every table of an iterable, in order; a column that is
         None in any table is None in the result. Tables are consumed one
-        at a time, numbers copied to byte buffers and ids interned."""
+        at a time, numbers copied to byte buffers and id tuples chained."""
         ids: tuple[list, list] = ([], [])  # a tuple of ids per table
         numbers = [bytearray() for _ in fields(cls)[2:]]
         for table in tables:
             for parts, col in zip(ids, table._columns()[:2]):
-                parts.append(tuple(map(sys.intern, col)))
+                parts.append(col)
             for i, col in enumerate(table._columns()[2:]):
                 if col is None or numbers[i] is None:
                     numbers[i] = None
                 else:
                     numbers[i] += col.tobytes()
-        # popped while read, each table's ids are let go once copied
+        # popped while read, each table's id tuples are let go once chained
         return cls(*(tuple(itertools.chain.from_iterable(
             parts.pop(0) for _ in range(len(parts)))) for parts in ids),
             *(buf if buf is None else np.frombuffer(
@@ -113,11 +113,13 @@ class GazeTable(_Columns):
 @dataclass(frozen=True, eq=False)
 class FixationTable(_Columns):
     """Dwell points, a row per fixation; t_ms is None until timestamp
-    recovery fills it."""
+    recovery fills it, and slice_index (the temporal slice of each
+    fixation) None until slicing does."""
     image_id: tuple[str, ...]
     observer_id: tuple[str, ...]
     order_index: np.ndarray
     x: np.ndarray
     y: np.ndarray
     t_ms: np.ndarray | None = None
-    _INTEGER = ("order_index",)
+    slice_index: np.ndarray | None = None
+    _INTEGER = ("order_index", "slice_index")

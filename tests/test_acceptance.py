@@ -202,7 +202,7 @@ class TestCriterion4:
                 slice_of = slice_equal_duration(recovered, n=5)
                 for i, k in zip(rows, slice_of):
                     total += 1
-                    correct += k == sampled.true_slices[i]
+                    correct += k == fixations.slice_index[i]
         rate = correct / total
         verdict(4, rate >= 0.95,
                 f"{correct}/{total} fixations in the correct 1 s slice "

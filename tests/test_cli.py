@@ -14,10 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsal import model
+from tsal import cli, model
 from tsal.autodiff import load_params, save_params
 from tsal.cli import _read_stack, _worker_count, main
-from tsal.errors import FormatError, PreconditionError
+from tsal.errors import (
+    DegenerateMapError,
+    FormatError,
+    NonFiniteError,
+    PreconditionError,
+    TsalError,
+)
 from tsal.gaze import (
     FixationTable,
     read_fixation_table,
@@ -313,6 +319,18 @@ class TestSurface:
         assert only_error_line(capsys) == (
             f"tsal: ConfigError: {cfg}: {message}")
 
+    @pytest.mark.parametrize("error", TsalError.__subclasses__(),
+                             ids=lambda error: error.__name__)
+    def test_every_toolkit_error_is_one_line(self, monkeypatch, capsys,
+                                             error):
+        def fail(args):
+            raise error("went\nwrong")
+        monkeypatch.setattr(cli, "cmd_slice", fail)
+        degenerate = error in (DegenerateMapError, NonFiniteError)
+        assert run(*SLICE_IO) == (3 if degenerate else 2)
+        assert only_error_line(capsys) == \
+            f"tsal: {error.__name__}: went wrong"
+
     def test_help_prints_usage_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("slice", "--help")
@@ -343,11 +361,12 @@ class TestSynth:
         assert ids == ["img000", "img001", "img002", "img003"]
         fixations, _ = read_fixation_table(data / "fixations.csv")
         assert len(fixations) == 4 * 3 * 15  # images x observers x 5s*3/s
-        assert fixations.t_ms is None
+        assert fixations.t_ms is None and fixations.slice_index is None
         gaze_lines = (data / "gaze.jsonl").read_text().strip().split("\n")
         assert len(gaze_lines) == 4 * 3 * 5 * 20
-        truth, slices = read_fixation_table(data / "truth" / "fixations.csv")
-        assert len(truth) == len(fixations) and slices is not None
+        truth, _ = read_fixation_table(data / "truth" / "fixations.csv")
+        assert len(truth) == len(fixations)
+        assert truth.t_ms is not None and truth.slice_index is not None
         for k in range(5):
             assert (data / "truth" / "maps" / f"t{k}" / "img000.tsal").exists()
 
@@ -437,6 +456,21 @@ class TestTimestampsAndSlice:
              "--scheme", "equal-duration")
         assert again.read_bytes() == dataset["sliced"].read_bytes()
 
+    def test_timestamps_drops_a_stale_slice_column(self, workdir, dataset):
+        out = workdir / "recovered_from_sliced.csv"
+        run0("timestamps", "--gaze", dataset["data"] / "gaze.jsonl",
+             "--fixations", dataset["sliced"], "--out", out)
+        assert out.read_bytes() == dataset["recovered"].read_bytes()
+
+    def test_slice_replaces_an_existing_slice_column(self, workdir, dataset):
+        again, fresh = workdir / "resliced_n3.csv", workdir / "sliced_n3.csv"
+        run0("slice", "--fixations", dataset["sliced"], "--out", again,
+             "--n", 3)
+        run0("slice", "--fixations", dataset["recovered"], "--out", fresh,
+             "--n", 3)
+        assert again.read_bytes() == fresh.read_bytes()
+        assert read_fixation_table(again)[0].slice_index.max() == 2
+
     def test_equal_distribution_scheme(self, workdir, dataset):
         out = workdir / "sliced_dist.csv"
         run0("slice", "--fixations", dataset["recovered"], "--out", out,
@@ -458,7 +492,7 @@ class TestTimestampsAndSlice:
         run0("slice", "--fixations", src, "--out", out, "--scheme", scheme,
              "--n", 4)
         got, slice_of = read_fixation_table(out)
-        assert got == rows
+        assert replace(got, slice_index=None) == rows
         for image_id in set(rows.image_id):
             mine = [i for i, other in enumerate(rows.image_id)
                     if other == image_id]
@@ -688,10 +722,10 @@ class TestRasterize:
 
     def test_unknown_image_reference_exits_two(self, workdir, dataset):
         rogue = workdir / "rogue.csv"
-        fixations, slices = read_fixation_table(dataset["sliced"])
+        fixations, _ = read_fixation_table(dataset["sliced"])
         fixations = replace(fixations,
                             image_id=("ghost",) + fixations.image_id[1:])
-        write_fixations_csv(rogue, fixations, slice_indices=slices)
+        write_fixations_csv(rogue, fixations)
         assert run("rasterize", "--fixations", rogue,
                    "--images", dataset["images"],
                    "--out", workdir / "maps_rogue") == 2
@@ -739,11 +773,10 @@ class TestAnalyze:
                    "--out", workdir / "x") == 2
 
     def test_unknown_image_leaves_no_output(self, workdir, dataset, capsys):
-        table, slices = read_fixation_table(dataset["sliced"])
+        table, _ = read_fixation_table(dataset["sliced"])
         ghost = workdir / "ghost.csv"
         write_fixations_csv(
-            ghost, replace(table, image_id=("ghost",) + table.image_id[1:]),
-            slice_indices=slices)
+            ghost, replace(table, image_id=("ghost",) + table.image_id[1:]))
         out = workdir / "analysis_ghost"
         assert run("analyze", "--maps", dataset["maps"],
                    "--fixations", ghost, "--out", out) == 2
@@ -768,8 +801,7 @@ class TestAnalyze:
         table, slices = read_fixation_table(tmp_path / "sliced.csv")
         kept = [i for i, image_id in enumerate(table.image_id)
                 if image_id != "img002"]
-        write_fixations_csv(tmp_path / "sliced.csv", table.take(kept),
-                            slice_indices=slices[kept])
+        write_fixations_csv(tmp_path / "sliced.csv", table.take(kept))
         run0("rasterize", "--fixations", tmp_path / "sliced.csv",
              "--images", tmp_path / "data" / "images",
              "--out", tmp_path / "maps")

@@ -7,6 +7,7 @@ import math
 import pickle
 import re
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -26,18 +27,25 @@ from tsal.errors import (
 import oracles
 
 
-def fixes(*rows, t=None, image="img0", obs="obs0"):
+def fixes(*rows, t=None, slices=None, image="img0", obs="obs0"):
     """Fixations from (order_index, x, y) rows, all of one image and
-    observer; t is the t_ms column or None."""
+    observer; t is the t_ms column or None, slices the slice_index column
+    or None."""
     i, x, y = zip(*rows) if rows else ((), (), ())
     n = len(rows)
-    return gaze.FixationTable((image,) * n, (obs,) * n, i, x, y, t)
+    return gaze.FixationTable((image,) * n, (obs,) * n, i, x, y, t, slices)
 
 
 def gz(*rows, image="img0", obs="obs0"):
     """Gaze table of (t_ms, x, y) rows, all of one image and observer."""
     t, x, y = zip(*rows) if rows else ((), (), ())
     return gaze.GazeTable((image,) * len(rows), (obs,) * len(rows), t, x, y)
+
+
+def one_object_per_id(table) -> bool:
+    """Whether a table's id columns hold one str object per distinct id."""
+    ids = table.image_id + table.observer_id
+    return len({*map(id, ids)}) == len({*ids})
 
 
 class TestNormalizeMap:
@@ -589,6 +597,21 @@ class TestGazeJsonlChunks:
                                  r"\(Exceeds the limit \(4300 digits\)"):
             gaze.read_gaze_jsonl(str(p))
 
+    def test_table_read_holds_one_str_per_id(self, tmp_path, monkeypatch):
+        """Ids are interned as they are read, on the bulk path and on the
+        per-line one, so equal ids of different chunks are one object."""
+        monkeypatch.setattr(gaze, "_CHUNK", 5)
+        rows = [(f"img{i % 3}", "o[1" if i == 7 else f"o{i % 2}",
+                 float(i), 1.0, 2.0) for i in range(12)]
+        lines = oracles.gaze_jsonl_oracle(rows).decode().splitlines()
+        assert gaze._gaze_lines_bulk(lines[:5]) is not None
+        assert gaze._gaze_lines_bulk(lines[5:10]) is None  # "[" in an id
+        p = tmp_path / "gaze.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        got = gaze.read_gaze_jsonl(str(p))
+        assert got == gaze.GazeTable(*zip(*rows))
+        assert one_object_per_id(got)
+
     def test_memory_does_not_grow_with_the_log(self, tmp_path):
         """Writing a 200k-row log peaks within 1 MiB of writing a 50k-row
         one, and reading one needs within 1 MiB as much memory beyond the
@@ -651,6 +674,19 @@ class TestGazeTable:
         assert both.t_ms.tolist() == [1.0, 4.0]
         assert len(gaze.GazeTable.concat([])) == 0
 
+    def test_concat_chains_ids_without_interning(self, monkeypatch):
+        interned = []
+        monkeypatch.setattr(sys, "intern",
+                            lambda s: interned.append(s) or s)
+        p, q = "".join(["o", "p"]), "".join(["o", "q"])  # not interned
+        both = gaze.GazeTable.concat([gz((1.0, 2.0, 3.0), obs=p),
+                                      gz((4.0, 5.0, 6.0), obs=q)])
+        fixations = gaze.FixationTable.concat(
+            [fixes((0, 1.0, 2.0), obs=p), fixes((0, 5.0, 6.0), obs=q)])
+        assert interned == []
+        assert both.observer_id[0] is p and both.observer_id[1] is q
+        assert fixations.observer_id[0] is p and fixations.observer_id[1] is q
+
 
 class TestFixationTable:
     def test_column_types_and_optional_times(self):
@@ -684,6 +720,22 @@ class TestFixationTable:
         assert len(both.take([])) == 0
         assert len(gaze.FixationTable.concat([])) == 0
 
+    def test_slice_index_is_an_integer_column(self):
+        table = fixes((0, 1.0, 2.0), (1, 3.0, 4.0), t=[5.0, 6.0],
+                      slices=[0, 4])
+        assert table.slice_index.dtype == np.int64
+        with pytest.raises(ValueError):
+            table.slice_index[0] = 1
+        assert table.take([1, 0]).slice_index.tolist() == [4, 0]
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == table and not copy.slice_index.flags.writeable
+        assert table != dataclasses.replace(table, slice_index=[0, 3])
+        assert table != dataclasses.replace(table, slice_index=None)
+        assert gaze.FixationTable.concat(
+            [table, table]).slice_index.tolist() == [0, 4, 0, 4]
+        assert gaze.FixationTable.concat(
+            [table, fixes((2, 5.0, 6.0), t=[7.0])]).slice_index is None
+
 
 class TestFixationCsv:
     def test_roundtrip_without_timestamps(self, tmp_path):
@@ -702,11 +754,28 @@ class TestFixationCsv:
 
     def test_slice_index_column(self, tmp_path):
         path = str(tmp_path / "fix.csv")
-        table = fixes((0, 1.0, 2.0), (1, 3.0, 4.0), t=[10.0, 20.0])
-        gaze.write_fixations_csv(path, table, slice_indices=[0, 3])
+        table = fixes((0, 1.0, 2.0), (1, 3.0, 4.0), t=[10.0, 20.0],
+                      slices=[0, 3])
+        gaze.write_fixations_csv(path, table)
         got, slices = gaze.read_fixation_table(path)
         assert got == table
-        assert slices.tolist() == [0, 3]
+        assert got.slice_index.tolist() == [0, 3]
+        assert slices is got.slice_index  # the pair repeats the column
+
+    @pytest.mark.parametrize("header, slices", [
+        ("image_id,observer_id,order_index,x,y", None),
+        ("image_id,observer_id,order_index,x,y,t_ms", None),
+        ("image_id,observer_id,order_index,x,y,t_ms,slice_index", [])],
+        ids=["untimed", "timed", "sliced"])
+    def test_header_only_file(self, tmp_path, header, slices):
+        """No rows: an empty t_ms column, and a slice_index column
+        exactly when the header names one."""
+        p = tmp_path / "fix.csv"
+        p.write_text(header + "\n")
+        table, column = gaze.read_fixation_table(str(p))
+        assert len(table) == 0 and table.t_ms.tolist() == []
+        assert column is table.slice_index
+        assert (column if column is None else column.tolist()) == slices
 
     def test_no_slice_column_reads_none(self, tmp_path):
         path = str(tmp_path / "fix.csv")
@@ -742,8 +811,9 @@ class TestFixationCsv:
 
     def test_integers_at_the_64_bit_limits_read_back(self, tmp_path):
         path = str(tmp_path / "fix.csv")
-        table = fixes((-2 ** 63, 1.0, 2.0), (2 ** 63 - 1, 3.0, 4.0))
-        gaze.write_fixations_csv(path, table, slice_indices=[2 ** 63 - 1, 0])
+        table = fixes((-2 ** 63, 1.0, 2.0), (2 ** 63 - 1, 3.0, 4.0),
+                      slices=[2 ** 63 - 1, 0])
+        gaze.write_fixations_csv(path, table)
         got, slices = gaze.read_fixation_table(path)
         assert got == table and slices.tolist() == [2 ** 63 - 1, 0]
 
@@ -761,16 +831,17 @@ class TestFixationCsv:
         gaze.write_fixations_csv(str(path), table)
         assert path.read_bytes() == untimed
         assert gaze.read_fixation_table(str(path)) == (table, None)
-        timed_table = dataclasses.replace(table, t_ms=(1250.25, 0.0))
-        gaze.write_fixations_csv(str(path), timed_table, slice_indices=[4, 0])
+        timed_table = dataclasses.replace(table, t_ms=(1250.25, 0.0),
+                                          slice_index=(4, 0))
+        gaze.write_fixations_csv(str(path), timed_table)
         assert path.read_bytes() == timed
         got, slices = gaze.read_fixation_table(str(path))
         assert got == timed_table and slices.tolist() == [4, 0]
 
     def test_mismatched_slice_list_rejected(self, tmp_path):
+        # the table cannot hold one, so no writer can write one
         with pytest.raises(PreconditionError):
-            gaze.write_fixations_csv(str(tmp_path / "x.csv"),
-                                     fixes((0, 1.0, 2.0)), slice_indices=[1, 2])
+            fixes((0, 1.0, 2.0), slices=[1, 2])
 
 
 # Raw CSV fields that replace one field of a fixation CSV row.
@@ -790,9 +861,8 @@ def fixation_csv_mutations(path, seed: int, count: int
     table = gaze.FixationTable(
         [f"img{i % 3}" for i in range(12)], [f"o{i % 2}" for i in range(12)],
         range(12), [1.5 * i for i in range(12)], [2.0] * 12,
-        [100.0 * i + 0.25 for i in range(12)])
-    gaze.write_fixations_csv(str(path), table,
-                             slice_indices=[i % 5 for i in range(12)])
+        [100.0 * i + 0.25 for i in range(12)], [i % 5 for i in range(12)])
+    gaze.write_fixations_csv(str(path), table)
     data = path.read_bytes()
     lines = data.decode().splitlines()
     cases = []
@@ -829,19 +899,18 @@ def fixations_row_by_row(path):
 
 
 def same_fixations(a, b) -> bool:
-    """Equal reader outcomes: (table, slice column or None) pairs, or the
-    same (exception type, message)."""
-    if isinstance(a[0], type) or isinstance(b[0], type):
+    """Equal outcomes of the reader and the row checker: the reader's
+    (table, table.slice_index) pair and an equal table, or the same
+    (exception type, message)."""
+    if isinstance(a[0], type) or isinstance(b, tuple):
         return a == b
-    return a[0] == b[0] and (a[1] is b[1] is None or (
-        a[1] is not None and b[1] is not None
-        and a[1].dtype == b[1].dtype and np.array_equal(a[1], b[1])))
+    return a[0] == b and a[1] is a[0].slice_index
 
 
 class TestFixationCsvColumns:
     """The chunked reader gives what the per-row checker gives over the
-    whole file, for any input: the table and slice column, or the same
-    error naming the same line."""
+    whole file, for any input: the table with its slice column, or the
+    same error naming the same line."""
 
     @pytest.mark.parametrize("chunk", [5, gaze._CHUNK])
     def test_mutations_match_the_row_loop(self, tmp_path, monkeypatch,
@@ -853,7 +922,7 @@ class TestFixationCsvColumns:
             path.write_bytes(data)
             got = outcome(gaze.read_fixation_table, path)
             want = outcome(fixations_row_by_row, path)
-            tables += not isinstance(want[0], type)
+            tables += isinstance(want, gaze.FixationTable)
             if not same_fixations(got, want):
                 differ.append((case, got, want))
         assert differ == []
@@ -900,6 +969,21 @@ class TestFixationCsvColumns:
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             gaze.read_fixation_table(str(p))
 
+    def test_table_read_holds_one_str_per_id(self, tmp_path, monkeypatch):
+        """Ids are interned as they are read, on the bulk path and on the
+        per-row one (a blank row sends its chunk there)."""
+        monkeypatch.setattr(gaze, "_CHUNK", 5)
+        table = gaze.FixationTable(
+            [f"img{i % 3}" for i in range(12)],
+            [f"o{i % 2}" for i in range(12)], range(12),
+            [1.5 * i for i in range(12)], [2.0] * 12)
+        p = tmp_path / "fix.csv"
+        gaze.write_fixations_csv(str(p), table)
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(lines[:8] + [""] + lines[8:]) + "\n")
+        got, _ = gaze.read_fixation_table(str(p))
+        assert got == table and one_object_per_id(got)
+
     def test_malformed_file_is_opened_once(self, tmp_path, monkeypatch):
         opened = []
         monkeypatch.setattr(fileio, "open", lambda *a, **k: opened.append(
@@ -918,14 +1002,14 @@ class TestFixationCsvColumns:
         rng = np.random.default_rng(16)
         read_extra = {}
         for n in (2_000, 50_000, 200_000):  # the first run only warms up
+            slices = np.arange(n) % 5
             table = gaze.FixationTable(
                 [f"img{i % 100:03d}" for i in range(n)],
                 [f"o{i % 4:03d}" for i in range(n)], np.arange(n),
                 rng.uniform(0, 128, n), rng.uniform(0, 96, n),
-                rng.uniform(0, 5000, n))
+                rng.uniform(0, 5000, n), slices)
             path = str(tmp_path / f"fix{n}.csv")
-            slices = np.arange(n) % 5
-            gaze.write_fixations_csv(path, table, slice_indices=slices)
+            gaze.write_fixations_csv(path, table)
             tracemalloc.start()
             try:
                 got = gaze.read_fixation_table(path)

@@ -1,5 +1,7 @@
 """Synthetic scenes, observer simulation, and the timing oracle loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -152,18 +154,22 @@ class TestSampleObservers:
             assert len(out.gaze) == observers * 5 * sps  # 5 s viewing
 
     def test_fixations_ship_untimestamped_in_order(self):
+        # the table holds the truth; the pipeline input (cli synth's
+        # fixations.csv) is the same table without t_ms and slice_index
         out = sample_default(self.scene)
         table = out.fixations
-        assert table.t_ms is None
+        assert table.t_ms is not None and table.slice_index is not None
         for rows in group_rows(table.observer_id).values():
             seq = table.order_index[rows].tolist()
             assert seq == list(range(len(seq)))
+            assert (np.diff(table.t_ms[rows]) > 0).all()
 
     def test_true_slices_follow_interval_structure(self):
         out = sample_default(self.scene, rate=2.0)
         per_slice = 2  # 2 fixations/s, 1 s slices
-        for order, k, t in zip(out.fixations.order_index, out.true_slices,
-                               out.true_t_ms):
+        table = out.fixations
+        for order, k, t in zip(table.order_index, table.slice_index,
+                               table.t_ms):
             assert k == (order // per_slice) % 5
             assert k * 1000.0 <= t < (k + 1) * 1000.0
 
@@ -199,8 +205,9 @@ class TestSampleObservers:
         assert a.gaze == b.gaze and a.fixations == b.fixations
         assert all(getattr(a.gaze, k).tobytes() == getattr(b.gaze, k).tobytes()
                    for k in ("t_ms", "x", "y"))
-        assert a.true_t_ms.tobytes() == b.true_t_ms.tobytes()
-        assert a.true_slices.tolist() == b.true_slices.tolist()
+        assert a.fixations.t_ms.tobytes() == b.fixations.t_ms.tobytes()
+        assert a.fixations.slice_index.tolist() == \
+            b.fixations.slice_index.tolist()
         assert all(x.tobytes() == y.tobytes()
                    for x, y in zip(a.slice_maps, b.slice_maps))
         assert a.gaze != c.gaze
@@ -231,8 +238,8 @@ class TestSampleObservers:
         assert list(zip(table.image_id, table.observer_id,
                         table.order_index.tolist(), table.x.tolist(),
                         table.y.tolist())) == fixations
-        assert list(out.true_t_ms) == true_t
-        assert list(out.true_slices) == true_slice
+        assert table.t_ms.tolist() == true_t
+        assert table.slice_index.tolist() == true_slice
 
     def test_recovery_restores_true_slices(self):
         # the held-back timestamps are the oracle for the whole
@@ -240,14 +247,14 @@ class TestSampleObservers:
         out = sample_default(self.scene, observers=6, sps=30, rate=3.0,
                              seed=13)
         by_obs_gaze = group_gaze(out.gaze)
-        table = out.fixations
+        table = replace(out.fixations, t_ms=None, slice_index=None)
         recovered = np.empty(len(table))
         for key, rows in group_rows(zip(table.image_id,
                                         table.observer_id)).items():
             recovered[rows] = recover_timestamps(table.take(rows),
                                                  by_obs_gaze[key])
         slice_of = slice_equal_duration(recovered, n=5)
-        hit = sum(slice_of == np.array(out.true_slices))
+        hit = sum(slice_of == out.fixations.slice_index)
         assert hit / len(recovered) >= 0.95
 
     def test_slice_maps_cover_every_slice(self):

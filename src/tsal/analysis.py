@@ -1,10 +1,13 @@
 """Dataset-level temporal structure statistics.
 
-Works on one ``(images, slices, H, W)`` float64 stack of temporal slice
-maps: average slice maps, consecutive attention-shift differences, the
-inter-slice correlation matrix and intra-slice deviation scores; and on
-the whole-image maps for a saliency-over-time histogram. Every map is a
-2-D float64 array.
+The statistics over the temporal slice maps (average slice maps, the
+inter-slice correlation matrix and intra-slice deviation scores) take
+any iterable of per-image ``(slices, H, W)`` float64 arrays, which an
+``(images, slices, H, W)`` stack is too. Each consumes it once and adds
+image by image, so one image's maps are all it holds. Consecutive
+attention-shift differences come from the averages, and a
+saliency-over-time histogram from the whole-image maps, also taken one
+at a time. Every map is a 2-D float64 array.
 
 A slice map is "usable" when it is non-constant (``metrics.usable_maps``);
 all-zero maps (a slice interval with no fixations) and otherwise
@@ -17,67 +20,98 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMapError, PreconditionError
+from .errors import (DegenerateMapError, PreconditionError,
+                     ShapeMismatchError, TsalError)
 from .gaze import (DEFAULT_T_TOTAL_MS, FixationTable, Normalization,
                    check_time_range, group_rows, normalize_map)
-from .metrics import cc, fixation_pixels, mean_map, usable_maps
+from .metrics import cc, fixation_pixels, usable_maps
 
 
-def average_slices(stack: np.ndarray) -> list[np.ndarray]:
+def _usable_images(maps):
+    """Each image's ``(slices, H, W)`` maps with their usable mask, in
+    order. Every image must have the shape of the first, and there must
+    be one."""
+    shape = None
+    for m in maps:
+        if shape is None:
+            shape = m.shape
+        elif m.shape != shape:
+            raise ShapeMismatchError(
+                f"image maps have shape {m.shape}, expected {shape}")
+        yield m, usable_maps(m)
+    if shape is None:
+        raise DegenerateMapError("no images")
+
+
+def average_slices(maps) -> list[np.ndarray]:
     """A_j = pixel mean of every usable image's sum-normalized slice-j
     map; ``intra_slice_deviation`` counts the images skipped."""
-    usable = usable_maps(stack)
-    maps = []
-    for j in range(stack.shape[1]):
-        rows = np.flatnonzero(usable[:, j])
-        if not rows.size:
+    sums = used = None
+    for m, usable in _usable_images(maps):
+        if sums is None:
+            sums, used = np.zeros(m.shape), [0] * len(m)
+        for j in np.flatnonzero(usable):
+            sums[j] += normalize_map(m[j], Normalization.SUM_TO_ONE)
+            used[j] += 1
+    averages = []
+    for j, (total, count) in enumerate(zip(sums, used)):
+        if not count:
             raise DegenerateMapError(
                 f"slice {j}: no usable map in any image")
-        maps.append(mean_map([stack[i, j] for i in rows]))
-    return maps
+        mean = total / count
+        averages.append(mean / mean.sum())
+    return averages
 
 
-def inter_slice_cc(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def inter_slice_cc(maps) -> tuple[np.ndarray, np.ndarray]:
     """Mean over images of CC between each pair of slice maps (n x n),
     and per pair the count of images excluded from it because the map of
     either slice is unusable."""
-    usable = usable_maps(stack)
-    n = stack.shape[1]
+    images = 0
+    for m, usable in _usable_images(maps):
+        if not images:
+            n = len(m)
+            totals = [[0.0] * n for _ in range(n)]
+            used = [[0] * n for _ in range(n)]
+        images += 1
+        for j in range(n):
+            for k in range(j, n):
+                if usable[j] and usable[k]:
+                    totals[j][k] += 1.0 if j == k else cc(m[j], m[k])
+                    used[j][k] += 1
     values = np.zeros((n, n))
     skipped = np.zeros((n, n), dtype=np.int64)
     for j in range(n):
         for k in range(j, n):
-            rows = np.flatnonzero(usable[:, j] & usable[:, k])
-            if not rows.size:
+            if not used[j][k]:
                 raise DegenerateMapError(
                     f"slice pair ({j},{k}): no image has both maps usable")
-            total = 0.0
-            for i in rows:
-                total += 1.0 if j == k else cc(stack[i, j], stack[i, k])
-            values[j, k] = values[k, j] = total / rows.size
-            skipped[j, k] = skipped[k, j] = len(stack) - rows.size
+            values[j, k] = values[k, j] = totals[j][k] / used[j][k]
+            skipped[j, k] = skipped[k, j] = images - used[j][k]
     return values, skipped
 
 
-def intra_slice_deviation(stack: np.ndarray, averages: list[np.ndarray]
+def intra_slice_deviation(maps, averages: list[np.ndarray]
                           ) -> tuple[list[float], np.ndarray]:
     """Mean over images of CC between the image's slice-j map and the
     dataset average A_j, and per slice the count of skipped images."""
-    usable = usable_maps(stack)
-    n = stack.shape[1]
-    if len(averages) != n:
-        raise PreconditionError(
-            f"average set has {len(averages)} slices, stack has {n}")
+    n = len(averages)
+    totals, used = [0.0] * n, [0] * n
+    images = 0
+    for m, usable in _usable_images(maps):
+        if len(m) != n:
+            raise PreconditionError(
+                f"average set has {n} slices, stack has {len(m)}")
+        images += 1
+        for j in np.flatnonzero(usable):
+            totals[j] += cc(m[j], averages[j])
+            used[j] += 1
     scores = []
     for j in range(n):
-        rows = np.flatnonzero(usable[:, j])
-        if not rows.size:
+        if not used[j]:
             raise DegenerateMapError(f"slice {j}: no usable map")
-        total = 0.0
-        for i in rows:
-            total += cc(stack[i, j], averages[j])
-        scores.append(total / rows.size)
-    return scores, len(stack) - usable.sum(axis=0)
+        scores.append(totals[j] / used[j])
+    return scores, images - np.array(used)
 
 
 def consecutive_differences(averages: list[np.ndarray]) -> list[np.ndarray]:
@@ -87,29 +121,44 @@ def consecutive_differences(averages: list[np.ndarray]) -> list[np.ndarray]:
     return [b - a for a, b in zip(averages, averages[1:])]
 
 
-def saliency_time_histogram(fixations: FixationTable,
-                            gt_maps: dict[str, np.ndarray],
+def saliency_time_histogram(fixations: FixationTable, gt_maps,
                             bins_t: int = 50, bins_s: int = 50,
                             t_total: float = DEFAULT_T_TOTAL_MS) -> np.ndarray:
     """Counts of fixations by (time bin, saliency-at-fixation bin).
 
-    Saliency is read at the fixation's pixel from the image's
-    ground-truth map scaled to peak 1; only the maps of images with
-    fixations are read. Values at the very edge (t = T, s = 1) clamp
-    into the last bin.
+    ``gt_maps`` gives each image's ground-truth map: a dict by image id,
+    or ``(image_id, map)`` pairs, which are consumed once. Saliency is
+    read at the fixation's pixel from the image's map scaled to peak 1;
+    only the maps of images with fixations are scaled. A map that fails
+    is reported once every pair is taken, so an error in making a later
+    pair comes first; failures come in order of the images' first
+    fixation. Values at the very edge (t = T, s = 1) clamp into the last
+    bin.
     """
     if bins_t < 1 or bins_s < 1:
         raise PreconditionError(f"invalid bin counts {bins_t}x{bins_s}")
     t = fixations.t_ms
     check_time_range(t, t_total)
+    groups = group_rows(fixations.image_id)
     s = np.empty_like(t)
-    for image_id, rows in group_rows(fixations.image_id).items():
-        if image_id not in gt_maps:
-            raise PreconditionError(f"no ground-truth map for {image_id!r}")
-        m = gt_maps[image_id]
+    failed = {}  # image id -> None, or the error its map gave
+    for image_id, m in (gt_maps.items() if isinstance(gt_maps, dict)
+                        else gt_maps):
+        rows = groups.get(image_id)
+        if rows is None:
+            continue
         height, width = m.shape
-        s[rows] = normalize_map(m, Normalization.MAX_TO_ONE)[
-            fixation_pixels(fixations.take(rows), width, height)]
+        try:
+            s[rows] = normalize_map(m, Normalization.MAX_TO_ONE)[
+                fixation_pixels(fixations.take(rows), width, height)]
+            failed[image_id] = None
+        except TsalError as exc:
+            failed[image_id] = exc.with_traceback(None)
+    for image_id in groups:
+        if image_id not in failed:
+            raise PreconditionError(f"no ground-truth map for {image_id!r}")
+        if failed[image_id] is not None:
+            raise failed[image_id]
     # truncation is floor here: t and s are nonnegative
     bt = np.minimum((t / (t_total / bins_t)).astype(np.intp), bins_t - 1)
     bs = np.minimum((s / (1.0 / bins_s)).astype(np.intp), bins_s - 1)

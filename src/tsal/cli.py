@@ -46,7 +46,7 @@ from .errors import (
     TsalError,
     UnrecoverableObserverError,
 )
-from .fileio import atomic_write_bytes, reading, write_csv
+from .fileio import atomic_write_bytes, naming, reading, write_csv
 from .gaze import (
     DEFAULT_SLICES,
     DEFAULT_SPATIAL_WEIGHT,
@@ -55,6 +55,7 @@ from .gaze import (
     FixationTable,
     GazeTable,
     Normalization,
+    check_time_range,
     group_gaze,
     group_rows,
     rasterize,
@@ -167,22 +168,36 @@ def _write_map(maps_dir, kind: str, image_id: str, values: np.ndarray,
     write_map_tsal(_map_path(maps_dir, kind, image_id), values, normalization)
 
 
-def _read_stack(maps_dir, kinds: list[str], ids: list[str]) -> np.ndarray:
-    """The maps ``<maps_dir>/<kind>/<id>.tsal`` as one float64
-    ``(images, kinds, H, W)`` array; every map must have one size."""
-    stack = None
-    for i, image_id in enumerate(ids):
-        for k, kind in enumerate(kinds):
-            path = _map_path(maps_dir, kind, image_id)
+def _map_rows(dirs: list, ids: list[str]):
+    """Each image's maps ``<dir>/<id>.tsal``, one per directory of
+    ``dirs``, as a float64 ``(len(dirs), H, W)`` array, image by image in
+    ``ids`` order; every map must have the size of the first."""
+    shape = None
+    for image_id in ids:
+        maps = []
+        for directory in dirs:
+            path = Path(directory) / f"{image_id}.tsal"
             values = read_map_tsal(path)
-            if stack is None:
-                stack = np.empty((len(ids), len(kinds)) + values.shape)
-            elif values.shape != stack.shape[2:]:
-                (h, w), (eh, ew) = values.shape, stack.shape[2:]
+            if shape is None:
+                shape = values.shape
+            elif values.shape != shape:
+                (h, w), (eh, ew) = values.shape, shape
                 raise PreconditionError(
                     f"inconsistent map sizes: {path} is {w}x{h}, "
                     f"expected {ew}x{eh}")
-            stack[i, k] = values
+            maps.append(values)
+        yield np.stack(maps)
+
+
+def _read_stack(maps_dir, kinds: list[str], ids: list[str]) -> np.ndarray:
+    """The maps ``<maps_dir>/<kind>/<id>.tsal`` as one float64
+    ``(images, kinds, H, W)`` array, read by ``_map_rows``."""
+    stack = None
+    for i, maps in enumerate(_map_rows([Path(maps_dir) / k for k in kinds],
+                                       ids)):
+        if stack is None:
+            stack = np.empty((len(ids),) + maps.shape)
+        stack[i] = maps
     return stack
 
 
@@ -379,13 +394,14 @@ def cmd_slice(args) -> None:
     _require_timestamps(fixations, args.fixations)
     t_ms = fixations.t_ms
     slice_of = np.empty(len(fixations), dtype=np.intp)
-    for rows in group_rows(fixations.image_id).values():
-        if args.scheme == "equal-duration":
-            slice_of[rows] = slice_equal_duration(t_ms[rows], n=args.n,
-                                                  t_total=args.t_total)
-        else:
-            slice_of[rows] = slice_equal_distribution(
-                t_ms[rows], fixations.order_index[rows], n=args.n)
+    with naming(args.fixations, PreconditionError):
+        for rows in group_rows(fixations.image_id).values():
+            if args.scheme == "equal-duration":
+                slice_of[rows] = slice_equal_duration(
+                    t_ms[rows], n=args.n, t_total=args.t_total)
+            else:
+                slice_of[rows] = slice_equal_distribution(
+                    t_ms[rows], fixations.order_index[rows], n=args.n)
     write_fixations_csv(args.out, replace(fixations, slice_index=slice_of))
     print(f"sliced {len(fixations)} fixations into {args.n} bins "
           f"({args.scheme})")
@@ -418,7 +434,8 @@ def cmd_rasterize(args) -> None:
     bad = (slice_of < 0) | (slice_of >= args.n)
     if bad.any():
         raise PreconditionError(
-            f"slice index {slice_of[bad][0]} out of range for n={args.n}")
+            f"{args.fixations}: slice index {slice_of[bad][0]} out of range "
+            f"for n={args.n}")
     ids = _ids(args.images, ".npy")
     dims = {}
     for image_id in ids:
@@ -453,14 +470,18 @@ def cmd_analyze(args) -> None:
     if unknown:
         raise PreconditionError(
             f"fixations reference images without maps: {sorted(unknown)[0]}")
-    full = _read_stack(args.maps, ["full"], ids)
-    grid = analysis.saliency_time_histogram(
-        fixations, dict(zip(ids, full[:, 0])), t_total=args.t_total)
-    del full  # freed before the slice stack is read
-    stack = _read_stack(args.maps, kinds, ids)
-    averages = analysis.average_slices(stack)
-    values, pair_skipped = analysis.inter_slice_cc(stack)
-    scores, skipped = analysis.intra_slice_deviation(stack, averages)
+    with naming(args.fixations, PreconditionError):
+        check_time_range(fixations.t_ms, args.t_total)
+    # one image's maps in memory at a time: the full maps are read once,
+    # and each slice statistic reads the slice maps afresh
+    full = (maps[0] for maps in _map_rows([Path(args.maps) / "full"], ids))
+    grid = analysis.saliency_time_histogram(fixations, zip(ids, full),
+                                            t_total=args.t_total)
+    dirs = [Path(args.maps) / kind for kind in kinds]
+    averages = analysis.average_slices(_map_rows(dirs, ids))
+    values, pair_skipped = analysis.inter_slice_cc(_map_rows(dirs, ids))
+    scores, skipped = analysis.intra_slice_deviation(_map_rows(dirs, ids),
+                                                     averages)
     diffs = (analysis.consecutive_differences(averages)
              if len(kinds) >= 2 else [])
 
@@ -560,6 +581,22 @@ def cmd_predict(args) -> None:
     print(f"predicted {len(items)} images -> {args.out}")
 
 
+def _varying_maps(maps_dir, ids: list[str]):
+    """The maps ``<maps_dir>/<id>.tsal`` in ``ids`` order, one at a time.
+    A constant map (an all-zero one too) has no mean and no cc: it is
+    refused by its path once every map is read."""
+    refused = None
+    for image_id, (m,) in zip(ids, _map_rows([maps_dir], ids)):
+        if metrics.usable_maps(m):
+            yield m
+        elif refused is None:
+            refused = DegenerateMapError(
+                f"{Path(maps_dir) / f'{image_id}.tsal'}: ground-truth map is "
+                f"{'constant' if m.any() else 'all-zero'}")
+    if refused is not None:
+        raise refused
+
+
 def cmd_eval(args) -> None:
     fixations, _ = read_fixation_table(args.fixations)
     ids, gt_ids = _ids(args.pred, ".tsal"), _ids(args.gt, ".tsal")
@@ -573,11 +610,22 @@ def cmd_eval(args) -> None:
         raise PreconditionError(
             f"image id 'mean' ({Path(args.pred) / 'mean.tsal'}) clashes "
             f"with the mean row of {args.out}")
-    gt = Path(args.gt)
-    truth = _read_stack(gt.parent, [gt.name], ids)[:, 0]
-    # one prediction in memory at a time
-    preds = (read_map_tsal(Path(args.pred) / f"{i}.tsal") for i in ids)
-    rows = metrics.evaluate(ids, truth, preds, fixations, seed=args.seed)
+    # first pass: the baseline, so every ground-truth error comes before
+    # any prediction error
+    baseline = metrics.mean_map(_varying_maps(args.gt, ids))
+    # second pass: one ground-truth map and one prediction at a time
+    scoring = [None]  # the prediction being scored
+
+    def preds():
+        for image_id in ids:
+            scoring[0] = Path(args.pred) / f"{image_id}.tsal"
+            yield read_map_tsal(scoring[0])
+    try:
+        rows = metrics.evaluate(
+            ids, (maps[0] for maps in _map_rows([args.gt], ids)), preds(),
+            fixations, seed=args.seed, baseline=baseline)
+    except DegenerateMapError as exc:
+        raise DegenerateMapError(f"{scoring[0]}: {exc}") from exc
     columns = metrics.METRIC_COLUMNS
     means = {c: sum(r[c] for r in rows) / len(rows) for c in columns}
     write_csv(args.out, ["image_id", *columns],

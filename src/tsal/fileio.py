@@ -1,9 +1,11 @@
 """File reading and atomic file writing.
 
 Every input file is opened by ``reading``, so each input error names its
-file. Artifacts are written to a temporary file in the destination
-directory and then renamed by ``atomic_writer``, so readers never
-observe a partial file; every CSV artifact is written by ``write_csv``.
+file, and ``naming`` names the file in the errors of a block that works
+on its data. Artifacts are written to a temporary file in the
+destination directory and then renamed by ``atomic_writer``, so readers
+never observe a partial file; every CSV artifact is written by
+``write_csv``.
 """
 
 import contextlib
@@ -16,20 +18,28 @@ from .errors import FormatError, TsalError
 
 
 @contextlib.contextmanager
+def naming(path, error=TsalError):
+    """In the block an ``error`` keeps its type and gets ``<path>: `` put
+    in front."""
+    try:
+        yield
+    except error as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def reading(path, binary: bool = False):
     """Open ``path`` (text as UTF-8) and yield the handle. In the block an
     ``OSError`` or ``UnicodeDecodeError`` becomes a ``FormatError`` and a
     ``TsalError`` keeps its type, each with ``<path>: `` put in front."""
     try:
-        with (open(path, "rb") if binary else
-              open(path, encoding="utf-8", newline="")) as fh:
+        with naming(path), (open(path, "rb") if binary else
+                            open(path, encoding="utf-8", newline="")) as fh:
             yield fh
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    except TsalError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 @contextlib.contextmanager

@@ -157,19 +157,26 @@ def ig(p: np.ndarray, baseline: np.ndarray, fixated: Pixels,
     return float(gain.mean())
 
 
-def mean_map(maps: list[np.ndarray]) -> np.ndarray:
-    """Pixel-wise mean of sum-normalized 2-D maps, added in list order,
-    renormalized to sum 1. Used as the dataset-level information-gain
-    baseline and for each average slice map."""
-    if not maps:
-        raise PreconditionError("mean_map of an empty list")
-    acc = np.zeros(maps[0].shape)
+def mean_map(maps) -> np.ndarray:
+    """Pixel-wise mean of sum-normalized 2-D maps, added in the order the
+    iterable ``maps`` gives them (it is consumed once), renormalized to
+    sum 1. An all-zero map is refused once the rest are taken, as from a
+    list. Used as the dataset-level information-gain baseline."""
+    maps = iter(maps)
+    acc = None
     for i, m in enumerate(maps):
-        mv, _ = _paired(m, maps[0])
-        acc += _sum_normalized(
-            mv, f"map at index {i} of {len(maps)} averaged maps"
-        ).reshape(acc.shape)
-    acc /= len(maps)
+        if acc is None:
+            acc = np.zeros(m.shape)
+        mv, _ = _paired(m, acc)
+        total = mv.sum()
+        if total <= 0.0:
+            n = i + 1 + sum(1 for _ in maps)
+            raise DegenerateMapError(
+                f"map at index {i} of {n} averaged maps is all-zero")
+        acc += (mv / total).reshape(acc.shape)
+    if acc is None:
+        raise PreconditionError("mean_map of no maps")
+    acc /= i + 1
     return acc / acc.sum()
 
 
@@ -236,15 +243,19 @@ def evaluate_pair(pred: np.ndarray, gt: np.ndarray, fixated: Pixels,
     }
 
 
-def evaluate(image_ids: list[str], gt: np.ndarray, preds,
-             fixations: FixationTable, seed: int = 0
+def evaluate(image_ids: list[str], gt, preds, fixations: FixationTable,
+             seed: int = 0, baseline: np.ndarray | None = None
              ) -> list[dict[str, float]]:
-    """Per-image metric dicts in ``image_ids`` order, for the (images,
-    H, W) ground-truth stack ``gt`` and the prediction maps that
-    ``preds`` yields, both in that order. The information-gain baseline
-    is the mean ground-truth map. An image's sAUC negatives are the
-    fixations of every other image in the table, with a map or not."""
-    baseline = mean_map(list(gt))
+    """Per-image metric dicts in ``image_ids`` order, for the
+    ground-truth maps that ``gt`` yields and the prediction maps that
+    ``preds`` yields, both in that order; each pair is taken once, when
+    it is scored. The information-gain baseline is ``baseline``, by
+    default the mean ground-truth map, which takes a first pass over
+    ``gt`` (an (images, H, W) stack, say). An image's sAUC negatives are
+    the fixations of every other image in the table, with a map or
+    not."""
+    if baseline is None:
+        baseline = mean_map(gt)
     # images in order of first appearance; within one image the
     # fixations run observer by observer, in order of first appearance
     # (the nss and ig means and the seeded sauc subsample depend on it)
@@ -261,15 +272,16 @@ def evaluate(image_ids: list[str], gt: np.ndarray, preds,
         own[image_id] = slice(len(order), len(order) + len(rows))
         order.extend(rows)
     # a first prediction of the wrong size fails before any fixation
-    preds = iter(preds)
-    first = next(preds)
-    _paired(first, gt[0])
+    pairs = zip(gt, preds)
+    first = next(pairs)
+    truth, pred = first
+    _paired(pred, truth)
     # every fixation's pixel is looked up once; an image's positives are
     # its own block of the order and its negatives the rest, in order
-    pool = tuple(a[order] for a in
-                 fixation_pixels(fixations, gt.shape[2], gt.shape[1]))
+    height, width = truth.shape
+    pool = tuple(a[order] for a in fixation_pixels(fixations, width, height))
     return [evaluate_pair(pred, truth, tuple(a[own[i]] for a in pool),
                           tuple(np.delete(a, own[i]) for a in pool),
                           baseline, seed=seed)
-            for i, truth, pred in zip(image_ids, gt,
-                                      itertools.chain([first], preds))]
+            for i, (truth, pred) in zip(image_ids,
+                                        itertools.chain([first], pairs))]

@@ -8,7 +8,8 @@ import pytest
 
 from tsal import analysis
 from tsal.cli import main
-from tsal.errors import ConfigError, DegenerateMapError, PreconditionError
+from tsal.errors import (ConfigError, DegenerateMapError, FormatError,
+                         PreconditionError, ShapeMismatchError)
 from tsal.gaze import (
     FixationTable,
     Normalization,
@@ -16,7 +17,7 @@ from tsal.gaze import (
     write_fixations_csv,
     write_map_tsal,
 )
-from tsal.metrics import cc
+from tsal.metrics import cc, mean_map
 
 import oracles
 
@@ -180,6 +181,74 @@ class TestAgainstDictOracle:
         assert dev_skipped.tolist() == want_dev_skipped
         # every image an average skips is skipped by its deviation too
         assert dev_skipped.tolist() == want_skipped == [1, 1, 2, 1]
+
+    @pytest.mark.parametrize("seed", [133, 134])
+    def test_one_shot_generators_give_the_scalar_loop_bytes(self, seed):
+        """Each statistic consumes its maps once, image by image: a
+        generator gives the bytes a stack gives."""
+        stack = mixed_stack(np.random.default_rng(seed))
+        dataset = {f"img{i:02d}": list(maps) for i, maps in enumerate(stack)}
+
+        def images():
+            return (maps.copy() for maps in stack)
+
+        maps = analysis.average_slices(images())
+        want_maps, _ = oracles.average_slices_oracle(dataset)
+        assert [m.tobytes() for m in maps] == \
+            [w.tobytes() for w in want_maps]
+        values, pair_skipped = analysis.inter_slice_cc(images())
+        want_values, want_pair_skipped = oracles.inter_slice_cc_oracle(dataset)
+        assert values.tobytes() == want_values.tobytes()
+        assert np.array_equal(pair_skipped, want_pair_skipped)
+        scores, skipped = analysis.intra_slice_deviation(images(), maps)
+        want_scores, want_skipped = oracles.intra_slice_deviation_oracle(
+            dataset, want_maps)
+        assert scores == want_scores
+        assert skipped.tolist() == want_skipped
+
+    def test_mean_map_of_a_generator_gives_the_scalar_loop_bytes(self):
+        maps = np.random.default_rng(135).uniform(0.0, 1.0, size=(11, 5, 6))
+        want, _ = oracles.average_slices_oracle(
+            {f"img{i:02d}": [m] for i, m in enumerate(maps)})
+        assert mean_map(m.copy() for m in maps).tobytes() == \
+            want[0].tobytes()
+
+
+class TestImageStream:
+    def test_images_of_another_shape_are_refused(self):
+        stack = np.ones((2, 3, 4, 5))
+        stack[:, :, 0, 0] = 2.0
+        images = [stack[0], stack[1][:2]]
+        for statistic in (analysis.average_slices, analysis.inter_slice_cc):
+            with pytest.raises(ShapeMismatchError, match=(
+                    r"^image maps have shape \(2, 4, 5\), expected "
+                    r"\(3, 4, 5\)$")):
+                statistic(iter(images))
+
+    def test_no_images_is_degenerate(self):
+        for statistic in (analysis.average_slices, analysis.inter_slice_cc):
+            with pytest.raises(DegenerateMapError, match="^no images$"):
+                statistic(iter([]))
+        with pytest.raises(DegenerateMapError, match="^no images$"):
+            analysis.intra_slice_deviation(iter([]), [np.ones((2, 2))])
+
+    def test_histogram_reads_each_map_as_it_comes(self):
+        """Maps as (image id, map) pairs give the counts of a dict, and
+        a map that fails is reported once every pair is taken."""
+        rng = np.random.default_rng(136)
+        gt = {"a": rng.uniform(0.01, 1.0, size=(8, 8)), "b": np.zeros((8, 8)),
+              "c": rng.uniform(0.01, 1.0, size=(8, 8))}
+        table = fixes(("c", 1, 2, 10.0), ("a", 3, 4, 2000.0),
+                      ("c", 5, 6, 4000.0))
+        assert np.array_equal(
+            analysis.saliency_time_histogram(table, iter(gt.items())),
+            analysis.saliency_time_histogram(table, gt))
+
+        def pairs():
+            yield "b", gt["b"]
+            raise FormatError("c.tsal: unreadable")
+        with pytest.raises(FormatError, match="^c.tsal: unreadable$"):
+            analysis.saliency_time_histogram(fixes(("b", 1, 1, 0.0)), pairs())
 
 
 class TestConsecutiveDifferences:

@@ -26,6 +26,7 @@ from tsal.errors import (
 )
 from tsal.gaze import (
     FixationTable,
+    group_rows,
     read_fixation_table,
     read_map_tsal,
     slice_equal_distribution,
@@ -450,6 +451,22 @@ class TestTimestampsAndSlice:
         fixations, _ = read_fixation_table(dataset["recovered"])
         assert fixations.t_ms is not None
 
+    def test_timestamp_beyond_t_total_names_the_csv(self, dataset, tmp_path,
+                                                    capsys):
+        fixations, _ = read_fixation_table(dataset["recovered"])
+        # slicing runs image by image: the first image with a late fixation
+        late = next(t[t > 100.0] for t in (
+            fixations.t_ms[rows]
+            for rows in group_rows(fixations.image_id).values())
+            if (t > 100.0).any())
+        out = tmp_path / "sliced.csv"
+        assert run("slice", "--fixations", dataset["recovered"],
+                   "--out", out, "--t-total", 100) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: PreconditionError: {dataset['recovered']}: timestamp "
+            f"{float(late[0])} outside [0, 100.0]")
+        assert not out.exists()
+
     def test_slice_is_idempotent_on_its_own_output(self, workdir, dataset):
         again = workdir / "sliced_again.csv"
         run0("slice", "--fixations", dataset["sliced"], "--out", again,
@@ -720,6 +737,19 @@ class TestRasterize:
                    "--images", dataset["images"],
                    "--out", workdir / "maps_bad", "--n", 3) == 2
 
+    def test_out_of_range_slice_index_names_the_csv(self, dataset, tmp_path,
+                                                    capsys):
+        fixations, _ = read_fixation_table(dataset["sliced"])
+        first = fixations.slice_index[fixations.slice_index >= 2][0]
+        out = tmp_path / "maps"
+        assert run("rasterize", "--fixations", dataset["sliced"],
+                   "--images", dataset["images"], "--out", out,
+                   "--n", 2) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: PreconditionError: {dataset['sliced']}: slice index "
+            f"{first} out of range for n=2")
+        assert not out.exists()
+
     def test_unknown_image_reference_exits_two(self, workdir, dataset):
         rogue = workdir / "rogue.csv"
         fixations, _ = read_fixation_table(dataset["sliced"])
@@ -771,6 +801,19 @@ class TestAnalyze:
         assert run("analyze", "--maps", workdir / "no_such_maps",
                    "--fixations", dataset["sliced"],
                    "--out", workdir / "x") == 2
+
+    def test_timestamp_beyond_t_total_names_the_csv(self, dataset, tmp_path,
+                                                    capsys):
+        fixations, _ = read_fixation_table(dataset["sliced"])
+        late = fixations.t_ms[fixations.t_ms > 100.0][0]
+        out = tmp_path / "analysis"
+        assert run("analyze", "--maps", dataset["maps"],
+                   "--fixations", dataset["sliced"], "--out", out,
+                   "--t-total", 100) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: PreconditionError: {dataset['sliced']}: timestamp "
+            f"{float(late)} outside [0, 100.0]")
+        assert not out.exists()
 
     def test_unknown_image_leaves_no_output(self, workdir, dataset, capsys):
         table, _ = read_fixation_table(dataset["sliced"])
@@ -935,6 +978,161 @@ class TestMapStack:
         assert not out.exists()
 
 
+def eval_argv(pred, gt, fixations, out):
+    return ["eval", "--pred", pred, "--gt", gt, "--fixations", fixations,
+            "--out", out]
+
+
+class TestStreamedMapTrees:
+    """``analyze`` and ``eval`` read their map trees image by image: each
+    error is the one a whole tree read first would give, and memory does
+    not grow with the image count."""
+
+    @staticmethod
+    def break_map(path, defect):
+        path.unlink()
+        if defect == "wrong size":
+            write_map_tsal(path, np.ones((32, 32)))
+        elif defect == "zero size":
+            path.write_bytes(b"TSAL" + bytes(8) + b"\x00")
+        else:  # listed, but not there
+            path.symlink_to(path.parent / "nowhere.tsal")
+
+    @pytest.mark.parametrize("defect", ["wrong size", "zero size", "missing"])
+    @pytest.mark.parametrize("command,tree", [
+        ("analyze", "full"), ("analyze", "t4"), ("eval", "gt"),
+        ("eval", "pred")])
+    def test_bad_last_map_is_one_error_line(self, dataset, tmp_path, capsys,
+                                            command, tree, defect):
+        maps = tmp_path / "maps"
+        shutil.copytree(dataset["maps"], maps)
+        shutil.copytree(maps / "full", maps / "gt")
+        shutil.copytree(maps / "full", maps / "pred")
+        broken = maps / tree / "img003.tsal"
+        self.break_map(broken, defect)
+        out = tmp_path / "out"
+        if command == "analyze":
+            argv = ["analyze", "--maps", maps, "--fixations",
+                    dataset["sliced"], "--out", out]
+        else:
+            argv = eval_argv(maps / "pred", maps / "gt", dataset["sliced"],
+                             out / "metrics.csv")
+        assert run(*argv) == 2
+        want = {
+            "wrong size": f"PreconditionError: inconsistent map sizes: "
+                          f"{broken} is 32x32, expected 64x64",
+            "zero size": f"FormatError: {broken}: TSAL map has zero size 0x0",
+            "missing": f"FormatError: {broken}: No such file or directory",
+        }[defect]
+        if (tree, defect) == ("pred", "wrong size"):
+            want = "ShapeMismatchError: maps disagree in size: 32x32 vs 64x64"
+        assert only_error_line(capsys) == f"tsal: {want}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "eval"])
+    def test_every_map_is_read_before_one_is_refused(
+            self, dataset, tmp_path, capsys, command):
+        """An all-zero map of the first image, which has fixations, is
+        refused only once the last map is read, so the last map's read
+        error comes first, as when the whole tree was read first."""
+        maps = tmp_path / "maps"
+        shutil.copytree(dataset["maps"], maps)
+        write_map_tsal(maps / "full" / "img000.tsal", np.zeros((64, 64)))
+        missing = maps / "full" / "img003.tsal"
+        self.break_map(missing, "missing")
+        out = tmp_path / "out"
+        if command == "analyze":
+            argv = ["analyze", "--maps", maps, "--fixations",
+                    dataset["sliced"], "--out", out]
+        else:
+            argv = eval_argv(dataset["maps"] / "full", maps / "full",
+                             dataset["sliced"], out / "metrics.csv")
+        assert run(*argv) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: FormatError: {missing}: No such file or directory")
+        assert not out.exists()
+
+    def test_constant_prediction_is_named_by_file(self, dataset, tmp_path,
+                                                  capsys):
+        pred = tmp_path / "pred"
+        shutil.copytree(dataset["maps"] / "full", pred)
+        write_map_tsal(pred / "img002.tsal", np.full((64, 64), 0.5))
+        out = tmp_path / "out" / "metrics.csv"
+        assert run(*eval_argv(pred, dataset["maps"] / "full",
+                              dataset["sliced"], out)) == 3
+        assert only_error_line(capsys) == (
+            f"tsal: DegenerateMapError: {pred / 'img002.tsal'}: cc is "
+            f"undefined for a constant map")
+        assert not out.parent.exists()
+
+    def test_constant_ground_truth_map_is_named_by_file(
+            self, dataset, tmp_path, capsys):
+        """A constant ground-truth map has no cc: it is refused with the
+        other ground-truth errors, before any prediction is read."""
+        gt = tmp_path / "gt"
+        shutil.copytree(dataset["maps"] / "full", gt)
+        write_map_tsal(gt / "img002.tsal", np.full((64, 64), 0.5))
+        pred = tmp_path / "pred"
+        shutil.copytree(dataset["maps"] / "full", pred)
+        self.break_map(pred / "img000.tsal", "zero size")
+        out = tmp_path / "out" / "metrics.csv"
+        assert run(*eval_argv(pred, gt, dataset["sliced"], out)) == 3
+        assert only_error_line(capsys) == (
+            f"tsal: DegenerateMapError: {gt / 'img002.tsal'}: ground-truth "
+            f"map is constant")
+        assert not out.parent.exists()
+
+    @staticmethod
+    def write_trees(root, count, rng, shape, n_slices=5):
+        """``count`` images' slice and full maps under root/maps, and a
+        timestamped fixation CSV with three fixations per image."""
+        ids = [f"img{i:03d}" for i in range(count)]
+        for image_id in ids:
+            for kind in [f"t{k}" for k in range(n_slices)] + ["full"]:
+                write_map_tsal(root / "maps" / kind / f"{image_id}.tsal",
+                               rng.uniform(0.01, 1.0, size=shape))
+        n = 3 * count
+        fixations = FixationTable(
+            [i for i in ids for _ in range(3)], ["obs"] * n,
+            [0, 1, 2] * count, rng.uniform(0, shape[1] - 1, size=n),
+            rng.uniform(0, shape[0] - 1, size=n), rng.uniform(0, 5000, size=n))
+        write_fixations_csv(root / "fixations.csv", fixations)
+        return fixations
+
+    def test_memory_does_not_grow_with_the_image_count(self, tmp_path):
+        """From 20 to 80 images the peaks of analyze and eval grow by a
+        few maps at most, plus the fixation table, which holds every
+        image's rows. Read into one stack, the 60 more images' maps would
+        be 60 maps for eval and 360 for analyze."""
+        rng = np.random.default_rng(180)
+        shape = (48, 64)
+        map_bytes = np.zeros(shape).nbytes
+        peaks, tables = {}, {}
+        for count in (4, 20, 80):  # the first run only warms up
+            root = tmp_path / f"n{count}"
+            fixations = self.write_trees(root, count, rng, shape)
+            tables[count] = sum(np.asarray(a).nbytes for a in (
+                fixations.x, fixations.y, fixations.t_ms,
+                fixations.order_index)) + 2 * 8 * len(fixations)
+            maps = root / "maps"
+            for name, argv in [
+                    ("analyze", ["analyze", "--maps", maps, "--fixations",
+                                 root / "fixations.csv",
+                                 "--out", root / "analysis"]),
+                    ("eval", eval_argv(maps / "full", maps / "full",
+                                       root / "fixations.csv",
+                                       root / "metrics.csv"))]:
+                tracemalloc.start()
+                try:
+                    run0(*argv)
+                    peaks[name, count] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        for name in ("analyze", "eval"):
+            growth = peaks[name, 80] - peaks[name, 20]
+            assert growth < 4 * map_bytes + 4 * tables[80], (name, growth)
+
+
 class TestTrainPredictEval:
     def test_checkpoints_and_loss_csv(self, workdir, trained):
         assert trained["stage1"].exists() and trained["final"].exists()
@@ -1080,7 +1278,7 @@ class TestTrainPredictEval:
             f"of {out}")
         assert not out.exists()
 
-    def test_all_zero_ground_truth_map_is_named_by_position(
+    def test_all_zero_ground_truth_map_is_named_by_file(
             self, workdir, dataset, tmp_path, capsys):
         gt = tmp_path / "gt"
         shutil.copytree(dataset["maps"] / "full", gt)
@@ -1089,8 +1287,8 @@ class TestTrainPredictEval:
         assert run("eval", "--pred", dataset["maps"] / "full", "--gt", gt,
                    "--fixations", dataset["sliced"], "--out", out) == 3
         assert only_error_line(capsys) == (
-            "tsal: DegenerateMapError: map at index 1 of 4 averaged maps "
-            "is all-zero")
+            f"tsal: DegenerateMapError: {gt / 'img001.tsal'}: ground-truth "
+            f"map is all-zero")
         assert not out.exists()
 
     def test_self_evaluation_identity(self, workdir, dataset):

@@ -10,6 +10,7 @@ from tsal import autodiff as ad
 from tsal import metrics
 from tsal.errors import (
     DegenerateMapError,
+    FormatError,
     PreconditionError,
     ShapeMismatchError,
 )
@@ -362,6 +363,19 @@ class TestBaselines:
         with pytest.raises(DegenerateMapError, match=r"^map at index 1 of 3 "
                            r"averaged maps is all-zero$"):
             metrics.mean_map(maps)
+
+    def test_mean_map_takes_the_rest_before_it_refuses_a_map(self):
+        def maps():
+            yield np.ones((2, 2))
+            yield np.zeros((2, 2))
+            yield np.ones((2, 2))
+            raise FormatError("m3.tsal: unreadable")
+        with pytest.raises(FormatError, match="^m3.tsal: unreadable$"):
+            metrics.mean_map(maps())
+        with pytest.raises(DegenerateMapError, match=r"^map at index 1 of 3 "
+                           r"averaged maps is all-zero$"):
+            metrics.mean_map(iter([np.ones((2, 2)), np.zeros((2, 2)),
+                                   np.ones((2, 2))]))
 
     def test_mean_map_rejects_mixed_sizes(self):
         with pytest.raises(ShapeMismatchError,

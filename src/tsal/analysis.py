@@ -126,8 +126,8 @@ def saliency_time_histogram(fixations: FixationTable, gt_maps,
                             t_total: float = DEFAULT_T_TOTAL_MS) -> np.ndarray:
     """Counts of fixations by (time bin, saliency-at-fixation bin).
 
-    ``gt_maps`` gives each image's ground-truth map: a dict by image id,
-    or ``(image_id, map)`` pairs, which are consumed once. Saliency is
+    ``gt_maps`` gives each image's ground-truth map as ``(image_id,
+    map)`` pairs, which are consumed once. Saliency is
     read at the fixation's pixel from the image's map scaled to peak 1;
     only the maps of images with fixations are scaled. A map that fails
     is reported once every pair is taken, so an error in making a later
@@ -142,8 +142,7 @@ def saliency_time_histogram(fixations: FixationTable, gt_maps,
     groups = group_rows(fixations.image_id)
     s = np.empty_like(t)
     failed = {}  # image id -> None, or the error its map gave
-    for image_id, m in (gt_maps.items() if isinstance(gt_maps, dict)
-                        else gt_maps):
+    for image_id, m in gt_maps:
         rows = groups.get(image_id)
         if rows is None:
             continue

@@ -47,20 +47,19 @@ class Tensor:
     """Handle to one value recorded on a tape.
 
     ``data`` is a read-only float64 ndarray; shape ``()`` is a scalar.
-    ``leaf`` marks trainable parameters: ``backward`` reports gradients
-    for exactly these nodes. ``live`` says whether the value depends on
-    a parameter, that is, whether ``backward`` can reach it.
+    ``live`` says whether the value depends on a parameter, that is,
+    whether ``backward`` can reach it; ``backward`` reports gradients
+    for exactly the parameters (``Tape.param``).
     """
 
-    __slots__ = ("data", "tape", "node_id", "name", "leaf")
+    __slots__ = ("data", "tape", "node_id", "name")
 
     def __init__(self, data: np.ndarray, tape: "Tape", node_id: int,
-                 name: str | None = None, leaf: bool = False):
+                 name: str | None = None):
         self.data = data
         self.tape = tape
         self.node_id = node_id
         self.name = name
-        self.leaf = leaf
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,7 +104,7 @@ class Tape:
         node_id = len(self.nodes)
         live = leaf or any(self.nodes[i].live for i in inputs)
         self.nodes.append(_Node(op, inputs, pullback if live else None, live))
-        return Tensor(data, self, node_id, name=name, leaf=leaf)
+        return Tensor(data, self, node_id, name=name)
 
     def constant(self, data) -> Tensor:
         return self._record("const", (), None, np.array(data, dtype=np.float64))

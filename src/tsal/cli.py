@@ -235,41 +235,6 @@ def _require_timestamps(fixations: FixationTable, path) -> None:
 # synth
 # ---------------------------------------------------------------------------
 
-def _scene_specs(scene_data: dict) -> list[synth.SceneSpec]:
-    if "scenes" in scene_data:
-        specs = [synth.scene_from_dict(d) for d in scene_data["scenes"]]
-        if not specs:
-            raise FormatError("scene file lists no scenes")
-        if len({s.n_slices for s in specs}) != 1:
-            raise FormatError("scenes disagree on slice count")
-        return specs
-    preset = scene_data.get("preset")
-    if preset != "drift":
-        raise FormatError(
-            "scene file needs either a \"scenes\" list or preset=\"drift\"")
-    try:
-        images = int(scene_data.get("images", 20))
-        width = int(scene_data.get("width", 64))
-        height = int(scene_data.get("height", 64))
-        objects = int(scene_data.get("objects", 5))
-        slices = int(scene_data.get("slices", 5))
-        bias = float(scene_data.get("center_bias_strength", 0.05))
-        spread = float(scene_data.get("spread", 0.8))
-        anchor = scene_data.get("anchor")
-        if anchor is not None:
-            anchor = (float(anchor[0]), float(anchor[1]))
-        seed = int(scene_data.get("scene_seed", 0))
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise FormatError(f"bad drift preset settings: {exc}") from exc
-    if images < 1:
-        raise FormatError("preset needs images >= 1")
-    rng = np.random.default_rng(seed)
-    return [synth.drift_spec(rng, width, height, n_objects=objects,
-                             n_slices=slices, anchor=anchor, spread=spread,
-                             center_bias_strength=bias)
-            for _ in range(images)]
-
-
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
@@ -342,8 +307,7 @@ def _synth_one(item, out_dir: str, seed: int, observers: int,
 
 
 def cmd_synth(args) -> None:
-    scene_data = synth.read_scene_file(args.scene)
-    specs = _scene_specs(scene_data)
+    specs = synth.read_scenes(args.scene)
     out = Path(args.out)
     worker = functools.partial(
         _synth_one, out_dir=args.out, seed=args.seed,
@@ -524,9 +488,14 @@ def _load_train_data(images_dir: str, maps_dir: str
     if len(shapes) != 1:
         raise PreconditionError(
             f"images disagree on shape: {sorted(shapes)}")
-    return ids, model.TrainData(np.stack(images),
-                                _read_stack(maps_dir, kinds, ids),
-                                _read_stack(maps_dir, ["full"], ids))
+    slices, full = (_read_stack(maps_dir, k, ids) for k in (kinds, ["full"]))
+    for kind, stack in ((kinds[0], slices), ("full", full)):
+        (h, w), (eh, ew) = stack.shape[2:], images[0].shape[1:]
+        if (h, w) != (eh, ew):
+            raise PreconditionError(
+                f"{_map_path(maps_dir, kind, ids[0])}: map is {w}x{h}, "
+                f"images are {ew}x{eh}")
+    return ids, model.TrainData(np.stack(images), slices, full)
 
 
 def cmd_train(args) -> None:
@@ -613,19 +582,17 @@ def cmd_eval(args) -> None:
     # first pass: the baseline, so every ground-truth error comes before
     # any prediction error
     baseline = metrics.mean_map(_varying_maps(args.gt, ids))
+    height, width = baseline.shape
+    with naming(args.fixations, PreconditionError):
+        sets = metrics.fixation_sets(ids, fixations, width, height)
     # second pass: one ground-truth map and one prediction at a time
-    scoring = [None]  # the prediction being scored
-
-    def preds():
-        for image_id in ids:
-            scoring[0] = Path(args.pred) / f"{image_id}.tsal"
-            yield read_map_tsal(scoring[0])
-    try:
-        rows = metrics.evaluate(
-            ids, (maps[0] for maps in _map_rows([args.gt], ids)), preds(),
-            fixations, seed=args.seed, baseline=baseline)
-    except DegenerateMapError as exc:
-        raise DegenerateMapError(f"{scoring[0]}: {exc}") from exc
+    rows = []
+    for image_id, (truth, pred), (fixated, negatives) in zip(
+            ids, _map_rows([args.gt, args.pred], ids), sets):
+        with naming(args.fixations, PreconditionError), naming(
+                Path(args.pred) / f"{image_id}.tsal", DegenerateMapError):
+            rows.append(metrics.evaluate_pair(pred, truth, fixated, negatives,
+                                              baseline, seed=args.seed))
     columns = metrics.METRIC_COLUMNS
     means = {c: sum(r[c] for r in rows) / len(rows) for c in columns}
     write_csv(args.out, ["image_id", *columns],

@@ -538,7 +538,7 @@ def read_map_tsal(path: str) -> np.ndarray:
         values, normalization = deserialize_map(fh.read())
         if values.min() < 0.0:
             raise PreconditionError("saliency map has negative values")
-    return normalize_map(values, normalization)
+        return normalize_map(values, normalization)
 
 
 def write_map_pgm(path: str, values: np.ndarray) -> None:

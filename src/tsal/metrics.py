@@ -8,7 +8,6 @@ definition requires it, so callers may pass maps at any scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -243,19 +242,13 @@ def evaluate_pair(pred: np.ndarray, gt: np.ndarray, fixated: Pixels,
     }
 
 
-def evaluate(image_ids: list[str], gt, preds, fixations: FixationTable,
-             seed: int = 0, baseline: np.ndarray | None = None
-             ) -> list[dict[str, float]]:
-    """Per-image metric dicts in ``image_ids`` order, for the
-    ground-truth maps that ``gt`` yields and the prediction maps that
-    ``preds`` yields, both in that order; each pair is taken once, when
-    it is scored. The information-gain baseline is ``baseline``, by
-    default the mean ground-truth map, which takes a first pass over
-    ``gt`` (an (images, H, W) stack, say). An image's sAUC negatives are
-    the fixations of every other image in the table, with a map or
-    not."""
-    if baseline is None:
-        baseline = mean_map(gt)
+def fixation_sets(image_ids: list[str], fixations: FixationTable,
+                  width: int, height: int):
+    """Each image's fixated pixels and sAUC negatives on a ``width`` x
+    ``height`` map, as ``(fixated, negatives)`` pairs in ``image_ids``
+    order. An image's negatives are the fixations of every other image
+    in the table, with a map or not. An image without fixations, or a
+    fixation off the map, is refused before the first pair is made."""
     # images in order of first appearance; within one image the
     # fixations run observer by observer, in order of first appearance
     # (the nss and ig means and the seeded sauc subsample depend on it)
@@ -271,17 +264,8 @@ def evaluate(image_ids: list[str], gt, preds, fixations: FixationTable,
     for image_id, rows in blocks.items():
         own[image_id] = slice(len(order), len(order) + len(rows))
         order.extend(rows)
-    # a first prediction of the wrong size fails before any fixation
-    pairs = zip(gt, preds)
-    first = next(pairs)
-    truth, pred = first
-    _paired(pred, truth)
     # every fixation's pixel is looked up once; an image's positives are
     # its own block of the order and its negatives the rest, in order
-    height, width = truth.shape
     pool = tuple(a[order] for a in fixation_pixels(fixations, width, height))
-    return [evaluate_pair(pred, truth, tuple(a[own[i]] for a in pool),
-                          tuple(np.delete(a, own[i]) for a in pool),
-                          baseline, seed=seed)
-            for i, (truth, pred) in zip(image_ids,
-                                        itertools.chain([first], pairs))]
+    return ((tuple(a[own[i]] for a in pool),
+             tuple(np.delete(a, own[i]) for a in pool)) for i in image_ids)

@@ -66,13 +66,18 @@ class SceneSpec:
             raise ConfigError("center bias strength must be nonnegative")
         if not self.drift:
             raise ConfigError("drift schedule must cover at least one slice")
-        for row in self.drift:
+        for k, row in enumerate(self.drift):
             if len(row) != len(self.objects):
                 raise ConfigError(
                     f"drift row has {len(row)} entries for "
                     f"{len(self.objects)} objects")
             if any(d < 0.0 for d in row):
                 raise ConfigError("drift entries must be nonnegative")
+            # generate_scene divides slice k's weights by this total
+            pull = self.center_bias_strength * (k + 1) / len(self.drift)
+            if sum(d * o.weight for d, o in zip(row, self.objects)) \
+                    + pull <= 0.0:
+                raise ConfigError(f"slice {k} has zero total attention weight")
 
     @property
     def n_slices(self) -> int:
@@ -154,10 +159,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
             weights[k, i] = spec.drift[k][i] * o.weight
         if has_center:
             weights[k, -1] = spec.center_bias_strength * (k + 1) / n
-        total = weights[k].sum()
-        if total <= 0.0:
-            raise ConfigError(f"slice {k} has zero total attention weight")
-        weights[k] /= total
+        weights[k] /= weights[k].sum()  # positive: SceneSpec checks it
 
     mixture = SliceMixture(w, h, np.array(centers, dtype=float),
                            np.array(sigmas, dtype=float), weights,
@@ -320,9 +322,11 @@ def scene_from_dict(d: dict) -> SceneSpec:
         raise FormatError(f"bad scene description: {exc}") from exc
 
 
-def read_scene_file(path) -> dict:
-    """Load a scene JSON file; returns the raw dict for the caller to
-    interpret (explicit scene list or generator settings)."""
+def read_scenes(path) -> list[SceneSpec]:
+    """The scenes of a scene JSON file: a ``"scenes"`` list of scene
+    descriptions, or ``"preset": "drift"`` with ``drift_spec`` settings
+    (``images`` scenes drawn from ``scene_seed``). Every error, of the
+    JSON or of a scene in it, names the file."""
     with reading(path) as fh:
         try:
             data = json.load(fh)
@@ -330,4 +334,36 @@ def read_scene_file(path) -> dict:
             raise FormatError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise FormatError("scene file must hold a JSON object")
-    return data
+        if "scenes" in data:
+            if not isinstance(data["scenes"], list):
+                raise FormatError("\"scenes\" must be a list")
+            specs = [scene_from_dict(d) for d in data["scenes"]]
+            if not specs:
+                raise FormatError("scene file lists no scenes")
+            if len({s.n_slices for s in specs}) != 1:
+                raise FormatError("scenes disagree on slice count")
+            return specs
+        if data.get("preset") != "drift":
+            raise FormatError("scene file needs either a \"scenes\" list "
+                              "or preset=\"drift\"")
+        try:
+            images = int(data.get("images", 20))
+            width = int(data.get("width", 64))
+            height = int(data.get("height", 64))
+            objects = int(data.get("objects", 5))
+            slices = int(data.get("slices", 5))
+            bias = float(data.get("center_bias_strength", 0.05))
+            spread = float(data.get("spread", 0.8))
+            anchor = data.get("anchor")
+            if anchor is not None:
+                anchor = (float(anchor[0]), float(anchor[1]))
+            seed = int(data.get("scene_seed", 0))
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise FormatError(f"bad drift preset settings: {exc}") from exc
+        if images < 1:
+            raise FormatError("preset needs images >= 1")
+        rng = np.random.default_rng(seed)
+        return [drift_spec(rng, width, height, n_objects=objects,
+                           n_slices=slices, anchor=anchor, spread=spread,
+                           center_bias_strength=bias)
+                for _ in range(images)]

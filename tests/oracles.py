@@ -204,7 +204,8 @@ def evaluate_directories_oracle(pred_dir, gt_dir, fixations, seed=0):
     package's own metrics: for each image it rebuilds the negative set
     as every other image's fixation rows and looks their pixels up
     again. It is the reference for the pooled negatives of
-    ``metrics.evaluate``. Returns (image ids, per-image metric dicts)."""
+    ``metrics.fixation_sets``. Returns (image ids, per-image metric
+    dicts)."""
     from tsal import metrics
     from tsal.gaze import group_rows, read_map_tsal
 

@@ -233,16 +233,20 @@ class TestImageStream:
             analysis.intra_slice_deviation(iter([]), [np.ones((2, 2))])
 
     def test_histogram_reads_each_map_as_it_comes(self):
-        """Maps as (image id, map) pairs give the counts of a dict, and
-        a map that fails is reported once every pair is taken."""
+        """A one-shot stream of (image id, map) pairs gives the
+        double-loop counts, and a map that fails is reported once every
+        pair is taken."""
         rng = np.random.default_rng(136)
         gt = {"a": rng.uniform(0.01, 1.0, size=(8, 8)), "b": np.zeros((8, 8)),
               "c": rng.uniform(0.01, 1.0, size=(8, 8))}
         table = fixes(("c", 1, 2, 10.0), ("a", 3, 4, 2000.0),
                       ("c", 5, 6, 4000.0))
+        records = [(t, gt[i][y, x] / gt[i].max()) for i, x, y, t in zip(
+            table.image_id, table.x.astype(int), table.y.astype(int),
+            table.t_ms)]
         assert np.array_equal(
             analysis.saliency_time_histogram(table, iter(gt.items())),
-            analysis.saliency_time_histogram(table, gt))
+            oracles.histogram2d_oracle(records, 50, 50, 5000.0))
 
         def pairs():
             yield "b", gt["b"]
@@ -287,7 +291,7 @@ class TestSaliencyTimeHistogram:
         gt = {"img": self._gt(rng)}
         table = fixes(*[("img", rng.integers(0, 8), rng.integers(0, 8),
                          rng.uniform(0, 5000)) for _ in range(37)])
-        grid = analysis.saliency_time_histogram(table, gt)
+        grid = analysis.saliency_time_histogram(table, gt.items())
         assert grid.sum() == 37
 
     def test_peak_fixation_at_time_zero(self):
@@ -295,7 +299,7 @@ class TestSaliencyTimeHistogram:
         gt = {"img": self._gt(rng)}
         py, px = np.unravel_index(gt["img"].argmax(), (8, 8))
         grid = analysis.saliency_time_histogram(
-            fixes(("img", px, py, 0.0)), gt, bins_t=50, bins_s=50)
+            fixes(("img", px, py, 0.0)), gt.items(), bins_t=50, bins_s=50)
         assert grid[0, 49] == 1
         assert grid.sum() == 1
 
@@ -304,7 +308,8 @@ class TestSaliencyTimeHistogram:
         gt = {"img": self._gt(rng)}
         table = fixes(*[("img", rng.integers(0, 8), rng.integers(0, 8),
                          rng.uniform(0, 5000)) for _ in range(100)])
-        grid = analysis.saliency_time_histogram(table, gt, bins_t=10, bins_s=7)
+        grid = analysis.saliency_time_histogram(table, gt.items(), bins_t=10,
+                                                bins_s=7)
         records = []
         for x, y, t in zip(table.x, table.y, table.t_ms):
             px = int(math.floor(x + 0.5))
@@ -318,7 +323,7 @@ class TestSaliencyTimeHistogram:
         gt = {"img": self._gt(rng)}
         py, px = np.unravel_index(gt["img"].argmax(), (8, 8))
         grid = analysis.saliency_time_histogram(
-            fixes(("img", px, py, 5000.0)), gt, bins_t=5, bins_s=5)
+            fixes(("img", px, py, 5000.0)), gt.items(), bins_t=5, bins_s=5)
         assert grid[4, 4] == 1
 
     def test_raw_maps_are_scaled_to_peak_one(self):
@@ -327,27 +332,30 @@ class TestSaliencyTimeHistogram:
         kept = raw.copy()
         table = fixes(*[("img", rng.integers(0, 8), rng.integers(0, 8),
                          rng.uniform(0, 5000)) for _ in range(40)])
-        grid = analysis.saliency_time_histogram(table, {"img": raw},
+        grid = analysis.saliency_time_histogram(table, [("img", raw)],
                                                 bins_t=6, bins_s=9)
         want = analysis.saliency_time_histogram(
-            table, {"img": raw / raw.max()}, bins_t=6, bins_s=9)
+            table, [("img", raw / raw.max())], bins_t=6, bins_s=9)
         assert np.array_equal(grid, want)
         assert np.array_equal(raw, kept)  # the input is left as it was
 
     def test_all_zero_map_read_only_with_fixations(self):
         rng = np.random.default_rng(118)
         gt = {"img": self._gt(rng), "empty": np.zeros((8, 8))}
-        grid = analysis.saliency_time_histogram(fixes(("img", 1, 1, 0.0)), gt)
+        grid = analysis.saliency_time_histogram(fixes(("img", 1, 1, 0.0)),
+                                                gt.items())
         assert grid.sum() == 1
         with pytest.raises(DegenerateMapError,
                            match="^cannot max-normalize an all-zero map$"):
-            analysis.saliency_time_histogram(fixes(("empty", 1, 1, 0.0)), gt)
+            analysis.saliency_time_histogram(fixes(("empty", 1, 1, 0.0)),
+                                             gt.items())
 
     def test_missing_map_rejected(self):
         rng = np.random.default_rng(116)
         gt = {"img": self._gt(rng)}
         with pytest.raises(PreconditionError):
-            analysis.saliency_time_histogram(fixes(("other", 1, 1, 0.0)), gt)
+            analysis.saliency_time_histogram(fixes(("other", 1, 1, 0.0)),
+                                             gt.items())
 
     @pytest.mark.parametrize("t_total", [0.0, -100.0])
     def test_non_positive_t_total_rejected(self, t_total):
@@ -355,8 +363,8 @@ class TestSaliencyTimeHistogram:
         gt = {"img": self._gt(rng)}
         with pytest.raises(ConfigError,
                            match=f"^t_total must be positive, got {t_total}$"):
-            analysis.saliency_time_histogram(fixes(("img", 1, 1, 0.0)), gt,
-                                             t_total=t_total)
+            analysis.saliency_time_histogram(fixes(("img", 1, 1, 0.0)),
+                                             gt.items(), t_total=t_total)
 
 
 class TestCsvRenderers:
@@ -421,7 +429,7 @@ class TestCsvRenderers:
         header, rows = self.read_back(out / "histogram.csv")
         assert header == ["time_bin_start_ms", "saliency_bin_start", "count"]
         grid = analysis.saliency_time_histogram(
-            fixations, {f"img{i:02d}": m for i, m in enumerate(full)},
+            fixations, ((f"img{i:02d}", m) for i, m in enumerate(full)),
             t_total=3000.0)
         assert grid.sum() == 4
         assert [[float(t), float(s), int(n)] for t, s, n in rows] == \

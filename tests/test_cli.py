@@ -26,9 +26,11 @@ from tsal.errors import (
 )
 from tsal.gaze import (
     FixationTable,
+    Normalization,
     group_rows,
     read_fixation_table,
     read_map_tsal,
+    serialize_map,
     slice_equal_distribution,
     slice_equal_duration,
     write_fixations_csv,
@@ -416,6 +418,31 @@ class TestSynth:
                 ("tsal: FormatError: ", "tsal: ConfigError: ")), text
             assert not out.exists(), text
 
+    @pytest.mark.parametrize("scene,want", [
+        ({"preset": "spiral"}, 'FormatError: scene file needs either a '
+                               '"scenes" list or preset="drift"'),
+        ({"scenes": 5}, 'FormatError: "scenes" must be a list'),
+        ({"scenes": [{"width": 16, "height": 16, "drift": [[1]]}]},
+         "FormatError: bad scene description: 'objects'"),
+        ({"preset": "drift", "images": 0},
+         "FormatError: preset needs images >= 1"),
+        ({"scenes": [{"width": 16, "height": 16, "drift": [[1]], "objects": [
+            {"cx": 8, "cy": 8, "sigma": -2, "weight": 1}]}]},
+         "ConfigError: object sigma must be positive"),
+        ({"scenes": [{"width": 16, "height": 16, "drift": [[1], [0]],
+                      "objects": [{"cx": 8, "cy": 8, "sigma": 2,
+                                   "weight": 1}]}]},
+         "ConfigError: slice 1 has zero total attention weight")],
+        ids=["unknown preset", "scenes not a list", "no objects",
+             "no images", "negative sigma", "zero attention"])
+    def test_scene_errors_name_the_file(self, tmp_path, capsys, scene, want):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        out = tmp_path / "out"
+        assert run("synth", "--scene", path, "--out", out) == 2
+        kind, message = want.split(": ", 1)
+        assert only_error_line(capsys) == f"tsal: {kind}: {path}: {message}"
+        assert not out.exists()
 
     def test_negative_jitter_exits_two(self, workdir, dataset, capsys):
         assert run("synth", "--scene", dataset["scene"],
@@ -1024,8 +1051,6 @@ class TestStreamedMapTrees:
             "zero size": f"FormatError: {broken}: TSAL map has zero size 0x0",
             "missing": f"FormatError: {broken}: No such file or directory",
         }[defect]
-        if (tree, defect) == ("pred", "wrong size"):
-            want = "ShapeMismatchError: maps disagree in size: 32x32 vs 64x64"
         assert only_error_line(capsys) == f"tsal: {want}"
         assert not out.exists()
 
@@ -1081,6 +1106,60 @@ class TestStreamedMapTrees:
             f"tsal: DegenerateMapError: {gt / 'img002.tsal'}: ground-truth "
             f"map is constant")
         assert not out.parent.exists()
+
+    def test_wrong_size_first_prediction_is_named(self, dataset, tmp_path,
+                                                   capsys):
+        pred = tmp_path / "pred"
+        shutil.copytree(dataset["maps"] / "full", pred)
+        self.break_map(pred / "img000.tsal", "wrong size")
+        out = tmp_path / "out" / "metrics.csv"
+        assert run(*eval_argv(pred, dataset["maps"] / "full",
+                              dataset["sliced"], out)) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: PreconditionError: inconsistent map sizes: "
+            f"{pred / 'img000.tsal'} is 32x32, expected 64x64")
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("defect", ["outside", "no fixations"])
+    def test_fixation_errors_name_the_csv(self, dataset, tmp_path, capsys,
+                                          defect):
+        header, *rows = sliced_rows(dataset)
+        if defect == "outside":
+            rows[5][3] = "500.0"
+            want = (f"fixation at (500.0, {float(rows[5][4])}) outside "
+                    f"64x64 image")
+        else:
+            rows = [row for row in rows if row[0] != "img002"]
+            want = "no fixations for image 'img002'"
+        fixations = tmp_path / "fixations.csv"
+        write_rows(fixations, [header, *rows])
+        out = tmp_path / "out" / "metrics.csv"
+        assert run(*eval_argv(dataset["maps"] / "full",
+                              dataset["maps"] / "full", fixations, out)) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: PreconditionError: {fixations}: {want}")
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "train", "eval"])
+    def test_all_zero_map_tagged_sum_one_is_named(self, dataset, tmp_path,
+                                                   capsys, command):
+        maps = tmp_path / "maps"
+        shutil.copytree(dataset["maps"], maps)
+        broken = maps / "full" / "img002.tsal"
+        broken.write_bytes(serialize_map(np.zeros((64, 64)),
+                                         Normalization.SUM_TO_ONE))
+        out = tmp_path / "out"
+        argv = {"analyze": ["analyze", "--maps", maps, "--fixations",
+                            dataset["sliced"], "--out", out],
+                "train": ["train", "--images", dataset["images"], "--maps",
+                          maps, "--out", out, "--epochs", 1],
+                "eval": eval_argv(dataset["maps"] / "full", maps / "full",
+                                  dataset["sliced"], out)}[command]
+        assert run(*argv) == 3
+        assert only_error_line(capsys) == (
+            f"tsal: DegenerateMapError: {broken}: cannot sum-normalize an "
+            f"all-zero map")
+        assert not out.exists()
 
     @staticmethod
     def write_trees(root, count, rng, shape, n_slices=5):
@@ -1152,6 +1231,23 @@ class TestTrainPredictEval:
                    "--maps", dataset["maps"], "--out", workdir / "x.tspw",
                    "--stage", "mixing", "--epochs", 1) == 2
         assert "--base" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kinds", [["t0", "t1", "t2", "t3", "t4"],
+                                       ["full"]], ids=["slices", "full"])
+    def test_map_size_differs_from_the_images(self, dataset, tmp_path,
+                                              capsys, kinds):
+        maps = tmp_path / "maps"
+        shutil.copytree(dataset["maps"], maps)
+        for kind in kinds:
+            for path in (maps / kind).glob("*.tsal"):
+                write_map_tsal(path, np.ones((48, 32)))
+        out = tmp_path / "model.tspw"
+        assert run("train", "--images", dataset["images"], "--maps", maps,
+                   "--out", out, "--epochs", 1) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: PreconditionError: {maps / kinds[0] / 'img000.tsal'}: "
+            f"map is 32x48, images are 64x64")
+        assert not out.exists()
 
     def test_overflowing_lr_is_one_error_line(self, dataset, workdir,
                                               capsys):

@@ -534,7 +534,7 @@ def read_metrics_csv(path):
 
 
 def metric_rows(image_ids, rows):
-    """What a metric CSV holds for ``evaluate``'s rows: the header, a row
+    """What a metric CSV holds for per-image metric dicts: the header, a row
     per image and the mean row, in ``read_metrics_csv``'s form."""
     columns = metrics.METRIC_COLUMNS
     means = [sum(r[c] for r in rows) / len(rows) for c in columns]
@@ -544,7 +544,7 @@ def metric_rows(image_ids, rows):
 
 
 class TestBatchEvaluation:
-    """``tsal eval`` over map directories, and ``metrics.evaluate``."""
+    """``tsal eval`` over map directories, and ``metrics.fixation_sets``."""
 
     def test_self_evaluation(self, tmp_path):
         rng = np.random.default_rng(95)
@@ -593,8 +593,12 @@ class TestBatchEvaluation:
             assert [len(row) for row in csv.reader(fh)] == [8] * 5
         # the ids in sorted order, as eval lists them
         assert sorted(ids) == ids
+        baseline = metrics.mean_map(maps[1])
+        want = [metrics.evaluate_pair(pred, truth, *sets, baseline)
+                for pred, truth, sets in zip(
+                    *maps, metrics.fixation_sets(ids, table, 8, 6))]
         assert read_metrics_csv(tmp_path / "metrics.csv") == metric_rows(
-            ids, metrics.evaluate(ids, maps[1], iter(maps[0]), table))
+            ids, want)
 
     @pytest.mark.parametrize("missing", ["pred", "gt"])
     def test_missing_map_directory_is_named(self, tmp_path, capsys,
@@ -609,14 +613,24 @@ class TestBatchEvaluation:
         assert not (tmp_path / "metrics.csv").exists()
 
     def test_missing_fixations_rejected(self):
-        rng = np.random.default_rng(98)
-        maps = rng.uniform(0.01, 1.0, size=(3, 6, 8))
+        """``fixation_sets`` refuses before it returns, not at the first
+        pair."""
         kept = FixationTable(("img0", "img2"), ("obs0",) * 2, range(2),
                              (1.0, 2.0), (1.0, 3.0))
         with pytest.raises(PreconditionError,
                            match="^no fixations for image 'img1'$"):
-            metrics.evaluate(["img0", "img1", "img2"], maps, iter(maps),
-                             kept)
+            metrics.fixation_sets(["img0", "img1", "img2"], kept, 8, 6)
+        with pytest.raises(PreconditionError,
+                           match=r"^fixation at \(2.0, 3.0\) outside 8x3 "):
+            metrics.fixation_sets(["img0", "img2"], kept, 8, 3)
+
+    def test_a_single_image_has_no_negatives(self, tmp_path, capsys):
+        write_eval_tree(tmp_path, np.random.default_rng(104), n_images=1)
+        assert run_eval(tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"tsal: PreconditionError: {tmp_path / 'fixations.csv'}: sauc "
+            f"requires a non-empty negative set\n")
+        assert not (tmp_path / "metrics.csv").exists()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pooled_negatives_match_the_per_image_loop(self, tmp_path,
@@ -633,17 +647,22 @@ class TestBatchEvaluation:
             tmp_path / "pred", tmp_path / "gt", table, seed=seed))
         assert read_metrics_csv(tmp_path / "metrics.csv") == want
 
-    def test_wrong_size_prediction_is_reported_before_the_fixations(self):
-        rng = np.random.default_rng(100)
-        maps = rng.uniform(0.01, 1.0, size=(2, 6, 8))
-        big = rng.uniform(0.01, 1.0, size=(12, 16))
+    def test_fixations_are_checked_against_the_ground_truth_first(
+            self, tmp_path, capsys):
+        """Before any prediction is read: a wrong-size first prediction
+        loses to a fixation outside the ground truth."""
+        write_eval_tree(tmp_path, np.random.default_rng(100), n_images=2)
+        write_map_tsal(tmp_path / "pred" / "img0.tsal", np.ones((12, 16)))
         # (10, 9) is outside the 8x6 ground truth but inside the prediction
-        table = FixationTable(("img0", "img1"), ("obs0",) * 2, range(2),
-                              (10.0, 2.0), (9.0, 3.0))
-        with pytest.raises(ShapeMismatchError,
-                           match="^maps disagree in size: 16x12 vs 8x6$"):
-            metrics.evaluate(["img0", "img1"], maps, iter([big, maps[1]]),
-                             table)
+        fixations = tmp_path / "fixations.csv"
+        write_fixations_csv(fixations, FixationTable(
+            ("img0", "img1"), ("obs0",) * 2, range(2), (10.0, 2.0),
+            (9.0, 3.0)))
+        assert run_eval(tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"tsal: PreconditionError: {fixations}: fixation at (10.0, 9.0) "
+            f"outside 8x6 image\n")
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_each_fixation_is_looked_up_a_bounded_number_of_times(
             self, tmp_path, monkeypatch):

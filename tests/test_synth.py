@@ -1,5 +1,7 @@
 """Synthetic scenes, observer simulation, and the timing oracle loop."""
 
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -57,10 +59,15 @@ class TestSceneSpecValidation:
         with pytest.raises(ConfigError):
             synth.SceneSpec(32, 32, (one_blob(),), drift=())
 
-    def test_zero_attention_slice_fails_at_generation(self):
-        spec = synth.SceneSpec(32, 32, (one_blob(),), drift=((0.0,), (1.0,)))
-        with pytest.raises(ConfigError):
-            synth.generate_scene(spec, seed=0)
+    def test_rejects_zero_attention_slice(self):
+        with pytest.raises(ConfigError, match=(
+                "^slice 0 has zero total attention weight$")):
+            synth.SceneSpec(32, 32, (one_blob(),), drift=((0.0,), (1.0,)))
+        with pytest.raises(ConfigError, match="^slice 0 "):
+            synth.SceneSpec(32, 32, (one_blob(weight=0.0),))
+        # the central attractor alone is attention enough
+        synth.SceneSpec(32, 32, (one_blob(weight=0.0),),
+                        center_bias_strength=0.05)
 
 
 class TestGenerateScene:
@@ -325,13 +332,17 @@ class TestSceneJson:
 
     def test_read_scene_file(self, tmp_path):
         path = tmp_path / "scene.json"
-        path.write_text('{"width": 32}')
-        assert synth.read_scene_file(path) == {"width": 32}
-        path.write_text("[1, 2]")
+        spec = synth.drift_spec(np.random.default_rng(3), 48, 32)
+        path.write_text(json.dumps({"scenes": [synth.scene_to_dict(spec)]}))
+        assert synth.read_scenes(path) == [spec]
+        path.write_text('{"preset": "drift", "images": 2, "scene_seed": 4}')
+        rng = np.random.default_rng(4)
+        assert synth.read_scenes(path) == [synth.drift_spec(rng, 64, 64)
+                                           for _ in range(2)]
+        for text in ("[1, 2]", "{broken"):
+            path.write_text(text)
+            with pytest.raises(FormatError,
+                               match=f"^{re.escape(str(path))}: "):
+                synth.read_scenes(path)
         with pytest.raises(FormatError):
-            synth.read_scene_file(path)
-        path.write_text("{broken")
-        with pytest.raises(FormatError):
-            synth.read_scene_file(path)
-        with pytest.raises(FormatError):
-            synth.read_scene_file(tmp_path / "missing.json")
+            synth.read_scenes(tmp_path / "missing.json")

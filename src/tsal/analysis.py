@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (DegenerateMapError, PreconditionError,
                      ShapeMismatchError, TsalError)
+from .fileio import naming
 from .gaze import (DEFAULT_T_TOTAL_MS, FixationTable, Normalization,
                    check_time_range, group_rows, normalize_map)
 from .metrics import cc, fixation_pixels, usable_maps
@@ -123,7 +124,8 @@ def consecutive_differences(averages: list[np.ndarray]) -> list[np.ndarray]:
 
 def saliency_time_histogram(fixations: FixationTable, gt_maps,
                             bins_t: int = 50, bins_s: int = 50,
-                            t_total: float = DEFAULT_T_TOTAL_MS) -> np.ndarray:
+                            t_total: float = DEFAULT_T_TOTAL_MS, *,
+                            fixations_path=None, map_path=None) -> np.ndarray:
     """Counts of fixations by (time bin, saliency-at-fixation bin).
 
     ``gt_maps`` gives each image's ground-truth map as ``(image_id,
@@ -132,8 +134,9 @@ def saliency_time_histogram(fixations: FixationTable, gt_maps,
     only the maps of images with fixations are scaled. A map that fails
     is reported once every pair is taken, so an error in making a later
     pair comes first; failures come in order of the images' first
-    fixation. Values at the very edge (t = T, s = 1) clamp into the last
-    bin.
+    fixation. An all-zero map's error names ``map_path(image_id)`` and a
+    fixation outside its map names ``fixations_path``, when given.
+    Values at the very edge (t = T, s = 1) clamp into the last bin.
     """
     if bins_t < 1 or bins_s < 1:
         raise PreconditionError(f"invalid bin counts {bins_t}x{bins_s}")
@@ -148,8 +151,12 @@ def saliency_time_histogram(fixations: FixationTable, gt_maps,
             continue
         height, width = m.shape
         try:
-            s[rows] = normalize_map(m, Normalization.MAX_TO_ONE)[
-                fixation_pixels(fixations.take(rows), width, height)]
+            with naming(None if map_path is None else map_path(image_id),
+                        DegenerateMapError):
+                peak = normalize_map(m, Normalization.MAX_TO_ONE)
+            with naming(fixations_path, PreconditionError):
+                s[rows] = peak[fixation_pixels(fixations.take(rows),
+                                               width, height)]
             failed[image_id] = None
         except TsalError as exc:
             failed[image_id] = exc.with_traceback(None)

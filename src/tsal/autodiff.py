@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CheckpointError,
@@ -338,13 +337,40 @@ def take_maps(a: Tensor, rows: np.ndarray, chans: np.ndarray) -> Tensor:
     return a.tape._record("take", (a.node_id,), pullback, a.data[rows, chans])
 
 
-def _im2col(xp: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Columns of one padded image (C, H+2, W+2): row ``c*9 + dy*3 + dx``
-    holds tap (dy, dx) of channel c at every output pixel, so the
-    (O, C*9) kernel matrix times these columns is the convolution."""
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))
-    win = win[:, :stride * oh:stride, :stride * ow:stride]
-    return win.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * 9, oh * ow)
+def _row_taps(xp: np.ndarray, stride: int, oh: int, ow: int) -> list[np.ndarray]:
+    """Row-tap matrices of one padded image (C, H+2, W+2), one per row
+    phase p (``dy % stride``). Row ``c*3 + dx``, column ``j*ow + x`` of
+    phase p's matrix holds ``xp[c, p + stride*j, stride*x + dx]``, so
+    kernel row dy reads the ``oh*ow`` columns that start at
+    ``(dy // stride) * ow``."""
+    taps = []
+    for p in range(stride):
+        rows = xp[:, p::stride][:, :oh + (2 - p) // stride]
+        taps.append(np.stack([rows[:, :, dx:dx + stride * ow:stride]
+                              for dx in range(3)], axis=1
+                             ).reshape(xp.shape[0] * 3, -1))
+    return taps
+
+
+def _row_products(krows: np.ndarray, xp: np.ndarray, stride: int,
+                  oh: int, ow: int, out: np.ndarray) -> None:
+    """``out`` (O, oh*ow) = the convolution of one padded image: the sum
+    over kernel rows dy of ``krows[dy]`` (O, C*3) times that row's
+    column block of the row taps."""
+    taps = _row_taps(xp, stride, oh, ow)
+    for dy in range(3):
+        start = (dy // stride) * ow
+        block = taps[dy % stride][:, start:start + oh * ow]
+        if dy == 0:
+            np.matmul(krows[dy], block, out=out)
+        else:
+            out += krows[dy] @ block
+
+
+def _kernel_rows(k: np.ndarray) -> np.ndarray:
+    """(O, C, 3, 3) kernel as its three rows, (3, O, C*3)."""
+    o, c = k.shape[:2]
+    return np.ascontiguousarray(k.transpose(2, 0, 1, 3)).reshape(3, o, c * 3)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -353,14 +379,22 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     Input (N,C,H,W), kernel (O,C,3,3), bias (O,). Stride 2 halves the
     spatial extent (H and W must be even in that case).
 
-    im2col plus one matrix product per image (Chellapilla et al. 2006):
-    the (O, C*9) kernel matrix times the image's (C*9, OH*OW) columns.
-    Each image is its own product, so an image's output does not depend
-    on the rest of the batch. The pullback rebuilds the columns from
-    the padded input instead of keeping them on the tape: the kernel
-    gradient is the output gradient times the columns transposed, and
-    the input gradient is itself a stride-1 im2col product, of the
-    flipped kernel with the padded (and, at stride 2, zero-stuffed)
+    Row taps, one image at a time: the im2col lowering of Chellapilla
+    et al. (2006) along the columns only, as in MEC (Cho & Brand 2017,
+    arXiv:1706.06873). Each padded image is widened by its three column
+    taps into one (C*3, rows*OW) matrix per row phase ``dy % stride``
+    (at stride 1, 3x the image where im2col's columns are 9x), and the
+    convolution is three products, one per kernel row dy, each over the
+    contiguous column block that row reads. Each image is its own
+    products, so an image's output does not depend on the rest of the
+    batch.
+
+    The pullback keeps the unpadded input (the producer's own value)
+    and rebuilds the row taps one image at a time. The kernel gradient
+    is one product per row phase, of the output gradient placed at
+    each of that phase's kernel-row offsets with the row taps
+    transposed. The input gradient is the same three products with the
+    flipped kernel over the padded (and, at stride 2, zero-stuffed)
     output gradient. It builds only the live operands' gradients, so
     a constant input (the image at the first layer) costs no input
     gradient.
@@ -387,35 +421,44 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             f"conv2d stride 2 needs even spatial dims, got {h}x{w}")
     oh, ow = (h, w) if stride == 1 else (h // 2, w // 2)
     o = kernel.shape[0]
-    xp = np.zeros((n, c, h + 2, w + 2))
-    xp[:, :, 1:h + 1, 1:w + 1] = x.data
-    kmat = kernel.data.reshape(o, c * 9)
+    xd, kd = x.data, kernel.data
+    krows = _kernel_rows(kd)
+    xp = np.zeros((c, h + 2, w + 2))
     out = np.empty((n, o, oh, ow))
     for i in range(n):
-        np.matmul(kmat, _im2col(xp[i], stride, oh, ow),
-                  out=out[i].reshape(o, oh * ow))
+        xp[:, 1:h + 1, 1:w + 1] = xd[i]
+        _row_products(krows, xp, stride, oh, ow, out[i].reshape(o, oh * ow))
     out += bias.data[None, :, None, None]
 
     x_live, kernel_live, bias_live = x.live, kernel.live, bias.live
 
-    # the pullback holds xp but not x.data: holding both raised the
-    # README temporal training peak RSS from 314 MB to 432 MB
+    # the pullback holds x.data, the producer's own value, and pads one
+    # image at a time: a batch-wide padded copy on the tape set the
+    # README temporal training peak
     def pullback(g):
         gx = gk = gb = None
         if kernel_live:
-            gk = np.zeros_like(kmat)
+            phases = [range(p, 3, stride) for p in range(stride)]
+            placed = [np.zeros((len(dys) * o, (oh + (2 - p) // stride) * ow))
+                      for p, dys in enumerate(phases)]
+            gk = np.zeros((3, o, c * 3))
+            xp = np.zeros((c, h + 2, w + 2))
             for i in range(n):
-                gk += g[i].reshape(o, oh * ow) @ _im2col(xp[i], stride, oh, ow).T
-            gk = gk.reshape(o, c, 3, 3)
+                xp[:, 1:h + 1, 1:w + 1] = xd[i]
+                gi = g[i].reshape(o, oh * ow)
+                for p, taps in enumerate(_row_taps(xp, stride, oh, ow)):
+                    for t, dy in enumerate(phases[p]):
+                        start = (dy // stride) * ow
+                        placed[p][t * o:(t + 1) * o, start:start + oh * ow] = gi
+                    gk[p::stride] += (placed[p] @ taps.T).reshape(-1, o, c * 3)
+            gk = np.ascontiguousarray(gk.reshape(3, o, c, 3).transpose(1, 2, 0, 3))
         if x_live:
-            gp = np.zeros((n, o, h + 2, w + 2))
-            gp[:, :, 1:h + 1:stride, 1:w + 1:stride] = g
-            kflip = kmat.reshape(o, c, 3, 3)[:, :, ::-1, ::-1].transpose(
-                1, 0, 2, 3).reshape(c, o * 9)
+            kflip = _kernel_rows(kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            gp = np.zeros((o, h + 2, w + 2))
             gx = np.empty((n, c, h, w))
             for i in range(n):
-                np.matmul(kflip, _im2col(gp[i], 1, h, w),
-                          out=gx[i].reshape(c, h * w))
+                gp[:, 1:h + 1:stride, 1:w + 1:stride] = g[i]
+                _row_products(kflip, gp, 1, h, w, gx[i].reshape(c, h * w))
         if bias_live:
             gb = g.sum(axis=(0, 2, 3))
         return (gx, gk, gb)

@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -221,6 +220,7 @@ def _run_parallel(jobs: int, fn, items: list):
     workers = _worker_count(jobs, len(items), os.cpu_count())
     if workers == 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # 20 ms; pools only
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -417,7 +417,8 @@ def cmd_rasterize(args) -> None:
                       fixations.y[rows], slice_of[rows]))
     worker = functools.partial(_rasterize_one, out_dir=args.out, n=args.n,
                                sigma=args.sigma, norm_name=args.normalize)
-    _run_parallel(args.jobs, worker, items)
+    with naming(args.fixations, PreconditionError):  # a fixation off its image
+        _run_parallel(args.jobs, worker, items)
     print(f"rasterized {len(ids)} images x {args.n} slices -> {args.out}")
 
 
@@ -438,9 +439,12 @@ def cmd_analyze(args) -> None:
         check_time_range(fixations.t_ms, args.t_total)
     # one image's maps in memory at a time: the full maps are read once,
     # and each slice statistic reads the slice maps afresh
-    full = (maps[0] for maps in _map_rows([Path(args.maps) / "full"], ids))
-    grid = analysis.saliency_time_histogram(fixations, zip(ids, full),
-                                            t_total=args.t_total)
+    full_dir = Path(args.maps) / "full"
+    full = (maps[0] for maps in _map_rows([full_dir], ids))
+    grid = analysis.saliency_time_histogram(
+        fixations, zip(ids, full), t_total=args.t_total,
+        fixations_path=args.fixations,
+        map_path=lambda image_id: full_dir / f"{image_id}.tsal")
     dirs = [Path(args.maps) / kind for kind in kinds]
     averages = analysis.average_slices(_map_rows(dirs, ids))
     values, pair_skipped = analysis.inter_slice_cc(_map_rows(dirs, ids))

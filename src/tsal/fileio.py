@@ -20,10 +20,12 @@ from .errors import FormatError, TsalError
 @contextlib.contextmanager
 def naming(path, error=TsalError):
     """In the block an ``error`` keeps its type and gets ``<path>: `` put
-    in front."""
+    in front; with ``path`` None it passes as it is."""
     try:
         yield
     except error as exc:
+        if path is None:
+            raise
         raise type(exc)(f"{path}: {exc}") from exc
 
 

@@ -14,6 +14,7 @@ import math
 import os
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,47 @@ def conv2d_loops(x, k, b, stride=1):
                                     acc += x[ni, ci, sy, sx] * k[oi, ci, dy, dx]
                     out[ni, oi, yi, xi] = acc
     return out
+
+
+def _im2col(xp, stride, oh, ow):
+    """Columns of one padded image (C, H+2, W+2): row ``c*9 + dy*3 + dx``
+    holds tap (dy, dx) of channel c at every output pixel."""
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))
+    win = win[:, :stride * oh:stride, :stride * ow:stride]
+    return win.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * 9, oh * ow)
+
+
+def conv2d_im2col(x, k, b, stride=1):
+    """The 9-tap im2col convolution (Chellapilla et al. 2006) the package
+    used before its row taps: one (O, C*9) by (C*9, OH*OW) product per
+    image. Returns the output and its pullback, ``g -> (gx, gk, gb)``:
+    the kernel gradient is the output gradient times the columns
+    transposed, the input gradient the flipped kernel's stride-1 im2col
+    product over the padded (at stride 2, zero-stuffed) output gradient."""
+    n, c, h, w = x.shape
+    o = k.shape[0]
+    oh, ow = h // stride, w // stride
+    xp = np.zeros((n, c, h + 2, w + 2))
+    xp[:, :, 1:h + 1, 1:w + 1] = x
+    kmat = k.reshape(o, c * 9)
+    out = np.empty((n, o, oh, ow))
+    for i in range(n):
+        out[i] = (kmat @ _im2col(xp[i], stride, oh, ow)).reshape(o, oh, ow)
+    out += b[None, :, None, None]
+
+    def pullback(g):
+        gk = np.zeros_like(kmat)
+        for i in range(n):
+            gk += g[i].reshape(o, oh * ow) @ _im2col(xp[i], stride, oh, ow).T
+        gp = np.zeros((n, o, h + 2, w + 2))
+        gp[:, :, 1:h + 1:stride, 1:w + 1:stride] = g
+        kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
+        gx = np.empty((n, c, h, w))
+        for i in range(n):
+            gx[i] = (kflip @ _im2col(gp[i], 1, h, w)).reshape(c, h, w)
+        return gx, gk.reshape(o, c, 3, 3), g.sum(axis=(0, 2, 3))
+
+    return out, pullback
 
 
 def bilinear_loops(img, out_h, out_w):

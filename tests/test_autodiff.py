@@ -330,6 +330,49 @@ class TestConv2d:
                                   stride=stride).data
                 assert full[i].tobytes() == alone[0].tobytes(), k.shape
 
+    def test_matches_im2col_oracle_at_every_model_layer(self, monkeypatch):
+        # output and all three gradients against the 9-tap im2col path,
+        # with a batch of two so the kernel gradient sums over images
+        calls = default_model_calls(monkeypatch, "conv2d", 2)
+        rng = np.random.default_rng(36)
+        for x, k, b, stride in distinct_convs(calls):
+            out, pullback = oracles.conv2d_im2col(x.data, k.data, b.data,
+                                                  stride)
+            g = rng.normal(size=out.shape)
+            tape = ad.Tape()
+            ts = [tape.param(t.data, name) for t, name in
+                  ((x, "x"), (k, "k"), (b, "b"))]
+            y = ad.conv2d(*ts, stride=stride)
+            grads = ad.backward(tape, ad.reduce_sum(
+                ad.mul(y, tape.constant(g))))
+            np.testing.assert_allclose(y.data, out, rtol=1e-10, atol=1e-12)
+            for t, want in zip(ts, pullback(g)):
+                np.testing.assert_allclose(grads[t.node_id], want,
+                                           rtol=1e-10, atol=1e-12,
+                                           err_msg=k.shape)
+
+    def test_memory_at_the_temporal_head(self):
+        # tdec.h1: (4, 20, 64, 64) in, 16 out. The pullback keeps the
+        # input array itself, not a padded copy, and the forward stays
+        # below one image's 9-tap column matrix (C*9 x H*W floats)
+        rng = np.random.default_rng(37)
+        tape = ad.Tape()
+        x = ad.relu(tape.param(rng.normal(size=(4, 20, 64, 64)), "x"))
+        k = tape.param(rng.normal(size=(16, 20, 3, 3)), "k")
+        b = tape.param(rng.normal(size=(16,)), "b")
+        tracemalloc.start()
+        try:
+            y = ad.conv2d(x, k, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = [cell.cell_contents for cell in
+                tape.nodes[y.node_id].pullback.__closure__]
+        assert any(v is x.data for v in held)
+        assert not any(isinstance(v, np.ndarray) and v.shape[-2:] == (66, 66)
+                       for v in held)
+        assert peak < 20 * 9 * 64 * 64 * 8, peak
+
     def test_shape_errors(self):
         tape = ad.Tape()
         x = tape.constant(np.zeros((1, 2, 4, 4)))

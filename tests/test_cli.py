@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -355,6 +357,17 @@ class TestWorkerCount:
         (10 ** 6, 10 ** 6, 2, 2)])
     def test_clamped_to_items_and_cpus(self, jobs, items, cpus, want):
         assert _worker_count(jobs, items, cpus) == want
+
+    def test_pool_modules_load_only_with_a_pool(self):
+        # a fresh interpreter: the pool machinery is imported by the
+        # first run with more than one worker, not by tsal.cli
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = ("import sys, tsal.cli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        done = subprocess.run([sys.executable, "-c", probe], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == "[]\n"
 
 
 class TestSynth:
@@ -777,6 +790,25 @@ class TestRasterize:
             f"{first} out of range for n=2")
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fixation_outside_its_image_names_the_csv(self, tmp_path, capsys,
+                                                      jobs):
+        images = tmp_path / "images"
+        images.mkdir()
+        for image_id in ("img000", "img001"):
+            np.save(images / f"{image_id}.npy", np.full((3, 6, 8), 0.5))
+        fixations = tmp_path / "sliced.csv"
+        write_rows(fixations, [
+            ["image_id", "observer_id", "order_index", "x", "y", "t_ms",
+             "slice_index"],
+            ["img001", "o000", "0", "50.0", "1.0", "10.0", "0"]])
+        out = tmp_path / "maps"
+        assert run("rasterize", "--fixations", fixations, "--images", images,
+                   "--out", out, "--jobs", jobs) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: PreconditionError: {fixations}: fixation at (50.0, 1.0) "
+            f"outside 8x6 image")
+
     def test_unknown_image_reference_exits_two(self, workdir, dataset):
         rogue = workdir / "rogue.csv"
         fixations, _ = read_fixation_table(dataset["sliced"])
@@ -1159,6 +1191,30 @@ class TestStreamedMapTrees:
         assert only_error_line(capsys) == (
             f"tsal: DegenerateMapError: {broken}: cannot sum-normalize an "
             f"all-zero map")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", ["all-zero map", "outside"])
+    def test_histogram_errors_name_their_file(self, tmp_path, capsys, defect):
+        fixations = self.write_trees(tmp_path, 2, np.random.default_rng(181),
+                                     (6, 8))
+        csv_path = tmp_path / "fixations.csv"
+        if defect == "all-zero map":
+            path = tmp_path / "maps" / "full" / "img001.tsal"
+            write_map_tsal(path, np.zeros((6, 8)))
+            code, want = 3, (f"DegenerateMapError: {path}: cannot "
+                             f"max-normalize an all-zero map")
+        else:
+            x = np.array(fixations.x)
+            x[4] = 50.0
+            y = np.array(fixations.y)
+            y[4] = 1.0
+            write_fixations_csv(csv_path, replace(fixations, x=x, y=y))
+            code, want = 2, (f"PreconditionError: {csv_path}: fixation at "
+                             f"(50.0, 1.0) outside 8x6 image")
+        out = tmp_path / "analysis"
+        assert run("analyze", "--maps", tmp_path / "maps", "--fixations",
+                   csv_path, "--out", out) == code
+        assert only_error_line(capsys) == f"tsal: {want}"
         assert not out.exists()
 
     @staticmethod

@@ -507,15 +507,15 @@ class TestTraining:
 
     def test_image_input_gradient_never_built(self, monkeypatch):
         # the image enters enc.c1 as a constant, so that conv's pullback
-        # builds the kernel gradient (one im2col per image) and no input
-        # gradient (which would be a second im2col per image)
-        pullback_im2cols, returned = [], []
-        real_im2col, real_conv = ad._im2col, model._conv
+        # builds the kernel gradient (one set of row taps per image) and
+        # no input gradient (which would be a second set per image)
+        pullback_taps, returned = [], []
+        real_row_taps, real_conv = ad._row_taps, model._conv
 
-        def counting_im2col(*args):
-            if pullback_im2cols:
-                pullback_im2cols[-1] += 1
-            return real_im2col(*args)
+        def counting_row_taps(*args):
+            if pullback_taps:
+                pullback_taps[-1] += 1
+            return real_row_taps(*args)
 
         def spying_conv(x, pt, name, stride=1):
             out = real_conv(x, pt, name, stride)
@@ -524,19 +524,19 @@ class TestTraining:
                 inner = node.pullback
 
                 def pullback(g):
-                    pullback_im2cols.append(0)
+                    pullback_taps.append(0)
                     grads = inner(g)
                     returned.append(grads)
                     return grads
                 node.pullback = pullback
             return out
 
-        monkeypatch.setattr(ad, "_im2col", counting_im2col)
+        monkeypatch.setattr(ad, "_row_taps", counting_row_taps)
         monkeypatch.setattr(model, "_conv", spying_conv)
         sched = model.TrainSchedule(stage="temporal", batch_size=2,
                                     epochs=1, max_steps=1)
         model.train(self.data, sched, seed=6, config=self.cfg)
-        assert pullback_im2cols == [2]
+        assert pullback_taps == [2]
         (gx, gk, gb), = returned
         assert gx is None
         assert gk.shape == (4, 3, 3, 3) and gb.shape == (4,)

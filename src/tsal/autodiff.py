@@ -337,27 +337,43 @@ def take_maps(a: Tensor, rows: np.ndarray, chans: np.ndarray) -> Tensor:
     return a.tape._record("take", (a.node_id,), pullback, a.data[rows, chans])
 
 
-def _row_taps(xp: np.ndarray, stride: int, oh: int, ow: int) -> list[np.ndarray]:
-    """Row-tap matrices of one padded image (C, H+2, W+2), one per row
-    phase p (``dy % stride``). Row ``c*3 + dx``, column ``j*ow + x`` of
-    phase p's matrix holds ``xp[c, p + stride*j, stride*x + dx]``, so
+def _tap_buffers(c: int, h: int, w: int, stride: int) -> list[np.ndarray]:
+    """Zeroed row-tap buffers for (C, H, W) images, one (C, 3, rows, OW)
+    array per row phase p (``dy % stride``), with ``rows = OH + (2 - p)
+    // stride``. ``_row_taps`` writes only the entries that fall inside
+    the image, so the padding entries stay zero from image to image."""
+    oh, ow = h // stride, w // stride
+    return [np.zeros((c, 3, oh + (2 - p) // stride, ow))
+            for p in range(stride)]
+
+
+def _row_taps(xi: np.ndarray, bufs: list[np.ndarray],
+              stride: int) -> list[np.ndarray]:
+    """Row-tap matrices of one unpadded image xi (C, H, W), written into
+    ``bufs`` (``_tap_buffers``) and returned as (C*3, rows*OW) views. With
+    xp the image zero-padded by 1, row ``c*3 + dx``, column ``j*ow + x``
+    of phase p's matrix holds ``xp[c, p + stride*j, stride*x + dx]``, so
     kernel row dy reads the ``oh*ow`` columns that start at
     ``(dy // stride) * ow``."""
-    taps = []
-    for p in range(stride):
-        rows = xp[:, p::stride][:, :oh + (2 - p) // stride]
-        taps.append(np.stack([rows[:, :, dx:dx + stride * ow:stride]
-                              for dx in range(3)], axis=1
-                             ).reshape(xp.shape[0] * 3, -1))
-    return taps
+    h, w = xi.shape[1:]
+    for p, buf in enumerate(bufs):
+        rows, ow = buf.shape[2:]
+        j0 = 1 if p == 0 else 0  # phase 0's first row is the top padding
+        j1 = min(rows, (h - p) // stride + 1)
+        src = xi[:, p + stride * j0 - 1::stride][:, :j1 - j0]
+        for dx in range(3):
+            x0 = 1 if dx == 0 else 0  # dx 0 reads the left padding first
+            x1 = min(ow, (w - dx) // stride + 1)
+            buf[:, dx, j0:j1, x0:x1] = \
+                src[:, :, stride * x0 + dx - 1::stride][:, :, :x1 - x0]
+    return [buf.reshape(buf.shape[0] * 3, -1) for buf in bufs]
 
 
-def _row_products(krows: np.ndarray, xp: np.ndarray, stride: int,
+def _row_products(krows: np.ndarray, taps: list[np.ndarray], stride: int,
                   oh: int, ow: int, out: np.ndarray) -> None:
-    """``out`` (O, oh*ow) = the convolution of one padded image: the sum
-    over kernel rows dy of ``krows[dy]`` (O, C*3) times that row's
-    column block of the row taps."""
-    taps = _row_taps(xp, stride, oh, ow)
+    """``out`` (O, oh*ow) = the convolution of one image: the sum over
+    kernel rows dy of ``krows[dy]`` (O, C*3) times that row's column
+    block of the image's row taps."""
     for dy in range(3):
         start = (dy // stride) * ow
         block = taps[dy % stride][:, start:start + oh * ow]
@@ -373,6 +389,49 @@ def _kernel_rows(k: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(k.transpose(2, 0, 1, 3)).reshape(3, o, c * 3)
 
 
+def _conv_kernel_grad(xd: np.ndarray, g: np.ndarray,
+                      stride: int) -> np.ndarray:
+    """(O, C, 3, 3) kernel gradient: per image and row phase, one
+    product of the output gradient, placed at each of that phase's
+    kernel-row offsets, with the row taps transposed."""
+    n, c, h, w = xd.shape
+    o, oh, ow = g.shape[1:]
+    bufs = _tap_buffers(c, h, w, stride)
+    phases = [range(p, 3, stride) for p in range(stride)]
+    placed = [np.zeros((len(dys) * o, buf.shape[2] * ow))
+              for dys, buf in zip(phases, bufs)]
+    gk = np.zeros((3, o, c * 3))
+    for i in range(n):
+        gi = g[i].reshape(o, oh * ow)
+        for p, taps in enumerate(_row_taps(xd[i], bufs, stride)):
+            for t, dy in enumerate(phases[p]):
+                start = (dy // stride) * ow
+                placed[p][t * o:(t + 1) * o, start:start + oh * ow] = gi
+            gk[p::stride] += (placed[p] @ taps.T).reshape(-1, o, c * 3)
+    return np.ascontiguousarray(gk.reshape(3, o, c, 3).transpose(1, 2, 0, 3))
+
+
+def _conv_input_grad(kd: np.ndarray, g: np.ndarray, stride: int,
+                     h: int, w: int) -> np.ndarray:
+    """(N, C, H, W) input gradient: the stride-1 row products of the
+    flipped kernel over each image's output gradient, read as it is at
+    stride 1 and zero-stuffed to (O, H, W) at stride 2."""
+    n, o = g.shape[:2]
+    c = kd.shape[1]
+    kflip = _kernel_rows(kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    bufs = _tap_buffers(o, h, w, 1)
+    stuffed = np.zeros((o, h, w)) if stride == 2 else None
+    gx = np.empty((n, c, h, w))
+    for i in range(n):
+        gi = g[i]
+        if stuffed is not None:
+            stuffed[:, ::2, ::2] = gi
+            gi = stuffed
+        _row_products(kflip, _row_taps(gi, bufs, 1), 1, h, w,
+                      gx[i].reshape(c, h * w))
+    return gx
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """3x3 cross-correlation with zero padding 1 and stride 1 or 2.
 
@@ -381,23 +440,27 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     Row taps, one image at a time: the im2col lowering of Chellapilla
     et al. (2006) along the columns only, as in MEC (Cho & Brand 2017,
-    arXiv:1706.06873). Each padded image is widened by its three column
-    taps into one (C*3, rows*OW) matrix per row phase ``dy % stride``
-    (at stride 1, 3x the image where im2col's columns are 9x), and the
+    arXiv:1706.06873). Each image is widened by its three column taps
+    into one (C*3, rows*OW) matrix per row phase ``dy % stride`` (at
+    stride 1, 3x the image where im2col's columns are 9x), and the
     convolution is three products, one per kernel row dy, each over the
-    contiguous column block that row reads. Each image is its own
-    products, so an image's output does not depend on the rest of the
-    batch.
+    contiguous column block that row reads. The taps are written
+    straight from the unpadded image into matrices that each path
+    (forward, kernel gradient, input gradient) allocates once per call:
+    the entries on the padding stay zero from image to image, so there
+    is no padded copy and only one image's taps at a time. Each image
+    is its own products, so an image's output does not depend on the
+    rest of the batch.
 
     The pullback keeps the unpadded input (the producer's own value)
-    and rebuilds the row taps one image at a time. The kernel gradient
-    is one product per row phase, of the output gradient placed at
-    each of that phase's kernel-row offsets with the row taps
-    transposed. The input gradient is the same three products with the
-    flipped kernel over the padded (and, at stride 2, zero-stuffed)
-    output gradient. It builds only the live operands' gradients, so
-    a constant input (the image at the first layer) costs no input
-    gradient.
+    until the kernel gradient is built: one product per row phase, of
+    the output gradient placed at each of that phase's kernel-row
+    offsets with the row taps transposed. It then lets go of the input
+    (``backward`` runs a pullback once) before the input gradient, the
+    same three products with the flipped kernel over the output
+    gradient (zero-stuffed at stride 2). It builds only the live
+    operands' gradients, so a constant input (the image at the first
+    layer) costs no input gradient.
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"conv2d input must be NCHW, got {x.shape}")
@@ -423,42 +486,23 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     o = kernel.shape[0]
     xd, kd = x.data, kernel.data
     krows = _kernel_rows(kd)
-    xp = np.zeros((c, h + 2, w + 2))
+    bufs = _tap_buffers(c, h, w, stride)
     out = np.empty((n, o, oh, ow))
     for i in range(n):
-        xp[:, 1:h + 1, 1:w + 1] = xd[i]
-        _row_products(krows, xp, stride, oh, ow, out[i].reshape(o, oh * ow))
+        _row_products(krows, _row_taps(xd[i], bufs, stride), stride, oh, ow,
+                      out[i].reshape(o, oh * ow))
     out += bias.data[None, :, None, None]
 
     x_live, kernel_live, bias_live = x.live, kernel.live, bias.live
 
-    # the pullback holds x.data, the producer's own value, and pads one
-    # image at a time: a batch-wide padded copy on the tape set the
-    # README temporal training peak
     def pullback(g):
+        nonlocal xd
         gx = gk = gb = None
         if kernel_live:
-            phases = [range(p, 3, stride) for p in range(stride)]
-            placed = [np.zeros((len(dys) * o, (oh + (2 - p) // stride) * ow))
-                      for p, dys in enumerate(phases)]
-            gk = np.zeros((3, o, c * 3))
-            xp = np.zeros((c, h + 2, w + 2))
-            for i in range(n):
-                xp[:, 1:h + 1, 1:w + 1] = xd[i]
-                gi = g[i].reshape(o, oh * ow)
-                for p, taps in enumerate(_row_taps(xp, stride, oh, ow)):
-                    for t, dy in enumerate(phases[p]):
-                        start = (dy // stride) * ow
-                        placed[p][t * o:(t + 1) * o, start:start + oh * ow] = gi
-                    gk[p::stride] += (placed[p] @ taps.T).reshape(-1, o, c * 3)
-            gk = np.ascontiguousarray(gk.reshape(3, o, c, 3).transpose(1, 2, 0, 3))
+            gk = _conv_kernel_grad(xd, g, stride)
+        xd = None  # not read again: the input's last use on this tape
         if x_live:
-            kflip = _kernel_rows(kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            gp = np.zeros((o, h + 2, w + 2))
-            gx = np.empty((n, c, h, w))
-            for i in range(n):
-                gp[:, 1:h + 1:stride, 1:w + 1:stride] = g[i]
-                _row_products(kflip, gp, 1, h, w, gx[i].reshape(c, h * w))
+            gx = _conv_input_grad(kd, g, stride, h, w)
         if bias_live:
             gb = g.sum(axis=(0, 2, 3))
         return (gx, gk, gb)

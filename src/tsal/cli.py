@@ -528,7 +528,9 @@ def cmd_train(args) -> None:
 
 def _predict_one(item, out_dir: str, params: dict) -> str:
     image_id, path = item
-    pred = model.predict(_load_image(path)[None], params)
+    image = _load_image(path)
+    with naming(path):  # an overflow that only computing finds
+        pred = model.predict(image[None], params)
     refined = pred["S_R"][0, 0]
     _write_map(out_dir, "s_r", image_id, refined, Normalization.RAW)
     pgm = _map_path(out_dir, "s_r", image_id).with_suffix(".pgm")

@@ -10,6 +10,7 @@ stage two freezes those and fits only the mixing module.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -368,11 +369,12 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
     gradients are never computed. Every op works on each image alone,
     so the cached rows are bit-identical to a per-step recompute.
 
-    Each step's tape holds pullbacks only for the ops that depend on a
-    trainable parameter, and its backward frees them, and the
+    Each step's tapes hold pullbacks only for the ops that depend on a
+    trainable parameter, and each backward frees them, and the
     intermediate gradients, as it goes (see ``tsal.autodiff``): the
     constant branches (the image at ``enc.c1``, the cached mixing
-    inputs) keep nothing and get no gradient.
+    inputs) keep nothing and get no gradient. A temporal step holds one
+    decoder's tape at a time (``_train_step``).
 
     Trace rows are (epoch, stage, mean epoch loss, lr).
     """
@@ -443,30 +445,83 @@ def _frozen_outputs(images: np.ndarray, backbone: dict[str, np.ndarray],
     return [np.concatenate(column) for column in zip(*parts)]
 
 
+def _lift(tape: ad.Tape, params: dict[str, np.ndarray],
+          prefix: str = "") -> dict[str, ad.Tensor]:
+    """The parameters named ``prefix...`` as leaves of ``tape``."""
+    return {k: tape.param(v, k) for k, v in params.items()
+            if k.startswith(prefix)}
+
+
+def _named_grads(grads: dict[int, np.ndarray],
+                 lifted: dict[str, ad.Tensor]) -> dict[str, np.ndarray]:
+    return {name: grads[t.node_id] for name, t in lifted.items()
+            if t.node_id in grads}
+
+
+def _decoder_grads(blocks: list[ad.Tensor], trainable: dict[str, np.ndarray],
+                   prefix: str, decode, loss_fn, gt: np.ndarray,
+                   loss_cfg: LossConfig
+                   ) -> tuple[np.ndarray, dict[str, np.ndarray],
+                              list[np.ndarray]]:
+    """One decoder and its loss on a tape of their own, the blocks
+    entering as leaves, differentiated at once. Returns the loss value,
+    the ``prefix`` parameters' gradients and the blocks' gradients."""
+    tape = ad.Tape()
+    leaves = [tape.param(b.data, f"block{k}") for k, b in enumerate(blocks)]
+    lifted = _lift(tape, trainable, prefix)
+    loss = loss_fn(decode(leaves, lifted), tape.constant(gt), loss_cfg)
+    grads = ad.backward(tape, loss)
+    return (loss.data, _named_grads(grads, lifted),
+            [grads[t.node_id] for t in leaves])
+
+
 def _train_step(data: TrainData, idx: np.ndarray,
                 trainable: dict[str, np.ndarray],
                 frozen: list[np.ndarray] | None, stage: str,
                 loss_cfg: LossConfig) -> tuple[float, dict[str, np.ndarray]]:
     """One forward and backward over the images ``idx``. ``frozen`` is
-    the ``_frozen_outputs`` cache in the mixing stage, else None."""
-    tape = ad.Tape()
-    lifted = {k: tape.param(v, k) for k, v in trainable.items()}
-    gt_full = tape.constant(data.gt_full[idx])
+    the ``_frozen_outputs`` cache in the mixing stage, else None.
 
-    if stage == "temporal":
-        gt_slices = tape.constant(data.gt_slices[idx])
-        blocks, temporal, image_map = forward(tape, data.images[idx], lifted)
-        loss = ad.add(stage1_loss(temporal, gt_slices, loss_cfg),
-                      stage2_loss(image_map, gt_full, loss_cfg))
-    else:
+    The temporal stage holds one decoder's tape at a time, with no
+    recomputation (the branch schedule of Chen et al., arXiv:1604.06174).
+    The encoder is recorded on its own tape; each decoder and its loss
+    on another (``_decoder_grads``), differentiated before the next
+    decoder is built. The encoder tape is then differentiated from
+    sum_k sum(block_k * G_k), G_k the sum of the two decoders' gradients
+    of block k. The ``reduce_sum`` and constant ``mul`` pullbacks pass
+    G_k on as 1.0 * G_k, and a sum of two terms is the same in either
+    order, so every gradient is bit for bit that of one tape over the
+    whole graph."""
+    if stage == "mixing":
+        tape = ad.Tape()
+        lifted = _lift(tape, trainable)
         *blocks, temporal, image_map = [tape.constant(a[idx]) for a in frozen]
         refined = smm(blocks, temporal, image_map, lifted)
-        loss = stage2_loss(refined, gt_full, loss_cfg)
+        loss = stage2_loss(refined, tape.constant(data.gt_full[idx]),
+                           loss_cfg)
+        return float(loss.data), _named_grads(ad.backward(tape, loss), lifted)
 
-    grads = ad.backward(tape, loss)
-    named = {name: grads[t.node_id] for name, t in lifted.items()
-             if t.node_id in grads}
-    return float(loss.data), named
+    tape = ad.Tape()
+    enc = _lift(tape, trainable, "enc.")
+    blocks = encode(tape.constant(data.images[idx]), enc)
+    loss_t, named, grads_t = _decoder_grads(
+        blocks, trainable, "tdec.", decode_temporal, stage1_loss,
+        data.gt_slices[idx], loss_cfg)
+    # copies: a view would hold its concat node's whole gradient
+    grads_t = [g.copy() for g in grads_t]
+    loss_i, named_i, grads_i = _decoder_grads(
+        blocks, trainable, "idec.", decode_image, stage2_loss,
+        data.gt_full[idx], loss_cfg)
+    named.update(named_i)
+    terms = [ad.reduce_sum(ad.mul(b, tape.constant(g_t + g_i)))
+             for b, g_t, g_i in zip(blocks, grads_t, grads_i)]
+    # from here the tape alone holds each block, until its consumer's
+    # pullback has run
+    del blocks, grads_t, grads_i
+    seed = functools.reduce(ad.add, terms)
+    named.update(_named_grads(ad.backward(tape, seed), enc))
+    return float(loss_t + loss_i), {k: named[k] for k in trainable
+                                    if k in named}
 
 
 def predict(images: np.ndarray, params: dict[str, np.ndarray]

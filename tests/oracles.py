@@ -3,9 +3,10 @@
 Everything here is written the dumbest way that could possibly be
 correct: scalar Python loops, exhaustive enumeration, or a high-level
 formula evaluated directly. None of it shares code with the package
-under test, so agreement between the two is meaningful; the one
-exception, ``evaluate_directories_oracle``, is a slower loop over the
-package's own per-image scores.
+under test, so agreement between the two is meaningful; the two
+exceptions are ``evaluate_directories_oracle``, a slower loop over the
+package's own per-image scores, and ``temporal_step_one_tape``, the
+temporal training step over the package's own network pieces.
 """
 
 import io
@@ -119,6 +120,29 @@ def conv2d_im2col(x, k, b, stride=1):
         return gx, gk.reshape(o, c, 3, 3), g.sum(axis=(0, 2, 3))
 
     return out, pullback
+
+
+def temporal_step_one_tape(data, idx, trainable, loss_cfg):
+    """The temporal-stage training step on one tape: the encoder, both
+    decoders and both losses recorded together, one ``backward`` from
+    their sum. Returns (loss value, gradients by parameter name), the
+    reference for ``model._train_step``'s one-decoder-tape-at-a-time
+    schedule."""
+    from tsal import autodiff as ad
+    from tsal import model
+
+    tape = ad.Tape()
+    lifted = {k: tape.param(v, k) for k, v in trainable.items()}
+    gt_full = tape.constant(data.gt_full[idx])
+    gt_slices = tape.constant(data.gt_slices[idx])
+    blocks, temporal, image_map = model.forward(tape, data.images[idx],
+                                                lifted)
+    loss = ad.add(model.stage1_loss(temporal, gt_slices, loss_cfg),
+                  model.stage2_loss(image_map, gt_full, loss_cfg))
+    grads = ad.backward(tape, loss)
+    named = {name: grads[t.node_id] for name, t in lifted.items()
+             if t.node_id in grads}
+    return float(loss.data), named
 
 
 def bilinear_loops(img, out_h, out_w):

@@ -373,6 +373,30 @@ class TestConv2d:
                        for v in held)
         assert peak < 20 * 9 * 64 * 64 * 8, peak
 
+    def test_backward_memory_at_the_mixing_head(self):
+        # smm.s1: (4, 30, 64, 64) in, 16 out, every operand live. Beside
+        # the input gradient it returns, the pullback's scratch stays
+        # under two images' row taps: one set of tap matrices per path,
+        # no padded copy, and the kernel gradient's buffers freed before
+        # the input gradient is built
+        rng = np.random.default_rng(39)
+        tape = ad.Tape()
+        x = ad.relu(tape.param(rng.normal(size=(4, 30, 64, 64)), "x"))
+        k = tape.param(rng.normal(size=(16, 30, 3, 3)), "k")
+        b = tape.param(rng.normal(size=(16,)), "b")
+        y = ad.conv2d(x, k, b)
+        g = rng.normal(size=y.shape)
+        pullback = tape.nodes[y.node_id].pullback
+        tracemalloc.start()
+        try:
+            gx, gk, gb = pullback(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        taps = 30 * 3 * 66 * 64 * 8  # one image's row taps, (C*3, (H+2)*W)
+        assert gx.shape == x.shape
+        assert peak < gx.nbytes + 2 * taps, peak
+
     def test_shape_errors(self):
         tape = ad.Tape()
         x = tape.constant(np.zeros((1, 2, 4, 4)))

@@ -1373,6 +1373,22 @@ class TestTrainPredictEval:
             f"(3, H, W) array, got (64, 64)")
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_overflowing_image_is_named(self, dataset, trained, tmp_path,
+                                        capsys, jobs):
+        # finite, so it passes the image checks; only computing finds
+        # that the first conv overflows
+        images = tmp_path / "images"
+        shutil.copytree(dataset["images"], images)
+        np.save(images / "img001.npy", np.full((3, 64, 64), 1.7e308))
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", trained["final"],
+                   "--images", images, "--out", tmp_path / "pred",
+                   "--jobs", jobs) == 3
+        assert only_error_line(capsys) == (
+            f"tsal: NonFiniteError: {images / 'img001.npy'}: conv2d "
+            f"produced NaN or Inf values")
+
     def test_predict_keeps_one_image_in_memory(self, tmp_path):
         """Over 16 images predict peaks within a few image arrays of its
         peak over 4: no image is held while the others are read."""

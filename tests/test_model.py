@@ -17,7 +17,7 @@ from tsal.errors import (
 )
 from tsal.gaze import write_map_tsal
 
-from oracles import central_diff_grads, rel_err
+from oracles import central_diff_grads, rel_err, temporal_step_one_tape
 
 # small enough for finite differences, still exercises every wire
 TINY = model.ModelConfig(
@@ -440,6 +440,56 @@ class TestGradients:
 
     def test_stage2_reaches_mixing_parameters(self):
         self.check("mixing", ["smm.head.w", "smm.s1.b"])
+
+
+class TestTemporalStep:
+    """The temporal step holds one decoder tape at a time; the one-tape
+    step of ``oracles`` is its reference, bit for bit."""
+
+    @pytest.mark.parametrize("config, n, size", [
+        (TINY, 2, 16), (model.ModelConfig(), 4, 64)], ids=["tiny", "readme"])
+    def test_matches_one_tape_oracle(self, config, n, size):
+        rng = np.random.default_rng(70)
+        data = toy_data(rng, n + 1, config, size, size)
+        trainable, _ = model._split_params(model.init_params(config, 71))
+        cfg = model.LossConfig(lambda1=0.7, beta1=1.3, lambda2=1.1,
+                               beta2=0.9)
+        idx = rng.permutation(n + 1)[:n]
+        want_loss, want = temporal_step_one_tape(data, idx, trainable, cfg)
+        loss, got = model._train_step(data, idx, trainable, None,
+                                      "temporal", cfg)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert list(got) == list(want) == list(trainable)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_image_decoder_built_after_temporal_backward(self, monkeypatch):
+        events = []
+        real_backward = ad.backward
+        real_decoders = model.decode_temporal, model.decode_image
+
+        def spy(name, fn):
+            def wrapped(*args):
+                tape = args[0] if name == "backward" else args[0][0].tape
+                events.append((name, tape))
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(ad, "backward", spy("backward", real_backward))
+        for name, fn in zip(("decode_temporal", "decode_image"),
+                            real_decoders):
+            monkeypatch.setattr(model, name, spy(name, fn))
+        rng = np.random.default_rng(72)
+        data = toy_data(rng, 2, TINY, 16, 16)
+        trainable, _ = model._split_params(model.init_params(TINY, 73))
+        model._train_step(data, np.arange(2), trainable, None, "temporal",
+                          model.LossConfig())
+        names = [e[0] for e in events]
+        assert names == ["decode_temporal", "backward", "decode_image",
+                         "backward", "backward"]
+        temporal, image, encoder = events[0][1], events[2][1], events[4][1]
+        assert events[1][1] is temporal and events[3][1] is image
+        assert len({id(temporal), id(image), id(encoder)}) == 3
 
 
 class TestTraining:

@@ -106,11 +106,25 @@ class Tape:
         return Tensor(data, self, node_id, name=name)
 
     def constant(self, data) -> Tensor:
-        return self._record("const", (), None, np.array(data, dtype=np.float64))
+        return self._record("const", (), None, _adopted(data))
 
     def param(self, data, name: str) -> Tensor:
-        return self._record("param", (), None,
-                            np.array(data, dtype=np.float64), name=name, leaf=True)
+        return self._record("param", (), None, _adopted(data),
+                            name=name, leaf=True)
+
+
+def _adopted(data) -> np.ndarray:
+    """A leaf's value: a read-only float64 array that owns its memory, or
+    views only read-only arrays that do, as it is (a ``Tensor``'s own
+    data, entering another tape); anything else as a fresh float64 copy,
+    so that no later write to the caller's array can reach the tape."""
+    if isinstance(data, np.ndarray) and data.dtype == np.float64:
+        base = data
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return data
+    return np.array(data, dtype=np.float64)
 
 
 def _validated(data: np.ndarray, op: str) -> np.ndarray:
@@ -209,15 +223,6 @@ def sqrt(a: Tensor) -> Tensor:
     def pullback(g):
         return (g * 0.5 / y,)
     return a.tape._record("sqrt", (a.node_id,), pullback, y)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0  # derivative at exactly 0 is defined as 0
-
-    def pullback(g):
-        return (g * mask,)
-    return a.tape._record("relu", (a.node_id,), pullback,
-                          np.where(mask, a.data, 0.0))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -337,50 +342,80 @@ def take_maps(a: Tensor, rows: np.ndarray, chans: np.ndarray) -> Tensor:
     return a.tape._record("take", (a.node_id,), pullback, a.data[rows, chans])
 
 
-def _tap_buffers(c: int, h: int, w: int, stride: int) -> list[np.ndarray]:
-    """Zeroed row-tap buffers for (C, H, W) images, one (C, 3, rows, OW)
-    array per row phase p (``dy % stride``), with ``rows = OH + (2 - p)
-    // stride``. ``_row_taps`` writes only the entries that fall inside
-    the image, so the padding entries stay zero from image to image."""
-    oh, ow = h // stride, w // stride
-    return [np.zeros((c, 3, oh + (2 - p) // stride, ow))
+# A band holds as many output rows as keep one tap matrix within this
+# many bytes, which bounds the lowering's workspace whatever the image size
+_TAP_BYTES = 1 << 20
+
+
+def _tap_buffers(c: int, oh: int, ow: int, stride: int) -> list[np.ndarray]:
+    """Zeroed row-tap buffers for one band of output rows of (C, H, W)
+    images, one (C, 3, band + (2 - p) // stride, OW) array per row phase
+    p (``dy % stride``). The band is the most output rows, at least one
+    and at most OH, that keep phase 0's tap matrix within
+    ``_TAP_BYTES``."""
+    band = min(oh, max(1, _TAP_BYTES // (24 * c * ow) - 2 // stride))
+    return [np.zeros((c, 3, band + (2 - p) // stride, ow))
             for p in range(stride)]
 
 
-def _row_taps(xi: np.ndarray, bufs: list[np.ndarray],
-              stride: int) -> list[np.ndarray]:
-    """Row-tap matrices of one unpadded image xi (C, H, W), written into
-    ``bufs`` (``_tap_buffers``) and returned as (C*3, rows*OW) views. With
-    xp the image zero-padded by 1, row ``c*3 + dx``, column ``j*ow + x``
-    of phase p's matrix holds ``xp[c, p + stride*j, stride*x + dx]``, so
-    kernel row dy reads the ``oh*ow`` columns that start at
-    ``(dy // stride) * ow``."""
+def _row_taps(xi: np.ndarray, bufs: list[np.ndarray], stride: int,
+              r0: int, m: int) -> list[np.ndarray]:
+    """Row-tap matrices of the output rows r0 .. r0 + m - 1 (m at most the
+    band of ``bufs``, see ``_tap_buffers``) of one unpadded image xi
+    (C, H, W), written into ``bufs`` and returned as (C*3, rows*OW)
+    views. With xp the image zero-padded by 1, row ``c*3 + dx``, column
+    ``j*ow + x`` of phase p's matrix holds
+    ``xp[c, p + stride*(r0 + j), stride*x + dx]``, so kernel row dy reads
+    the ``m*ow`` columns that start at ``(dy // stride) * ow``. Only the
+    tap rows on the top or bottom padding are zeroed here: the entries on
+    the left and right padding are never written, so they stay zero from
+    band to band and image to image."""
     h, w = xi.shape[1:]
+    taps = []
     for p, buf in enumerate(bufs):
-        rows, ow = buf.shape[2:]
-        j0 = 1 if p == 0 else 0  # phase 0's first row is the top padding
-        j1 = min(rows, (h - p) // stride + 1)
-        src = xi[:, p + stride * j0 - 1::stride][:, :j1 - j0]
+        band = buf[:, :, :m + (2 - p) // stride]
+        rows, ow = band.shape[2:]
+        top = p + stride * r0 - 1  # image row of the band's first tap row
+        j0 = 1 if top < 0 else 0
+        j1 = min(rows, (h - 1 - top) // stride + 1)
+        band[:, :, :j0] = 0.0
+        band[:, :, j1:] = 0.0
+        src = xi[:, top + stride * j0::stride][:, :j1 - j0]
         for dx in range(3):
             x0 = 1 if dx == 0 else 0  # dx 0 reads the left padding first
             x1 = min(ow, (w - dx) // stride + 1)
-            buf[:, dx, j0:j1, x0:x1] = \
+            band[:, dx, j0:j1, x0:x1] = \
                 src[:, :, stride * x0 + dx - 1::stride][:, :, :x1 - x0]
-    return [buf.reshape(buf.shape[0] * 3, -1) for buf in bufs]
+        taps.append(band.reshape(band.shape[0] * 3, -1))
+    return taps
 
 
-def _row_products(krows: np.ndarray, taps: list[np.ndarray], stride: int,
-                  oh: int, ow: int, out: np.ndarray) -> None:
-    """``out`` (O, oh*ow) = the convolution of one image: the sum over
-    kernel rows dy of ``krows[dy]`` (O, C*3) times that row's column
-    block of the image's row taps."""
-    for dy in range(3):
-        start = (dy // stride) * ow
-        block = taps[dy % stride][:, start:start + oh * ow]
-        if dy == 0:
-            np.matmul(krows[dy], block, out=out)
-        else:
-            out += krows[dy] @ block
+def _bands(xi: np.ndarray, bufs: list[np.ndarray], stride: int):
+    """For each band of one image's output rows: the band's first output
+    column and column count in the flattened (OH*OW) output, and its row
+    taps."""
+    band, ow = bufs[0].shape[2] - 2 // stride, bufs[0].shape[3]
+    oh = xi.shape[1] // stride
+    for r0 in range(0, oh, band):
+        m = min(band, oh - r0)
+        yield r0 * ow, m * ow, _row_taps(xi, bufs, stride, r0, m)
+
+
+def _conv_image(krows: np.ndarray, xi: np.ndarray, bufs: list[np.ndarray],
+                stride: int, out: np.ndarray) -> None:
+    """``out`` (O, OH*OW) = the convolution of one image xi: per band, the
+    sum over kernel rows dy of ``krows[dy]`` (O, C*3) times the column
+    block of the band's row taps that dy reads."""
+    ow = bufs[0].shape[3]
+    for c0, cols, taps in _bands(xi, bufs, stride):
+        band_out = out[:, c0:c0 + cols]
+        for dy in range(3):
+            start = (dy // stride) * ow
+            block = taps[dy % stride][:, start:start + cols]
+            if dy == 0:
+                np.matmul(krows[dy], block, out=band_out)
+            else:
+                band_out += krows[dy] @ block
 
 
 def _kernel_rows(k: np.ndarray) -> np.ndarray:
@@ -391,29 +426,26 @@ def _kernel_rows(k: np.ndarray) -> np.ndarray:
 
 def _conv_kernel_grad(xd: np.ndarray, g: np.ndarray,
                       stride: int) -> np.ndarray:
-    """(O, C, 3, 3) kernel gradient: per image and row phase, one
-    product of the output gradient, placed at each of that phase's
-    kernel-row offsets, with the row taps transposed."""
+    """(O, C, 3, 3) kernel gradient: per image, band and kernel row dy,
+    the band's output gradient times the transpose of the column block
+    of the band's row taps that dy reads."""
     n, c, h, w = xd.shape
     o, oh, ow = g.shape[1:]
-    bufs = _tap_buffers(c, h, w, stride)
-    phases = [range(p, 3, stride) for p in range(stride)]
-    placed = [np.zeros((len(dys) * o, buf.shape[2] * ow))
-              for dys, buf in zip(phases, bufs)]
+    bufs = _tap_buffers(c, oh, ow, stride)
     gk = np.zeros((3, o, c * 3))
     for i in range(n):
         gi = g[i].reshape(o, oh * ow)
-        for p, taps in enumerate(_row_taps(xd[i], bufs, stride)):
-            for t, dy in enumerate(phases[p]):
+        for c0, cols, taps in _bands(xd[i], bufs, stride):
+            for dy in range(3):
                 start = (dy // stride) * ow
-                placed[p][t * o:(t + 1) * o, start:start + oh * ow] = gi
-            gk[p::stride] += (placed[p] @ taps.T).reshape(-1, o, c * 3)
+                gk[dy] += gi[:, c0:c0 + cols] @ \
+                    taps[dy % stride][:, start:start + cols].T
     return np.ascontiguousarray(gk.reshape(3, o, c, 3).transpose(1, 2, 0, 3))
 
 
 def _conv_input_grad(kd: np.ndarray, g: np.ndarray, stride: int,
                      h: int, w: int) -> np.ndarray:
-    """(N, C, H, W) input gradient: the stride-1 row products of the
+    """(N, C, H, W) input gradient: the stride-1 convolution of the
     flipped kernel over each image's output gradient, read as it is at
     stride 1 and zero-stuffed to (O, H, W) at stride 2."""
     n, o = g.shape[:2]
@@ -427,38 +459,51 @@ def _conv_input_grad(kd: np.ndarray, g: np.ndarray, stride: int,
         if stuffed is not None:
             stuffed[:, ::2, ::2] = gi
             gi = stuffed
-        _row_products(kflip, _row_taps(gi, bufs, 1), 1, h, w,
-                      gx[i].reshape(c, h * w))
+        _conv_image(kflip, gi, bufs, 1, gx[i].reshape(c, h * w))
     return gx
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """3x3 cross-correlation with zero padding 1 and stride 1 or 2.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
+           relu: bool = False) -> Tensor:
+    """3x3 cross-correlation with zero padding 1 and stride 1 or 2,
+    followed by a ReLU when ``relu`` is set.
 
     Input (N,C,H,W), kernel (O,C,3,3), bias (O,). Stride 2 halves the
     spatial extent (H and W must be even in that case).
 
-    Row taps, one image at a time: the im2col lowering of Chellapilla
-    et al. (2006) along the columns only, as in MEC (Cho & Brand 2017,
-    arXiv:1706.06873). Each image is widened by its three column taps
-    into one (C*3, rows*OW) matrix per row phase ``dy % stride`` (at
-    stride 1, 3x the image where im2col's columns are 9x), and the
-    convolution is three products, one per kernel row dy, each over the
-    contiguous column block that row reads. The taps are written
-    straight from the unpadded image into matrices that each path
-    (forward, kernel gradient, input gradient) allocates once per call:
-    the entries on the padding stay zero from image to image, so there
-    is no padded copy and only one image's taps at a time. Each image
-    is its own products, so an image's output does not depend on the
-    rest of the batch.
+    Row taps, one image and one band of output rows at a time: the
+    im2col lowering of Chellapilla et al. (2006) along the columns only,
+    as in MEC (Cho & Brand 2017, arXiv:1706.06873). A band's input rows
+    are widened by their three column taps into one (C*3, rows*OW)
+    matrix per row phase ``dy % stride``, and the band's output is three
+    products, one per kernel row dy, each over the contiguous column
+    block that row reads. A band holds as many output rows as keep one
+    tap matrix within ``_TAP_BYTES`` (1 MiB), so the workspace is bounded
+    whatever the image size. The taps are written straight from the
+    unpadded image into matrices that each path (forward, kernel
+    gradient, input gradient) allocates once per call; only the tap rows
+    that fall on the padding are zeroed band by band. The forward and
+    input-gradient products are split along output columns only, so
+    each output is the dot product it is in one product over the image
+    (the same bytes at the model's layers, whose bands are whole 64- or
+    32-pixel rows; BLAS may round the odd last columns of a narrower
+    band differently); the kernel gradient sums band by band. Each
+    image is its own products, so an image's output does not depend on
+    the rest of the batch.
+
+    With ``relu`` the output is clamped in place: zero where it is at
+    most 0, -inf included, as ``np.where(out > 0, out, 0.0)`` gives; a
+    NaN or +inf is kept and refused like any non-finite output. Only the
+    bool mask of the kept entries is held, and the pullback masks the
+    output gradient before anything else, so the unmasked one is freed
+    at once.
 
     The pullback keeps the unpadded input (the producer's own value)
-    until the kernel gradient is built: one product per row phase, of
-    the output gradient placed at each of that phase's kernel-row
-    offsets with the row taps transposed. It then lets go of the input
-    (``backward`` runs a pullback once) before the input gradient, the
-    same three products with the flipped kernel over the output
-    gradient (zero-stuffed at stride 2). It builds only the live
+    until the kernel gradient is built: per band and kernel row, the
+    output gradient times the transposed row taps. It then lets go of
+    the input (``backward`` runs a pullback once) before the input
+    gradient, the same banded products with the flipped kernel over the
+    output gradient (zero-stuffed at stride 2). It builds only the live
     operands' gradients, so a constant input (the image at the first
     layer) costs no input gradient.
     """
@@ -486,17 +531,24 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     o = kernel.shape[0]
     xd, kd = x.data, kernel.data
     krows = _kernel_rows(kd)
-    bufs = _tap_buffers(c, h, w, stride)
+    bufs = _tap_buffers(c, oh, ow, stride)
     out = np.empty((n, o, oh, ow))
     for i in range(n):
-        _row_products(krows, _row_taps(xd[i], bufs, stride), stride, oh, ow,
-                      out[i].reshape(o, oh * ow))
+        _conv_image(krows, xd[i], bufs, stride, out[i].reshape(o, oh * ow))
+    del bufs  # before the mask: the taps are not read again
     out += bias.data[None, :, None, None]
+    kept = None
+    if relu:
+        clamped = out <= 0.0  # the derivative at exactly 0 is 0
+        np.copyto(out, 0.0, where=clamped)
+        kept = np.logical_not(clamped, out=clamped)
 
     x_live, kernel_live, bias_live = x.live, kernel.live, bias.live
 
     def pullback(g):
-        nonlocal xd
+        nonlocal xd, kept
+        if kept is not None:
+            g, kept = g * kept, None
         gx = gk = gb = None
         if kernel_live:
             gk = _conv_kernel_grad(xd, g, stride)

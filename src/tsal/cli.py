@@ -57,6 +57,7 @@ from .gaze import (
     check_time_range,
     group_gaze,
     group_rows,
+    nearest_pixels,
     rasterize,
     read_fixation_table,
     read_gaze_jsonl,
@@ -411,14 +412,16 @@ def cmd_rasterize(args) -> None:
         raise PreconditionError(
             f"fixation references unknown image {unknown[0]!r}")
     items = []
-    for image_id in ids:
-        rows = groups.get(image_id, slice(0))  # slice(0): no rows
-        items.append((image_id, dims[image_id], fixations.x[rows],
-                      fixations.y[rows], slice_of[rows]))
+    # a fixation off its image is refused before the first map is written
+    with naming(args.fixations, PreconditionError):
+        for image_id in ids:
+            rows = groups.get(image_id, slice(0))  # slice(0): no rows
+            xs, ys = fixations.x[rows], fixations.y[rows]
+            nearest_pixels(xs, ys, *dims[image_id])
+            items.append((image_id, dims[image_id], xs, ys, slice_of[rows]))
     worker = functools.partial(_rasterize_one, out_dir=args.out, n=args.n,
                                sigma=args.sigma, norm_name=args.normalize)
-    with naming(args.fixations, PreconditionError):  # a fixation off its image
-        _run_parallel(args.jobs, worker, items)
+    _run_parallel(args.jobs, worker, items)
     print(f"rasterized {len(ids)} images x {args.n} slices -> {args.out}")
 
 
@@ -515,7 +518,11 @@ def cmd_train(args) -> None:
         raise ConfigError("--base checkpoint is required for the mixing stage")
     base = load_params(args.base) if args.base else None
     config = model.ModelConfig(n_slices=n) if base is None else None
-    params, trace = model.train(data, schedule, seed=args.seed,
+    # model.train gets the only reference, so that the mixing stage can
+    # let go of the images and slice maps once its frozen outputs exist
+    handed = [data]
+    del data
+    params, trace = model.train(handed.pop(), schedule, seed=args.seed,
                                 loss_cfg=loss_cfg, config=config,
                                 base_params=base)
     save_params(args.out, params)

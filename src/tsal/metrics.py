@@ -183,42 +183,113 @@ def mean_map(maps) -> np.ndarray:
 # Differentiable loss nodes
 # ---------------------------------------------------------------------------
 
-def cc_loss_node(pred: ad.Tensor, gt: ad.Tensor) -> ad.Tensor:
-    """Pearson correlation of each map as a tape node (same value as
-    cc()). Reduces the last two axes: a 2-D map gives a scalar, a
-    (K, H, W) stack gives (K,)."""
+def _map_axes(pred: ad.Tensor, gt: ad.Tensor, name: str) -> tuple[int, int]:
     if pred.shape != gt.shape:
         raise ShapeMismatchError(
-            f"cc_loss_node: shapes {pred.shape} and {gt.shape} differ")
-    axes = (-2, -1)
-    if (pred.data.std(axis=axes) == 0.0).any() or \
-            (gt.data.std(axis=axes) == 0.0).any():
+            f"{name}: shapes {pred.shape} and {gt.shape} differ")
+    return pred.data.ndim - 2, pred.data.ndim - 1
+
+
+def cc_loss_node(pred: ad.Tensor, gt: ad.Tensor) -> ad.Tensor:
+    """Pearson correlation of each map as one tape node (same value as
+    cc()). Reduces the last two axes: a 2-D map gives a scalar, a
+    (K, H, W) stack gives (K,). ``gt`` is read as a value and gets no
+    gradient.
+
+    The forward is the numpy expression sequence cov / (sd_p * sd_g) of
+    the centred maps. The pullback keeps only ``pred`` and ``gt`` and
+    recomputes the centred maps from them, in place where it can. The
+    node lists ``pred`` twice and returns its two gradient terms apart,
+    the centred map's and the mean's, so ``backward`` adds them in the
+    order the same formula built from primitive nodes would, bit for
+    bit."""
+    axes = _map_axes(pred, gt, "cc_loss_node")
+    pd, gd = pred.data, gt.data
+    if (pd.std(axis=axes) == 0.0).any() or (gd.std(axis=axes) == 0.0).any():
         raise DegenerateMapError("cc is undefined for a constant map")
-    pc = ad.sub(pred, ad.reduce_mean(pred, axis=axes, keepdims=True))
-    gc = ad.sub(gt, ad.reduce_mean(gt, axis=axes, keepdims=True))
-    cov = ad.reduce_mean(ad.mul(pc, gc), axis=axes)
-    sd_p = ad.sqrt(ad.reduce_mean(ad.mul(pc, pc), axis=axes))
-    sd_g = ad.sqrt(ad.reduce_mean(ad.mul(gc, gc), axis=axes))
-    return ad.div(cov, ad.mul(sd_p, sd_g))
+    count = pd.shape[-2] * pd.shape[-1]
+
+    def centred():
+        pc = pd - pd.mean(axis=axes, keepdims=True)
+        gc = gd - gd.mean(axis=axes, keepdims=True)
+        cov = (pc * gc).mean(axis=axes)
+        sd_p = np.sqrt((pc * pc).mean(axis=axes))
+        sd_g = np.sqrt((gc * gc).mean(axis=axes))
+        return pc, gc, cov, sd_p, sd_g
+
+    def pullback(g):
+        pc, gc, cov, sd_p, sd_g = centred()
+        den = sd_p * sd_g
+        g_cov = g / den
+        g_var = -g * cov / (den * den) * sd_g * 0.5 / sd_p
+        pc *= np.expand_dims(g_var / count, axes)
+        pc += pc  # pc * pc has pc as both factors
+        gc *= np.expand_dims(g_cov / count, axes)
+        pc += gc
+        g_mean = -pc.sum(axis=axes[0], keepdims=True).sum(axis=axes[1],
+                                                          keepdims=True)
+        return pc, np.broadcast_to(g_mean / count, pd.shape)
+
+    _, _, cov, sd_p, sd_g = centred()
+    return pred.tape._record("cc", (pred.node_id, pred.node_id), pullback,
+                             np.asarray(cov / (sd_p * sd_g)))
 
 
 def kl_loss_node(pred: ad.Tensor, gt: ad.Tensor, eps: float = EPS) -> ad.Tensor:
-    """Regularized divergence of each pred map from its gt map as a tape
-    node, with both inputs sum-normalized on the tape (same value as
-    kl()). Reduces the last two axes: a 2-D map gives a scalar, a
-    (K, H, W) stack gives (K,)."""
-    if pred.shape != gt.shape:
-        raise ShapeMismatchError(
-            f"kl_loss_node: shapes {pred.shape} and {gt.shape} differ")
-    axes = (-2, -1)
-    if (pred.data.sum(axis=axes) <= 0.0).any() or \
-            (gt.data.sum(axis=axes) <= 0.0).any():
+    """Regularized divergence of each pred map from its gt map as one
+    tape node, both sum-normalized (same value as kl()). Reduces the
+    last two axes: a 2-D map gives a scalar, a (K, H, W) stack gives
+    (K,). ``gt`` is read as a value and gets no gradient.
+
+    The forward is the numpy expression sequence of
+    sum(g * log(g / (p + eps) + eps)) over the normalized maps. The
+    pullback keeps only ``pred`` and ``gt``, recomputes the normalized
+    maps and the ratio from them, and works in place. The node lists
+    ``pred`` twice and returns its two gradient terms apart, through the
+    division and through the sum it divides by, so ``backward`` adds
+    them in the order the same formula built from primitive nodes
+    would, bit for bit."""
+    axes = _map_axes(pred, gt, "kl_loss_node")
+    pd, gd = pred.data, gt.data
+    if (pd.sum(axis=axes) <= 0.0).any() or (gd.sum(axis=axes) <= 0.0).any():
         raise DegenerateMapError("kl is undefined for an all-zero map")
-    p = ad.div(pred, ad.reduce_sum(pred, axis=axes, keepdims=True))
-    g = ad.div(gt, ad.reduce_sum(gt, axis=axes, keepdims=True))
-    ratio = ad.add(ad.div(g, ad.add(p, p.tape.constant(eps))),
-                   p.tape.constant(eps))
-    return ad.reduce_sum(ad.mul(g, ad.log(ratio)), axis=axes)
+
+    sp = pd.sum(axis=axes, keepdims=True)
+
+    def shifted():  # p + eps
+        pe = pd / sp
+        pe += eps
+        return pe
+
+    def pullback(g):
+        # three maps at a time: p + eps is computed again rather than
+        # kept beside the normalized gt, the ratio and the gradient
+        gn = gd / gd.sum(axis=axes, keepdims=True)
+        t = np.expand_dims(g, axes) * gn
+        ratio = shifted()
+        np.divide(gn, ratio, out=ratio)
+        ratio += eps
+        t /= ratio
+        del ratio
+        np.negative(t, out=t)
+        t *= gn
+        del gn
+        pe = shifted()
+        pe *= pe
+        t /= pe  # the gradient of p
+        u = np.negative(t, out=pe)
+        u *= pd
+        u /= sp * sp
+        g_sum = u.sum(axis=axes[0], keepdims=True).sum(axis=axes[1],
+                                                        keepdims=True)
+        del pe, u
+        t /= sp
+        return t, np.broadcast_to(g_sum, pd.shape)
+
+    gn = gd / gd.sum(axis=axes, keepdims=True)
+    out = (gn * np.log(gn / shifted() + eps)).sum(axis=axes)
+    return pred.tape._record("kl", (pred.node_id, pred.node_id), pullback,
+                             np.asarray(out))
 
 
 # ---------------------------------------------------------------------------

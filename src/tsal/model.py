@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,8 +171,9 @@ def check_params(params: dict[str, np.ndarray], config: ModelConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def _conv(x: ad.Tensor, pt: dict[str, ad.Tensor], name: str,
-          stride: int = 1) -> ad.Tensor:
-    return ad.conv2d(x, pt[name + ".w"], pt[name + ".b"], stride=stride)
+          stride: int = 1, relu: bool = False) -> ad.Tensor:
+    return ad.conv2d(x, pt[name + ".w"], pt[name + ".b"], stride=stride,
+                     relu=relu)
 
 
 def encode(x: ad.Tensor, pt: dict[str, ad.Tensor]) -> list[ad.Tensor]:
@@ -184,9 +185,9 @@ def encode(x: ad.Tensor, pt: dict[str, ad.Tensor]) -> list[ad.Tensor]:
     if h % 16 or w % 16:
         raise ShapeMismatchError(
             f"input spatial dims must be divisible by 16, got {h}x{w}")
-    blocks = [ad.relu(_conv(x, pt, "enc.c1", stride=1))]
+    blocks = [_conv(x, pt, "enc.c1", stride=1, relu=True)]
     for i in range(2, 6):
-        blocks.append(ad.relu(_conv(blocks[-1], pt, f"enc.c{i}", stride=2)))
+        blocks.append(_conv(blocks[-1], pt, f"enc.c{i}", stride=2, relu=True))
     return blocks
 
 
@@ -195,14 +196,14 @@ def decode_trunk(blocks: list[ad.Tensor], pt: dict[str, ad.Tensor],
     """Conv-up-concat ladder from the deepest block to input resolution."""
     x = blocks[4]
     for k in (4, 3, 2, 1):
-        x = ad.relu(_conv(x, pt, f"{prefix}.d{k}"))
+        x = _conv(x, pt, f"{prefix}.d{k}", relu=True)
         x = ad.concat_channels([ad.upsample_bilinear(x, 2), blocks[k - 1]])
     return x
 
 
 def _decode_head(x: ad.Tensor, pt: dict[str, ad.Tensor],
                  prefix: str) -> ad.Tensor:
-    h = ad.relu(_conv(x, pt, f"{prefix}.h1"))
+    h = _conv(x, pt, f"{prefix}.h1", relu=True)
     return ad.sigmoid(_conv(h, pt, f"{prefix}.h2"))
 
 
@@ -238,17 +239,18 @@ def smm(blocks: list[ad.Tensor], temporal: ad.Tensor, image_map: ad.Tensor,
     if temporal.shape[0] != blocks[0].shape[0] or \
             image_map.shape[0] != blocks[0].shape[0]:
         raise ShapeMismatchError("batch sizes disagree across mixing inputs")
-    x = ad.relu(_conv(ad.concat_channels(
-        [ad.upsample_bilinear(blocks[4], 2), blocks[3]]), pt, "smm.s4"))
+    x = _conv(ad.concat_channels(
+        [ad.upsample_bilinear(blocks[4], 2), blocks[3]]), pt, "smm.s4",
+        relu=True)
     for k in (3, 2, 1):
         stage = blocks[k - 1]
         sh, sw = stage.shape[2], stage.shape[3]
-        x = ad.relu(_conv(ad.concat_channels([
+        x = _conv(ad.concat_channels([
             ad.upsample_bilinear(x, 2),
             stage,
             ad.resize_bilinear(image_map, sh, sw),
             ad.resize_bilinear(temporal, sh, sw),
-        ]), pt, f"smm.s{k}"))
+        ]), pt, f"smm.s{k}", relu=True)
     logit = _conv(x, pt, "smm.head")
     mean_t = ad.reduce_mean(temporal, axis=1, keepdims=True)
     return minmax01(ad.add(ad.add(logit, image_map), mean_t))
@@ -367,14 +369,20 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
     (``_frozen_outputs``); each step enters its batch's rows of those
     arrays as tape constants and fits only mixing parameters, so frozen
     gradients are never computed. Every op works on each image alone,
-    so the cached rows are bit-identical to a per-step recompute.
+    so the cached rows are bit-identical to a per-step recompute. Once
+    the outputs are built the stage lets go of ``data``'s images and
+    slice maps, which frees them when the caller holds no other
+    reference (``tsal train`` holds none).
 
     Each step's tapes hold pullbacks only for the ops that depend on a
     trainable parameter, and each backward frees them, and the
     intermediate gradients, as it goes (see ``tsal.autodiff``): the
     constant branches (the image at ``enc.c1``, the cached mixing
-    inputs) keep nothing and get no gradient. A temporal step holds one
-    decoder's tape at a time (``_train_step``).
+    inputs) keep nothing and get no gradient. A conv that a ReLU follows
+    runs it fused and keeps only its bool mask, and each KL and CC loss
+    is one node that keeps only its prediction and ground truth. A
+    temporal step holds one decoder's tape at a time (``_train_step``),
+    and a mixing step drops its input constants before its backward.
 
     Trace rows are (epoch, stage, mean epoch loss, lr).
     """
@@ -391,16 +399,18 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
     check_params(params, config)
     _check_data(data, config)
 
+    n_images = data.images.shape[0]
     if schedule.stage == "temporal":
         trainable, _ = _split_params(params)  # mixing params wait for stage 2
         frozen = None
     else:
         backbone, trainable = _split_params(params)
         frozen = _frozen_outputs(data.images, backbone, schedule.batch_size)
+        # a mixing step reads only gt_full: let go of the rest
+        data = replace(data, images=None, gt_slices=None)
 
     rng = np.random.default_rng(seed)
     state = ad.adam_init(trainable)
-    n_images = data.images.shape[0]
     trace: list[tuple[int, str, float, float]] = []
     steps_done = 0
 
@@ -499,6 +509,8 @@ def _train_step(data: TrainData, idx: np.ndarray,
         refined = smm(blocks, temporal, image_map, lifted)
         loss = stage2_loss(refined, tape.constant(data.gt_full[idx]),
                            loss_cfg)
+        # the step's inputs: no pullback reads them, so they go now
+        del blocks, temporal, image_map, refined
         return float(loss.data), _named_grads(ad.backward(tape, loss), lifted)
 
     tape = ad.Tape()

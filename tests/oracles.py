@@ -5,8 +5,10 @@ correct: scalar Python loops, exhaustive enumeration, or a high-level
 formula evaluated directly. None of it shares code with the package
 under test, so agreement between the two is meaningful; the two
 exceptions are ``evaluate_directories_oracle``, a slower loop over the
-package's own per-image scores, and ``temporal_step_one_tape``, the
-temporal training step over the package's own network pieces.
+package's own per-image scores, ``temporal_step_one_tape``, the
+temporal training step over the package's own network pieces, and the
+loss composites ``cc_loss_composite`` and ``kl_loss_composite``, built
+from the package's own primitive tape nodes.
 """
 
 import io
@@ -143,6 +145,35 @@ def temporal_step_one_tape(data, idx, trainable, loss_cfg):
     named = {name: grads[t.node_id] for name, t in lifted.items()
              if t.node_id in grads}
     return float(loss.data), named
+
+
+def cc_loss_composite(pred, gt):
+    """Pearson correlation of each map over the last two axes, built
+    from primitive tape nodes (about 20): the reference for
+    ``metrics.cc_loss_node``'s single node, value and gradient."""
+    from tsal import autodiff as ad
+
+    axes = (-2, -1)
+    pc = ad.sub(pred, ad.reduce_mean(pred, axis=axes, keepdims=True))
+    gc = ad.sub(gt, ad.reduce_mean(gt, axis=axes, keepdims=True))
+    cov = ad.reduce_mean(ad.mul(pc, gc), axis=axes)
+    sd_p = ad.sqrt(ad.reduce_mean(ad.mul(pc, pc), axis=axes))
+    sd_g = ad.sqrt(ad.reduce_mean(ad.mul(gc, gc), axis=axes))
+    return ad.div(cov, ad.mul(sd_p, sd_g))
+
+
+def kl_loss_composite(pred, gt, eps=1e-7):
+    """Regularized divergence of each sum-normalized pred map from its
+    gt map over the last two axes, built from primitive tape nodes: the
+    reference for ``metrics.kl_loss_node``'s single node."""
+    from tsal import autodiff as ad
+
+    axes = (-2, -1)
+    p = ad.div(pred, ad.reduce_sum(pred, axis=axes, keepdims=True))
+    g = ad.div(gt, ad.reduce_sum(gt, axis=axes, keepdims=True))
+    ratio = ad.add(ad.div(g, ad.add(p, p.tape.constant(eps))),
+                   p.tape.constant(eps))
+    return ad.reduce_sum(ad.mul(g, ad.log(ratio)), axis=axes)
 
 
 def bilinear_loops(img, out_h, out_w):

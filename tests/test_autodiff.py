@@ -79,6 +79,16 @@ def distinct_convs(calls):
     return list(seen.values())
 
 
+def conv_and_grads(x, k, b, stride, g, relu):
+    """conv2d's output and its (x, kernel, bias) gradients for the output
+    gradient g."""
+    tape = ad.Tape()
+    ts = [tape.param(a, name) for a, name in ((x, "x"), (k, "k"), (b, "b"))]
+    y = ad.conv2d(*ts, stride=stride, relu=relu)
+    grads = ad.backward(tape, ad.reduce_sum(ad.mul(y, tape.constant(g))))
+    return y.data, [grads[t.node_id] for t in ts]
+
+
 class TestTensorBasics:
     def test_data_is_read_only(self):
         tape = ad.Tape()
@@ -99,6 +109,27 @@ class TestTensorBasics:
         b = tape.constant([0.0])
         with pytest.raises(NonFiniteError):
             ad.div(a, b)
+
+    def test_read_only_float64_is_adopted(self):
+        # a Tensor's own data entering another tape is not copied
+        tape = ad.Tape()
+        a = np.arange(4.0)
+        a.flags.writeable = False
+        assert tape.constant(a).data is a
+        assert tape.param(a, "a").data is a
+
+    def test_writable_array_is_copied(self):
+        # a read-only view of a writable array counts as writable
+        tape = ad.Tape()
+        a = np.arange(4.0)
+        view = a[:]
+        view.flags.writeable = False
+        leaves = [tape.constant(a), tape.param(a, "a"),
+                  tape.constant(view), tape.param(view, "view")]
+        assert all(t.data is not a and t.data is not view for t in leaves)
+        a[:] = -1.0
+        for t in leaves:
+            assert np.array_equal(t.data, np.arange(4.0))
 
     def test_float64_everywhere(self):
         tape = ad.Tape()
@@ -149,11 +180,16 @@ class TestElementwiseGrads:
         check_grads(build, params)
 
     def test_relu_grad_and_zero_point(self):
+        # conv2d's ReLU, through a kernel that passes each pixel on as it is
         tape = ad.Tape()
-        x = tape.param(np.array([-1.0, 0.0, 2.0]), "x")
-        y = ad.reduce_sum(ad.relu(x))
-        g = ad.backward(tape, y)[x.node_id]
-        assert np.array_equal(g, [0.0, 0.0, 1.0])
+        x = tape.param(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3), "x")
+        k = np.zeros((1, 1, 3, 3))
+        k[0, 0, 1, 1] = 1.0
+        y = ad.conv2d(x, tape.constant(k), tape.constant(np.zeros(1)),
+                      relu=True)
+        assert np.array_equal(y.data.ravel(), [0.0, 0.0, 2.0])
+        g = ad.backward(tape, ad.reduce_sum(y))[x.node_id]
+        assert np.array_equal(g.ravel(), [0.0, 0.0, 1.0])
 
     def test_sigmoid_stable_at_extremes(self):
         tape = ad.Tape()
@@ -330,6 +366,66 @@ class TestConv2d:
                                   stride=stride).data
                 assert full[i].tobytes() == alone[0].tobytes(), k.shape
 
+    # With a 4 KiB band limit every path splits these shapes into several
+    # bands, the last one short. Stride 1, (2, 3, 13, 10) to 4 channels:
+    # forward and kernel gradient 3+3+3+3+1 rows, input gradient
+    # 2+2+2+2+2+2+1. Stride 2, (2, 8, 16, 10) to 3: forward and kernel
+    # gradient 3+3+2 output rows, input gradient 3+3+3+3+3+1.
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("stride, shape, out_ch", [
+        (1, (2, 3, 13, 10), 4), (2, (2, 8, 16, 10), 3)])
+    def test_bands_match_im2col_oracle(self, monkeypatch, relu, stride,
+                                       shape, out_ch):
+        rng = np.random.default_rng(40 + stride)
+        x = rng.normal(size=shape)
+        k = rng.normal(size=(out_ch, shape[1], 3, 3))
+        b = rng.normal(size=(out_ch,))
+        want, pullback = oracles.conv2d_im2col(x, k, b, stride)
+        g = rng.normal(size=want.shape)
+        if relu:
+            kept = want > 0.0
+            want = np.where(kept, want, 0.0)
+            want_grads = pullback(g * kept)
+        else:
+            want_grads = pullback(g)
+        monkeypatch.setattr(ad, "_TAP_BYTES", 4096)
+        y, grads = conv_and_grads(x, k, b, stride, g, relu)
+        # row taps sum three products where im2col sums one, so the two
+        # agree to rounding; the absolute floor, for entries near zero,
+        # scales with the largest entry
+        for got, ref in zip([y, *grads], [want, *want_grads]):
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("stride, shape, out_ch, limit", [
+        (1, (4, 30, 64, 64), 16, None), (2, (4, 8, 64, 64), 16, 24576)],
+        ids=["smm.s1", "enc.c2"])
+    def test_bands_keep_the_bytes_at_model_layers(self, monkeypatch, stride,
+                                                  shape, out_ch, limit):
+        # smm.s1 at the default limit: forward and kernel gradient in
+        # bands of 20+20+20+4 rows, input gradient 40+24. enc.c2 at a
+        # 24 KiB limit: forward and kernel gradient in 3-row bands, the
+        # last of 2 rows, input gradient in 1-row bands. A band spans
+        # whole 64- or 32-pixel rows, and the products are split along
+        # output columns only, so the forward and the input gradient are
+        # the one-band bytes; the kernel gradient sums band by band
+        rng = np.random.default_rng(44 + stride)
+        x = np.maximum(rng.normal(size=shape), 0.0)
+        k = rng.normal(size=(out_ch, shape[1], 3, 3))
+        b = rng.normal(size=(out_ch,))
+        g = rng.normal(size=(shape[0], out_ch, shape[2] // stride,
+                             shape[3] // stride))
+        if limit is not None:
+            monkeypatch.setattr(ad, "_TAP_BYTES", limit)
+        y, (gx, gk, gb) = conv_and_grads(x, k, b, stride, g, True)
+        monkeypatch.setattr(ad, "_TAP_BYTES", 1 << 30)
+        y1, (gx1, gk1, gb1) = conv_and_grads(x, k, b, stride, g, True)
+        assert y.tobytes() == y1.tobytes()
+        assert gx.tobytes() == gx1.tobytes()
+        assert gb.tobytes() == gb1.tobytes()
+        np.testing.assert_allclose(gk, gk1, rtol=1e-12,
+                                   atol=1e-12 * np.abs(gk1).max())
+
     def test_matches_im2col_oracle_at_every_model_layer(self, monkeypatch):
         # output and all three gradients against the 9-tap im2col path,
         # with a batch of two so the kernel gradient sums over images
@@ -357,7 +453,7 @@ class TestConv2d:
         # below one image's 9-tap column matrix (C*9 x H*W floats)
         rng = np.random.default_rng(37)
         tape = ad.Tape()
-        x = ad.relu(tape.param(rng.normal(size=(4, 20, 64, 64)), "x"))
+        x = tape.param(np.maximum(rng.normal(size=(4, 20, 64, 64)), 0.0), "x")
         k = tape.param(rng.normal(size=(16, 20, 3, 3)), "k")
         b = tape.param(rng.normal(size=(16,)), "b")
         tracemalloc.start()
@@ -381,7 +477,7 @@ class TestConv2d:
         # the input gradient is built
         rng = np.random.default_rng(39)
         tape = ad.Tape()
-        x = ad.relu(tape.param(rng.normal(size=(4, 30, 64, 64)), "x"))
+        x = tape.param(np.maximum(rng.normal(size=(4, 30, 64, 64)), 0.0), "x")
         k = tape.param(rng.normal(size=(16, 30, 3, 3)), "k")
         b = tape.param(rng.normal(size=(16,)), "b")
         y = ad.conv2d(x, k, b)
@@ -591,7 +687,6 @@ RECORD_ONE_OP = {
     "div": lambda t: ad.div(_nchw(t), t.constant(2.0)),
     "log": lambda t: ad.log(_nchw(t)),
     "sqrt": lambda t: ad.sqrt(_nchw(t)),
-    "relu": lambda t: ad.relu(_nchw(t)),
     "sigmoid": lambda t: ad.sigmoid(_nchw(t)),
     "reduce_sum": lambda t: ad.reduce_sum(_nchw(t)),
     "reduce_mean": lambda t: ad.reduce_mean(_nchw(t), axis=(2, 3)),
@@ -602,7 +697,7 @@ RECORD_ONE_OP = {
                                         np.array([0])),
     "conv2d": lambda t: ad.conv2d(_nchw(t), t.param(np.ones((2, 1, 3, 3)),
                                                     "k"),
-                                  t.param(np.zeros(2), "b")),
+                                  t.param(np.zeros(2), "b"), relu=True),
     "resize_bilinear": lambda t: ad.resize_bilinear(_nchw(t), 3, 5),
     "upsample_bilinear": lambda t: ad.upsample_bilinear(_nchw(t), 2),
 }

@@ -59,8 +59,8 @@ def test_readme_training_feeds_the_conv_shape_table(monkeypatch):
     real_conv = model._conv
     seen = {}
 
-    def recording_conv(x, pt, name, stride=1):
-        out = real_conv(x, pt, name, stride)
+    def recording_conv(x, pt, name, stride=1, **kwargs):
+        out = real_conv(x, pt, name, stride, **kwargs)
         seen[-1].setdefault(name, {
             "x": list(x.shape), "w": list(pt[name + ".w"].shape),
             "stride": stride, "out": list(out.shape)})

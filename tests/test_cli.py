@@ -793,6 +793,8 @@ class TestRasterize:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fixation_outside_its_image_names_the_csv(self, tmp_path, capsys,
                                                       jobs):
+        # img000's maps could be written before img001's worker runs: the
+        # fixations are checked against their image before any map is
         images = tmp_path / "images"
         images.mkdir()
         for image_id in ("img000", "img001"):
@@ -801,13 +803,16 @@ class TestRasterize:
         write_rows(fixations, [
             ["image_id", "observer_id", "order_index", "x", "y", "t_ms",
              "slice_index"],
+            ["img000", "o000", "0", "2.0", "3.0", "10.0", "0"],
+            ["img000", "o000", "1", "5.0", "1.0", "900.0", "1"],
             ["img001", "o000", "0", "50.0", "1.0", "10.0", "0"]])
         out = tmp_path / "maps"
         assert run("rasterize", "--fixations", fixations, "--images", images,
-                   "--out", out, "--jobs", jobs) == 2
+                   "--out", out, "--n", 2, "--jobs", jobs) == 2
         assert only_error_line(capsys) == (
             f"tsal: PreconditionError: {fixations}: fixation at (50.0, 1.0) "
             f"outside 8x6 image")
+        assert not out.exists() or not any(out.rglob("*"))
 
     def test_unknown_image_reference_exits_two(self, workdir, dataset):
         rogue = workdir / "rogue.csv"

@@ -475,6 +475,38 @@ class TestLossNodes:
         numeric = oracles.central_diff_grads(f, {"p": p0})["p"]
         assert oracles.rel_err(analytic, numeric).max() < 1e-4
 
+    @pytest.mark.parametrize("which", ["cc", "kl", "both"])
+    @pytest.mark.parametrize("shape", [(20, 64, 64), (9, 7)],
+                             ids=["readme_stack", "map"])
+    def test_single_node_matches_composite_oracle(self, which, shape):
+        # the readme temporal stack (batch 4 of 5 slices) and one 2-D
+        # map; "both" is the training loss, where the two nodes' gradient
+        # terms meet on one prediction
+        rng = np.random.default_rng(97)
+        p0 = rng.uniform(0.01, 1.0, size=shape)
+        g0 = rng.uniform(0.0, 1.0, size=shape)
+        w = rng.normal(size=shape[:-2])
+        results = []
+        for cc, kl in ((metrics.cc_loss_node, metrics.kl_loss_node),
+                       (oracles.cc_loss_composite,
+                        oracles.kl_loss_composite)):
+            tape = ad.Tape()
+            pred, gt = tape.param(p0, "p"), tape.constant(g0)
+            before = len(tape.nodes)
+            terms = []
+            if which != "cc":
+                terms.append(ad.mul(tape.constant(1.3), kl(pred, gt)))
+            if which != "kl":
+                terms.append(ad.mul(tape.constant(-0.7), cc(pred, gt)))
+            nodes = len(tape.nodes) - before - 2 * len(terms)
+            per_map = terms[0] if len(terms) == 1 else ad.add(*terms)
+            loss = ad.reduce_sum(ad.mul(per_map, tape.constant(w)))
+            grad = ad.backward(tape, loss)[pred.node_id]
+            results.append((nodes, per_map.data.tobytes(), grad.tobytes()))
+        (nodes, *got), (_, *want) = results
+        assert nodes == (2 if which == "both" else 1)
+        assert got == want
+
     def test_degenerate_inputs_rejected(self):
         tape = ad.Tape()
         flat = tape.constant(np.full((3, 3), 0.5))

@@ -1,12 +1,14 @@
 """Network architecture, losses, gradients, and the two-stage trainer."""
 
 import csv
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from tsal import autodiff as ad
-from tsal import metrics, model
+from tsal import cli, metrics, model
 from tsal.cli import main
 from tsal.errors import (
     CheckpointError,
@@ -350,11 +352,13 @@ def kink_margins(params, data):
     only a trustworthy oracle when both clear the bump radius, so the
     gradient checks assert these before comparing anything."""
     relu_margin = [np.inf]
-    orig_relu = ad.relu
+    orig_conv = ad.conv2d
 
-    def relu_spy(t):
-        relu_margin[0] = min(relu_margin[0], np.abs(t.data).min())
-        return orig_relu(t)
+    def conv_spy(x, kernel, bias, stride=1, relu=False):
+        if relu:
+            pre = orig_conv(x, kernel, bias, stride=stride)
+            relu_margin[0] = min(relu_margin[0], np.abs(pre.data).min())
+        return orig_conv(x, kernel, bias, stride=stride, relu=relu)
 
     gap = [np.inf]
     orig_mm = model.minmax01
@@ -365,14 +369,14 @@ def kink_margins(params, data):
             gap[0] = min(gap[0], v[1] - v[0], v[-1] - v[-2])
         return orig_mm(t)
 
-    ad.relu, model.minmax01 = relu_spy, mm_spy
+    ad.conv2d, model.minmax01 = conv_spy, mm_spy
     try:
         tape = ad.Tape()
         lifted = {k: tape.constant(v) for k, v in params.items()}
         blocks, t, s_i = model.forward(tape, data.images, lifted)
         model.smm(blocks, t, s_i, lifted)
     finally:
-        ad.relu, model.minmax01 = orig_relu, orig_mm
+        ad.conv2d, model.minmax01 = orig_conv, orig_mm
     return relu_margin[0], gap[0]
 
 
@@ -492,6 +496,75 @@ class TestTemporalStep:
         assert len({id(temporal), id(image), id(encoder)}) == 3
 
 
+class TestStepMemory:
+    """The traced peak of one training step at the readme shapes: 6
+    images of 64x64, batch 4, the default model. The third step is
+    measured, a full batch once every cache is warm."""
+
+    @staticmethod
+    def step_peak(monkeypatch, stage):
+        """(memory live before the step, the step's peak, each conv
+        layer's input and output bytes)."""
+        rng = np.random.default_rng(85)
+        config = model.ModelConfig()
+        data = toy_data(rng, 6, config, 64, 64)
+        base = model.init_params(config, seed=86)
+        real_step, real_conv = model._train_step, model._conv
+        layers, steps = {}, []
+
+        def conv(x, pt, name, stride=1, **kwargs):
+            out = real_conv(x, pt, name, stride, **kwargs)
+            layers[name] = (x.data.nbytes, out.data.nbytes)
+            return out
+
+        def step(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = real_step(*args)
+            steps.append((before, tracemalloc.get_traced_memory()[1]))
+            return result
+
+        monkeypatch.setattr(model, "_conv", conv)
+        monkeypatch.setattr(model, "_train_step", step)
+        sched = model.TrainSchedule(stage=stage, batch_size=4, max_steps=3)
+        tracemalloc.start()
+        try:
+            model.train(data, sched, seed=87,
+                        **({"base_params": base} if stage == "mixing"
+                           else {"config": config}))
+        finally:
+            tracemalloc.stop()
+        return (*steps[2], layers)
+
+    @pytest.mark.parametrize("stage", ["temporal", "mixing"])
+    def test_step_peak_stays_within_its_budget(self, monkeypatch, stage):
+        # What a step may hold at once, beside what was live before it:
+        # each conv's input, which its tape keeps for the kernel gradient
+        # (the encoder's and one decoder's at a time, or the mixing
+        # module's); a bool ReLU mask per conv output; the loss's
+        # prediction and ground-truth maps; and the widest pullback's
+        # working set: its output gradient, the input gradient it builds
+        # and one band of row taps (1 MiB). Keeping the intermediates of
+        # KL and CC as primitive nodes, a copy of the blocks in each
+        # decoder tape and a second array per ReLU together exceeds it,
+        # by 2.2 MB in a temporal step and 0.3 MB in a mixing one.
+        before, peak, layers = self.step_peak(monkeypatch, stage)
+        # the mixing stage's frozen forward, before its steps, ran the
+        # other layers
+        groups = ("enc", "tdec", "idec") if stage == "temporal" else ("smm",)
+        layers = {name: sizes for name, sizes in layers.items()
+                  if name.split(".")[0] in groups}
+        kept = {g: sum(x for name, (x, _) in layers.items()
+                       if name.startswith(g + ".")) for g in groups}
+        held = sum(kept.values()) - (
+            min(kept["tdec"], kept["idec"]) if stage == "temporal" else 0)
+        masks = sum(out for _, out in layers.values()) / 8
+        maps = 4 * (5 if stage == "temporal" else 1) * 64 * 64 * 8
+        widest = max(x + out for x, out in layers.values())
+        budget = held + masks + 2 * maps + widest + 2 ** 20
+        assert peak - before < budget, (peak - before, budget)
+
+
 class TestTraining:
     def setup_method(self):
         self.rng = np.random.default_rng(66)
@@ -567,8 +640,8 @@ class TestTraining:
                 pullback_taps[-1] += 1
             return real_row_taps(*args)
 
-        def spying_conv(x, pt, name, stride=1):
-            out = real_conv(x, pt, name, stride)
+        def spying_conv(x, pt, name, stride=1, **kwargs):
+            out = real_conv(x, pt, name, stride, **kwargs)
             if name == "enc.c1":
                 node = out.tape.nodes[out.node_id]
                 inner = node.pullback
@@ -673,18 +746,50 @@ class TestTraining:
         # 3 steps at batch 1 is less than one full epoch of 4 images
         assert len(trace) == 1
 
-    def test_trace_csv_layout(self, tmp_path, monkeypatch):
-        """``tsal train --loss-csv`` writes the trace that ``model.train``
-        returns, a row per epoch; read back, every value is equal."""
-        (tmp_path / "images").mkdir()
+    def write_tree(self, root):
+        """``self.data`` as ``train``'s inputs under ``root``: images/,
+        maps/ and a base checkpoint, base.tspw."""
+        (root / "images").mkdir()
         data = self.data
         for i, (image, slices, full) in enumerate(
                 zip(data.images, data.gt_slices, data.gt_full)):
-            np.save(tmp_path / "images" / f"img{i}.npy", image)
+            np.save(root / "images" / f"img{i}.npy", image)
             for k, m in enumerate([*slices, full[0]]):
                 kind = f"t{k}" if k < len(slices) else "full"
-                write_map_tsal(tmp_path / "maps" / kind / f"img{i}.tsal", m)
-        ad.save_params(tmp_path / "base.tspw", model.init_params(self.cfg, 4))
+                write_map_tsal(root / "maps" / kind / f"img{i}.tsal", m)
+        ad.save_params(root / "base.tspw", model.init_params(self.cfg, 4))
+
+    def test_mixing_lets_go_of_images_and_slice_maps(self, tmp_path,
+                                                     monkeypatch):
+        # once the frozen outputs are built, neither tsal train nor
+        # model.train keeps the images or the slice maps
+        self.write_tree(tmp_path)
+        refs, freed = [], []
+        load, step = cli._load_train_data, model._train_step
+
+        def loading(*args):
+            ids, data = load(*args)
+            refs.extend(weakref.ref(a) for a in (data.images, data.gt_slices))
+            return ids, data
+
+        def checking_step(*args):
+            freed.append([ref() is None for ref in refs])
+            return step(*args)
+
+        monkeypatch.setattr(cli, "_load_train_data", loading)
+        monkeypatch.setattr(model, "_train_step", checking_step)
+        assert main(["train", "--stage", "mixing",
+                     "--images", str(tmp_path / "images"),
+                     "--maps", str(tmp_path / "maps"),
+                     "--base", str(tmp_path / "base.tspw"),
+                     "--out", str(tmp_path / "out.tspw"),
+                     "--epochs", "1", "--batch-size", "2"]) == 0
+        assert freed == [[True, True]] * 2
+
+    def test_trace_csv_layout(self, tmp_path, monkeypatch):
+        """``tsal train --loss-csv`` writes the trace that ``model.train``
+        returns, a row per epoch; read back, every value is equal."""
+        self.write_tree(tmp_path)
         traces = []
         train = model.train
 

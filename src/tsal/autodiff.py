@@ -683,29 +683,41 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8
               ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update with bias correction. Functional: returns fresh
-    param and state dicts. Params without a gradient are carried through
-    with a zero gradient."""
-    t = state.step + 1
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
+    """One Adam update with bias correction (Kingma & Ba,
+    arXiv:1412.6980), written in place: each parameter array and its
+    ``state.m`` and ``state.v`` arrays take their new values, and the
+    same ``params`` and ``state`` objects are returned, so a training
+    loop allocates nothing that outlives the step. The values are bit for
+    bit those of the functional update (``tests/oracles.py``).
+
+    Every gradient's shape is checked before anything is written, so a
+    mismatch leaves every array as it was. A parameter without a gradient
+    is updated with a zero gradient. A read-only parameter is made
+    writable for its own update only, and read-only again after it."""
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is not None and g.shape != p.shape:
+            raise ShapeMismatchError(
+                f"adam_step: gradient shape {g.shape} != param shape {p.shape} "
+                f"for {name}")
+    state.step += 1
+    t = state.step
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p)
-        if g.shape != p.shape:
-            raise ShapeMismatchError(
-                f"adam_step: gradient shape {g.shape} != param shape {p.shape} "
-                f"for {name}")
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        m, v = state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+        writeable = p.flags.writeable
+        p.flags.writeable = True
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.flags.writeable = writeable
+    return params, state
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +79,8 @@ class TrainSchedule:
             raise ConfigError("batch size, epochs, decay interval must be >= 1")
         if self.lr0 <= 0.0 or not 0.0 < self.decay_factor <= 1.0:
             raise ConfigError("need lr0 > 0 and decay factor in (0, 1]")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max steps must be >= 1, got {self.max_steps}")
 
     def lr_at(self, epoch: int) -> float:
         return self.lr0 * self.decay_factor ** (epoch // self.decay_every)
@@ -384,6 +386,17 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
     temporal step holds one decoder's tape at a time (``_train_step``),
     and a mixing step drops its input constants before its backward.
 
+    Nothing that outlives a step is allocated inside the loop. Training
+    works on read-only copies of what its steps read (the images, slice
+    and full maps in the temporal stage; the frozen outputs and full
+    maps in the mixing stage) and of the trainable parameters, so the
+    caller's ``data`` and ``base_params`` are never written. At each
+    epoch's start the rows of those copies move in place into that
+    epoch's ``rng.permutation`` order (``_permute_rows``), so a batch is
+    a slice, which each tape adopts as a view, and ``ad.adam_step``
+    updates the parameters and moments in place. Only the parameters
+    that stay untrained are kept beside them.
+
     Trace rows are (epoch, stage, mean epoch loss, lr).
     """
     loss_cfg = loss_cfg or LossConfig()
@@ -399,33 +412,41 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
     check_params(params, config)
     _check_data(data, config)
 
-    n_images = data.images.shape[0]
+    names = list(params)
     if schedule.stage == "temporal":
-        trainable, _ = _split_params(params)  # mixing params wait for stage 2
-        frozen = None
+        trainable, kept = _split_params(params)  # mixing params wait
+        rows = [_owned(a) for a in (data.images, data.gt_slices,
+                                    data.gt_full)]
+        data, frozen = TrainData(*rows), None
     else:
-        backbone, trainable = _split_params(params)
-        frozen = _frozen_outputs(data.images, backbone, schedule.batch_size)
+        kept, trainable = _split_params(params)
+        frozen = _frozen_outputs(data.images, kept, schedule.batch_size)
         # a mixing step reads only gt_full: let go of the rest
-        data = replace(data, images=None, gt_slices=None)
+        data = TrainData(None, None, _owned(data.gt_full))
+        rows = [*frozen, data.gt_full]
+    del params
+    trainable = {k: _owned(v) for k, v in trainable.items()}
 
     rng = np.random.default_rng(seed)
     state = ad.adam_init(trainable)
     trace: list[tuple[int, str, float, float]] = []
     steps_done = 0
+    arranged = np.arange(rows[0].shape[0])  # row i holds image arranged[i]
 
     for epoch in range(schedule.epochs):
         lr = schedule.lr_at(epoch)
-        order = rng.permutation(n_images)
+        order = rng.permutation(arranged.size)
+        _permute_rows(rows, np.argsort(arranged)[order])
+        arranged = order
         epoch_losses: list[float] = []
-        for start in range(0, n_images, schedule.batch_size):
+        for start in range(0, arranged.size, schedule.batch_size):
             if schedule.max_steps is not None and \
                     steps_done >= schedule.max_steps:
                 break
-            idx = order[start:start + schedule.batch_size]
             loss_value, grads = _train_step(
-                data, idx, trainable, frozen, schedule.stage, loss_cfg)
-            trainable, state = ad.adam_step(trainable, grads, state, lr=lr)
+                data, slice(start, start + schedule.batch_size), trainable,
+                frozen, schedule.stage, loss_cfg)
+            ad.adam_step(trainable, grads, state, lr=lr)
             epoch_losses.append(loss_value)
             steps_done += 1
         if epoch_losses:
@@ -434,9 +455,43 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
         if schedule.max_steps is not None and steps_done >= schedule.max_steps:
             break
 
-    out = dict(params)
-    out.update(trainable)
-    return out, trace
+    for a in trainable.values():
+        a.flags.writeable = True  # the caller's now
+    return {k: trainable[k] if k in trainable else kept[k]
+            for k in names}, trace
+
+
+def _owned(a: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of ``a``: ``Tape.constant`` and
+    ``Tape.param`` adopt it, and views of it, without a copy."""
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def _permute_rows(arrays: list[np.ndarray], take: np.ndarray) -> None:
+    """Rearrange the rows of each array in place, so that row i holds
+    what row ``take[i]`` held: ``a[:] = a[take]`` with one row of scratch
+    per cycle of ``take`` instead of a whole new array. The arrays are
+    writable only while their rows move, and read-only after."""
+    for a in arrays:
+        a.flags.writeable = True
+    done = np.zeros(take.size, dtype=bool)
+    for first in range(take.size):
+        if done[first] or take[first] == first:
+            continue
+        scratch = [a[first].copy() for a in arrays]
+        i = first
+        while take[i] != first:
+            for a in arrays:
+                a[i] = a[take[i]]
+            done[i] = True
+            i = take[i]
+        for a, row in zip(arrays, scratch):
+            a[i] = row
+        done[i] = True
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _frozen_outputs(images: np.ndarray, backbone: dict[str, np.ndarray],
@@ -485,12 +540,14 @@ def _decoder_grads(blocks: list[ad.Tensor], trainable: dict[str, np.ndarray],
             [grads[t.node_id] for t in leaves])
 
 
-def _train_step(data: TrainData, idx: np.ndarray,
+def _train_step(data: TrainData, idx: slice | np.ndarray,
                 trainable: dict[str, np.ndarray],
                 frozen: list[np.ndarray] | None, stage: str,
                 loss_cfg: LossConfig) -> tuple[float, dict[str, np.ndarray]]:
-    """One forward and backward over the images ``idx``. ``frozen`` is
-    the ``_frozen_outputs`` cache in the mixing stage, else None.
+    """One forward and backward over the rows ``idx`` of ``data``, or of
+    ``frozen``, the ``_frozen_outputs`` cache, in the mixing stage (else
+    None). ``train`` passes a slice of its own read-only arrays, which
+    every tape adopts as a view.
 
     The temporal stage holds one decoder's tape at a time, with no
     recomputation (the branch schedule of Chen et al., arXiv:1604.06174).

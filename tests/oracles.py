@@ -147,6 +147,28 @@ def temporal_step_one_tape(data, idx, trainable, loss_cfg):
     return float(loss.data), named
 
 
+def adam_step_functional(params, grads, state, lr, beta1=0.9, beta2=0.999,
+                         eps=1e-8):
+    """One Adam update written functionally: fresh parameter, ``m`` and
+    ``v`` arrays, nothing of the inputs written. The reference for the
+    in-place ``autodiff.adam_step``. Returns (params, (step, m, v))."""
+    step, m_in, v_in = state
+    t = step + 1
+    new_params, new_m, new_v = {}, {}, {}
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        m = beta1 * m_in[name] + (1.0 - beta1) * g
+        v = beta2 * v_in[name] + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_m[name] = m
+        new_v[name] = v
+    return new_params, (t, new_m, new_v)
+
+
 def cc_loss_composite(pred, gt):
     """Pearson correlation of each map over the last two axes, built
     from primitive tape nodes (about 20): the reference for

@@ -786,15 +786,70 @@ class TestAdam:
         assert np.allclose(new["w"], [1.0 - 0.01, -2.0 + 0.01], atol=1e-6)
         assert state.step == 1
 
-    def test_functional_no_mutation(self):
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([1.0])}
+    def test_updates_in_place_and_returns_same_objects(self):
+        params = {"w": np.array([1.0, -2.0]), "b": np.array([0.5])}
         state = ad.adam_init(params)
-        before = params["w"].copy()
-        m_before = state.m["w"].copy()
-        ad.adam_step(params, grads, state, lr=0.1)
-        assert np.array_equal(params["w"], before)
-        assert np.array_equal(state.m["w"], m_before)
+        arrays = {k: (params[k], state.m[k], state.v[k]) for k in params}
+        grads = {"w": np.array([0.3, -0.7]), "b": np.array([1.0])}
+        got_params, got_state = ad.adam_step(params, grads, state, lr=0.1)
+        assert got_params is params and got_state is state
+        assert state.step == 1
+        for k, (p, m, v) in arrays.items():
+            assert params[k] is p and state.m[k] is m and state.v[k] is v
+        assert not np.array_equal(params["w"], [1.0, -2.0])
+
+    def test_matches_functional_oracle_bit_for_bit(self):
+        # 25 steps with a different gradient each step; "frozen" never
+        # gets a gradient and "still" always gets a zero one
+        rng = np.random.default_rng(44)
+        params = {"w": rng.normal(size=(3, 2, 3, 3)),
+                  "b": rng.normal(size=(3,)),
+                  "frozen": rng.normal(size=(4,)),
+                  "still": rng.normal(size=(2, 2))}
+        want = {k: v.copy() for k, v in params.items()}
+        state = ad.adam_init(params)
+        want_state = (0, {k: np.zeros_like(v) for k, v in want.items()},
+                      {k: np.zeros_like(v) for k, v in want.items()})
+        for step in range(25):
+            grads = {"w": rng.normal(size=(3, 2, 3, 3)),
+                     "b": rng.normal(size=(3,)),
+                     "still": np.zeros((2, 2))}
+            lr = 0.05 * 0.5 ** (step // 10)
+            ad.adam_step(params, grads, state, lr=lr)
+            want, want_state = oracles.adam_step_functional(
+                want, grads, want_state, lr=lr)
+        assert state.step == want_state[0] == 25
+        for k in want:
+            assert params[k].tobytes() == want[k].tobytes(), k
+            assert state.m[k].tobytes() == want_state[1][k].tobytes(), k
+            assert state.v[k].tobytes() == want_state[2][k].tobytes(), k
+
+    def test_read_only_parameter_keeps_its_flag(self):
+        w = np.array([1.0, 2.0])
+        w.flags.writeable = False
+        params = {"w": w}
+        state = ad.adam_init(params)
+        ad.adam_step(params, {"w": np.array([1.0, 1.0])}, state, lr=0.1)
+        assert params["w"] is w and not w.flags.writeable
+        assert np.allclose(w, [0.9, 1.9])
+
+    def test_shape_mismatch_leaves_every_array_untouched(self):
+        # the bad gradient is the last one: nothing before it is updated
+        params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0]),
+                  "c": np.array([4.0, 5.0])}
+        state = ad.adam_init(params)
+        ad.adam_step(params, {k: np.ones_like(v) for k, v in params.items()},
+                     state, lr=0.1)
+        before = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy())
+                  for k in params}
+        grads = {"a": np.ones(2), "b": np.ones(1), "c": np.ones(3)}
+        with pytest.raises(ShapeMismatchError):
+            ad.adam_step(params, grads, state, lr=0.1)
+        assert state.step == 1
+        for k, (p, m, v) in before.items():
+            assert params[k].tobytes() == p.tobytes(), k
+            assert state.m[k].tobytes() == m.tobytes(), k
+            assert state.v[k].tobytes() == v.tobytes(), k
 
     def test_missing_grad_means_zero(self):
         params = {"w": np.array([1.0]), "frozen": np.array([2.0])}

@@ -5,6 +5,7 @@ changed. This test goes together with ``bootstrap.py``."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -14,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from tsal import model
+from tsal import autodiff, model
+from tsal.cli import main
+from tsal.gaze import write_map_tsal
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(model.__file__).resolve().parents[1]  # the tsal under test
@@ -82,3 +85,64 @@ def test_readme_training_feeds_the_conv_shape_table(monkeypatch):
     merged = {**seen["mixing"], **seen["temporal"]}
     for layer, shape in table.items():
         assert merged.get(layer) == shape, layer
+
+
+def bootstrap_counters() -> dict:
+    """bootstrap.py's ``COUNTERS``, from the file as it is."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_bootstrap", PERFBENCH / "bootstrap.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COUNTERS
+
+
+def test_counters_read_the_arguments_of_real_calls(tmp_path, monkeypatch):
+    # bootstrap.py applies each COUNTERS entry to the positional
+    # arguments of a call as its call site passes them, so the calls
+    # here go through tsal.cli as a bench run's do: a changed signature
+    # or call site fails here
+    counters = bootstrap_counters()
+    spied = {"model._train_step": (model, "_train_step"),
+             "model.train": (model, "train"),
+             "model.predict": (model, "predict"),
+             "autodiff.backward": (autodiff, "backward")}
+    counts = {name: [] for name in spied}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            counts[name].append(counters[name](args, result, 0.5))
+            return result
+        return wrapped
+
+    for name, (module, attr) in spied.items():
+        monkeypatch.setattr(module, attr, spy(name, getattr(module, attr)))
+    rng = np.random.default_rng(84)
+    (tmp_path / "images").mkdir()
+    for i in range(3):
+        np.save(tmp_path / "images" / f"img{i}.npy",
+                rng.uniform(size=(3, 16, 16)))
+        for kind in ("t0", "t1", "t2", "t3", "t4", "full"):
+            write_map_tsal(tmp_path / "maps" / kind / f"img{i}.tsal",
+                           rng.uniform(size=(16, 16)))
+    tree = ["--images", str(tmp_path / "images"),
+            "--maps", str(tmp_path / "maps"), "--batch-size", "2",
+            "--max-steps", "2"]
+    assert main(["train", "--stage", "temporal", *tree,
+                 "--out", str(tmp_path / "stage1.tspw")]) == 0
+    assert main(["train", "--stage", "mixing", *tree,
+                 "--base", str(tmp_path / "stage1.tspw"),
+                 "--out", str(tmp_path / "model.tspw")]) == 0
+    assert main(["predict", "--checkpoint", str(tmp_path / "model.tspw"),
+                 "--images", str(tmp_path / "images"),
+                 "--out", str(tmp_path / "pred"), "--jobs", "1"]) == 0
+    assert counts["model._train_step"] == [{"steps.temporal": 1}] * 2 + \
+        [{"steps.mixing": 1}] * 2
+    assert counts["model.train"] == [{"seconds.temporal": 0.5},
+                                     {"seconds.mixing": 0.5}]
+    assert counts["model.predict"] == [{"images": 1}] * 3
+    # a temporal step differentiates three tapes, a mixing step one
+    nodes = counts["autodiff.backward"]
+    assert len(nodes) == 2 * 3 + 2
+    assert all(c.keys() == {"tape_nodes"} and c["tape_nodes"] > 0
+               for c in nodes)

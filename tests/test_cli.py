@@ -1293,6 +1293,19 @@ class TestTrainPredictEval:
                    "--stage", "mixing", "--epochs", 1) == 2
         assert "--base" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_max_steps_below_one_is_one_error_line(self, dataset, tmp_path,
+                                                   capsys, steps):
+        # it used to train nothing, print "final loss nan" and write the
+        # initial parameters as a checkpoint
+        out = tmp_path / "model.tspw"
+        assert run("train", "--images", dataset["images"],
+                   "--maps", dataset["maps"], "--out", out,
+                   "--max-steps", steps) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: ConfigError: max steps must be >= 1, got {steps}")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kinds", [["t0", "t1", "t2", "t3", "t4"],
                                        ["full"]], ids=["slices", "full"])
     def test_map_size_differs_from_the_images(self, dataset, tmp_path,

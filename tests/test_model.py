@@ -19,7 +19,12 @@ from tsal.errors import (
 )
 from tsal.gaze import write_map_tsal
 
-from oracles import central_diff_grads, rel_err, temporal_step_one_tape
+from oracles import (
+    adam_step_functional,
+    central_diff_grads,
+    rel_err,
+    temporal_step_one_tape,
+)
 
 # small enough for finite differences, still exercises every wire
 TINY = model.ModelConfig(
@@ -78,6 +83,12 @@ class TestConfigValidation:
     def test_schedule_stage_name(self):
         with pytest.raises(ConfigError):
             model.TrainSchedule(stage="finetune")
+
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_schedule_needs_at_least_one_step(self, max_steps):
+        with pytest.raises(ConfigError, match="max steps must be >= 1"):
+            model.TrainSchedule(stage="temporal", max_steps=max_steps)
+        assert model.TrainSchedule(stage="temporal", max_steps=1).max_steps == 1
 
     def test_lr_decays_every_two_epochs(self):
         sched = model.TrainSchedule(stage="temporal")
@@ -813,3 +824,122 @@ class TestTraining:
                                              ["1", "temporal"]]
         assert [(int(e), s, float(loss), float(lr))
                 for e, s, loss, lr in rows] == traces[0]
+
+
+class TestTrainingOwnership:
+    """``train`` works on read-only copies of its inputs, rearranged in
+    place each epoch, and updates its parameters in place: every step
+    reads the same arrays, and the caller's are never written."""
+
+    cfg = model.ModelConfig(
+        enc_channels=(4, 6, 8, 10, 12), dec_channels=(8, 8, 6, 6),
+        head_hidden=6, smm_channels=(8, 6, 6, 6), n_slices=3)
+
+    def run(self, monkeypatch, stage, data, base):
+        """``train`` over 5 images at batch 2 for 3 epochs (a short last
+        batch each epoch); returns (params, trace, each step's
+        arguments)."""
+        steps = []
+        real_step = model._train_step
+
+        def spying_step(*args):
+            steps.append(args)
+            return real_step(*args)
+
+        sched = model.TrainSchedule(stage=stage, batch_size=2, lr0=1e-3,
+                                    epochs=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_train_step", spying_step)
+            params, trace = model.train(data, sched, seed=90,
+                                        base_params=base)
+        return params, trace, steps
+
+    @pytest.mark.parametrize("stage", ["temporal", "mixing"])
+    def test_caller_arrays_never_written_and_runs_repeat(self, monkeypatch,
+                                                         stage):
+        data = toy_data(np.random.default_rng(91), 5, self.cfg, 16, 16)
+        base = model.init_params(self.cfg, seed=92)
+        inputs = [data.images, data.gt_slices, data.gt_full, *base.values()]
+        before = [a.tobytes() for a in inputs]
+        runs = [self.run(monkeypatch, stage, data, base) for _ in range(2)]
+        assert [a.tobytes() for a in inputs] == before
+        assert all(a.flags.writeable for a in inputs)
+        (p1, t1, steps), (p2, t2, _) = runs
+        assert t1 == t2 and len(steps) == 9
+        assert ad.serialize_params(p1) == ad.serialize_params(p2)
+        # what the steps read and train are train's own arrays
+        for data_seen, _, trainable, frozen, *_ in steps:
+            read = [a for a in (*vars(data_seen).values(), *(frozen or ()))
+                    if a is not None]
+            for a in [*read, *trainable.values()]:
+                assert not any(np.shares_memory(a, b) for b in inputs)
+
+    def test_temporal_stage_matches_the_reference_loop(self):
+        # each epoch's batches as fancy-indexed copies of its permutation,
+        # the one-tape step and the functional Adam update: bit for bit
+        data = toy_data(np.random.default_rng(96), 5, self.cfg, 16, 16)
+        base = model.init_params(self.cfg, seed=97)
+        sched = model.TrainSchedule(stage="temporal", batch_size=2,
+                                    lr0=1e-3, epochs=3, decay_every=1)
+        got, _ = model.train(data, sched, seed=98, base_params=base)
+        want, _ = model._split_params(base)
+        state = (0, {k: np.zeros_like(v) for k, v in want.items()},
+                 {k: np.zeros_like(v) for k, v in want.items()})
+        rng = np.random.default_rng(98)
+        for epoch in range(sched.epochs):
+            order = rng.permutation(5)
+            for start in range(0, 5, sched.batch_size):
+                _, grads = temporal_step_one_tape(
+                    data, order[start:start + sched.batch_size], want,
+                    model.LossConfig())
+                want, state = adam_step_functional(want, grads, state,
+                                                   lr=sched.lr_at(epoch))
+        assert state[0] == 9
+        for k in base:
+            assert got[k].tobytes() == want.get(k, base[k]).tobytes(), k
+
+    @pytest.mark.parametrize("take", [
+        np.arange(7), np.roll(np.arange(7), 1), np.array([0]),
+        *(np.random.default_rng(s).permutation(9) for s in range(4))],
+        ids=["identity", "one-cycle", "one-row", *map(str, range(4))])
+    def test_permute_rows_equals_fancy_index(self, take):
+        rng = np.random.default_rng(93)
+        arrays = [rng.normal(size=(take.size, 2, 3)),
+                  rng.normal(size=(take.size, 4))]
+        want = [a[take] for a in arrays]
+        buffers = [a.__array_interface__["data"][0] for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False
+        model._permute_rows(arrays, take)
+        for a, w, buffer in zip(arrays, want, buffers):
+            assert a.tobytes() == w.tobytes()
+            assert a.__array_interface__["data"][0] == buffer
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("stage", ["temporal", "mixing"])
+    def test_every_step_reads_the_same_arrays(self, monkeypatch, stage):
+        data = toy_data(np.random.default_rng(94), 5, self.cfg, 16, 16)
+        base = model.init_params(self.cfg, seed=95)
+        entered = []
+        spied = "encode" if stage == "temporal" else "smm"
+        real = getattr(model, spied)
+
+        def spying(*args):
+            x = args[0] if stage == "temporal" else args[0][0]
+            entered.append(x.data)
+            return real(*args)
+
+        monkeypatch.setattr(model, spied, spying)
+        _, _, steps = self.run(monkeypatch, stage, data, base)
+        first_data, _, first_trainable, first_frozen, *_ = steps[0]
+        source = first_data.images if stage == "temporal" else first_frozen[0]
+        for (data_seen, idx, trainable, frozen, *_), x in zip(steps, entered):
+            assert isinstance(idx, slice)
+            if stage == "temporal":
+                assert data_seen.images is source
+            else:
+                assert frozen[0] is source
+            assert trainable.keys() == first_trainable.keys()
+            assert all(trainable[k] is first_trainable[k] for k in trainable)
+            assert np.shares_memory(x, source)
+        assert len(entered) == len(steps) == 9

@@ -45,7 +45,8 @@ from .errors import (
     TsalError,
     UnrecoverableObserverError,
 )
-from .fileio import atomic_write_bytes, naming, reading, write_csv
+from .fileio import (atomic_write_bytes, naming, reading, staged_tree,
+                     write_csv)
 from .gaze import (
     DEFAULT_SLICES,
     DEFAULT_SPATIAL_WEIGHT,
@@ -57,7 +58,6 @@ from .gaze import (
     check_time_range,
     group_gaze,
     group_rows,
-    nearest_pixels,
     rasterize,
     read_fixation_table,
     read_gaze_jsonl,
@@ -309,20 +309,21 @@ def _synth_one(item, out_dir: str, seed: int, observers: int,
 
 def cmd_synth(args) -> None:
     specs = synth.read_scenes(args.scene)
-    out = Path(args.out)
-    worker = functools.partial(
-        _synth_one, out_dir=args.out, seed=args.seed,
-        observers=args.observers, samples_per_sec=args.samples_per_sec,
-        fixation_rate=args.fixation_rate, rho=args.rho, jitter=args.jitter,
-        t_total=args.t_total)
-    results = _run_parallel(args.jobs, worker, list(enumerate(specs)))
+    with staged_tree(args.out) as staged:
+        worker = functools.partial(
+            _synth_one, out_dir=staged, seed=args.seed,
+            observers=args.observers, samples_per_sec=args.samples_per_sec,
+            fixation_rate=args.fixation_rate, rho=args.rho,
+            jitter=args.jitter, t_total=args.t_total)
+        results = _run_parallel(args.jobs, worker, list(enumerate(specs)))
 
-    gaze, truth = zip(*results)
-    gaze, truth = GazeTable.concat(gaze), FixationTable.concat(truth)
-    write_gaze_jsonl(out / "gaze.jsonl", gaze)
-    write_fixations_csv(out / "fixations.csv",
-                        replace(truth, t_ms=None, slice_index=None))
-    write_fixations_csv(out / "truth" / "fixations.csv", truth)
+        gaze, truth = zip(*results)
+        gaze, truth = GazeTable.concat(gaze), FixationTable.concat(truth)
+        out = Path(staged)
+        write_gaze_jsonl(out / "gaze.jsonl", gaze)
+        write_fixations_csv(out / "fixations.csv",
+                            replace(truth, t_ms=None, slice_index=None))
+        write_fixations_csv(out / "truth" / "fixations.csv", truth)
     print(f"synthesized {len(specs)} images, {len(truth)} fixations, "
           f"{len(gaze)} gaze samples")
 
@@ -376,17 +377,19 @@ def cmd_slice(args) -> None:
 # rasterize
 # ---------------------------------------------------------------------------
 
-def _rasterize_one(item, out_dir: str, n: int, sigma: float | None,
-                   norm_name: str):
+def _rasterize_one(item, out_dir: str, fixations_path: str, n: int,
+                   sigma: float | None, norm_name: str):
     image_id, (width, height), xs, ys, slice_of = item
     norm = NORMALIZATION_NAMES[norm_name]
-    for k in range(n):
-        m = rasterize(xs[slice_of == k], ys[slice_of == k], width, height,
-                      sigma_px=sigma, normalization=norm)
-        _write_map(out_dir, f"t{k}", image_id, m, norm)
-    full = rasterize(xs, ys, width, height, sigma_px=sigma,
-                     normalization=norm)
-    _write_map(out_dir, "full", image_id, full, norm)
+    maps = {f"t{k}": (slice_of == k, f" slice {k}") for k in range(n)}
+    maps["full"] = (slice(None), "")
+    for kind, (rows, which) in maps.items():
+        with naming(fixations_path, PreconditionError), naming(
+                f"{fixations_path}: image {image_id!r}{which}",
+                DegenerateMapError):
+            m = rasterize(xs[rows], ys[rows], width, height, sigma_px=sigma,
+                          normalization=norm)
+        _write_map(out_dir, kind, image_id, m, norm)
     return image_id
 
 
@@ -412,16 +415,15 @@ def cmd_rasterize(args) -> None:
         raise PreconditionError(
             f"fixation references unknown image {unknown[0]!r}")
     items = []
-    # a fixation off its image is refused before the first map is written
-    with naming(args.fixations, PreconditionError):
-        for image_id in ids:
-            rows = groups.get(image_id, slice(0))  # slice(0): no rows
-            xs, ys = fixations.x[rows], fixations.y[rows]
-            nearest_pixels(xs, ys, *dims[image_id])
-            items.append((image_id, dims[image_id], xs, ys, slice_of[rows]))
-    worker = functools.partial(_rasterize_one, out_dir=args.out, n=args.n,
-                               sigma=args.sigma, norm_name=args.normalize)
-    _run_parallel(args.jobs, worker, items)
+    for image_id in ids:
+        rows = groups.get(image_id, slice(0))  # slice(0): no rows
+        items.append((image_id, dims[image_id], fixations.x[rows],
+                      fixations.y[rows], slice_of[rows]))
+    with staged_tree(args.out) as staged:
+        worker = functools.partial(
+            _rasterize_one, out_dir=staged, fixations_path=args.fixations,
+            n=args.n, sigma=args.sigma, norm_name=args.normalize)
+        _run_parallel(args.jobs, worker, items)
     print(f"rasterized {len(ids)} images x {args.n} slices -> {args.out}")
 
 
@@ -455,29 +457,30 @@ def cmd_analyze(args) -> None:
                                                      averages)
     diffs = (analysis.consecutive_differences(averages)
              if len(kinds) >= 2 else [])
-
-    # everything is computed: no error can leave a partial output
-    out = Path(args.out)
-    for k, m in enumerate(averages):
-        write_map_tsal(out / "average" / f"t{k}.tsal", m,
-                       Normalization.SUM_TO_ONE)
-        write_map_pgm(out / "average" / f"t{k}.pgm", m)
-    slices = [f"t{k + 1}" for k in range(len(kinds))]
-    write_csv(out / "correlation.csv", ["slice", *slices, "skipped_max"],
-              ([name, *v, k] for name, v, k in zip(
-                  slices, values.tolist(), pair_skipped.max(axis=1).tolist())))
-    write_csv(out / "deviation.csv",
-              ["slice", "mean_cc_to_average", "skipped"],
-              zip(slices, scores, skipped.tolist()))
-    for k, d in enumerate(diffs):
-        write_signed_tsal(out / "diff" / f"d{k}.tsal", d)
-        write_diff_ppm(out / "diff" / f"d{k}.ppm", d)
-    dt, ds = args.t_total / grid.shape[0], 1.0 / grid.shape[1]
-    write_csv(out / "histogram.csv",
-              ["time_bin_start_ms", "saliency_bin_start", "count"],
-              ((bt * dt, bs * ds, count)
-               for bt, counts in enumerate(grid.tolist())
-               for bs, count in enumerate(counts)))
+    with staged_tree(args.out) as staged:
+        out = Path(staged)
+        for k, m in enumerate(averages):
+            write_map_tsal(out / "average" / f"t{k}.tsal", m,
+                           Normalization.SUM_TO_ONE)
+            write_map_pgm(out / "average" / f"t{k}.pgm", m)
+        slices = [f"t{k + 1}" for k in range(len(kinds))]
+        write_csv(out / "correlation.csv",
+                  ["slice", *slices, "skipped_max"],
+                  ([name, *v, k] for name, v, k in zip(
+                      slices, values.tolist(),
+                      pair_skipped.max(axis=1).tolist())))
+        write_csv(out / "deviation.csv",
+                  ["slice", "mean_cc_to_average", "skipped"],
+                  zip(slices, scores, skipped.tolist()))
+        for k, d in enumerate(diffs):
+            write_signed_tsal(out / "diff" / f"d{k}.tsal", d)
+            write_diff_ppm(out / "diff" / f"d{k}.ppm", d)
+        dt, ds = args.t_total / grid.shape[0], 1.0 / grid.shape[1]
+        write_csv(out / "histogram.csv",
+                  ["time_bin_start_ms", "saliency_bin_start", "count"],
+                  ((bt * dt, bs * ds, count)
+                   for bt, counts in enumerate(grid.tolist())
+                   for bs, count in enumerate(counts)))
     print(f"analyzed {len(ids)} images x {len(kinds)} slices -> {args.out}")
 
 
@@ -554,12 +557,11 @@ def cmd_predict(args) -> None:
     model.check_params(params, model.infer_config(params))
     items = [(i, Path(args.images) / f"{i}.npy")
              for i in _ids(args.images, ".npy")]
-    # every image is checked before the first map is written, and each
-    # worker reads its image again: one image in memory at a time
-    for _, path in items:
-        _load_image(path)
-    worker = functools.partial(_predict_one, out_dir=args.out, params=params)
-    _run_parallel(args.jobs, worker, items)
+    # each worker reads its own image: one image in memory at a time
+    with staged_tree(args.out) as staged:
+        worker = functools.partial(_predict_one, out_dir=staged,
+                                   params=params)
+        _run_parallel(args.jobs, worker, items)
     print(f"predicted {len(items)} images -> {args.out}")
 
 

@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, file artifacts, determinism."""
 
+import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsal import cli, model
+from tsal import cli, fileio, gaze, model
 from tsal.autodiff import load_params, save_params
 from tsal.cli import _read_stack, _worker_count, main
 from tsal.errors import (
@@ -755,14 +758,18 @@ class TestRasterize:
                 m = read_map_tsal(path)
                 assert m.shape == (64, 64)
 
-    def test_normalized_empty_slice_is_degenerate(self, workdir, dataset,
-                                                  capsys):
-        # over-provision n so the last slice has no fixations
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_normalized_empty_slice_is_degenerate(self, dataset, tmp_path,
+                                                  capsys, jobs):
+        # over-provision n so that slices 5 and 6 have no fixations
+        out = tmp_path / "maps"
         assert run("rasterize", "--fixations", dataset["sliced"],
-                   "--images", dataset["images"],
-                   "--out", workdir / "maps_degen", "--n", 7,
-                   "--normalize", "sum") == 3
-        assert "DegenerateMapError" in capsys.readouterr().err
+                   "--images", dataset["images"], "--out", out, "--n", 7,
+                   "--normalize", "sum", "--jobs", jobs) == 3
+        assert only_error_line(capsys) == (
+            f"tsal: DegenerateMapError: {dataset['sliced']}: image 'img000' "
+            f"slice 5: no fixations: cannot produce a normalized map")
+        assert not out.exists()
 
     def test_kernel_wider_than_the_map(self, workdir, dataset):
         # sigma 40 gives a 241-tap kernel on 64x64 maps
@@ -793,8 +800,8 @@ class TestRasterize:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fixation_outside_its_image_names_the_csv(self, tmp_path, capsys,
                                                       jobs):
-        # img000's maps could be written before img001's worker runs: the
-        # fixations are checked against their image before any map is
+        # img000's maps are written before img001's worker finds the
+        # fixation; the staged tree is then removed whole
         images = tmp_path / "images"
         images.mkdir()
         for image_id in ("img000", "img001"):
@@ -812,7 +819,7 @@ class TestRasterize:
         assert only_error_line(capsys) == (
             f"tsal: PreconditionError: {fixations}: fixation at (50.0, 1.0) "
             f"outside 8x6 image")
-        assert not out.exists() or not any(out.rglob("*"))
+        assert not out.exists()
 
     def test_unknown_image_reference_exits_two(self, workdir, dataset):
         rogue = workdir / "rogue.csv"
@@ -1377,8 +1384,8 @@ class TestTrainPredictEval:
             f"No data left in file")
         assert not out.exists()
 
-    def test_predict_reads_every_image_before_writing(self, dataset, trained,
-                                                      tmp_path, capsys):
+    def test_bad_image_leaves_no_predictions(self, dataset, trained,
+                                             tmp_path, capsys):
         images = tmp_path / "images"
         shutil.copytree(dataset["images"], images)
         np.save(images / "img002.npy", np.ones((64, 64)))
@@ -1406,6 +1413,7 @@ class TestTrainPredictEval:
         assert only_error_line(capsys) == (
             f"tsal: NonFiniteError: {images / 'img001.npy'}: conv2d "
             f"produced NaN or Inf values")
+        assert not (tmp_path / "pred").exists()
 
     def test_predict_keeps_one_image_in_memory(self, tmp_path):
         """Over 16 images predict peaks within a few image arrays of its
@@ -1492,6 +1500,113 @@ class TestTrainPredictEval:
                    "--gt", analysis_dir / "average",
                    "--fixations", dataset["sliced"],
                    "--out", workdir / "x.csv") == 2
+
+
+def snapshot(root: Path) -> dict:
+    """Every path under ``root``: a file's bytes, None for a directory."""
+    return {p.relative_to(root).as_posix():
+            None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+class TestStagedOutput:
+    """A multi-file stage's tree appears whole or not at all."""
+
+    # each stage's arguments besides --out, and the file it writes last
+    STAGES = {
+        "synth": (lambda d, t: ("--scene", d["scene"], "--seed", 5,
+                                "--observers", 3, "--samples-per-sec", 20),
+                  "truth/fixations.csv"),
+        "rasterize": (lambda d, t: ("--fixations", d["sliced"],
+                                    "--images", d["images"]),
+                      "full/img003.tsal"),
+        "analyze": (lambda d, t: ("--maps", d["maps"],
+                                  "--fixations", d["sliced"]),
+                    "histogram.csv"),
+        "predict": (lambda d, t: ("--checkpoint", t["final"],
+                                  "--images", d["images"]),
+                    "t4/img003.tsal"),
+    }
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["absent", "existing"])
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_failed_last_write_leaves_out_as_it_was(
+            self, dataset, trained, tmp_path, monkeypatch, capsys, stage,
+            existing):
+        inputs, last = self.STAGES[stage]
+        argv = (stage, *inputs(dataset, trained))
+        root = tmp_path / "run"
+        out = root / "out"
+        root.mkdir()
+        if existing:  # a whole tree of the stage, each file marked
+            run0(*argv, "--out", out)
+            for path in out.rglob("*"):
+                if path.is_file():
+                    path.write_bytes(b"old " + path.name.encode())
+            (out / "extra.txt").write_bytes(b"kept")
+        before = snapshot(root)
+        written = []
+        real = fileio.atomic_writer
+
+        @contextlib.contextmanager
+        def failing_writer(path):
+            with real(path) as fh:
+                yield fh
+                if root in Path(path).parents:  # not the scene cache
+                    written.append(Path(path).as_posix())
+                    if written[-1].endswith(last):
+                        raise OSError(errno.ENOSPC, "No space left on device")
+        for module in (fileio, gaze):
+            monkeypatch.setattr(module, "atomic_writer", failing_writer)
+        capsys.readouterr()
+        assert run(*argv, "--out", out) == 2  # --jobs 1: in this process
+        assert only_error_line(capsys) == (
+            "tsal: OSError: [Errno 28] No space left on device")
+        assert snapshot(root) == before
+        if existing:  # the failed write was the stage's last
+            assert len(written) == sum(p.is_file() for p in out.rglob("*")) - 1
+
+    def test_run_into_an_existing_tree_replaces_its_files(
+            self, dataset, tmp_path):
+        out = tmp_path / "maps"
+        (out / "t0").mkdir(parents=True)
+        (out / "t0" / "img000.tsal").write_bytes(b"old")
+        (out / "t0" / "extra.tsal").write_bytes(b"kept")
+        run0("rasterize", "--fixations", dataset["sliced"],
+             "--images", dataset["images"], "--out", out)
+        fresh = snapshot(dataset["maps"])
+        assert snapshot(out) == {**fresh, "t0/extra.tsal": b"kept"}
+        assert os.listdir(tmp_path) == ["maps"]
+
+    def test_new_tree_gets_the_mode_of_makedirs(self, dataset, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        out = tmp_path / "maps"
+        run0("rasterize", "--fixations", dataset["sliced"],
+             "--images", dataset["images"], "--out", out)
+        for d in (out, out / "full"):
+            assert stat.S_IMODE(d.stat().st_mode) == 0o777 & ~umask
+        assert stat.S_IMODE((out / "full" / "img000.tsal").stat().st_mode) \
+            == 0o600
+
+    @pytest.mark.parametrize("target", ["directory", "file"], ids=[
+        "slice-into-directory", "rasterize-into-file"])
+    def test_failed_final_rename_names_the_target(
+            self, dataset, tmp_path, capsys, target):
+        out = tmp_path / "out"
+        if target == "directory":
+            out.mkdir()
+            argv = ("slice", "--fixations", dataset["recovered"])
+            error = "IsADirectoryError: [Errno 21] Is a directory"
+        else:
+            out.write_bytes(b"a file")
+            argv = ("rasterize", "--fixations", dataset["sliced"],
+                    "--images", dataset["images"])
+            error = "NotADirectoryError: [Errno 20] Not a directory"
+        assert run(*argv, "--out", out) == 2
+        assert only_error_line(capsys) == f"tsal: {error}: '{out}'"
+        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestConfigPrecedence:

@@ -123,24 +123,35 @@ def test_only_fileio_writes_csv(module):
     assert csv_writers((SRC / module).read_text()) == []
 
 
+# the os functions that make, move or remove a path
+PATH_CHANGES = ("replace", "makedirs", "mkdir", "rename", "remove", "unlink")
+
+
 def file_replacements(source: str) -> list[str]:
-    """Uses of ``tempfile`` or ``os.replace``, the atomic-write idiom: an
-    import of ``tempfile`` or from it, ``from os import replace`` and any
-    ``os.replace`` attribute, as ``name@line`` in line order."""
+    """Code that makes, moves or removes paths, which only ``fileio`` may
+    do (atomic files and staged trees): an import of ``tempfile`` or
+    ``shutil`` or from either, a ``PATH_CHANGES`` name imported from
+    ``os`` or read as an ``os`` attribute, and any ``.mkdir(`` call, as
+    ``name@line`` in line order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found += [(node.lineno, "tempfile") for a in node.names
-                      if a.name.split(".")[0] == "tempfile"]
+            found += [(node.lineno, a.name.split(".")[0]) for a in node.names
+                      if a.name.split(".")[0] in ("tempfile", "shutil")]
         elif isinstance(node, ast.ImportFrom):
-            if node.module == "tempfile":
-                found.append((node.lineno, "tempfile"))
-            elif node.module == "os" and any(a.name == "replace"
-                                             for a in node.names):
-                found.append((node.lineno, "os.replace"))
-        elif isinstance(node, ast.Attribute) and node.attr == "replace" \
+            if node.module in ("tempfile", "shutil"):
+                found.append((node.lineno, node.module))
+            elif node.module == "os":
+                found += [(node.lineno, f"os.{a.name}") for a in node.names
+                          if a.name in PATH_CHANGES]
+        elif isinstance(node, ast.Attribute) and node.attr in PATH_CHANGES \
                 and isinstance(node.value, ast.Name) and node.value.id == "os":
-            found.append((node.lineno, "os.replace"))
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute) and node.func.attr == "mkdir" \
+                and not (isinstance(node.func.value, ast.Name)
+                         and node.func.value.id == "os"):
+            found.append((node.lineno, ".mkdir"))
     return [f"{name}@{line}" for line, name in sorted(found)]
 
 
@@ -148,9 +159,18 @@ def test_checker_finds_file_replacements():
     source = ("import os, tempfile\nfrom os import replace, path\n"
               "from tempfile import mkstemp\n"
               "def f(p, text):\n    fd, tmp = mkstemp()\n"
-              "    os.replace(tmp, p)\n    return text.replace('a', 'b')\n")
+              "    os.replace(tmp, p)\n    return text.replace('a', 'b')\n"
+              "import shutil.util\nfrom shutil import rmtree\n"
+              "from os import makedirs, unlink, getcwd\n"
+              "def g(p):\n    os.makedirs(p)\n    os.mkdir(p)\n"
+              "    p.mkdir(parents=True)\n    os.rename(p, p)\n"
+              "    os.remove(p)\n    os.unlink(p)\n    os.listdir(p)\n"
+              "    p.mkdir_like(p)\n")
     assert file_replacements(source) == [
-        "tempfile@1", "os.replace@2", "tempfile@3", "os.replace@6"]
+        "tempfile@1", "os.replace@2", "tempfile@3", "os.replace@6",
+        "shutil@8", "shutil@9", "os.makedirs@10", "os.unlink@10",
+        "os.makedirs@12", "os.mkdir@13", ".mkdir@14", "os.rename@15",
+        "os.remove@16", "os.unlink@17"]
 
 
 @pytest.mark.parametrize("module", sorted(

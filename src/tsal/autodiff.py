@@ -1,9 +1,13 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Deliberately small: exactly the operations needed to express a
-convolutional encoder/decoder saliency network and its CC/KL losses.
-Everything is float64 so that analytic gradients can be checked against
-central finite differences to tight tolerances.
+Deliberately small: exactly the operations the saliency network records
+(``add``, ``sub``, ``mul``, ``sigmoid``, ``reduce_sum``, ``reduce_mean``,
+``concat_channels``, ``take_maps``, ``conv2d``, ``resize_bilinear``). Its
+CC and KL losses and ``model.minmax01`` are one node each; the primitives
+that only their composite oracles use (``div``, ``log``, ``sqrt``,
+``reduce_min``, ``reduce_max``) live in ``tests/oracles.py``. Everything
+is float64 so that analytic gradients can be checked against central
+finite differences to tight tolerances.
 
 A ``Tape`` records one forward computation as an append-only list of
 nodes; inputs of a node always have smaller node ids, so ``backward``
@@ -168,8 +172,7 @@ def _binary(op: str, a: Tensor, b: Tensor, fwd, da, db) -> Tensor:
     reads, so the tape keeps no other forward value."""
     tape = _same_tape(a, b)
     try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = fwd(a.data, b.data)
+        out = fwd(a.data, b.data)
     except ValueError as exc:
         raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} "
                                  f"do not broadcast") from exc
@@ -198,31 +201,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", a, b, np.multiply,
                    lambda x, y: lambda g: g * y, lambda x, y: lambda g: g * x)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("div", a, b, np.divide,
-                   lambda x, y: lambda g: g / y,
-                   lambda x, y: lambda g: -g * x / (y * y))
-
-
-def log(a: Tensor) -> Tensor:
-    x = a.data
-
-    def pullback(g):
-        return (g / x,)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x)
-    return a.tape._record("log", (a.node_id,), pullback, out)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    with np.errstate(invalid="ignore"):
-        y = np.sqrt(a.data)
-
-    def pullback(g):
-        return (g * 0.5 / y,)
-    return a.tape._record("sqrt", (a.node_id,), pullback, y)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -269,40 +247,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     out = a.data.mean(axis=axes if axes else None, keepdims=keepdims)
     return a.tape._record("mean", (a.node_id,), pullback, np.asarray(out))
-
-
-def _extreme(a: Tensor, axis, keepdims: bool, take_max: bool) -> Tensor:
-    """Shared min/max reduction. Ties send the gradient to the first
-    extremal element (row-major order), which keeps backward deterministic."""
-    axes = _norm_axes(axis, a.data.ndim)
-    kept = tuple(i for i in range(a.data.ndim) if i not in axes)
-    perm = kept + axes
-    moved = np.transpose(a.data, perm)
-    lead = moved.shape[:len(kept)]
-    flat = moved.reshape(int(np.prod(lead)) if lead else 1, -1)
-    idx = flat.argmax(axis=1) if take_max else flat.argmin(axis=1)
-    vals = flat[np.arange(flat.shape[0]), idx]
-    out = vals.reshape(lead)
-    if keepdims:
-        out = np.expand_dims(out, axes) if axes else out
-    flat_shape, moved_shape = flat.shape, moved.shape  # not the views of x
-
-    def pullback(g):
-        rows = flat_shape[0]
-        buf = np.zeros(flat_shape)
-        buf[np.arange(rows), idx] = np.asarray(g).reshape(rows)
-        return (np.transpose(buf.reshape(moved_shape), np.argsort(perm)),)
-
-    name = "max" if take_max else "min"
-    return a.tape._record(name, (a.node_id,), pullback, np.asarray(out))
-
-
-def reduce_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _extreme(a, axis, keepdims, take_max=True)
-
-
-def reduce_min(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _extreme(a, axis, keepdims, take_max=False)
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
@@ -611,15 +555,6 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         return (ry.T @ g @ rx,)
 
     return x.tape._record("resize", (x.node_id,), pullback, ry @ x.data @ rx.T)
-
-
-def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Integer-factor bilinear upsampling with half-pixel centers."""
-    if not isinstance(factor, int) or factor < 1:
-        raise ConfigError(f"upsample factor must be a positive integer, got {factor}")
-    if x.data.ndim != 4:
-        raise ShapeMismatchError(f"upsample_bilinear expects NCHW, got {x.shape}")
-    return resize_bilinear(x, x.shape[2] * factor, x.shape[3] * factor)
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:

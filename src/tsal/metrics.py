@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (
     DegenerateMapError,
+    GraphError,
     PreconditionError,
     ShapeMismatchError,
 )
@@ -184,6 +185,8 @@ def mean_map(maps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _map_axes(pred: ad.Tensor, gt: ad.Tensor, name: str) -> tuple[int, int]:
+    if gt.live:  # the node would give it no gradient
+        raise GraphError(f"{name}: gt must not depend on a parameter")
     if pred.shape != gt.shape:
         raise ShapeMismatchError(
             f"{name}: shapes {pred.shape} and {gt.shape} differ")
@@ -194,7 +197,7 @@ def cc_loss_node(pred: ad.Tensor, gt: ad.Tensor) -> ad.Tensor:
     """Pearson correlation of each map as one tape node (same value as
     cc()). Reduces the last two axes: a 2-D map gives a scalar, a
     (K, H, W) stack gives (K,). ``gt`` is read as a value and gets no
-    gradient.
+    gradient, so a live ``gt`` raises ``GraphError``.
 
     The forward is the numpy expression sequence cov / (sd_p * sd_g) of
     the centred maps. The pullback keeps only ``pred`` and ``gt`` and
@@ -239,7 +242,8 @@ def kl_loss_node(pred: ad.Tensor, gt: ad.Tensor, eps: float = EPS) -> ad.Tensor:
     """Regularized divergence of each pred map from its gt map as one
     tape node, both sum-normalized (same value as kl()). Reduces the
     last two axes: a 2-D map gives a scalar, a (K, H, W) stack gives
-    (K,). ``gt`` is read as a value and gets no gradient.
+    (K,). ``gt`` is read as a value and gets no gradient, so a live
+    ``gt`` raises ``GraphError``.
 
     The forward is the numpy expression sequence of
     sum(g * log(g / (p + eps) + eps)) over the normalized maps. The

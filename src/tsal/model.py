@@ -199,7 +199,8 @@ def decode_trunk(blocks: list[ad.Tensor], pt: dict[str, ad.Tensor],
     x = blocks[4]
     for k in (4, 3, 2, 1):
         x = _conv(x, pt, f"{prefix}.d{k}", relu=True)
-        x = ad.concat_channels([ad.upsample_bilinear(x, 2), blocks[k - 1]])
+        skip = blocks[k - 1]  # twice x's height and width
+        x = ad.concat_channels([ad.resize_bilinear(x, *skip.shape[2:]), skip])
     return x
 
 
@@ -222,14 +223,36 @@ def decode_image(blocks: list[ad.Tensor],
 
 
 def minmax01(x: ad.Tensor) -> ad.Tensor:
-    """Per-sample min-max rescale to [0,1]. No clamp is needed: for
-    lo <= x <= hi, rounding is monotone, so the rounded x - lo is at
-    most the rounded hi - lo and their quotient rounds into [0, 1]."""
-    lo = ad.reduce_min(x, axis=(1, 2, 3), keepdims=True)
-    hi = ad.reduce_max(x, axis=(1, 2, 3), keepdims=True)
-    if np.any(hi.data - lo.data <= 0.0):
+    """Per-sample min-max rescale to [0,1], ``(x - lo) / (hi - lo)``, as
+    one tape node. No clamp is needed: for lo <= x <= hi, rounding is
+    monotone, so the rounded x - lo is at most the rounded hi - lo and
+    their quotient rounds into [0, 1]. On a tie, the gradients of lo and
+    hi go to the sample's first minimum and maximum in row-major order.
+    ``x`` is listed twice, for the quotient's term and for lo and hi's,
+    so ``backward`` adds the terms as the five nodes of
+    ``tests/oracles.py::minmax01_composite`` do, bit for bit."""
+    n = x.shape[0]
+    flat = x.data.reshape(n, -1)
+    rows = np.arange(n)
+    first_min, first_max = flat.argmin(axis=1), flat.argmax(axis=1)
+    lo = flat[rows, first_min].reshape(n, 1, 1, 1)
+    span = flat[rows, first_max].reshape(n, 1, 1, 1) - lo
+    if np.any(span <= 0.0):
         raise DegenerateMapError("cannot min-max normalize a constant map")
-    return ad.div(ad.sub(x, lo), ad.sub(hi, lo))
+    shifted = x.data - lo
+    flat_shape, shape = flat.shape, x.shape  # not x: a cycle via its tape
+
+    def pullback(g):
+        g_shifted = g / span
+        g_span = ad._unbroadcast(-g * shifted / (span * span), span.shape)
+        g_lo = -g_span + ad._unbroadcast(-g_shifted, span.shape)
+        g_ends = np.zeros(flat_shape)
+        g_ends[rows, first_max] = g_span.reshape(n)
+        g_ends[rows, first_min] = g_lo.reshape(n)
+        return g_shifted, g_ends.reshape(shape)
+
+    return x.tape._record("minmax01", (x.node_id, x.node_id), pullback,
+                          shifted / span)
 
 
 def smm(blocks: list[ad.Tensor], temporal: ad.Tensor, image_map: ad.Tensor,
@@ -242,13 +265,13 @@ def smm(blocks: list[ad.Tensor], temporal: ad.Tensor, image_map: ad.Tensor,
             image_map.shape[0] != blocks[0].shape[0]:
         raise ShapeMismatchError("batch sizes disagree across mixing inputs")
     x = _conv(ad.concat_channels(
-        [ad.upsample_bilinear(blocks[4], 2), blocks[3]]), pt, "smm.s4",
-        relu=True)
+        [ad.resize_bilinear(blocks[4], *blocks[3].shape[2:]), blocks[3]]),
+        pt, "smm.s4", relu=True)
     for k in (3, 2, 1):
-        stage = blocks[k - 1]
+        stage = blocks[k - 1]  # twice x's height and width
         sh, sw = stage.shape[2], stage.shape[3]
         x = _conv(ad.concat_channels([
-            ad.upsample_bilinear(x, 2),
+            ad.resize_bilinear(x, sh, sw),
             stage,
             ad.resize_bilinear(image_map, sh, sw),
             ad.resize_bilinear(temporal, sh, sw),

@@ -7,8 +7,10 @@ under test, so agreement between the two is meaningful; the two
 exceptions are ``evaluate_directories_oracle``, a slower loop over the
 package's own per-image scores, ``temporal_step_one_tape``, the
 temporal training step over the package's own network pieces, and the
-loss composites ``cc_loss_composite`` and ``kl_loss_composite``, built
-from the package's own primitive tape nodes.
+composites ``cc_loss_composite``, ``kl_loss_composite`` and
+``minmax01_composite``, built from primitive tape nodes: the package's
+own and the ones only they use (``div``, ``log``, ``sqrt``,
+``reduce_min`` and ``reduce_max``), which live here.
 """
 
 import io
@@ -18,6 +20,9 @@ import os
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from tsal import autodiff as ad
+from tsal.errors import DegenerateMapError
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +135,6 @@ def temporal_step_one_tape(data, idx, trainable, loss_cfg):
     their sum. Returns (loss value, gradients by parameter name), the
     reference for ``model._train_step``'s one-decoder-tape-at-a-time
     schedule."""
-    from tsal import autodiff as ad
     from tsal import model
 
     tape = ad.Tape()
@@ -169,33 +173,105 @@ def adam_step_functional(params, grads, state, lr, beta1=0.9, beta2=0.999,
     return new_params, (t, new_m, new_v)
 
 
+# ---------------------------------------------------------------------------
+# Composite tape nodes: the primitives that only the composites use,
+# and the composites that the package's single loss and rescale nodes
+# must match bit for bit
+# ---------------------------------------------------------------------------
+
+def div(a, b):
+    return ad._binary("div", a, b, np.divide,
+                      lambda x, y: lambda g: g / y,
+                      lambda x, y: lambda g: -g * x / (y * y))
+
+
+def log(a):
+    x = a.data
+
+    def pullback(g):
+        return (g / x,)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(x)
+    return a.tape._record("log", (a.node_id,), pullback, out)
+
+
+def sqrt(a):
+    with np.errstate(invalid="ignore"):
+        y = np.sqrt(a.data)
+
+    def pullback(g):
+        return (g * 0.5 / y,)
+    return a.tape._record("sqrt", (a.node_id,), pullback, y)
+
+
+def _extreme(a, axis, keepdims, take_max):
+    """Shared min/max reduction. Ties send the gradient to the first
+    extremal element (row-major order), which keeps backward deterministic."""
+    axes = ad._norm_axes(axis, a.data.ndim)
+    kept = tuple(i for i in range(a.data.ndim) if i not in axes)
+    perm = kept + axes
+    moved = np.transpose(a.data, perm)
+    lead = moved.shape[:len(kept)]
+    flat = moved.reshape(int(np.prod(lead)) if lead else 1, -1)
+    idx = flat.argmax(axis=1) if take_max else flat.argmin(axis=1)
+    vals = flat[np.arange(flat.shape[0]), idx]
+    out = vals.reshape(lead)
+    if keepdims:
+        out = np.expand_dims(out, axes) if axes else out
+    flat_shape, moved_shape = flat.shape, moved.shape  # not the views of x
+
+    def pullback(g):
+        rows = flat_shape[0]
+        buf = np.zeros(flat_shape)
+        buf[np.arange(rows), idx] = np.asarray(g).reshape(rows)
+        return (np.transpose(buf.reshape(moved_shape), np.argsort(perm)),)
+
+    name = "max" if take_max else "min"
+    return a.tape._record(name, (a.node_id,), pullback, np.asarray(out))
+
+
+def reduce_max(a, axis=None, keepdims=False):
+    return _extreme(a, axis, keepdims, take_max=True)
+
+
+def reduce_min(a, axis=None, keepdims=False):
+    return _extreme(a, axis, keepdims, take_max=False)
+
+
+def minmax01_composite(x):
+    """Per-sample min-max rescale to [0, 1] of an NCHW tensor, built from
+    five primitive tape nodes: the reference for ``model.minmax01``'s
+    single node, value and gradient."""
+    lo = reduce_min(x, axis=(1, 2, 3), keepdims=True)
+    hi = reduce_max(x, axis=(1, 2, 3), keepdims=True)
+    if np.any(hi.data - lo.data <= 0.0):
+        raise DegenerateMapError("cannot min-max normalize a constant map")
+    return div(ad.sub(x, lo), ad.sub(hi, lo))
+
+
 def cc_loss_composite(pred, gt):
     """Pearson correlation of each map over the last two axes, built
     from primitive tape nodes (about 20): the reference for
     ``metrics.cc_loss_node``'s single node, value and gradient."""
-    from tsal import autodiff as ad
-
     axes = (-2, -1)
     pc = ad.sub(pred, ad.reduce_mean(pred, axis=axes, keepdims=True))
     gc = ad.sub(gt, ad.reduce_mean(gt, axis=axes, keepdims=True))
     cov = ad.reduce_mean(ad.mul(pc, gc), axis=axes)
-    sd_p = ad.sqrt(ad.reduce_mean(ad.mul(pc, pc), axis=axes))
-    sd_g = ad.sqrt(ad.reduce_mean(ad.mul(gc, gc), axis=axes))
-    return ad.div(cov, ad.mul(sd_p, sd_g))
+    sd_p = sqrt(ad.reduce_mean(ad.mul(pc, pc), axis=axes))
+    sd_g = sqrt(ad.reduce_mean(ad.mul(gc, gc), axis=axes))
+    return div(cov, ad.mul(sd_p, sd_g))
 
 
 def kl_loss_composite(pred, gt, eps=1e-7):
     """Regularized divergence of each sum-normalized pred map from its
     gt map over the last two axes, built from primitive tape nodes: the
     reference for ``metrics.kl_loss_node``'s single node."""
-    from tsal import autodiff as ad
-
     axes = (-2, -1)
-    p = ad.div(pred, ad.reduce_sum(pred, axis=axes, keepdims=True))
-    g = ad.div(gt, ad.reduce_sum(gt, axis=axes, keepdims=True))
-    ratio = ad.add(ad.div(g, ad.add(p, p.tape.constant(eps))),
+    p = div(pred, ad.reduce_sum(pred, axis=axes, keepdims=True))
+    g = div(gt, ad.reduce_sum(gt, axis=axes, keepdims=True))
+    ratio = ad.add(div(g, ad.add(p, p.tape.constant(eps))),
                    p.tape.constant(eps))
-    return ad.reduce_sum(ad.mul(g, ad.log(ratio)), axis=axes)
+    return ad.reduce_sum(ad.mul(g, log(ratio)), axis=axes)
 
 
 def bilinear_loops(img, out_h, out_w):

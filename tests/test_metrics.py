@@ -11,6 +11,7 @@ from tsal import metrics
 from tsal.errors import (
     DegenerateMapError,
     FormatError,
+    GraphError,
     PreconditionError,
     ShapeMismatchError,
 )
@@ -506,6 +507,19 @@ class TestLossNodes:
         (nodes, *got), (_, *want) = results
         assert nodes == (2 if which == "both" else 1)
         assert got == want
+
+    @pytest.mark.parametrize("which", ["cc", "kl"])
+    def test_live_gt_rejected(self, which):
+        # the node gives gt no gradient, where the composite oracle
+        # would give it one
+        loss_node = {"cc": metrics.cc_loss_node, "kl": metrics.kl_loss_node}
+        rng = np.random.default_rng(98)
+        tape = ad.Tape()
+        pred = tape.param(rng.uniform(0.1, 1.0, size=(4, 4)), "p")
+        gt = ad.mul(tape.param(rng.uniform(0.1, 1.0, size=(4, 4)), "g"),
+                    tape.constant(2.0))
+        with pytest.raises(GraphError, match="gt must not depend"):
+            loss_node[which](pred, gt)
 
     def test_degenerate_inputs_rejected(self):
         tape = ad.Tape()

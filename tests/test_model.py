@@ -22,6 +22,8 @@ from tsal.gaze import write_map_tsal
 from oracles import (
     adam_step_functional,
     central_diff_grads,
+    div,
+    minmax01_composite,
     rel_err,
     temporal_step_one_tape,
 )
@@ -248,6 +250,60 @@ class TestMixing:
         for i in range(4):
             assert out[i].min() == 0.0 and out[i].max() == 1.0
 
+    @pytest.mark.parametrize("case", ["random", "tied", "extreme"])
+    @pytest.mark.parametrize("reused", [False, True],
+                             ids=["once", "read_again"])
+    def test_minmax_single_node_matches_composite_oracle(self, case, reused):
+        # value and gradient bit for bit: tied minima and maxima send
+        # the gradient to the first of each, the extreme ranges are those
+        # of test_minmax_hits_both_ends_per_sample, some weights are -0.0,
+        # and with read_again x also feeds the loss directly
+        if case == "random":
+            x0 = self.rng.normal(size=(2, 3, 4, 5))
+        elif case == "tied":
+            x0 = self.rng.integers(0, 3, size=(3, 2, 5, 6)).astype(float)
+        else:
+            scale = np.array([1.0, 1e300, 1e-310, 1e-3])[:, None, None, None]
+            shift = np.array([0.0, -1e300, 0.0, 1e12])[:, None, None, None]
+            x0 = self.rng.normal(size=(4, 1, 8, 8)) * scale + shift
+        w = self.rng.normal(size=x0.shape)
+        w.flat[::7] = -0.0
+        results = []
+        for rescale in (model.minmax01, minmax01_composite):
+            tape = ad.Tape()
+            x = tape.param(x0, "x")
+            before = len(tape.nodes)
+            out = rescale(x)
+            nodes = len(tape.nodes) - before
+            loss = ad.reduce_sum(ad.mul(out, tape.constant(w)))
+            if reused:
+                loss = ad.add(loss, ad.reduce_sum(ad.mul(x, tape.constant(w))))
+            # the 1e300 sample's span squares to inf and the 1e-310
+            # one's to 0, so both gradients hold inf and NaN
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                grad = ad.backward(tape, loss)[x.node_id]
+            results.append((nodes, out.data.tobytes(), grad.tobytes()))
+        (nodes, *got), (_, *want) = results
+        assert nodes == 1
+        assert got == want
+
+    def test_minmax_gradient_matches_finite_differences(self):
+        x0 = self.rng.normal(size=(2, 2, 3, 4))
+        w = self.rng.normal(size=x0.shape)
+
+        def loss(tape, x):
+            return ad.reduce_sum(ad.mul(model.minmax01(x), tape.constant(w)))
+
+        def f(params):
+            tape = ad.Tape()
+            return float(loss(tape, tape.constant(params["x"])).data)
+
+        tape = ad.Tape()
+        x = tape.param(x0, "x")
+        analytic = ad.backward(tape, loss(tape, x))[x.node_id]
+        numeric = central_diff_grads(f, {"x": x0})["x"]
+        assert rel_err(analytic, numeric).max() < 1e-6
+
 
 class TestLosses:
     def setup_method(self):
@@ -321,7 +377,7 @@ class TestLosses:
             total = nodes[0]
             for node in nodes[1:]:
                 total = ad.add(total, node)
-            return ad.div(total, ref.constant(len(nodes)))
+            return div(total, ref.constant(len(nodes)))
 
         maps = {ic: ref.param(pred[ic], f"m{ic}")
                 for ic in np.ndindex(gt.shape[:2])}

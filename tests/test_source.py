@@ -36,25 +36,47 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
-def unread_definitions(sources: list[str]) -> list[str]:
-    """Top-level functions and classes of the given modules whose name no
-    top-level statement of any of them reads (as a ``Name`` or as an
-    ``Attribute``), the definition itself aside."""
-    statements = [node for source in sources
-                  for node in ast.parse(source).body]
-    reads = []
-    for node in statements:
-        names = set()
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                names.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                names.add(n.attr)
-        reads.append(names)
-    return sorted(
-        node.name for i, node in enumerate(statements)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not any(node.name in r for j, r in enumerate(reads) if j != i))
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of the given modules (sources by
+    module name) that no top-level statement of any of them reads, the
+    definition itself aside, as ``module.name``. A read is resolved to
+    the module that defines the name: a bare name to its own module or
+    to the one it was imported from (``from .m import X``), and an
+    attribute to the module it is taken of (``ad.X``, ``autodiff.X``).
+    An attribute of anything else (``np.log``, ``math.sqrt``, ``self.x``)
+    reads no definition of these modules."""
+    trees = {m: ast.parse(source) for m, source in sources.items()}
+    defined = {(m, node.name): (m, i) for m, tree in trees.items()
+               for i, node in enumerate(tree.body)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    readers: dict[tuple[str, str], set] = {}
+    for m, tree in trees.items():
+        modules, names = {}, {}  # local name -> module, (module, name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((a.asname or a.name, a.name)
+                               for a in node.names if a.name in sources)
+            elif isinstance(node, ast.ImportFrom):
+                origin = (node.module or "").rpartition(".")[2]
+                for a in node.names:
+                    if origin in sources:
+                        names[a.asname or a.name] = (origin, a.name)
+                    elif a.name in sources:
+                        modules[a.asname or a.name] = a.name
+        for i, statement in enumerate(tree.body):
+            for n in ast.walk(statement):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    key = (m, n.id) if (m, n.id) in defined \
+                        else names.get(n.id)
+                elif isinstance(n, ast.Attribute) and \
+                        isinstance(n.value, ast.Name) and \
+                        n.value.id in modules:
+                    key = (modules[n.value.id], n.attr)
+                else:
+                    continue
+                readers.setdefault(key, set()).add((m, i))
+    return sorted(f"{m}.{name}" for (m, name), where in defined.items()
+                  if not readers.get((m, name), set()) - {where})
 
 
 def test_checker_finds_unread_definitions():
@@ -62,12 +84,21 @@ def test_checker_finds_unread_definitions():
              "def loop(n):\n    return loop(n - 1)\n"
              "def used(): pass\nused = used\n")
     second = "import first\ndef main():\n    first.used()\n"
-    assert unread_definitions([first, second]) == ["Leaf", "loop", "main"]
+    # outside modules' attributes of the same names read nothing here
+    maths = ("def log(x): pass\ndef sqrt(x): pass\ndef exp(x): pass\n"
+             "def tanh(x): pass\n")
+    user = ("import math\nimport numpy as np\nfrom . import maths as m\n"
+            "from .maths import tanh\n"
+            "y = np.log(m.exp(tanh(math.sqrt(2.0))))\n")
+    assert unread_definitions({"first": first, "second": second,
+                               "maths": maths, "user": user}) == [
+        "first.Leaf", "first.loop", "maths.log", "maths.sqrt",
+        "second.main"]
 
 
 def test_every_definition_is_read():
-    modules = sorted(SRC.glob("*.py"))
-    unread = unread_definitions([p.read_text() for p in modules])
+    unread = unread_definitions({p.stem: p.read_text()
+                                 for p in sorted(SRC.glob("*.py"))})
     assert unread == []
 
 

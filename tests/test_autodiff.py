@@ -518,21 +518,29 @@ class TestConv2d:
 
 class TestBilinear:
     def test_matches_per_pixel_formula(self):
-        # twice the size, as the decoders upsample, and the same size,
-        # which is the identity, among them
         rng = np.random.default_rng(28)
-        for shape, sizes in (((5, 7), [(10, 14), (3, 4), (5, 7), (9, 2)]),
-                             ((3, 3), [(6, 6), (3, 3)])):
-            img = rng.normal(size=shape)
-            for oh, ow in sizes:
-                tape = ad.Tape()
-                t = tape.constant(img[None, None])
-                out = ad.resize_bilinear(t, oh, ow)
-                assert out.shape == (1, 1, oh, ow)
-                assert np.allclose(out.data[0, 0],
-                                   oracles.bilinear_loops(img, oh, ow))
-                if (oh, ow) == shape:
-                    assert np.allclose(out.data[0, 0], img)
+        img = rng.normal(size=(5, 7))
+        for oh, ow in [(10, 14), (3, 4), (5, 7), (9, 2)]:
+            tape = ad.Tape()
+            t = tape.constant(img[None, None])
+            out = ad.resize_bilinear(t, oh, ow)
+            assert np.allclose(out.data[0, 0], oracles.bilinear_loops(img, oh, ow))
+
+    def test_upsample_factor(self):
+        # twice the size, as the decoders upsample
+        rng = np.random.default_rng(29)
+        img = rng.normal(size=(3, 3))
+        tape = ad.Tape()
+        out = ad.resize_bilinear(tape.constant(img[None, None]), 6, 6)
+        assert out.shape == (1, 1, 6, 6)
+        assert np.allclose(out.data[0, 0], oracles.bilinear_loops(img, 6, 6))
+
+    def test_factor_one_is_identity(self):
+        rng = np.random.default_rng(30)
+        img = rng.normal(size=(1, 2, 4, 4))
+        tape = ad.Tape()
+        out = ad.resize_bilinear(tape.constant(img), 4, 4)
+        assert np.allclose(out.data, img)
 
     def test_bad_factor(self):
         tape = ad.Tape()

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .defaults import DEFAULT_T_TOTAL_MS
 from .errors import (DegenerateMapError, PreconditionError,
                      ShapeMismatchError, TsalError)
 from .fileio import naming
-from .gaze import (DEFAULT_T_TOTAL_MS, FixationTable, Normalization,
-                   check_time_range, group_rows, normalize_map)
+from .gaze import (FixationTable, Normalization, check_time_range,
+                   group_rows, normalize_map)
 from .metrics import cc, fixation_pixels, usable_maps
 
 

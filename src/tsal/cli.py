@@ -17,6 +17,12 @@ degenerate data. Errors print one line to stderr. Settings resolve as
 CLI flag, then key=value config file (--config), then built-in default.
 The only environment variable honored is TSAL_CACHE_DIR (scene render
 cache location).
+
+Importing this module runs neither numpy nor the package's numerical
+modules: ``_lazy`` binds them here, and each runs on its first use. So
+a command runs only the modules it calls, and ``--help`` or a bad
+command line runs no numpy at all. The parser's defaults come from the
+numpy-free ``defaults`` module.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -32,10 +39,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, metrics, model, synth
-from .autodiff import load_params, save_params
+from .defaults import (DEFAULT_JITTER_PX, DEFAULT_RHO, DEFAULT_SLICES,
+                       DEFAULT_SPATIAL_WEIGHT, DEFAULT_T_TOTAL_MS,
+                       DEFAULT_TEMPORAL_WEIGHT)
 from .errors import (
     ConfigError,
     DegenerateMapError,
@@ -47,35 +53,40 @@ from .errors import (
 )
 from .fileio import (atomic_write_bytes, naming, reading, staged_tree,
                      write_csv)
-from .gaze import (
-    DEFAULT_SLICES,
-    DEFAULT_SPATIAL_WEIGHT,
-    DEFAULT_T_TOTAL_MS,
-    DEFAULT_TEMPORAL_WEIGHT,
-    FixationTable,
-    GazeTable,
-    Normalization,
-    check_time_range,
-    group_gaze,
-    group_rows,
-    rasterize,
-    read_fixation_table,
-    read_gaze_jsonl,
-    read_map_tsal,
-    recover_timestamps,
-    slice_equal_distribution,
-    slice_equal_duration,
-    write_diff_ppm,
-    write_fixations_csv,
-    write_gaze_jsonl,
-    write_map_pgm,
-    write_map_tsal,
-    write_signed_tsal,
-)
 
-NORMALIZATION_NAMES = {"raw": Normalization.RAW,
-                       "sum": Normalization.SUM_TO_ONE,
-                       "max": Normalization.MAX_TO_ONE}
+
+def _lazy(name: str):
+    """The module ``name`` (relative to this package if it starts with
+    a dot), put into ``sys.modules`` now but run only on its first
+    attribute access: the ``importlib.util.LazyLoader`` recipe. A module
+    already imported is returned as it is. The package gets no attribute
+    for it, so a ``from . import m`` in a module that runs runs ``m``
+    with it, as a plain import would. These are not imports inside
+    the commands because ``perfbench/bootstrap.py`` wraps the functions
+    of every ``tsal`` module in ``sys.modules`` right after importing
+    this one. LazyLoader is not thread-safe; tsal runs modules from its
+    main thread only, as its pools are processes."""
+    name = importlib.util.resolve_name(name, __package__)
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")
+analysis = _lazy(".analysis")
+autodiff = _lazy(".autodiff")
+gaze = _lazy(".gaze")
+metrics = _lazy(".metrics")
+model = _lazy(".model")
+synth = _lazy(".synth")
+
+# --normalize choices, as names of gaze.Normalization members
+NORMALIZATION_NAMES = {"raw": "RAW", "sum": "SUM_TO_ONE", "max": "MAX_TO_ONE"}
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +175,9 @@ def _map_path(maps_dir, kind: str, image_id: str) -> Path:
 
 
 def _write_map(maps_dir, kind: str, image_id: str, values: np.ndarray,
-               normalization: Normalization) -> None:
-    write_map_tsal(_map_path(maps_dir, kind, image_id), values, normalization)
+               normalization: gaze.Normalization) -> None:
+    gaze.write_map_tsal(_map_path(maps_dir, kind, image_id), values,
+                        normalization)
 
 
 def _map_rows(dirs: list, ids: list[str]):
@@ -177,7 +189,7 @@ def _map_rows(dirs: list, ids: list[str]):
         maps = []
         for directory in dirs:
             path = Path(directory) / f"{image_id}.tsal"
-            values = read_map_tsal(path)
+            values = gaze.read_map_tsal(path)
             if shape is None:
                 shape = values.shape
             elif values.shape != shape:
@@ -226,7 +238,7 @@ def _run_parallel(jobs: int, fn, items: list):
         return list(pool.map(fn, items))
 
 
-def _require_timestamps(fixations: FixationTable, path) -> None:
+def _require_timestamps(fixations: gaze.FixationTable, path) -> None:
     if fixations.t_ms is None:
         raise FormatError(
             f"{path} has rows without t_ms; run the timestamps step first")
@@ -300,9 +312,9 @@ def _synth_one(item, out_dir: str, seed: int, observers: int,
     _save_npy(out / "images" / f"{image_id}.npy", scene.image)
     for k, m in enumerate(sampled.slice_maps):
         _write_map(out / "truth" / "maps", f"t{k}", image_id, m,
-                   Normalization.RAW)
+                   gaze.Normalization.RAW)
     _write_map(out / "truth" / "maps", "full", image_id, sampled.full_map,
-               Normalization.RAW)
+               gaze.Normalization.RAW)
     # the maps are written; the caller only needs the records
     return sampled.gaze, sampled.fixations
 
@@ -317,15 +329,16 @@ def cmd_synth(args) -> None:
             jitter=args.jitter, t_total=args.t_total)
         results = _run_parallel(args.jobs, worker, list(enumerate(specs)))
 
-        gaze, truth = zip(*results)
-        gaze, truth = GazeTable.concat(gaze), FixationTable.concat(truth)
+        samples, truth = zip(*results)
+        samples = gaze.GazeTable.concat(samples)
+        truth = gaze.FixationTable.concat(truth)
         out = Path(staged)
-        write_gaze_jsonl(out / "gaze.jsonl", gaze)
-        write_fixations_csv(out / "fixations.csv",
-                            replace(truth, t_ms=None, slice_index=None))
-        write_fixations_csv(out / "truth" / "fixations.csv", truth)
+        gaze.write_gaze_jsonl(out / "gaze.jsonl", samples)
+        gaze.write_fixations_csv(out / "fixations.csv",
+                                 replace(truth, t_ms=None, slice_index=None))
+        gaze.write_fixations_csv(out / "truth" / "fixations.csv", truth)
     print(f"synthesized {len(specs)} images, {len(truth)} fixations, "
-          f"{len(gaze)} gaze samples")
+          f"{len(samples)} gaze samples")
 
 
 # ---------------------------------------------------------------------------
@@ -333,42 +346,43 @@ def cmd_synth(args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_timestamps(args) -> None:
-    gaze = read_gaze_jsonl(args.gaze)
-    table, _ = read_fixation_table(args.fixations)
+    samples = gaze.read_gaze_jsonl(args.gaze)
+    table, _ = gaze.read_fixation_table(args.fixations)
     if not len(table):
         raise PreconditionError(f"{args.fixations} has no fixation rows")
-    gaze_groups = group_gaze(gaze)
+    gaze_groups = gaze.group_gaze(samples)
     t_ms = np.empty(len(table))
-    for key, rows in group_rows(zip(table.image_id,
-                                    table.observer_id)).items():
+    for key, rows in gaze.group_rows(zip(table.image_id,
+                                         table.observer_id)).items():
         if key not in gaze_groups:
             raise UnrecoverableObserverError(
                 f"observer {key[1]!r} on image {key[0]!r} has fixations "
                 f"but no gaze samples")
-        t_ms[rows] = recover_timestamps(table.take(rows), gaze_groups[key],
-                                        w_s=args.spatial_weight,
-                                        w_t=args.temporal_weight,
-                                        t_total=args.t_total)
-    write_fixations_csv(args.out, replace(table, t_ms=t_ms, slice_index=None))
+        t_ms[rows] = gaze.recover_timestamps(
+            table.take(rows), gaze_groups[key], w_s=args.spatial_weight,
+            w_t=args.temporal_weight, t_total=args.t_total)
+    gaze.write_fixations_csv(args.out,
+                             replace(table, t_ms=t_ms, slice_index=None))
     print(f"recovered timestamps for {len(table)} fixations")
 
 
 def cmd_slice(args) -> None:
-    fixations, _ = read_fixation_table(args.fixations)
+    fixations, _ = gaze.read_fixation_table(args.fixations)
     if not len(fixations):
         raise PreconditionError(f"{args.fixations} has no fixation rows")
     _require_timestamps(fixations, args.fixations)
     t_ms = fixations.t_ms
     slice_of = np.empty(len(fixations), dtype=np.intp)
     with naming(args.fixations, PreconditionError):
-        for rows in group_rows(fixations.image_id).values():
+        for rows in gaze.group_rows(fixations.image_id).values():
             if args.scheme == "equal-duration":
-                slice_of[rows] = slice_equal_duration(
+                slice_of[rows] = gaze.slice_equal_duration(
                     t_ms[rows], n=args.n, t_total=args.t_total)
             else:
-                slice_of[rows] = slice_equal_distribution(
+                slice_of[rows] = gaze.slice_equal_distribution(
                     t_ms[rows], fixations.order_index[rows], n=args.n)
-    write_fixations_csv(args.out, replace(fixations, slice_index=slice_of))
+    gaze.write_fixations_csv(args.out,
+                             replace(fixations, slice_index=slice_of))
     print(f"sliced {len(fixations)} fixations into {args.n} bins "
           f"({args.scheme})")
 
@@ -380,21 +394,21 @@ def cmd_slice(args) -> None:
 def _rasterize_one(item, out_dir: str, fixations_path: str, n: int,
                    sigma: float | None, norm_name: str):
     image_id, (width, height), xs, ys, slice_of = item
-    norm = NORMALIZATION_NAMES[norm_name]
+    norm = gaze.Normalization[NORMALIZATION_NAMES[norm_name]]
     maps = {f"t{k}": (slice_of == k, f" slice {k}") for k in range(n)}
     maps["full"] = (slice(None), "")
     for kind, (rows, which) in maps.items():
         with naming(fixations_path, PreconditionError), naming(
                 f"{fixations_path}: image {image_id!r}{which}",
                 DegenerateMapError):
-            m = rasterize(xs[rows], ys[rows], width, height, sigma_px=sigma,
-                          normalization=norm)
+            m = gaze.rasterize(xs[rows], ys[rows], width, height,
+                               sigma_px=sigma, normalization=norm)
         _write_map(out_dir, kind, image_id, m, norm)
     return image_id
 
 
 def cmd_rasterize(args) -> None:
-    fixations, _ = read_fixation_table(args.fixations)
+    fixations, _ = gaze.read_fixation_table(args.fixations)
     slice_of = fixations.slice_index
     if slice_of is None:
         raise FormatError(
@@ -409,7 +423,7 @@ def cmd_rasterize(args) -> None:
     for image_id in ids:
         arr = _load_image(Path(args.images) / f"{image_id}.npy")
         dims[image_id] = (arr.shape[2], arr.shape[1])
-    groups = group_rows(fixations.image_id)
+    groups = gaze.group_rows(fixations.image_id)
     unknown = [image_id for image_id in groups if image_id not in dims]
     if unknown:
         raise PreconditionError(
@@ -434,14 +448,14 @@ def cmd_rasterize(args) -> None:
 def cmd_analyze(args) -> None:
     kinds = _slice_kinds(args.maps)
     ids = _ids(Path(args.maps) / "t0", ".tsal")
-    fixations, _ = read_fixation_table(args.fixations)
+    fixations, _ = gaze.read_fixation_table(args.fixations)
     _require_timestamps(fixations, args.fixations)
     unknown = set(fixations.image_id) - set(ids)
     if unknown:
         raise PreconditionError(
             f"fixations reference images without maps: {sorted(unknown)[0]}")
     with naming(args.fixations, PreconditionError):
-        check_time_range(fixations.t_ms, args.t_total)
+        gaze.check_time_range(fixations.t_ms, args.t_total)
     # one image's maps in memory at a time: the full maps are read once,
     # and each slice statistic reads the slice maps afresh
     full_dir = Path(args.maps) / "full"
@@ -460,9 +474,9 @@ def cmd_analyze(args) -> None:
     with staged_tree(args.out) as staged:
         out = Path(staged)
         for k, m in enumerate(averages):
-            write_map_tsal(out / "average" / f"t{k}.tsal", m,
-                           Normalization.SUM_TO_ONE)
-            write_map_pgm(out / "average" / f"t{k}.pgm", m)
+            gaze.write_map_tsal(out / "average" / f"t{k}.tsal", m,
+                                gaze.Normalization.SUM_TO_ONE)
+            gaze.write_map_pgm(out / "average" / f"t{k}.pgm", m)
         slices = [f"t{k + 1}" for k in range(len(kinds))]
         write_csv(out / "correlation.csv",
                   ["slice", *slices, "skipped_max"],
@@ -473,8 +487,8 @@ def cmd_analyze(args) -> None:
                   ["slice", "mean_cc_to_average", "skipped"],
                   zip(slices, scores, skipped.tolist()))
         for k, d in enumerate(diffs):
-            write_signed_tsal(out / "diff" / f"d{k}.tsal", d)
-            write_diff_ppm(out / "diff" / f"d{k}.ppm", d)
+            gaze.write_signed_tsal(out / "diff" / f"d{k}.tsal", d)
+            gaze.write_diff_ppm(out / "diff" / f"d{k}.ppm", d)
         dt, ds = args.t_total / grid.shape[0], 1.0 / grid.shape[1]
         write_csv(out / "histogram.csv",
                   ["time_bin_start_ms", "saliency_bin_start", "count"],
@@ -519,7 +533,7 @@ def cmd_train(args) -> None:
                                 lambda2=args.lambda2, beta2=args.beta2)
     if args.stage == "mixing" and not args.base:
         raise ConfigError("--base checkpoint is required for the mixing stage")
-    base = load_params(args.base) if args.base else None
+    base = autodiff.load_params(args.base) if args.base else None
     config = model.ModelConfig(n_slices=n) if base is None else None
     # model.train gets the only reference, so that the mixing stage can
     # let go of the images and slice maps once its frozen outputs exist
@@ -528,7 +542,7 @@ def cmd_train(args) -> None:
     params, trace = model.train(handed.pop(), schedule, seed=args.seed,
                                 loss_cfg=loss_cfg, config=config,
                                 base_params=base)
-    save_params(args.out, params)
+    autodiff.save_params(args.out, params)
     if args.loss_csv:
         write_csv(args.loss_csv, ["epoch", "stage", "loss", "lr"], trace)
     final = trace[-1][2] if trace else float("nan")
@@ -542,18 +556,19 @@ def _predict_one(item, out_dir: str, params: dict) -> str:
     with naming(path):  # an overflow that only computing finds
         pred = model.predict(image[None], params)
     refined = pred["S_R"][0, 0]
-    _write_map(out_dir, "s_r", image_id, refined, Normalization.RAW)
+    _write_map(out_dir, "s_r", image_id, refined, gaze.Normalization.RAW)
     pgm = _map_path(out_dir, "s_r", image_id).with_suffix(".pgm")
-    write_map_pgm(pgm, refined)
-    _write_map(out_dir, "s_i", image_id, pred["S_I"][0, 0], Normalization.RAW)
+    gaze.write_map_pgm(pgm, refined)
+    _write_map(out_dir, "s_i", image_id, pred["S_I"][0, 0],
+               gaze.Normalization.RAW)
     for k in range(pred["T"].shape[1]):
         _write_map(out_dir, f"t{k}", image_id, pred["T"][0, k],
-                   Normalization.RAW)
+                   gaze.Normalization.RAW)
     return image_id
 
 
 def cmd_predict(args) -> None:
-    params = load_params(args.checkpoint)
+    params = autodiff.load_params(args.checkpoint)
     model.check_params(params, model.infer_config(params))
     items = [(i, Path(args.images) / f"{i}.npy")
              for i in _ids(args.images, ".npy")]
@@ -582,7 +597,7 @@ def _varying_maps(maps_dir, ids: list[str]):
 
 
 def cmd_eval(args) -> None:
-    fixations, _ = read_fixation_table(args.fixations)
+    fixations, _ = gaze.read_fixation_table(args.fixations)
     ids, gt_ids = _ids(args.pred, ".tsal"), _ids(args.gt, ".tsal")
     if ids != gt_ids:
         only_pred = sorted(f"{i}.tsal" for i in set(ids) - set(gt_ids))
@@ -660,8 +675,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, set[str]]]:
     add("--observers", int, 4, "observers per image")
     add("--samples-per-sec", int, 30, "gaze sampling rate")
     add("--fixation-rate", _finite_float, 3.0, "fixations per second")
-    add("--rho", _finite_float, synth.DEFAULT_RHO, "revisit decay factor")
-    add("--jitter", _finite_float, synth.DEFAULT_JITTER_PX,
+    add("--rho", _finite_float, DEFAULT_RHO, "revisit decay factor")
+    add("--jitter", _finite_float, DEFAULT_JITTER_PX,
         "gaze jitter around fixations, pixels")
     add(*t_total)
     add("--jobs", int, 1, "parallel workers")
@@ -749,15 +764,15 @@ def main(argv=None) -> int:
     parser, settable = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = parser.parse_args(argv)
+        if not getattr(args, "func", None):
+            raise ConfigError("no subcommand given")
+        if args.config:  # parsed again: flag > config > default
+            at = argv.index(args.command) + 1
+            flags = _config_flags(args.config, settable[args.command])
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         # no numpy warnings on stderr; the non-finite checks report those
         with np.errstate(all="ignore"):
-            args = parser.parse_args(argv)
-            if not getattr(args, "func", None):
-                raise ConfigError("no subcommand given")
-            if args.config:  # parsed again: flag > config > default
-                at = argv.index(args.command) + 1
-                flags = _config_flags(args.config, settable[args.command])
-                args = parser.parse_args(argv[:at] + flags + argv[at:])
             args.func(args)
     except (DegenerateMapError, NonFiniteError) as exc:
         _print_error(exc)

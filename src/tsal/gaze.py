@@ -26,6 +26,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from .defaults import (DEFAULT_SLICES, DEFAULT_SPATIAL_WEIGHT,
+                       DEFAULT_T_TOTAL_MS, DEFAULT_TEMPORAL_WEIGHT)
 from .errors import (
     ConfigError,
     DegenerateMapError,
@@ -37,10 +39,6 @@ from .errors import (
 from .fileio import atomic_write_bytes, atomic_writer, reading, write_csv
 from .tables import FixationTable, GazeTable
 
-DEFAULT_T_TOTAL_MS = 5000.0
-DEFAULT_SLICES = 5
-DEFAULT_SPATIAL_WEIGHT = 1.0     # per pixel
-DEFAULT_TEMPORAL_WEIGHT = 0.01   # per millisecond
 NORM_TOLERANCE = 1e-9
 _COST_CELLS = 1 << 20   # largest (fixations, gaze samples) cost block
 _CHUNK = 1024           # rows per chunk of a gaze log or fixation CSV

@@ -9,10 +9,10 @@ definition requires it, so callers may pass maps at any scale.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import (
     DegenerateMapError,
     GraphError,
@@ -20,6 +20,9 @@ from .errors import (
     ShapeMismatchError,
 )
 from .gaze import FixationTable, group_rows, nearest_pixels
+
+if TYPE_CHECKING:  # annotations only: evaluating maps needs no autodiff
+    from . import autodiff as ad
 
 EPS = 1e-7
 

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_JITTER_PX, DEFAULT_RHO, DEFAULT_T_TOTAL_MS
 from .errors import ConfigError, FormatError
 from .fileio import reading
-from .gaze import DEFAULT_T_TOTAL_MS, FixationTable, GazeTable, rasterize
-
-DEFAULT_RHO = 0.5          # revisit weight multiplier per prior visit
-DEFAULT_JITTER_PX = 1.5
+from .gaze import FixationTable, GazeTable, rasterize
 
 
 @dataclass(frozen=True)

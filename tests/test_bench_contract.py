@@ -55,6 +55,26 @@ def test_every_wrapped_name_is_a_function_import_loads():
         assert fn.__module__ == module.__name__, name
 
 
+def test_bootstrap_wraps_every_name_of_the_lazy_modules(tmp_path):
+    # tsal.cli puts the package's modules into sys.modules lazily, and
+    # bootstrap.py's first attribute access runs each one before it
+    # wraps it: every wrapped name must then have a span, called or not
+    (tmp_path / "in.csv").write_text(
+        "image_id,observer_id,order_index,x,y,t_ms\n"
+        "img0,o1,0,1.0,2.0,100\nimg0,o1,1,3.0,4.0,900\n"
+        "img0,o1,2,5.0,6.0,2500\n")
+    spans = tmp_path / "spans.json"
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "bootstrap.py"), str(spans),
+         "slice", "--fixations", "in.csv", "--out", "out.csv"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, check=True)
+    recorded = json.loads(spans.read_text())["spans"]
+    assert sorted(wrapped_names() - recorded.keys()) == []
+    for name in ("cli.cmd_slice", "gaze.read_fixation_table"):
+        assert recorded[name][0] >= 1, name
+
+
 def test_readme_training_feeds_the_conv_shape_table(monkeypatch):
     # as the bench merges them: a mixing run's first shapes, overridden
     # by a temporal run's; readme trains 6 images 64x64 at batch 4

@@ -373,6 +373,81 @@ class TestWorkerCount:
         assert done.stdout == "[]\n"
 
 
+# Runs tsal in a fresh interpreter and prints, as its last line, the exit
+# code and the tsal modules (and numpy) that ran: a module that tsal.cli
+# put into sys.modules lazily and nothing has used is not a ModuleType yet
+MODULES_PROBE = """\
+import json, sys, types
+from tsal.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(json.dumps([code, sorted(
+    name.rpartition(".")[2] for name, m in sys.modules.items()
+    if (name == "numpy" or name.startswith("tsal."))
+    and type(m) is types.ModuleType)]))
+"""
+CLI_MODULES = {"cli", "defaults", "errors", "fileio"}
+DATA_MODULES = CLI_MODULES | {"gaze", "numpy", "tables"}
+EVAL_MODULES = DATA_MODULES | {"metrics"}
+MODEL_MODULES = EVAL_MODULES | {"autodiff", "model"}
+MODULES_CASES = {  # in pipeline order: each command reads what one wrote
+    "help": (["--help"], 0, CLI_MODULES),
+    "no-subcommand": ([], 2, CLI_MODULES),
+    "bad-flag": (["slice", "--bogus"], 2, CLI_MODULES),
+    "synth": (["synth", "--scene", "scene.json", "--out", "data",
+               "--observers", "1", "--samples-per-sec", "10"], 0,
+              DATA_MODULES | {"synth"}),
+    "timestamps": (["timestamps", "--gaze", "data/gaze.jsonl",
+                    "--fixations", "data/fixations.csv",
+                    "--out", "recovered.csv"], 0, DATA_MODULES),
+    "slice": (["slice", "--fixations", "recovered.csv",
+               "--out", "sliced.csv"], 0, DATA_MODULES),
+    "rasterize": (["rasterize", "--fixations", "sliced.csv",
+                   "--images", "data/images", "--out", "maps"], 0,
+                  DATA_MODULES),
+    "analyze": (["analyze", "--maps", "maps", "--fixations", "sliced.csv",
+                 "--out", "analysis"], 0, EVAL_MODULES | {"analysis"}),
+    "train": (["train", "--images", "data/images", "--maps", "maps",
+               "--out", "model.tspw", "--max-steps", "1",
+               "--batch-size", "2"], 0, MODEL_MODULES),
+    "predict": (["predict", "--checkpoint", "model.tspw",
+                 "--images", "data/images", "--out", "pred"], 0,
+                MODEL_MODULES),
+    "eval": (["eval", "--pred", "pred/s_r", "--gt", "maps/full",
+              "--fixations", "sliced.csv", "--out", "metrics.csv"], 0,
+             EVAL_MODULES),
+}
+
+
+@pytest.fixture(scope="module")
+def modules_run(tmp_path_factory):
+    """Per case of MODULES_CASES, the exit code and the modules that ran,
+    each case in a fresh interpreter, on a two-image 16x16 scene."""
+    root = tmp_path_factory.mktemp("modules")
+    (root / "scene.json").write_text(json.dumps({
+        "preset": "drift", "images": 2, "width": 16, "height": 16,
+        "objects": 2, "slices": 5, "scene_seed": 1}))
+    env = {**os.environ, "TSAL_CACHE_DIR": str(root / "cache"),
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    found = {}
+    for case, (argv, _, _) in MODULES_CASES.items():
+        done = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv],
+                              cwd=root, env=env, capture_output=True,
+                              text=True, check=True)
+        code, ran = json.loads(done.stdout.splitlines()[-1])
+        found[case] = code, set(ran)
+    return found
+
+
+class TestEachCommandRunsOnlyItsModules:
+    @pytest.mark.parametrize("case", MODULES_CASES)
+    def test_modules_that_ran(self, modules_run, case):
+        _, code, modules = MODULES_CASES[case]
+        assert modules_run[case] == (code, modules)
+
+
 class TestSynth:
     def test_dataset_layout_and_counts(self, dataset):
         data = dataset["data"]

@@ -42,9 +42,12 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     definition itself aside, as ``module.name``. A read is resolved to
     the module that defines the name: a bare name to its own module or
     to the one it was imported from (``from .m import X``), and an
-    attribute to the module it is taken of (``ad.X``, ``autodiff.X``).
-    An attribute of anything else (``np.log``, ``math.sqrt``, ``self.x``)
-    reads no definition of these modules."""
+    attribute to the module it is taken of (``ad.X``, ``autodiff.X``),
+    whether that module was bound by an import (one under ``if
+    TYPE_CHECKING:`` too) or lazily, as ``m = _lazy(".m")``: a call with
+    a relative module name as its only argument. An attribute of
+    anything else (``np.log``, ``math.sqrt``, ``self.x``) reads no
+    definition of these modules."""
     trees = {m: ast.parse(source) for m, source in sources.items()}
     defined = {(m, node.name): (m, i) for m, tree in trees.items()
                for i, node in enumerate(tree.body)
@@ -63,6 +66,14 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
                         names[a.asname or a.name] = (origin, a.name)
                     elif a.name in sources:
                         modules[a.asname or a.name] = a.name
+            elif isinstance(node, ast.Assign) and \
+                    isinstance(node.value, ast.Call) and \
+                    len(node.value.args) == 1 and \
+                    isinstance(node.value.args[0], ast.Constant):
+                origin = str(node.value.args[0].value)
+                if origin.startswith(".") and origin[1:] in sources:
+                    modules.update((t.id, origin[1:]) for t in node.targets
+                                   if isinstance(t, ast.Name))
         for i, statement in enumerate(tree.body):
             for n in ast.walk(statement):
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
@@ -90,9 +101,16 @@ def test_checker_finds_unread_definitions():
     user = ("import math\nimport numpy as np\nfrom . import maths as m\n"
             "from .maths import tanh\n"
             "y = np.log(m.exp(tanh(math.sqrt(2.0))))\n")
+    # a lazily bound module, and one imported for annotations only
+    late = "def later(): pass\nclass Hint: pass\n"
+    lazy = ("from typing import TYPE_CHECKING\ndef _lazy(name): pass\n"
+            "late = _lazy('.late')\nnp = _lazy('numpy')\n"
+            "if TYPE_CHECKING:\n    from . import late as hints\n"
+            "def go(h: hints.Hint):\n    late.later()\n")
     assert unread_definitions({"first": first, "second": second,
-                               "maths": maths, "user": user}) == [
-        "first.Leaf", "first.loop", "maths.log", "maths.sqrt",
+                               "maths": maths, "user": user,
+                               "late": late, "lazy": lazy}) == [
+        "first.Leaf", "first.loop", "lazy.go", "maths.log", "maths.sqrt",
         "second.main"]
 
 

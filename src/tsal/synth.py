@@ -295,16 +295,6 @@ def drift_spec(rng, width: int, height: int, n_objects: int = 5,
                      center_bias_strength, tuple(drift))
 
 
-def scene_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "width": spec.width,
-        "height": spec.height,
-        "objects": [dataclasses.asdict(o) for o in spec.objects],
-        "center_bias_strength": spec.center_bias_strength,
-        "drift": [list(row) for row in spec.drift],
-    }
-
-
 def scene_from_dict(d: dict) -> SceneSpec:
     try:
         objects = tuple(Blob(float(o["cx"]), float(o["cy"]),

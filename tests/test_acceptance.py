@@ -343,23 +343,19 @@ class TestCriterion8:
         holds on one host with one BLAS thread configuration: the
         thread count changes summation order, so checkpoint bytes can
         differ between OPENBLAS_NUM_THREADS=1 and 2."""
-        os.environ["TSAL_CACHE_DIR"] = str(tmp_path / "cache")
-        try:
-            scene = tmp_path / "scene.json"
-            scene.write_text(
-                '{"preset": "drift", "images": 3, "width": 48,'
-                ' "height": 48, "objects": 4, "slices": 5,'
-                ' "center_bias_strength": 0.05, "scene_seed": 12}')
-            runs = []
-            for name in ("one", "two"):
-                root = tmp_path / name
-                root.mkdir()
-                self.pipeline(root, scene)
-                runs.append({p.relative_to(root).as_posix(): p.read_bytes()
-                             for p in sorted(root.rglob("*"))
-                             if p.is_file()})
-        finally:
-            os.environ.pop("TSAL_CACHE_DIR", None)
+        scene = tmp_path / "scene.json"
+        scene.write_text(
+            '{"preset": "drift", "images": 3, "width": 48,'
+            ' "height": 48, "objects": 4, "slices": 5,'
+            ' "center_bias_strength": 0.05, "scene_seed": 12}')
+        runs = []
+        for name in ("one", "two"):
+            root = tmp_path / name
+            root.mkdir()
+            self.pipeline(root, scene)
+            runs.append({p.relative_to(root).as_posix(): p.read_bytes()
+                         for p in sorted(root.rglob("*"))
+                         if p.is_file()})
         same_names = set(runs[0]) == set(runs[1])
         diffs = [k for k in runs[0] if runs[0][k] != runs[1].get(k)]
         ok = same_names and not diffs

@@ -59,14 +59,7 @@ def read_csv(path):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli")
-    old = os.environ.get("TSAL_CACHE_DIR")
-    os.environ["TSAL_CACHE_DIR"] = str(root / "cache")
-    yield root
-    if old is None:
-        os.environ.pop("TSAL_CACHE_DIR", None)
-    else:
-        os.environ["TSAL_CACHE_DIR"] = old
+    return tmp_path_factory.mktemp("cli")
 
 
 @pytest.fixture(scope="module")
@@ -429,7 +422,7 @@ def modules_run(tmp_path_factory):
     (root / "scene.json").write_text(json.dumps({
         "preset": "drift", "images": 2, "width": 16, "height": 16,
         "objects": 2, "slices": 5, "scene_seed": 1}))
-    env = {**os.environ, "TSAL_CACHE_DIR": str(root / "cache"),
+    env = {**os.environ,
            "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     found = {}
     for case, (argv, _, _) in MODULES_CASES.items():
@@ -474,17 +467,26 @@ class TestSynth:
             assert (out / rel).read_bytes() == \
                 (dataset["data"] / rel).read_bytes()
 
-    def test_corrupted_cache_is_regenerated(self, workdir, dataset):
-        cache = Path(os.environ["TSAL_CACHE_DIR"])
-        victims = list(cache.glob("scene-*.npz"))
-        assert victims  # synth above populated it
-        for v in victims:
-            v.write_bytes(b"not an archive")
-        out = workdir / "data_cachehurt"
-        run0("synth", "--scene", dataset["scene"], "--out", out, "--seed", 5,
-             "--observers", 3, "--samples-per-sec", 20, "--fixation-rate", 3)
-        assert (out / "images" / "img000.npy").read_bytes() == \
-            (dataset["data"] / "images" / "img000.npy").read_bytes()
+    def test_writes_nothing_outside_out(self, tmp_path):
+        """synth in a fresh interpreter, with an empty home and temp
+        directory and no TSAL_CACHE_DIR: both stay empty, and the only
+        new entry beside the scene file is --out."""
+        home, tmp = tmp_path / "home", tmp_path / "tmp"
+        home.mkdir()
+        tmp.mkdir()
+        (tmp_path / "scene.json").write_text(json.dumps({
+            "preset": "drift", "images": 2, "width": 16, "height": 16,
+            "objects": 2, "slices": 5, "scene_seed": 1}))
+        env = {k: v for k, v in os.environ.items() if k != "TSAL_CACHE_DIR"}
+        env.update(HOME=str(home), TMPDIR=str(tmp),
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-m", "tsal.cli", "synth", "--scene",
+                        "scene.json", "--out", "out", "--seed", "3"],
+                       cwd=tmp_path, env=env, capture_output=True, check=True)
+        assert sorted(os.listdir(tmp_path)) == [
+            "home", "out", "scene.json", "tmp"]
+        assert os.listdir(home) == os.listdir(tmp) == []
+        assert (tmp_path / "out" / "images" / "img001.npy").is_file()
 
     def test_bad_scene_file_exits_two(self, workdir, capsys):
         def scene(**number):
@@ -974,8 +976,7 @@ class TestAnalyze:
             "maps: ghost")
         assert not out.exists()
 
-    def test_image_without_fixations_is_skipped(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TSAL_CACHE_DIR", str(tmp_path / "cache"))
+    def test_image_without_fixations_is_skipped(self, tmp_path):
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps({
             "preset": "drift", "images": 3, "width": 32, "height": 32,
@@ -1628,10 +1629,9 @@ class TestStagedOutput:
         def failing_writer(path):
             with real(path) as fh:
                 yield fh
-                if root in Path(path).parents:  # not the scene cache
-                    written.append(Path(path).as_posix())
-                    if written[-1].endswith(last):
-                        raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(Path(path).as_posix())
+                if written[-1].endswith(last):
+                    raise OSError(errno.ENOSPC, "No space left on device")
         for module in (fileio, gaze):
             monkeypatch.setattr(module, "atomic_writer", failing_writer)
         capsys.readouterr()

@@ -226,3 +226,53 @@ def test_checker_finds_file_replacements():
     p.name for p in SRC.glob("*.py") if p.name != "fileio.py"))
 def test_only_fileio_replaces_files(module):
     assert file_replacements((SRC / module).read_text()) == []
+
+
+# the os names that read the process environment
+ENVIRONMENT_READS = ("environ", "getenv")
+
+
+def environment_reads(source: str) -> list[str]:
+    """Code that reads the environment or the home directory, which no
+    module may do (a command reads only its arguments and its inputs):
+    an ``ENVIRONMENT_READS`` name imported from ``os`` or read as an
+    ``os`` attribute, ``Path.home`` and any ``expanduser``, as
+    ``name@line`` in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"os.{a.name}") for a in node.names
+                      if node.module == "os" and a.name in ENVIRONMENT_READS]
+            found += [(node.lineno, "expanduser") for a in node.names
+                      if a.name == "expanduser"]
+        elif not isinstance(node, ast.Attribute):
+            continue
+        elif node.attr in ENVIRONMENT_READS and \
+                isinstance(node.value, ast.Name) and node.value.id == "os":
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif node.attr == "home" and (
+                isinstance(node.value, ast.Name) and node.value.id == "Path"
+                or isinstance(node.value, ast.Attribute)
+                and node.value.attr == "Path"):
+            found.append((node.lineno, "Path.home"))
+        elif node.attr == "expanduser":
+            found.append((node.lineno, "expanduser"))
+    return [f"{name}@{line}" for line, name in sorted(found)]
+
+
+def test_checker_finds_environment_reads():
+    source = ("import os, pathlib\nfrom os import environ, getenv, path\n"
+              "from os.path import expanduser\nfrom pathlib import Path\n"
+              "def f(p):\n    os.environ.get('A')\n    os.getenv('B')\n"
+              "    Path.home()\n    pathlib.Path.home()\n"
+              "    os.path.expanduser(p)\n    Path(p).expanduser()\n"
+              "    p.home\n    os.getcwd()\n    os.environment\n")
+    assert environment_reads(source) == [
+        "os.environ@2", "os.getenv@2", "expanduser@3", "os.environ@6",
+        "os.getenv@7", "Path.home@8", "Path.home@9", "expanduser@10",
+        "expanduser@11"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_reads_the_environment(module):
+    assert environment_reads((SRC / module).read_text()) == []

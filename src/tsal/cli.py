@@ -49,8 +49,7 @@ from .errors import (
     TsalError,
     UnrecoverableObserverError,
 )
-from .fileio import (atomic_write_bytes, naming, reading, staged_tree,
-                     write_csv)
+from .fileio import atomic_write_bytes, naming, reading, staged, write_csv
 
 
 def _lazy(name: str):
@@ -274,9 +273,9 @@ def _synth_one(item, out_dir: str, seed: int, observers: int,
 
 def cmd_synth(args) -> None:
     specs = synth.read_scenes(args.scene)
-    with staged_tree(args.out) as staged:
+    with staged(args.out) as (out,):
         worker = functools.partial(
-            _synth_one, out_dir=staged, seed=args.seed,
+            _synth_one, out_dir=out, seed=args.seed,
             observers=args.observers, samples_per_sec=args.samples_per_sec,
             fixation_rate=args.fixation_rate, rho=args.rho,
             jitter=args.jitter, t_total=args.t_total)
@@ -285,7 +284,7 @@ def cmd_synth(args) -> None:
         samples, truth = zip(*results)
         samples = gaze.GazeTable.concat(samples)
         truth = gaze.FixationTable.concat(truth)
-        out = Path(staged)
+        out = Path(out)
         gaze.write_gaze_jsonl(out / "gaze.jsonl", samples)
         gaze.write_fixations_csv(out / "fixations.csv",
                                  replace(truth, t_ms=None, slice_index=None))
@@ -314,8 +313,9 @@ def cmd_timestamps(args) -> None:
         t_ms[rows] = gaze.recover_timestamps(
             table.take(rows), gaze_groups[key], w_s=args.spatial_weight,
             w_t=args.temporal_weight, t_total=args.t_total)
-    gaze.write_fixations_csv(args.out,
-                             replace(table, t_ms=t_ms, slice_index=None))
+    with staged(args.out) as (out,):
+        gaze.write_fixations_csv(out, replace(table, t_ms=t_ms,
+                                              slice_index=None))
     print(f"recovered timestamps for {len(table)} fixations")
 
 
@@ -334,8 +334,8 @@ def cmd_slice(args) -> None:
             else:
                 slice_of[rows] = gaze.slice_equal_distribution(
                     t_ms[rows], fixations.order_index[rows], n=args.n)
-    gaze.write_fixations_csv(args.out,
-                             replace(fixations, slice_index=slice_of))
+    with staged(args.out) as (out,):
+        gaze.write_fixations_csv(out, replace(fixations, slice_index=slice_of))
     print(f"sliced {len(fixations)} fixations into {args.n} bins "
           f"({args.scheme})")
 
@@ -386,9 +386,9 @@ def cmd_rasterize(args) -> None:
         rows = groups.get(image_id, slice(0))  # slice(0): no rows
         items.append((image_id, dims[image_id], fixations.x[rows],
                       fixations.y[rows], slice_of[rows]))
-    with staged_tree(args.out) as staged:
+    with staged(args.out) as (out,):
         worker = functools.partial(
-            _rasterize_one, out_dir=staged, fixations_path=args.fixations,
+            _rasterize_one, out_dir=out, fixations_path=args.fixations,
             n=args.n, sigma=args.sigma, norm_name=args.normalize)
         _run_parallel(args.jobs, worker, items)
     print(f"rasterized {len(ids)} images x {args.n} slices -> {args.out}")
@@ -424,8 +424,8 @@ def cmd_analyze(args) -> None:
                                                      averages)
     diffs = (analysis.consecutive_differences(averages)
              if len(kinds) >= 2 else [])
-    with staged_tree(args.out) as staged:
-        out = Path(staged)
+    with staged(args.out) as (out,):
+        out = Path(out)
         for k, m in enumerate(averages):
             gaze.write_map_tsal(out / "average" / f"t{k}.tsal", m,
                                 gaze.Normalization.SUM_TO_ONE)
@@ -495,9 +495,11 @@ def cmd_train(args) -> None:
     params, trace = model.train(handed.pop(), schedule, seed=args.seed,
                                 loss_cfg=loss_cfg, config=config,
                                 base_params=base)
-    autodiff.save_params(args.out, params)
-    if args.loss_csv:
-        write_csv(args.loss_csv, ["epoch", "stage", "loss", "lr"], trace)
+    outs = [args.out, args.loss_csv] if args.loss_csv else [args.out]
+    with staged(*outs) as paths:  # both in place, or neither
+        autodiff.save_params(paths[0], params)
+        if args.loss_csv:
+            write_csv(paths[1], ["epoch", "stage", "loss", "lr"], trace)
     final = trace[-1][2] if trace else float("nan")
     print(f"trained stage={args.stage} on {len(ids)} images, "
           f"final loss {final:.6f} -> {args.out}")
@@ -526,8 +528,8 @@ def cmd_predict(args) -> None:
     items = [(i, Path(args.images) / f"{i}.npy")
              for i in _ids(args.images, ".npy")]
     # each worker reads its own image: one image in memory at a time
-    with staged_tree(args.out) as staged:
-        worker = functools.partial(_predict_one, out_dir=staged,
+    with staged(args.out) as (out,):
+        worker = functools.partial(_predict_one, out_dir=out,
                                    params=params)
         _run_parallel(args.jobs, worker, items)
     print(f"predicted {len(items)} images -> {args.out}")
@@ -578,9 +580,10 @@ def cmd_eval(args) -> None:
                                               baseline, seed=args.seed))
     columns = metrics.METRIC_COLUMNS
     means = {c: sum(r[c] for r in rows) / len(rows) for c in columns}
-    write_csv(args.out, ["image_id", *columns],
-              ([i, *(r[c] for c in columns)]
-               for i, r in zip([*ids, "mean"], [*rows, means])))
+    with staged(args.out) as (out,):
+        write_csv(out, ["image_id", *columns],
+                  ([i, *(r[c] for c in columns)]
+                   for i, r in zip([*ids, "mean"], [*rows, means])))
     print(f"evaluated {len(ids)} images -> {args.out}")
 
 

@@ -1,14 +1,12 @@
-"""File reading and atomic file writing.
+"""File reading and staged file writing.
 
 Every input file is opened by ``reading``, so each input error names its
 file, and ``naming`` names the file in the errors of a block that works
-on its data. Artifacts are written to a temporary file in the
-destination directory and then renamed by ``atomic_writer``, so readers
-never observe a partial file; every CSV artifact is written by
-``write_csv``. A stage that writes a tree of files writes it into the
-staging directory of ``staged_tree``, which puts the whole tree in place
-only when the stage has succeeded. Only this module makes, moves or
-removes paths.
+on its data. Every artifact is opened by ``writing`` and every CSV
+artifact is written by ``write_csv``. A command writes its outputs,
+files or trees, into the staging paths of ``staged``, which puts them
+all in place only when the command has succeeded. Only this module
+makes, moves or removes paths.
 """
 
 import contextlib
@@ -49,30 +47,18 @@ def reading(path, binary: bool = False):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def atomic_writer(path):
-    """Yield a binary handle on a temporary file in the directory of
-    ``path`` (made if missing) and rename the file onto ``path`` when
-    the block ends; if the block raises, the file is removed and
-    ``path`` is left as it was. Large artifacts are written through it
-    in pieces, so they are never held in memory whole."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
-        _replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def writing(path):
+    """``path`` opened for binary writing, its parent directories made
+    if missing: the output twin of ``reading``. Large artifacts are
+    written through it in pieces, so they are never held in memory
+    whole."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "wb")
 
 
 def _replace(src, dst) -> None:
     """``os.replace``, whose error names only ``dst``: the random name of
-    a temporary file or staging directory would make two runs print
-    different lines."""
+    a staging directory would make two runs print different lines."""
     try:
         os.replace(src, dst)
     except OSError as exc:
@@ -80,53 +66,61 @@ def _replace(src, dst) -> None:
 
 
 @contextlib.contextmanager
-def staged_tree(out):
-    """Yield an empty directory for a stage's tree, made in a staging
-    directory ``.tmp-*~`` beside ``out`` (whose parents are made if
-    missing), so on the same filesystem. When the block ends the tree is
-    put in place: in one rename if ``out`` does not exist, else entry by
-    entry into ``out``, once ``_placements`` has checked every place.
-    The staging directory is removed in any case, so if the block raises
-    or a place cannot take its entry, ``out`` is left as it was."""
-    out = os.path.normpath(out)
-    parent = os.path.dirname(os.path.abspath(out))
-    os.makedirs(parent, exist_ok=True)
-    stage = tempfile.mkdtemp(dir=parent, prefix=".tmp-", suffix="~")
+def staged(*outs):
+    """Yield a list of one staging path per target of ``outs``, each for
+    the block to write a file or a tree at. A target's path sits in a
+    staging directory ``.tmp-*~`` beside its highest missing ancestor,
+    or beside it if its parent exists, so on the same filesystem. When
+    the block ends every place of every target is checked, then the
+    renames of ``_placements`` put them all in place, missing parents
+    too. The staging directories are removed in any case, so if the
+    block raises or a place cannot take its entry, nothing is moved."""
+    tops = {}  # each target's top path -> its staged twin
+    paths = []
     try:
-        tree = os.path.join(stage, "tree")
-        os.mkdir(tree)  # the mode os.makedirs gives; mkdtemp's is 0700
-        yield tree
-        if os.path.lexists(out):
-            for src, dst in list(_placements(tree, out)):
-                _replace(src, dst)
-        else:
-            _replace(tree, out)
+        for out in map(os.path.normpath, outs):
+            top = out
+            while not os.path.lexists(os.path.dirname(top) or os.curdir):
+                top = os.path.dirname(top)
+            if top not in tops:
+                parent, name = os.path.split(os.path.abspath(top))
+                os.makedirs(parent, exist_ok=True)  # a file here: named error
+                tops[top] = os.path.join(tempfile.mkdtemp(
+                    dir=parent, prefix=".tmp-", suffix="~"), name)
+            paths.append(os.path.normpath(
+                os.path.join(tops[top], os.path.relpath(out, top))))
+        yield paths
+        for src, dst in [move for top, twin in tops.items()
+                         for move in _placements(twin, top)]:
+            _replace(src, dst)
     finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        for twin in tops.values():
+            shutil.rmtree(os.path.dirname(twin), ignore_errors=True)
 
 
 def _placements(src, dst):
-    """The ``(staged, target)`` renames that put the entries of the
-    directory ``src`` into the directory ``dst``: an entry whose target
-    is absent, or a file onto a file, moves whole, and a directory onto a
-    directory merges into it. A file where a directory goes, or a
-    directory where a file goes, is an ``OSError`` naming the target."""
-    if not os.path.isdir(dst):
+    """The ``(staged, target)`` renames that put the staged path ``src``
+    at ``dst``: a directory onto a directory entry by entry, else whole.
+    A file where a directory goes, or a directory where a file goes, is
+    an ``OSError`` naming the target."""
+    if os.path.isdir(src) and os.path.isdir(dst):
+        for name in sorted(os.listdir(src)):
+            yield from _placements(os.path.join(src, name),
+                                   os.path.join(dst, name))
+    elif os.path.isdir(dst):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), dst)
+    elif os.path.isdir(src) and os.path.lexists(dst):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
                                  dst)
-    for name in sorted(os.listdir(src)):
-        s, d = os.path.join(src, name), os.path.join(dst, name)
-        if os.path.isdir(s) and os.path.lexists(d):
-            yield from _placements(s, d)
-        elif os.path.isdir(d):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                    d)
-        else:
-            yield s, d
+    else:
+        yield src, dst
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    with atomic_writer(path) as fh:
+    """``data`` written to ``path`` by ``writing``. Nothing here is
+    atomic any more; the name stays only because the per-layer metrics
+    of ``BENCHMARK.json`` name it."""
+    with writing(path) as fh:
         fh.write(data)
 
 
@@ -135,7 +129,7 @@ def write_csv(path, header, rows) -> None:
     quoted only when it holds a comma, a quote or a line break (RFC
     4180), and floats are written by ``repr``, so they read back
     exactly."""
-    with atomic_writer(path) as fh, \
+    with writing(path) as fh, \
             io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
         writer = csv.writer(text, lineterminator="\n")
         writer.writerow(header)

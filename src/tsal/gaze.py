@@ -36,7 +36,7 @@ from .errors import (
     PreconditionError,
     UnrecoverableObserverError,
 )
-from .fileio import atomic_write_bytes, atomic_writer, reading, write_csv
+from .fileio import atomic_write_bytes, reading, write_csv, writing
 from .tables import FixationTable, GazeTable
 
 NORM_TOLERANCE = 1e-9
@@ -353,7 +353,7 @@ def write_gaze_jsonl(path: str, table: GazeTable) -> None:
     escaped once by ``json.dumps``. Rows are encoded and written
     ``_CHUNK`` at a time."""
     ids = {s: json.dumps(s) for s in {*table.image_id, *table.observer_id}}
-    with atomic_writer(path) as fh:
+    with writing(path) as fh:
         for lo in range(0, len(table), _CHUNK):
             rows = slice(lo, lo + _CHUNK)
             fh.write("".join(

@@ -1586,44 +1586,62 @@ def snapshot(root: Path) -> dict:
 
 
 class TestStagedOutput:
-    """A multi-file stage's tree appears whole or not at all."""
+    """Every output of a command appears whole or not at all."""
 
-    # each stage's arguments besides --out, and the file it writes last
+    # each case's command line besides --out (given for train's loss CSV,
+    # which goes beside it), and the file the command writes last
     STAGES = {
-        "synth": (lambda d, t: ("--scene", d["scene"], "--seed", 5,
-                                "--observers", 3, "--samples-per-sec", 20),
-                  "truth/fixations.csv"),
-        "rasterize": (lambda d, t: ("--fixations", d["sliced"],
-                                    "--images", d["images"]),
-                      "full/img003.tsal"),
-        "analyze": (lambda d, t: ("--maps", d["maps"],
-                                  "--fixations", d["sliced"]),
-                    "histogram.csv"),
-        "predict": (lambda d, t: ("--checkpoint", t["final"],
-                                  "--images", d["images"]),
-                    "t4/img003.tsal"),
+        "synth": (lambda d, t, out: (
+            "synth", "--scene", d["scene"], "--seed", 5, "--observers", 3,
+            "--samples-per-sec", 20), "truth/fixations.csv"),
+        "timestamps": (lambda d, t, out: (
+            "timestamps", "--gaze", d["data"] / "gaze.jsonl",
+            "--fixations", d["data"] / "fixations.csv"), "/out"),
+        "slice": (lambda d, t, out: ("slice", "--fixations", d["recovered"]),
+                  "/out"),
+        "rasterize": (lambda d, t, out: (
+            "rasterize", "--fixations", d["sliced"], "--images", d["images"]),
+            "full/img003.tsal"),
+        "rasterize-jobs2": (lambda d, t, out: (
+            "rasterize", "--fixations", d["sliced"], "--images", d["images"],
+            "--jobs", 2), "full/img003.tsal"),
+        "analyze": (lambda d, t, out: (
+            "analyze", "--maps", d["maps"], "--fixations", d["sliced"]),
+            "histogram.csv"),
+        "train": (lambda d, t, out: (
+            "train", "--images", d["images"], "--maps", d["maps"],
+            "--max-steps", 1, "--loss-csv", out.with_name("loss.csv")),
+            "loss.csv"),
+        "predict": (lambda d, t, out: (
+            "predict", "--checkpoint", t["final"], "--images", d["images"]),
+            "t4/img003.tsal"),
+        "eval": (lambda d, t, out: (
+            "eval", "--pred", d["maps"] / "full", "--gt", d["maps"] / "full",
+            "--fixations", d["sliced"]), "/out"),
     }
 
-    @pytest.mark.parametrize("existing", [False, True],
-                             ids=["absent", "existing"])
+    @pytest.mark.parametrize("before", ["absent", "existing",
+                                        "missing-parents"])
     @pytest.mark.parametrize("stage", sorted(STAGES))
     def test_failed_last_write_leaves_out_as_it_was(
             self, dataset, trained, tmp_path, monkeypatch, capsys, stage,
-            existing):
-        inputs, last = self.STAGES[stage]
-        argv = (stage, *inputs(dataset, trained))
+            before):
         root = tmp_path / "run"
-        out = root / "out"
+        out = root / ("new/deeper/out" if before == "missing-parents"
+                      else "out")
+        inputs, last = self.STAGES[stage]
+        argv = inputs(dataset, trained, out)
         root.mkdir()
-        if existing:  # a whole tree of the stage, each file marked
+        if before == "existing":  # every output of the command, marked
             run0(*argv, "--out", out)
-            for path in out.rglob("*"):
+            for path in root.rglob("*"):
                 if path.is_file():
                     path.write_bytes(b"old " + path.name.encode())
-            (out / "extra.txt").write_bytes(b"kept")
-        before = snapshot(root)
+            if out.is_dir():
+                (out / "extra.txt").write_bytes(b"kept")
+        before_run = snapshot(root)
         written = []
-        real = fileio.atomic_writer
+        real = fileio.writing
 
         @contextlib.contextmanager
         def failing_writer(path):
@@ -1633,14 +1651,28 @@ class TestStagedOutput:
                 if written[-1].endswith(last):
                     raise OSError(errno.ENOSPC, "No space left on device")
         for module in (fileio, gaze):
-            monkeypatch.setattr(module, "atomic_writer", failing_writer)
+            monkeypatch.setattr(module, "writing", failing_writer)
         capsys.readouterr()
-        assert run(*argv, "--out", out) == 2  # --jobs 1: in this process
+        assert run(*argv, "--out", out) == 2
         assert only_error_line(capsys) == (
             "tsal: OSError: [Errno 28] No space left on device")
-        assert snapshot(root) == before
-        if existing:  # the failed write was the stage's last
-            assert len(written) == sum(p.is_file() for p in out.rglob("*")) - 1
+        assert snapshot(root) == before_run
+        if before == "existing" and "--jobs" not in argv:
+            # the failed write was the command's last (a pool worker's
+            # writes are not seen here)
+            assert len(written) == sum(
+                p.is_file() for p in root.rglob("*")) - out.is_dir()
+
+    def test_loss_csv_that_cannot_be_placed_leaves_no_checkpoint(
+            self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lossdir").mkdir()
+        assert run("train", "--images", dataset["images"],
+                   "--maps", dataset["maps"], "--max-steps", 1,
+                   "--out", "ck.tspw", "--loss-csv", "lossdir") == 2
+        assert only_error_line(capsys) == (
+            "tsal: IsADirectoryError: [Errno 21] Is a directory: 'lossdir'")
+        assert os.listdir(tmp_path) == ["lossdir"]
 
     def test_run_into_an_existing_tree_replaces_its_files(
             self, dataset, tmp_path):
@@ -1660,26 +1692,36 @@ class TestStagedOutput:
         out = tmp_path / "maps"
         run0("rasterize", "--fixations", dataset["sliced"],
              "--images", dataset["images"], "--out", out)
+        run0("slice", "--fixations", dataset["recovered"],
+             "--out", tmp_path / "sliced.csv")
+        run0("train", "--images", dataset["images"], "--maps", out,
+             "--max-steps", 1, "--out", tmp_path / "ck.tspw")
         for d in (out, out / "full"):
             assert stat.S_IMODE(d.stat().st_mode) == 0o777 & ~umask
-        assert stat.S_IMODE((out / "full" / "img000.tsal").stat().st_mode) \
-            == 0o600
+        for f in (out / "full" / "img000.tsal", tmp_path / "sliced.csv",
+                  tmp_path / "ck.tspw"):  # as open() makes them
+            assert stat.S_IMODE(f.stat().st_mode) == 0o666 & ~umask
 
-    @pytest.mark.parametrize("target", ["directory", "file"], ids=[
-        "slice-into-directory", "rasterize-into-file"])
+    @pytest.mark.parametrize("target", ["directory", "file", "parent"],
+                             ids=["slice-into-directory",
+                                  "rasterize-into-file", "slice-under-a-file"])
     def test_failed_final_rename_names_the_target(
             self, dataset, tmp_path, capsys, target):
         out = tmp_path / "out"
+        argv = ("slice", "--fixations", dataset["recovered"], "--out", out)
         if target == "directory":
             out.mkdir()
-            argv = ("slice", "--fixations", dataset["recovered"])
             error = "IsADirectoryError: [Errno 21] Is a directory"
-        else:
+        elif target == "file":
             out.write_bytes(b"a file")
             argv = ("rasterize", "--fixations", dataset["sliced"],
-                    "--images", dataset["images"])
+                    "--images", dataset["images"], "--out", out)
             error = "NotADirectoryError: [Errno 20] Not a directory"
-        assert run(*argv, "--out", out) == 2
+        else:  # a file where a parent of --out goes
+            out.write_bytes(b"a file")
+            argv = (*argv[:-1], out / "x")
+            error = "FileExistsError: [Errno 17] File exists"
+        assert run(*argv) == 2
         assert only_error_line(capsys) == f"tsal: {error}: '{out}'"
         assert os.listdir(tmp_path) == ["out"]
 

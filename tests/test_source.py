@@ -178,7 +178,7 @@ PATH_CHANGES = ("replace", "makedirs", "mkdir", "rename", "remove", "unlink")
 
 def file_replacements(source: str) -> list[str]:
     """Code that makes, moves or removes paths, which only ``fileio`` may
-    do (atomic files and staged trees): an import of ``tempfile`` or
+    do (staged outputs): an import of ``tempfile`` or
     ``shutil`` or from either, a ``PATH_CHANGES`` name imported from
     ``os`` or read as an ``os`` attribute, and any ``.mkdir(`` call, as
     ``name@line`` in line order."""
@@ -226,6 +226,50 @@ def test_checker_finds_file_replacements():
     p.name for p in SRC.glob("*.py") if p.name != "fileio.py"))
 def test_only_fileio_replaces_files(module):
     assert file_replacements((SRC / module).read_text()) == []
+
+
+# the writers besides the ``write_*`` functions that put an artifact on disk
+WRITERS = ("save_params", "atomic_write_bytes", "_save_npy", "_write_map")
+
+
+def direct_output_writes(source: str) -> list[str]:
+    """Calls of a writer (a ``write_*`` name or one of ``WRITERS``) with
+    an ``args.<name>`` argument: a command writing to a path of its
+    command line past ``fileio.staged``, as ``name@line`` in line
+    order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+        arguments = [*node.args, *(k.value for k in node.keywords)]
+        if (name.startswith("write_") or name in WRITERS) and any(
+                isinstance(a, ast.Attribute) and isinstance(a.value, ast.Name)
+                and a.value.id == "args" for a in arguments):
+            found.append((node.lineno, name))
+    return [f"{name}@{line}" for line, name in sorted(found)]
+
+
+def test_checker_finds_direct_output_writes():
+    source = ("def cmd(args, h, rows):\n"
+              "    gaze.write_fixations_csv(args.out, rows)\n"
+              "    write_csv(path=args.loss_csv, header=h, rows=rows)\n"
+              "    autodiff.save_params(args.out, rows)\n"
+              "    with staged(args.out) as (out,):\n"
+              "        write_csv(out, h, rows)\n"
+              "    _save_npy(args.out, rows)\n"
+              "    _write_map(args.maps, 't0', 'img', rows, h)\n"
+              "    atomic_write_bytes(args.out, b'')\n"
+              "    read_csv(args.fixations)\n"
+              "    writer(args.out)\n"
+              "    write_map_tsal(h.out, rows)\n")
+    assert direct_output_writes(source) == [
+        "write_fixations_csv@2", "write_csv@3", "save_params@4",
+        "_save_npy@7", "_write_map@8", "atomic_write_bytes@9"]
+
+
+def test_every_command_writes_through_staged():
+    assert direct_output_writes((SRC / "cli.py").read_text()) == []
 
 
 # the os names that read the process environment

@@ -14,7 +14,6 @@ def test_writer_replaces_the_target_when_the_block_ends(tmp_path):
     with fileio.staged(path) as (staged,):
         with fileio.writing(staged) as fh:
             fh.write(b"first piece, ")
-            fh.flush()
             assert not path.exists()
             fh.write(b"second piece")
         assert not path.exists()

@@ -682,7 +682,8 @@ def serialize_params(params: dict[str, np.ndarray]) -> bytes:
 
 def deserialize_params(blob: bytes) -> dict[str, np.ndarray]:
     """Inverse of ``serialize_params``. Every read is bounds-checked: a
-    truncated or corrupt blob raises ``CheckpointError``."""
+    truncated or corrupt blob, or a tensor holding NaN or Inf, raises
+    ``CheckpointError``."""
     offset = 0
 
     def take(size: int, what: str) -> bytes:
@@ -716,6 +717,8 @@ def deserialize_params(blob: bytes) -> dict[str, np.ndarray]:
             arr = np.frombuffer(payload, dtype="<f8").reshape(extents)
         except ValueError as exc:
             raise CheckpointError(f"{name}: bad extents {extents}") from exc
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{name}: holds NaN or Inf values")
         params[name] = arr.astype(np.float64)
     if offset != len(blob):
         raise CheckpointError("trailing bytes after last tensor")

@@ -409,22 +409,22 @@ def cmd_analyze(args) -> None:
             f"fixations reference images without maps: {sorted(unknown)[0]}")
     with naming(args.fixations, PreconditionError):
         gaze.check_time_range(fixations.t_ms, args.t_total)
-    # one image's maps in memory at a time: the full maps are read once,
-    # and each slice statistic reads the slice maps afresh
-    full_dir = Path(args.maps) / "full"
-    full = (maps[0] for maps in _map_rows([full_dir], ids))
-    grid = analysis.saliency_time_histogram(
-        fixations, zip(ids, full), t_total=args.t_total,
-        fixations_path=args.fixations,
-        map_path=lambda image_id: full_dir / f"{image_id}.tsal")
-    dirs = [Path(args.maps) / kind for kind in kinds]
-    averages = analysis.average_slices(_map_rows(dirs, ids))
-    values, pair_skipped = analysis.inter_slice_cc(_map_rows(dirs, ids))
-    scores, skipped = analysis.intra_slice_deviation(_map_rows(dirs, ids),
-                                                     averages)
-    diffs = (analysis.consecutive_differences(averages)
-             if len(kinds) >= 2 else [])
-    with staged(args.out) as (out,):
+    with staged(args.out) as (out,):  # refused before any statistic
+        # one image's maps in memory at a time: the full maps are read once,
+        # and each slice statistic reads the slice maps afresh
+        full_dir = Path(args.maps) / "full"
+        full = (maps[0] for maps in _map_rows([full_dir], ids))
+        grid = analysis.saliency_time_histogram(
+            fixations, zip(ids, full), t_total=args.t_total,
+            fixations_path=args.fixations,
+            map_path=lambda image_id: full_dir / f"{image_id}.tsal")
+        dirs = [Path(args.maps) / kind for kind in kinds]
+        averages = analysis.average_slices(_map_rows(dirs, ids))
+        values, pair_skipped = analysis.inter_slice_cc(_map_rows(dirs, ids))
+        scores, skipped = analysis.intra_slice_deviation(_map_rows(dirs, ids),
+                                                         averages)
+        diffs = (analysis.consecutive_differences(averages)
+                 if len(kinds) >= 2 else [])
         out = Path(out)
         for k, m in enumerate(averages):
             gaze.write_map_tsal(out / "average" / f"t{k}.tsal", m,

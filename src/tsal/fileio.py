@@ -17,7 +17,7 @@ import os
 import shutil
 import tempfile
 
-from .errors import FormatError, TsalError
+from .errors import FormatError, PreconditionError, TsalError
 
 
 @contextlib.contextmanager
@@ -68,13 +68,20 @@ def _replace(src, dst) -> None:
 @contextlib.contextmanager
 def staged(*outs):
     """Yield a list of one staging path per target of ``outs``, each for
-    the block to write a file or a tree at. A target's path sits in a
-    staging directory ``.tmp-*~`` beside its highest missing ancestor,
-    or beside it if its parent exists, so on the same filesystem. When
-    the block ends every place of every target is checked, then the
-    renames of ``_placements`` put them all in place, missing parents
-    too. The staging directories are removed in any case, so if the
-    block raises or a place cannot take its entry, nothing is moved."""
+    the block to write a file or a tree at. A target that is a directory
+    with entries is a ``PreconditionError`` naming it, raised before
+    anything is made, so an output never mixes with an earlier run's and
+    no file is deleted. A target's path sits in a staging directory
+    ``.tmp-*~`` beside its highest missing ancestor, or beside it if its
+    parent exists, so on the same filesystem. When the block ends every
+    target is checked to take its twin (a file where a directory is, or
+    a tree where a file is, is an ``OSError`` naming the target), then
+    one rename per target puts it in place, missing parents too. The
+    staging directories are removed in any case, so if the block raises
+    or a target cannot take its twin, nothing is moved."""
+    for out in outs:
+        if os.path.isdir(out) and os.listdir(out):
+            raise PreconditionError(f"{out}: directory not empty")
     tops = {}  # each target's top path -> its staged twin
     paths = []
     try:
@@ -90,30 +97,16 @@ def staged(*outs):
             paths.append(os.path.normpath(
                 os.path.join(tops[top], os.path.relpath(out, top))))
         yield paths
-        for src, dst in [move for top, twin in tops.items()
-                         for move in _placements(twin, top)]:
-            _replace(src, dst)
+        for top, twin in tops.items():
+            if os.path.lexists(top) and \
+                    os.path.isdir(top) != os.path.isdir(twin):
+                code = errno.EISDIR if os.path.isdir(top) else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), top)
+        for top, twin in tops.items():
+            _replace(twin, top)
     finally:
         for twin in tops.values():
             shutil.rmtree(os.path.dirname(twin), ignore_errors=True)
-
-
-def _placements(src, dst):
-    """The ``(staged, target)`` renames that put the staged path ``src``
-    at ``dst``: a directory onto a directory entry by entry, else whole.
-    A file where a directory goes, or a directory where a file goes, is
-    an ``OSError`` naming the target."""
-    if os.path.isdir(src) and os.path.isdir(dst):
-        for name in sorted(os.listdir(src)):
-            yield from _placements(os.path.join(src, name),
-                                   os.path.join(dst, name))
-    elif os.path.isdir(dst):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), dst)
-    elif os.path.isdir(src) and os.path.lexists(dst):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
-                                 dst)
-    else:
-        yield src, dst
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

@@ -968,6 +968,14 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             ad.deserialize_params(head + tail)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_named(self, value):
+        blob = ad.serialize_params({"a.w": np.ones(3),
+                                    "b.w": np.array([0.0, value])})
+        with pytest.raises(CheckpointError,
+                           match=r"^b\.w: holds NaN or Inf values$"):
+            ad.deserialize_params(blob)
+
     def test_name_not_utf8(self):
         blob = (b"TSPW" + struct.pack("<III", 1, 1, 1) + b"\xff"
                 + struct.pack("<I", 0) + bytes(8))

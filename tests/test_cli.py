@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsal import cli, fileio, gaze, model
+from tsal import analysis, cli, fileio, gaze, model
 from tsal.autodiff import load_params, save_params
 from tsal.cli import _read_stack, _worker_count, main
 from tsal.errors import (
@@ -1443,6 +1443,28 @@ class TestTrainPredictEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("tsal: CheckpointError: ")
 
+    @pytest.mark.parametrize("argv, tensor, value", [
+        (("predict",), "enc.c1.b", np.nan),
+        (("train", "--stage", "mixing"), "smm.s1.w", np.inf),
+        (("train", "--stage", "temporal"), "smm.s1.w", np.nan)],
+        ids=["predict", "train-mixing", "train-temporal"])
+    def test_non_finite_checkpoint_exits_two_naming_it(
+            self, dataset, trained, tmp_path, capsys, argv, tensor, value):
+        params = load_params(trained["final"])
+        params[tensor].flat[0] = value
+        bad = tmp_path / "bad.tspw"
+        save_params(bad, params)
+        flag = "--checkpoint" if argv[0] == "predict" else "--base"
+        inputs = ("--maps", dataset["maps"], "--max-steps", 1) \
+            if argv[0] == "train" else ()
+        capsys.readouterr()
+        assert run(*argv, flag, bad, "--images", dataset["images"], *inputs,
+                   "--out", tmp_path / "out") == 2
+        assert only_error_line(capsys) == (
+            f"tsal: CheckpointError: {bad}: {tensor}: holds NaN or Inf "
+            f"values")
+        assert os.listdir(tmp_path) == ["bad.tspw"]
+
     @pytest.mark.parametrize("command", ["rasterize", "train", "predict"])
     def test_zero_byte_image_exits_two(self, dataset, trained, tmp_path,
                                        capsys, command):
@@ -1632,13 +1654,15 @@ class TestStagedOutput:
         inputs, last = self.STAGES[stage]
         argv = inputs(dataset, trained, out)
         root.mkdir()
-        if before == "existing":  # every output of the command, marked
+        if before == "existing":  # each output file marked, a tree emptied
             run0(*argv, "--out", out)
-            for path in root.rglob("*"):
-                if path.is_file():
-                    path.write_bytes(b"old " + path.name.encode())
+            files = [p for p in root.rglob("*") if p.is_file()]
             if out.is_dir():
-                (out / "extra.txt").write_bytes(b"kept")
+                shutil.rmtree(out)
+                out.mkdir()
+            else:
+                for path in files:
+                    path.write_bytes(b"old " + path.name.encode())
         before_run = snapshot(root)
         written = []
         real = fileio.writing
@@ -1660,8 +1684,65 @@ class TestStagedOutput:
         if before == "existing" and "--jobs" not in argv:
             # the failed write was the command's last (a pool worker's
             # writes are not seen here)
-            assert len(written) == sum(
-                p.is_file() for p in root.rglob("*")) - out.is_dir()
+            assert len(written) == len(files)
+
+    @pytest.mark.parametrize("stage", ["synth", "rasterize",
+                                       "rasterize-jobs2", "analyze",
+                                       "predict"])
+    def test_non_empty_tree_out_is_refused_before_any_work(
+            self, dataset, trained, tmp_path, monkeypatch, capsys, stage):
+        out = tmp_path / "out"
+        inputs, _ = self.STAGES[stage]
+        argv = inputs(dataset, trained, out)
+        run0(*argv, "--out", out)
+        before_run = snapshot(tmp_path)
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("computed or wrote into a refused --out")
+        for module, name in ((fileio, "writing"), (gaze, "writing"),
+                             (gaze, "rasterize"), (model, "predict"),
+                             *((analysis, f) for f in (
+                                 "saliency_time_histogram", "average_slices",
+                                 "inter_slice_cc", "intra_slice_deviation"))):
+            monkeypatch.setattr(module, name, unreached)
+        capsys.readouterr()
+        assert run(*argv, "--out", out) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: PreconditionError: {out}: directory not empty")
+        assert snapshot(tmp_path) == before_run
+
+    def test_fewer_slices_into_an_earlier_tree_are_refused(
+            self, dataset, tmp_path, capsys):
+        maps = tmp_path / "maps"
+        shutil.copytree(dataset["maps"], maps)  # five slices
+        before_run = snapshot(maps)
+        run0("slice", "--fixations", dataset["recovered"], "--n", 3,
+             "--out", tmp_path / "sliced3.csv")
+        capsys.readouterr()
+        assert run("rasterize", "--fixations", tmp_path / "sliced3.csv",
+                   "--images", dataset["images"], "--n", 3,
+                   "--out", maps) == 2
+        assert only_error_line(capsys) == (
+            f"tsal: PreconditionError: {maps}: directory not empty")
+        assert snapshot(maps) == before_run
+        assert sorted(os.listdir(tmp_path)) == ["maps", "sliced3.csv"]
+
+    @pytest.mark.parametrize("cwd", ["empty", "non-empty"])
+    def test_out_dot_exits_two_and_leaves_it_as_it_was(
+            self, dataset, tmp_path, monkeypatch, capsys, cwd):
+        work = tmp_path / "work"
+        work.mkdir()
+        if cwd == "non-empty":
+            (work / "mine.txt").write_bytes(b"mine")
+        monkeypatch.chdir(work)
+        before_run = snapshot(tmp_path)
+        assert run("rasterize", "--fixations", dataset["sliced"],
+                   "--images", dataset["images"], "--out", ".") == 2
+        assert only_error_line(capsys) == (
+            "tsal: PreconditionError: .: directory not empty"
+            if cwd == "non-empty" else
+            "tsal: OSError: [Errno 16] Device or resource busy: '.'")
+        assert snapshot(tmp_path) == before_run
 
     def test_loss_csv_that_cannot_be_placed_leaves_no_checkpoint(
             self, dataset, tmp_path, monkeypatch, capsys):
@@ -1674,16 +1755,13 @@ class TestStagedOutput:
             "tsal: IsADirectoryError: [Errno 21] Is a directory: 'lossdir'")
         assert os.listdir(tmp_path) == ["lossdir"]
 
-    def test_run_into_an_existing_tree_replaces_its_files(
+    def test_run_into_an_empty_directory_replaces_it_whole(
             self, dataset, tmp_path):
         out = tmp_path / "maps"
-        (out / "t0").mkdir(parents=True)
-        (out / "t0" / "img000.tsal").write_bytes(b"old")
-        (out / "t0" / "extra.tsal").write_bytes(b"kept")
+        out.mkdir()
         run0("rasterize", "--fixations", dataset["sliced"],
              "--images", dataset["images"], "--out", out)
-        fresh = snapshot(dataset["maps"])
-        assert snapshot(out) == {**fresh, "t0/extra.tsal": b"kept"}
+        assert snapshot(out) == snapshot(dataset["maps"])
         assert os.listdir(tmp_path) == ["maps"]
 
     def test_new_tree_gets_the_mode_of_makedirs(self, dataset, tmp_path):

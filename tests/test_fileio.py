@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tsal import fileio
+from tsal.errors import PreconditionError
 
 
 def test_writer_replaces_the_target_when_the_block_ends(tmp_path):
@@ -67,25 +68,37 @@ def test_new_tree_is_renamed_into_place_whole(tmp_path):
                                  "out/a/x.bin": b"x", "out/y.bin": b"y"}
 
 
-def test_tree_is_merged_into_an_existing_directory(tmp_path):
+def test_non_empty_directory_is_refused_before_anything_is_made(tmp_path):
     out = tmp_path / "out"
-    write_tree(out, {"a/x.bin": b"old", "a/kept.bin": b"kept",
-                     "z.bin": b"kept"})
+    write_tree(out, {"a/x.bin": b"old"})
+    before = listing(tmp_path)
+    with pytest.raises(PreconditionError) as caught:
+        with fileio.staged(tmp_path / "first.bin", out):
+            pytest.fail("the block ran")
+    assert str(caught.value) == f"{out}: directory not empty"
+    assert listing(tmp_path) == before
+
+
+def test_empty_directory_is_replaced_by_the_tree_whole(tmp_path,
+                                                      monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    renames = []
+    real = os.replace
+    monkeypatch.setattr(os, "replace", lambda *a: renames.append(real(*a)))
     with fileio.staged(out) as (staged,):
-        write_tree(Path(staged), {"a/x.bin": b"new", "b/n.bin": b"n",
-                                  "y.bin": b"y"})
-    assert listing(tmp_path) == {
-        "out": None, "out/a": None, "out/a/kept.bin": b"kept",
-        "out/a/x.bin": b"new", "out/b": None, "out/b/n.bin": b"n",
-        "out/y.bin": b"y", "out/z.bin": b"kept"}
+        write_tree(Path(staged), {"a/x.bin": b"x", "y.bin": b"y"})
+    assert listing(tmp_path) == {"out": None, "out/a": None,
+                                 "out/a/x.bin": b"x", "out/y.bin": b"y"}
+    assert len(renames) == 1
 
 
 @pytest.mark.parametrize("existing", [False, True],
                          ids=["absent", "existing"])
 def test_failed_block_leaves_out_as_it_was(tmp_path, existing):
     out = tmp_path / "out"
-    if existing:
-        write_tree(out, {"a/x.bin": b"old"})
+    if existing:  # a tree goes only to an empty directory
+        out.mkdir()
     before = listing(tmp_path)
     with pytest.raises(RuntimeError, match="^mid-tree$"):
         with fileio.staged(out) as (staged,):
@@ -94,24 +107,17 @@ def test_failed_block_leaves_out_as_it_was(tmp_path, existing):
     assert listing(tmp_path) == before
 
 
-@pytest.mark.parametrize("place, error, target", [
-    ("a", "NotADirectoryError: [Errno 20] Not a directory", "out/a"),
-    ("y.bin/", "IsADirectoryError: [Errno 21] Is a directory", "out/y.bin")])
-def test_place_that_cannot_take_its_entry_moves_nothing(
-        tmp_path, place, error, target):
-    out = tmp_path / "out"
-    write_tree(out, {"b.bin": b"old"})
-    if place.endswith("/"):
-        (out / place).mkdir()
-    else:
-        (out / place).write_bytes(b"a file")
+def test_tree_where_a_file_is_moves_nothing(tmp_path):
+    (tmp_path / "out").write_bytes(b"a file")
     before = listing(tmp_path)
-    with pytest.raises(OSError) as caught:
-        with fileio.staged(out) as (staged,):
-            write_tree(Path(staged), {"a/x.bin": b"x", "b.bin": b"new",
-                                      "y.bin": b"y"})
-    assert f"{type(caught.value).__name__}: {caught.value}" == \
-        f"{error}: '{tmp_path / target}'"
+    with pytest.raises(NotADirectoryError) as caught:
+        with fileio.staged(tmp_path / "first.bin", tmp_path / "out") as (
+                first, tree):
+            with fileio.writing(first) as fh:
+                fh.write(b"new")
+            write_tree(Path(tree), {"x.bin": b"x"})
+    assert str(caught.value) == \
+        f"[Errno 20] Not a directory: '{tmp_path / 'out'}'"
     assert listing(tmp_path) == before
 
 

@@ -30,7 +30,9 @@ Fields of BENCH.json:
   ``peak_rss_mb`` grows with it), ``checks`` and ``failed`` (checks
   made and failed), ``artifacts`` (digest of the artifact table, 16
   hex digits, as ``perfbench/run.py`` prints it), ``files`` (artifact
-  count), ``build`` and ``trace``.
+  count), ``build`` and ``trace``; a ``--trace 1`` run adds
+  ``per_layer``, its per-layer metrics under the names of
+  ``BENCHMARK.json``.
 - ``launcher``: per ``<workload>-<seed>``, one entry per launcher
   pass: per stage (``help`` is ``tsal --help``, then the
   workload's stages in order) ``wall_s``, ``rss_mb`` (peak RSS) and
@@ -89,6 +91,8 @@ def record_runs(paths: list[str]) -> list[tuple[str, dict]]:
                      failed=sum(not c["ok"] for c in r["checks"]),
                      artifacts=digest, files=len(table), build=r["build"],
                      trace=r["trace"])
+        if r["per_layer"] is not None:  # a --trace 1 run
+            entry["per_layer"] = r["per_layer"]
         out.append((f"{r['workload']}-{r['seed']}", entry))
     return out
 
@@ -145,13 +149,16 @@ def tier1(checkout: Path) -> dict:
 
 
 def medians(entries: list[dict]) -> dict:
-    """Median of every numeric field, nested one level for stages."""
+    """Median of every numeric field over the entries that hold it,
+    nested for ``stages`` and ``per_layer``."""
     out = {}
-    for key, value in entries[0].items():
-        if isinstance(value, dict):
-            out[key] = medians([e[key] for e in entries])
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[key] = statistics.median(e[key] for e in entries)
+    for key in dict.fromkeys(k for e in entries for k in e):
+        values = [e[key] for e in entries if key in e]
+        if isinstance(values[0], dict):
+            out[key] = medians(values)
+        elif isinstance(values[0], (int, float)) and \
+                not isinstance(values[0], bool):
+            out[key] = statistics.median(values)
     return out
 
 

@@ -121,6 +121,25 @@ def test_tree_where_a_file_is_moves_nothing(tmp_path):
     assert listing(tmp_path) == before
 
 
+@pytest.mark.parametrize("place, error, target", [
+    ("y.bin/", "IsADirectoryError: [Errno 21] Is a directory", "out/y.bin")])
+def test_place_that_cannot_take_its_entry_moves_nothing(
+        tmp_path, place, error, target):
+    out = tmp_path / "out"
+    write_tree(out, {"b.bin": b"old"})
+    (out / place).mkdir()
+    before = listing(tmp_path)
+    with pytest.raises(OSError) as caught:
+        with fileio.staged(out / "a" / "x.bin", out / "b.bin",
+                           out / "y.bin") as paths:
+            for path in paths:
+                with fileio.writing(path) as fh:
+                    fh.write(b"new")
+    assert f"{type(caught.value).__name__}: {caught.value}" == \
+        f"{error}: '{tmp_path / target}'"
+    assert listing(tmp_path) == before
+
+
 def test_second_target_that_cannot_be_placed_keeps_both_out(tmp_path):
     (tmp_path / "second").mkdir()
     before = listing(tmp_path)

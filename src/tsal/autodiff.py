@@ -2,12 +2,14 @@
 
 Deliberately small: exactly the operations the saliency network records
 (``add``, ``sub``, ``mul``, ``sigmoid``, ``reduce_sum``, ``reduce_mean``,
-``concat_channels``, ``take_maps``, ``conv2d``, ``resize_bilinear``). Its
-CC and KL losses and ``model.minmax01`` are one node each; the primitives
-that only their composite oracles use (``div``, ``log``, ``sqrt``,
-``reduce_min``, ``reduce_max``) live in ``tests/oracles.py``. Everything
-is float64 so that analytic gradients can be checked against central
-finite differences to tight tolerances.
+``take_maps``, ``conv2d``, ``resize_bilinear``). Its CC and KL losses
+and ``model.minmax01`` are one node each; the primitives that only their
+composite oracles use (``div``, ``log``, ``sqrt``, ``reduce_min``,
+``reduce_max``) live in ``tests/oracles.py``. ``concat_channels``
+records nothing: it returns a ``ChannelStack`` that only ``conv2d``
+reads, each part in place (a copying concat node in ``tests/oracles.py``
+is its reference). Everything is float64 so that analytic gradients can be checked against
+central finite differences to tight tolerances.
 
 A ``Tape`` records one forward computation as an append-only list of
 nodes; inputs of a node always have smaller node ids, so ``backward``
@@ -249,10 +251,24 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return a.tape._record("mean", (a.node_id,), pullback, np.asarray(out))
 
 
-def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
+@dataclass(frozen=True)
+class ChannelStack:
+    """NCHW tensors side by side along the channels, as
+    ``concat_channels`` returns them for ``conv2d`` to read: ``parts`` in
+    channel order, and ``shape`` the shape of their concatenation, which
+    is never built."""
+
+    parts: tuple[Tensor, ...]
+    shape: tuple[int, ...]
+
+
+def concat_channels(tensors: Sequence[Tensor]) -> ChannelStack:
+    """The tensors stacked along the channels, checked (NCHW, one tape, N,
+    H and W agreeing), neither copied nor recorded: only ``conv2d`` reads
+    a stack, each part in place."""
     if not tensors:
         raise ShapeMismatchError("concat_channels needs at least one input")
-    tape = _same_tape(*tensors)
+    _same_tape(*tensors)
     first = tensors[0].shape
     for t in tensors:
         if t.data.ndim != 4:
@@ -260,14 +276,8 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
         if t.shape[0] != first[0] or t.shape[2:] != first[2:]:
             raise ShapeMismatchError(
                 f"concat_channels: {t.shape} does not agree with {first} on N,H,W")
-    widths = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-
-    def pullback(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(widths)))
-
-    out = np.concatenate([t.data for t in tensors], axis=1)
-    return tape._record("concat", tuple(t.node_id for t in tensors), pullback, out)
+    return ChannelStack(tuple(tensors),
+                        (first[0], sum(t.shape[1] for t in tensors), *first[2:]))
 
 
 def take_maps(a: Tensor, rows: np.ndarray, chans: np.ndarray) -> Tensor:
@@ -302,19 +312,20 @@ def _tap_buffers(c: int, oh: int, ow: int, stride: int) -> list[np.ndarray]:
             for p in range(stride)]
 
 
-def _row_taps(xi: np.ndarray, bufs: list[np.ndarray], stride: int,
+def _row_taps(xi: list[np.ndarray], bufs: list[np.ndarray], stride: int,
               r0: int, m: int) -> list[np.ndarray]:
     """Row-tap matrices of the output rows r0 .. r0 + m - 1 (m at most the
-    band of ``bufs``, see ``_tap_buffers``) of one unpadded image xi
-    (C, H, W), written into ``bufs`` and returned as (C*3, rows*OW)
-    views. With xp the image zero-padded by 1, row ``c*3 + dx``, column
-    ``j*ow + x`` of phase p's matrix holds
-    ``xp[c, p + stride*(r0 + j), stride*x + dx]``, so kernel row dy reads
-    the ``m*ow`` columns that start at ``(dy // stride) * ow``. Only the
-    tap rows on the top or bottom padding are zeroed here: the entries on
-    the left and right padding are never written, so they stay zero from
-    band to band and image to image."""
-    h, w = xi.shape[1:]
+    band of ``bufs``, see ``_tap_buffers``) of one unpadded image given
+    as its channel parts xi, each (C_p, H, W), written into ``bufs`` and
+    returned as (C*3, rows*OW) views. With xp the image (its parts
+    stacked) zero-padded by 1, row ``c*3 + dx``, column ``j*ow + x`` of
+    phase p's matrix holds ``xp[c, p + stride*(r0 + j), stride*x + dx]``,
+    so kernel row dy reads the ``m*ow`` columns that start at
+    ``(dy // stride) * ow``. Each part is written straight into its own
+    rows. Only the tap rows on the top or bottom padding are zeroed here:
+    the entries on the left and right padding are never written, so they
+    stay zero from band to band and image to image."""
+    h, w = xi[0].shape[1:]
     taps = []
     for p, buf in enumerate(bufs):
         band = buf[:, :, :m + (2 - p) // stride]
@@ -324,42 +335,53 @@ def _row_taps(xi: np.ndarray, bufs: list[np.ndarray], stride: int,
         j1 = min(rows, (h - 1 - top) // stride + 1)
         band[:, :, :j0] = 0.0
         band[:, :, j1:] = 0.0
-        src = xi[:, top + stride * j0::stride][:, :j1 - j0]
-        for dx in range(3):
-            x0 = 1 if dx == 0 else 0  # dx 0 reads the left padding first
-            x1 = min(ow, (w - dx) // stride + 1)
-            band[:, dx, j0:j1, x0:x1] = \
-                src[:, :, stride * x0 + dx - 1::stride][:, :, :x1 - x0]
+        c0 = 0
+        for part in xi:
+            src = part[:, top + stride * j0::stride][:, :j1 - j0]
+            dst = band[c0:c0 + part.shape[0]]
+            c0 += part.shape[0]
+            for dx in range(3):
+                x0 = 1 if dx == 0 else 0  # dx 0 reads the left padding first
+                x1 = min(ow, (w - dx) // stride + 1)
+                dst[:, dx, j0:j1, x0:x1] = \
+                    src[:, :, stride * x0 + dx - 1::stride][:, :, :x1 - x0]
         taps.append(band.reshape(band.shape[0] * 3, -1))
     return taps
 
 
-def _bands(xi: np.ndarray, bufs: list[np.ndarray], stride: int):
+def _bands(xi: list[np.ndarray], bufs: list[np.ndarray], stride: int):
     """For each band of one image's output rows: the band's first output
     column and column count in the flattened (OH*OW) output, and its row
     taps."""
     band, ow = bufs[0].shape[2] - 2 // stride, bufs[0].shape[3]
-    oh = xi.shape[1] // stride
+    oh = xi[0].shape[1] // stride
     for r0 in range(0, oh, band):
         m = min(band, oh - r0)
         yield r0 * ow, m * ow, _row_taps(xi, bufs, stride, r0, m)
 
 
-def _conv_image(krows: np.ndarray, xi: np.ndarray, bufs: list[np.ndarray],
-                stride: int, out: np.ndarray) -> None:
-    """``out`` (O, OH*OW) = the convolution of one image xi: per band, the
-    sum over kernel rows dy of ``krows[dy]`` (O, C*3) times the column
-    block of the band's row taps that dy reads."""
+def _conv_image(krows: np.ndarray, xi: list[np.ndarray],
+                bufs: list[np.ndarray], stride: int,
+                outs: list[np.ndarray]) -> None:
+    """The convolution of one image, given as its channel parts xi, into
+    ``outs``, (O_q, OH*OW) arrays that take the rows of ``krows`` (3, O,
+    C*3) in turn: per band and out, the sum over kernel rows dy of its
+    rows of ``krows[dy]`` times the column block of the band's row taps
+    that dy reads."""
     ow = bufs[0].shape[3]
     for c0, cols, taps in _bands(xi, bufs, stride):
-        band_out = out[:, c0:c0 + cols]
-        for dy in range(3):
-            start = (dy // stride) * ow
-            block = taps[dy % stride][:, start:start + cols]
-            if dy == 0:
-                np.matmul(krows[dy], block, out=band_out)
-            else:
-                band_out += krows[dy] @ block
+        r0 = 0
+        for out in outs:
+            rows = krows[:, r0:r0 + out.shape[0]]
+            r0 += out.shape[0]
+            band_out = out[:, c0:c0 + cols]
+            for dy in range(3):
+                start = (dy // stride) * ow
+                block = taps[dy % stride][:, start:start + cols]
+                if dy == 0:
+                    np.matmul(rows[dy], block, out=band_out)
+                else:
+                    band_out += rows[dy] @ block
 
 
 def _kernel_rows(k: np.ndarray) -> np.ndarray:
@@ -368,18 +390,19 @@ def _kernel_rows(k: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(k.transpose(2, 0, 1, 3)).reshape(3, o, c * 3)
 
 
-def _conv_kernel_grad(xd: np.ndarray, g: np.ndarray,
+def _conv_kernel_grad(xd: list[np.ndarray], g: np.ndarray,
                       stride: int) -> np.ndarray:
-    """(O, C, 3, 3) kernel gradient: per image, band and kernel row dy,
-    the band's output gradient times the transpose of the column block
-    of the band's row taps that dy reads."""
-    n, c, h, w = xd.shape
-    o, oh, ow = g.shape[1:]
+    """(O, C, 3, 3) kernel gradient of an input given as its channel
+    parts xd, each (N, C_p, H, W): per image, band and kernel row dy, the
+    band's output gradient times the transpose of the column block of the
+    band's row taps that dy reads."""
+    n, o, oh, ow = g.shape
+    c = sum(d.shape[1] for d in xd)
     bufs = _tap_buffers(c, oh, ow, stride)
     gk = np.zeros((3, o, c * 3))
     for i in range(n):
         gi = g[i].reshape(o, oh * ow)
-        for c0, cols, taps in _bands(xd[i], bufs, stride):
+        for c0, cols, taps in _bands([d[i] for d in xd], bufs, stride):
             for dy in range(3):
                 start = (dy // stride) * ow
                 gk[dy] += gi[:, c0:c0 + cols] @ \
@@ -388,32 +411,45 @@ def _conv_kernel_grad(xd: np.ndarray, g: np.ndarray,
 
 
 def _conv_input_grad(kd: np.ndarray, g: np.ndarray, stride: int,
-                     h: int, w: int) -> np.ndarray:
-    """(N, C, H, W) input gradient: the stride-1 convolution of the
-    flipped kernel over each image's output gradient, read as it is at
-    stride 1 and zero-stuffed to (O, H, W) at stride 2."""
+                     h: int, w: int, widths: list[int],
+                     live: list[bool]) -> list[np.ndarray | None]:
+    """The input gradient of each channel part, (N, C_p, H, W), for the
+    parts of ``widths`` channels that are ``live``, and None for the
+    others: the stride-1 convolution of the flipped kernel columns of the
+    live parts over each image's output gradient, read as it is at stride
+    1 and zero-stuffed to (O, H, W) at stride 2. Each band's row taps
+    serve every live part, and each part's products write straight into
+    its own array."""
     n, o = g.shape[:2]
-    c = kd.shape[1]
+    grads = [np.empty((n, c, h, w)) if is_live else None
+             for c, is_live in zip(widths, live)]
+    outs = [gp for gp in grads if gp is not None]
+    if not outs:
+        return grads
+    kd = kd[:, np.repeat(live, widths)]
     kflip = _kernel_rows(kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     bufs = _tap_buffers(o, h, w, 1)
     stuffed = np.zeros((o, h, w)) if stride == 2 else None
-    gx = np.empty((n, c, h, w))
     for i in range(n):
         gi = g[i]
         if stuffed is not None:
             stuffed[:, ::2, ::2] = gi
             gi = stuffed
-        _conv_image(kflip, gi, bufs, 1, gx[i].reshape(c, h * w))
-    return gx
+        _conv_image(kflip, [gi], bufs, 1,
+                    [gp[i].reshape(gp.shape[1], h * w) for gp in outs])
+    return grads
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
-           relu: bool = False) -> Tensor:
+def conv2d(x: Tensor | ChannelStack, kernel: Tensor, bias: Tensor,
+           stride: int = 1, relu: bool = False) -> Tensor:
     """3x3 cross-correlation with zero padding 1 and stride 1 or 2,
     followed by a ReLU when ``relu`` is set.
 
-    Input (N,C,H,W), kernel (O,C,3,3), bias (O,). Stride 2 halves the
-    spatial extent (H and W must be even in that case).
+    Input (N,C,H,W), a tensor or a ``concat_channels`` stack of tensors;
+    kernel (O,C,3,3), bias (O,). Stride 2 halves the spatial extent (H
+    and W must be even in that case). The node's inputs are the stack's
+    parts (the tensor alone if it is one), then the kernel and the bias;
+    a part listed twice gets the sum of its two gradients.
 
     Row taps, one image and one band of output rows at a time: the
     im2col lowering of Chellapilla et al. (2006) along the columns only,
@@ -423,17 +459,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     products, one per kernel row dy, each over the contiguous column
     block that row reads. A band holds as many output rows as keep one
     tap matrix within ``_TAP_BYTES`` (1 MiB), so the workspace is bounded
-    whatever the image size. The taps are written straight from the
-    unpadded image into matrices that each path (forward, kernel
-    gradient, input gradient) allocates once per call; only the tap rows
-    that fall on the padding are zeroed band by band. The forward and
-    input-gradient products are split along output columns only, so
-    each output is the dot product it is in one product over the image
-    (the same bytes at the model's layers, whose bands are whole 64- or
-    32-pixel rows; BLAS may round the odd last columns of a narrower
-    band differently); the kernel gradient sums band by band. Each
-    image is its own products, so an image's output does not depend on
-    the rest of the batch.
+    whatever the image size. The taps are written straight from each
+    unpadded part into its rows of matrices that each path (forward,
+    kernel gradient, input gradient) allocates once per call, so a stack
+    is never concatenated; only the tap rows that fall on the padding
+    are zeroed band by band. The forward and input-gradient products are
+    split along output columns only, so each output is the dot product
+    it is in one product over the image (the same bytes at the model's
+    layers, whose bands are whole 64- or 32-pixel rows; BLAS may round
+    the odd last columns of a narrower band differently); the kernel
+    gradient sums band by band. Each image is its own products, so an
+    image's output does not depend on the rest of the batch.
 
     With ``relu`` the output is clamped in place: zero where it is at
     most 0, -inf included, as ``np.where(out > 0, out, 0.0)`` gives; a
@@ -442,16 +478,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     output gradient before anything else, so the unmasked one is freed
     at once.
 
-    The pullback keeps the unpadded input (the producer's own value)
+    The pullback keeps the unpadded parts (the producers' own values)
     until the kernel gradient is built: per band and kernel row, the
     output gradient times the transposed row taps. It then lets go of
-    the input (``backward`` runs a pullback once) before the input
-    gradient, the same banded products with the flipped kernel over the
-    output gradient (zero-stuffed at stride 2). It builds only the live
-    operands' gradients, so a constant input (the image at the first
-    layer) costs no input gradient.
+    them (``backward`` runs a pullback once) before the input gradient,
+    the same banded products with the flipped kernel over the output
+    gradient (zero-stuffed at stride 2), taken over the kernel columns
+    of the live parts only. It builds only the live operands' gradients,
+    so a constant input (the image at the first layer) or a constant
+    part of a stack (the mixing module's frozen block and maps) costs no
+    input gradient.
     """
-    if x.data.ndim != 4:
+    parts = x.parts if isinstance(x, ChannelStack) else (x,)
+    if len(x.shape) != 4:
         raise ShapeMismatchError(f"conv2d input must be NCHW, got {x.shape}")
     if kernel.data.ndim != 4 or kernel.shape[2:] != (3, 3):
         raise ShapeMismatchError(f"conv2d kernel must be (O,C,3,3), got {kernel.shape}")
@@ -466,19 +505,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     if stride not in (1, 2):
         raise ConfigError(f"conv2d stride must be 1 or 2, got {stride}")
 
-    tape = _same_tape(x, kernel, bias)
+    tape = _same_tape(*parts, kernel, bias)
     n, c, h, w = x.shape
     if stride == 2 and (h % 2 or w % 2):
         raise ShapeMismatchError(
             f"conv2d stride 2 needs even spatial dims, got {h}x{w}")
     oh, ow = (h, w) if stride == 1 else (h // 2, w // 2)
     o = kernel.shape[0]
-    xd, kd = x.data, kernel.data
+    xd, kd = [p.data for p in parts], kernel.data
     krows = _kernel_rows(kd)
     bufs = _tap_buffers(c, oh, ow, stride)
     out = np.empty((n, o, oh, ow))
     for i in range(n):
-        _conv_image(krows, xd[i], bufs, stride, out[i].reshape(o, oh * ow))
+        _conv_image(krows, [d[i] for d in xd], bufs, stride,
+                    [out[i].reshape(o, oh * ow)])
     del bufs  # before the mask: the taps are not read again
     out += bias.data[None, :, None, None]
     kept = None
@@ -487,24 +527,26 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         np.copyto(out, 0.0, where=clamped)
         kept = np.logical_not(clamped, out=clamped)
 
-    x_live, kernel_live, bias_live = x.live, kernel.live, bias.live
+    widths = [p.shape[1] for p in parts]
+    live = [p.live for p in parts]
+    kernel_live, bias_live = kernel.live, bias.live
 
     def pullback(g):
         nonlocal xd, kept
         if kept is not None:
             g, kept = g * kept, None
-        gx = gk = gb = None
+        gk = gb = None
         if kernel_live:
             gk = _conv_kernel_grad(xd, g, stride)
-        xd = None  # not read again: the input's last use on this tape
-        if x_live:
-            gx = _conv_input_grad(kd, g, stride, h, w)
+        xd = None  # not read again: the parts' last use on this tape
+        gx = _conv_input_grad(kd, g, stride, h, w, widths, live)
         if bias_live:
             gb = g.sum(axis=(0, 2, 3))
-        return (gx, gk, gb)
+        return (*gx, gk, gb)
 
-    return tape._record("conv2d", (x.node_id, kernel.node_id, bias.node_id),
-                        pullback, out)
+    return tape._record(
+        "conv2d", (*(p.node_id for p in parts), kernel.node_id, bias.node_id),
+        pullback, out)
 
 
 def _bilinear_plan(in_size: int, out_size: int):

@@ -302,18 +302,18 @@ def cmd_timestamps(args) -> None:
     table, _ = gaze.read_fixation_table(args.fixations)
     if not len(table):
         raise PreconditionError(f"{args.fixations} has no fixation rows")
-    gaze_groups = gaze.group_gaze(samples)
-    t_ms = np.empty(len(table))
-    for key, rows in gaze.group_rows(zip(table.image_id,
-                                         table.observer_id)).items():
-        if key not in gaze_groups:
-            raise UnrecoverableObserverError(
-                f"observer {key[1]!r} on image {key[0]!r} has fixations "
-                f"but no gaze samples")
-        t_ms[rows] = gaze.recover_timestamps(
-            table.take(rows), gaze_groups[key], w_s=args.spatial_weight,
-            w_t=args.temporal_weight, t_total=args.t_total)
-    with staged(args.out) as (out,):
+    with staged(args.out) as (out,):  # refused before any recovery
+        gaze_groups = gaze.group_gaze(samples)
+        t_ms = np.empty(len(table))
+        for key, rows in gaze.group_rows(zip(table.image_id,
+                                             table.observer_id)).items():
+            if key not in gaze_groups:
+                raise UnrecoverableObserverError(
+                    f"observer {key[1]!r} on image {key[0]!r} has fixations "
+                    f"but no gaze samples")
+            t_ms[rows] = gaze.recover_timestamps(
+                table.take(rows), gaze_groups[key], w_s=args.spatial_weight,
+                w_t=args.temporal_weight, t_total=args.t_total)
         gaze.write_fixations_csv(out, replace(table, t_ms=t_ms,
                                               slice_index=None))
     print(f"recovered timestamps for {len(table)} fixations")
@@ -326,15 +326,15 @@ def cmd_slice(args) -> None:
     _require_timestamps(fixations, args.fixations)
     t_ms = fixations.t_ms
     slice_of = np.empty(len(fixations), dtype=np.intp)
-    with naming(args.fixations, PreconditionError):
-        for rows in gaze.group_rows(fixations.image_id).values():
-            if args.scheme == "equal-duration":
-                slice_of[rows] = gaze.slice_equal_duration(
-                    t_ms[rows], n=args.n, t_total=args.t_total)
-            else:
-                slice_of[rows] = gaze.slice_equal_distribution(
-                    t_ms[rows], fixations.order_index[rows], n=args.n)
-    with staged(args.out) as (out,):
+    with staged(args.out) as (out,):  # refused before any slicing
+        with naming(args.fixations, PreconditionError):
+            for rows in gaze.group_rows(fixations.image_id).values():
+                if args.scheme == "equal-duration":
+                    slice_of[rows] = gaze.slice_equal_duration(
+                        t_ms[rows], n=args.n, t_total=args.t_total)
+                else:
+                    slice_of[rows] = gaze.slice_equal_distribution(
+                        t_ms[rows], fixations.order_index[rows], n=args.n)
         gaze.write_fixations_csv(out, replace(fixations, slice_index=slice_of))
     print(f"sliced {len(fixations)} fixations into {args.n} bins "
           f"({args.scheme})")
@@ -492,11 +492,12 @@ def cmd_train(args) -> None:
     # let go of the images and slice maps once its frozen outputs exist
     handed = [data]
     del data
-    params, trace = model.train(handed.pop(), schedule, seed=args.seed,
-                                loss_cfg=loss_cfg, config=config,
-                                base_params=base)
     outs = [args.out, args.loss_csv] if args.loss_csv else [args.out]
-    with staged(*outs) as paths:  # both in place, or neither
+    # refused before any step; both in place, or neither
+    with staged(*outs) as paths:
+        params, trace = model.train(handed.pop(), schedule, seed=args.seed,
+                                    loss_cfg=loss_cfg, config=config,
+                                    base_params=base)
         autodiff.save_params(paths[0], params)
         if args.loss_csv:
             write_csv(paths[1], ["epoch", "stage", "loss", "lr"], trace)
@@ -564,23 +565,24 @@ def cmd_eval(args) -> None:
         raise PreconditionError(
             f"image id 'mean' ({Path(args.pred) / 'mean.tsal'}) clashes "
             f"with the mean row of {args.out}")
-    # first pass: the baseline, so every ground-truth error comes before
-    # any prediction error
-    baseline = metrics.mean_map(_varying_maps(args.gt, ids))
-    height, width = baseline.shape
-    with naming(args.fixations, PreconditionError):
-        sets = metrics.fixation_sets(ids, fixations, width, height)
-    # second pass: one ground-truth map and one prediction at a time
-    rows = []
-    for image_id, (truth, pred), (fixated, negatives) in zip(
-            ids, _map_rows([args.gt, args.pred], ids), sets):
-        with naming(args.fixations, PreconditionError), naming(
-                Path(args.pred) / f"{image_id}.tsal", DegenerateMapError):
-            rows.append(metrics.evaluate_pair(pred, truth, fixated, negatives,
-                                              baseline, seed=args.seed))
-    columns = metrics.METRIC_COLUMNS
-    means = {c: sum(r[c] for r in rows) / len(rows) for c in columns}
-    with staged(args.out) as (out,):
+    with staged(args.out) as (out,):  # refused before any map is read
+        # first pass: the baseline, so every ground-truth error comes
+        # before any prediction error
+        baseline = metrics.mean_map(_varying_maps(args.gt, ids))
+        height, width = baseline.shape
+        with naming(args.fixations, PreconditionError):
+            sets = metrics.fixation_sets(ids, fixations, width, height)
+        # second pass: one ground-truth map and one prediction at a time
+        rows = []
+        for image_id, (truth, pred), (fixated, negatives) in zip(
+                ids, _map_rows([args.gt, args.pred], ids), sets):
+            with naming(args.fixations, PreconditionError), naming(
+                    Path(args.pred) / f"{image_id}.tsal", DegenerateMapError):
+                rows.append(metrics.evaluate_pair(
+                    pred, truth, fixated, negatives, baseline,
+                    seed=args.seed))
+        columns = metrics.METRIC_COLUMNS
+        means = {c: sum(r[c] for r in rows) / len(rows) for c in columns}
         write_csv(out, ["image_id", *columns],
                   ([i, *(r[c] for c in columns)]
                    for i, r in zip([*ids, "mean"], [*rows, means])))

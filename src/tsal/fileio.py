@@ -69,9 +69,10 @@ def _replace(src, dst) -> None:
 def staged(*outs):
     """Yield a list of one staging path per target of ``outs``, each for
     the block to write a file or a tree at. A target that is a directory
-    with entries is a ``PreconditionError`` naming it, raised before
-    anything is made, so an output never mixes with an earlier run's and
-    no file is deleted. A target's path sits in a staging directory
+    with entries, or the working directory, is a ``PreconditionError``
+    naming it, raised before anything is made, so an output never mixes
+    with an earlier run's, no file is deleted and nothing is staged
+    outside the path given. A target's path sits in a staging directory
     ``.tmp-*~`` beside its highest missing ancestor, or beside it if its
     parent exists, so on the same filesystem. When the block ends every
     target is checked to take its twin (a file where a directory is, or
@@ -79,9 +80,11 @@ def staged(*outs):
     one rename per target puts it in place, missing parents too. The
     staging directories are removed in any case, so if the block raises
     or a target cannot take its twin, nothing is moved."""
-    for out in outs:
-        if os.path.isdir(out) and os.listdir(out):
+    for out in filter(os.path.isdir, outs):
+        if os.listdir(out):
             raise PreconditionError(f"{out}: directory not empty")
+        if os.path.samefile(out, os.curdir):
+            raise PreconditionError(f"{out}: is the working directory")
     tops = {}  # each target's top path -> its staged twin
     paths = []
     try:

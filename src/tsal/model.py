@@ -21,6 +21,7 @@ from .errors import (
     CheckpointError,
     ConfigError,
     DegenerateMapError,
+    NonFiniteError,
     PreconditionError,
     ShapeMismatchError,
 )
@@ -172,8 +173,8 @@ def check_params(params: dict[str, np.ndarray], config: ModelConfig) -> None:
 # Forward pieces (all take already-lifted Tensor parameters)
 # ---------------------------------------------------------------------------
 
-def _conv(x: ad.Tensor, pt: dict[str, ad.Tensor], name: str,
-          stride: int = 1, relu: bool = False) -> ad.Tensor:
+def _conv(x: ad.Tensor | ad.ChannelStack, pt: dict[str, ad.Tensor],
+          name: str, stride: int = 1, relu: bool = False) -> ad.Tensor:
     return ad.conv2d(x, pt[name + ".w"], pt[name + ".b"], stride=stride,
                      relu=relu)
 
@@ -420,6 +421,10 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
     updates the parameters and moments in place. Only the parameters
     that stay untrained are kept beside them.
 
+    After each update every trainable array is checked to be finite: a
+    NaN or Inf one raises ``NonFiniteError`` naming the step and the
+    parameter, since every later step would carry it on.
+
     Trace rows are (epoch, stage, mean epoch loss, lr).
     """
     loss_cfg = loss_cfg or LossConfig()
@@ -472,6 +477,11 @@ def train(data: TrainData, schedule: TrainSchedule, seed: int,
             ad.adam_step(trainable, grads, state, lr=lr)
             epoch_losses.append(loss_value)
             steps_done += 1
+            for name, p in trainable.items():
+                if not np.isfinite(p).all():
+                    raise NonFiniteError(
+                        f"training step {steps_done}: {name}: holds NaN or "
+                        f"Inf values after the update")
         if epoch_losses:
             trace.append((epoch, schedule.stage,
                           float(np.mean(epoch_losses)), lr))
@@ -589,7 +599,7 @@ def _train_step(data: TrainData, idx: slice | np.ndarray,
         refined = smm(blocks, temporal, image_map, lifted)
         loss = stage2_loss(refined, tape.constant(data.gt_full[idx]),
                            loss_cfg)
-        # the step's inputs: no pullback reads them, so they go now
+        # the tape alone holds what the pullbacks read of these
         del blocks, temporal, image_map, refined
         return float(loss.data), _named_grads(ad.backward(tape, loss), lifted)
 
@@ -599,8 +609,6 @@ def _train_step(data: TrainData, idx: slice | np.ndarray,
     loss_t, named, grads_t = _decoder_grads(
         blocks, trainable, "tdec.", decode_temporal, stage1_loss,
         data.gt_slices[idx], loss_cfg)
-    # copies: a view would hold its concat node's whole gradient
-    grads_t = [g.copy() for g in grads_t]
     loss_i, named_i, grads_i = _decoder_grads(
         blocks, trainable, "idec.", decode_image, stage2_loss,
         data.gt_full[idx], loss_cfg)

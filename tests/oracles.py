@@ -6,8 +6,9 @@ formula evaluated directly. None of it shares code with the package
 under test, so agreement between the two is meaningful; the two
 exceptions are ``evaluate_directories_oracle``, a slower loop over the
 package's own per-image scores, ``temporal_step_one_tape``, the
-temporal training step over the package's own network pieces, and the
-composites ``cc_loss_composite``, ``kl_loss_composite`` and
+temporal training step over the package's own network pieces,
+``concat_channels``, the copying tape node that ``conv2d``'s channel
+stacks replaced, and the composites ``cc_loss_composite``, ``kl_loss_composite`` and
 ``minmax01_composite``, built from primitive tape nodes: the package's
 own and the ones only they use (``div``, ``log``, ``sqrt``,
 ``reduce_min`` and ``reduce_max``), which live here.
@@ -127,6 +128,23 @@ def conv2d_im2col(x, k, b, stride=1):
         return gx, gk.reshape(o, c, 3, 3), g.sum(axis=(0, 2, 3))
 
     return out, pullback
+
+
+def concat_channels(tensors):
+    """The NCHW tensors concatenated along the channels as one tape node
+    that copies them, with a pullback that slices the gradient back into
+    the parts: the reference for ``conv2d`` reading an
+    ``ad.concat_channels`` stack in place."""
+    widths = [t.shape[1] for t in tensors]
+    offsets = np.cumsum([0] + widths)
+
+    def pullback(g):
+        return tuple(g[:, offsets[i]:offsets[i + 1]]
+                     for i in range(len(widths)))
+
+    out = np.concatenate([t.data for t in tensors], axis=1)
+    return tensors[0].tape._record("concat", tuple(t.node_id for t in tensors),
+                                   pullback, out)
 
 
 def temporal_step_one_tape(data, idx, trainable, loss_cfg):

@@ -80,6 +80,47 @@ def distinct_convs(calls):
     return list(seen.values())
 
 
+def parts_of(x):
+    """The tensors a conv2d input reads: a stack's parts, or x alone."""
+    return x.parts if isinstance(x, ad.ChannelStack) else (x,)
+
+
+def dense(x):
+    """A conv2d input's values as one array, its parts concatenated."""
+    return np.concatenate([t.data for t in parts_of(x)], axis=1)
+
+
+def training_stack_calls(monkeypatch):
+    """Each conv2d over a channel stack in one temporal and one mixing
+    training step of the default model on two random 64x64 images, the
+    mixing stage's frozen forward included, as (the parts' arrays, which
+    parts are live, kernel, bias), the first call of each shape and
+    liveness pattern."""
+    calls = {}
+    real = ad.conv2d
+
+    def spy(x, kernel, bias, stride=1, relu=False):
+        if isinstance(x, ad.ChannelStack):
+            live = tuple(t.live for t in x.parts)
+            calls.setdefault((x.shape, live), (
+                [t.data for t in x.parts], live, kernel.data, bias.data))
+        return real(x, kernel, bias, stride=stride, relu=relu)
+    monkeypatch.setattr(ad, "conv2d", spy)
+    rng = np.random.default_rng(35)
+    images = rng.uniform(size=(2, 3, 64, 64))
+    maps = rng.uniform(0.1, 1.0, size=(2, 6, 64, 64))
+    maps /= maps.sum(axis=(2, 3), keepdims=True)
+    data = model.TrainData(images, maps[:, :5], maps[:, 5:])
+    backbone, mixing = model._split_params(
+        model.init_params(model.ModelConfig(), seed=35))
+    frozen = model._frozen_outputs(images, backbone, 2)
+    for stage, trainable in (("temporal", backbone), ("mixing", mixing)):
+        model._train_step(data, slice(0, 2), trainable, frozen, stage,
+                          model.LossConfig())
+    monkeypatch.undo()
+    return list(calls.values())
+
+
 def conv_and_grads(x, k, b, stride, g, relu):
     """conv2d's output and its (x, kernel, bias) gradients for the output
     gradient g."""
@@ -260,25 +301,38 @@ class TestReductions:
 
 class TestShapeOps:
     def test_concat_slice_roundtrip(self):
+        # the stack holds the tensors themselves, and a conv2d that
+        # passes each channel through reads them in stacked order
         rng = np.random.default_rng(22)
         a = rng.normal(size=(2, 3, 4, 4))
         b = rng.normal(size=(2, 2, 4, 4))
         tape = ad.Tape()
-        cat = ad.concat_channels([tape.constant(a), tape.constant(b)])
+        parts = [tape.constant(a), tape.constant(b)]
+        cat = ad.concat_channels(parts)
         assert cat.shape == (2, 5, 4, 4)
-        back = ad.take_maps(cat, np.array([0, 1, 1]), np.array([3, 4, 0]))
+        assert all(got is want for got, want in zip(cat.parts, parts))
+        k = np.zeros((5, 5, 3, 3))
+        k[range(5), range(5), 1, 1] = 1.0
+        same = ad.conv2d(cat, tape.constant(k), tape.constant(np.zeros(5)))
+        back = ad.take_maps(same, np.array([0, 1, 1]), np.array([3, 4, 0]))
         assert np.array_equal(back.data, [b[0, 0], b[1, 1], a[1, 0]])
 
     def test_concat_slice_grads(self):
+        # a stack of a, a constant, b and a again: a's two gradients
+        # accumulate, and the repeated map (1, 2) of take_maps too
         rng = np.random.default_rng(23)
-        params = {"a": rng.normal(size=(2, 2, 3, 3)),
-                  "b": rng.normal(size=(2, 1, 3, 3))}
-        w = rng.normal(size=(4, 3, 3))
+        params = {"a": rng.normal(size=(2, 2, 4, 4)),
+                  "b": rng.normal(size=(2, 1, 4, 4)),
+                  "k": rng.normal(size=(3, 6, 3, 3)),
+                  "bias": rng.normal(size=(3,))}
+        frozen = rng.normal(size=(2, 1, 4, 4))
+        w = rng.normal(size=(4, 4, 4))
 
         def build(tape, ts):
-            cat = ad.concat_channels([ts["a"], ts["b"]])
-            # (1, 2) twice: the pullback must accumulate a repeated map
-            mid = ad.take_maps(cat, np.array([0, 1, 1, 1]),
+            stack = ad.concat_channels([ts["a"], tape.constant(frozen),
+                                        ts["b"], ts["a"]])
+            y = ad.conv2d(stack, ts["k"], ts["bias"])
+            mid = ad.take_maps(y, np.array([0, 1, 1, 1]),
                                np.array([1, 2, 0, 2]))
             return ad.reduce_sum(ad.mul(ad.mul(mid, mid), tape.constant(w)))
         check_grads(build, params)
@@ -289,6 +343,12 @@ class TestShapeOps:
         b = tape.constant(np.zeros((1, 2, 5, 4)))
         with pytest.raises(ShapeMismatchError):
             ad.concat_channels([a, b])
+        with pytest.raises(ShapeMismatchError):
+            ad.concat_channels([a, tape.constant(np.zeros((2, 4, 4)))])
+        with pytest.raises(ShapeMismatchError):
+            ad.concat_channels([])
+        with pytest.raises(GraphError):
+            ad.concat_channels([a, ad.Tape().constant(np.zeros((1, 2, 4, 4)))])
 
     def test_take_maps_rejects_non_nchw(self):
         tape = ad.Tape()
@@ -353,7 +413,7 @@ class TestConv2d:
         assert len(calls) == 22 and len(distinct_convs(calls)) == 16
         for x, k, b, stride in distinct_convs(calls):
             out = ad.conv2d(x, k, b, stride=stride).data
-            want = oracles.conv2d_loops(x.data, k.data[-1:], b.data[-1:],
+            want = oracles.conv2d_loops(dense(x), k.data[-1:], b.data[-1:],
                                         stride=stride)
             np.testing.assert_allclose(out[:, -1:], want, rtol=1e-12,
                                        atol=1e-12)
@@ -361,11 +421,12 @@ class TestConv2d:
     def test_image_output_independent_of_batch(self, monkeypatch):
         calls = default_model_calls(monkeypatch, "conv2d", 3)
         for x, k, b, stride in distinct_convs(calls):
-            tape = x.tape
+            tape = k.tape
             full = ad.conv2d(x, k, b, stride=stride).data
             for i in range(3):
-                alone = ad.conv2d(tape.constant(x.data[i:i + 1]), k, b,
-                                  stride=stride).data
+                alone = ad.conv2d(ad.concat_channels(
+                    [tape.constant(t.data[i:i + 1]) for t in parts_of(x)]),
+                    k, b, stride=stride).data
                 assert full[i].tobytes() == alone[0].tobytes(), k.shape
 
     # With a 4 KiB band limit every path splits these shapes into several
@@ -429,46 +490,98 @@ class TestConv2d:
                                    atol=1e-12 * np.abs(gk1).max())
 
     def test_matches_im2col_oracle_at_every_model_layer(self, monkeypatch):
-        # output and all three gradients against the 9-tap im2col path,
-        # with a batch of two so the kernel gradient sums over images
+        # output and all the gradients against the 9-tap im2col path,
+        # with a batch of two so the kernel gradient sums over images; a
+        # stack's parts are all live, and each gets its channels of the
+        # oracle's input gradient
         calls = default_model_calls(monkeypatch, "conv2d", 2)
         rng = np.random.default_rng(36)
         for x, k, b, stride in distinct_convs(calls):
-            out, pullback = oracles.conv2d_im2col(x.data, k.data, b.data,
+            out, pullback = oracles.conv2d_im2col(dense(x), k.data, b.data,
                                                   stride)
             g = rng.normal(size=out.shape)
             tape = ad.Tape()
-            ts = [tape.param(t.data, name) for t, name in
-                  ((x, "x"), (k, "k"), (b, "b"))]
-            y = ad.conv2d(*ts, stride=stride)
+            parts = [tape.param(t.data, f"x{j}")
+                     for j, t in enumerate(parts_of(x))]
+            kt, bt = tape.param(k.data, "k"), tape.param(b.data, "b")
+            y = ad.conv2d(ad.concat_channels(parts), kt, bt, stride=stride)
             grads = ad.backward(tape, ad.reduce_sum(
                 ad.mul(y, tape.constant(g))))
             np.testing.assert_allclose(y.data, out, rtol=1e-10, atol=1e-12)
-            for t, want in zip(ts, pullback(g)):
+            gx, gk, gb = pullback(g)
+            ends = np.cumsum([t.shape[1] for t in parts])
+            wants = [gx[:, end - t.shape[1]:end] for t, end in
+                     zip(parts, ends)] + [gk, gb]
+            for t, want in zip([*parts, kt, bt], wants):
                 np.testing.assert_allclose(grads[t.node_id], want,
                                            rtol=1e-10, atol=1e-12,
                                            err_msg=k.shape)
 
+    def test_stack_matches_the_copying_concat_bit_for_bit(self, monkeypatch):
+        # every stacked layer shape (*.d3, *.d2, *.d1, *.h1, smm.s4 to
+        # smm.s1) with the live and constant parts that training gives
+        # it, against the copying concat node of the oracles: the same
+        # output and kernel and bias gradients, and each live part's
+        # channels of the input gradient, in arrays of their own
+        calls = training_stack_calls(monkeypatch)
+        patterns = sorted((len(live), sum(live)) for _, live, _, _ in calls)
+        assert patterns == [(2, 0)] * 5 + [(2, 2)] * 4 + [(4, 1)] * 3
+        rng = np.random.default_rng(41)
+        for arrays, live, k, b in calls:
+            g = None
+            results = []
+            for concat in (ad.concat_channels, oracles.concat_channels):
+                tape = ad.Tape()
+                parts = [tape.param(a, f"x{j}") if is_live else
+                         tape.constant(a)
+                         for j, (a, is_live) in enumerate(zip(arrays, live))]
+                kt, bt = tape.param(k, "k"), tape.param(b, "b")
+                y = ad.conv2d(concat(parts), kt, bt, relu=True)
+                if g is None:
+                    g = rng.normal(size=y.shape)
+                grads = ad.backward(tape, ad.reduce_sum(
+                    ad.mul(y, tape.constant(g))))
+                results.append([y.data, grads.pop(kt.node_id),
+                                grads.pop(bt.node_id),
+                                *(grads.pop(t.node_id, None) for t in parts)])
+                assert grads == {}
+            got, want = results
+            for a, w in zip(got, want):
+                assert (a is None) == (w is None)
+                if a is not None:
+                    assert a.tobytes() == w.tobytes(), k.shape
+            for grad, is_live in zip(got[3:], live):
+                assert (grad is not None) == is_live
+                assert grad is None or grad.base is None
+
     def test_memory_at_the_temporal_head(self):
-        # tdec.h1: (4, 20, 64, 64) in, 16 out. The pullback keeps the
-        # input array itself, not a padded copy, and the forward stays
-        # below one image's 9-tap column matrix (C*9 x H*W floats)
+        # tdec.h1: the stack of (4, 12, 64, 64) upsampled features and
+        # the (4, 8, 64, 64) skip block in, 16 out. The pullback keeps
+        # the two part arrays themselves, not a concatenation or a padded
+        # copy, and the forward stays below one image's 9-tap column
+        # matrix (C*9 x H*W floats)
         rng = np.random.default_rng(37)
         tape = ad.Tape()
-        x = tape.param(np.maximum(rng.normal(size=(4, 20, 64, 64)), 0.0), "x")
+        x = [tape.param(np.maximum(rng.normal(size=(4, c, 64, 64)), 0.0),
+                        f"x{c}") for c in (12, 8)]
         k = tape.param(rng.normal(size=(16, 20, 3, 3)), "k")
         b = tape.param(rng.normal(size=(16,)), "b")
         tracemalloc.start()
         try:
-            y = ad.conv2d(x, k, b)
+            y = ad.conv2d(ad.concat_channels(x), k, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         held = [cell.cell_contents for cell in
                 tape.nodes[y.node_id].pullback.__closure__]
-        assert any(v is x.data for v in held)
-        assert not any(isinstance(v, np.ndarray) and v.shape[-2:] == (66, 66)
-                       for v in held)
+        arrays = [a for v in held for a in (v if isinstance(v, list) else [v])
+                  if isinstance(a, np.ndarray)]
+        assert [id(a) for a in arrays if a.shape[:2] == (4, 12)] == \
+            [id(x[0].data)]
+        assert [id(a) for a in arrays if a.shape[:2] == (4, 8)] == \
+            [id(x[1].data)]
+        assert not any(a.shape[-2:] == (66, 66) or a.shape[:2] == (4, 20)
+                       for a in arrays)
         assert peak < 20 * 9 * 64 * 64 * 8, peak
 
     def test_backward_memory_at_the_mixing_head(self):
@@ -495,9 +608,38 @@ class TestConv2d:
         assert gx.shape == x.shape
         assert peak < gx.nbytes + 2 * taps, peak
 
+    def test_backward_memory_of_a_mixing_stack(self):
+        # smm.s1 as the mixing stage runs it: a live (4, 16, 64, 64) part
+        # beside constant parts of 8, 1 and 5 channels. The pullback
+        # builds the input gradient of the live part alone, and its
+        # scratch stays under two images' row taps as above
+        rng = np.random.default_rng(42)
+        tape = ad.Tape()
+        live = tape.param(rng.normal(size=(4, 16, 64, 64)), "x")
+        rest = [tape.constant(rng.normal(size=(4, c, 64, 64)))
+                for c in (8, 1, 5)]
+        k = tape.param(rng.normal(size=(16, 30, 3, 3)), "k")
+        b = tape.param(rng.normal(size=(16,)), "b")
+        y = ad.conv2d(ad.concat_channels([live, *rest]), k, b)
+        g = rng.normal(size=y.shape)
+        pullback = tape.nodes[y.node_id].pullback
+        tracemalloc.start()
+        try:
+            gx, *constant, gk, gb = pullback(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        taps = 30 * 3 * 66 * 64 * 8
+        assert gx.shape == live.shape and constant == [None] * 3
+        assert peak < gx.nbytes + 2 * taps, peak
+
     def test_shape_errors(self):
         tape = ad.Tape()
         x = tape.constant(np.zeros((1, 2, 4, 4)))
+        with pytest.raises(ShapeMismatchError):  # a stack of 2 + 2 channels
+            ad.conv2d(ad.concat_channels([x, x]),
+                      tape.constant(np.zeros((3, 2, 3, 3))),
+                      tape.constant(np.zeros(3)))
         with pytest.raises(ShapeMismatchError):
             ad.conv2d(x, tape.constant(np.zeros((3, 2, 5, 5))),
                       tape.constant(np.zeros(3)))
@@ -693,7 +835,6 @@ RECORD_ONE_OP = {
     "sigmoid": lambda t: ad.sigmoid(_nchw(t)),
     "reduce_sum": lambda t: ad.reduce_sum(_nchw(t)),
     "reduce_mean": lambda t: ad.reduce_mean(_nchw(t), axis=(2, 3)),
-    "concat_channels": lambda t: ad.concat_channels([_nchw(t), _nchw(t)]),
     "take_maps": lambda t: ad.take_maps(_nchw(t), np.array([0]),
                                         np.array([0])),
     "conv2d": lambda t: ad.conv2d(_nchw(t), t.param(np.ones((2, 1, 3, 3)),
@@ -707,9 +848,21 @@ RECORD_ONE_OP = {
     "model.minmax01": lambda t: model.minmax01(_nchw(t)),
 }
 
-# The primitives that only the composite oracles use, held to the same
-# rule.
+
+def _stack_conv(tape):  # a channel stack of x, a constant and x again
+    x = _nchw(tape)
+    stack = ad.concat_channels([x, tape.constant(np.ones((1, 1, 4, 4))), x])
+    return ad.conv2d(stack, tape.param(np.ones((2, 3, 3, 3)), "k"),
+                     tape.param(np.zeros(2), "b"), relu=True)
+
+
+STACK_OPS = {"conv2d-stack": _stack_conv}
+
+# The primitives that only the composite oracles use, and the copying
+# concat node that channel stacks replaced, held to the same rule.
 ORACLE_OPS = {
+    "concat_channels": lambda t: oracles.concat_channels([_nchw(t),
+                                                          _nchw(t)]),
     "div": lambda t: oracles.div(_nchw(t), t.constant(2.0)),
     "log": lambda t: oracles.log(_nchw(t)),
     "sqrt": lambda t: oracles.sqrt(_nchw(t)),
@@ -748,7 +901,8 @@ class TestTapeLifetime:
     def test_every_public_op_is_covered(self):
         assert recording_functions() == set(RECORD_ONE_OP)
 
-    @pytest.mark.parametrize("op", sorted(RECORD_ONE_OP | ORACLE_OPS))
+    @pytest.mark.parametrize("op", sorted(RECORD_ONE_OP | STACK_OPS |
+                                          ORACLE_OPS))
     def test_tape_is_freed_without_the_cycle_collector(self, op):
         # reference counting alone must free a finished tape: a cycle
         # through the tape would keep every activation alive until the
@@ -756,7 +910,7 @@ class TestTapeLifetime:
         gc.disable()
         try:
             tape = ad.Tape()
-            out = (RECORD_ONE_OP | ORACLE_OPS)[op](tape)
+            out = (RECORD_ONE_OP | STACK_OPS | ORACLE_OPS)[op](tape)
             ref = weakref.ref(tape)
             del tape, out
             assert ref() is None
@@ -783,7 +937,7 @@ class TestTapeMemory:
         tape = ad.Tape()
         pt = {k: tape.constant(v) for k, v in params.items()}
         refined = model.smm(*model.forward(tape, images, pt), pt)
-        assert len(tape.nodes) > 100
+        assert len(tape.nodes) == 91  # the stacks record no node
         assert [n.op for n in tape.nodes if n.pullback is not None] == []
         assert not refined.live
 

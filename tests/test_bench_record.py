@@ -45,3 +45,61 @@ def test_runs_keeps_per_layer_of_a_traced_run_and_medians_mix(tmp_path):
     assert medians["stages"] == {"synth": 2.5, "slice": 1.25}
     assert medians["per_layer"] == {"cli.import_s": 0.5,
                                     "model.predict.calls": 4}
+
+
+# A checkout small enough to launch: a tsal.cli that logs where it runs
+# from, and a workload of one logging command.
+FAKE_CLI = """\
+import json, os, sys
+import tsal
+if sys.argv[1:] != ["--help"]:
+    with open(sys.argv[1], "a") as fh:
+        fh.write(json.dumps({{"mark": {mark!r}, "module": tsal.__file__,
+                             "cwd": os.getcwd(),
+                             "input": open("input.txt").read()}}) + "\\n")
+"""
+FAKE_WORKLOADS = """\
+class Tiny:
+    def setup(self, d, seed, run):
+        (d / "input.txt").write_text(f"seed {{seed}}")
+
+    def steps(self, seed):
+        return [["log", [{log!r}]]]
+
+
+WORKLOADS = {{"tiny": Tiny()}}
+"""
+
+
+def fake_checkout(root, mark, log):
+    (root / "src" / "tsal").mkdir(parents=True)
+    (root / "src" / "tsal" / "__init__.py").write_text("")
+    (root / "src" / "tsal" / "cli.py").write_text(FAKE_CLI.format(mark=mark))
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "workloads.py").write_text(
+        FAKE_WORKLOADS.format(log=str(log)))
+    return root
+
+
+def test_launch_runs_each_checkout_from_the_same_path(tmp_path, monkeypatch):
+    same = tmp_path / "same"
+    monkeypatch.setattr(bench_record, "SAME_PATH", same)
+    log = tmp_path / "log.jsonl"
+    short = fake_checkout(tmp_path / "a", "short", log)
+    long = fake_checkout(tmp_path / "a-much-longer-checkout-path" / "b",
+                         "long", log)
+    bench = tmp_path / "BENCH.json"
+    for checkout in (short, long, short):
+        assert bench_record.main(["launch", str(bench), "--checkout",
+                                  str(checkout), "--workload", "tiny",
+                                  "--seed", "3"]) == 0
+        assert not same.exists()
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["mark"] for r in runs] == ["short", "long", "short"]
+    assert {r["module"] for r in runs} == {
+        str(same / "src" / "tsal" / "__init__.py")}
+    assert {r["cwd"] for r in runs} == {str(same / "pass")}
+    assert {r["input"] for r in runs} == {"seed 3"}
+    passes = json.loads(bench.read_text())["launcher"]["tiny-3"]
+    assert [sorted(p) for p in passes] == [["help", "log"]] * 3
+    assert all(p["log"]["rss_mb"] > 0 for p in passes)

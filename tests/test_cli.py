@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsal import analysis, cli, fileio, gaze, model
+from tsal import analysis, cli, fileio, gaze, metrics, model
 from tsal.autodiff import load_params, save_params
 from tsal.cli import _read_stack, _worker_count, main
 from tsal.errors import (
@@ -1686,21 +1686,31 @@ class TestStagedOutput:
             # writes are not seen here)
             assert len(written) == len(files)
 
-    @pytest.mark.parametrize("stage", ["synth", "rasterize",
-                                       "rasterize-jobs2", "analyze",
-                                       "predict"])
+    @pytest.mark.parametrize("stage", sorted(STAGES))
     def test_non_empty_tree_out_is_refused_before_any_work(
             self, dataset, trained, tmp_path, monkeypatch, capsys, stage):
+        # a tree command's own earlier output; for a command that writes
+        # a file, a directory holding one
         out = tmp_path / "out"
         inputs, _ = self.STAGES[stage]
         argv = inputs(dataset, trained, out)
         run0(*argv, "--out", out)
+        if not out.is_dir():
+            for path in tmp_path.iterdir():
+                path.unlink()
+            out.mkdir()
+            (out / "mine.txt").write_bytes(b"mine")
         before_run = snapshot(tmp_path)
 
         def unreached(*args, **kwargs):
             raise AssertionError("computed or wrote into a refused --out")
         for module, name in ((fileio, "writing"), (gaze, "writing"),
                              (gaze, "rasterize"), (model, "predict"),
+                             (model, "train"), (gaze, "group_gaze"),
+                             (gaze, "recover_timestamps"),
+                             (gaze, "slice_equal_duration"),
+                             (gaze, "slice_equal_distribution"),
+                             (metrics, "mean_map"), (metrics, "evaluate_pair"),
                              *((analysis, f) for f in (
                                  "saliency_time_histogram", "average_slices",
                                  "inter_slice_cc", "intra_slice_deviation"))):
@@ -1727,7 +1737,7 @@ class TestStagedOutput:
         assert snapshot(maps) == before_run
         assert sorted(os.listdir(tmp_path)) == ["maps", "sliced3.csv"]
 
-    @pytest.mark.parametrize("cwd", ["empty", "non-empty"])
+    @pytest.mark.parametrize("cwd", ["empty", "non-empty", "empty-by-path"])
     def test_out_dot_exits_two_and_leaves_it_as_it_was(
             self, dataset, tmp_path, monkeypatch, capsys, cwd):
         work = tmp_path / "work"
@@ -1735,14 +1745,16 @@ class TestStagedOutput:
         if cwd == "non-empty":
             (work / "mine.txt").write_bytes(b"mine")
         monkeypatch.chdir(work)
+        out = work if cwd == "empty-by-path" else "."
         before_run = snapshot(tmp_path)
         assert run("rasterize", "--fixations", dataset["sliced"],
-                   "--images", dataset["images"], "--out", ".") == 2
+                   "--images", dataset["images"], "--out", out) == 2
         assert only_error_line(capsys) == (
-            "tsal: PreconditionError: .: directory not empty"
+            f"tsal: PreconditionError: {out}: directory not empty"
             if cwd == "non-empty" else
-            "tsal: OSError: [Errno 16] Device or resource busy: '.'")
+            f"tsal: PreconditionError: {out}: is the working directory")
         assert snapshot(tmp_path) == before_run
+        assert os.listdir(tmp_path) == ["work"]  # no .tmp-*~ beside it
 
     def test_loss_csv_that_cannot_be_placed_leaves_no_checkpoint(
             self, dataset, tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from tsal.errors import (
     CheckpointError,
     ConfigError,
     DegenerateMapError,
+    NonFiniteError,
     PreconditionError,
     ShapeMismatchError,
 )
@@ -208,7 +209,9 @@ class TestDecoders:
         blocks, lifted = self.run_forward(params)
         a = model.decode_trunk(blocks, lifted, "tdec")
         b = model.decode_trunk(blocks, lifted, "idec")
-        assert np.array_equal(a.data, b.data)
+        assert a.shape == b.shape == (2, 20, 64, 64)
+        for p, q in zip(a.parts, b.parts, strict=True):
+            assert np.array_equal(p.data, q.data)
 
 
 class TestMixing:
@@ -570,27 +573,54 @@ class TestStepMemory:
 
     @staticmethod
     def step_peak(monkeypatch, stage):
-        """(memory live before the step, the step's peak, each conv
-        layer's input and output bytes)."""
+        """(memory live before the step, the step's peak, and per conv of
+        the step in recording order: its name, the bytes of the input
+        arrays it reads that the step made and no earlier conv read, the
+        bytes of its live input, and its output bytes). A conv reads the
+        parts of a ``concat_channels`` stack, or its input alone; an
+        array counts as made by the step if it owns its memory (the rows
+        of the training arrays are views)."""
         rng = np.random.default_rng(85)
         config = model.ModelConfig()
         data = toy_data(rng, 6, config, 64, 64)
         base = model.init_params(config, seed=86)
         real_step, real_conv = model._train_step, model._conv
-        layers, steps = {}, []
+        real_concat = ad.concat_channels
+        convs, steps, stacks, seen = [], [], {}, []
+
+        def reads(tensors):  # no reference kept: weak ones only
+            sizes = []
+            for t in tensors:
+                a = t.data
+                new = a.base is None and not any(r() is a for r in seen)
+                seen.append(weakref.ref(a))
+                sizes.append((a.nbytes if new else 0,
+                              a.nbytes if t.live else 0))
+            return sizes
+
+        def concat(tensors):
+            out = real_concat(tensors)
+            stacks[id(out)] = reads(tensors)
+            return out
 
         def conv(x, pt, name, stride=1, **kwargs):
+            sizes = stacks.pop(id(x), None) or reads([x])
             out = real_conv(x, pt, name, stride, **kwargs)
-            layers[name] = (x.data.nbytes, out.data.nbytes)
+            convs.append((name, sum(n for n, _ in sizes),
+                          sum(n for _, n in sizes), out.data.nbytes))
             return out
 
         def step(*args):
+            convs.clear()
+            seen.clear()
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             result = real_step(*args)
-            steps.append((before, tracemalloc.get_traced_memory()[1]))
+            steps.append((before, tracemalloc.get_traced_memory()[1],
+                          list(convs)))
             return result
 
+        monkeypatch.setattr(ad, "concat_channels", concat)
         monkeypatch.setattr(model, "_conv", conv)
         monkeypatch.setattr(model, "_train_step", step)
         sched = model.TrainSchedule(stage=stage, batch_size=4, max_steps=3)
@@ -601,35 +631,74 @@ class TestStepMemory:
                            else {"config": config}))
         finally:
             tracemalloc.stop()
-        return (*steps[2], layers)
+        return steps[2]
+
+    @staticmethod
+    def pullback_bound(convs):
+        """The most one tape's memory can reach while a conv's pullback
+        runs. ``backward`` runs the last conv's first, so when conv c's
+        runs, c and every conv recorded before it still hold the arrays
+        they read and their bool ReLU masks; beside those, c's output
+        gradient and a second array as large as the larger of it (the
+        masked gradient) and c's live input gradient."""
+        held = masks = bound = 0
+        for _, made, live, out in convs:
+            held += made
+            masks += out / 8
+            bound = max(bound, held + masks + out + max(out, live))
+        return bound
 
     @pytest.mark.parametrize("stage", ["temporal", "mixing"])
     def test_step_peak_stays_within_its_budget(self, monkeypatch, stage):
         # What a step may hold at once, beside what was live before it:
-        # each conv's input, which its tape keeps for the kernel gradient
-        # (the encoder's and one decoder's at a time, or the mixing
-        # module's); a bool ReLU mask per conv output; the loss's
-        # prediction and ground-truth maps; and the widest pullback's
-        # working set: its output gradient, the input gradient it builds
-        # and one band of row taps (1 MiB). Keeping the intermediates of
-        # KL and CC as primitive nodes, a copy of the blocks in each
-        # decoder tape and a second array per ReLU together exceeds it,
-        # by 2.2 MB in a temporal step and 0.3 MB in a mixing one.
-        before, peak, layers = self.step_peak(monkeypatch, stage)
-        # the mixing stage's frozen forward, before its steps, ran the
-        # other layers
-        groups = ("enc", "tdec", "idec") if stage == "temporal" else ("smm",)
-        layers = {name: sizes for name, sizes in layers.items()
-                  if name.split(".")[0] in groups}
-        kept = {g: sum(x for name, (x, _) in layers.items()
-                       if name.startswith(g + ".")) for g in groups}
-        held = sum(kept.values()) - (
-            min(kept["tdec"], kept["idec"]) if stage == "temporal" else 0)
-        masks = sum(out for _, out in layers.values()) / 8
+        # the widest moment of a pullback_bound (the encoder's tape with
+        # one decoder's at a time; in the image decoder's, also the
+        # temporal decoder's gradients of the five blocks; or the mixing
+        # module's), the loss's prediction maps and one band of row taps
+        # (1 MiB). A stack's parts count, each array once, as the convs
+        # read them in place. A copying concat node per stack (as
+        # tests/oracles.py has it) exceeds this by 0.34 MiB in a temporal
+        # step and 0.56 MiB in a mixing one.
+        before, peak, convs = self.step_peak(monkeypatch, stage)
+        if stage == "temporal":
+            enc = [c for c in convs if c[0].startswith("enc.")]
+            blocks = sum(out for *_, out in enc)
+            widest = max(
+                self.pullback_bound(enc + [c for c in convs
+                                           if c[0].startswith("tdec.")]),
+                self.pullback_bound(enc + [c for c in convs
+                                           if c[0].startswith("idec.")])
+                + blocks)
+        else:  # the frozen forward, before the steps, ran the other layers
+            assert {c[0].split(".")[0] for c in convs} == {"smm"}
+            widest = self.pullback_bound(convs)
         maps = 4 * (5 if stage == "temporal" else 1) * 64 * 64 * 8
-        widest = max(x + out for x, out in layers.values())
-        budget = held + masks + 2 * maps + widest + 2 ** 20
+        budget = widest + maps + 2 ** 20
         assert peak - before < budget, (peak - before, budget)
+
+    @pytest.mark.parametrize("stage, nodes", [("temporal", 121),
+                                              ("mixing", 51)])
+    def test_a_step_records_no_concat_node(self, monkeypatch, stage, nodes):
+        # the nodes of every tape one step differentiates: the stacks
+        # record none, so a temporal step has 8 fewer than with a
+        # copying concat node per stack, and a mixing step 4 fewer
+        tapes = []
+        real_backward = ad.backward
+
+        def backward(tape, loss):
+            tapes.append([node.op for node in tape.nodes])
+            return real_backward(tape, loss)
+        monkeypatch.setattr(ad, "backward", backward)
+        rng = np.random.default_rng(88)
+        data = toy_data(rng, 4, model.ModelConfig(), 64, 64)
+        sched = model.TrainSchedule(stage=stage, batch_size=4, max_steps=1)
+        base = model.init_params(model.ModelConfig(), seed=89)
+        model.train(data, sched, seed=90,
+                    **({"base_params": base} if stage == "mixing" else {}))
+        ops = [op for tape in tapes for op in tape]
+        assert len(ops) == nodes
+        assert "concat" not in ops and ops.count("conv2d") == (
+            17 if stage == "temporal" else 5)
 
 
 class TestTraining:
@@ -812,6 +881,52 @@ class TestTraining:
         _, trace = model.train(self.data, sched, seed=9, config=self.cfg)
         # 3 steps at batch 1 is less than one full epoch of 4 images
         assert len(trace) == 1
+
+    @staticmethod
+    def poison_step(monkeypatch, step_no, name):
+        """Make training step ``step_no`` return an inf gradient for
+        ``name``, which Adam turns into NaN; returns the list of steps
+        run."""
+        real, steps = model._train_step, []
+
+        def step(*args):
+            loss, grads = real(*args)
+            steps.append(loss)
+            if len(steps) == step_no:
+                grads[name] = np.full_like(grads[name], np.inf)
+            return loss, grads
+        monkeypatch.setattr(model, "_train_step", step)
+        return steps
+
+    @pytest.mark.parametrize("stage, name", [("temporal", "tdec.h2.b"),
+                                             ("mixing", "smm.s1.w")])
+    def test_non_finite_update_stops_at_its_step(self, monkeypatch, stage,
+                                                 name):
+        steps = self.poison_step(monkeypatch, 2, name)
+        sched = model.TrainSchedule(stage=stage, batch_size=1, epochs=2)
+        start = ({"base_params": model.init_params(self.cfg, 4)}
+                 if stage == "mixing" else {"config": self.cfg})
+        with pytest.raises(NonFiniteError) as caught, \
+                np.errstate(invalid="ignore"):
+            model.train(self.data, sched, seed=11, **start)
+        assert str(caught.value) == (
+            f"training step 2: {name}: holds NaN or Inf values after the "
+            f"update")
+        assert len(steps) == 2  # no step after it ran
+
+    def test_non_finite_update_exits_three_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        self.write_tree(tmp_path)
+        self.poison_step(monkeypatch, 1, "enc.c1.w")
+        out = tmp_path / "out"
+        assert main(["train", "--images", str(tmp_path / "images"),
+                     "--maps", str(tmp_path / "maps"), "--max-steps", "2",
+                     "--out", str(out / "ck.tspw"),
+                     "--loss-csv", str(out / "loss.csv")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "tsal: NonFiniteError: training step 1: enc.c1.w: holds NaN or "
+            "Inf values after the update"]
+        assert not out.exists()
 
     def write_tree(self, root):
         """``self.data`` as ``train``'s inputs under ``root``: images/,

@@ -15,11 +15,15 @@ checkouts from paths of equal length.
 
 ``runs`` reads the results files that ``perfbench/run.py`` writes
 (``.perfbench/results/<workload>-<seed>-trace<t>.json``, overwritten by
-each run, so hand it over after every run). ``launch`` runs the
-workload's timed commands as ``python -m tsal.cli`` processes of DIR and
-measures each with ``os.wait4``; this script imports no numpy, so the
-launcher's own size does not enter a command's peak RSS. ``tier1`` runs
-the tier-1 verify command in DIR once.
+each run, so hand it over after every run). ``launch`` copies DIR's
+``src/`` to one fixed directory, ``SAME_PATH``, runs the workload's
+timed commands as ``python -m tsal.cli`` processes of that copy, in a
+pass directory beside it, and measures each with ``os.wait4``. So every
+checkout's commands run from the same paths, and the heap-layout effect
+of a path's length on peak RSS cancels within a pair; run one launch at
+a time. This script imports no numpy, so the launcher's own size does
+not enter a command's peak RSS. ``tier1`` runs the tier-1 verify command
+in DIR once.
 
 Fields of BENCH.json:
 
@@ -59,6 +63,9 @@ import time
 from pathlib import Path
 
 END_TO_END = ("setup_s", "wall_cal_s", "peak_rss_mb", "wall_s")
+# Where ``launch`` runs every checkout's commands from; it is emptied
+# before and removed after each pass.
+SAME_PATH = Path(tempfile.gettempdir()) / "tsal-bench-launch"
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
 # Writes the workload's inputs into a directory and prints its timed
@@ -116,11 +123,16 @@ def timed(argv: list[str], cwd: Path, env: dict) -> dict:
 def launch(checkout: Path, workload: str, seed: int) -> dict:
     """One launcher pass: ``tsal --help``, then each timed command of the
     workload in a fresh copy of its inputs, as ``perfbench/run.py`` runs
-    them."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    them, all from ``SAME_PATH`` with the checkout's ``src/`` copied
+    there."""
+    shutil.rmtree(SAME_PATH, ignore_errors=True)
+    src = SAME_PATH / "src"
+    shutil.copytree(checkout / "src", src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(src))
     cli = [sys.executable, "-m", "tsal.cli"]
-    with tempfile.TemporaryDirectory(dir=checkout) as tmp:
-        inputs, d = Path(tmp) / "inputs", Path(tmp) / "pass"
+    try:
+        inputs, d = SAME_PATH / "inputs", SAME_PATH / "pass"
         inputs.mkdir()
         steps = json.loads(subprocess.run(
             [sys.executable, "-c", STEPS, str(checkout / "perfbench"),
@@ -130,6 +142,8 @@ def launch(checkout: Path, workload: str, seed: int) -> dict:
         stages = {"help": timed([*cli, "--help"], d, env)}
         for stage, argv in steps:
             stages[stage] = timed([*cli, *argv], d, env)
+    finally:
+        shutil.rmtree(SAME_PATH, ignore_errors=True)
     return stages
 
 
